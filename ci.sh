@@ -10,6 +10,10 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> byte-identity gate (benchmark seed-7 goldens: SimStats digest per cell incl. SL,"
+echo "    render digest per scene for both builders, every exact per-layer count)"
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -30,7 +34,9 @@ echo "==> HLBVH suite (builder unit tests, golden vs binned SAH, worker determin
 cargo test -q -p sms-bvh --lib hlbvh
 cargo test -q -p sms-sim --test hlbvh_golden
 
-echo "==> stackless + predictor suite (escape links, golden vs stacked drivers, table semantics)"
+echo "==> layout + stackless + predictor suite (FlatBvh digests, batched vs scalar node_step,"
+echo "    escape links, stackless vs stacked drivers, table semantics)"
+cargo test -q -p sms-sim --test layout_digest
 cargo test -q -p sms-bvh --lib flat
 cargo test -q -p sms-rtunit --lib predictor
 cargo test -q -p sms-sim --test stackless_golden

@@ -6,12 +6,11 @@
 //! showing how stack pressure depends on tree quality.
 
 use sms_bench::{fmt_improvement, setup, Table};
-use sms_sim::bvh::{builder::SplitMethod, BuildParams, WideBvh};
+use sms_sim::bvh::{builder::SplitMethod, BuildParams};
 use sms_sim::experiments::run_prepared;
 use sms_sim::gpu::GpuConfig;
 use sms_sim::render::PreparedScene;
 use sms_sim::rtunit::StackConfig;
-use sms_sim::scene::Scene;
 
 fn main() {
     let (_, mut scenes, render) = setup("Ablation", "median-split vs binned-SAH BVHs");
@@ -26,11 +25,8 @@ fn main() {
             [("median", SplitMethod::Median), ("binned-SAH", SplitMethod::BinnedSah)]
         {
             eprint!("  {id} ({label}) ...");
-            let scene = render.apply(Scene::build(id));
             let params = BuildParams { split, ..BuildParams::default() };
-            let bvh = WideBvh::build(&scene.prims, &params);
-            let flat = sms_sim::bvh::FlatBvh::from_wide(&bvh);
-            let prepared = PreparedScene { scene, bvh, flat, build_us: 0 };
+            let prepared = PreparedScene::build_with(id, &render, &params);
 
             // Depth statistics from the functional renderer.
             let out = sms_sim::render::render(&prepared, &render);

@@ -9,21 +9,21 @@
 //! (restarts only past the SH stack), as the paper suggests.
 
 use sms_bench::{fmt_pct, setup, Table};
-use sms_sim::bvh::traverse::{node_step, NodeStep};
-use sms_sim::bvh::{intersect_nearest_restart, WideBvh};
+use sms_sim::bvh::traverse::NodeStep;
+use sms_sim::bvh::{intersect_nearest_restart, FlatBvh};
 use sms_sim::render::PreparedScene;
 use sms_sim::scene::ScenePrimitive;
 
 /// Stack traversal with an exact node-visit counter (same order as
 /// `intersect_nearest`).
-fn count_stack_visits(bvh: &WideBvh, prims: &[ScenePrimitive], ray: &sms_sim::geom::Ray) -> u64 {
+fn count_stack_visits(bvh: &FlatBvh, prims: &[ScenePrimitive], ray: &sms_sim::geom::Ray) -> u64 {
     let mut visits = 0u64;
     let mut stack: Vec<u32> = Vec::with_capacity(64);
     let mut current = Some(0u32);
     let mut limit = f32::INFINITY;
     while let Some(node) = current {
         visits += 1;
-        match node_step(bvh, prims, ray, node, 0.0, limit) {
+        match bvh.node_step(prims, ray, node, 0.0, limit) {
             NodeStep::Inner(hits) => {
                 if hits.is_empty() {
                     current = stack.pop();

@@ -20,7 +20,7 @@
 
 use sms_harness::json::Json;
 use sms_harness::{cache, BatchMetrics, Event, Harness, HarnessConfig};
-use sms_sim::bvh::{BuildParams, SplitMethod, WideBvh};
+use sms_sim::bvh::{BuildParams, FlatBvh, SplitMethod};
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments;
 use sms_sim::rtunit::StackConfig;
@@ -33,10 +33,11 @@ fn unix_timestamp() -> u64 {
         .unwrap_or(0)
 }
 
-/// Times one `WideBvh` build over the scene's primitives, in microseconds.
+/// Times one `FlatBvh` build — what a prepared scene builds — over the
+/// scene's primitives, in microseconds.
 fn time_build(scene: &Scene, params: &BuildParams) -> u64 {
     let start = std::time::Instant::now();
-    std::hint::black_box(WideBvh::build(&scene.prims, params));
+    std::hint::black_box(FlatBvh::build(&scene.prims, params));
     start.elapsed().as_micros() as u64
 }
 

@@ -1,6 +1,6 @@
 //! Binned surface-area-heuristic (SAH) binary BVH builder.
 //!
-//! The binary tree is an intermediate product: [`crate::wide::WideBvh`]
+//! The binary tree is an intermediate product: [`crate::flat::FlatBvh`]
 //! collapses it into the wide BVH the RT unit traverses.
 
 use crate::Primitive;

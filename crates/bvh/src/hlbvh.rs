@@ -26,9 +26,8 @@
 //! eight-worker build produce byte-identical node arrays (asserted by the
 //! tests below and by `crates/core/tests/hlbvh_golden.rs`).
 //!
-//! The output is an ordinary [`BinaryBvh`], so the existing
-//! [`crate::wide::WideBvh::from_binary`] collapse and
-//! [`crate::flat::FlatBvh`] flattening apply unchanged. Select the builder
+//! The output is an ordinary [`BinaryBvh`], so the
+//! [`crate::flat::FlatBvh::from_binary`] collapse applies unchanged. Select the builder
 //! with [`crate::builder::SplitMethod::Hlbvh`]; the default build path
 //! (median splits) is untouched.
 
@@ -418,8 +417,8 @@ where
 mod tests {
     use super::*;
     use crate::builder::SplitMethod;
+    use crate::flat::FlatBvh;
     use crate::traverse::intersect_nearest;
-    use crate::wide::WideBvh;
     use crate::{Hit, PrimHit};
     use sms_geom::{Ray, Triangle, Vec3};
 
@@ -534,8 +533,8 @@ mod tests {
     #[test]
     fn nearest_hits_match_binned_sah_tree() {
         let prims = scatter(3000);
-        let sah = WideBvh::build(&prims, &BuildParams::sah());
-        let hl = WideBvh::build(&prims, &hlbvh_params(4));
+        let sah = FlatBvh::build(&prims, &BuildParams::sah());
+        let hl = FlatBvh::build(&prims, &hlbvh_params(4));
         for i in 0..128 {
             let x = (i % 16) as f32 * 5.0 - 40.0;
             let z = (i / 16) as f32 * 10.0 - 40.0;

@@ -14,7 +14,7 @@
 //!
 //! Traversal-stack entries store node addresses (8 B each, as in the paper).
 
-use crate::wide::{NodeId, WideBvh, WideNode};
+use crate::flat::{FlatBvh, NodeId};
 
 /// Base address of the BVH node region.
 pub const NODE_BASE_ADDR: u64 = 0x1000_0000;
@@ -26,7 +26,7 @@ pub const PRIM_BASE_ADDR: u64 = 0x4000_0000;
 /// Byte stride of one primitive record.
 pub const PRIM_STRIDE: u64 = 64;
 
-/// Address helpers tying a [`WideBvh`] to the simulated address space.
+/// Address helpers tying a [`FlatBvh`] to the simulated address space.
 ///
 /// # Example
 ///
@@ -82,15 +82,9 @@ impl BvhLayout {
 
     /// Total memory footprint of a BVH image in bytes (nodes + primitive
     /// records), the quantity reported as "BVH (MB)" in Table II.
-    pub fn size_bytes(bvh: &WideBvh) -> u64 {
-        let prim_slots: u64 = bvh
-            .nodes
-            .iter()
-            .map(|n| match n {
-                WideNode::Leaf { count, .. } => *count as u64,
-                WideNode::Inner { .. } => 0,
-            })
-            .sum();
+    pub fn size_bytes(bvh: &FlatBvh) -> u64 {
+        let prim_slots: u64 =
+            bvh.nodes.iter().filter(|n| n.is_leaf()).map(|n| n.count() as u64).sum();
         bvh.nodes.len() as u64 * NODE_STRIDE + prim_slots * PRIM_STRIDE
     }
 }

@@ -7,27 +7,30 @@
 //! * [`hlbvh`] — a parallel linear-time HLBVH builder (Morton codes +
 //!   radix sort + treelets with a binned-SAH upper tree) for paper-scale
 //!   scenes; deterministic in the worker count.
-//! * [`wide`] — collapse of the binary BVH into a *wide* BVH ("BVHk", the
-//!   paper traverses BVH6: up to six children per internal node).
-//! * [`flat`] — the same tree flattened into contiguous 32-byte node
-//!   records with SoA child AABB planes; hot host paths traverse this
-//!   layout (same node numbering, bit-identical visit order).
-//! * [`layout`] — the flattened memory image of the BVH: every node and
+//! * [`flat`] — collapse of the binary BVH into the *wide* BVH ("BVHk",
+//!   the paper traverses BVH6: up to six children per internal node),
+//!   written straight into contiguous 32-byte node records with SoA child
+//!   AABB planes and stackless escape links. [`FlatBvh`] is the one
+//!   runtime layout: the functional renderer, the cycle-level RT unit and
+//!   the stackless drivers all traverse it.
+//! * [`layout`] — the simulated memory image of the BVH: every node and
 //!   primitive record gets a byte address in the simulated global address
 //!   space, which is what the cycle-level RT unit fetches through the cache
 //!   hierarchy.
 //! * [`traverse`] — the *logical* traversal algorithm (depth-first with a
 //!   traversal stack, nearest-first child ordering). Both the functional
 //!   reference renderer and the cycle-level RT unit drive the same
-//!   [`traverse::node_step`] kernel, which guarantees that traversal work is
+//!   [`FlatBvh::node_step`] kernel, which guarantees that traversal work is
 //!   identical across stack configurations — only *timing* differs.
+//! * [`restart`] — restart-trail stackless traversal (paper §VIII-A), the
+//!   visit-count comparison point for the hierarchical stack.
 //! * [`stats`] — stack-depth recording (paper Figs. 4, 5 and 10) and BVH
 //!   size statistics (Table II).
 //!
 //! # Example
 //!
 //! ```
-//! use sms_bvh::{BuildParams, Primitive, PrimHit, WideBvh};
+//! use sms_bvh::{BuildParams, FlatBvh, Primitive, PrimHit};
 //! use sms_geom::{Aabb, Ray, Triangle, Vec3};
 //!
 //! struct Tri(Triangle);
@@ -49,10 +52,14 @@
 //!         ))
 //!     })
 //!     .collect();
-//! let bvh = WideBvh::build(&prims, &BuildParams::default());
+//! let bvh = FlatBvh::build(&prims, &BuildParams::default());
+//! assert!(bvh.nodes.iter().all(|n| n.is_leaf() || n.count() <= 6), "BVH6");
 //! let ray = Ray::new(Vec3::new(10.2, 0.2, -5.0), Vec3::new(0.0, 0.0, 1.0));
-//! let hit = sms_bvh::traverse::intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ());
-//! assert!(hit.is_some());
+//! let hit = sms_bvh::intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ());
+//! // The stackless escape-link walk finds the same nearest hit.
+//! let stackless = sms_bvh::intersect_nearest_stackless(&bvh, &prims, &ray, 0.0, f32::INFINITY, None);
+//! assert_eq!(hit.map(|h| h.prim), Some(10));
+//! assert_eq!(hit, stackless);
 //! ```
 
 pub mod builder;
@@ -62,10 +69,17 @@ pub mod layout;
 pub mod restart;
 pub mod stats;
 pub mod traverse;
-pub mod wide;
+
+/// Structural invariants of the collapsed k-wide tree (children ≤ width,
+/// every primitive reachable once, bounds nesting, …). The module path
+/// predates the single layout and is kept so the test ids stay stable.
+#[cfg(test)]
+mod wide {
+    mod tests;
+}
 
 pub use builder::{BinaryBvh, BuildParams, SplitMethod};
-pub use flat::{FlatBvh, FlatNode, NO_NODE};
+pub use flat::{FlatBvh, FlatNode, NodeId, NO_NODE};
 pub use hlbvh::{morton_decode, morton_encode, radix_sort_pairs};
 pub use layout::{BvhLayout, NODE_BASE_ADDR, NODE_STRIDE, PRIM_BASE_ADDR, PRIM_STRIDE};
 pub use restart::{intersect_nearest_restart, RestartStats};
@@ -73,9 +87,8 @@ pub use stats::BvhStats;
 pub use traverse::{
     intersect_any, intersect_any_stackless, intersect_any_with, intersect_nearest,
     intersect_nearest_stackless, intersect_nearest_with, Hit, StackObserver, StacklessStep,
-    TraversalScratch, TraverseBvh,
+    TraversalScratch,
 };
-pub use wide::{NodeId, WideBvh, WideChild, WideNode};
 
 use sms_geom::{Aabb, Ray};
 

@@ -18,9 +18,9 @@
 //! deterministic order a trail can replay; the nearest hit is still exact
 //! because every un-pruned leaf is tested under a shrinking `t_max`.
 
+use crate::flat::{FlatBvh, NodeId};
 use crate::traverse::Hit;
-use crate::wide::{NodeId, WideBvh, WideNode};
-use crate::{PrimHit, Primitive};
+use crate::Primitive;
 
 /// Work counters of one restart-trail traversal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,7 +36,7 @@ pub struct RestartStats {
 /// Returns the same nearest hit as [`crate::intersect_nearest`] (asserted
 /// by tests) along with the work counters.
 pub fn intersect_nearest_restart<P: Primitive>(
-    bvh: &WideBvh,
+    bvh: &FlatBvh,
     prims: &[P],
     ray: &sms_geom::Ray,
     t_min: f32,
@@ -51,39 +51,25 @@ pub fn intersect_nearest_restart<P: Primitive>(
 
     'traverse: loop {
         stats.node_visits += 1;
-        match &bvh.nodes[current as usize] {
-            WideNode::Inner { children } => {
-                // Advance over completed/missed children in fixed order.
-                let mut k = trail[level] as usize;
-                let mut descended = false;
-                while k < children.len() {
-                    let c = &children[k];
-                    if c.aabb.intersect(ray, t_min, limit).is_some() {
-                        current = c.node;
-                        level += 1;
-                        trail[level] = 0;
-                        descended = true;
-                        break;
-                    }
-                    k += 1;
-                    trail[level] = k as u32;
-                }
-                if descended {
+        let n = &bvh.nodes[current as usize];
+        if n.is_leaf() {
+            if let Some(hit) = bvh.leaf_nearest(n, prims, ray, t_min, limit) {
+                limit = hit.t;
+                best = Some(hit);
+            }
+        } else {
+            // Advance over completed/missed children in fixed order.
+            while trail[level] < n.count() {
+                let slot = (n.first + trail[level]) as usize;
+                if bvh.child_aabb(slot).intersect(ray, t_min, limit).is_some() {
+                    current = bvh.child_node[slot];
+                    level += 1;
+                    trail[level] = 0;
                     continue 'traverse;
                 }
-                // Node exhausted: back up (via restart).
+                trail[level] += 1;
             }
-            WideNode::Leaf { first, count } => {
-                for slot in *first..*first + *count {
-                    let prim_id = bvh.prim_order[slot as usize];
-                    if let Some(PrimHit { t, u, v }) =
-                        prims[prim_id as usize].intersect(ray, t_min, limit)
-                    {
-                        limit = t;
-                        best = Some(Hit { t, prim: prim_id, u, v });
-                    }
-                }
-            }
+            // Node exhausted: back up (via restart).
         }
 
         // Backtrack: mark this child completed on the parent's trail and
@@ -100,10 +86,9 @@ pub fn intersect_nearest_restart<P: Primitive>(
         level = 0;
         while level < target {
             stats.node_visits += 1;
-            let WideNode::Inner { children } = &bvh.nodes[current as usize] else {
-                unreachable!("trail paths only run through internal nodes")
-            };
-            current = children[trail[level] as usize].node;
+            let n = &bvh.nodes[current as usize];
+            debug_assert!(!n.is_leaf(), "trail paths only run through internal nodes");
+            current = bvh.child_node[(n.first + trail[level]) as usize];
             level += 1;
         }
     }
@@ -114,6 +99,7 @@ pub fn intersect_nearest_restart<P: Primitive>(
 mod tests {
     use super::*;
     use crate::builder::BuildParams;
+    use crate::PrimHit;
     use sms_geom::{Aabb, DeterministicRng, Ray, SplitMix64, Triangle, Vec3};
 
     struct Tri(Triangle);
@@ -141,7 +127,7 @@ mod tests {
     #[test]
     fn matches_stack_traversal_hit_distance() {
         let prims = scene(4000);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let mut rng = SplitMix64::new(7);
         let mut hits = 0;
         for _ in 0..300 {
@@ -166,7 +152,7 @@ mod tests {
     #[test]
     fn restart_inflates_node_visits() {
         let prims = scene(4000);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let mut rng = SplitMix64::new(9);
         let mut stack_visits = 0u64;
         let mut restart_visits = 0u64;
@@ -192,7 +178,7 @@ mod tests {
     #[test]
     fn single_leaf_and_miss_edge_cases() {
         let prims = scene(2);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(100.0, 100.0, 100.0), Vec3::new(0.0, 1.0, 0.0));
         let (hit, stats) = intersect_nearest_restart(&bvh, &prims, &ray, 0.0, f32::INFINITY);
         assert!(hit.is_none());

@@ -5,9 +5,9 @@
 //! histogram's linear-bucket cutoff, so every count, mean, median and
 //! bucket fraction the paper's figures need is exact.
 
+use crate::flat::FlatBvh;
 use crate::layout::BvhLayout;
 use crate::traverse::StackObserver;
-use crate::wide::WideBvh;
 use sms_metrics::Histogram;
 
 /// The paper records "the stack depth … at every push and pop operation
@@ -54,11 +54,12 @@ pub struct BvhStats {
 
 impl BvhStats {
     /// Measures a built BVH.
-    pub fn measure(bvh: &WideBvh) -> Self {
+    pub fn measure(bvh: &FlatBvh) -> Self {
+        let leaf_nodes = bvh.nodes.iter().filter(|n| n.is_leaf()).count();
         BvhStats {
             nodes: bvh.nodes.len(),
-            inner_nodes: bvh.inner_count(),
-            leaf_nodes: bvh.leaf_count(),
+            inner_nodes: bvh.nodes.len() - leaf_nodes,
+            leaf_nodes,
             depth: bvh.depth(),
             size_bytes: BvhLayout::size_bytes(bvh),
         }

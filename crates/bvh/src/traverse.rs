@@ -1,7 +1,7 @@
 //! Logical BVH traversal: depth-first, nearest-first, stack-based.
 //!
 //! The traversal *algorithm* is deliberately factored out of the timing
-//! model: [`TraverseBvh::node_step`] performs the work of one node visit
+//! model: [`FlatBvh::node_step`] performs the work of one node visit
 //! (the ray-box tests of an internal node, or the ray-primitive tests of a
 //! leaf), and the drivers — [`intersect_nearest`], [`intersect_any`] here,
 //! and the RT-unit state machine in the `sms-rtunit` crate — layer stack
@@ -11,14 +11,11 @@
 //! what memory traffic they cost. This mirrors the paper's normalized-IPC
 //! methodology.
 //!
-//! Both BVH layouts implement [`TraverseBvh`] — the semantic [`WideBvh`]
-//! and the cache-friendly [`crate::flat::FlatBvh`] — and both produce
-//! bit-identical visit sequences: child ordering goes through the single
-//! [`ChildHits::insert`] implementation with its deterministic `(t, node)`
-//! tie-break, on the same `f32` box planes.
+//! Child ordering goes through the single [`ChildHits::insert`]
+//! implementation with its deterministic `(t, node)` tie-break.
 
-use crate::wide::{NodeId, WideBvh, WideNode};
-use crate::{PrimHit, Primitive};
+use crate::flat::{FlatBvh, NodeId};
+use crate::Primitive;
 
 /// Maximum supported branching factor (the paper's BVH6 fits comfortably).
 pub const MAX_WIDTH: usize = 8;
@@ -101,7 +98,7 @@ impl ChildHits {
     /// Inserts a child in sorted position by `(t, node)`.
     ///
     /// This is the *only* child-ordering implementation: every traversal
-    /// path (wide, flat, RT unit) routes through it, so the deterministic
+    /// path (functional drivers, RT unit) routes through it, so the deterministic
     /// tie-break — ascending `t`, then ascending node id — lives in exactly
     /// one place. Since node ids are unique the order is a strict total
     /// order: the result is independent of insertion order.
@@ -164,133 +161,6 @@ pub enum StacklessStep {
     },
 }
 
-/// A BVH layout that supports the paper's traversal kernel.
-///
-/// Implemented by [`WideBvh`] (the semantic build output) and
-/// [`crate::flat::FlatBvh`] (the flattened hot-path layout). Both are views
-/// of the same tree with the same [`NodeId`] numbering, so a driver is
-/// layout-agnostic: visit order, hit results and stack activity are
-/// identical whichever implementation it runs on.
-pub trait TraverseBvh {
-    /// Performs the intersection work of a single node visit.
-    ///
-    /// For internal nodes this is `k` ray-box tests; for leaves it is
-    /// `count` ray-primitive tests. This is exactly the work one RT-unit
-    /// operation-unit dispatch performs per fetched node.
-    fn node_step<P: Primitive>(
-        &self,
-        prims: &[P],
-        ray: &sms_geom::Ray,
-        node: NodeId,
-        t_min: f32,
-        t_max: f32,
-    ) -> NodeStep;
-
-    /// `true` when `node` is a leaf (selects the operation-unit latency).
-    fn is_leaf(&self, node: NodeId) -> bool;
-
-    /// `(first, count)` into the primitive permutation when `node` is a
-    /// leaf, `None` for internal nodes (sizes the simulated leaf fetch).
-    fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)>;
-
-    /// Number of nodes in the tree.
-    fn node_count(&self) -> usize;
-
-    /// `true` when the layout carries the parent/escape links that
-    /// [`TraverseBvh::stackless_step`] needs. [`crate::flat::FlatBvh`]
-    /// builds them at flatten time; the semantic [`WideBvh`] does not.
-    fn has_escape_links(&self) -> bool {
-        false
-    }
-
-    /// Performs one stackless node visit: the node's *own* ray-box test,
-    /// plus the leaf's ray-primitive tests when the box is hit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the layout has no escape links
-    /// (`has_escape_links() == false`).
-    fn stackless_step<P: Primitive>(
-        &self,
-        prims: &[P],
-        ray: &sms_geom::Ray,
-        node: NodeId,
-        t_min: f32,
-        t_max: f32,
-    ) -> StacklessStep {
-        let _ = (prims, ray, node, t_min, t_max);
-        panic!("this BVH layout has no escape links; flatten to a FlatBvh for stackless traversal")
-    }
-}
-
-impl TraverseBvh for WideBvh {
-    fn node_step<P: Primitive>(
-        &self,
-        prims: &[P],
-        ray: &sms_geom::Ray,
-        node: NodeId,
-        t_min: f32,
-        t_max: f32,
-    ) -> NodeStep {
-        match &self.nodes[node as usize] {
-            WideNode::Inner { children } => {
-                let mut hits = ChildHits::empty();
-                for c in children {
-                    if let Some(t) = c.aabb.intersect(ray, t_min, t_max) {
-                        hits.insert(t, c.node);
-                    }
-                }
-                NodeStep::Inner(hits)
-            }
-            WideNode::Leaf { first, count } => {
-                let mut best: Option<Hit> = None;
-                let mut limit = t_max;
-                for slot in *first..*first + *count {
-                    let prim_id = self.prim_order[slot as usize];
-                    if let Some(PrimHit { t, u, v }) =
-                        prims[prim_id as usize].intersect(ray, t_min, limit)
-                    {
-                        limit = t;
-                        best = Some(Hit { t, prim: prim_id, u, v });
-                    }
-                }
-                NodeStep::Leaf(best)
-            }
-        }
-    }
-
-    #[inline]
-    fn is_leaf(&self, node: NodeId) -> bool {
-        matches!(self.nodes[node as usize], WideNode::Leaf { .. })
-    }
-
-    #[inline]
-    fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)> {
-        match self.nodes[node as usize] {
-            WideNode::Leaf { first, count } => Some((first, count)),
-            WideNode::Inner { .. } => None,
-        }
-    }
-
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-/// Performs the intersection work of a single node visit (free-function
-/// form of [`TraverseBvh::node_step`], kept for existing call sites).
-pub fn node_step<B: TraverseBvh, P: Primitive>(
-    bvh: &B,
-    prims: &[P],
-    ray: &sms_geom::Ray,
-    node: NodeId,
-    t_min: f32,
-    t_max: f32,
-) -> NodeStep {
-    bvh.node_step(prims, ray, node, t_min, t_max)
-}
-
 /// Reusable traversal working memory.
 ///
 /// The drivers below need one node stack per *in-flight* ray, not per ray
@@ -317,8 +187,8 @@ impl TraversalScratch {
 /// same visits in the same order and must produce identical results (asserted
 /// by integration tests). Allocates a fresh [`TraversalScratch`] per call;
 /// loops over many rays should use [`intersect_nearest_with`].
-pub fn intersect_nearest<B: TraverseBvh, P: Primitive, O: StackObserver>(
-    bvh: &B,
+pub fn intersect_nearest<P: Primitive, O: StackObserver>(
+    bvh: &FlatBvh,
     prims: &[P],
     ray: &sms_geom::Ray,
     t_min: f32,
@@ -329,8 +199,8 @@ pub fn intersect_nearest<B: TraverseBvh, P: Primitive, O: StackObserver>(
 }
 
 /// [`intersect_nearest`] with caller-provided scratch (zero allocation).
-pub fn intersect_nearest_with<B: TraverseBvh, P: Primitive, O: StackObserver>(
-    bvh: &B,
+pub fn intersect_nearest_with<P: Primitive, O: StackObserver>(
+    bvh: &FlatBvh,
     prims: &[P],
     ray: &sms_geom::Ray,
     t_min: f32,
@@ -376,8 +246,8 @@ pub fn intersect_nearest_with<B: TraverseBvh, P: Primitive, O: StackObserver>(
 /// Any-hit (occlusion) traversal: returns `true` as soon as any primitive is
 /// hit in `[t_min, t_max]`. Used for shadow rays. Allocates a fresh
 /// [`TraversalScratch`] per call; loops should use [`intersect_any_with`].
-pub fn intersect_any<B: TraverseBvh, P: Primitive, O: StackObserver>(
-    bvh: &B,
+pub fn intersect_any<P: Primitive, O: StackObserver>(
+    bvh: &FlatBvh,
     prims: &[P],
     ray: &sms_geom::Ray,
     t_min: f32,
@@ -388,8 +258,8 @@ pub fn intersect_any<B: TraverseBvh, P: Primitive, O: StackObserver>(
 }
 
 /// [`intersect_any`] with caller-provided scratch (zero allocation).
-pub fn intersect_any_with<B: TraverseBvh, P: Primitive, O: StackObserver>(
-    bvh: &B,
+pub fn intersect_any_with<P: Primitive, O: StackObserver>(
+    bvh: &FlatBvh,
     prims: &[P],
     ray: &sms_geom::Ray,
     t_min: f32,
@@ -426,7 +296,7 @@ pub fn intersect_any_with<B: TraverseBvh, P: Primitive, O: StackObserver>(
 }
 
 /// Nearest-hit traversal with **zero stack operations**: every visit
-/// resolves locally through the layout's escape links.
+/// resolves locally through the escape links.
 ///
 /// The visit order is fixed left-to-right (child-record order), not
 /// nearest-first, so the same ray touches more nodes than the stacked
@@ -434,8 +304,8 @@ pub fn intersect_any_with<B: TraverseBvh, P: Primitive, O: StackObserver>(
 /// the re-visit overhead. Hit results are identical to
 /// [`intersect_nearest`]: both paths cull with conservative box tests and
 /// keep the closest primitive hit.
-pub fn intersect_nearest_stackless<B: TraverseBvh, P: Primitive>(
-    bvh: &B,
+pub fn intersect_nearest_stackless<P: Primitive>(
+    bvh: &FlatBvh,
     prims: &[P],
     ray: &sms_geom::Ray,
     t_min: f32,
@@ -469,8 +339,8 @@ pub fn intersect_nearest_stackless<B: TraverseBvh, P: Primitive>(
 /// Any-hit (occlusion) traversal via escape links: returns `true` as soon
 /// as any primitive is hit in `[t_min, t_max]`. Zero stack operations; see
 /// [`intersect_nearest_stackless`].
-pub fn intersect_any_stackless<B: TraverseBvh, P: Primitive>(
-    bvh: &B,
+pub fn intersect_any_stackless<P: Primitive>(
+    bvh: &FlatBvh,
     prims: &[P],
     ray: &sms_geom::Ray,
     t_min: f32,
@@ -509,6 +379,7 @@ fn pop<O: StackObserver>(stack: &mut Vec<NodeId>, observer: &mut O) -> Option<No
 mod tests {
     use super::*;
     use crate::builder::BuildParams;
+    use crate::PrimHit;
     use sms_geom::{Aabb, Ray, Triangle, Vec3};
 
     struct Tri(Triangle);
@@ -550,7 +421,7 @@ mod tests {
     #[test]
     fn nearest_hit_matches_brute_force() {
         let prims = walls(50);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         for i in 0..20 {
             let x = (i as f32) * 0.05 - 0.5;
             let ray = Ray::new(Vec3::new(x, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
@@ -563,7 +434,7 @@ mod tests {
     #[test]
     fn miss_returns_none() {
         let prims = walls(10);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(100.0, 100.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
         assert!(intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ()).is_none());
         assert!(!intersect_any(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ()));
@@ -572,7 +443,7 @@ mod tests {
     #[test]
     fn any_hit_detects_occlusion_within_range() {
         let prims = walls(10);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(0.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
         assert!(intersect_any(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ()));
         // Nothing closer than z=1, so a segment ending at 0.5 is unoccluded.
@@ -629,7 +500,7 @@ mod tests {
             }
         }
         let prims = walls(64);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(0.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
         let mut c = Counter::default();
         let _ = intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut c);
@@ -641,7 +512,7 @@ mod tests {
     #[test]
     fn t_max_limits_traversal() {
         let prims = walls(50);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(0.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
         let hit = intersect_nearest(&bvh, &prims, &ray, 0.0, 0.5, &mut ());
         assert!(hit.is_none());
@@ -652,7 +523,7 @@ mod tests {
     #[test]
     fn scratch_reuse_is_transparent() {
         let prims = walls(50);
-        let bvh = crate::WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let mut scratch = TraversalScratch::new();
         for i in 0..20 {
             let x = (i as f32) * 0.05 - 0.5;

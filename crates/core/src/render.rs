@@ -6,7 +6,7 @@
 
 use crate::config::RenderConfig;
 use crate::driver::{self, PathState};
-use sms_bvh::{BuildParams, FlatBvh, Hit, TraversalScratch, WideBvh};
+use sms_bvh::{BuildParams, FlatBvh, Hit, TraversalScratch};
 use sms_geom::{Ray, Vec3};
 use sms_metrics::Histogram;
 use sms_scene::{Scene, SceneId, ScenePrimitive};
@@ -18,11 +18,8 @@ pub struct PreparedScene {
     /// The scene (camera already resized per the render config).
     pub scene: Scene,
     /// The BVH6 over the scene's primitives.
-    pub bvh: WideBvh,
-    /// The same tree flattened to the cache-friendly layout hot host
-    /// paths traverse (identical node numbering and visit order).
-    pub flat: FlatBvh,
-    /// Wall time of the BVH build (binary build + collapse + flatten) in
+    pub bvh: FlatBvh,
+    /// Wall time of the BVH build (binary build + collapse) in
     /// microseconds — pure observation for build-throughput reporting.
     pub build_us: u64,
 }
@@ -40,10 +37,9 @@ impl PreparedScene {
     pub fn build_with(id: SceneId, render: &RenderConfig, params: &BuildParams) -> Self {
         let scene = render.apply(Scene::build(id));
         let start = std::time::Instant::now();
-        let bvh = WideBvh::build(&scene.prims, params);
-        let flat = FlatBvh::from_wide(&bvh);
+        let bvh = FlatBvh::build(&scene.prims, params);
         let build_us = start.elapsed().as_micros() as u64;
-        PreparedScene { scene, bvh, flat, build_us }
+        PreparedScene { scene, bvh, build_us }
     }
 
     /// The scene's primitives.
@@ -53,12 +49,12 @@ impl PreparedScene {
 
     /// Reference nearest-hit trace.
     pub fn trace(&self, ray: &Ray) -> Option<Hit> {
-        sms_bvh::intersect_nearest(&self.flat, self.prims(), ray, 0.0, f32::INFINITY, &mut ())
+        sms_bvh::intersect_nearest(&self.bvh, self.prims(), ray, 0.0, f32::INFINITY, &mut ())
     }
 
     /// Reference occlusion trace.
     pub fn occluded(&self, ray: &Ray, t_min: f32, t_max: f32) -> bool {
-        sms_bvh::intersect_any(&self.flat, self.prims(), ray, t_min, t_max, &mut ())
+        sms_bvh::intersect_any(&self.bvh, self.prims(), ray, t_min, t_max, &mut ())
     }
 }
 
@@ -103,7 +99,7 @@ pub fn render(prepared: &PreparedScene, config: &RenderConfig) -> RenderOutput {
                 while path.alive {
                     rays += 1;
                     let hit = sms_bvh::intersect_nearest_with(
-                        &prepared.flat,
+                        &prepared.bvh,
                         prepared.prims(),
                         &ray,
                         0.0,
@@ -122,7 +118,7 @@ pub fn render(prepared: &PreparedScene, config: &RenderConfig) -> RenderOutput {
                     if let Some((query, contrib)) = out.shadow {
                         shadow_rays += 1;
                         let occ = sms_bvh::intersect_any_with(
-                            &prepared.flat,
+                            &prepared.bvh,
                             prepared.prims(),
                             &query.ray,
                             query.t_min,

@@ -27,14 +27,13 @@ use crate::driver::{self, PathState, ACCUM_COST, RAYGEN_COST, SHADE_COST};
 use crate::metrics::{MetricsReport, SampleCounts, SeriesSampler};
 use crate::render::PreparedScene;
 use crate::trace::{SmCounters, TraceRecorder, TraceSpec};
-use sms_bvh::TraverseBvh;
+use sms_bvh::FlatBvh;
 use sms_geom::{Ray, Vec3};
 use sms_gpu::{SimStats, StallBreakdown, WarpId, WARP_SIZE};
 use sms_mem::{coalesce_lines, AccessKind, Cycle, GlobalMemory, SharedMem, SmL1, SHADE_BASE_ADDR};
 use sms_metrics::Histogram;
 use sms_rtunit::{
-    RayQuery, RtUnit, RtUnitConfig, StackConfig, StackViolation, ThreadTraceRecorder, TraceRequest,
-    TraceResult,
+    RayQuery, RtUnit, RtUnitConfig, StackViolation, ThreadTraceRecorder, TraceRequest, TraceResult,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -336,7 +335,6 @@ pub struct GpuSim<'a> {
     config: SimConfig,
     record_depths: bool,
     trace_warp_limit: u32,
-    use_flat: bool,
     limits: RunLimits,
     trace: Option<TraceSpec>,
     metrics_period: Cycle,
@@ -350,7 +348,6 @@ impl<'a> GpuSim<'a> {
             config,
             record_depths: false,
             trace_warp_limit: 0,
-            use_flat: true,
             limits: RunLimits::none(),
             trace: None,
             metrics_period: crate::metrics::DEFAULT_PERIOD,
@@ -390,16 +387,6 @@ impl<'a> GpuSim<'a> {
         self
     }
 
-    /// Selects the host-side BVH layout: the flattened layout (default) or
-    /// the original wide representation. Both traverse the same tree with
-    /// identical node numbering, so every statistic and image is
-    /// bit-identical — the knob exists for regression tests and timing
-    /// comparisons.
-    pub fn use_flat(mut self, on: bool) -> Self {
-        self.use_flat = on;
-        self
-    }
-
     /// Runs the workload to completion.
     ///
     /// # Panics
@@ -414,16 +401,10 @@ impl<'a> GpuSim<'a> {
     /// Runs the workload to completion, returning a structured
     /// [`SimFault`] instead of panicking when the run must be aborted.
     pub fn try_run(self) -> Result<SimRun, SimFault> {
-        // Stackless traversal follows the escape links only the flattened
-        // layout carries, so it overrides the layout knob.
-        if self.use_flat || matches!(self.config.stack, StackConfig::Stackless) {
-            self.run_on(&self.prepared.flat)
-        } else {
-            self.run_on(&self.prepared.bvh)
-        }
+        self.run_on(&self.prepared.bvh)
     }
 
-    fn run_on<B: TraverseBvh>(&self, bvh: &B) -> Result<SimRun, SimFault> {
+    fn run_on(&self, bvh: &FlatBvh) -> Result<SimRun, SimFault> {
         let scene = &self.prepared.scene;
         let (w, h, spp) = self.config.render.workload(scene.id);
         let total_threads = (w * h * spp) as usize;

@@ -1,38 +1,16 @@
-//! Golden-stats regression: the flattened BVH layout and the reusable
-//! traversal scratch are host-side optimizations only — every simulated
-//! statistic and every rendered pixel must be bit-identical to the
-//! original wide-node traversal path.
+//! The functional renderer and the cycle simulator traverse the one
+//! `FlatBvh` through the same `node_step` kernel: every rendered pixel
+//! must agree. (The layout itself is pinned by `layout_digest.rs`; the
+//! batched slab test is checked against its scalar reference in
+//! `sms-bvh`'s `flat` tests.)
 
 use sms_sim::config::{RenderConfig, SimConfig};
 use sms_sim::render::PreparedScene;
 use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
-use sms_sim::sim::GpuSim;
 
-/// Every Table 2 scene, both stack architectures: wide and flat traversal
-/// must agree on all `SimStats` counters and the image, bit for bit.
-#[test]
-fn flat_bvh_is_bit_identical_to_wide() {
-    let render = RenderConfig::tiny();
-    for id in SceneId::ALL {
-        let prepared = PreparedScene::build(id, &render);
-        for stack in [StackConfig::baseline8(), StackConfig::sms_default()] {
-            let config = SimConfig::with_stack(stack, render);
-            let wide = GpuSim::new(&prepared, config).use_flat(false).run();
-            let flat = GpuSim::new(&prepared, config).use_flat(true).run();
-            assert_eq!(
-                wide.stats,
-                flat.stats,
-                "SimStats diverged on {id:?} with {}",
-                stack.label()
-            );
-            assert_eq!(wide.image, flat.image, "image diverged on {id:?}");
-        }
-    }
-}
-
-/// The functional renderer (which now traverses the flat layout) stays in
-/// agreement with the simulator's per-ray results.
+/// The functional renderer stays in agreement with the simulator's
+/// per-ray results.
 #[test]
 fn functional_render_matches_simulator_through_flat_layout() {
     let render = RenderConfig::tiny();

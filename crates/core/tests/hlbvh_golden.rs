@@ -51,10 +51,10 @@ fn hlbvh_flat_layout_is_identical_across_worker_counts() {
         let one = PreparedScene::build_with(id, &render, &BuildParams::hlbvh(1));
         for workers in [2, 8] {
             let many = PreparedScene::build_with(id, &render, &BuildParams::hlbvh(workers));
-            assert_eq!(one.flat, many.flat, "{id:?} flat layout changed at {workers} workers");
+            assert_eq!(one.bvh, many.bvh, "{id:?} flat layout changed at {workers} workers");
             assert_eq!(
-                one.flat.host_bytes(),
-                many.flat.host_bytes(),
+                one.bvh.host_bytes(),
+                many.bvh.host_bytes(),
                 "{id:?} footprint changed at {workers} workers"
             );
         }

@@ -1,9 +1,8 @@
 //! Stackless-traversal golden regression: the escape-index path visits
 //! nodes in a fixed pre-order (no nearest-first reordering, no stack), yet
 //! it must report the same nearest-hit distance bit-for-bit and the same
-//! occlusion answer as the stacked drivers — against both the `WideBvh`
-//! and its `FlatBvh` flattening — for every camera ray of every Table 2
-//! scene. The visit counter also proves the overhead is real: stackless
+//! occlusion answer as the stacked drivers for every camera ray of every
+//! Table 2 scene. The visit counter also proves the overhead is real: stackless
 //! touches at least as many nodes as it has to, and the escape links
 //! terminate every walk (no cycles).
 
@@ -24,20 +23,10 @@ fn stackless_hits_match_stacked_on_every_scene() {
         for py in 0..h {
             for px in 0..w {
                 let ray = PathState::new(px, py, 0, render.seed).primary_ray(&prepared.scene);
-                let wide = sms_bvh::intersect_nearest(
-                    &prepared.bvh,
-                    prims,
-                    &ray,
-                    0.0,
-                    f32::INFINITY,
-                    &mut (),
-                )
-                .map(|hit| hit.t.to_bits());
-                let flat = prepared.trace(&ray).map(|hit| hit.t.to_bits());
-                assert_eq!(wide, flat, "wide vs flat diverged on {id:?} pixel ({px},{py})");
+                let stacked = prepared.trace(&ray).map(|hit| hit.t.to_bits());
                 let mut visits = 0u64;
                 let sl = sms_bvh::intersect_nearest_stackless(
-                    &prepared.flat,
+                    &prepared.bvh,
                     prims,
                     &ray,
                     0.0,
@@ -45,14 +34,14 @@ fn stackless_hits_match_stacked_on_every_scene() {
                     Some(&mut visits),
                 )
                 .map(|hit| hit.t.to_bits());
-                assert_eq!(flat, sl, "stackless nearest diverged on {id:?} pixel ({px},{py})");
+                assert_eq!(stacked, sl, "stackless nearest diverged on {id:?} pixel ({px},{py})");
                 assert!(visits >= 1, "stackless walk must at least visit the root");
                 stackless_visits += visits;
 
-                let t = flat.map(f32::from_bits).unwrap_or(1.0e4);
+                let t = stacked.map(f32::from_bits).unwrap_or(1.0e4);
                 let occluded = prepared.occluded(&ray, 1.0e-3, t * 0.999);
                 let sl_occluded = sms_bvh::intersect_any_stackless(
-                    &prepared.flat,
+                    &prepared.bvh,
                     prims,
                     &ray,
                     1.0e-3,

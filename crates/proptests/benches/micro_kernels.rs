@@ -3,7 +3,7 @@
 //! model, and stack-manager operations.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sms_sim::bvh::{BuildParams, WideBvh};
+use sms_sim::bvh::{BuildParams, FlatBvh};
 use sms_sim::geom::{Aabb, DeterministicRng, Ray, SplitMix64, Triangle, Vec3};
 use sms_sim::gpu::SimStats;
 use sms_sim::mem::{Cache, CacheConfig, SharedMem, SharedMemConfig};
@@ -51,9 +51,9 @@ fn bench_intersections(c: &mut Criterion) {
 fn bench_bvh(c: &mut Criterion) {
     let scene = Scene::build(SceneId::Bunny);
     c.bench_function("bvh6_build_bunny", |b| {
-        b.iter(|| black_box(WideBvh::build(&scene.prims, &BuildParams::default())))
+        b.iter(|| black_box(FlatBvh::build(&scene.prims, &BuildParams::default())))
     });
-    let bvh = WideBvh::build(&scene.prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&scene.prims, &BuildParams::default());
     let rs = rays(256, 2);
     c.bench_function("bvh6_traverse_256", |b| {
         b.iter(|| {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sms_bvh::builder::SplitMethod;
-use sms_bvh::{intersect_nearest_restart, BuildParams, PrimHit, Primitive, WideBvh};
+use sms_bvh::{intersect_nearest_restart, BuildParams, FlatBvh, PrimHit, Primitive};
 use sms_geom::{Aabb, Ray, Triangle, Vec3};
 
 #[derive(Debug)]
@@ -55,7 +55,7 @@ proptest! {
             split: if sah { SplitMethod::BinnedSah } else { SplitMethod::Median },
             ..BuildParams::default()
         };
-        let bvh = WideBvh::build(&prims, &params);
+        let bvh = FlatBvh::build(&prims, &params);
         let ray = Ray::new(origin, dir);
         let expected = brute(&prims, &ray, 0.0, f32::INFINITY);
         let got = sms_bvh::intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ())
@@ -85,7 +85,7 @@ proptest! {
         cut in 0.1f32..40.0,
     ) {
         prop_assume!(dir.length() > 0.1);
-        let bvh = WideBvh::build(&prims, &BuildParams::default());
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(origin, dir);
         let unbounded =
             sms_bvh::intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ());

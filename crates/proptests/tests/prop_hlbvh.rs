@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sms_bvh::{
-    morton_decode, morton_encode, radix_sort_pairs, BuildParams, PrimHit, Primitive, WideBvh,
+    morton_decode, morton_encode, radix_sort_pairs, BuildParams, FlatBvh, PrimHit, Primitive,
 };
 use sms_geom::{Aabb, Ray, Triangle, Vec3};
 
@@ -88,7 +88,7 @@ proptest! {
         workers in 1usize..5,
     ) {
         prop_assume!(dir.length() > 0.1);
-        let bvh = WideBvh::build(&prims, &BuildParams::hlbvh(workers));
+        let bvh = FlatBvh::build(&prims, &BuildParams::hlbvh(workers));
         let ray = Ray::new(origin, dir);
         let expected = brute(&prims, &ray, 0.0, f32::INFINITY);
         let got = sms_bvh::intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ())

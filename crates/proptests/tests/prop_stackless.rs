@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 use sms_bvh::builder::SplitMethod;
 use sms_bvh::{
-    intersect_any_stackless, intersect_nearest_stackless, BuildParams, FlatBvh, PrimHit,
-    Primitive, WideBvh,
+    intersect_any_stackless, intersect_nearest_stackless, BuildParams, FlatBvh, PrimHit, Primitive,
 };
 use sms_geom::{Aabb, Ray, Triangle, Vec3};
 use sms_rtunit::RayPredictor;
@@ -64,7 +63,7 @@ proptest! {
             split: if sah { SplitMethod::BinnedSah } else { SplitMethod::Median },
             ..BuildParams::default()
         };
-        let flat = FlatBvh::from_wide(&WideBvh::build(&prims, &params));
+        let flat = FlatBvh::build(&prims, &params);
         let ray = Ray::new(origin, dir);
         let expected = brute(&prims, &ray, 0.0, f32::INFINITY);
         let mut visits = 0u64;
@@ -94,7 +93,7 @@ proptest! {
         probe in any::<prop::sample::Index>(),
     ) {
         prop_assume!(dir.length() > 0.1);
-        let flat = FlatBvh::from_wide(&WideBvh::build(&prims, &BuildParams::default()));
+        let flat = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(origin, dir);
         let full = sms_bvh::intersect_nearest(&flat, &prims, &ray, 0.0, f32::INFINITY, &mut ());
         // The predictor's fallback protocol: a speculative probe that hits

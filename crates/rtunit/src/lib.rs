@@ -20,7 +20,7 @@
 //! * [`trace`] — the trace-ray request/result interface used by the SM
 //!   model.
 //!
-//! Traversal order is computed by `sms_bvh::traverse::node_step`, the same
+//! Traversal order is computed by `sms_bvh::FlatBvh::node_step`, the same
 //! kernel the functional renderer uses, so results are bit-identical to the
 //! reference and traversal *work* is identical across stack configurations.
 

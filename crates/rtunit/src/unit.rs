@@ -31,8 +31,8 @@ use crate::predictor::RayPredictor;
 use crate::stack::{StackConfig, WarpStacks};
 use crate::trace::{RayQuery, TraceRequest, TraceResult};
 use crate::validator::StackViolation;
-use sms_bvh::traverse::{NodeStep, StacklessStep, TraverseBvh};
-use sms_bvh::{BvhLayout, Hit, NodeId, Primitive};
+use sms_bvh::traverse::{NodeStep, StacklessStep};
+use sms_bvh::{BvhLayout, FlatBvh, Hit, NodeId, Primitive};
 use sms_gpu::{GtoScheduler, SimStats, StallBreakdown, WarpId, WARP_SIZE};
 use sms_mem::{coalesce_lines_into, AccessKind, Cycle, GlobalMemory, SharedMem, SmL1};
 use sms_metrics::Histogram;
@@ -603,10 +603,10 @@ impl RtUnit {
     /// Advances the RT unit by one cycle. Returns trace results of warps
     /// that completed this cycle.
     #[allow(clippy::too_many_arguments)] // mirrors the hardware port list
-    pub fn tick<B: TraverseBvh, P: Primitive>(
+    pub fn tick<P: Primitive>(
         &mut self,
         now: Cycle,
-        bvh: &B,
+        bvh: &FlatBvh,
         prims: &[P],
         l1: &mut SmL1,
         shared: &mut SharedMem,
@@ -716,10 +716,10 @@ impl RtUnit {
 
     /// Phase 1: state transitions that do not need the warp scheduler.
     #[allow(clippy::too_many_arguments)]
-    fn advance_threads<B: TraverseBvh, P: Primitive>(
+    fn advance_threads<P: Primitive>(
         slot: &mut WarpSlot,
         now: Cycle,
-        bvh: &B,
+        bvh: &FlatBvh,
         prims: &[P],
         stats: &mut SimStats,
         config: &RtUnitConfig,
@@ -1130,10 +1130,10 @@ impl RtUnit {
 
     /// Phase 2: issue the scheduled warp's node fetches and stack micro-ops.
     #[allow(clippy::too_many_arguments)]
-    fn issue_warp<B: TraverseBvh>(
+    fn issue_warp(
         slot: &mut WarpSlot,
         now: Cycle,
-        bvh: &B,
+        bvh: &FlatBvh,
         l1: &mut SmL1,
         shared: &mut SharedMem,
         global: &mut GlobalMemory,

@@ -1,7 +1,7 @@
 //! Edge cases for the RT unit: degenerate requests, tiny scenes, extreme
 //! ray parameters, and warp-lifecycle corner cases.
 
-use sms_bvh::{BuildParams, PrimHit, Primitive, WideBvh};
+use sms_bvh::{BuildParams, FlatBvh, PrimHit, Primitive};
 use sms_geom::{Aabb, Ray, Triangle, Vec3};
 use sms_gpu::SimStats;
 use sms_mem::{GlobalMemory, GlobalMemoryConfig, L1Config, SharedMem, SharedMemConfig, SmL1};
@@ -37,7 +37,7 @@ fn run_warp(
     queries: Vec<Option<RayQuery>>,
     config: StackConfig,
 ) -> sms_rtunit::TraceResult {
-    let bvh = WideBvh::build(prims, &BuildParams::default());
+    let bvh = FlatBvh::build(prims, &BuildParams::default());
     let mut unit = RtUnit::new(RtUnitConfig::new(config));
     let mut l1 = SmL1::new(L1Config::default());
     let mut shared = SharedMem::new(SharedMemConfig::default());
@@ -149,7 +149,7 @@ fn successive_traces_reuse_slots() {
     // Admit, retire, and re-admit many warps through one unit: slot reuse
     // must reset stack state (fresh WarpStacks per trace).
     let prims = tiny_scene();
-    let bvh = WideBvh::build(&prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let mut unit = RtUnit::new(RtUnitConfig::new(StackConfig::sms_default()));
     let mut l1 = SmL1::new(L1Config::default());
     let mut shared = SharedMem::new(SharedMemConfig::default());

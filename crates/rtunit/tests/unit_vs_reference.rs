@@ -2,7 +2,7 @@
 //! results for every stack configuration, and its cycle counts must order
 //! the way the paper's architecture argument predicts.
 
-use sms_bvh::{BuildParams, Hit, PrimHit, Primitive, WideBvh};
+use sms_bvh::{BuildParams, FlatBvh, Hit, PrimHit, Primitive};
 use sms_geom::{Aabb, Ray, SplitMix64, Triangle, Vec3};
 use sms_gpu::SimStats;
 use sms_mem::{GlobalMemory, GlobalMemoryConfig, L1Config, SharedMem, SharedMemConfig, SmL1};
@@ -49,7 +49,7 @@ fn rays(n: usize) -> Vec<Ray> {
 /// returns per-ray hits (in input order) and the total cycle count.
 fn run_unit(
     config: StackConfig,
-    bvh: &WideBvh,
+    bvh: &FlatBvh,
     prims: &[Tri],
     all_rays: &[Ray],
 ) -> (Vec<Option<Hit>>, u64, SimStats) {
@@ -93,7 +93,7 @@ fn run_unit(
 #[test]
 fn results_match_reference_for_all_configs() {
     let prims = cluttered_scene(3000);
-    let bvh = WideBvh::build(&prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let rays = rays(32);
 
     let reference: Vec<Option<Hit>> = rays
@@ -123,7 +123,7 @@ fn results_match_reference_for_all_configs() {
 #[test]
 fn traversal_work_is_identical_across_configs() {
     let prims = cluttered_scene(2000);
-    let bvh = WideBvh::build(&prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let rays = rays(32);
     let mut visits = Vec::new();
     for config in [StackConfig::baseline8(), StackConfig::sms_default(), StackConfig::FullOnChip] {
@@ -140,7 +140,7 @@ fn cycle_counts_order_as_the_paper_predicts() {
     // pressure the 64KB L1 (the regime the paper studies): full on-chip <=
     // SMS < small baseline.
     let prims = cluttered_scene(24_000);
-    let bvh = WideBvh::build(&prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let rays = rays(128);
 
     let (_, cycles_base2, _) =
@@ -171,7 +171,7 @@ fn cycle_counts_order_as_the_paper_predicts() {
 #[test]
 fn occlusion_queries_match_reference() {
     let prims = cluttered_scene(1500);
-    let bvh = WideBvh::build(&prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let rays = rays(32);
 
     let mut unit = RtUnit::new(RtUnitConfig::new(StackConfig::sms_default()));
@@ -200,7 +200,7 @@ fn occlusion_queries_match_reference() {
 #[test]
 fn warp_buffer_capacity_enforced() {
     let prims = cluttered_scene(100);
-    let bvh = WideBvh::build(&prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let _ = bvh;
     let mut unit = RtUnit::new(RtUnitConfig::new(StackConfig::baseline8()));
     let mut stats = SimStats::default();
@@ -219,7 +219,7 @@ fn warp_buffer_capacity_enforced() {
 #[test]
 fn skew_reduces_bank_conflict_cycles() {
     let prims = cluttered_scene(12_000);
-    let bvh = WideBvh::build(&prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let rays = rays(128);
     let (_, _, plain) = run_unit(StackConfig::Sms(SmsParams::default()), &bvh, &prims, &rays);
     let (_, _, skewed) =
@@ -236,7 +236,7 @@ fn skew_reduces_bank_conflict_cycles() {
 #[test]
 fn depth_recorder_sees_pushes() {
     let prims = cluttered_scene(2000);
-    let bvh = WideBvh::build(&prims, &BuildParams::default());
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let rays = rays(32);
     let mut cfg = RtUnitConfig::new(StackConfig::FullOnChip);
     cfg.record_depths = true;

@@ -2,7 +2,7 @@
 //! generation → BVH → functional render → cycle simulation → experiment
 //! plumbing, checking the end-to-end invariants the reproduction rests on.
 
-use sms_sim::bvh::{BuildParams, BvhStats, WideBvh};
+use sms_sim::bvh::{BuildParams, BvhStats};
 use sms_sim::config::{RenderConfig, SimConfig};
 use sms_sim::experiments::{run_prepared, scene_list};
 use sms_sim::gpu::GpuConfig;
@@ -114,16 +114,12 @@ fn skew_reduces_conflicts_end_to_end() {
 #[test]
 fn sah_builder_traverses_fewer_nodes() {
     let cfg = RenderConfig::tiny();
-    let scene = cfg.apply(Scene::build(SceneId::Bunny));
-    let median = WideBvh::build(&scene.prims, &BuildParams::default());
-    let sah = WideBvh::build(&scene.prims, &BuildParams::sah());
-    let visits = |bvh: &WideBvh| {
-        let flat = sms_sim::bvh::FlatBvh::from_wide(bvh);
-        let prepared = PreparedScene { scene: scene.clone(), bvh: bvh.clone(), flat, build_us: 0 };
+    let visits = |params: &BuildParams| {
+        let prepared = PreparedScene::build_with(SceneId::Bunny, &cfg, params);
         render(&prepared, &cfg).depths.count()
     };
-    let vm = visits(&median);
-    let vs = visits(&sah);
+    let vm = visits(&BuildParams::default());
+    let vs = visits(&BuildParams::sah());
     assert!(vs < vm, "SAH stack ops {vs} should undercut median {vm}");
 }
 
