@@ -7,6 +7,17 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# await_addr_file <path> <pid>: waits up to 10 s for the server started as
+# <pid> to write its --addr-file, giving up early when it has already died.
+await_addr_file() {
+  for _ in $(seq 1 100); do
+    [ -s "$1" ] && return 0
+    kill -0 "$2" 2> /dev/null || { echo "process $2 died before writing $1"; exit 1; }
+    sleep 0.1
+  done
+  echo "process $2 never wrote $1"; exit 1
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -20,9 +31,12 @@ cargo test -q
 echo "==> fault-injection suite"
 cargo test -q -p sms-harness --test fault_injection
 
-echo "==> fleet chaos suite (killed backend, torn journal, all-down degraded mode, hedging)"
+echo "==> fleet chaos suite (killed backend, torn journal, all-down degraded mode, hedging,"
+echo "    both tiers' wire bytes vs the pre-skeleton goldens, malformed + door-shed parity)"
 cargo test -q -p sms-serve --test fleet_chaos
 cargo test -q -p sms-serve --test fleet_e2e
+cargo test -q -p sms-serve --test serve_e2e -- \
+  wire_bytes_match_parent_goldens malformed_requests_get_4xx_not_panic
 cargo test -q -p sms-harness --test cache_robustness
 
 echo "==> journal/json regression suite (schema goldens, non-finite floats, watchdog)"
@@ -116,12 +130,7 @@ SMS_SERVE_JOURNAL=target/serve-smoke.jsonl SMS_CACHE_DIR=target/serve-smoke-cach
   cargo run --release -q -p sms-serve --bin sms-serve -- \
   --addr 127.0.0.1:0 --addr-file target/serve-addr --workers 2 &
 serve_pid=$!
-for _ in $(seq 1 100); do
-  [ -s target/serve-addr ] && break
-  kill -0 "$serve_pid" 2> /dev/null || { echo "sms-serve died before binding"; exit 1; }
-  sleep 0.1
-done
-[ -s target/serve-addr ] || { echo "sms-serve never wrote its address"; exit 1; }
+await_addr_file target/serve-addr "$serve_pid"
 serve_addr=$(cat target/serve-addr)
 serve_client() { cargo run --release -q -p sms-serve --bin sms-client -- --addr "$serve_addr" "$@"; }
 serve_client sweep --scenes WKND,SHIP --configs RB_8,RB_8+SH_8+SK+RA
@@ -146,24 +155,14 @@ SMS_CACHE_DIR=target/fleet-smoke-cache \
   cargo run --release -q -p sms-serve --bin sms-serve -- \
   --addr 127.0.0.1:0 --addr-file target/fleet-b-addr --workers 2 &
 backend_b_pid=$!
-for f in target/fleet-a-addr target/fleet-b-addr; do
-  for _ in $(seq 1 100); do
-    [ -s "$f" ] && break
-    sleep 0.1
-  done
-  [ -s "$f" ] || { echo "fleet backend never wrote $f"; exit 1; }
-done
+await_addr_file target/fleet-a-addr "$backend_a_pid"
+await_addr_file target/fleet-b-addr "$backend_b_pid"
 SMS_FLEET_JOURNAL=target/fleet-journal.jsonl SMS_CACHE_DIR=target/fleet-smoke-cache \
   SMS_FLEET_BACKENDS="$(cat target/fleet-a-addr),$(cat target/fleet-b-addr)" \
   cargo run --release -q -p sms-serve --bin sms-fleet -- \
   --addr 127.0.0.1:0 --addr-file target/fleet-addr &
 fleet_pid=$!
-for _ in $(seq 1 100); do
-  [ -s target/fleet-addr ] && break
-  kill -0 "$fleet_pid" 2> /dev/null || { echo "sms-fleet died before binding"; exit 1; }
-  sleep 0.1
-done
-[ -s target/fleet-addr ] || { echo "sms-fleet never wrote its address"; exit 1; }
+await_addr_file target/fleet-addr "$fleet_pid"
 fleet_addr=$(cat target/fleet-addr)
 fleet_client() { cargo run --release -q -p sms-serve --bin sms-client -- --addr "$fleet_addr" "$@"; }
 fleet_client sweep --scenes WKND,SHIP --configs RB_8,RB_8+SH_8+SK+RA
@@ -206,25 +205,15 @@ SMS_CACHE_DIR=target/dtrace-cache \
   cargo run --release -q -p sms-serve --bin sms-serve -- \
   --addr 127.0.0.1:0 --addr-file target/dtrace-b-addr --workers 2 &
 dtrace_b_pid=$!
-for f in target/dtrace-a-addr target/dtrace-b-addr; do
-  for _ in $(seq 1 100); do
-    [ -s "$f" ] && break
-    sleep 0.1
-  done
-  [ -s "$f" ] || { echo "traced backend never wrote $f"; exit 1; }
-done
+await_addr_file target/dtrace-a-addr "$dtrace_a_pid"
+await_addr_file target/dtrace-b-addr "$dtrace_b_pid"
 SMS_FLEET_JOURNAL=target/dtrace-fleet.jsonl SMS_CACHE_DIR=target/dtrace-cache \
   SMS_FLEET_HEDGE_MS=1 \
   SMS_FLEET_BACKENDS="$(cat target/dtrace-a-addr),$(cat target/dtrace-b-addr)" \
   cargo run --release -q -p sms-serve --bin sms-fleet -- \
   --addr 127.0.0.1:0 --addr-file target/dtrace-addr &
 dtrace_fleet_pid=$!
-for _ in $(seq 1 100); do
-  [ -s target/dtrace-addr ] && break
-  kill -0 "$dtrace_fleet_pid" 2> /dev/null || { echo "traced sms-fleet died before binding"; exit 1; }
-  sleep 0.1
-done
-[ -s target/dtrace-addr ] || { echo "traced sms-fleet never wrote its address"; exit 1; }
+await_addr_file target/dtrace-addr "$dtrace_fleet_pid"
 SMS_TRACE_CTX="$trace_ctx" \
   cargo run --release -q -p sms-serve --bin sms-client -- \
   --addr "$(cat target/dtrace-addr)" sweep \
@@ -261,15 +250,6 @@ grep -q '"name":"dispatch"' target/trace-merged.json \
   || { echo "merged trace carries no dispatch spans"; exit 1; }
 grep -q '"ph":"s"' target/trace-merged.json \
   || { echo "merged trace carries no flow arrows"; exit 1; }
-
-echo "==> serve_loadtest smoke (4 concurrent clients, cold then warm)"
-# $PWD: cargo bench processes run with the package dir as cwd.
-time SMS_BENCH_SERVE_OUT="$PWD/target/BENCH_serve.json" \
-  cargo bench --bench serve_loadtest
-
-echo "==> fleet_loadtest smoke (4 clients through the fleet, hedging past a straggler)"
-time SMS_BENCH_SERVE_OUT="$PWD/target/BENCH_serve.json" \
-  cargo bench --bench fleet_loadtest
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf

@@ -22,28 +22,8 @@
 
 use sms_harness::log;
 use sms_serve::fleet::{FleetConfig, FleetServer};
-use sms_serve::server::signal_drain_flag;
+use sms_serve::service::positive_arg;
 use sms_serve::Client;
-use std::sync::atomic::Ordering;
-
-/// Registers a SIGTERM handler that flips the drain flag. Pure-libc FFI:
-/// the handler only does an atomic store, which is async-signal-safe.
-#[cfg(unix)]
-fn install_sigterm() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    extern "C" fn on_sigterm(_signum: i32) {
-        signal_drain_flag().store(true, Ordering::SeqCst);
-    }
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_sigterm as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_sigterm() {}
 
 /// Launches one `sms-serve` child on an ephemeral port and returns it
 /// with the address file it will announce itself in.
@@ -113,25 +93,9 @@ fn main() {
                         .map(str::to_owned),
                 );
             }
-            "--spawn" => {
-                let raw = value("--spawn");
-                match raw.parse::<usize>() {
-                    Ok(n) if n > 0 => spawn_n = n,
-                    _ => {
-                        eprintln!("sms-fleet: --spawn needs a positive integer, got `{raw}`");
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--spawn" => spawn_n = positive_arg("sms-fleet", "--spawn", &value("--spawn")),
             "--workers" => {
-                let raw = value("--workers");
-                match raw.parse::<usize>() {
-                    Ok(n) if n > 0 => config.workers = n,
-                    _ => {
-                        eprintln!("sms-fleet: --workers needs a positive integer, got `{raw}`");
-                        std::process::exit(2);
-                    }
-                }
+                config.workers = positive_arg("sms-fleet", "--workers", &value("--workers"));
             }
             "--help" | "-h" => {
                 println!(
@@ -161,46 +125,19 @@ fn main() {
         std::process::exit(2);
     }
 
-    install_sigterm();
-    let server = FleetServer::bind(config.clone()).unwrap_or_else(|e| {
-        log::error("fleet", &format!("cannot bind {}: {e}", config.addr), &[]);
-        std::process::exit(1);
-    });
-    let addr = server.local_addr().unwrap_or_else(|e| {
-        log::error("fleet", &format!("cannot read bound address: {e}"), &[]);
-        std::process::exit(1);
-    });
-    if let Some(path) = &addr_file {
-        if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
-            log::error("fleet", &format!("cannot write {path}: {e}"), &[]);
-            std::process::exit(1);
-        }
-    }
-    log::info(
-        "fleet",
-        &format!(
-            "listening on {addr}, routing over {} backend(s): {}",
-            config.backends.len(),
-            config.backends.join(", ")
-        ),
-        &[],
-    );
     let backends = config.backends.clone();
-    let outcome = server.run();
-
-    // Drain spawned children (a dead child just fails the drain request,
-    // which is fine — wait() below reaps it either way).
-    for addr in backends.iter().skip(backends.len() - children.len()) {
-        let _ = Client::new(addr.clone()).post("/v1/drain", b"");
-    }
-    for mut child in children {
-        let _ = child.wait();
-    }
-    match outcome {
-        Ok(()) => log::info("fleet", "drained, exiting", &[]),
-        Err(e) => {
-            log::error("fleet", &format!("accept loop failed: {e}"), &[]);
-            std::process::exit(1);
+    let banner = {
+        let routing = format!("{} backend(s): {}", backends.len(), backends.join(", "));
+        move |addr| format!("listening on {addr}, routing over {routing}")
+    };
+    FleetServer::run_to_exit("fleet", config, addr_file.as_deref(), banner, || {
+        // Drain spawned children (a dead child just fails the drain
+        // request, which is fine — wait() below reaps it either way).
+        for addr in backends.iter().skip(backends.len() - children.len()) {
+            let _ = Client::new(addr.clone()).post("/v1/drain", b"");
         }
-    }
+        for mut child in children {
+            let _ = child.wait();
+        }
+    });
 }

@@ -13,28 +13,8 @@
 //! SIGTERM (or `POST /v1/drain`) triggers a graceful drain: stop
 //! accepting, finish in-flight requests, flush the journal, exit 0.
 
-use sms_harness::log;
-use sms_serve::server::{signal_drain_flag, ServeConfig, Server};
-use std::sync::atomic::Ordering;
-
-/// Registers a SIGTERM handler that flips the drain flag. Pure-libc FFI:
-/// the handler only does an atomic store, which is async-signal-safe.
-#[cfg(unix)]
-fn install_sigterm() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    extern "C" fn on_sigterm(_signum: i32) {
-        signal_drain_flag().store(true, Ordering::SeqCst);
-    }
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_sigterm as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_sigterm() {}
+use sms_serve::server::{ServeConfig, Server};
+use sms_serve::service::positive_arg;
 
 fn main() {
     let mut config = ServeConfig::from_env();
@@ -51,14 +31,7 @@ fn main() {
             "--addr" => config.addr = value("--addr"),
             "--addr-file" => addr_file = Some(value("--addr-file")),
             "--workers" => {
-                let raw = value("--workers");
-                match raw.parse::<usize>() {
-                    Ok(n) if n > 0 => config.workers = n,
-                    _ => {
-                        eprintln!("sms-serve: --workers needs a positive integer, got `{raw}`");
-                        std::process::exit(2);
-                    }
-                }
+                config.workers = positive_arg("sms-serve", "--workers", &value("--workers"));
             }
             "--help" | "-h" => {
                 println!("usage: sms-serve [--addr HOST:PORT] [--addr-file PATH] [--workers N]");
@@ -71,35 +44,11 @@ fn main() {
         }
     }
 
-    install_sigterm();
-    let server = Server::bind(config.clone()).unwrap_or_else(|e| {
-        log::error("serve", &format!("cannot bind {}: {e}", config.addr), &[]);
-        std::process::exit(1);
-    });
-    let addr = server.local_addr().unwrap_or_else(|e| {
-        log::error("serve", &format!("cannot read bound address: {e}"), &[]);
-        std::process::exit(1);
-    });
-    if let Some(path) = &addr_file {
-        if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
-            log::error("serve", &format!("cannot write {path}: {e}"), &[]);
-            std::process::exit(1);
-        }
-    }
-    log::info(
-        "serve",
-        &format!(
-            "listening on {addr} ({} workers, cache {})",
-            config.workers,
-            config.cache_dir.as_deref().map_or("off".to_owned(), |p| p.display().to_string()),
-        ),
-        &[],
-    );
-    match server.run() {
-        Ok(()) => log::info("serve", "drained, exiting", &[]),
-        Err(e) => {
-            log::error("serve", &format!("accept loop failed: {e}"), &[]);
-            std::process::exit(1);
-        }
-    }
+    let banner = {
+        let cache =
+            config.cache_dir.as_deref().map_or("off".to_owned(), |p| p.display().to_string());
+        let workers = config.workers;
+        move |addr| format!("listening on {addr} ({workers} workers, cache {cache})")
+    };
+    Server::run_to_exit("serve", config, addr_file.as_deref(), banner, || {});
 }

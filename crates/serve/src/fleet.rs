@@ -37,20 +37,25 @@
 //! per-backend labeled families. Fault injection lives in the
 //! *backends* (`SMS_FAULT` on `sms-serve`); the fleet's behaviour under
 //! those faults is what the chaos tests pin down.
+//!
+//! Accepting, routing, the sweep stream and the drain are the shared
+//! [`crate::service`] skeleton; this module is what the fleet adds:
+//! breakers, dispatch with retries and hedging, and degraded mode.
 
 use crate::client::{Client, ClientConfig};
-use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
-use crate::protocol::{self, JobRecord};
-use sms_harness::json::Json;
+use crate::http::{self, HttpError, Limits, Request};
+use crate::metrics::{inc, HttpCounters};
+use crate::protocol::{JobFailure, JobOutcome, JobRecord};
+use crate::service::{self, JobSink, Service, ServiceCore, SweepPlan, Tier};
 use sms_harness::log::env_positive;
 use sms_harness::trace::wall_us;
-use sms_harness::{CacheKey, Event, Journal, ResultCache, TraceContext};
+use sms_harness::{Event, TraceContext};
 use sms_metrics::{Histogram, Registry};
 use sms_sim::gpu::SimStats;
 use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -204,13 +209,9 @@ pub struct BackendSnapshot {
     pub breaker_state: u8,
 }
 
-/// Shared instrument set for one fleet process (`sms_fleet_*`).
+/// The fleet's own instrument set (`sms_fleet_*`).
 #[derive(Debug, Default)]
 pub struct FleetMetrics {
-    /// HTTP requests accepted for processing (any endpoint).
-    pub requests: AtomicU64,
-    /// Requests refused with a 4xx (parse or validation failures).
-    pub bad_requests: AtomicU64,
     /// Sweep requests admitted.
     pub sweeps: AtomicU64,
     /// Cells admitted (after request-level dedup).
@@ -228,8 +229,6 @@ pub struct FleetMetrics {
     /// Cells served straight from the shared cache with no healthy
     /// backend available.
     pub degraded_hits: AtomicU64,
-    /// Requests shed with 503 (connection cap, drain, or all-down).
-    pub shed: AtomicU64,
     /// Breaker transitions into the open state.
     pub breaker_opens: AtomicU64,
     /// Wall-clock per settled cell, microseconds.
@@ -237,31 +236,31 @@ pub struct FleetMetrics {
 }
 
 impl FleetMetrics {
-    /// Bumps a counter.
-    pub fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one settled cell's wall-clock latency.
     pub fn observe_cell(&self, micros: u64) {
         self.cell_latency_us.lock().unwrap_or_else(PoisonError::into_inner).record(micros);
     }
 
-    /// Snapshots every instrument into a registry. `uptime` overrides the
-    /// measured uptime when given (tests pin it for golden output).
-    pub fn registry(&self, uptime_secs: f64, backends: &[BackendSnapshot]) -> Registry {
+    /// Snapshots every instrument into a registry (tests pin `uptime_secs`
+    /// for golden output).
+    pub fn registry(
+        &self,
+        uptime_secs: f64,
+        http: &HttpCounters,
+        backends: &[BackendSnapshot],
+    ) -> Registry {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut reg = Registry::new();
         reg.gauge("sms_fleet_uptime_seconds", "Seconds since the fleet started", uptime_secs);
         reg.counter(
             "sms_fleet_requests_total",
             "HTTP requests accepted for processing",
-            get(&self.requests),
+            get(&http.requests),
         );
         reg.counter(
             "sms_fleet_bad_requests_total",
             "Requests refused with a 4xx status",
-            get(&self.bad_requests),
+            get(&http.bad_requests),
         );
         reg.counter("sms_fleet_sweeps_total", "Sweep requests admitted", get(&self.sweeps));
         reg.counter("sms_fleet_cells_total", "Cells admitted after dedup", get(&self.cells));
@@ -295,7 +294,7 @@ impl FleetMetrics {
             "Cells served from cache with no healthy backend",
             get(&self.degraded_hits),
         );
-        reg.counter("sms_fleet_shed_total", "Requests shed with 503", get(&self.shed));
+        reg.counter("sms_fleet_shed_total", "Requests shed with 503", get(&http.shed));
         reg.counter(
             "sms_fleet_breaker_opens_total",
             "Circuit-breaker transitions into the open state",
@@ -350,28 +349,19 @@ impl FleetMetrics {
     }
 }
 
-/// Everything the fleet's handler threads share.
-struct FleetState {
+/// The fleet [`Tier`]: what the handler threads share beyond the
+/// [`ServiceCore`].
+pub struct FleetState {
+    core: ServiceCore,
     config: FleetConfig,
     backends: Vec<BackendState>,
-    cache: Option<ResultCache>,
-    /// Key computation even when the disk cache is off.
-    keyer: ResultCache,
-    journal: Journal,
     metrics: FleetMetrics,
-    started: Instant,
-    /// Fleet-unique cell ids for the journal (stream ids are per-request).
-    job_seq: AtomicU64,
-    draining: AtomicBool,
-    active_conns: AtomicU64,
 }
 
-impl FleetState {
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-            || crate::server::signal_drain_flag().load(Ordering::SeqCst)
-    }
+/// A bound (or running) fleet front tier.
+pub type FleetServer = Service<FleetState>;
 
+impl FleetState {
     fn lock_breaker(&self, i: usize) -> std::sync::MutexGuard<'_, Breaker> {
         self.backends[i].breaker.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -437,12 +427,12 @@ impl FleetState {
         match *breaker {
             Breaker::Closed { fails } if fails + 1 >= self.config.breaker_threshold => {
                 *breaker = open;
-                FleetMetrics::inc(&self.metrics.breaker_opens);
+                inc(&self.metrics.breaker_opens);
             }
             Breaker::Closed { fails } => *breaker = Breaker::Closed { fails: fails + 1 },
             Breaker::HalfOpen => {
                 *breaker = open;
-                FleetMetrics::inc(&self.metrics.breaker_opens);
+                inc(&self.metrics.breaker_opens);
             }
             Breaker::Open { .. } => {}
         }
@@ -477,12 +467,6 @@ impl FleetState {
             Breaker::HalfOpen => "half_open",
             Breaker::Open { .. } => "open",
         }
-    }
-
-    fn render_metrics(&self) -> String {
-        self.metrics
-            .registry(self.started.elapsed().as_secs_f64(), &self.backend_snapshots())
-            .render_prometheus()
     }
 
     /// A client for one single-cell dispatch: no client-side retries or
@@ -575,7 +559,7 @@ fn record_dispatch_span(state: &FleetState, d: &DispatchSpan, outcome: &str) {
         ("outcome".to_owned(), outcome.to_owned()),
     ];
     let dur = wall_us().saturating_sub(d.start_us);
-    state.journal.record(Event::span(&d.ctx, "dispatch", "client", d.start_us, dur, attrs));
+    state.core.journal.record(Event::span(&d.ctx, "dispatch", "client", d.start_us, dur, attrs));
 }
 
 enum RoundResult {
@@ -586,20 +570,15 @@ enum RoundResult {
 /// One dispatch round for one cell: pick a backend (or degrade), fire the
 /// primary, hedge on a straggle, attribute breaker outcomes, and decide
 /// settle-vs-requeue.
-fn run_cell_round(
-    state: &Arc<FleetState>,
-    task: &mut CellTask,
-    jobs: &[(sms_harness::RunRequest, CacheKey)],
-    render_name: &str,
-) -> RoundResult {
-    let (req, key) = &jobs[task.idx];
+fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan) -> RoundResult {
+    let (req, key) = &plan.jobs[task.idx];
     task.attempts += 1;
     let Some(primary) = state.pick_backend(None) else {
         // Degraded mode: no routable backend. Cached cells are still
         // served; everything else waits for a breaker to half-open, then
         // fails once the attempt budget runs out — never hangs.
-        if let Some(stats) = state.cache.as_ref().and_then(|c| c.load(key)) {
-            FleetMetrics::inc(&state.metrics.degraded_hits);
+        if let Some(stats) = state.core.cache.as_ref().and_then(|c| c.load(key)) {
+            inc(&state.metrics.degraded_hits);
             return RoundResult::Settled(CellOutcome::Done {
                 stats: Box::new(stats),
                 cache: "hit".to_owned(),
@@ -617,7 +596,7 @@ fn run_cell_round(
     };
     if task.attempts > 1 && task.last_backend.is_some_and(|last| last != primary) {
         // A retry moving to a different backend is a successful steal.
-        FleetMetrics::inc(&state.metrics.steals);
+        inc(&state.metrics.steals);
     }
     task.last_backend = Some(primary);
 
@@ -638,7 +617,7 @@ fn run_cell_round(
             }
             let state = Arc::clone(state);
             let req = *req;
-            let render = render_name.to_owned();
+            let render = plan.render_name.clone();
             std::thread::spawn(move || {
                 let result = dispatch_once(&state, idx, &req, &render, ctx);
                 let _ = tx.send((idx, result));
@@ -654,7 +633,7 @@ fn run_cell_round(
             Ok(msg) => Some(msg),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if let Some(second) = state.pick_backend(Some(primary)) {
-                    FleetMetrics::inc(&state.metrics.hedges);
+                    inc(&state.metrics.hedges);
                     spawn_dispatch(second, true, tx.clone());
                     outstanding += 1;
                     hedge = Some(second);
@@ -675,7 +654,7 @@ fn run_cell_round(
             Ok(record) => {
                 state.on_backend_success(idx);
                 if hedge == Some(idx) {
-                    FleetMetrics::inc(&state.metrics.hedge_wins);
+                    inc(&state.metrics.hedge_wins);
                 }
                 // The winner settles the cell; any still-outstanding
                 // dispatch is the hedge race's loser. Its detached thread
@@ -712,7 +691,7 @@ fn run_cell_round(
         record_dispatch_span(state, d, "error");
     }
     // Every contacted backend failed this round.
-    FleetMetrics::inc(&state.metrics.retries);
+    inc(&state.metrics.retries);
     if task.attempts >= state.config.cell_attempts {
         return RoundResult::Settled(CellOutcome::Fail {
             error: format!("cell failed after {} attempts: {last_error}", task.attempts),
@@ -723,14 +702,15 @@ fn run_cell_round(
 }
 
 /// A worker thread: pop cells, run rounds, settle or requeue, until every
-/// cell of the sweep has settled.
+/// cell of the sweep has settled. A settled cell is counted, gets its
+/// `cell` span (when traced) and goes to the sweep frame.
 fn worker_loop(
     state: &Arc<FleetState>,
     queue: &Mutex<VecDeque<CellTask>>,
     remaining: &AtomicU64,
-    jobs: &[(sms_harness::RunRequest, CacheKey)],
-    render_name: &str,
-    tx: &mpsc::Sender<(usize, CellOutcome, u64)>,
+    plan: &SweepPlan,
+    cell_start_us: u64,
+    sink: &JobSink<'_>,
 ) {
     loop {
         if remaining.load(Ordering::SeqCst) == 0 {
@@ -743,58 +723,62 @@ fn worker_loop(
             continue;
         };
         let t0 = Instant::now();
-        match run_cell_round(state, &mut task, jobs, render_name) {
-            RoundResult::Settled(outcome) => {
-                let _ = tx.send((task.idx, outcome, t0.elapsed().as_micros() as u64));
-                remaining.fetch_sub(1, Ordering::SeqCst);
-            }
+        let outcome = match run_cell_round(state, &mut task, plan) {
+            RoundResult::Settled(outcome) => outcome,
             RoundResult::Requeue => {
                 queue.lock().unwrap_or_else(PoisonError::into_inner).push_back(task);
+                continue;
             }
+        };
+        let duration_us = t0.elapsed().as_micros() as u64;
+        state.metrics.observe_cell(duration_us);
+        let (worker, result) = match outcome {
+            CellOutcome::Done { stats, cache, backend } => (backend, Ok((*stats, cache))),
+            CellOutcome::Fail { error, backend } => {
+                inc(&state.metrics.cells_failed);
+                (backend, Err(JobFailure { kind: "fleet".to_owned(), error, timeout: false }))
+            }
+        };
+        if let Some(ctx) = &task.ctx {
+            let (req, _) = &plan.jobs[task.idx];
+            let mut attrs =
+                vec![("cell".to_owned(), format!("{}/{}", req.scene.name(), req.stack.label()))];
+            match &result {
+                Ok((_, cache)) => {
+                    attrs.push(("cache".to_owned(), cache.clone()));
+                    if let Some(b) = worker {
+                        attrs.push(("backend".to_owned(), state.backends[b].addr.clone()));
+                    }
+                }
+                Err(failure) => attrs.push(("error".to_owned(), failure.error.clone())),
+            }
+            let dur = wall_us().saturating_sub(cell_start_us);
+            let span = Event::span(ctx, "cell", "internal", cell_start_us, dur, attrs);
+            state.core.journal.record(span);
         }
+        sink.settle(task.idx, JobOutcome { worker, duration_us, result });
+        remaining.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// A running (or ready-to-run) fleet front tier.
-pub struct FleetServer {
-    listener: TcpListener,
-    state: Arc<FleetState>,
-}
+impl Tier for FleetState {
+    const NAME: &'static str = "fleet";
+    type Config = FleetConfig;
 
-/// A cloneable remote control for a fleet: request a drain, read the
-/// bound address, inspect metrics.
-#[derive(Clone)]
-pub struct FleetHandle {
-    state: Arc<FleetState>,
-    addr: std::net::SocketAddr,
-}
-
-impl FleetHandle {
-    /// The address the fleet is listening on.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+    fn addr(config: &FleetConfig) -> &str {
+        &config.addr
     }
 
-    /// Requests a graceful drain: stop accepting, finish in-flight work.
-    pub fn request_drain(&self) {
-        self.state.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Renders the live Prometheus metrics (same payload as `/metrics`).
-    pub fn render_metrics(&self) -> String {
-        self.state.render_metrics()
-    }
-}
-
-impl FleetServer {
-    /// Binds the listener and prepares the shared state. The fleet does
-    /// not accept connections until [`FleetServer::run`] is called.
-    pub fn bind(config: FleetConfig) -> std::io::Result<FleetServer> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let cache = config.cache_dir.clone().map(ResultCache::new);
-        let keyer = ResultCache::new(PathBuf::new());
-        let journal = Journal::new(config.journal_path.clone());
+    fn new(config: FleetConfig) -> Self {
+        let core = ServiceCore::new(
+            config.limits,
+            config.max_conns,
+            config.max_jobs_per_request,
+            config.cache_dir.clone(),
+            config.journal_path.clone(),
+            None,
+        );
+        core.journal.record(Event::BatchStart { jobs: 0, unique: 0, workers: 0 });
         let backends = config
             .backends
             .iter()
@@ -806,440 +790,84 @@ impl FleetServer {
                 failures: AtomicU64::new(0),
             })
             .collect();
-        let state = Arc::new(FleetState {
-            backends,
-            cache,
-            keyer,
-            journal,
-            metrics: FleetMetrics::default(),
-            started: Instant::now(),
-            job_seq: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-            active_conns: AtomicU64::new(0),
-            config,
-        });
-        state.journal.record(Event::BatchStart { jobs: 0, unique: 0, workers: 0 });
-        Ok(FleetServer { listener, state })
+        FleetState { core, backends, metrics: FleetMetrics::default(), config }
     }
 
-    /// The bound address (useful with `addr = 127.0.0.1:0`).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+    fn core(&self) -> &ServiceCore {
+        &self.core
     }
 
-    /// A remote control handle for this fleet.
-    pub fn handle(&self) -> std::io::Result<FleetHandle> {
-        Ok(FleetHandle { state: Arc::clone(&self.state), addr: self.local_addr()? })
+    fn render_metrics(&self) -> String {
+        self.metrics
+            .registry(self.core.uptime_secs(), &self.core.http, &self.backend_snapshots())
+            .render_prometheus()
     }
 
-    /// Accepts connections until a drain is requested, then waits for
-    /// in-flight connections, flushes the journal, and returns.
-    pub fn run(self) -> std::io::Result<()> {
-        loop {
-            if self.state.draining() {
-                break;
+    fn drain_totals(&self) -> (u64, u64, u64) {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (get(&self.metrics.degraded_hits), 0, get(&self.metrics.cells_failed))
+    }
+
+    /// `POST /v1/sweep` — fan the cells out over the backends inside the
+    /// shared sweep frame; records stream as cells settle.
+    fn handle_sweep(
+        self: &Arc<Self>,
+        request: &Request,
+        stream: &mut TcpStream,
+    ) -> Result<(), HttpError> {
+        let plan = service::plan_sweep(&self.core, request)?;
+        let jobs = &plan.jobs;
+        inc(&self.metrics.sweeps);
+
+        // Degraded admission: with no routable backend, a sweep that would
+        // need a live simulation is shed *before* the stream starts, with a
+        // Retry-After matched to the breaker cooldown. All-cached sweeps fall
+        // through — the workers serve them without contacting anyone.
+        if !self.any_backend_usable() {
+            let cache = self.core.cache.as_ref();
+            let all_cached =
+                cache.is_some_and(|c| jobs.iter().all(|(_, key)| c.load(key).is_some()));
+            if !all_cached {
+                inc(&self.core.http.shed);
+                let secs = self.config.breaker_cooldown.as_secs().max(1).to_string();
+                return http::write_response(
+                    stream,
+                    503,
+                    "text/plain",
+                    &[("Retry-After", &secs)],
+                    b"no healthy backend and sweep is not fully cached; retry\n",
+                )
+                .map_err(|e| HttpError { status: 500, message: e.to_string() });
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let active = self.state.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
-                    if active > self.state.config.max_conns as u64 {
-                        FleetMetrics::inc(&self.state.metrics.shed);
-                        let mut stream = stream;
-                        http::write_error(
-                            &mut stream,
-                            &HttpError {
-                                status: 503,
-                                message: "fleet at connection capacity; retry".to_owned(),
-                            },
-                        );
-                        self.state.active_conns.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    let state = Arc::clone(&self.state);
-                    std::thread::spawn(move || {
-                        handle_connection(&state, stream);
-                        state.active_conns.fetch_sub(1, Ordering::SeqCst);
+        }
+
+        service::stream_sweep(&self.core, &plan, stream, |sink| {
+            self.metrics.cells.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+            // Tracing is armed per request: each cell parents under the
+            // sweep span, each dispatch under its cell.
+            let queue: Mutex<VecDeque<CellTask>> = Mutex::new(
+                (0..jobs.len())
+                    .map(|idx| CellTask {
+                        idx,
+                        attempts: 0,
+                        last_backend: None,
+                        ctx: plan.ctx.map(|sweep| sweep.child()),
+                    })
+                    .collect(),
+            );
+            let remaining = AtomicU64::new(jobs.len() as u64);
+            let cell_start_us = wall_us();
+            let n_workers = self.config.workers.clamp(1, jobs.len().max(1));
+            std::thread::scope(|scope| {
+                for _ in 0..n_workers {
+                    let (queue, remaining, plan) = (&queue, &remaining, &plan);
+                    scope.spawn(move || {
+                        worker_loop(self, queue, remaining, plan, cell_start_us, sink);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        while self.state.active_conns.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        self.state.journal.record(Event::BatchEnd {
-            jobs: self.state.job_seq.load(Ordering::SeqCst) as usize,
-            cache_hits: self.state.metrics.degraded_hits.load(Ordering::Relaxed) as usize,
-            cache_misses: 0,
-            failed: self.state.metrics.cells_failed.load(Ordering::Relaxed) as usize,
-            duration_us: 0,
-            sim_cycles: 0,
-            breakdown: None,
-            metrics: None,
-            builds: Vec::new(),
-        });
-        self.state.journal.flush();
-        Ok(())
+            });
+        })
     }
-
-    /// Binds, then runs the accept loop on a background thread. Returns
-    /// the handle plus the join handle whose `Ok(())` is the drained exit.
-    pub fn spawn(
-        config: FleetConfig,
-    ) -> std::io::Result<(FleetHandle, std::thread::JoinHandle<std::io::Result<()>>)> {
-        let server = FleetServer::bind(config)?;
-        let handle = server.handle()?;
-        let join = std::thread::spawn(move || server.run());
-        Ok((handle, join))
-    }
-}
-
-/// Routes one connection's single request.
-fn handle_connection(state: &Arc<FleetState>, mut stream: TcpStream) {
-    let request = match http::read_request(&mut stream, &state.config.limits) {
-        Ok(req) => req,
-        Err(e) => {
-            if (400..500).contains(&e.status) {
-                FleetMetrics::inc(&state.metrics.bad_requests);
-            }
-            http::write_error(&mut stream, &e);
-            return;
-        }
-    };
-    FleetMetrics::inc(&state.metrics.requests);
-    let outcome = route(state, &request, &mut stream);
-    if let Err(e) = outcome {
-        if (400..500).contains(&e.status) {
-            FleetMetrics::inc(&state.metrics.bad_requests);
-        }
-        http::write_error(&mut stream, &e);
-    }
-}
-
-fn route(
-    state: &Arc<FleetState>,
-    request: &Request,
-    stream: &mut TcpStream,
-) -> Result<(), HttpError> {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            if state.draining() {
-                Err(HttpError { status: 503, message: "draining".to_owned() })
-            } else {
-                write_ok(stream, "text/plain", b"ok\n")
-            }
-        }
-        ("GET", "/metrics") => {
-            let text = state.render_metrics();
-            write_ok(stream, "text/plain; version=0.0.4", text.as_bytes())
-        }
-        ("POST", "/v1/drain") => {
-            state.draining.store(true, Ordering::SeqCst);
-            write_ok(stream, "text/plain", b"draining\n")
-        }
-        ("POST", "/v1/sweep") => handle_sweep(state, request, stream),
-        ("GET", path) if path.starts_with("/v1/jobs/") => handle_probe(state, request, stream),
-        _ => Err(HttpError {
-            status: 404,
-            message: format!("no route for {} {}", request.method, request.path),
-        }),
-    }
-}
-
-fn write_ok(stream: &mut TcpStream, content_type: &str, body: &[u8]) -> Result<(), HttpError> {
-    http::write_response(stream, 200, content_type, &[], body)
-        .map_err(|e| HttpError { status: 500, message: e.to_string() })
-}
-
-/// `GET /v1/jobs/<scene>/<config>[?render=<mode>]` — the same pure cache
-/// probe a backend serves, answered from the fleet's shared cache view.
-fn handle_probe(
-    state: &Arc<FleetState>,
-    request: &Request,
-    stream: &mut TcpStream,
-) -> Result<(), HttpError> {
-    let bad = |message: String| HttpError { status: 400, message };
-    let rest = request.path.trim_start_matches("/v1/jobs/");
-    let (scene, config) = rest
-        .split_once('/')
-        .ok_or_else(|| bad("probe path must be /v1/jobs/<scene>/<config>".to_owned()))?;
-    let scene = scene.parse::<sms_sim::scene::SceneId>().map_err(|e| bad(e.to_string()))?;
-    let stack = protocol::parse_stack_config(config).map_err(bad)?;
-    let mut render_name = "fast".to_owned();
-    for pair in request.query.split('&').filter(|p| !p.is_empty()) {
-        match pair.split_once('=') {
-            Some(("render", mode)) => render_name = mode.to_owned(),
-            _ => return Err(bad(format!("unknown query parameter `{pair}`"))),
-        }
-    }
-    let render = protocol::parse_render(&render_name).map_err(bad)?;
-    let req = sms_harness::RunRequest::new(scene, stack, render);
-    let key = state.keyer.key(&req);
-    match state.cache.as_ref().and_then(|c| c.load(&key)) {
-        Some(stats) => {
-            let doc = Json::Obj(vec![
-                ("key".to_owned(), Json::Str(key.canonical.clone())),
-                ("scene".to_owned(), Json::Str(scene.name().to_owned())),
-                ("config".to_owned(), Json::Str(stack.label())),
-                ("render".to_owned(), Json::Str(render_name)),
-                ("stats".to_owned(), sms_harness::cache::stats_to_json(&stats)),
-            ]);
-            write_ok(stream, "application/json", format!("{doc}\n").as_bytes())
-        }
-        None => Err(HttpError { status: 404, message: format!("no cached result for {rest}") }),
-    }
-}
-
-/// `POST /v1/sweep` — admit, dedupe, fan cells out over the backends,
-/// stream journal-codec records as cells settle.
-fn handle_sweep(
-    state: &Arc<FleetState>,
-    request: &Request,
-    stream: &mut TcpStream,
-) -> Result<(), HttpError> {
-    if state.draining() {
-        FleetMetrics::inc(&state.metrics.shed);
-        return Err(HttpError {
-            status: 503,
-            message: "draining; not accepting sweeps".to_owned(),
-        });
-    }
-    let sweep = protocol::parse_sweep(&request.body, state.config.max_jobs_per_request)
-        .map_err(|message| HttpError { status: 400, message })?;
-    FleetMetrics::inc(&state.metrics.sweeps);
-
-    // Tracing is armed per request by the `x-sms-trace` header: the
-    // fleet's sweep span parents under the client's span, each cell
-    // parents under the sweep, and each dispatch under its cell. Untraced
-    // requests record no span events at all, keeping journals
-    // byte-identical to an untraced run.
-    let sweep_ctx = request
-        .header(sms_harness::TRACE_HEADER)
-        .and_then(TraceContext::parse)
-        .map(|peer| peer.child());
-    let sweep_start_us = wall_us();
-
-    // Request-level dedup on the canonical key, same as a backend.
-    let mut jobs: Vec<(sms_harness::RunRequest, CacheKey)> = Vec::new();
-    for req in &sweep.requests {
-        let key = state.keyer.key(req);
-        if !jobs.iter().any(|(_, k)| k.canonical == key.canonical) {
-            jobs.push((*req, key));
-        }
-    }
-
-    // Degraded admission: with no routable backend, a sweep that would
-    // need a live simulation is shed *before* the stream starts, with a
-    // Retry-After matched to the breaker cooldown. All-cached sweeps fall
-    // through — the workers serve them without contacting anyone.
-    if !state.any_backend_usable() {
-        let all_cached =
-            state.cache.as_ref().is_some_and(|c| jobs.iter().all(|(_, key)| c.load(key).is_some()));
-        if !all_cached {
-            FleetMetrics::inc(&state.metrics.shed);
-            let secs = state.config.breaker_cooldown.as_secs().max(1).to_string();
-            return http::write_response(
-                stream,
-                503,
-                "text/plain",
-                &[("Retry-After", &secs)],
-                b"no healthy backend and sweep is not fully cached; retry\n",
-            )
-            .map_err(|e| HttpError { status: 500, message: e.to_string() });
-        }
-    }
-
-    let t0 = Instant::now();
-    let mut writer = ChunkedWriter::start(stream, 200, "application/jsonl")
-        .map_err(|e| HttpError { status: 500, message: e.to_string() })?;
-
-    let journal_base = state.job_seq.fetch_add(jobs.len() as u64, Ordering::SeqCst) as usize;
-    for (local, (req, key)) in jobs.iter().enumerate() {
-        FleetMetrics::inc(&state.metrics.cells);
-        let line = protocol::job_queued_event(local, req, &key.canonical).to_json().to_string();
-        let _ = writer.chunk(format!("{line}\n").as_bytes());
-        state.journal.record(protocol::job_queued_event(journal_base + local, req, &key.canonical));
-    }
-
-    let cell_ctxs: Vec<Option<TraceContext>> =
-        jobs.iter().map(|_| sweep_ctx.map(|ctx| ctx.child())).collect();
-    let cell_start_us = wall_us();
-    let queue: Mutex<VecDeque<CellTask>> = Mutex::new(
-        (0..jobs.len())
-            .map(|idx| CellTask { idx, attempts: 0, last_backend: None, ctx: cell_ctxs[idx] })
-            .collect(),
-    );
-    let remaining = AtomicU64::new(jobs.len() as u64);
-    let (tx, rx) = mpsc::channel::<(usize, CellOutcome, u64)>();
-    let render_name = sweep.render_name.clone();
-    let n_workers = state.config.workers.clamp(1, jobs.len().max(1));
-
-    let (hits, misses, failed, sim_cycles) = std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            let tx = tx.clone();
-            let (queue, remaining, jobs, render_name) = (&queue, &remaining, &jobs, &render_name);
-            let state = Arc::clone(state);
-            scope.spawn(move || worker_loop(&state, queue, remaining, jobs, render_name, &tx));
-        }
-        drop(tx);
-        let mut hits = 0usize;
-        let mut misses = 0usize;
-        let mut failed = 0usize;
-        let mut sim_cycles = 0u64;
-        for (local, outcome, duration_us) in rx {
-            state.metrics.observe_cell(duration_us);
-            if let Some(ctx) = &cell_ctxs[local] {
-                let (req, _) = &jobs[local];
-                let mut attrs = vec![(
-                    "cell".to_owned(),
-                    format!("{}/{}", req.scene.name(), req.stack.label()),
-                )];
-                match &outcome {
-                    CellOutcome::Done { cache, backend, .. } => {
-                        attrs.push(("cache".to_owned(), cache.clone()));
-                        if let Some(b) = backend {
-                            attrs.push(("backend".to_owned(), state.backends[*b].addr.clone()));
-                        }
-                    }
-                    CellOutcome::Fail { error, .. } => {
-                        attrs.push(("error".to_owned(), error.clone()));
-                    }
-                }
-                let dur = wall_us().saturating_sub(cell_start_us);
-                state.journal.record(Event::span(
-                    ctx,
-                    "cell",
-                    "internal",
-                    cell_start_us,
-                    dur,
-                    attrs,
-                ));
-            }
-            let line = match outcome {
-                CellOutcome::Done { stats, cache, backend } => {
-                    if cache == "miss" {
-                        misses += 1;
-                        sim_cycles += stats.cycles;
-                    } else {
-                        hits += 1;
-                    }
-                    render_finished_line(
-                        state,
-                        local,
-                        journal_base + local,
-                        backend,
-                        &stats,
-                        &cache,
-                        duration_us,
-                    )
-                }
-                CellOutcome::Fail { error, backend } => {
-                    failed += 1;
-                    FleetMetrics::inc(&state.metrics.cells_failed);
-                    render_failed_line(
-                        state,
-                        local,
-                        journal_base + local,
-                        backend,
-                        &error,
-                        duration_us,
-                    )
-                }
-            };
-            // A closed peer is not an error: keep settling cells so the
-            // journal and the backends' shared cache still warm up.
-            let _ = writer.chunk(line.as_bytes());
-        }
-        (hits, misses, failed, sim_cycles)
-    });
-
-    let summary = Event::BatchEnd {
-        jobs: jobs.len(),
-        cache_hits: hits,
-        cache_misses: misses,
-        failed,
-        duration_us: t0.elapsed().as_micros() as u64,
-        sim_cycles,
-        breakdown: None,
-        metrics: None,
-        builds: Vec::new(),
-    };
-    state.journal.record(summary.clone());
-    if let Some(ctx) = &sweep_ctx {
-        state.journal.record(Event::span(
-            ctx,
-            "sweep",
-            "server",
-            sweep_start_us,
-            t0.elapsed().as_micros() as u64,
-            vec![
-                ("jobs".to_owned(), jobs.len().to_string()),
-                ("failed".to_owned(), failed.to_string()),
-            ],
-        ));
-    }
-    let _ = writer.chunk(format!("{}\n", summary.to_json()).as_bytes());
-    let _ = writer.finish();
-    Ok(())
-}
-
-/// Builds one finished-cell stream line (journal codec; `worker` carries
-/// the backend index) and mirrors it into the fleet journal under the
-/// fleet-unique id. The backend's cache tier (`hit`/`miss`/`shared`) is
-/// preserved so fleet streams read like backend streams.
-fn render_finished_line(
-    state: &Arc<FleetState>,
-    local_job: usize,
-    journal_job: usize,
-    backend: Option<usize>,
-    stats: &SimStats,
-    cache_label: &str,
-    duration_us: u64,
-) -> String {
-    let event = |job: usize| Event::JobFinished {
-        job,
-        worker: backend,
-        cache_hit: cache_label != "miss",
-        cycles: stats.cycles,
-        duration_us,
-        stats: Some(*stats),
-        breakdown: None,
-    };
-    state.journal.record(event(journal_job));
-    let mut doc = event(local_job).to_json();
-    if cache_label == "shared" {
-        if let Json::Obj(pairs) = &mut doc {
-            for (k, v) in pairs.iter_mut() {
-                if k == "cache" {
-                    *v = Json::Str("shared".to_owned());
-                }
-            }
-        }
-    }
-    format!("{doc}\n")
-}
-
-/// Builds one failed-cell stream line and mirrors it into the journal.
-fn render_failed_line(
-    state: &Arc<FleetState>,
-    local_job: usize,
-    journal_job: usize,
-    backend: Option<usize>,
-    error: &str,
-    duration_us: u64,
-) -> String {
-    let event = |job: usize| Event::RunFailed {
-        job,
-        worker: backend.unwrap_or(0),
-        kind: "fleet".to_owned(),
-        error: error.to_owned(),
-        duration_us,
-    };
-    state.journal.record(event(journal_job));
-    format!("{}\n", event(local_job).to_json())
 }
 
 #[cfg(test)]
@@ -1247,15 +875,12 @@ mod tests {
     use super::*;
 
     fn test_state(backends: &[&str], threshold: u32, cooldown: Duration) -> Arc<FleetState> {
-        let server = FleetServer::bind(FleetConfig {
-            addr: "127.0.0.1:0".to_owned(),
+        Arc::new(FleetState::new(FleetConfig {
             backends: backends.iter().map(|s| (*s).to_owned()).collect(),
             breaker_threshold: threshold,
             breaker_cooldown: cooldown,
             ..FleetConfig::default()
-        })
-        .expect("bind test fleet");
-        Arc::clone(&server.state)
+        }))
     }
 
     #[test]
@@ -1319,9 +944,9 @@ mod tests {
 
     #[test]
     fn metrics_schema_is_strict_and_labeled_per_backend() {
-        let m = FleetMetrics::default();
-        FleetMetrics::inc(&m.requests);
-        FleetMetrics::inc(&m.hedges);
+        let (m, http) = (FleetMetrics::default(), HttpCounters::default());
+        inc(&http.requests);
+        inc(&m.hedges);
         m.observe_cell(1234);
         let backends = vec![
             BackendSnapshot {
@@ -1339,7 +964,7 @@ mod tests {
                 breaker_state: 2,
             },
         ];
-        let text = m.registry(12.5, &backends).render_prometheus();
+        let text = m.registry(12.5, &http, &backends).render_prometheus();
         sms_metrics::prom::validate(&text).expect("strict parse");
         let families = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
         assert_eq!(families, 20, "every family renders its header exactly once");

@@ -1,4 +1,4 @@
-//! Live server instrumentation behind `GET /metrics`.
+//! Live backend instrumentation behind `GET /metrics`.
 //!
 //! Counters are lock-free atomics bumped on the request path; the two
 //! latency [`Histogram`]s sit behind a mutex (one `record` per request /
@@ -10,21 +10,30 @@
 use sms_metrics::{Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
-/// Shared instrument set for one server process.
-#[derive(Debug)]
-pub struct ServerMetrics {
-    started: Instant,
+/// Bumps a counter.
+pub fn inc(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The counters the shared service skeleton bumps for either tier.
+#[derive(Debug, Default)]
+pub struct HttpCounters {
     /// HTTP requests accepted for processing (any endpoint).
     pub requests: AtomicU64,
     /// Requests refused with a 4xx (parse or validation failures).
     pub bad_requests: AtomicU64,
-    /// Connections shed with `503 Retry-After` at the admission gate.
+    /// Requests shed with `503` (connection cap, drain, or admission).
     pub shed: AtomicU64,
+}
+
+/// The backend's own instrument set.
+#[derive(Debug, Default)]
+pub struct ServerMetrics {
     /// Sweep jobs admitted (after request-level dedup).
     pub jobs: AtomicU64,
-    /// Jobs currently executing or queued on the pool.
+    /// Jobs currently executing or queued on the pool; also the value the
+    /// admission gate bounds.
     pub jobs_in_flight: AtomicU64,
     /// Jobs served from the on-disk result cache.
     pub cache_hits: AtomicU64,
@@ -40,36 +49,7 @@ pub struct ServerMetrics {
     pub job_latency_us: Mutex<Histogram>,
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        ServerMetrics {
-            started: Instant::now(),
-            requests: AtomicU64::new(0),
-            bad_requests: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
-            jobs_in_flight: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            singleflight_shared: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            request_latency_us: Mutex::new(Histogram::new()),
-            job_latency_us: Mutex::new(Histogram::new()),
-        }
-    }
-}
-
 impl ServerMetrics {
-    /// A fresh instrument set; uptime counts from here.
-    pub fn new() -> Self {
-        ServerMetrics::default()
-    }
-
-    /// Bumps a counter.
-    pub fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one request's wall-clock latency.
     pub fn observe_request(&self, micros: u64) {
         self.request_latency_us.lock().unwrap_or_else(PoisonError::into_inner).record(micros);
@@ -80,30 +60,26 @@ impl ServerMetrics {
         self.job_latency_us.lock().unwrap_or_else(PoisonError::into_inner).record(micros);
     }
 
-    /// Snapshots every instrument into a registry. `uptime` overrides the
-    /// measured uptime when given (tests pin it for golden output).
-    pub fn registry(&self, uptime_secs: Option<f64>) -> Registry {
+    /// Snapshots every instrument into a registry (tests pin `uptime_secs`
+    /// for golden output).
+    pub fn registry(&self, uptime_secs: f64, http: &HttpCounters) -> Registry {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut reg = Registry::new();
-        reg.gauge(
-            "sms_serve_uptime_seconds",
-            "Seconds since the server started",
-            uptime_secs.unwrap_or_else(|| self.started.elapsed().as_secs_f64()),
-        );
+        reg.gauge("sms_serve_uptime_seconds", "Seconds since the server started", uptime_secs);
         reg.counter(
             "sms_serve_requests_total",
             "HTTP requests accepted for processing",
-            get(&self.requests),
+            get(&http.requests),
         );
         reg.counter(
             "sms_serve_bad_requests_total",
             "Requests refused with a 4xx status",
-            get(&self.bad_requests),
+            get(&http.bad_requests),
         );
         reg.counter(
             "sms_serve_shed_total",
             "Connections shed with 503 at the admission gate",
-            get(&self.shed),
+            get(&http.shed),
         );
         reg.counter("sms_serve_jobs_total", "Sweep jobs admitted", get(&self.jobs));
         reg.gauge(
@@ -144,11 +120,6 @@ impl ServerMetrics {
         );
         reg
     }
-
-    /// Renders the live `/metrics` payload.
-    pub fn render(&self) -> String {
-        self.registry(None).render_prometheus()
-    }
 }
 
 #[cfg(test)]
@@ -157,12 +128,12 @@ mod tests {
 
     #[test]
     fn render_is_strictly_parseable() {
-        let m = ServerMetrics::new();
-        ServerMetrics::inc(&m.requests);
-        ServerMetrics::inc(&m.cache_hits);
+        let (m, http) = (ServerMetrics::default(), HttpCounters::default());
+        inc(&http.requests);
+        inc(&m.cache_hits);
         m.observe_request(1234);
         m.observe_job(99);
-        let text = m.render();
+        let text = m.registry(1.0, &http).render_prometheus();
         sms_metrics::prom::validate(&text).expect("strict parse");
         let families = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
         assert_eq!(families, 12, "every instrument renders exactly once");

@@ -16,42 +16,30 @@
 //! and over-quota job batches with `503` + `Retry-After` instead of
 //! queueing unboundedly.
 //!
-//! Shutdown is a drain: `POST /v1/drain` (or SIGTERM in the binary) stops
-//! the accept loop, lets in-flight connections finish, flushes the
-//! journal, and returns from [`Server::run`] — the process exits 0. An
-//! abrupt kill instead leaves the journal replayable via `SMS_RESUME`
-//! (each job's `job_queued`/`job_finished` lines are flushed as written).
+//! Accepting, routing, the sweep stream and the drain are the shared
+//! [`crate::service`] skeleton; this module is what the backend adds:
+//! the admission gate, the single-flight table, the simulation permits
+//! and the warm scene tier.
 
-use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
-use crate::metrics::ServerMetrics;
-use crate::protocol::{self, parse_render, parse_stack_config};
-use sms_harness::json::Json;
+use crate::http::{HttpError, Limits, Request};
+use crate::metrics::{inc, ServerMetrics};
+use crate::protocol::{JobFailure, JobOutcome};
+use crate::service::{self, Service, ServiceCore, Tier};
 use sms_harness::log::env_positive;
 use sms_harness::trace::wall_us;
-use sms_harness::{pool, CacheKey, Event, Journal, ResultCache, RunError, TraceContext};
+use sms_harness::{pool, CacheKey, Event, RunError};
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::try_run_prepared;
 use sms_sim::gpu::SimStats;
 use sms_sim::render::PreparedScene;
 use sms_sim::sim::RunLimits;
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Process-wide drain request flag, for the binary's SIGTERM handler
-/// (a signal handler cannot reach into an [`Arc`]). The accept loop polls
-/// it alongside the server's own flag.
-static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
-
-/// The flag a signal handler may set to request a graceful drain.
-pub fn signal_drain_flag() -> &'static AtomicBool {
-    &SIGNAL_DRAIN
-}
 
 /// Construction-time server knobs.
 #[derive(Debug, Clone)]
@@ -237,29 +225,49 @@ impl SimPermits {
     }
 }
 
-/// Everything the handler threads share.
-struct ServerState {
+/// The backend [`Tier`]: what the handler threads share beyond the
+/// [`ServiceCore`].
+pub struct ServerState {
+    core: ServiceCore,
     config: ServeConfig,
-    cache: Option<ResultCache>,
-    /// Key computation even when the disk cache is off.
-    keyer: ResultCache,
-    journal: Journal,
     metrics: ServerMetrics,
     /// Warm prepared-scene tier, keyed by `(scene, render)` debug string.
     scenes: Mutex<HashMap<String, Arc<PreparedScene>>>,
     /// Single-flight table, keyed by canonical cache key.
     inflight: Mutex<HashMap<String, Arc<JobCell>>>,
     permits: SimPermits,
-    /// Server-unique job ids for the journal (stream ids are per-request).
-    job_seq: AtomicU64,
-    jobs_in_flight: AtomicU64,
-    draining: AtomicBool,
-    active_conns: AtomicU64,
+}
+
+/// A bound (or running) sweep server.
+pub type Server = Service<ServerState>;
+
+/// `n` admitted jobs' share of `max_inflight_jobs`, given back on drop so
+/// no early return between admission and the end of the sweep leaks it.
+struct Admitted<'a> {
+    metrics: &'a ServerMetrics,
+    n: u64,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.metrics.jobs_in_flight.fetch_sub(self.n, Ordering::SeqCst);
+    }
 }
 
 impl ServerState {
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst) || SIGNAL_DRAIN.load(Ordering::SeqCst)
+    /// Global admission: shed rather than queue unboundedly.
+    fn admit(&self, jobs: usize) -> Result<Admitted<'_>, HttpError> {
+        let (n, max) = (jobs as u64, self.config.max_inflight_jobs as u64);
+        self.metrics
+            .jobs_in_flight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |now| {
+                (now + n <= max).then_some(now + n)
+            })
+            .map_err(|now| {
+                inc(&self.core.http.shed);
+                HttpError { status: 503, message: format!("{now} jobs in flight; retry later") }
+            })?;
+        Ok(Admitted { metrics: &self.metrics, n })
     }
 
     /// Fetches (building and retaining on first use) a prepared scene.
@@ -278,7 +286,10 @@ impl ServerState {
             catch_unwind(AssertUnwindSafe(|| Arc::new(PreparedScene::build(scene, render))))
                 .map_err(|payload| RunError::Panicked {
                     worker: 0,
-                    message: format!("scene preparation panicked: {}", panic_text(payload)),
+                    message: format!(
+                        "scene preparation panicked: {}",
+                        pool::panic_message(payload)
+                    ),
                 })?;
         let mut table = self.scenes.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(Arc::clone(table.entry(key).or_insert(built)))
@@ -294,7 +305,7 @@ impl ServerState {
         // Cached cells never need coalescing: probe before touching the
         // single-flight table, so concurrent warm requests all report a
         // plain hit instead of racing one of them into a leader slot.
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.core.cache {
             if let Some(stats) = cache.load(key) {
                 return (Ok(stats), Served::Hit);
             }
@@ -306,7 +317,7 @@ impl ServerState {
                 Some(cell) => {
                     let cell = Arc::clone(cell);
                     drop(table);
-                    ServerMetrics::inc(&self.metrics.singleflight_shared);
+                    inc(&self.metrics.singleflight_shared);
                     return (cell.wait(), Served::Shared);
                 }
                 None => {
@@ -321,7 +332,10 @@ impl ServerState {
         // structured error so followers can never be left waiting.
         let outcome = catch_unwind(AssertUnwindSafe(|| self.execute_leader(req, key)))
             .unwrap_or_else(|payload| {
-                (Err(RunError::Panicked { worker: 0, message: panic_text(payload) }), Served::Miss)
+                (
+                    Err(RunError::Panicked { worker: 0, message: pool::panic_message(payload) }),
+                    Served::Miss,
+                )
             });
         cell.publish(outcome.0.clone());
         self.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&key.canonical);
@@ -333,7 +347,7 @@ impl ServerState {
         req: &sms_harness::RunRequest,
         key: &CacheKey,
     ) -> (Result<SimStats, RunError>, Served) {
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.core.cache {
             if let Some(stats) = cache.load(key) {
                 return (Ok(stats), Served::Hit);
             }
@@ -348,7 +362,7 @@ impl ServerState {
         self.permits.release();
         match result {
             Ok(run) => {
-                if let Some(cache) = &self.cache {
+                if let Some(cache) = &self.core.cache {
                     cache.store(key, &run.stats);
                 }
                 (Ok(run.stats), Served::Miss)
@@ -358,418 +372,86 @@ impl ServerState {
     }
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
+impl Tier for ServerState {
+    const NAME: &'static str = "server";
+    type Config = ServeConfig;
 
-/// A running (or ready-to-run) sweep server.
-pub struct Server {
-    listener: TcpListener,
-    state: Arc<ServerState>,
-}
-
-/// A cloneable remote control for a server: request a drain, read the
-/// bound address, inspect metrics.
-#[derive(Clone)]
-pub struct ServerHandle {
-    state: Arc<ServerState>,
-    addr: std::net::SocketAddr,
-}
-
-impl ServerHandle {
-    /// The address the server is listening on.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+    fn addr(config: &ServeConfig) -> &str {
+        &config.addr
     }
 
-    /// Requests a graceful drain: stop accepting, finish in-flight work.
-    pub fn request_drain(&self) {
-        self.state.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once a drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.state.draining()
-    }
-
-    /// Renders the live Prometheus metrics (same payload as `/metrics`).
-    pub fn render_metrics(&self) -> String {
-        self.state.metrics.render()
-    }
-}
-
-impl Server {
-    /// Binds the listener and prepares the shared state. The server does
-    /// not accept connections until [`Server::run`] is called.
-    pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let cache = config
-            .cache_dir
-            .clone()
-            .map(|dir| ResultCache::new(dir).with_faults(config.faults.clone()));
-        let keyer = ResultCache::new(PathBuf::new());
-        let journal = Journal::new(config.journal_path.clone());
+    fn new(config: ServeConfig) -> Self {
+        let core = ServiceCore::new(
+            config.limits,
+            config.max_conns,
+            config.max_jobs_per_request,
+            config.cache_dir.clone(),
+            config.journal_path.clone(),
+            config.faults.clone(),
+        );
         let workers = config.workers.max(1);
-        let state = Arc::new(ServerState {
-            cache,
-            keyer,
-            journal,
-            metrics: ServerMetrics::new(),
+        // One batch_start at process scope: every later job_queued /
+        // job_finished pair keys the journal for SMS_RESUME replay.
+        core.journal.record(Event::BatchStart { jobs: 0, unique: 0, workers });
+        ServerState {
+            core,
+            metrics: ServerMetrics::default(),
             scenes: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             permits: SimPermits::new(workers),
-            job_seq: AtomicU64::new(0),
-            jobs_in_flight: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-            active_conns: AtomicU64::new(0),
             config,
-        });
-        // One batch_start at process scope: every later job_queued /
-        // job_finished pair keys the journal for SMS_RESUME replay.
-        state.journal.record(Event::BatchStart { jobs: 0, unique: 0, workers });
-        Ok(Server { listener, state })
-    }
-
-    /// The bound address (useful with `addr = 127.0.0.1:0`).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// A remote control handle for this server.
-    pub fn handle(&self) -> std::io::Result<ServerHandle> {
-        Ok(ServerHandle { state: Arc::clone(&self.state), addr: self.local_addr()? })
-    }
-
-    /// Accepts connections until a drain is requested, then waits for all
-    /// in-flight connections, flushes the journal, and returns. Each
-    /// connection is handled on its own thread, one request per
-    /// connection.
-    pub fn run(self) -> std::io::Result<()> {
-        loop {
-            let injected_kill =
-                self.state.config.faults.as_ref().filter(|f| f.killed()).map(|f| f.journal_torn());
-            if let Some(tear_journal) = injected_kill {
-                return self.die_of_injected_kill(tear_journal);
-            }
-            if self.state.draining() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if let Some(f) = &self.state.config.faults {
-                        if f.should_drop_conn() {
-                            drop(stream); // injected fault: connection reset, no reply
-                            continue;
-                        }
-                    }
-                    let active = self.state.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
-                    if active > self.state.config.max_conns as u64 {
-                        // Load shed at the door: bounded accept queue.
-                        ServerMetrics::inc(&self.state.metrics.shed);
-                        let mut stream = stream;
-                        http::write_error(
-                            &mut stream,
-                            &HttpError {
-                                status: 503,
-                                message: "server at connection capacity; retry".to_owned(),
-                            },
-                        );
-                        self.state.active_conns.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    let state = Arc::clone(&self.state);
-                    std::thread::spawn(move || {
-                        handle_connection(&state, stream);
-                        state.active_conns.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // Drain: finish in-flight connections, then flush the journal.
-        while self.state.active_conns.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        self.state.journal.record(Event::BatchEnd {
-            jobs: self.state.job_seq.load(Ordering::SeqCst) as usize,
-            cache_hits: self.state.metrics.cache_hits.load(Ordering::Relaxed) as usize,
-            cache_misses: self.state.metrics.cache_misses.load(Ordering::Relaxed) as usize,
-            failed: self.state.metrics.jobs_failed.load(Ordering::Relaxed) as usize,
-            duration_us: 0,
-            sim_cycles: 0,
-            breakdown: None,
-            metrics: None,
-            builds: Vec::new(),
-        });
-        self.state.journal.flush();
-        Ok(())
-    }
-
-    /// The injected-kill exit: no drain, no `batch_end`, no flush — the
-    /// listener drops (further connects are refused) and, when configured,
-    /// the journal's tail line is torn mid-write, exactly the wreckage a
-    /// SIGKILL leaves behind. Returns an error so the binary exits nonzero
-    /// like a crashed process.
-    fn die_of_injected_kill(self, tear_journal: bool) -> std::io::Result<()> {
-        if tear_journal {
-            if let Some(path) = &self.state.config.journal_path {
-                if let Ok(meta) = std::fs::metadata(path) {
-                    // Rip the last few bytes off the flushed tail so the
-                    // final line is half-written.
-                    let torn = meta.len().saturating_sub(7);
-                    if let Ok(f) = std::fs::OpenOptions::new().write(true).open(path) {
-                        let _ = f.set_len(torn);
-                    }
-                }
-            }
-        }
-        Err(std::io::Error::other("fault injection: killed after job budget"))
-    }
-
-    /// Binds, then runs the accept loop on a background thread. Returns
-    /// the handle plus the join handle whose `Ok(())` is the drained exit.
-    pub fn spawn(
-        config: ServeConfig,
-    ) -> std::io::Result<(ServerHandle, std::thread::JoinHandle<std::io::Result<()>>)> {
-        let server = Server::bind(config)?;
-        let handle = server.handle()?;
-        let join = std::thread::spawn(move || server.run());
-        Ok((handle, join))
-    }
-}
-
-/// Routes one connection's single request.
-fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
-    let t0 = Instant::now();
-    let request = match http::read_request(&mut stream, &state.config.limits) {
-        Ok(req) => req,
-        Err(e) => {
-            if (400..500).contains(&e.status) {
-                ServerMetrics::inc(&state.metrics.bad_requests);
-            }
-            http::write_error(&mut stream, &e);
-            return;
-        }
-    };
-    ServerMetrics::inc(&state.metrics.requests);
-    if let Some(f) = &state.config.faults {
-        if let Some(delay) = f.respond_delay() {
-            // Injected straggler: stall this response (hedge-bait).
-            std::thread::sleep(delay);
-        }
-    }
-    let outcome = route(state, &request, &mut stream);
-    if let Err(e) = outcome {
-        if (400..500).contains(&e.status) {
-            ServerMetrics::inc(&state.metrics.bad_requests);
-        }
-        http::write_error(&mut stream, &e);
-    }
-    state.metrics.observe_request(t0.elapsed().as_micros() as u64);
-}
-
-fn route(
-    state: &Arc<ServerState>,
-    request: &Request,
-    stream: &mut TcpStream,
-) -> Result<(), HttpError> {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            if state.draining() {
-                Err(HttpError { status: 503, message: "draining".to_owned() })
-            } else {
-                write_ok(stream, "text/plain", b"ok\n")
-            }
-        }
-        ("GET", "/metrics") => {
-            let text = state.metrics.render();
-            write_ok(stream, "text/plain; version=0.0.4", text.as_bytes())
-        }
-        ("POST", "/v1/drain") => {
-            state.draining.store(true, Ordering::SeqCst);
-            write_ok(stream, "text/plain", b"draining\n")
-        }
-        ("POST", "/v1/sweep") => handle_sweep(state, request, stream),
-        ("GET", path) if path.starts_with("/v1/jobs/") => handle_probe(state, request, stream),
-        _ => Err(HttpError {
-            status: 404,
-            message: format!("no route for {} {}", request.method, request.path),
-        }),
-    }
-}
-
-fn write_ok(stream: &mut TcpStream, content_type: &str, body: &[u8]) -> Result<(), HttpError> {
-    http::write_response(stream, 200, content_type, &[], body)
-        .map_err(|e| HttpError { status: 500, message: e.to_string() })
-}
-
-/// `GET /v1/jobs/<scene>/<config>[?render=<mode>]` — a pure cache probe:
-/// never simulates, answers 200 with the cached stats or 404.
-fn handle_probe(
-    state: &Arc<ServerState>,
-    request: &Request,
-    stream: &mut TcpStream,
-) -> Result<(), HttpError> {
-    let bad = |message: String| HttpError { status: 400, message };
-    let rest = request.path.trim_start_matches("/v1/jobs/");
-    let (scene, config) = rest
-        .split_once('/')
-        .ok_or_else(|| bad("probe path must be /v1/jobs/<scene>/<config>".to_owned()))?;
-    let scene = scene.parse::<sms_sim::scene::SceneId>().map_err(|e| bad(e.to_string()))?;
-    let stack = parse_stack_config(config).map_err(bad)?;
-    let mut render_name = "fast".to_owned();
-    for pair in request.query.split('&').filter(|p| !p.is_empty()) {
-        match pair.split_once('=') {
-            Some(("render", mode)) => render_name = mode.to_owned(),
-            _ => return Err(bad(format!("unknown query parameter `{pair}`"))),
-        }
-    }
-    let render = parse_render(&render_name).map_err(bad)?;
-    let req = sms_harness::RunRequest::new(scene, stack, render);
-    let key = state.keyer.key(&req);
-    let cached = state.cache.as_ref().and_then(|c| c.load(&key));
-    match cached {
-        Some(stats) => {
-            let doc = Json::Obj(vec![
-                ("key".to_owned(), Json::Str(key.canonical.clone())),
-                ("scene".to_owned(), Json::Str(scene.name().to_owned())),
-                ("config".to_owned(), Json::Str(stack.label())),
-                ("render".to_owned(), Json::Str(render_name)),
-                ("stats".to_owned(), sms_harness::cache::stats_to_json(&stats)),
-            ]);
-            write_ok(stream, "application/json", format!("{doc}\n").as_bytes())
-        }
-        None => Err(HttpError { status: 404, message: format!("no cached result for {rest}") }),
-    }
-}
-
-/// `POST /v1/sweep` — admit, dedupe, execute, stream.
-fn handle_sweep(
-    state: &Arc<ServerState>,
-    request: &Request,
-    stream: &mut TcpStream,
-) -> Result<(), HttpError> {
-    if state.draining() {
-        ServerMetrics::inc(&state.metrics.shed);
-        return Err(HttpError {
-            status: 503,
-            message: "draining; not accepting sweeps".to_owned(),
-        });
-    }
-    let sweep = protocol::parse_sweep(&request.body, state.config.max_jobs_per_request)
-        .map_err(|message| HttpError { status: 400, message })?;
-
-    // Distributed tracing: only requests that carry an `x-sms-trace`
-    // header get span events, so untraced journals stay byte-identical to
-    // pre-tracing runs. The server's sweep span parents on the sender's
-    // span id; each job span parents on the sweep span.
-    let sweep_ctx = request
-        .header(sms_harness::TRACE_HEADER)
-        .and_then(TraceContext::parse)
-        .map(|peer| peer.child());
-    let sweep_start_us = wall_us();
-
-    // Request-level dedup on the canonical key (same identity as the
-    // cache and the single-flight table); duplicate cells coalesce into
-    // one streamed job, exactly like `Harness::try_run_batch`.
-    let mut jobs: Vec<(sms_harness::RunRequest, CacheKey)> = Vec::new();
-    for req in &sweep.requests {
-        let key = state.keyer.key(req);
-        if !jobs.iter().any(|(_, k)| k.canonical == key.canonical) {
-            jobs.push((*req, key));
         }
     }
 
-    // Global admission: shed rather than queue unboundedly.
-    let admitted = loop {
-        let current = state.jobs_in_flight.load(Ordering::SeqCst);
-        let next = current + jobs.len() as u64;
-        if next > state.config.max_inflight_jobs as u64 {
-            break false;
-        }
-        if state
-            .jobs_in_flight
-            .compare_exchange(current, next, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            break true;
-        }
-    };
-    if !admitted {
-        ServerMetrics::inc(&state.metrics.shed);
-        return Err(HttpError {
-            status: 503,
-            message: format!(
-                "{} jobs in flight; retry later",
-                state.jobs_in_flight.load(Ordering::SeqCst)
-            ),
-        });
-    }
-    state
-        .metrics
-        .jobs_in_flight
-        .store(state.jobs_in_flight.load(Ordering::SeqCst), Ordering::Relaxed);
-
-    let t0 = Instant::now();
-    let mut writer = ChunkedWriter::start(stream, 200, "application/jsonl")
-        .map_err(|e| HttpError { status: 500, message: e.to_string() })?;
-
-    // Announce every admitted job on the stream and in the journal. The
-    // stream uses request-local ids (a self-contained journal fragment);
-    // the process journal uses server-unique ids so concurrent requests
-    // cannot collide in SMS_RESUME replay.
-    let journal_base = state.job_seq.fetch_add(jobs.len() as u64, Ordering::SeqCst);
-    for (local, (req, key)) in jobs.iter().enumerate() {
-        ServerMetrics::inc(&state.metrics.jobs);
-        let line = protocol::job_queued_event(local, req, &key.canonical).to_json().to_string();
-        let _ = writer.chunk(format!("{line}\n").as_bytes());
-        state.journal.record(protocol::job_queued_event(
-            journal_base as usize + local,
-            req,
-            &key.canonical,
-        ));
+    fn core(&self) -> &ServiceCore {
+        &self.core
     }
 
-    // Execute on the pool; stream each record the moment its job settles.
-    // The sender sits behind a mutex because the pool shares the closure
-    // across workers (`mpsc::Sender` is not `Sync` on older toolchains);
-    // one uncontended lock per finished job is noise next to a simulation.
-    // Injected mid-stream cut: when the per-sweep counter fires, this
-    // response stops after its first finished-job line, leaving an
-    // unterminated chunked body (the client sees an interrupted stream).
-    // Execution continues regardless — the cells still land in the shared
-    // cache, which is exactly what makes fleet retries and hedges cheap.
-    let mut stream_cut_after =
-        state.config.faults.as_ref().filter(|f| f.should_drop_stream()).map(|_| 1usize);
-    let (tx, rx) = mpsc::channel::<(String, Served, bool)>();
-    let runner = Arc::clone(state);
-    let jobs_ref = &jobs;
-    let counts = std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let tx = Mutex::new(tx);
-            pool::try_run_indexed(runner.config.workers, jobs_ref.len(), |i, worker| {
+    fn render_metrics(&self) -> String {
+        self.metrics.registry(self.core.uptime_secs(), &self.core.http).render_prometheus()
+    }
+
+    fn drain_totals(&self) -> (u64, u64, u64) {
+        let get = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        (
+            get(&self.metrics.cache_hits),
+            get(&self.metrics.cache_misses),
+            get(&self.metrics.jobs_failed),
+        )
+    }
+
+    fn observe_request(&self, micros: u64) {
+        self.metrics.observe_request(micros);
+    }
+
+    /// `POST /v1/sweep` — admit, then execute on the pool inside the shared
+    /// sweep frame.
+    fn handle_sweep(
+        self: &Arc<Self>,
+        request: &Request,
+        stream: &mut TcpStream,
+    ) -> Result<(), HttpError> {
+        let plan = service::plan_sweep(&self.core, request)?;
+        let jobs = &plan.jobs;
+        let admitted = self.admit(jobs.len())?;
+        service::stream_sweep(&self.core, &plan, stream, move |sink| {
+            // Held until the last job settles, then released before the
+            // frame writes its summary.
+            let _admitted = admitted;
+            self.metrics.jobs.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+            pool::try_run_indexed(self.config.workers, jobs.len(), |i, worker| {
                 // A killed worker does nothing more, like a dead process.
-                if runner.config.faults.as_ref().is_some_and(|f| f.killed()) {
+                if self.core.killed() {
                     return;
                 }
-                let (req, key) = &jobs_ref[i];
-                runner.journal.record(Event::JobStarted { job: journal_base as usize + i, worker });
+                let (req, key) = &jobs[i];
+                self.core.journal.record(Event::JobStarted { job: sink.journal_id(i), worker });
                 let job_start = Instant::now();
                 let job_start_us = wall_us();
-                let (outcome, served) = runner.execute(req, key);
+                let (outcome, served) = self.execute(req, key);
                 let duration_us = job_start.elapsed().as_micros() as u64;
-                runner.metrics.observe_job(duration_us);
-                if let Some(sweep_ctx) = &sweep_ctx {
+                self.metrics.observe_job(duration_us);
+                if let Some(sweep_ctx) = &plan.ctx {
                     let mut attrs = vec![(
                         "cell".to_owned(),
                         format!("{}/{}", req.scene.name(), req.stack.label()),
@@ -779,7 +461,7 @@ fn handle_sweep(
                         Err(e) => attrs.push(("error".to_owned(), e.kind().to_owned())),
                     }
                     attrs.push(("worker".to_owned(), worker.to_string()));
-                    runner.journal.record(Event::span(
+                    self.core.journal.record(Event::span(
                         &sweep_ctx.child(),
                         "job",
                         "internal",
@@ -788,169 +470,50 @@ fn handle_sweep(
                         attrs,
                     ));
                 }
-                let line = render_job_line(
-                    &runner,
-                    i,
-                    journal_base as usize + i,
-                    worker,
-                    &outcome,
-                    served,
-                    duration_us,
-                );
-                // Kill budget: the K-th finished job takes the worker down
-                // *with* its own result — the line is never streamed, just
-                // as a crash between simulate and send would lose it.
-                if let Some(f) = &runner.config.faults {
-                    if f.on_job_finished() {
-                        return;
-                    }
+                match (&outcome, served) {
+                    (Err(_), _) => inc(&self.metrics.jobs_failed),
+                    (Ok(_), Served::Hit) => inc(&self.metrics.cache_hits),
+                    (Ok(_), Served::Miss) => inc(&self.metrics.cache_misses),
+                    (Ok(_), Served::Shared) => {}
                 }
-                let _ = tx.lock().unwrap_or_else(PoisonError::into_inner).send((
-                    line,
-                    served,
-                    outcome.is_err(),
-                ));
-            })
-            // The sender (inside `tx`) drops here, ending the rx loop.
-        });
-        // Stream lines in completion order; each is flushed as one chunk.
-        let mut sim_cycles = 0u64;
-        let mut hits = 0usize;
-        let mut misses = 0usize;
-        let mut failed = 0usize;
-        for (line, served, is_err) in rx {
-            let killed = state.config.faults.as_ref().is_some_and(|f| f.killed());
-            if !killed && stream_cut_after != Some(0) {
-                // A closed peer is not an error: keep executing so the
-                // cache and journal still warm up for the next request.
-                let _ = writer.chunk(line.as_bytes());
-                if let Some(n) = &mut stream_cut_after {
-                    *n -= 1;
-                }
-            }
-            if is_err {
-                failed += 1;
-            } else if served == Served::Miss {
-                misses += 1;
-                sim_cycles += cycles_of(&line);
-            } else {
-                hits += 1;
-            }
-        }
-        (hits, misses, failed, sim_cycles)
-    });
-    state.jobs_in_flight.fetch_sub(jobs.len() as u64, Ordering::SeqCst);
-    state
-        .metrics
-        .jobs_in_flight
-        .store(state.jobs_in_flight.load(Ordering::SeqCst), Ordering::Relaxed);
-
-    if state.config.faults.as_ref().is_some_and(|f| f.killed()) || stream_cut_after == Some(0) {
-        // Crashed or cut: no batch_end, no terminating chunk — the client
-        // must see an interrupted stream, never a clean short sweep.
-        return Ok(());
-    }
-    let (hits, misses, failed, sim_cycles) = counts;
-    let summary = Event::BatchEnd {
-        jobs: jobs.len(),
-        cache_hits: hits,
-        cache_misses: misses,
-        failed,
-        duration_us: t0.elapsed().as_micros() as u64,
-        sim_cycles,
-        breakdown: None,
-        metrics: None,
-        builds: Vec::new(),
-    };
-    state.journal.record(summary.clone());
-    if let Some(ctx) = &sweep_ctx {
-        state.journal.record(Event::span(
-            ctx,
-            "sweep",
-            "server",
-            sweep_start_us,
-            t0.elapsed().as_micros() as u64,
-            vec![
-                ("jobs".to_owned(), jobs.len().to_string()),
-                ("failed".to_owned(), failed.to_string()),
-            ],
-        ));
-    }
-    let _ = writer.chunk(format!("{}\n", summary.to_json()).as_bytes());
-    let _ = writer.finish();
-    Ok(())
-}
-
-/// Pulls the `cycles` field back out of a finished-job line (the line was
-/// just rendered from a well-formed event, so a parse miss means 0).
-fn cycles_of(line: &str) -> u64 {
-    sms_harness::json::parse(line.trim()).ok().and_then(|doc| doc.u64_field("cycles")).unwrap_or(0)
-}
-
-/// Builds one stream line (journal codec, with the single-flight `shared`
-/// marker patched into the `cache` field) and mirrors it into the process
-/// journal under the server-unique job id.
-fn render_job_line(
-    state: &Arc<ServerState>,
-    local_job: usize,
-    journal_job: usize,
-    worker: usize,
-    outcome: &Result<SimStats, RunError>,
-    served: Served,
-    duration_us: u64,
-) -> String {
-    match outcome {
-        Ok(stats) => {
-            match served {
-                Served::Hit => ServerMetrics::inc(&state.metrics.cache_hits),
-                Served::Miss => ServerMetrics::inc(&state.metrics.cache_misses),
-                Served::Shared => {}
-            }
-            let event = |job: usize| Event::JobFinished {
-                job,
-                worker: Some(worker),
-                cache_hit: served != Served::Miss,
-                cycles: stats.cycles,
-                duration_us,
-                stats: Some(*stats),
-                breakdown: None,
-            };
-            state.journal.record(event(journal_job));
-            let mut doc = event(local_job).to_json();
-            if served == Served::Shared {
-                if let Json::Obj(pairs) = &mut doc {
-                    for (k, v) in pairs.iter_mut() {
-                        if k == "cache" {
-                            *v = Json::Str(Served::Shared.label().to_owned());
-                        }
-                    }
-                }
-            }
-            format!("{doc}\n")
-        }
-        Err(e) => {
-            ServerMetrics::inc(&state.metrics.jobs_failed);
-            let event = |job: usize| {
-                if e.is_timeout() {
-                    Event::RunTimeout {
-                        job,
-                        worker,
+                let result = outcome.map(|stats| (stats, served.label().to_owned())).map_err(|e| {
+                    JobFailure {
                         kind: e.kind().to_owned(),
                         error: e.to_string(),
-                        duration_us,
+                        timeout: e.is_timeout(),
                     }
-                } else {
-                    Event::RunFailed {
-                        job,
-                        worker,
-                        kind: e.kind().to_owned(),
-                        error: e.to_string(),
-                        duration_us,
-                    }
-                }
-            };
-            state.journal.record(event(journal_job));
-            format!("{}\n", event(local_job).to_json())
-        }
+                });
+                sink.settle(i, JobOutcome { worker: Some(worker), duration_us, result });
+            });
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sweep whose peer is gone before the response head can be written
+    /// errors out *after* admission; its share of `max_inflight_jobs` must
+    /// come back, or enough such sweeps make the backend shed everything.
+    #[test]
+    fn error_after_admission_releases_jobs_in_flight() {
+        let state = Arc::new(ServerState::new(ServeConfig::default()));
+        // A socket pair by hand; the skeleton's accept loop is not involved.
+        let pair = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(pair.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = pair.accept().unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let request = Request {
+            method: "POST".to_owned(),
+            path: "/v1/sweep".to_owned(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: br#"{"scenes":["WKND","SHIP"],"configs":["RB_8"],"render":"tiny"}"#.to_vec(),
+        };
+        let err = state.handle_sweep(&request, &mut stream).unwrap_err();
+        assert_eq!(err.status, 500, "the response head cannot be written: {err}");
+        assert_eq!(state.metrics.jobs_in_flight.load(Ordering::SeqCst), 0);
+        assert!(state.render_metrics().contains("sms_serve_jobs_in_flight 0\n"));
     }
 }

@@ -1,0 +1,609 @@
+//! The HTTP service skeleton `sms-serve` and `sms-fleet` both instantiate.
+//!
+//! [`ServiceCore`] is the state either tier holds; [`Service`] owns the
+//! listener and runs the one accept → door-shed → thread-per-connection →
+//! drain-wait loop. The route table answers `/healthz`, `/metrics`,
+//! `/v1/drain` and the `/v1/jobs/…` cache probe itself and hands only
+//! `POST /v1/sweep` to the [`Tier`], whose handler is [`plan_sweep`], its
+//! own admission check, then [`stream_sweep`] around its own executor.
+//!
+//! Shutdown is a drain: `POST /v1/drain` (or SIGTERM in the binaries)
+//! stops the accept loop, lets in-flight connections finish, flushes the
+//! journal, and returns from [`Service::run`]. An abrupt kill instead
+//! leaves the journal replayable via `SMS_RESUME` (every line is flushed
+//! as written).
+
+use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
+use crate::metrics::{inc, HttpCounters};
+use crate::protocol::{self, parse_render, parse_stack_config, JobOutcome};
+use sms_harness::json::Json;
+use sms_harness::trace::wall_us;
+use sms_harness::{
+    log, CacheKey, Event, FaultPlan, Journal, ResultCache, RunRequest, TraceContext,
+};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long the accept loop sleeps when no connection is pending.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How often the drain wait re-checks for in-flight connections.
+const DRAIN_POLL: Duration = Duration::from_millis(5);
+
+/// Process-wide drain request flag, for the SIGTERM handler (a signal
+/// handler cannot reach into an [`Arc`]). Every accept loop polls it
+/// alongside its own flag.
+static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
+
+/// Registers a SIGTERM handler that flips the drain flag. Pure-libc FFI:
+/// the handler only does an atomic store, which is async-signal-safe.
+#[cfg(unix)]
+fn install_sigterm() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    extern "C" fn on_sigterm(_signum: i32) {
+        SIGNAL_DRAIN.store(true, Ordering::SeqCst);
+    }
+    const SIGTERM: i32 = 15;
+    // SAFETY: `signal` is the libc prototype, and `on_sigterm` only
+    // performs an atomic store, which is async-signal-safe.
+    unsafe {
+        signal(SIGTERM, on_sigterm as *const () as usize);
+    }
+}
+
+#[cfg(not(unix))]
+fn install_sigterm() {}
+
+/// The state both tiers share.
+pub struct ServiceCore {
+    limits: Limits,
+    max_conns: usize,
+    max_jobs_per_request: usize,
+    pub(crate) cache: Option<ResultCache>,
+    /// Key computation even when the disk cache is off.
+    pub(crate) keyer: ResultCache,
+    pub(crate) journal: Journal,
+    journal_path: Option<PathBuf>,
+    /// Deterministic fault injection (`SMS_FAULT`); `None` (always, for
+    /// the fleet) means no fault code runs at all.
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+    pub(crate) http: HttpCounters,
+    started: Instant,
+    /// Process-unique job ids for the journal (stream ids are per-request).
+    job_seq: AtomicU64,
+    draining: AtomicBool,
+    active_conns: AtomicU64,
+}
+
+impl ServiceCore {
+    pub(crate) fn new(
+        limits: Limits,
+        max_conns: usize,
+        max_jobs_per_request: usize,
+        cache_dir: Option<PathBuf>,
+        journal_path: Option<PathBuf>,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> Self {
+        ServiceCore {
+            limits,
+            max_conns,
+            max_jobs_per_request,
+            cache: cache_dir.map(|dir| ResultCache::new(dir).with_faults(faults.clone())),
+            keyer: ResultCache::new(PathBuf::new()),
+            journal: Journal::new(journal_path.clone()),
+            journal_path,
+            faults,
+            http: HttpCounters::default(),
+            started: Instant::now(),
+            job_seq: AtomicU64::new(0),
+            draining: AtomicBool::new(false),
+            active_conns: AtomicU64::new(0),
+        }
+    }
+
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst) || SIGNAL_DRAIN.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn uptime_secs(&self) -> f64 {
+        self.started.elapsed().as_secs_f64()
+    }
+
+    /// `true` once an injected kill budget has run out.
+    pub(crate) fn killed(&self) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.killed())
+    }
+
+    /// The injected-kill exit: no drain, no `batch_end`, no flush — the
+    /// listener drops (further connects are refused) and, when configured,
+    /// the journal's tail line is torn mid-write, exactly the wreckage a
+    /// SIGKILL leaves behind. Returns an error so the binary exits nonzero
+    /// like a crashed process.
+    fn die_of_injected_kill(&self) -> std::io::Result<()> {
+        let tear_journal = self.faults.as_ref().is_some_and(|f| f.journal_torn());
+        if let Some(path) = self.journal_path.as_ref().filter(|_| tear_journal) {
+            if let Ok(meta) = std::fs::metadata(path) {
+                // Rip the last few bytes off the flushed tail so the
+                // final line is half-written.
+                let torn = meta.len().saturating_sub(7);
+                if let Ok(f) = std::fs::OpenOptions::new().write(true).open(path) {
+                    let _ = f.set_len(torn);
+                }
+            }
+        }
+        Err(std::io::Error::other("fault injection: killed after job budget"))
+    }
+}
+
+/// What a tier adds on top of the skeleton. Implemented by the backend
+/// ([`crate::server::ServerState`]) and the fleet
+/// ([`crate::fleet::FleetState`]) and nothing else.
+pub trait Tier: Send + Sync + Sized + 'static {
+    /// `server` or `fleet`: names the tier in the door-shed reply.
+    const NAME: &'static str;
+    /// The tier's construction-time knobs.
+    type Config;
+    /// The bind address in `config` (`127.0.0.1:0` picks an ephemeral port).
+    fn addr(config: &Self::Config) -> &str;
+    /// Builds the tier's shared state; runs once the listener is bound.
+    fn new(config: Self::Config) -> Self;
+    /// The skeleton's share of the state.
+    fn core(&self) -> &ServiceCore;
+    /// The live `/metrics` payload.
+    fn render_metrics(&self) -> String;
+    /// `POST /v1/sweep`.
+    fn handle_sweep(
+        self: &Arc<Self>,
+        request: &Request,
+        stream: &mut TcpStream,
+    ) -> Result<(), HttpError>;
+    /// `(cache_hits, cache_misses, failed)` over the process lifetime, for
+    /// the `batch_end` the drain writes.
+    fn drain_totals(&self) -> (u64, u64, u64);
+    /// One routed request's wall clock; only the backend keeps that
+    /// histogram.
+    fn observe_request(&self, _micros: u64) {}
+}
+
+/// A bound (ready-to-run) tier.
+pub struct Service<T: Tier> {
+    listener: TcpListener,
+    tier: Arc<T>,
+}
+
+/// A remote control for a running service: request a drain, read the
+/// bound address, inspect metrics.
+pub struct Handle<T: Tier> {
+    tier: Arc<T>,
+    addr: SocketAddr,
+}
+
+impl<T: Tier> Handle<T> {
+    /// The address the service is listening on.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Requests a graceful drain: stop accepting, finish in-flight work.
+    pub fn request_drain(&self) {
+        self.tier.core().draining.store(true, Ordering::SeqCst);
+    }
+
+    /// Renders the live Prometheus metrics (same payload as `/metrics`).
+    pub fn render_metrics(&self) -> String {
+        self.tier.render_metrics()
+    }
+}
+
+impl<T: Tier> Service<T> {
+    /// Binds the listener and prepares the shared state. No connection is
+    /// accepted until [`Service::run`] is called.
+    pub fn bind(config: T::Config) -> std::io::Result<Self> {
+        let addr = T::addr(&config);
+        let listener = TcpListener::bind(addr)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {addr}: {e}")))?;
+        listener.set_nonblocking(true)?;
+        Ok(Service { listener, tier: Arc::new(T::new(config)) })
+    }
+
+    /// The bound address (useful with `addr = 127.0.0.1:0`).
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.listener.local_addr()
+    }
+
+    /// Binds, then runs the accept loop on a background thread. Returns
+    /// the handle plus the join handle whose `Ok(())` is the drained exit.
+    pub fn spawn(
+        config: T::Config,
+    ) -> std::io::Result<(Handle<T>, JoinHandle<std::io::Result<()>>)> {
+        let service = Self::bind(config)?;
+        let handle = Handle { tier: Arc::clone(&service.tier), addr: service.local_addr()? };
+        Ok((handle, std::thread::spawn(move || service.run())))
+    }
+
+    /// Accepts connections until a drain is requested, then waits for all
+    /// in-flight connections, flushes the journal, and returns. Each
+    /// connection is handled on its own thread, one request per
+    /// connection.
+    pub fn run(self) -> std::io::Result<()> {
+        let core = self.tier.core();
+        loop {
+            if core.killed() {
+                return core.die_of_injected_kill();
+            }
+            if core.draining() {
+                break;
+            }
+            match self.listener.accept() {
+                Ok((mut stream, _peer)) => {
+                    if core.faults.as_ref().is_some_and(|f| f.should_drop_conn()) {
+                        continue; // injected fault: connection reset, no reply
+                    }
+                    let active = core.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
+                    if active > core.max_conns as u64 {
+                        // Load shed at the door: bounded accept queue.
+                        inc(&core.http.shed);
+                        let message = format!("{} at connection capacity; retry", T::NAME);
+                        http::write_error(&mut stream, &HttpError { status: 503, message });
+                        core.active_conns.fetch_sub(1, Ordering::SeqCst);
+                        continue;
+                    }
+                    let tier = Arc::clone(&self.tier);
+                    std::thread::spawn(move || {
+                        handle_connection(&tier, stream);
+                        tier.core().active_conns.fetch_sub(1, Ordering::SeqCst);
+                    });
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(ACCEPT_POLL);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        // Drain: finish in-flight connections, then flush the journal.
+        while core.active_conns.load(Ordering::SeqCst) > 0 {
+            std::thread::sleep(DRAIN_POLL);
+        }
+        let (cache_hits, cache_misses, failed) = self.tier.drain_totals();
+        core.journal.record(Event::BatchEnd {
+            jobs: core.job_seq.load(Ordering::SeqCst) as usize,
+            cache_hits: cache_hits as usize,
+            cache_misses: cache_misses as usize,
+            failed: failed as usize,
+            duration_us: 0,
+            sim_cycles: 0,
+            breakdown: None,
+            metrics: None,
+            builds: Vec::new(),
+        });
+        core.journal.flush();
+        Ok(())
+    }
+
+    /// The binaries' `main` tail, logging as `name`: SIGTERM handler, bind,
+    /// `--addr-file`, the `banner` line, the accept loop, then `after_drain`
+    /// (the fleet reaps its spawned backends there) and the exit status.
+    pub fn run_to_exit(
+        name: &str,
+        config: T::Config,
+        addr_file: Option<&str>,
+        banner: impl FnOnce(SocketAddr) -> String,
+        after_drain: impl FnOnce(),
+    ) {
+        let fail = |what: String| -> ! {
+            log::error(name, &what, &[]);
+            std::process::exit(1);
+        };
+        install_sigterm();
+        let service = Self::bind(config).unwrap_or_else(|e| fail(e.to_string()));
+        let addr = service
+            .local_addr()
+            .unwrap_or_else(|e| fail(format!("cannot read bound address: {e}")));
+        if let Some(path) = addr_file {
+            if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
+                fail(format!("cannot write {path}: {e}"));
+            }
+        }
+        log::info(name, &banner(addr), &[]);
+        let outcome = service.run();
+        after_drain();
+        match outcome {
+            Ok(()) => log::info(name, "drained, exiting", &[]),
+            Err(e) => fail(format!("accept loop failed: {e}")),
+        }
+    }
+}
+
+/// A binary's positive-integer flag value; anything else is a usage
+/// error (exit status 2) naming `bin` and `flag`.
+pub fn positive_arg(bin: &str, flag: &str, raw: &str) -> usize {
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("{bin}: {flag} needs a positive integer, got `{raw}`");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Counts a refusal (4xx only) and answers it.
+fn refuse(core: &ServiceCore, stream: &mut TcpStream, e: &HttpError) {
+    if (400..500).contains(&e.status) {
+        inc(&core.http.bad_requests);
+    }
+    http::write_error(stream, e);
+}
+
+/// Routes one connection's single request.
+fn handle_connection<T: Tier>(tier: &Arc<T>, mut stream: TcpStream) {
+    let core = tier.core();
+    let t0 = Instant::now();
+    let request = match http::read_request(&mut stream, &core.limits) {
+        Ok(request) => request,
+        Err(e) => return refuse(core, &mut stream, &e),
+    };
+    inc(&core.http.requests);
+    if let Some(delay) = core.faults.as_ref().and_then(|f| f.respond_delay()) {
+        // Injected straggler: stall this response (hedge-bait).
+        std::thread::sleep(delay);
+    }
+    if let Err(e) = route(tier, &request, &mut stream) {
+        refuse(core, &mut stream, &e);
+    }
+    tier.observe_request(t0.elapsed().as_micros() as u64);
+}
+
+fn route<T: Tier>(
+    tier: &Arc<T>,
+    request: &Request,
+    stream: &mut TcpStream,
+) -> Result<(), HttpError> {
+    let core = tier.core();
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/healthz") => {
+            if core.draining() {
+                Err(HttpError { status: 503, message: "draining".to_owned() })
+            } else {
+                write_ok(stream, "text/plain", b"ok\n")
+            }
+        }
+        ("GET", "/metrics") => {
+            write_ok(stream, "text/plain; version=0.0.4", tier.render_metrics().as_bytes())
+        }
+        ("POST", "/v1/drain") => {
+            core.draining.store(true, Ordering::SeqCst);
+            write_ok(stream, "text/plain", b"draining\n")
+        }
+        ("POST", "/v1/sweep") => tier.handle_sweep(request, stream),
+        ("GET", path) if path.starts_with("/v1/jobs/") => handle_probe(core, request, stream),
+        _ => Err(HttpError {
+            status: 404,
+            message: format!("no route for {} {}", request.method, request.path),
+        }),
+    }
+}
+
+fn write_ok(stream: &mut TcpStream, content_type: &str, body: &[u8]) -> Result<(), HttpError> {
+    http::write_response(stream, 200, content_type, &[], body)
+        .map_err(|e| HttpError { status: 500, message: e.to_string() })
+}
+
+/// `GET /v1/jobs/<scene>/<config>[?render=<mode>]` — a pure cache probe:
+/// never simulates, answers 200 with the cached stats or 404.
+fn handle_probe(
+    core: &ServiceCore,
+    request: &Request,
+    stream: &mut TcpStream,
+) -> Result<(), HttpError> {
+    let bad = |message: String| HttpError { status: 400, message };
+    let (scene, config) = request
+        .path
+        .strip_prefix("/v1/jobs/")
+        .and_then(|rest| rest.split_once('/'))
+        .ok_or_else(|| bad("probe path must be /v1/jobs/<scene>/<config>".to_owned()))?;
+    let scene_id = scene.parse::<sms_sim::scene::SceneId>().map_err(|e| bad(e.to_string()))?;
+    let stack = parse_stack_config(config).map_err(bad)?;
+    let mut render_name = "fast".to_owned();
+    for pair in request.query.split('&').filter(|p| !p.is_empty()) {
+        match pair.split_once('=') {
+            Some(("render", mode)) => render_name = mode.to_owned(),
+            _ => return Err(bad(format!("unknown query parameter `{pair}`"))),
+        }
+    }
+    let render = parse_render(&render_name).map_err(bad)?;
+    let key = core.keyer.key(&RunRequest::new(scene_id, stack, render));
+    match core.cache.as_ref().and_then(|c| c.load(&key)) {
+        Some(stats) => {
+            let doc = Json::Obj(vec![
+                ("key".to_owned(), Json::Str(key.canonical)),
+                ("scene".to_owned(), Json::Str(scene_id.name().to_owned())),
+                ("config".to_owned(), Json::Str(stack.label())),
+                ("render".to_owned(), Json::Str(render_name)),
+                ("stats".to_owned(), sms_harness::cache::stats_to_json(&stats)),
+            ]);
+            write_ok(stream, "application/json", format!("{doc}\n").as_bytes())
+        }
+        None => Err(HttpError {
+            status: 404,
+            message: format!("no cached result for {scene}/{config}"),
+        }),
+    }
+}
+
+/// A parsed, deduplicated sweep, ready for the tier's admission check.
+pub(crate) struct SweepPlan {
+    /// One entry per unique cell, in request order.
+    pub jobs: Vec<(RunRequest, CacheKey)>,
+    /// The render mode name as sent.
+    pub render_name: String,
+    /// The sweep span's context when the request arrived traced; job and
+    /// cell spans parent under it.
+    pub ctx: Option<TraceContext>,
+    start_us: u64,
+}
+
+/// The front half of `POST /v1/sweep`: drain check, body parse, trace
+/// context, request-level dedup.
+pub(crate) fn plan_sweep(core: &ServiceCore, request: &Request) -> Result<SweepPlan, HttpError> {
+    if core.draining() {
+        inc(&core.http.shed);
+        return Err(HttpError {
+            status: 503,
+            message: "draining; not accepting sweeps".to_owned(),
+        });
+    }
+    let sweep = protocol::parse_sweep(&request.body, core.max_jobs_per_request)
+        .map_err(|message| HttpError { status: 400, message })?;
+
+    // Distributed tracing: only requests that carry an `x-sms-trace`
+    // header get span events, so untraced journals stay byte-identical to
+    // pre-tracing runs. The sweep span parents on the sender's span id.
+    let ctx = request
+        .header(sms_harness::TRACE_HEADER)
+        .and_then(TraceContext::parse)
+        .map(|peer| peer.child());
+
+    // Request-level dedup on the canonical key (same identity as the
+    // cache and the single-flight table); duplicate cells coalesce into
+    // one streamed job, exactly like `Harness::try_run_batch`.
+    let mut jobs: Vec<(RunRequest, CacheKey)> = Vec::new();
+    for req in &sweep.requests {
+        let key = core.keyer.key(req);
+        if !jobs.iter().any(|(_, k)| k.canonical == key.canonical) {
+            jobs.push((*req, key));
+        }
+    }
+    Ok(SweepPlan { jobs, render_name: sweep.render_name, ctx, start_us: wall_us() })
+}
+
+/// Where a tier's executor reports each job it settles, in any order.
+pub(crate) struct JobSink<'a> {
+    core: &'a ServiceCore,
+    journal_base: usize,
+    // Behind a mutex because the executors share the sink across worker
+    // threads (`mpsc::Sender` is not `Sync` on older toolchains); one
+    // uncontended lock per settled job is noise next to a simulation.
+    tx: Mutex<mpsc::Sender<(JobOutcome, String)>>,
+}
+
+impl JobSink<'_> {
+    /// The process-unique journal id of local job `local`.
+    pub(crate) fn journal_id(&self, local: usize) -> usize {
+        self.journal_base + local
+    }
+
+    /// Mirrors the job into the journal on the caller's thread — the record
+    /// is durable before anything else can happen to the process — then
+    /// queues its stream line.
+    pub(crate) fn settle(&self, local: usize, outcome: JobOutcome) {
+        let line = outcome.stream_line(&self.core.journal, local, self.journal_id(local));
+        // Kill budget: the K-th finished job takes the process down *with*
+        // its own result — journaled (and cached) but never streamed, just
+        // as a crash between simulate and send would lose it.
+        if self.core.faults.as_ref().is_some_and(|f| f.on_job_finished()) {
+            return;
+        }
+        let _ = self.tx.lock().unwrap_or_else(PoisonError::into_inner).send((outcome, line));
+    }
+}
+
+/// The back half of `POST /v1/sweep`: start the chunked stream, announce
+/// every job on stream and journal, run `execute` (which settles each job
+/// on the [`JobSink`]), stream each record the moment it arrives, then
+/// close with the `batch_end` summary.
+///
+/// `execute` is dropped unrun when the response head cannot be written.
+pub(crate) fn stream_sweep(
+    core: &ServiceCore,
+    plan: &SweepPlan,
+    stream: &mut TcpStream,
+    execute: impl FnOnce(&JobSink<'_>) + Send,
+) -> Result<(), HttpError> {
+    let t0 = Instant::now();
+    let mut writer = ChunkedWriter::start(stream, 200, "application/jsonl")
+        .map_err(|e| HttpError { status: 500, message: e.to_string() })?;
+
+    // The stream uses request-local ids (a self-contained journal
+    // fragment); the process journal uses process-unique ids so concurrent
+    // requests cannot collide in SMS_RESUME replay.
+    let jobs = &plan.jobs;
+    let journal_base = core.job_seq.fetch_add(jobs.len() as u64, Ordering::SeqCst) as usize;
+    for (local, (req, key)) in jobs.iter().enumerate() {
+        let queued = |job: usize| protocol::job_queued_event(job, req, &key.canonical);
+        let _ = writer.chunk(format!("{}\n", queued(local).to_json()).as_bytes());
+        core.journal.record(queued(journal_base + local));
+    }
+
+    // Injected mid-stream cut: when the per-sweep counter fires, this
+    // response stops after its first finished-job line, leaving an
+    // unterminated chunked body (the client sees an interrupted stream).
+    // Execution continues regardless — the cells still land in the shared
+    // cache, which is exactly what makes fleet retries and hedges cheap.
+    let mut stream_cut_after =
+        core.faults.as_ref().filter(|f| f.should_drop_stream()).map(|_| 1usize);
+    let (tx, rx) = mpsc::channel();
+    let sink = JobSink { core, journal_base, tx: Mutex::new(tx) };
+    let (mut hits, mut misses, mut failed, mut sim_cycles) = (0usize, 0usize, 0usize, 0u64);
+    std::thread::scope(|scope| {
+        // The sink (and its sender) drops with the executor, ending `rx`.
+        scope.spawn(move || execute(&sink));
+        // Stream lines in completion order; each is flushed as one chunk.
+        for (outcome, line) in rx {
+            match &outcome.result {
+                Ok((stats, cache)) if cache == "miss" => {
+                    misses += 1;
+                    sim_cycles += stats.cycles;
+                }
+                Ok(_) => hits += 1,
+                Err(_) => failed += 1,
+            }
+            if !core.killed() && stream_cut_after != Some(0) {
+                // A closed peer is not an error: keep settling jobs so the
+                // cache and journal still warm up for the next request.
+                let _ = writer.chunk(line.as_bytes());
+                if let Some(n) = &mut stream_cut_after {
+                    *n -= 1;
+                }
+            }
+        }
+    });
+
+    if core.killed() || stream_cut_after == Some(0) {
+        // Crashed or cut: no batch_end, no terminating chunk — the client
+        // must see an interrupted stream, never a clean short sweep.
+        return Ok(());
+    }
+    let summary = Event::BatchEnd {
+        jobs: jobs.len(),
+        cache_hits: hits,
+        cache_misses: misses,
+        failed,
+        duration_us: t0.elapsed().as_micros() as u64,
+        sim_cycles,
+        breakdown: None,
+        metrics: None,
+        builds: Vec::new(),
+    };
+    core.journal.record(summary.clone());
+    if let Some(ctx) = &plan.ctx {
+        core.journal.record(Event::span(
+            ctx,
+            "sweep",
+            "server",
+            plan.start_us,
+            t0.elapsed().as_micros() as u64,
+            vec![
+                ("jobs".to_owned(), jobs.len().to_string()),
+                ("failed".to_owned(), failed.to_string()),
+            ],
+        ));
+    }
+    let _ = writer.chunk(format!("{}\n", summary.to_json()).as_bytes());
+    let _ = writer.finish();
+    Ok(())
+}

@@ -110,8 +110,10 @@ fn killed_backend_mid_sweep_loses_no_cells() {
     let cache = dir.join("cache");
 
     // Backend A dies after 1 completed job; backend B is healthy.
+    let a_journal = dir.join("backend-a-journal.jsonl");
     let faulty = ServeConfig {
         workers: 1,
+        journal_path: Some(a_journal.clone()),
         faults: Some(Arc::new(FaultPlan::parse("kill:jobs=1").unwrap())),
         ..backend_config(cache.clone())
     };
@@ -133,6 +135,9 @@ fn killed_backend_mid_sweep_loses_no_cells() {
     // Backend A must actually have died of the injected kill.
     let died = join_a.join().unwrap();
     assert!(died.is_err(), "backend A must crash, not drain: {died:?}");
+    // The job that exhausted the kill budget lost its stream line only: it
+    // was journaled before the crash, so a restart would not redo it.
+    assert!(!ResumeState::load(&a_journal).is_empty(), "the killing job must be journaled");
 
     // Byte identity with the direct, fleet-less simulation path.
     let harness = Harness::new(HarnessConfig { workers: 1, cache_dir: None, ..Default::default() });

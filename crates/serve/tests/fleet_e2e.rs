@@ -1,6 +1,7 @@
 //! End-to-end contract of the fleet front tier over real sockets:
 //! lifecycle with live backends, hedged dispatch past an injected
-//! straggler, and strict `/metrics` output.
+//! straggler (one client, then four concurrent ones), and strict
+//! `/metrics` output.
 
 use sms_harness::FaultPlan;
 use sms_metrics::prom;
@@ -160,5 +161,69 @@ fn hedge_overtakes_an_injected_straggler() {
     let _ = a; // see above: not drained
     b.request_drain();
     join_b.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Four concurrent clients through a fleet whose first backend stalls
+/// every fourth response (seeded), with hedging armed. No cell may fail;
+/// a hedge may at most double a cell's `miss` label, never its simulation
+/// (the backends' single-flight tables and shared cache make the duplicate
+/// dispatch idempotent); and the warm pass must not simulate at all.
+#[test]
+fn hedging_under_concurrent_clients_loses_no_cell_and_stays_idempotent() {
+    const SCENES: [&str; 2] = ["WKND", "BUNNY"];
+    const CONFIGS: [&str; 2] = ["RB_8", "RB_8+SH_8+SK+RA"];
+    let dir = temp_dir("hedge-load");
+    let cache = dir.join("cache");
+    let slow = ServeConfig {
+        faults: Some(Arc::new(FaultPlan::parse("seed=1;delay:every=4,ms=300").unwrap())),
+        ..backend_config(cache.clone())
+    };
+    let (a, join_a) = Server::spawn(slow).unwrap();
+    let (b, join_b) = Server::spawn(backend_config(cache.clone())).unwrap();
+    let config = FleetConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        backends: vec![a.addr().to_string(), b.addr().to_string()],
+        workers: 8,
+        hedge_after: Some(Duration::from_millis(100)),
+        cache_dir: Some(cache),
+        ..FleetConfig::default()
+    };
+    let (fleet, join_fleet) = FleetServer::spawn(config).unwrap();
+    let addr = fleet.addr();
+
+    // One pass: every client sweeps the whole grid at once; returns the
+    // `miss` labels seen across all of them.
+    let pass = || -> usize {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                std::thread::spawn(move || fleet_client(addr).sweep(&SCENES, &CONFIGS, "tiny"))
+            })
+            .collect();
+        let mut misses = 0;
+        for client in clients {
+            let outcome = client.join().unwrap().expect("fleet sweep must succeed");
+            assert_eq!(outcome.records.len(), SCENES.len() * CONFIGS.len());
+            for rec in &outcome.records {
+                assert!(rec.outcome.is_ok(), "no fleet-served cell may fail: {:?}", rec.outcome);
+                misses += usize::from(rec.cache == "miss");
+            }
+        }
+        misses
+    };
+    let unique = SCENES.len() * CONFIGS.len();
+    let cold_misses = pass();
+    assert!(
+        cold_misses <= unique * 2,
+        "cold pass reported {cold_misses} misses for {unique} unique cells"
+    );
+    assert_eq!(pass(), 0, "warm pass must be pure cache hits");
+
+    fleet.request_drain();
+    join_fleet.join().unwrap().unwrap();
+    for (backend, join) in [(a, join_a), (b, join_b)] {
+        backend.request_drain();
+        join.join().unwrap().unwrap();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

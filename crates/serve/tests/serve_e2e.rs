@@ -4,21 +4,28 @@
 //! through the public client (or a raw socket, for the fuzz cases):
 //! lifecycle with graceful drain, stats byte-identity with the direct
 //! simulation path, single-flight coalescing of concurrent identical
-//! sweeps, structured per-job failures, malformed-request handling, and
-//! two server processes sharing one cache directory.
+//! sweeps, structured per-job failures, two server processes sharing one
+//! cache directory — and, against a backend *and* a fleet (one skeleton,
+//! `sms_serve::service`, answers for both): malformed-request handling,
+//! the door shed, and the raw bytes of the skeleton's own routes.
 
+use sms_harness::cache::stats_to_json;
+use sms_harness::{ResultCache, RunRequest};
 use sms_serve::client::{Client, ClientConfig};
-use sms_serve::server::{ServeConfig, Server};
+use sms_serve::fleet::{FleetConfig, FleetServer, FleetState};
+use sms_serve::server::{ServeConfig, Server, ServerState};
+use sms_serve::service::Handle;
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::try_run_prepared;
-use sms_sim::gpu::GpuConfig;
+use sms_sim::gpu::{GpuConfig, SimStats};
 use sms_sim::render::PreparedScene;
 use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
 use sms_sim::sim::RunLimits;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -38,7 +45,7 @@ fn test_config(cache_dir: Option<PathBuf>) -> ServeConfig {
     }
 }
 
-fn quick_client(addr: std::net::SocketAddr) -> Client {
+fn quick_client(addr: SocketAddr) -> Client {
     Client::with_config(ClientConfig {
         addr: addr.to_string(),
         retries: 2,
@@ -198,6 +205,40 @@ fn single_flight_coalesces_identical_in_flight_sweeps() {
     join.join().unwrap().unwrap();
 }
 
+/// With the disk cache on, four clients sweeping the same cold grid at
+/// once run each unique cell at most once (everyone else coalesces or
+/// hits the cache), and a warm pass needs neither simulator nor
+/// single-flight.
+#[test]
+fn concurrent_cold_sweeps_simulate_each_cell_at_most_once() {
+    let dir = temp_dir("concurrent-cold");
+    let (handle, join) = Server::spawn(test_config(Some(dir.join("cache")))).unwrap();
+    let addr = handle.addr();
+    let pass = || -> Vec<String> {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    quick_client(addr).sweep(&["WKND", "SHIP"], &["RB_8", "RB_8+SH_8"], "tiny")
+                })
+            })
+            .collect();
+        let mut tiers = Vec::new();
+        for client in clients {
+            let outcome = client.join().unwrap().expect("sweep must succeed");
+            assert!(outcome.records.iter().all(|r| r.outcome.is_ok()), "no served job may fail");
+            tiers.extend(outcome.records.into_iter().map(|r| r.cache));
+        }
+        tiers
+    };
+    let cold_misses = pass().iter().filter(|tier| *tier == "miss").count();
+    assert!(cold_misses <= 4, "cold pass ran {cold_misses} simulations for 4 unique cells");
+    assert!(pass().iter().all(|tier| tier == "hit"), "warm pass must be pure cache hits");
+
+    handle.request_drain();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A watchdog-aborted run comes back as a structured `run_timeout` stream
 /// record — the connection survives, the other jobs finish, and the
 /// server stays healthy.
@@ -224,29 +265,66 @@ fn watchdog_abort_is_a_structured_stream_error() {
     join.join().unwrap().unwrap();
 }
 
-/// Raw-socket fuzz: malformed requests get 4xx responses, never a hang or
-/// a dead server.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s
+}
+
+/// Sends `payload` on an open connection and reads the whole reply.
+fn finish(mut s: TcpStream, payload: &[u8]) -> String {
+    s.write_all(payload).unwrap();
+    let _ = s.shutdown(std::net::Shutdown::Write);
+    let mut out = Vec::new();
+    let _ = s.read_to_end(&mut out);
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+fn exchange(addr: SocketAddr, payload: &[u8]) -> String {
+    finish(connect(addr), payload)
+}
+
+fn status(resp: &str) -> u16 {
+    resp.split(' ').nth(1).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+        panic!("no status line in response: {resp:?}");
+    })
+}
+
+/// A backend and a fleet in front of it, both with this `max_conns` and
+/// this cache directory.
+type Tiers = (Handle<ServerState>, Handle<FleetState>, [JoinHandle<std::io::Result<()>>; 2]);
+
+fn spawn_tiers(max_conns: usize, cache_dir: Option<PathBuf>) -> Tiers {
+    let (backend, join_backend) =
+        Server::spawn(ServeConfig { max_conns, ..test_config(cache_dir.clone()) }).unwrap();
+    let (fleet, join_fleet) = FleetServer::spawn(FleetConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        backends: vec![backend.addr().to_string()],
+        max_conns,
+        cache_dir,
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    (backend, fleet, [join_fleet, join_backend])
+}
+
+fn drain_tiers((backend, fleet, joins): Tiers) {
+    fleet.request_drain();
+    backend.request_drain();
+    for join in joins {
+        join.join().unwrap().unwrap();
+    }
+}
+
+/// Raw-socket fuzz against both tiers (they share one accept loop and one
+/// route table): malformed requests get 4xx responses, never a hang or a
+/// dead server, and a connection beyond `max_conns` is shed at the door.
 #[test]
 fn malformed_requests_get_4xx_not_panic() {
-    let (handle, join) = Server::spawn(test_config(None)).unwrap();
-    let addr = handle.addr();
+    let tiers = spawn_tiers(64, None);
+    let (backend, fleet, _) = &tiers;
 
-    let exchange = |payload: &[u8]| -> String {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        s.write_all(payload).unwrap();
-        let _ = s.shutdown(std::net::Shutdown::Write);
-        let mut out = Vec::new();
-        let _ = s.read_to_end(&mut out);
-        String::from_utf8_lossy(&out).into_owned()
-    };
-    let status = |resp: &str| -> u16 {
-        resp.split(' ').nth(1).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-            panic!("no status line in response: {resp:?}");
-        })
-    };
-
-    // (payload, expected status class or exact status)
+    // (payload, expected status)
     let cases: Vec<(Vec<u8>, u16)> = vec![
         (b"BLAH /v1/sweep HTTP/1.1\r\n\r\n".to_vec(), 400),
         (b"DELETE /v1/sweep HTTP/1.1\r\n\r\n".to_vec(), 405),
@@ -267,36 +345,126 @@ fn malformed_requests_get_4xx_not_panic() {
         ),
         (b"GET /v1/nope HTTP/1.1\r\n\r\n".to_vec(), 404),
         (b"GET /v1/jobs/NOPE/RB_8 HTTP/1.1\r\n\r\n".to_vec(), 400),
+        // The probe prefix is stripped once, not repeatedly.
+        (b"GET /v1/jobs//v1/jobs/WKND/RB_8 HTTP/1.1\r\n\r\n".to_vec(), 400),
         (b"\xff\xfe\x00garbage\r\n\r\n".to_vec(), 400),
     ];
-    for (payload, expected) in &cases {
-        let resp = exchange(payload);
-        assert_eq!(
-            status(&resp),
-            *expected,
-            "payload {:?} must answer {expected}",
-            String::from_utf8_lossy(payload)
-        );
-    }
-
     // An oversized sweep (beyond the per-request job cap) is a 400.
-    let config =
+    let scenes =
         SceneId::ALL.iter().map(|s| format!("\"{}\"", s.name())).collect::<Vec<_>>().join(",");
     let configs: Vec<String> = (1..=64).map(|n| format!("\"RB_{n}\"")).collect();
-    let body = format!("{{\"scenes\":[{config}],\"configs\":[{}]}}", configs.join(","));
+    let body = format!("{{\"scenes\":[{scenes}],\"configs\":[{}]}}", configs.join(","));
     let oversized =
         format!("POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-    let resp = exchange(oversized.as_bytes());
-    assert_eq!(status(&resp), 400);
-    assert!(resp.contains("exceeds"), "{resp}");
 
-    // After all that abuse the server still works.
-    assert_eq!(quick_client(addr).get("/healthz").unwrap().status, 200);
-    let text = handle.render_metrics();
-    assert!(text.contains("sms_serve_bad_requests_total"), "{text}");
+    for (tier, addr) in [("backend", backend.addr()), ("fleet", fleet.addr())] {
+        for (payload, expected) in &cases {
+            let resp = exchange(addr, payload);
+            assert_eq!(
+                status(&resp),
+                *expected,
+                "{tier}: payload {:?} must answer {expected}",
+                String::from_utf8_lossy(payload)
+            );
+        }
+        let resp = exchange(addr, oversized.as_bytes());
+        assert_eq!(status(&resp), 400, "{tier}");
+        assert!(resp.contains("exceeds"), "{tier}: {resp}");
 
-    handle.request_drain();
-    join.join().unwrap().unwrap();
+        // After all that abuse the tier still works.
+        assert_eq!(quick_client(addr).get("/healthz").unwrap().status, 200, "{tier}");
+    }
+    for (metrics, prefix) in
+        [(backend.render_metrics(), "sms_serve"), (fleet.render_metrics(), "sms_fleet")]
+    {
+        assert!(metrics.contains(&format!("{prefix}_bad_requests_total 11\n")), "{metrics}");
+    }
+    drain_tiers(tiers);
+
+    // Door shed: with `max_conns = 1` and one idle connection already
+    // accepted (accepts are FIFO), the next one is refused unread.
+    let tiers = spawn_tiers(1, None);
+    for (tier, addr) in [("backend", tiers.0.addr()), ("fleet", tiers.1.addr())] {
+        let held = connect(addr);
+        let shed = exchange(addr, b"");
+        assert_eq!(status(&shed), 503, "{tier}: {shed}");
+        assert!(shed.contains("\r\nRetry-After: 1\r\n"), "{tier}: {shed}");
+        assert!(shed.ends_with("at connection capacity; retry\n"), "{tier}: {shed}");
+        let resp = finish(held, b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert_eq!(status(&resp), 200, "{tier}: the held connection is still served: {resp}");
+    }
+    for metrics in [tiers.0.render_metrics(), tiers.1.render_metrics()] {
+        assert!(metrics.contains("_shed_total 1\n"), "{metrics}");
+    }
+    drain_tiers(tiers);
+}
+
+/// Raw response bytes (status line, headers, body) of the routes the
+/// skeleton answers itself, for a backend and a fleet alike. The goldens
+/// were captured from the two hand-copied services the skeleton replaced,
+/// so a byte that moves here is a wire change, not a refactor.
+#[test]
+fn wire_bytes_match_parent_goldens() {
+    const HEALTHZ_OK: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
+         Content-Length: 3\r\nConnection: close\r\n\r\nok\n";
+    const HEALTHZ_DRAINING: &str = "HTTP/1.1 503 Service Unavailable\r\n\
+         Content-Type: text/plain\r\nContent-Length: 9\r\nConnection: close\r\n\
+         Retry-After: 1\r\n\r\ndraining\n";
+    const DRAIN: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
+         Content-Length: 9\r\nConnection: close\r\n\r\ndraining\n";
+    const NOT_FOUND: &str = "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\n\
+         Content-Length: 26\r\nConnection: close\r\n\r\nno route for GET /v1/nope\n";
+
+    // One recognizable cached cell, so the probe hit has a fixed body. The
+    // cache key and the stats object have their own goldens; this one pins
+    // the head and the field layout around them.
+    let dir = temp_dir("wire");
+    let cell = RunRequest::new(SceneId::Wknd, StackConfig::baseline8(), RenderConfig::tiny())
+        .with_gpu(GpuConfig::default());
+    let cache = ResultCache::new(&dir);
+    let stats = SimStats { cycles: 424_242, node_visits: 7, ..Default::default() };
+    let key = cache.key(&cell);
+    cache.store(&key, &stats);
+    let body = format!(
+        "{{\"key\":\"{}\",\"scene\":\"WKND\",\"config\":\"RB_8\",\"render\":\"tiny\",\"stats\":{}}}\n",
+        key.canonical,
+        stats_to_json(&stats)
+    );
+    let probe_hit = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+
+    let tiers = spawn_tiers(64, Some(dir.clone()));
+    let drains: [(&str, SocketAddr, &dyn Fn()); 2] = [
+        ("backend", tiers.0.addr(), &|| tiers.0.request_drain()),
+        ("fleet", tiers.1.addr(), &|| tiers.1.request_drain()),
+    ];
+    for (tier, addr, request_drain) in drains {
+        let get = |path: &str| exchange(addr, format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes());
+        assert_eq!(get("/healthz"), HEALTHZ_OK, "{tier}");
+        assert_eq!(get("/v1/nope"), NOT_FOUND, "{tier}");
+        assert_eq!(get("/v1/jobs/WKND/RB_8?render=tiny"), probe_hit, "{tier}");
+        // Two connections accepted while the tier is live and answered
+        // once the drain flag is up: accepts are FIFO, so the round trip in
+        // between proves both are already in their handler threads.
+        let (late_health, late_drain) = (connect(addr), connect(addr));
+        assert_eq!(get("/healthz"), HEALTHZ_OK, "{tier}");
+        request_drain();
+        assert_eq!(
+            finish(late_health, b"GET /healthz HTTP/1.1\r\n\r\n"),
+            HEALTHZ_DRAINING,
+            "{tier}"
+        );
+        assert_eq!(
+            finish(late_drain, b"POST /v1/drain HTTP/1.1\r\nContent-Length: 0\r\n\r\n"),
+            DRAIN,
+            "{tier}"
+        );
+    }
+    drain_tiers(tiers);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Two server instances sharing one cache directory: a cell simulated by

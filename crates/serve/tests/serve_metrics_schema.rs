@@ -4,20 +4,20 @@
 //! string. If a change is intentional, it is a schema migration — update
 //! the serving metric rows in `EXPERIMENTS.md` and any scrape configs.
 
-use sms_serve::metrics::ServerMetrics;
+use sms_serve::metrics::{inc, HttpCounters, ServerMetrics};
 
 /// A deterministic instrument state: every counter distinct (so a swapped
 /// rendering cannot pass), both histograms populated, uptime pinned.
-fn sample_metrics() -> ServerMetrics {
-    let m = ServerMetrics::new();
+fn sample_metrics() -> (ServerMetrics, HttpCounters) {
+    let (m, http) = (ServerMetrics::default(), HttpCounters::default());
     let bump = |c: &std::sync::atomic::AtomicU64, n: u64| {
         for _ in 0..n {
-            ServerMetrics::inc(c);
+            inc(c);
         }
     };
-    bump(&m.requests, 9);
-    bump(&m.bad_requests, 2);
-    bump(&m.shed, 1);
+    bump(&http.requests, 9);
+    bump(&http.bad_requests, 2);
+    bump(&http.shed, 1);
     bump(&m.jobs, 8);
     bump(&m.jobs_in_flight, 3);
     bump(&m.cache_hits, 4);
@@ -27,7 +27,7 @@ fn sample_metrics() -> ServerMetrics {
     m.observe_request(250);
     m.observe_request(900);
     m.observe_job(1000);
-    m
+    (m, http)
 }
 
 const GOLDEN_PROM: &str = r#"# HELP sms_serve_uptime_seconds Seconds since the server started
@@ -77,7 +77,8 @@ sms_serve_job_latency_us_count 1
 
 #[test]
 fn serve_metrics_match_golden() {
-    let text = sample_metrics().registry(Some(12.5)).render_prometheus();
+    let (m, http) = sample_metrics();
+    let text = m.registry(12.5, &http).render_prometheus();
     if text != GOLDEN_PROM {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/serve_metrics_actual.prom");
         let _ = std::fs::write(path, &text);
