@@ -67,10 +67,11 @@ cargo test -q -p sms-harness --test metrics_byte_identity
 
 echo "==> SMS_METRICS smoke (armed sweep; per-job Prometheus/CSV dumps strictly parsed)"
 rm -f target/metrics.*.prom target/metrics.*.csv
-SMS_METRICS=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP SMS_BUILD_BENCH=0 \
-  SMS_METRICS_OUT=target/metrics.prom SMS_METRICS_CSV=target/metrics.csv \
-  SMS_BENCH_OUT=target/BENCH_smoke.json SMS_BENCH_METRICS_OUT=target/BENCH_metrics.json \
-  cargo run --release -q -p sms-bench --bin perf_baseline > /dev/null
+# Absolute dump paths: cargo bench runs the bench with the package dir as
+# CWD, so relative ones would land under crates/bench/.
+SMS_METRICS=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
+  SMS_METRICS_OUT="$PWD/target/metrics.prom" SMS_METRICS_CSV="$PWD/target/metrics.csv" \
+  cargo bench --bench fig13_sms_ipc > /dev/null
 cargo run --release -q -p sms-bench --bin promlint -- \
   target/metrics.*.prom target/metrics.*.csv
 
@@ -114,14 +115,12 @@ on_entries=$(ls target/compet-on-cache/*.json | wc -l)
 [ "$on_entries" -eq 14 ] || { echo "expected 14 features-on cache entries (10 + SL/PRED), saw $on_entries"; exit 1; }
 
 echo "==> validator-on sweep smoke (SMS_VALIDATE=1, cache bypassed)"
-SMS_VALIDATE=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP SMS_BUILD_BENCH=0 \
-  SMS_BENCH_OUT=target/BENCH_validate.json \
-  cargo run --release -q -p sms-bench --bin perf_baseline > /dev/null
+SMS_VALIDATE=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
+  cargo bench --bench fig13_sms_ipc > /dev/null
 
 echo "==> SMS_HLBVH sweep smoke (HLBVH-built trees, cache bypassed both directions)"
-SMS_HLBVH=1 SMS_SCENES=WKND,SHIP SMS_BUILD_BENCH=0 \
-  SMS_BENCH_OUT=target/BENCH_hlbvh.json \
-  cargo run --release -q -p sms-bench --bin perf_baseline > /dev/null
+SMS_HLBVH=1 SMS_SCENES=WKND,SHIP \
+  cargo bench --bench fig13_sms_ipc > /dev/null
 
 echo "==> serve smoke (ephemeral port, client sweep, /metrics + /healthz, graceful drain)"
 rm -f target/serve-addr target/serve-smoke.jsonl
@@ -262,10 +261,5 @@ cargo clippy -p sms-harness --lib -- -D warnings
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
-
-echo "==> perf_baseline + HLBVH build-throughput smoke (timed; includes the"
-echo "    SAH-vs-HLBVH build matrix on the paper-scale scaled scenes)"
-time SMS_SCENES=WKND,SHIP SMS_BENCH_OUT=target/BENCH_core.json \
-  cargo run --release -q -p sms-bench --bin perf_baseline
 
 echo "ci.sh: all checks passed"

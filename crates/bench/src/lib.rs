@@ -38,8 +38,11 @@
 //! `run_failed`/`run_timeout`) while the rest of the matrix completes; the
 //! harness then exits with status 2 since the figure cannot be fully
 //! reproduced.
+//!
+//! These targets reproduce figures; they do not measure the host. Wall
+//! time, throughput and memory are the job of `benchmark/` (`bash
+//! benchmark/run.sh`, see `benchmark/README.md`), the one instrument.
 
-use sms_harness::json::Json;
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::{self, RunResult};
 use sms_sim::rtunit::StackConfig;
@@ -156,56 +159,4 @@ pub fn print_normalized_ipc(scenes: &[SceneId], results: &[Vec<RunResult>]) -> V
     table.row(row);
     println!("{table}");
     gmeans
-}
-
-/// The first commit time of `path` in this repository, for backfilling a
-/// pre-timestamp history entry. `None` when git (or the file's history)
-/// is unavailable — callers fall back to epoch 0.
-fn git_first_commit_ts(path: &str) -> Option<u64> {
-    let p = std::path::Path::new(path);
-    let name = p.file_name()?;
-    let dir = match p.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    let out = std::process::Command::new("git")
-        .args(["log", "--reverse", "--format=%ct", "--"])
-        .arg(name)
-        .current_dir(dir)
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let text = String::from_utf8_lossy(&out.stdout);
-    text.lines().next()?.trim().parse::<u64>().ok()
-}
-
-/// Loads a `BENCH_*.json` history file with the hygiene rules every
-/// appender shares: the pre-history single-object format becomes the
-/// first entry, non-object entries are rejected, and entries written
-/// before the `timestamp` field existed are repaired in place so the
-/// series stays sortable — the *first* entry gets the file's first git
-/// commit time (the commit that introduced the file is the best witness
-/// for when history began), later ones get epoch 0 (visibly "before
-/// history began").
-pub fn load_bench_history(path: &str) -> Vec<Json> {
-    let mut history =
-        match std::fs::read_to_string(path).ok().and_then(|s| sms_harness::json::parse(&s).ok()) {
-            Some(Json::Arr(entries)) => entries,
-            Some(obj @ Json::Obj(_)) => vec![obj],
-            _ => Vec::new(),
-        };
-    history.retain(|e| matches!(e, Json::Obj(_)));
-    let mut first = true;
-    for entry in &mut history {
-        if let Json::Obj(fields) = entry {
-            if !fields.iter().any(|(k, _)| k == "timestamp") {
-                let ts = if first { git_first_commit_ts(path).unwrap_or(0) } else { 0 };
-                fields.insert(1.min(fields.len()), ("timestamp".to_owned(), Json::U64(ts)));
-            }
-            first = false;
-        }
-    }
-    history
 }

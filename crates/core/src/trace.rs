@@ -232,39 +232,17 @@ fn trace_ctx_id() -> Option<String> {
     Some(t.to_ascii_lowercase())
 }
 
-/// Serializes a [`StallBreakdown`] as a flat JSON object (snake_case keys,
-/// one per bucket plus the two totals). Field-exhaustive: adding a bucket
-/// without extending this function is a compile error.
+/// Serializes a [`StallBreakdown`] as a flat JSON object: one snake_case
+/// key per declared field ([`StallBreakdown::FIELDS`]), buckets and totals
+/// alike, in declaration order.
 pub fn breakdown_json(b: &StallBreakdown) -> String {
-    let StallBreakdown {
-        compute,
-        mem_wait,
-        rt_admit,
-        in_rt,
-        warp_cycles,
-        rt_sched_wait,
-        fetch_wait_l1,
-        fetch_wait_l2,
-        fetch_wait_dram,
-        op_wait,
-        stack_wait_rb_sh,
-        stack_wait_sh_global,
-        stack_wait_flush,
-        bank_conflict_replay,
-        predictor_wait,
-        rt_idle,
-        rt_lane_cycles,
-    } = *b;
-    format!(
-        "{{\"compute\":{compute},\"mem_wait\":{mem_wait},\"rt_admit\":{rt_admit},\
-         \"in_rt\":{in_rt},\"warp_cycles\":{warp_cycles},\"rt_sched_wait\":{rt_sched_wait},\
-         \"fetch_wait_l1\":{fetch_wait_l1},\"fetch_wait_l2\":{fetch_wait_l2},\
-         \"fetch_wait_dram\":{fetch_wait_dram},\"op_wait\":{op_wait},\
-         \"stack_wait_rb_sh\":{stack_wait_rb_sh},\"stack_wait_sh_global\":{stack_wait_sh_global},\
-         \"stack_wait_flush\":{stack_wait_flush},\"bank_conflict_replay\":{bank_conflict_replay},\
-         \"predictor_wait\":{predictor_wait},\
-         \"rt_idle\":{rt_idle},\"rt_lane_cycles\":{rt_lane_cycles}}}"
-    )
+    let mut out = String::from("{");
+    for (i, (name, value)) in StallBreakdown::FIELDS.iter().zip(b.values()).enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{name}\":{value}");
+    }
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
@@ -312,26 +290,10 @@ mod tests {
     #[test]
     fn breakdown_json_lists_every_bucket() {
         let j = breakdown_json(&StallBreakdown::default());
-        for key in [
-            "compute",
-            "mem_wait",
-            "rt_admit",
-            "in_rt",
-            "warp_cycles",
-            "rt_sched_wait",
-            "fetch_wait_l1",
-            "fetch_wait_l2",
-            "fetch_wait_dram",
-            "op_wait",
-            "stack_wait_rb_sh",
-            "stack_wait_sh_global",
-            "stack_wait_flush",
-            "bank_conflict_replay",
-            "predictor_wait",
-            "rt_idle",
-            "rt_lane_cycles",
-        ] {
+        for key in StallBreakdown::FIELDS {
             assert!(j.contains(&format!("\"{key}\":0")), "missing {key} in {j}");
         }
+        assert!(j.starts_with("{\"compute\":0,\"mem_wait\":0,"), "{j}");
+        assert!(j.ends_with(",\"rt_idle\":0,\"rt_lane_cycles\":0}"), "{j}");
     }
 }

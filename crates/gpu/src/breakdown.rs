@@ -23,63 +23,64 @@
 //!
 //! [`SimStats`]: crate::SimStats
 
-/// Per-run stall/attribution counters. Observation-only: arming the
-/// attribution layer changes no scheduling decision and no [`SimStats`]
-/// counter (asserted by `crates/core/tests/` and the fig13 sweep check).
-///
-/// [`SimStats`]: crate::SimStats
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StallBreakdown {
-    // --- Warp-level buckets (warp-cycles, SM view). ---
-    /// Cycles in a compute phase (ray-gen / shade / accumulate), including
-    /// cycles lost to issue-width arbitration between compute warps.
-    pub compute: u64,
-    /// Cycles waiting on non-stack memory (material-record loads).
-    pub mem_wait: u64,
-    /// Cycles holding a trace request while the RT unit's warp buffer is
-    /// full (admission wait).
-    pub rt_admit: u64,
-    /// Cycles resident in an RT-unit warp slot.
-    pub in_rt: u64,
-    /// Total warp-resident cycles: launch-to-retire per warp, summed.
-    /// Invariant: `warp_sum() == warp_cycles`.
-    pub warp_cycles: u64,
+sms_mem::counter_record! {
+    /// Per-run stall/attribution counters. Observation-only: arming the
+    /// attribution layer changes no scheduling decision and no [`SimStats`]
+    /// counter (asserted by `crates/core/tests/` and the fig13 sweep check).
+    ///
+    /// [`SimStats`]: crate::SimStats
+    pub struct StallBreakdown {
+        // --- Warp-level buckets (warp-cycles, SM view). ---
+        /// Cycles in a compute phase (ray-gen / shade / accumulate), including
+        /// cycles lost to issue-width arbitration between compute warps.
+        pub compute: u64,
+        /// Cycles waiting on non-stack memory (material-record loads).
+        pub mem_wait: u64,
+        /// Cycles holding a trace request while the RT unit's warp buffer is
+        /// full (admission wait).
+        pub rt_admit: u64,
+        /// Cycles resident in an RT-unit warp slot.
+        pub in_rt: u64,
+        /// Total warp-resident cycles: launch-to-retire per warp, summed.
+        /// Invariant: `warp_sum() == warp_cycles`.
+        pub warp_cycles: u64,
 
-    // --- Lane-level buckets (lane-cycles, RT-unit view). ---
-    /// Issuable (node fetch or stack op pending) but not yet picked by the
-    /// RT unit's GTO scheduler.
-    pub rt_sched_wait: u64,
-    /// Node/primitive fetch in flight, served by the L1.
-    pub fetch_wait_l1: u64,
-    /// Node/primitive fetch in flight, served by the L2.
-    pub fetch_wait_l2: u64,
-    /// Node/primitive fetch in flight, served by DRAM.
-    pub fetch_wait_dram: u64,
-    /// Ray-box / ray-triangle operation unit busy.
-    pub op_wait: u64,
-    /// Blocking stack micro-op between the RB stack and the SH level
-    /// (shared-memory refill reads), minus bank-conflict replay cycles.
-    pub stack_wait_rb_sh: u64,
-    /// Blocking stack micro-op between the SH level (or the RB stack in
-    /// baseline configurations) and global memory: spill reloads.
-    pub stack_wait_sh_global: u64,
-    /// Blocking phase of an intra-warp reallocation flush (the warp-wide
-    /// shared-memory burst read; the global burst store is posted).
-    pub stack_wait_flush: u64,
-    /// Shared-memory bank-conflict replay cycles charged to blocked lanes
-    /// (carved out of the stack-wait buckets above).
-    pub bank_conflict_replay: u64,
-    /// Lane-cycles spent on ray-path-predictor probes: the fetch and
-    /// operation waits of the speculative predicted-leaf visit, confirmed
-    /// or mispredicted (`SimStats::pred_hits` / `pred_misses` split the
-    /// two). Zero unless a `PRED_*` configuration is in use.
-    pub predictor_wait: u64,
-    /// Lane idle inside a resident warp: traversal finished early, or the
-    /// lane was inactive in the trace request.
-    pub rt_idle: u64,
-    /// Total lane-cycles of RT residency (`32 ×` the warp-level `in_rt`).
-    /// Invariant: `lane_sum() == rt_lane_cycles`.
-    pub rt_lane_cycles: u64,
+        // --- Lane-level buckets (lane-cycles, RT-unit view). ---
+        /// Issuable (node fetch or stack op pending) but not yet picked by the
+        /// RT unit's GTO scheduler.
+        pub rt_sched_wait: u64,
+        /// Node/primitive fetch in flight, served by the L1.
+        pub fetch_wait_l1: u64,
+        /// Node/primitive fetch in flight, served by the L2.
+        pub fetch_wait_l2: u64,
+        /// Node/primitive fetch in flight, served by DRAM.
+        pub fetch_wait_dram: u64,
+        /// Ray-box / ray-triangle operation unit busy.
+        pub op_wait: u64,
+        /// Blocking stack micro-op between the RB stack and the SH level
+        /// (shared-memory refill reads), minus bank-conflict replay cycles.
+        pub stack_wait_rb_sh: u64,
+        /// Blocking stack micro-op between the SH level (or the RB stack in
+        /// baseline configurations) and global memory: spill reloads.
+        pub stack_wait_sh_global: u64,
+        /// Blocking phase of an intra-warp reallocation flush (the warp-wide
+        /// shared-memory burst read; the global burst store is posted).
+        pub stack_wait_flush: u64,
+        /// Shared-memory bank-conflict replay cycles charged to blocked lanes
+        /// (carved out of the stack-wait buckets above).
+        pub bank_conflict_replay: u64,
+        /// Lane-cycles spent on ray-path-predictor probes: the fetch and
+        /// operation waits of the speculative predicted-leaf visit, confirmed
+        /// or mispredicted (`SimStats::pred_hits` / `pred_misses` split the
+        /// two). Zero unless a `PRED_*` configuration is in use.
+        pub predictor_wait: u64,
+        /// Lane idle inside a resident warp: traversal finished early, or the
+        /// lane was inactive in the trace request.
+        pub rt_idle: u64,
+        /// Total lane-cycles of RT residency (`32 ×` the warp-level `in_rt`).
+        /// Invariant: `lane_sum() == rt_lane_cycles`.
+        pub rt_lane_cycles: u64,
+    }
 }
 
 impl StallBreakdown {
@@ -121,46 +122,6 @@ impl StallBreakdown {
     /// `true` when both conservation laws hold.
     pub fn is_conserved(&self) -> bool {
         self.warp_sum() == self.warp_cycles && self.lane_sum() == self.rt_lane_cycles
-    }
-
-    /// Accumulates `other` into `self` (all fields are additive).
-    pub fn merge(&mut self, other: &StallBreakdown) {
-        let StallBreakdown {
-            compute,
-            mem_wait,
-            rt_admit,
-            in_rt,
-            warp_cycles,
-            rt_sched_wait,
-            fetch_wait_l1,
-            fetch_wait_l2,
-            fetch_wait_dram,
-            op_wait,
-            stack_wait_rb_sh,
-            stack_wait_sh_global,
-            stack_wait_flush,
-            bank_conflict_replay,
-            predictor_wait,
-            rt_idle,
-            rt_lane_cycles,
-        } = *other;
-        self.compute += compute;
-        self.mem_wait += mem_wait;
-        self.rt_admit += rt_admit;
-        self.in_rt += in_rt;
-        self.warp_cycles += warp_cycles;
-        self.rt_sched_wait += rt_sched_wait;
-        self.fetch_wait_l1 += fetch_wait_l1;
-        self.fetch_wait_l2 += fetch_wait_l2;
-        self.fetch_wait_dram += fetch_wait_dram;
-        self.op_wait += op_wait;
-        self.stack_wait_rb_sh += stack_wait_rb_sh;
-        self.stack_wait_sh_global += stack_wait_sh_global;
-        self.stack_wait_flush += stack_wait_flush;
-        self.bank_conflict_replay += bank_conflict_replay;
-        self.predictor_wait += predictor_wait;
-        self.rt_idle += rt_idle;
-        self.rt_lane_cycles += rt_lane_cycles;
     }
 }
 

@@ -2,45 +2,49 @@
 
 use sms_mem::MemStats;
 
-/// Counters accumulated over one simulation run.
-///
-/// `thread_instructions + node_visits` is the committed-instruction count
-/// used for IPC. Traversal work (`node_visits`, per-thread) is identical
-/// across stack configurations by construction, so normalized IPC between
-/// two configurations reduces to their inverse cycle ratio — the paper's
-/// methodology for Figs. 6, 8, 13 and 15.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Total cycles simulated.
-    pub cycles: u64,
-    /// Thread-level compute instructions committed by the SIMT core model.
-    pub thread_instructions: u64,
-    /// BVH node visits committed by RT units (thread-level).
-    pub node_visits: u64,
-    /// Rays fully traced (nearest-hit queries).
-    pub rays_traced: u64,
-    /// Shadow/occlusion rays traced.
-    pub shadow_rays: u64,
-    /// Traversal-stack spills from the RB stack to the level below.
-    pub rb_spills: u64,
-    /// Traversal-stack reloads into the RB stack from the level below.
-    pub rb_reloads: u64,
-    /// Spills from shared memory to global memory (SMS only).
-    pub sh_spills: u64,
-    /// Reloads from global memory into shared memory (SMS only).
-    pub sh_reloads: u64,
-    /// Whole-stack flushes performed by intra-warp reallocation.
-    pub ra_flushes: u64,
-    /// SH stacks borrowed by intra-warp reallocation.
-    pub ra_borrows: u64,
-    /// Ray-path predictor probes that confirmed (predicted leaf hit).
-    /// Zero unless a `PRED_*` stack configuration is in use.
-    pub pred_hits: u64,
-    /// Ray-path predictor probes that mispredicted (fell back to the full
-    /// stacked traversal). Zero unless a `PRED_*` configuration is in use.
-    pub pred_misses: u64,
-    /// Aggregated memory-system counters.
-    pub mem: MemStats,
+sms_mem::counter_record! {
+    /// Counters accumulated over one simulation run.
+    ///
+    /// `thread_instructions + node_visits` is the committed-instruction count
+    /// used for IPC. Traversal work (`node_visits`, per-thread) is identical
+    /// across stack configurations by construction, so normalized IPC between
+    /// two configurations reduces to their inverse cycle ratio — the paper's
+    /// methodology for Figs. 6, 8, 13 and 15.
+    pub struct SimStats {
+        /// Total cycles simulated. Merges by maximum, not sum: per-SM partial
+        /// stats cover the same wall of cycles.
+        pub cycles: u64 => max,
+        /// Thread-level compute instructions committed by the SIMT core model.
+        pub thread_instructions: u64,
+        /// BVH node visits committed by RT units (thread-level).
+        pub node_visits: u64,
+        /// Rays fully traced (nearest-hit queries).
+        pub rays_traced: u64,
+        /// Shadow/occlusion rays traced.
+        pub shadow_rays: u64,
+        /// Traversal-stack spills from the RB stack to the level below.
+        pub rb_spills: u64,
+        /// Traversal-stack reloads into the RB stack from the level below.
+        pub rb_reloads: u64,
+        /// Spills from shared memory to global memory (SMS only).
+        pub sh_spills: u64,
+        /// Reloads from global memory into shared memory (SMS only).
+        pub sh_reloads: u64,
+        /// Whole-stack flushes performed by intra-warp reallocation.
+        pub ra_flushes: u64,
+        /// SH stacks borrowed by intra-warp reallocation.
+        pub ra_borrows: u64,
+        /// Ray-path predictor probes that confirmed (predicted leaf hit).
+        /// Zero unless a `PRED_*` stack configuration is in use.
+        pub pred_hits: u64,
+        /// Ray-path predictor probes that mispredicted (fell back to the full
+        /// stacked traversal). Zero unless a `PRED_*` configuration is in use.
+        pub pred_misses: u64,
+        nested {
+            /// Aggregated memory-system counters.
+            pub mem: MemStats,
+        }
+    }
 }
 
 impl SimStats {
@@ -56,25 +60,6 @@ impl SimStats {
         } else {
             self.instructions() as f64 / self.cycles as f64
         }
-    }
-
-    /// Accumulates `other` (e.g. per-SM partial stats) into `self`.
-    /// `cycles` takes the maximum rather than the sum.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.cycles = self.cycles.max(other.cycles);
-        self.thread_instructions += other.thread_instructions;
-        self.node_visits += other.node_visits;
-        self.rays_traced += other.rays_traced;
-        self.shadow_rays += other.shadow_rays;
-        self.rb_spills += other.rb_spills;
-        self.rb_reloads += other.rb_reloads;
-        self.sh_spills += other.sh_spills;
-        self.sh_reloads += other.sh_reloads;
-        self.ra_flushes += other.ra_flushes;
-        self.ra_borrows += other.ra_borrows;
-        self.pred_hits += other.pred_hits;
-        self.pred_misses += other.pred_misses;
-        self.mem.merge(&other.mem);
     }
 }
 

@@ -19,11 +19,15 @@
 //! I/O errors are retried with exponential backoff (`SMS_RETRIES`, default
 //! 2); a persistently unwritable directory (read-only mount, full disk)
 //! degrades the cache to a no-op with a single warning instead of a crash.
+//!
+//! The second half of this file is the JSON codec for the counter records
+//! (entry `stats`, journal payloads): one `encode` and one `decode`
+//! over field lists that are each written exactly once.
 
 use crate::faultinject::{CacheFault, FaultPlan};
 use crate::json::{parse, Json};
 use crate::RunRequest;
-use sms_sim::gpu::{SimStats, StallBreakdown};
+use sms_sim::gpu::SimStats;
 use sms_sim::mem::MemStats;
 use std::fs;
 use std::io::ErrorKind;
@@ -356,220 +360,147 @@ fn apply_cache_fault(body: &mut String, fault: CacheFault) {
     }
 }
 
-/// Serializes the full counter set. Field-exhaustive on purpose: adding a
-/// counter to `SimStats`/`MemStats` forces an update here, which is the
-/// moment to bump [`SIM_VERSION_SALT`].
-pub fn stats_to_json(s: &SimStats) -> Json {
-    let SimStats {
-        cycles,
-        thread_instructions,
-        node_visits,
-        rays_traced,
-        shadow_rays,
-        rb_spills,
-        rb_reloads,
-        sh_spills,
-        sh_reloads,
-        ra_flushes,
-        ra_borrows,
-        pred_hits,
-        pred_misses,
-        mem,
-    } = *s;
-    let MemStats {
-        l1_hits,
-        l1_misses,
-        l2_hits,
-        l2_misses,
-        stores,
-        stack_transactions,
-        stack_l1_hits,
-        stack_l1_misses,
-        data_transactions,
-        shared_accesses,
-        bank_conflict_cycles,
-    } = mem;
-    let u = |v: u64| Json::U64(v);
-    let mut pairs = vec![
-        ("cycles".to_owned(), u(cycles)),
-        ("thread_instructions".to_owned(), u(thread_instructions)),
-        ("node_visits".to_owned(), u(node_visits)),
-        ("rays_traced".to_owned(), u(rays_traced)),
-        ("shadow_rays".to_owned(), u(shadow_rays)),
-        ("rb_spills".to_owned(), u(rb_spills)),
-        ("rb_reloads".to_owned(), u(rb_reloads)),
-        ("sh_spills".to_owned(), u(sh_spills)),
-        ("sh_reloads".to_owned(), u(sh_reloads)),
-        ("ra_flushes".to_owned(), u(ra_flushes)),
-        ("ra_borrows".to_owned(), u(ra_borrows)),
-    ];
-    // Predictor counters are emitted only when set: configurations that do
-    // not use the predictor produce entries byte-identical to those written
-    // before the counters existed, so the salt needs no bump.
-    if pred_hits != 0 || pred_misses != 0 {
-        pairs.push(("pred_hits".to_owned(), u(pred_hits)));
-        pairs.push(("pred_misses".to_owned(), u(pred_misses)));
+/// Where one named field of a record lives. A record's field list is
+/// written once, as its slots in wire order: [`encode`] reads through them
+/// and [`decode`] writes through them, so the two directions cannot drift.
+enum Slot<'a> {
+    /// A required counter.
+    U64(&'a mut u64),
+    /// A counter that may be absent; decoding then leaves the slot as is.
+    Opt(&'a mut u64),
+    /// A required string.
+    Str(&'a mut String),
+    /// A nested record.
+    Obj(Slots<'a>),
+}
+
+type Slots<'a> = Vec<(&'static str, Slot<'a>)>;
+
+/// The one encoder: an object with one key per slot, in slot order.
+fn encode(slots: Slots<'_>) -> Json {
+    let value = |slot| match slot {
+        Slot::U64(v) | Slot::Opt(v) => Json::U64(*v),
+        Slot::Str(s) => Json::Str(s.clone()),
+        Slot::Obj(inner) => encode(inner),
+    };
+    Json::Obj(slots.into_iter().map(|(name, slot)| (name.to_owned(), value(slot))).collect())
+}
+
+/// The one decoder: fills every slot from `doc`; `None` if a required
+/// field is missing or mistyped.
+fn decode(doc: &Json, slots: Slots<'_>) -> Option<()> {
+    for (name, slot) in slots {
+        match slot {
+            Slot::U64(out) => *out = doc.u64_field(name)?,
+            Slot::Opt(out) => *out = doc.u64_field(name).unwrap_or(*out),
+            Slot::Str(out) => doc.get(name)?.as_str()?.clone_into(out),
+            Slot::Obj(inner) => decode(doc.get(name)?, inner)?,
+        }
     }
-    pairs.push((
-        "mem".to_owned(),
-        Json::Obj(vec![
-            ("l1_hits".to_owned(), u(l1_hits)),
-            ("l1_misses".to_owned(), u(l1_misses)),
-            ("l2_hits".to_owned(), u(l2_hits)),
-            ("l2_misses".to_owned(), u(l2_misses)),
-            ("stores".to_owned(), u(stores)),
-            ("stack_transactions".to_owned(), u(stack_transactions)),
-            ("stack_l1_hits".to_owned(), u(stack_l1_hits)),
-            ("stack_l1_misses".to_owned(), u(stack_l1_misses)),
-            ("data_transactions".to_owned(), u(data_transactions)),
-            ("shared_accesses".to_owned(), u(shared_accesses)),
-            ("bank_conflict_cycles".to_owned(), u(bank_conflict_cycles)),
-        ]),
-    ));
-    Json::Obj(pairs)
+    Some(())
+}
+
+/// The slots of a `counter_record!` record: its `FIELDS` over its values.
+fn flat<'a, const N: usize>(names: &[&'static str; N], values: &'a mut [u64; N]) -> Slots<'a> {
+    names.iter().copied().zip(values.iter_mut().map(Slot::U64)).collect()
+}
+
+/// Serializes a flat `counter_record!` record (`StallBreakdown` in the
+/// journal) from its `FIELDS` and `values()`.
+pub fn record_to_json<const N: usize>(names: &[&'static str; N], mut values: [u64; N]) -> Json {
+    encode(flat(names, &mut values))
+}
+
+/// Deserializes a flat record into the argument of its `from_values`;
+/// `None` if any declared field is missing or mistyped.
+pub fn record_from_json<const N: usize>(doc: &Json, names: &[&'static str; N]) -> Option<[u64; N]> {
+    let mut values = [0; N];
+    decode(doc, flat(names, &mut values))?;
+    Some(values)
+}
+
+/// The predictor counters postdate the entry format: they are emitted only
+/// when one of them is set, so configurations that never probe produce
+/// entries byte-identical to those written before the counters existed (no
+/// salt bump), and an entry without them decodes as zero, not as malformed.
+const PRED: [&str; 2] = ["pred_hits", "pred_misses"];
+
+/// `SimStats` on the wire: its scalar counters, then `mem` nested.
+fn stats_slots<'a>(
+    scalars: &'a mut [u64; SimStats::FIELDS.len()],
+    mem: &'a mut [u64; MemStats::FIELDS.len()],
+) -> Slots<'a> {
+    let slot = |(&name, v)| (name, if PRED.contains(&name) { Slot::Opt(v) } else { Slot::U64(v) });
+    let mut slots: Slots<'a> = SimStats::FIELDS.iter().zip(scalars).map(slot).collect();
+    slots.push(("mem", Slot::Obj(flat(&MemStats::FIELDS, mem))));
+    slots
+}
+
+/// Serializes the full counter set (the cache entry's `stats`, the
+/// journal's `job_finished` payload).
+pub fn stats_to_json(s: &SimStats) -> Json {
+    let (mut scalars, mut mem) = (s.values(), s.mem.values());
+    let mut slots = stats_slots(&mut scalars, &mut mem);
+    if s.pred_hits == 0 && s.pred_misses == 0 {
+        slots.retain(|(_, slot)| !matches!(slot, Slot::Opt(_)));
+    }
+    encode(slots)
 }
 
 /// Deserializes a counter set; `None` if any field is missing or mistyped.
 pub fn stats_from_json(doc: &Json) -> Option<SimStats> {
-    let mem = doc.get("mem")?;
-    Some(SimStats {
-        cycles: doc.u64_field("cycles")?,
-        thread_instructions: doc.u64_field("thread_instructions")?,
-        node_visits: doc.u64_field("node_visits")?,
-        rays_traced: doc.u64_field("rays_traced")?,
-        shadow_rays: doc.u64_field("shadow_rays")?,
-        rb_spills: doc.u64_field("rb_spills")?,
-        rb_reloads: doc.u64_field("rb_reloads")?,
-        sh_spills: doc.u64_field("sh_spills")?,
-        sh_reloads: doc.u64_field("sh_reloads")?,
-        ra_flushes: doc.u64_field("ra_flushes")?,
-        ra_borrows: doc.u64_field("ra_borrows")?,
-        // Absent in entries written by non-predictor runs (and by older
-        // simulator versions): absent means zero, not malformed.
-        pred_hits: doc.u64_field("pred_hits").unwrap_or(0),
-        pred_misses: doc.u64_field("pred_misses").unwrap_or(0),
-        mem: MemStats {
-            l1_hits: mem.u64_field("l1_hits")?,
-            l1_misses: mem.u64_field("l1_misses")?,
-            l2_hits: mem.u64_field("l2_hits")?,
-            l2_misses: mem.u64_field("l2_misses")?,
-            stores: mem.u64_field("stores")?,
-            stack_transactions: mem.u64_field("stack_transactions")?,
-            stack_l1_hits: mem.u64_field("stack_l1_hits")?,
-            stack_l1_misses: mem.u64_field("stack_l1_misses")?,
-            data_transactions: mem.u64_field("data_transactions")?,
-            shared_accesses: mem.u64_field("shared_accesses")?,
-            bank_conflict_cycles: mem.u64_field("bank_conflict_cycles")?,
-        },
-    })
+    let (mut scalars, mut mem) = ([0; SimStats::FIELDS.len()], [0; MemStats::FIELDS.len()]);
+    decode(doc, stats_slots(&mut scalars, &mut mem))?;
+    Some(SimStats { mem: MemStats::from_values(mem), ..SimStats::from_values(scalars) })
 }
 
-/// Serializes a stall breakdown (journal `job_finished` / `batch_end`
-/// payloads). Field-exhaustive like [`stats_to_json`]: a new bucket that
-/// is not serialized is a compile error, not a silent omission.
-pub fn breakdown_to_json(b: &StallBreakdown) -> Json {
-    let StallBreakdown {
-        compute,
-        mem_wait,
-        rt_admit,
-        in_rt,
-        warp_cycles,
-        rt_sched_wait,
-        fetch_wait_l1,
-        fetch_wait_l2,
-        fetch_wait_dram,
-        op_wait,
-        stack_wait_rb_sh,
-        stack_wait_sh_global,
-        stack_wait_flush,
-        bank_conflict_replay,
-        predictor_wait,
-        rt_idle,
-        rt_lane_cycles,
-    } = *b;
-    let u = |v: u64| Json::U64(v);
-    Json::Obj(vec![
-        ("compute".to_owned(), u(compute)),
-        ("mem_wait".to_owned(), u(mem_wait)),
-        ("rt_admit".to_owned(), u(rt_admit)),
-        ("in_rt".to_owned(), u(in_rt)),
-        ("warp_cycles".to_owned(), u(warp_cycles)),
-        ("rt_sched_wait".to_owned(), u(rt_sched_wait)),
-        ("fetch_wait_l1".to_owned(), u(fetch_wait_l1)),
-        ("fetch_wait_l2".to_owned(), u(fetch_wait_l2)),
-        ("fetch_wait_dram".to_owned(), u(fetch_wait_dram)),
-        ("op_wait".to_owned(), u(op_wait)),
-        ("stack_wait_rb_sh".to_owned(), u(stack_wait_rb_sh)),
-        ("stack_wait_sh_global".to_owned(), u(stack_wait_sh_global)),
-        ("stack_wait_flush".to_owned(), u(stack_wait_flush)),
-        ("bank_conflict_replay".to_owned(), u(bank_conflict_replay)),
-        ("predictor_wait".to_owned(), u(predictor_wait)),
-        ("rt_idle".to_owned(), u(rt_idle)),
-        ("rt_lane_cycles".to_owned(), u(rt_lane_cycles)),
-    ])
+/// `HistSummary` is declared in `sms-metrics`, a leaf crate with no path
+/// to `counter_record!`, so its field list is written here instead.
+fn hist_slots(h: &mut sms_metrics::HistSummary) -> Slots<'_> {
+    vec![
+        ("count", Slot::U64(&mut h.count)),
+        ("sum", Slot::U64(&mut h.sum)),
+        ("p50", Slot::U64(&mut h.p50)),
+        ("p95", Slot::U64(&mut h.p95)),
+        ("p99", Slot::U64(&mut h.p99)),
+        ("max", Slot::U64(&mut h.max)),
+    ]
+}
+
+/// `BatchMetrics` on the wire: nested digests first, so not a flat record.
+fn metrics_slots(m: &mut crate::BatchMetrics) -> Slots<'_> {
+    vec![
+        ("stack_depth", Slot::Obj(hist_slots(&mut m.stack_depth))),
+        ("ray_latency", Slot::Obj(hist_slots(&mut m.ray_latency))),
+        ("spills", Slot::U64(&mut m.spills)),
+        ("reloads", Slot::U64(&mut m.reloads)),
+    ]
+}
+
+/// `SceneBuild` on the wire: a name beside its counters.
+fn build_slots(b: &mut crate::SceneBuild) -> Slots<'_> {
+    vec![
+        ("scene", Slot::Str(&mut b.scene)),
+        ("prims", Slot::U64(&mut b.prims)),
+        ("build_us", Slot::U64(&mut b.build_us)),
+    ]
 }
 
 /// Serializes a batch metrics digest (journal `batch_end` payload).
-/// Field-exhaustive like [`breakdown_to_json`].
 pub fn metrics_to_json(m: &crate::BatchMetrics) -> Json {
-    let crate::BatchMetrics { stack_depth, ray_latency, spills, reloads } = *m;
-    let hist = |s: sms_metrics::HistSummary| {
-        let sms_metrics::HistSummary { count, sum, p50, p95, p99, max } = s;
-        Json::Obj(vec![
-            ("count".to_owned(), Json::U64(count)),
-            ("sum".to_owned(), Json::U64(sum)),
-            ("p50".to_owned(), Json::U64(p50)),
-            ("p95".to_owned(), Json::U64(p95)),
-            ("p99".to_owned(), Json::U64(p99)),
-            ("max".to_owned(), Json::U64(max)),
-        ])
-    };
-    Json::Obj(vec![
-        ("stack_depth".to_owned(), hist(stack_depth)),
-        ("ray_latency".to_owned(), hist(ray_latency)),
-        ("spills".to_owned(), Json::U64(spills)),
-        ("reloads".to_owned(), Json::U64(reloads)),
-    ])
+    encode(metrics_slots(&mut { *m }))
 }
 
 /// Deserializes a batch metrics digest; `None` if any field is missing or
 /// mistyped.
 pub fn metrics_from_json(doc: &Json) -> Option<crate::BatchMetrics> {
-    let hist = |doc: &Json| {
-        Some(sms_metrics::HistSummary {
-            count: doc.u64_field("count")?,
-            sum: doc.u64_field("sum")?,
-            p50: doc.u64_field("p50")?,
-            p95: doc.u64_field("p95")?,
-            p99: doc.u64_field("p99")?,
-            max: doc.u64_field("max")?,
-        })
-    };
-    Some(crate::BatchMetrics {
-        stack_depth: hist(doc.get("stack_depth")?)?,
-        ray_latency: hist(doc.get("ray_latency")?)?,
-        spills: doc.u64_field("spills")?,
-        reloads: doc.u64_field("reloads")?,
-    })
+    let mut m = crate::BatchMetrics::default();
+    decode(doc, metrics_slots(&mut m)).map(|()| m)
 }
 
 /// Serializes per-scene build records for the journal's `batch_end` line.
-/// Field-exhaustive: destructuring [`crate::SceneBuild`] means a new field
-/// fails compilation here until the codec learns it.
 pub fn builds_to_json(builds: &[crate::SceneBuild]) -> Json {
-    Json::Arr(
-        builds
-            .iter()
-            .map(|b| {
-                let crate::SceneBuild { scene, prims, build_us } = b;
-                Json::Obj(vec![
-                    ("scene".to_owned(), Json::Str(scene.clone())),
-                    ("prims".to_owned(), Json::U64(*prims)),
-                    ("build_us".to_owned(), Json::U64(*build_us)),
-                ])
-            })
-            .collect(),
-    )
+    Json::Arr(builds.iter().map(|b| encode(build_slots(&mut b.clone()))).collect())
 }
 
 /// Deserializes per-scene build records; `None` if the document is not an
@@ -578,61 +509,147 @@ pub fn builds_from_json(doc: &Json) -> Option<Vec<crate::SceneBuild>> {
     let Json::Arr(items) = doc else {
         return None;
     };
-    items
-        .iter()
-        .map(|item| {
-            Some(crate::SceneBuild {
-                scene: item.get("scene")?.as_str()?.to_owned(),
-                prims: item.u64_field("prims")?,
-                build_us: item.u64_field("build_us")?,
-            })
-        })
-        .collect()
-}
-
-/// Deserializes a stall breakdown; `None` if any bucket is missing or
-/// mistyped.
-pub fn breakdown_from_json(doc: &Json) -> Option<StallBreakdown> {
-    Some(StallBreakdown {
-        compute: doc.u64_field("compute")?,
-        mem_wait: doc.u64_field("mem_wait")?,
-        rt_admit: doc.u64_field("rt_admit")?,
-        in_rt: doc.u64_field("in_rt")?,
-        warp_cycles: doc.u64_field("warp_cycles")?,
-        rt_sched_wait: doc.u64_field("rt_sched_wait")?,
-        fetch_wait_l1: doc.u64_field("fetch_wait_l1")?,
-        fetch_wait_l2: doc.u64_field("fetch_wait_l2")?,
-        fetch_wait_dram: doc.u64_field("fetch_wait_dram")?,
-        op_wait: doc.u64_field("op_wait")?,
-        stack_wait_rb_sh: doc.u64_field("stack_wait_rb_sh")?,
-        stack_wait_sh_global: doc.u64_field("stack_wait_sh_global")?,
-        stack_wait_flush: doc.u64_field("stack_wait_flush")?,
-        bank_conflict_replay: doc.u64_field("bank_conflict_replay")?,
-        predictor_wait: doc.u64_field("predictor_wait")?,
-        rt_idle: doc.u64_field("rt_idle")?,
-        rt_lane_cycles: doc.u64_field("rt_lane_cycles")?,
-    })
+    let build = |item| {
+        let mut b = crate::SceneBuild::default();
+        decode(item, build_slots(&mut b)).map(|()| b)
+    };
+    items.iter().map(build).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BatchMetrics, SceneBuild};
+    use sms_sim::gpu::StallBreakdown;
+    use std::array::from_fn;
 
-    fn sample_stats() -> SimStats {
-        SimStats {
-            cycles: 123_456,
-            thread_instructions: 9_007_199_254_740_993, // > 2^53: u64 fidelity
-            node_visits: 42,
-            rb_spills: 7,
-            mem: MemStats { l1_hits: 11, bank_conflict_cycles: 3, ..Default::default() },
-            ..Default::default()
+    /// One row of the codec table: a record's encoding with every field
+    /// set, and its decoder reduced to "did `doc` decode, and to the same
+    /// record?". The two checkers below run against any row.
+    struct Row {
+        doc: Json,
+        decodes_to_sample: Box<Verdict>,
+    }
+
+    /// `None`: did not decode. `Some(same)`: decoded, equal to the sample?
+    type Verdict = dyn Fn(&Json) -> Option<bool>;
+
+    fn row<T: PartialEq + 'static>(
+        sample: T,
+        encode: impl Fn(&T) -> Json,
+        decode: impl Fn(&Json) -> Option<T> + 'static,
+    ) -> Row {
+        let doc = encode(&sample);
+        Row { doc, decodes_to_sample: Box::new(move |doc| decode(doc).map(|got| got == sample)) }
+    }
+
+    /// Every sample value is above 2^53 (not representable as `f64`) and
+    /// distinct, so a lossy or transposed field cannot round-trip.
+    fn big<const N: usize>(salt: u64) -> [u64; N] {
+        from_fn(|i| (1 << 53) + 1 + salt + i as u64)
+    }
+
+    fn stats_row() -> Row {
+        let s = SimStats { mem: MemStats::from_values(big(100)), ..SimStats::from_values(big(0)) };
+        row(s, stats_to_json, stats_from_json)
+    }
+
+    fn breakdown_row() -> Row {
+        row(
+            StallBreakdown::from_values(big(0)),
+            |b| record_to_json(&StallBreakdown::FIELDS, b.values()),
+            |doc| record_from_json(doc, &StallBreakdown::FIELDS).map(StallBreakdown::from_values),
+        )
+    }
+
+    fn metrics_row() -> Row {
+        let hist = |salt| {
+            let [count, sum, p50, p95, p99, max] = big(salt);
+            sms_metrics::HistSummary { count, sum, p50, p95, p99, max }
+        };
+        let [spills, reloads] = big(20);
+        let m = BatchMetrics { stack_depth: hist(0), ray_latency: hist(10), spills, reloads };
+        row(m, metrics_to_json, metrics_from_json)
+    }
+
+    fn builds_row() -> Row {
+        let [prims, build_us] = big(0);
+        let builds = vec![
+            SceneBuild { scene: "SHIP".to_owned(), prims: 6_321, build_us: 480 },
+            SceneBuild { scene: "ROBOT".to_owned(), prims, build_us },
+        ];
+        row(builds, |b| builds_to_json(b), builds_from_json)
+    }
+
+    /// The row survives the text form (where a value above 2^53 would lose
+    /// bits if it ever passed through `f64`), not just the document tree.
+    fn check_roundtrip(row: &Row) {
+        assert_eq!((row.decodes_to_sample)(&row.doc), Some(true));
+        let reparsed = parse(&row.doc.to_string()).unwrap();
+        assert_eq!((row.decodes_to_sample)(&reparsed), Some(true), "{}", row.doc);
+    }
+
+    /// Every document obtained from `doc` by deleting exactly one object
+    /// key, at any depth, paired with the deleted key.
+    fn without_one_key(doc: &Json) -> Vec<(String, Json)> {
+        let mut out = Vec::new();
+        match doc {
+            Json::Obj(pairs) => {
+                for i in 0..pairs.len() {
+                    let mut fewer = pairs.clone();
+                    let (key, value) = fewer.remove(i);
+                    out.push((key, Json::Obj(fewer)));
+                    for (key, inner) in without_one_key(&value) {
+                        let mut patched = pairs.clone();
+                        patched[i].1 = inner;
+                        out.push((key, Json::Obj(patched)));
+                    }
+                }
+            }
+            Json::Arr(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    for (key, inner) in without_one_key(item) {
+                        let mut patched = items.clone();
+                        patched[i] = inner;
+                        out.push((key, Json::Arr(patched)));
+                    }
+                }
+            }
+            _ => {}
         }
+        out
+    }
+
+    /// Deleting any single field, nested ones included, makes the document
+    /// undecodable; an `optional` one instead decodes to a different
+    /// record (the sample's value there is not zero).
+    fn check_missing(row: &Row, optional: &[&str]) {
+        let cases = without_one_key(&row.doc);
+        assert!(!cases.is_empty());
+        for (key, doc) in cases {
+            let expected = if optional.contains(&key.as_str()) { Some(false) } else { None };
+            assert_eq!((row.decodes_to_sample)(&doc), expected, "without `{key}`: {doc}");
+        }
+    }
+
+    fn keys(doc: &Json) -> Vec<&str> {
+        let Json::Obj(pairs) = doc else { panic!("not an object: {doc}") };
+        pairs.iter().map(|(k, _)| k.as_str()).collect()
     }
 
     #[test]
     fn stats_roundtrip() {
-        let s = sample_stats();
-        assert_eq!(stats_from_json(&stats_to_json(&s)), Some(s));
+        let row = stats_row();
+        let mut expected = SimStats::FIELDS.to_vec();
+        expected.push("mem");
+        assert_eq!(keys(&row.doc), expected);
+        assert_eq!(keys(row.doc.get("mem").unwrap()), MemStats::FIELDS);
+        check_roundtrip(&row);
+    }
+
+    #[test]
+    fn missing_field_is_rejected() {
+        check_missing(&stats_row(), &PRED);
     }
 
     #[test]
@@ -640,87 +657,49 @@ mod tests {
         // No predictor activity: the keys are absent, so non-predictor
         // entries stay byte-identical to those written before the counters
         // existed — and absent parses as zero.
-        let plain = stats_to_json(&sample_stats());
-        assert!(!plain.to_string().contains("pred_hits"));
-        assert_eq!(stats_from_json(&plain), Some(sample_stats()));
-        let s = SimStats { pred_hits: 5, pred_misses: 2, ..sample_stats() };
-        assert_eq!(stats_from_json(&stats_to_json(&s)), Some(s));
-    }
-
-    #[test]
-    fn missing_field_is_rejected() {
-        let Json::Obj(mut pairs) = stats_to_json(&sample_stats()) else { unreachable!() };
-        pairs.retain(|(k, _)| k != "sh_spills");
-        assert_eq!(stats_from_json(&Json::Obj(pairs)), None);
+        let plain = SimStats { pred_hits: 0, pred_misses: 0, ..SimStats::from_values(big(0)) };
+        let doc = stats_to_json(&plain);
+        assert_eq!(keys(&doc).len(), SimStats::FIELDS.len() - PRED.len() + 1);
+        assert!(PRED.iter().all(|name| doc.get(name).is_none()));
+        assert_eq!(stats_from_json(&doc), Some(plain));
+        // One of the two set: both are emitted, the zero included.
+        let hit = SimStats { pred_hits: 5, ..plain };
+        let doc = stats_to_json(&hit);
+        assert_eq!(doc.u64_field("pred_misses"), Some(0));
+        assert_eq!(stats_from_json(&doc), Some(hit));
     }
 
     #[test]
     fn breakdown_roundtrip() {
-        let b = StallBreakdown {
-            compute: 9_007_199_254_740_995, // > 2^53: u64 fidelity
-            stack_wait_rb_sh: 17,
-            bank_conflict_replay: 3,
-            ..Default::default()
-        };
-        assert_eq!(breakdown_from_json(&breakdown_to_json(&b)), Some(b));
+        let row = breakdown_row();
+        assert_eq!(keys(&row.doc), StallBreakdown::FIELDS);
+        check_roundtrip(&row);
     }
 
     #[test]
     fn breakdown_missing_bucket_is_rejected() {
-        let Json::Obj(mut pairs) = breakdown_to_json(&StallBreakdown::default()) else {
-            unreachable!()
-        };
-        pairs.retain(|(k, _)| k != "rt_idle");
-        assert_eq!(breakdown_from_json(&Json::Obj(pairs)), None);
+        check_missing(&breakdown_row(), &[]);
     }
 
     #[test]
     fn metrics_roundtrip() {
-        let m = crate::BatchMetrics {
-            stack_depth: sms_metrics::HistSummary {
-                count: 10,
-                sum: 55,
-                p50: 5,
-                p95: 9,
-                p99: 10,
-                max: 10,
-            },
-            spills: 9_007_199_254_740_997, // > 2^53: u64 fidelity
-            ..Default::default()
-        };
-        assert_eq!(metrics_from_json(&metrics_to_json(&m)), Some(m));
+        check_roundtrip(&metrics_row());
     }
 
     #[test]
     fn metrics_missing_field_is_rejected() {
-        let Json::Obj(mut pairs) = metrics_to_json(&crate::BatchMetrics::default()) else {
-            unreachable!()
-        };
-        pairs.retain(|(k, _)| k != "ray_latency");
-        assert_eq!(metrics_from_json(&Json::Obj(pairs)), None);
+        check_missing(&metrics_row(), &[]);
     }
 
     #[test]
     fn builds_roundtrip() {
-        let builds = vec![
-            crate::SceneBuild { scene: "SHIP".to_owned(), prims: 6_321, build_us: 480 },
-            crate::SceneBuild {
-                scene: "ROBOT".to_owned(),
-                prims: 9_007_199_254_740_997, // > 2^53: u64 fidelity
-                build_us: 1_250_000,
-            },
-        ];
-        assert_eq!(builds_from_json(&builds_to_json(&builds)), Some(builds));
+        check_roundtrip(&builds_row());
         assert_eq!(builds_from_json(&builds_to_json(&[])), Some(Vec::new()));
     }
 
     #[test]
     fn builds_missing_field_is_rejected() {
-        let one = vec![crate::SceneBuild { scene: "CAR".to_owned(), prims: 9, build_us: 2 }];
-        let Json::Arr(items) = builds_to_json(&one) else { unreachable!() };
-        let Json::Obj(mut pairs) = items[0].clone() else { unreachable!() };
-        pairs.retain(|(k, _)| k != "build_us");
-        assert_eq!(builds_from_json(&Json::Arr(vec![Json::Obj(pairs)])), None);
+        check_missing(&builds_row(), &[]);
         assert_eq!(builds_from_json(&Json::U64(3)), None);
     }
 

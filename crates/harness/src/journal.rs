@@ -18,7 +18,7 @@
 //! self-sufficient for crash-safe resume (`SMS_RESUME=<journal>`): a new
 //! sweep replays completed runs from it and re-executes only the rest.
 
-use crate::cache::{breakdown_to_json, builds_to_json, metrics_to_json, stats_to_json};
+use crate::cache::{builds_to_json, metrics_to_json, record_to_json, stats_to_json};
 use crate::json::Json;
 use crate::{BatchMetrics, SceneBuild};
 use sms_sim::gpu::{SimStats, StallBreakdown};
@@ -196,6 +196,9 @@ impl Event {
     /// The event as one JSON object (the journal line, sans newline).
     pub fn to_json(&self) -> Json {
         let own = |s: &str| s.to_owned();
+        let stalls = |b: &Option<StallBreakdown>| {
+            b.map_or(Json::Null, |b| record_to_json(&StallBreakdown::FIELDS, b.values()))
+        };
         match self {
             Event::BatchStart { jobs, unique, workers } => Json::Obj(vec![
                 (own("event"), Json::Str(own("batch_start"))),
@@ -237,7 +240,7 @@ impl Event {
                 (own("cycles"), Json::U64(*cycles)),
                 (own("duration_us"), Json::U64(*duration_us)),
                 (own("stats"), stats.as_ref().map_or(Json::Null, stats_to_json)),
-                (own("breakdown"), breakdown.as_ref().map_or(Json::Null, breakdown_to_json)),
+                (own("breakdown"), stalls(breakdown)),
             ]),
             Event::RunTimeout { job, worker, kind, error, duration_us } => Json::Obj(vec![
                 (own("event"), Json::Str(own("run_timeout"))),
@@ -298,7 +301,7 @@ impl Event {
                     (own("sim_cycles"), Json::U64(*sim_cycles)),
                     (own("runs_per_sec"), Json::F64(rate(*jobs as u64))),
                     (own("sim_cycles_per_sec"), Json::F64(rate(*sim_cycles))),
-                    (own("breakdown"), breakdown.as_ref().map_or(Json::Null, breakdown_to_json)),
+                    (own("breakdown"), stalls(breakdown)),
                     (own("metrics"), metrics.as_ref().map_or(Json::Null, metrics_to_json)),
                     (own("builds"), builds_to_json(builds)),
                 ])
@@ -396,8 +399,9 @@ mod tests {
         assert_eq!(doc.u64_field("cycles"), Some(99));
         let stats = crate::cache::stats_from_json(doc.get("stats").unwrap()).unwrap();
         assert_eq!(stats.cycles, 99);
-        let b = crate::cache::breakdown_from_json(doc.get("breakdown").unwrap()).unwrap();
-        assert_eq!(b.compute, 7);
+        let b =
+            crate::cache::record_from_json(doc.get("breakdown").unwrap(), &StallBreakdown::FIELDS);
+        assert_eq!(b.map(StallBreakdown::from_values).unwrap().compute, 7);
     }
 
     #[test]

@@ -282,6 +282,10 @@ impl<'a> Parser<'a> {
                                 .get(self.pos..self.pos + 4)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // `from_str_radix` alone would accept `+041`.
+                            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                                return Err(self.err("invalid \\u escape"));
+                            }
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
                             self.pos += 4;
@@ -391,6 +395,7 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\u{0}binary\u{1}").is_err());
         assert!(parse("{\"a\":1,}").is_err());
+        assert!(parse("\"\\u+041\"").is_err());
     }
 
     #[test]

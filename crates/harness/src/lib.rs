@@ -178,6 +178,27 @@ fn default_cache_dir() -> PathBuf {
 // structured logger).
 use crate::log::env_positive;
 
+/// The cache and journal locations, read the same way by the CLI harness
+/// and both serving tiers: `SMS_NO_CACHE=1` disables the cache, otherwise
+/// `SMS_CACHE_DIR` relocates it; the journal file is named by
+/// `journal_var` (a tier's own `SMS_SERVE_JOURNAL` / `SMS_FLEET_JOURNAL`)
+/// and, when that is unset, by `SMS_JOURNAL`. Unset variables leave the
+/// caller's defaults in place.
+pub fn storage_from_env(
+    journal_var: &str,
+    cache_dir: &mut Option<PathBuf>,
+    journal_path: &mut Option<PathBuf>,
+) {
+    if std::env::var("SMS_NO_CACHE").is_ok_and(|v| v == "1") {
+        *cache_dir = None;
+    } else if let Ok(dir) = std::env::var("SMS_CACHE_DIR") {
+        *cache_dir = Some(PathBuf::from(dir));
+    }
+    if let Ok(path) = std::env::var(journal_var).or_else(|_| std::env::var("SMS_JOURNAL")) {
+        *journal_path = Some(PathBuf::from(path));
+    }
+}
+
 impl HarnessConfig {
     /// Reads the environment knobs:
     ///
@@ -205,14 +226,7 @@ impl HarnessConfig {
         if let Some(jobs) = env_positive("SMS_JOBS") {
             cfg.workers = jobs;
         }
-        if std::env::var("SMS_NO_CACHE").is_ok_and(|v| v == "1") {
-            cfg.cache_dir = None;
-        } else if let Ok(dir) = std::env::var("SMS_CACHE_DIR") {
-            cfg.cache_dir = Some(PathBuf::from(dir));
-        }
-        if let Ok(path) = std::env::var("SMS_JOURNAL") {
-            cfg.journal_path = Some(PathBuf::from(path));
-        }
+        storage_from_env("SMS_JOURNAL", &mut cfg.cache_dir, &mut cfg.journal_path);
         cfg.limits = RunLimits::from_env();
         if let Ok(raw) = std::env::var("SMS_RETRIES") {
             match raw.trim().parse::<u32>() {
@@ -241,7 +255,7 @@ impl HarnessConfig {
 /// Wall time spent building one scene's BVH during batch preparation —
 /// the build-throughput counterpart to the runs/s plumbing, carried on
 /// [`BatchSummary::builds`] and the journal's `batch_end` line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SceneBuild {
     /// Scene name (paper spelling, e.g. `SHIP`).
     pub scene: String,

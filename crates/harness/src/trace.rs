@@ -104,7 +104,10 @@ impl TraceContext {
     /// it opens underneath.
     pub fn parse(header: &str) -> Option<Self> {
         let (t, s) = header.trim().split_once('-')?;
-        if t.len() != 16 || s.len() != 16 {
+        // Digits checked by hand: `from_str_radix` also accepts a leading
+        // `+`, which `header_value()` would not reproduce.
+        let is_id = |id: &str| id.len() == 16 && id.bytes().all(|b| b.is_ascii_hexdigit());
+        if !is_id(t) || !is_id(s) {
             return None;
         }
         let trace_id = u64::from_str_radix(t, 16).ok()?;
@@ -173,8 +176,9 @@ mod tests {
         assert_eq!(TraceContext::parse("deadbeef"), None);
         assert_eq!(TraceContext::parse("deadbeef-cafebabe"), None); // too short
         assert_eq!(TraceContext::parse("00c0ffee5eed1234-000000000000000g"), None);
-        assert_eq!(TraceContext::parse("00c0ffee5eed1234-0000000000000000"), None);
-        // span 0
+        assert_eq!(TraceContext::parse("00c0ffee5eed1234-0000000000000000"), None); // span 0
+        assert_eq!(TraceContext::parse("+00000000c0ffee4-0000000000000001"), None); // sign
+        assert_eq!(TraceContext::parse("00000000c0ffee42-+000000000000001"), None);
     }
 
     #[test]

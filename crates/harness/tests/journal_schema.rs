@@ -20,6 +20,10 @@ fn golden(event: &Event, want: &str) -> Json {
     parse(&line).unwrap_or_else(|e| panic!("journal line must reparse: {e}\n{line}"))
 }
 
+fn breakdown_from_json(doc: &Json) -> Option<StallBreakdown> {
+    cache::record_from_json(doc, &StallBreakdown::FIELDS).map(StallBreakdown::from_values)
+}
+
 #[test]
 fn batch_start_line() {
     let doc = golden(
@@ -91,8 +95,8 @@ fn job_finished_line_roundtrips_stats_and_breakdown() {
     // The payloads round-trip through the same codecs resume/tools use —
     // u64 fidelity beyond 2^53 included.
     assert_eq!(cache::stats_from_json(doc.get("stats").unwrap()), Some(stats));
-    assert_eq!(cache::breakdown_from_json(doc.get("breakdown").unwrap()), Some(breakdown));
-    let b = cache::breakdown_from_json(doc.get("breakdown").unwrap()).unwrap();
+    let b = breakdown_from_json(doc.get("breakdown").unwrap()).unwrap();
+    assert_eq!(b, breakdown);
     assert!(b.is_conserved());
 }
 
@@ -205,7 +209,7 @@ fn batch_end_line_with_breakdown() {
             r#""metrics":null,"builds":[{"scene":"SHIP","prims":6321,"build_us":480}]}"#,
         ),
     );
-    assert_eq!(cache::breakdown_from_json(doc.get("breakdown").unwrap()), Some(breakdown));
+    assert_eq!(breakdown_from_json(doc.get("breakdown").unwrap()), Some(breakdown));
     assert_eq!(
         cache::builds_from_json(doc.get("builds").unwrap()),
         Some(vec![SceneBuild { scene: "SHIP".to_owned(), prims: 6321, build_us: 480 }])

@@ -11,6 +11,7 @@
 use sms_harness::json::{parse, Json};
 use sms_harness::{cache, Harness, HarnessConfig, RunRequest};
 use sms_sim::config::RenderConfig;
+use sms_sim::gpu::StallBreakdown;
 use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
 
@@ -76,8 +77,10 @@ fn sms_trace_emits_wellformed_conserving_json() {
 
         // Σ buckets == cycles, re-checked from the serialized form.
         assert_eq!(doc.u64_field("cycles"), Some(run.stats.cycles));
-        let b = cache::breakdown_from_json(doc.get("stallBreakdown").unwrap())
-            .expect("stallBreakdown must round-trip through the journal codec");
+        let b =
+            cache::record_from_json(doc.get("stallBreakdown").unwrap(), &StallBreakdown::FIELDS)
+                .map(StallBreakdown::from_values)
+                .expect("stallBreakdown must round-trip through the journal codec");
         assert!(b.is_conserved(), "serialized breakdown must conserve: {b:?}");
         assert_eq!(Some(&b), run.breakdown.as_ref(), "trace and RunResult must agree");
     }

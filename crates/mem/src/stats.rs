@@ -1,31 +1,32 @@
 //! Memory-system counters collected during simulation.
 
-/// Counters for one memory hierarchy (merge per-SM instances with
-/// [`MemStats::merge`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// L1D load/store lookups that hit.
-    pub l1_hits: u64,
-    /// L1D lookups that missed.
-    pub l1_misses: u64,
-    /// L2 lookups that hit.
-    pub l2_hits: u64,
-    /// L2 lookups that missed (DRAM accesses).
-    pub l2_misses: u64,
-    /// Store transactions written through to L2.
-    pub stores: u64,
-    /// Line transactions issued for traversal-stack spill/reload traffic.
-    pub stack_transactions: u64,
-    /// Stack-traffic loads that hit in L1.
-    pub stack_l1_hits: u64,
-    /// Stack-traffic loads that missed in L1.
-    pub stack_l1_misses: u64,
-    /// Line transactions issued for scene data (nodes, primitives, shading).
-    pub data_transactions: u64,
-    /// Warp-level shared-memory transactions.
-    pub shared_accesses: u64,
-    /// Extra cycles lost to shared-memory bank conflicts.
-    pub bank_conflict_cycles: u64,
+crate::counter_record! {
+    /// Counters for one memory hierarchy (merge per-SM instances with
+    /// [`MemStats::merge`]).
+    pub struct MemStats {
+        /// L1D load/store lookups that hit.
+        pub l1_hits: u64,
+        /// L1D lookups that missed.
+        pub l1_misses: u64,
+        /// L2 lookups that hit.
+        pub l2_hits: u64,
+        /// L2 lookups that missed (DRAM accesses).
+        pub l2_misses: u64,
+        /// Store transactions written through to L2.
+        pub stores: u64,
+        /// Line transactions issued for traversal-stack spill/reload traffic.
+        pub stack_transactions: u64,
+        /// Stack-traffic loads that hit in L1.
+        pub stack_l1_hits: u64,
+        /// Stack-traffic loads that missed in L1.
+        pub stack_l1_misses: u64,
+        /// Line transactions issued for scene data (nodes, primitives, shading).
+        pub data_transactions: u64,
+        /// Warp-level shared-memory transactions.
+        pub shared_accesses: u64,
+        /// Extra cycles lost to shared-memory bank conflicts.
+        pub bank_conflict_cycles: u64,
+    }
 }
 
 impl MemStats {
@@ -44,21 +45,6 @@ impl MemStats {
         } else {
             self.l1_hits as f64 / total as f64
         }
-    }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &MemStats) {
-        self.l1_hits += other.l1_hits;
-        self.l1_misses += other.l1_misses;
-        self.l2_hits += other.l2_hits;
-        self.l2_misses += other.l2_misses;
-        self.stores += other.stores;
-        self.stack_transactions += other.stack_transactions;
-        self.stack_l1_hits += other.stack_l1_hits;
-        self.stack_l1_misses += other.stack_l1_misses;
-        self.data_transactions += other.data_transactions;
-        self.shared_accesses += other.shared_accesses;
-        self.bank_conflict_cycles += other.bank_conflict_cycles;
     }
 }
 

@@ -157,16 +157,11 @@ impl FleetConfig {
         if let Some(ms) = env_positive("SMS_FLEET_CELL_TIMEOUT_MS") {
             cfg.cell_timeout = Duration::from_millis(ms as u64);
         }
-        if std::env::var("SMS_NO_CACHE").is_ok_and(|v| v == "1") {
-            cfg.cache_dir = None;
-        } else if let Ok(dir) = std::env::var("SMS_CACHE_DIR") {
-            cfg.cache_dir = Some(PathBuf::from(dir));
-        }
-        if let Ok(path) =
-            std::env::var("SMS_FLEET_JOURNAL").or_else(|_| std::env::var("SMS_JOURNAL"))
-        {
-            cfg.journal_path = Some(PathBuf::from(path));
-        }
+        sms_harness::storage_from_env(
+            "SMS_FLEET_JOURNAL",
+            &mut cfg.cache_dir,
+            &mut cfg.journal_path,
+        );
         cfg
     }
 }

@@ -118,6 +118,16 @@ fn io_error(e: &std::io::Error) -> HttpError {
     }
 }
 
+/// A length field from the wire: digits of `radix` only. Rust's unsigned
+/// parsers also accept a leading `+`, which no HTTP grammar allows, so the
+/// bytes are checked before converting.
+fn parse_digits(field: &str, radix: u32) -> Option<usize> {
+    if !field.bytes().all(|b| char::from(b).is_digit(radix)) {
+        return None;
+    }
+    usize::from_str_radix(field, radix).ok()
+}
+
 /// Reads and strictly parses one request from the stream. Applies the
 /// read/write timeouts to the socket as a side effect.
 pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, HttpError> {
@@ -190,9 +200,8 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
     }
     let content_length = match req.header("content-length") {
         None => 0usize,
-        Some(raw) => raw
-            .parse::<usize>()
-            .map_err(|_| HttpError::new(400, format!("malformed Content-Length `{raw}`")))?,
+        Some(raw) => parse_digits(raw, 10)
+            .ok_or_else(|| HttpError::new(400, format!("malformed Content-Length `{raw}`")))?,
     };
     if req.method == "GET" && content_length > 0 {
         return Err(HttpError::new(400, "GET requests must not carry a body"));
@@ -366,9 +375,8 @@ pub fn read_response(stream: &mut TcpStream, limits: &Limits) -> Result<Response
     let body = if chunked {
         read_chunked_body(stream, &mut rest)?
     } else if let Some(len) = response.header("content-length") {
-        let len = len
-            .parse::<usize>()
-            .map_err(|_| HttpError::new(400, "malformed response Content-Length"))?;
+        let len = parse_digits(len, 10)
+            .ok_or_else(|| HttpError::new(400, "malformed response Content-Length"))?;
         while rest.len() < len {
             let mut chunk = [0u8; 4096];
             let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
@@ -412,8 +420,8 @@ fn read_chunked_body(stream: &mut TcpStream, rest: &mut Vec<u8>) -> Result<Vec<u
         };
         let size_line = std::str::from_utf8(&rest[..line_end])
             .map_err(|_| HttpError::new(400, "chunk size is not UTF-8"))?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| HttpError::new(400, format!("malformed chunk size `{size_line}`")))?;
+        let size = parse_digits(size_line.trim(), 16)
+            .ok_or_else(|| HttpError::new(400, format!("malformed chunk size `{size_line}`")))?;
         rest.drain(..line_end + 2);
         // Buffer chunk data + trailing CRLF.
         while rest.len() < size + 2 {
@@ -437,8 +445,11 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
-    /// Runs `client` against a raw byte payload served as one connection.
-    fn parse_bytes(payload: &[u8]) -> Result<Request, HttpError> {
+    /// Runs `read` against a raw byte payload served as one connection.
+    fn read_bytes<T>(
+        payload: &[u8],
+        read: fn(&mut TcpStream, &Limits) -> Result<T, HttpError>,
+    ) -> Result<T, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let payload = payload.to_vec();
@@ -451,9 +462,13 @@ mod tests {
         });
         let (mut conn, _) = listener.accept().unwrap();
         let limits = Limits { read_timeout: Duration::from_millis(500), ..Limits::default() };
-        let out = read_request(&mut conn, &limits);
+        let out = read(&mut conn, &limits);
         writer.join().unwrap();
         out
+    }
+
+    fn parse_bytes(payload: &[u8]) -> Result<Request, HttpError> {
+        read_bytes(payload, read_request)
     }
 
     #[test]
@@ -486,6 +501,19 @@ mod tests {
             501
         );
         assert_eq!(parse_bytes(b"\x00\x01\x02\xff\r\n\r\n").unwrap_err().status, 400);
+        // A leading `+` is not a digit, whatever `usize::from_str` thinks.
+        assert_eq!(
+            parse_bytes(b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello").unwrap_err().status,
+            400
+        );
+        let response = |payload: &[u8]| read_bytes(payload, read_response);
+        assert_eq!(
+            response(b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nhello").unwrap_err().status,
+            400
+        );
+        let chunked =
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n+5\r\nhello\r\n0\r\n\r\n";
+        assert_eq!(response(chunked).unwrap_err().status, 400);
     }
 
     #[test]

@@ -134,16 +134,11 @@ impl ServeConfig {
         if let Some(n) = env_positive("SMS_SERVE_MAX_BODY") {
             cfg.limits.max_body = n;
         }
-        if std::env::var("SMS_NO_CACHE").is_ok_and(|v| v == "1") {
-            cfg.cache_dir = None;
-        } else if let Ok(dir) = std::env::var("SMS_CACHE_DIR") {
-            cfg.cache_dir = Some(PathBuf::from(dir));
-        }
-        if let Ok(path) =
-            std::env::var("SMS_SERVE_JOURNAL").or_else(|_| std::env::var("SMS_JOURNAL"))
-        {
-            cfg.journal_path = Some(PathBuf::from(path));
-        }
+        sms_harness::storage_from_env(
+            "SMS_SERVE_JOURNAL",
+            &mut cfg.cache_dir,
+            &mut cfg.journal_path,
+        );
         let mut limits = RunLimits::from_env();
         limits.breakdown = false;
         limits.metrics = false;
