@@ -25,6 +25,14 @@ echo "==> byte-identity gate (benchmark seed-7 goldens: SimStats digest per cell
 echo "    render digest per scene for both builders, every exact per-layer count)"
 cargo test -q --manifest-path benchmark/Cargo.toml
 
+echo "==> one-place gate (the environment is read in crates/core/src/env.rs only; prints offenders)"
+# (`! git grep` would not trip `set -e`: an inverted status is exempt.)
+if git grep -nE 'env::(var|var_os|vars|vars_os)\b' -- crates examples tests \
+     ':!crates/core/src/env.rs' ':!crates/proptests'; then
+  echo "environment read outside sms_sim::env (declare the variable in DECLS, read it from the snapshot)"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -15,7 +15,7 @@ use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
 
 fn main() {
-    let render = RenderConfig::from_env();
+    let render = RenderConfig::from_env(sms_bench::env());
     println!("=== Fig. 10: per-thread stack depth traces (PARTY, 2 warps) ===\n");
     let prepared = PreparedScene::build(SceneId::Party, &render);
     let sim =

@@ -44,7 +44,7 @@ fn main() {
     ]);
     // Scene + BVH construction fan out across the harness's worker pool
     // (the camera resolution the render config picks is irrelevant here).
-    let harness = Harness::from_env();
+    let harness = Harness::from_env(sms_bench::env());
     let prepared = harness.prepare_scenes(&SceneId::ALL, &RenderConfig::fast());
     for (id, p) in SceneId::ALL.into_iter().zip(&prepared) {
         let stats = BvhStats::measure(&p.bvh);

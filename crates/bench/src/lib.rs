@@ -11,27 +11,11 @@
 //! ordering (and therefore every printed table) is byte-identical to the
 //! old serial loops.
 //!
-//! Environment knobs honoured by all harnesses:
-//!
-//! * `SMS_PAPER=1` — paper-sized workloads (128×128×2spp) instead of the
-//!   default fast ones (32×32×1spp; trends are resolution-stable, §VII-A).
-//! * `SMS_SCENES=SHIP,PARTY` — restrict to a scene subset.
-//! * `SMS_JOBS=N` — worker threads (default: available cores).
-//! * `SMS_NO_CACHE=1` — bypass the result cache.
-//! * `SMS_CACHE_DIR=path` — cache location (default `target/sms-cache`).
-//! * `SMS_JOURNAL=path` — append JSONL run-journal events to `path`.
-//! * `SMS_MAX_CYCLES=N` / `SMS_STALL_CYCLES=N` — per-run watchdog.
-//! * `SMS_VALIDATE=1` — run the stack invariant validator.
-//! * `SMS_RETRIES=N` — transient cache-I/O retries.
-//! * `SMS_RESUME=journal.jsonl` — resume a killed sweep from its journal.
-//! * `SMS_BREAKDOWN=1` — arm cycle attribution (stall taxonomy in the
-//!   journal and `BatchSummary`; see `breakdown_stalls`).
-//! * `SMS_TRACE=out.json` / `SMS_TRACE_PERIOD=N` — per-run Chrome-trace
-//!   timeline export (implies attribution).
-//! * `SMS_STACKLESS=0` / `SMS_PREDICT=0` — drop the stackless (`SL`) or
-//!   predictor (`PRED_*`) competitor column from the sweeps that carry
-//!   them; with both off the matrices are exactly the pre-competitor
-//!   sweeps. `SMS_PREDICT_BITS=N` sizes the predictor table (default 12).
+//! Every harness honours the `bench` and `harness` rows of the
+//! environment table in `EXPERIMENTS.md` (declared once, in
+//! `sms_sim::env::DECLS`): `SMS_SCENES`, `SMS_PAPER`, `SMS_JOBS`, the
+//! cache / journal / resume locations, the watchdogs and the observation
+//! arms. [`env`] is the process's one snapshot of them.
 //!
 //! Batches run on the fault-tolerant path: a panicking, livelocked or
 //! invariant-violating run is reported per cell (and journalled as
@@ -47,15 +31,24 @@ use sms_sim::config::RenderConfig;
 use sms_sim::experiments::{self, RunResult};
 use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
+use sms_sim::Env;
+use std::sync::OnceLock;
 
 pub use sms_harness::{Harness, RunRequest};
 pub use sms_sim::report::{fmt_improvement, fmt_pct, geomean, Table};
 
+/// The process edge of every bench target: the environment, snapshotted
+/// (and its warnings logged) on first use.
+pub fn env() -> &'static Env {
+    static ENV: OnceLock<Env> = OnceLock::new();
+    ENV.get_or_init(sms_harness::capture_env)
+}
+
 /// Prints the standard harness banner and returns the execution engine
 /// plus `(scenes, render)`.
 pub fn setup(figure: &str, description: &str) -> (Harness, Vec<SceneId>, RenderConfig) {
-    let render = RenderConfig::from_env();
-    let scenes = experiments::scene_list();
+    let render = RenderConfig::from_env(env());
+    let scenes = experiments::scene_list(env()).unwrap_or_else(|e| panic!("{e}"));
     println!("=== {figure}: {description} ===");
     println!(
         "workload: {:?} mode, {} scenes{}\n",
@@ -63,32 +56,27 @@ pub fn setup(figure: &str, description: &str) -> (Harness, Vec<SceneId>, RenderC
         scenes.len(),
         if scenes.len() < 16 { " (SMS_SCENES subset)" } else { "" }
     );
-    (Harness::from_env(), scenes, render)
+    (Harness::from_env(env()), scenes, render)
 }
 
 /// The stack-elimination competitor columns appended to the sweeps that
-/// compare against SMS: stackless traversal (`SL`) and the hash-based leaf
-/// predictor (`PRED_<bits>`). `SMS_STACKLESS=0` / `SMS_PREDICT=0` drop a
-/// column; `SMS_PREDICT_BITS=N` (1..=20) sizes the predictor table. Both
-/// default on. Dropping them restores the pre-competitor matrix — the
-/// remaining cells' stats and cache entries are byte-identical either way,
-/// since a run's configuration fully determines its outcome.
+/// compare against SMS: stackless traversal (`SL`, `SMS_STACKLESS`) and
+/// the hash-based leaf predictor (`PRED_<SMS_PREDICT_BITS>`,
+/// `SMS_PREDICT`), both on by default. Dropping them restores the
+/// pre-competitor matrix — the remaining cells' stats and cache entries
+/// are byte-identical either way.
 pub fn competitor_configs() -> Vec<StackConfig> {
-    let on = |var: &str| std::env::var(var).as_deref() != Ok("0");
     let mut configs = Vec::new();
-    if on("SMS_STACKLESS") {
+    if env().flag("SMS_STACKLESS") {
         configs.push(StackConfig::stackless());
     }
-    if on("SMS_PREDICT") {
-        let bits = match std::env::var("SMS_PREDICT_BITS") {
-            Ok(s) => s.parse::<u32>().unwrap_or_else(|e| panic!("SMS_PREDICT_BITS: {e}")),
-            Err(_) => 12,
-        };
+    if env().flag("SMS_PREDICT") {
+        let bits = env().positive("SMS_PREDICT_BITS").unwrap_or(12);
         assert!(
-            (1..=sms_sim::rtunit::predictor::MAX_TABLE_BITS).contains(&bits),
+            bits <= u64::from(sms_sim::rtunit::predictor::MAX_TABLE_BITS),
             "SMS_PREDICT_BITS must be in 1..=20, got {bits}"
         );
-        configs.push(StackConfig::Predictor { table_bits: bits });
+        configs.push(StackConfig::Predictor { table_bits: bits as u32 });
     }
     configs
 }

@@ -1,5 +1,6 @@
 //! Simulation and workload configuration.
 
+use crate::env::Env;
 use sms_gpu::GpuConfig;
 use sms_rtunit::StackConfig;
 use sms_scene::{Scene, SceneId};
@@ -77,12 +78,12 @@ impl RenderConfig {
         }
     }
 
-    /// Reads `SMS_PAPER=1` from the environment to select paper-sized
-    /// workloads in bench harnesses; `fast()` otherwise.
-    pub fn from_env() -> Self {
-        match std::env::var("SMS_PAPER") {
-            Ok(v) if v == "1" => RenderConfig::paper(),
-            _ => RenderConfig::fast(),
+    /// Paper-sized workloads under `SMS_PAPER=1`; `fast()` otherwise.
+    pub fn from_env(env: &Env) -> Self {
+        if env.flag("SMS_PAPER") {
+            RenderConfig::paper()
+        } else {
+            RenderConfig::fast()
         }
     }
 

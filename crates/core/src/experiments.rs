@@ -10,9 +10,9 @@
 //! as its reference). See `DESIGN.md` for the experiment index.
 
 use crate::config::{RenderConfig, SimConfig};
+use crate::env::Env;
 use crate::metrics::{MetricsReport, MetricsSpec};
 use crate::render::PreparedScene;
-use crate::report::geomean;
 use crate::sim::{GpuSim, RunLimits, SimFault};
 use crate::trace::TraceSpec;
 use sms_gpu::{GpuConfig, SimStats, StallBreakdown};
@@ -28,11 +28,11 @@ pub struct RunResult {
     pub stack: StackConfig,
     /// All counters.
     pub stats: SimStats,
-    /// Stall attribution (when [`RunLimits::breakdown`] or `SMS_TRACE` was
-    /// armed for the run; `None` otherwise).
+    /// Stall attribution (when [`RunLimits::breakdown`] or a trace export
+    /// was armed for the run; `None` otherwise).
     pub breakdown: Option<StallBreakdown>,
-    /// Metrics report (when [`RunLimits::metrics`] or `SMS_METRICS` was
-    /// armed for the run; `None` otherwise).
+    /// Metrics report (when [`RunLimits::metrics`] was armed for the run;
+    /// `None` otherwise).
     pub metrics: Option<Box<MetricsReport>>,
 }
 
@@ -96,14 +96,8 @@ pub fn run_prepared(
 /// Fault-aware variant of [`run_prepared`]: runs with the given watchdog
 /// limits and surfaces aborts as structured [`SimFault`]s instead of
 /// panicking. With `RunLimits::none()` the statistics are bit-identical to
-/// [`run_prepared`] — the watchdog only observes.
-///
-/// When `SMS_TRACE` is set, every run through this entry point also writes
-/// a Chrome trace-event file; the configured path is suffixed with the
-/// scene and stack-config labels (`<stem>.<SCENE>.<CONFIG>.json`) so sweep
-/// jobs — possibly running in parallel — never clobber each other. The
-/// metrics exports (`SMS_METRICS_OUT`, `SMS_METRICS_CSV`) get the same
-/// per-job suffix, inserted before each path's own extension.
+/// [`run_prepared`] — the watchdog only observes. Writes no file and reads
+/// no environment: this is [`try_run_exporting`] with no exports.
 pub fn try_run_prepared(
     prepared: &PreparedScene,
     stack: StackConfig,
@@ -111,26 +105,57 @@ pub fn try_run_prepared(
     render: &RenderConfig,
     limits: &RunLimits,
 ) -> Result<RunResult, SimFault> {
+    try_run_exporting(prepared, stack, gpu, render, limits, &RunExports::default())
+}
+
+/// The files a run writes besides returning its result. Filled once at
+/// the process edge (`sms_harness::exports_from_env`) and carried as data
+/// on `HarnessConfig` / `ServeConfig` down to [`try_run_exporting`]; the
+/// default exports nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunExports {
+    /// Chrome-trace export (`SMS_TRACE`); arms attribution on every run.
+    pub trace: Option<TraceSpec>,
+    /// Metrics dumps and sampling period, for runs with
+    /// [`RunLimits::metrics`] armed.
+    pub metrics: MetricsSpec,
+}
+
+/// The one job-running function: [`try_run_prepared`] plus `exports`.
+///
+/// Every configured path is suffixed with the scene and stack-config
+/// labels (`<stem>.<SCENE>.<CONFIG>.json`, inserted before a metrics
+/// path's own extension) so sweep jobs — possibly running in parallel —
+/// never clobber each other.
+pub fn try_run_exporting(
+    prepared: &PreparedScene,
+    stack: StackConfig,
+    gpu: GpuConfig,
+    render: &RenderConfig,
+    limits: &RunLimits,
+    exports: &RunExports,
+) -> Result<RunResult, SimFault> {
     let config = SimConfig::new(gpu, stack, *render);
-    let mspec = MetricsSpec::from_env();
-    let mut sim =
-        GpuSim::new(prepared, config).with_limits(*limits).with_metrics_period(mspec.period);
-    if let Some(spec) = TraceSpec::from_env() {
-        sim = sim.with_trace(spec.for_job(&format!("{}.{}", prepared.scene.id, stack.label())));
+    let job = || format!("{}.{}", prepared.scene.id, stack.label());
+    let mut sim = GpuSim::new(prepared, config)
+        .with_limits(*limits)
+        .with_metrics_period(exports.metrics.period);
+    if let Some(spec) = &exports.trace {
+        sim = sim.with_trace(spec.for_job(&job()));
     }
     let run = sim.try_run()?;
     if let Some(m) = &run.metrics {
-        let job = mspec.for_job(&format!("{}.{}", prepared.scene.id, stack.label()));
+        let out = exports.metrics.for_job(&job());
         let write =
             |path: &std::path::Path, text: String, var: &str| match std::fs::write(path, text) {
                 Ok(()) => eprintln!("{var}: wrote {}", path.display()),
                 Err(e) => eprintln!("warning: {var}: failed to write {}: {e}", path.display()),
             };
-        if let Some(p) = &job.prom_out {
+        if let Some(p) = &out.prom_out {
             let reg = m.registry(&prepared.scene.id.to_string(), &stack.label(), &run.stats);
             write(p, reg.render_prometheus(), "SMS_METRICS_OUT");
         }
-        if let Some(p) = &job.csv_out {
+        if let Some(p) = &out.csv_out {
             write(p, m.series.to_csv(), "SMS_METRICS_CSV");
         }
     }
@@ -145,16 +170,14 @@ pub fn try_run_prepared(
 
 /// The scene list a harness should evaluate: all 16 by default, or the
 /// comma-separated subset in `SMS_SCENES` (e.g. `SMS_SCENES=SHIP,BUNNY`).
-pub fn scene_list() -> Vec<SceneId> {
-    match std::env::var("SMS_SCENES") {
-        Ok(s) if !s.trim().is_empty() => s
-            .split(',')
-            .map(|name| {
-                name.trim().parse::<SceneId>().unwrap_or_else(|e| panic!("SMS_SCENES: {e}"))
-            })
-            .collect(),
-        _ => SceneId::ALL.to_vec(),
+/// An unknown name is an error naming the variable and the token: a
+/// figure over the wrong scene set is not a reproduction.
+pub fn scene_list(env: &Env) -> Result<Vec<SceneId>, String> {
+    let names = env.list("SMS_SCENES");
+    if names.is_empty() {
+        return Ok(SceneId::ALL.to_vec());
     }
+    names.iter().map(|n| n.parse().map_err(|e| format!("SMS_SCENES: `{n}`: {e}"))).collect()
 }
 
 /// Runs every `(scene, config)` pair serially, reusing each scene's BVH.
@@ -178,14 +201,6 @@ pub fn run_suite(
                 .collect()
         })
         .collect()
-}
-
-/// Geometric-mean normalized IPC of `runs` against `baselines`
-/// (elementwise by scene).
-pub fn gmean_normalized_ipc(runs: &[RunResult], baselines: &[RunResult]) -> f64 {
-    assert_eq!(runs.len(), baselines.len());
-    let ratios: Vec<f64> = runs.iter().zip(baselines).map(|(r, b)| r.normalized_ipc(b)).collect();
-    geomean(&ratios)
 }
 
 #[cfg(test)]
@@ -214,9 +229,14 @@ mod tests {
 
     #[test]
     fn scene_list_env_parsing() {
-        // Uses the default path (no env var set in tests).
-        let all = scene_list();
-        assert!(all.len() == 16 || !all.is_empty());
+        let list = |v: &str| scene_list(&Env::from_pairs(&[("SMS_SCENES", v)]));
+        assert_eq!(list("SHIP,BUNNY"), Ok(vec![SceneId::Ship, SceneId::Bunny]));
+        assert_eq!(list("  SHIP , ,BUNNY  "), Ok(vec![SceneId::Ship, SceneId::Bunny]));
+        assert_eq!(list(""), Ok(SceneId::ALL.to_vec()));
+        assert_eq!(list(" , "), Ok(SceneId::ALL.to_vec()));
+        assert_eq!(scene_list(&Env::default()), Ok(SceneId::ALL.to_vec()));
+        let err = list("SHIP,SHPI").unwrap_err();
+        assert!(err.contains("SMS_SCENES") && err.contains("`SHPI`"), "{err}");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! * [`sim`] — [`GpuSim`]: the cycle-level model (SMs, GTO-scheduled SIMT
 //!   compute, RT units, L1/shared/L2/DRAM) that produces the paper's IPC
 //!   and traffic numbers.
+//! * [`env`] — the one declaration and reader of every `SMS_*` variable.
 //! * [`experiments`] — one entry point per paper table/figure.
 //! * [`report`] — plain-text table rendering used by the bench harnesses.
 //!
@@ -34,6 +35,7 @@
 pub mod analyze;
 pub mod config;
 pub mod driver;
+pub mod env;
 pub mod experiments;
 pub mod metrics;
 pub mod render;
@@ -42,7 +44,8 @@ pub mod sim;
 pub mod trace;
 
 pub use config::{RenderConfig, SimConfig};
-pub use experiments::RunResult;
+pub use env::Env;
+pub use experiments::{RunExports, RunResult};
 pub use metrics::{MetricsReport, MetricsSpec};
 pub use sim::{GpuSim, RunLimits, SimFault};
 pub use trace::TraceSpec;

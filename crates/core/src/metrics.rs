@@ -28,7 +28,7 @@ use std::path::PathBuf;
 /// Default time-series sampling period in cycles.
 pub const DEFAULT_PERIOD: Cycle = 1024;
 
-/// Metrics output configuration, parsed from the environment.
+/// Metrics output configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSpec {
     /// Prometheus text-dump path (`SMS_METRICS_OUT`), if any.
@@ -46,34 +46,6 @@ impl Default for MetricsSpec {
 }
 
 impl MetricsSpec {
-    /// Reads `SMS_METRICS_OUT`, `SMS_METRICS_CSV` and `SMS_METRICS_PERIOD`
-    /// from the environment. Absent or empty paths stay `None`; an
-    /// unparseable period is reported on stderr and falls back to
-    /// [`DEFAULT_PERIOD`].
-    pub fn from_env() -> Self {
-        let path = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .map(|p| p.trim().to_owned())
-                .filter(|p| !p.is_empty())
-                .map(PathBuf::from)
-        };
-        let period = match std::env::var("SMS_METRICS_PERIOD") {
-            Ok(p) => match p.trim().parse::<Cycle>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!(
-                        "warning: SMS_METRICS_PERIOD: expected a positive integer, got `{p}` — \
-                         using {DEFAULT_PERIOD}"
-                    );
-                    DEFAULT_PERIOD
-                }
-            },
-            Err(_) => DEFAULT_PERIOD,
-        };
-        MetricsSpec { prom_out: path("SMS_METRICS_OUT"), csv_out: path("SMS_METRICS_CSV"), period }
-    }
-
     /// A copy of this spec with every output path suffixed
     /// `<stem>.<suffix>.<ext>` — used by sweeps so parallel
     /// `(scene, config)` jobs don't clobber one file. Unlike the trace

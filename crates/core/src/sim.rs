@@ -24,6 +24,7 @@
 
 use crate::config::SimConfig;
 use crate::driver::{self, PathState, ACCUM_COST, RAYGEN_COST, SHADE_COST};
+use crate::env::Env;
 use crate::metrics::{MetricsReport, SampleCounts, SeriesSampler};
 use crate::render::PreparedScene;
 use crate::trace::{SmCounters, TraceRecorder, TraceSpec};
@@ -155,17 +156,15 @@ impl RunLimits {
         RunLimits::default()
     }
 
-    /// Reads `SMS_MAX_CYCLES`, `SMS_STALL_CYCLES`, `SMS_VALIDATE`,
-    /// `SMS_BREAKDOWN` and `SMS_METRICS` from the environment. Unparseable
-    /// values are reported on stderr (naming the variable and the
-    /// offending value) and treated as unset.
-    pub fn from_env() -> Self {
+    /// `SMS_MAX_CYCLES`, `SMS_STALL_CYCLES`, `SMS_VALIDATE`, `SMS_BREAKDOWN`
+    /// and `SMS_METRICS`.
+    pub fn from_env(env: &Env) -> Self {
         RunLimits {
-            max_cycles: env_cycles("SMS_MAX_CYCLES"),
-            stall_cycles: env_cycles("SMS_STALL_CYCLES"),
-            validate: env_flag("SMS_VALIDATE"),
-            breakdown: env_flag("SMS_BREAKDOWN"),
-            metrics: env_flag("SMS_METRICS"),
+            max_cycles: env.positive("SMS_MAX_CYCLES"),
+            stall_cycles: env.positive("SMS_STALL_CYCLES"),
+            validate: env.flag("SMS_VALIDATE"),
+            breakdown: env.flag("SMS_BREAKDOWN"),
+            metrics: env.flag("SMS_METRICS"),
         }
     }
 
@@ -179,26 +178,6 @@ impl RunLimits {
             metrics: self.metrics || fallback.metrics,
         }
     }
-}
-
-/// Parses a positive cycle count from an env var; warns and ignores junk.
-fn env_cycles(var: &str) -> Option<Cycle> {
-    let raw = std::env::var(var).ok()?;
-    match raw.trim().parse::<Cycle>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            eprintln!("warning: {var}: expected a positive integer, got `{raw}` — ignoring");
-            None
-        }
-    }
-}
-
-/// A boolean env flag: set and not `0`/`false`/empty means on.
-fn env_flag(var: &str) -> bool {
-    std::env::var(var).is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-    })
 }
 
 /// Where a warp is in the PT kernel.

@@ -1,8 +1,8 @@
 //! Opt-in time-series trace export (Chrome trace-event / Perfetto JSON).
 //!
-//! Setting `SMS_TRACE=out.json` arms the cycle-attribution layer and makes
-//! the simulator emit a trace file loadable in Perfetto or
-//! `chrome://tracing`:
+//! A [`TraceSpec`] (`SMS_TRACE=out.json`, read at the process edge) arms
+//! the cycle-attribution layer and makes the simulator emit a trace file
+//! loadable in Perfetto or `chrome://tracing`:
 //!
 //! * one *process* per SM with one *thread* per RT-unit warp slot, carrying
 //!   a `ph:"X"` slice for every warp residency (admission → retirement);
@@ -25,47 +25,27 @@ use sms_gpu::StallBreakdown;
 use sms_mem::Cycle;
 use sms_rtunit::RtSlice;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Default counter-sampling period in cycles.
 pub const DEFAULT_PERIOD: Cycle = 1024;
 
-/// Where and how often to trace, parsed from the environment.
+/// Where and how often to trace, and what to stamp the file with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpec {
     /// Output path (`SMS_TRACE`).
     pub path: PathBuf,
     /// Counter-sampling period in cycles (`SMS_TRACE_PERIOD`).
     pub period: Cycle,
+    /// The request-correlation trace id (16 lowercase hex digits) written
+    /// as the file's top-level `"traceId"`, so the `sms-trace` merger can
+    /// link a request's spans to its per-warp timeline. Filled at the
+    /// process edge from an explicit `SMS_TRACE_CTX=<trace>-<span>`; the
+    /// wire format and its one parser live in `sms_harness::TraceContext`.
+    pub trace_id: Option<String>,
 }
 
 impl TraceSpec {
-    /// Reads `SMS_TRACE` (the output path) and `SMS_TRACE_PERIOD` from the
-    /// environment. Returns `None` when `SMS_TRACE` is unset or empty; an
-    /// unparseable period is reported on stderr and falls back to
-    /// [`DEFAULT_PERIOD`].
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("SMS_TRACE").ok()?;
-        let path = raw.trim();
-        if path.is_empty() {
-            return None;
-        }
-        let period = match std::env::var("SMS_TRACE_PERIOD") {
-            Ok(p) => match p.trim().parse::<Cycle>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!(
-                        "warning: SMS_TRACE_PERIOD: expected a positive integer, got `{p}` — \
-                         using {DEFAULT_PERIOD}"
-                    );
-                    DEFAULT_PERIOD
-                }
-            },
-            Err(_) => DEFAULT_PERIOD,
-        };
-        Some(TraceSpec { path: PathBuf::from(path), period })
-    }
-
     /// A copy of this spec writing to `<stem>.<suffix>.json` next to the
     /// configured path — used by sweeps so parallel `(scene, config)` jobs
     /// don't clobber one file. The suffix is sanitized to `[A-Za-z0-9._-]`.
@@ -76,7 +56,8 @@ impl TraceSpec {
             .collect();
         let stem = self.path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
         let file = format!("{stem}.{clean}.json");
-        TraceSpec { path: self.path.with_file_name(file), period: self.period }
+        let path = self.path.with_file_name(file);
+        TraceSpec { path, period: self.period, trace_id: self.trace_id.clone() }
     }
 }
 
@@ -119,11 +100,6 @@ impl TraceRecorder {
             }
         }
         TraceRecorder { spec, events, next_sample: 0 }
-    }
-
-    /// The sampling period in cycles.
-    pub fn period(&self) -> Cycle {
-        self.spec.period
     }
 
     /// `true` when `now` has reached the next sampling boundary. The main
@@ -180,13 +156,8 @@ impl TraceRecorder {
     }
 
     /// Writes the trace file: the event array plus top-level `cycles` and
-    /// `stallBreakdown` keys. Returns the path written.
-    ///
-    /// When the process runs with a distributed-tracing context armed
-    /// (`SMS_TRACE_CTX=<trace>-<span>`, the serving tier's request
-    /// correlation), the file also carries a top-level `"traceId"` key —
-    /// extra keys are tolerated by both viewers — so the `sms-trace`
-    /// merger can link a request's spans to its per-warp timeline.
+    /// `stallBreakdown` keys, and `traceId` when the spec carries one
+    /// (extra keys are tolerated by both viewers). Returns the path written.
     pub fn finish(self, cycles: Cycle, breakdown: &StallBreakdown) -> std::io::Result<PathBuf> {
         let mut out = String::with_capacity(self.events.len() * 96 + 1024);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -198,10 +169,8 @@ impl TraceRecorder {
         }
         out.push_str("\n],\n\"cycles\":");
         let _ = write!(out, "{cycles}");
-        if let Some(trace) = trace_ctx_id() {
-            out.push_str(",\n\"traceId\":\"");
-            out.push_str(&trace);
-            out.push('"');
+        if let Some(trace) = &self.spec.trace_id {
+            let _ = write!(out, ",\n\"traceId\":\"{trace}\"");
         }
         out.push_str(",\n\"stallBreakdown\":");
         out.push_str(&breakdown_json(breakdown));
@@ -209,27 +178,6 @@ impl TraceRecorder {
         std::fs::write(&self.spec.path, out)?;
         Ok(self.spec.path)
     }
-
-    /// The configured output path.
-    pub fn path(&self) -> &Path {
-        &self.spec.path
-    }
-}
-
-/// The trace id half of `SMS_TRACE_CTX` (`<trace>-<span>`, 16 lowercase
-/// hex digits each), when set and well-formed. The simulator only *reads*
-/// the context to stamp trace files — span generation and propagation live
-/// in the harness/serving layers, which own the wire format.
-fn trace_ctx_id() -> Option<String> {
-    let raw = std::env::var("SMS_TRACE_CTX").ok()?;
-    let (t, s) = raw.trim().split_once('-')?;
-    if t.len() != 16 || s.len() != 16 {
-        return None;
-    }
-    if !t.bytes().all(|b| b.is_ascii_hexdigit()) || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    Some(t.to_ascii_lowercase())
 }
 
 /// Serializes a [`StallBreakdown`] as a flat JSON object: one snake_case
@@ -251,7 +199,8 @@ mod tests {
 
     #[test]
     fn job_suffix_is_sanitized_and_keeps_directory() {
-        let spec = TraceSpec { path: PathBuf::from("/tmp/traces/run.json"), period: 64 };
+        let spec =
+            TraceSpec { path: PathBuf::from("/tmp/traces/run.json"), period: 64, trace_id: None };
         let job = spec.for_job("SHIP/SMS_8+SK");
         assert_eq!(job.path, PathBuf::from("/tmp/traces/run.SHIP_SMS_8_SK.json"));
         assert_eq!(job.period, 64);
@@ -259,7 +208,7 @@ mod tests {
 
     #[test]
     fn sampling_boundary_rearms_past_now() {
-        let spec = TraceSpec { path: PathBuf::from("t.json"), period: 100 };
+        let spec = TraceSpec { path: PathBuf::from("t.json"), period: 100, trace_id: None };
         let mut rec = TraceRecorder::new(spec, 1, 1);
         assert!(rec.sample_due(0));
         rec.sample(

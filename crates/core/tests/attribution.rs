@@ -71,7 +71,7 @@ fn trace_export_writes_wellformed_file_without_perturbing_stats() {
     let path = std::env::temp_dir().join("sms_attr_test_trace.json");
     let _ = std::fs::remove_file(&path);
     let config = SimConfig::new(GpuConfig::default(), stack, RenderConfig::tiny());
-    let spec = TraceSpec { path: path.clone(), period: 64 };
+    let spec = TraceSpec { path: path.clone(), period: 64, trace_id: None };
     let traced = GpuSim::new(&prepared, config).with_trace(spec).run();
 
     assert_eq!(off.stats, traced.stats, "tracing must not perturb stats");
@@ -83,5 +83,6 @@ fn trace_export_writes_wellformed_file_without_perturbing_stats() {
         assert!(text.contains(key), "trace file missing {key}");
     }
     assert!(text.contains(&format!("\"cycles\":{}", traced.stats.cycles)));
+    assert!(!text.contains("traceId"), "an unstamped spec must not stamp the file");
     let _ = std::fs::remove_file(&path);
 }

@@ -134,25 +134,16 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Read `SMS_FAULT` from the environment. Unset or empty means no plan;
-    /// a malformed spec warns once and is ignored (fail open: a bad chaos
-    /// spec must never alter production behaviour).
-    pub fn from_env() -> Option<Arc<FaultPlan>> {
-        let spec = std::env::var("SMS_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => Some(Arc::new(plan)),
-            Err(err) => {
-                crate::log::warn(
-                    "faultinject",
-                    &format!("ignoring SMS_FAULT={spec:?}: {err}"),
-                    &[("var", "SMS_FAULT")],
-                );
-                None
-            }
-        }
+    /// The plan in `SMS_FAULT`. Unset or empty means no plan; a malformed
+    /// spec warns once and is ignored (fail open: a bad chaos spec must
+    /// never alter production behaviour).
+    pub fn from_env(env: &sms_sim::Env) -> Option<Arc<FaultPlan>> {
+        let spec = env.text("SMS_FAULT")?;
+        let plan = FaultPlan::parse(spec).map_err(|err| {
+            let msg = format!("ignoring SMS_FAULT={spec:?}: {err}");
+            crate::log::warn("faultinject", &msg, &[("var", "SMS_FAULT")]);
+        });
+        plan.ok().map(Arc::new)
     }
 
     fn fires(&self, counter: &AtomicU64, every: Option<u64>) -> bool {

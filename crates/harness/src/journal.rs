@@ -324,11 +324,11 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// A journal that optionally appends JSONL to `path`. An unopenable
-    /// path disables the file sink (the in-memory journal still works).
-    pub fn new(path: Option<PathBuf>) -> Self {
+    /// A journal that optionally appends JSONL to `path`, fsyncing every
+    /// line when `sync`. An unopenable path disables the file sink (the
+    /// in-memory journal still works).
+    pub fn new(path: Option<PathBuf>, sync: bool) -> Self {
         let sink = path.and_then(|p| OpenOptions::new().create(true).append(true).open(p).ok());
-        let sync = std::env::var("SMS_JOURNAL_SYNC").is_ok_and(|v| v == "1");
         Journal { inner: Mutex::new(Inner { events: Vec::new(), sink, sync }) }
     }
 
@@ -456,7 +456,7 @@ mod tests {
 
     #[test]
     fn last_batch_cuts_at_latest_start() {
-        let j = Journal::new(None);
+        let j = Journal::new(None, false);
         j.record(Event::BatchStart { jobs: 1, unique: 1, workers: 1 });
         j.record(Event::BatchEnd {
             jobs: 1,

@@ -26,7 +26,7 @@
 //! use sms_sim::rtunit::StackConfig;
 //! use sms_sim::scene::SceneId;
 //!
-//! let harness = Harness::from_env();
+//! let harness = Harness::from_env(&sms_harness::capture_env());
 //! let render = RenderConfig::fast();
 //! let reqs = vec![
 //!     RunRequest::new(SceneId::Ship, StackConfig::baseline8(), render),
@@ -63,14 +63,13 @@ pub use trace::{TraceContext, TRACE_HEADER};
 
 use sms_metrics::HistSummary;
 use sms_sim::config::RenderConfig;
-use sms_sim::experiments::{try_run_prepared, RunResult};
+use sms_sim::experiments::{try_run_exporting, RunExports, RunResult};
 use sms_sim::gpu::{GpuConfig, StallBreakdown};
 use sms_sim::render::PreparedScene;
 use sms_sim::rtunit::StackConfig;
 use sms_sim::rtunit::StackMetrics;
 use sms_sim::scene::SceneId;
-use sms_sim::trace::TraceSpec;
-use sms_sim::MetricsReport;
+use sms_sim::{Env, MetricsReport, MetricsSpec, TraceSpec};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -145,6 +144,12 @@ pub struct HarnessConfig {
     /// and resume replay in both directions (no probe, no store) — cached
     /// default-path stats stay byte-identical.
     pub hlbvh: bool,
+    /// The files every simulated run writes (`SMS_TRACE`, `SMS_METRICS_*`);
+    /// the default writes none. An armed trace export arms attribution,
+    /// so such batches always simulate (see [`Harness::try_run_batch`]).
+    pub exports: RunExports,
+    /// fsync the journal after every event (`SMS_JOURNAL_SYNC`).
+    pub journal_sync: bool,
 }
 
 impl Default for HarnessConfig {
@@ -158,6 +163,8 @@ impl Default for HarnessConfig {
             retries: cache::DEFAULT_RETRIES,
             resume: None,
             hlbvh: false,
+            exports: RunExports::default(),
+            journal_sync: false,
         }
     }
 }
@@ -169,86 +176,73 @@ fn default_workers() -> usize {
 /// The workspace-level `target/sms-cache`, anchored at compile time so
 /// every binary (tests, benches, examples) shares one cache no matter
 /// which package directory cargo runs it from.
-fn default_cache_dir() -> PathBuf {
+pub fn default_cache_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/sms-cache"))
 }
 
-// The positive-integer env parser lives in `log` (one shared helper for
-// harness, client, fleet, and server; its warning goes through the
-// structured logger).
-use crate::log::env_positive;
+/// The process edge of every binary built on the harness: snapshots the
+/// environment, configures the logger from it and emits the snapshot's
+/// warnings, once. Call first thing in `main` and pass the snapshot down.
+pub fn capture_env() -> Env {
+    let env = Env::capture();
+    log::init(&env);
+    env
+}
 
-/// The cache and journal locations, read the same way by the CLI harness
-/// and both serving tiers: `SMS_NO_CACHE=1` disables the cache, otherwise
-/// `SMS_CACHE_DIR` relocates it; the journal file is named by
-/// `journal_var` (a tier's own `SMS_SERVE_JOURNAL` / `SMS_FLEET_JOURNAL`)
-/// and, when that is unset, by `SMS_JOURNAL`. Unset variables leave the
-/// caller's defaults in place.
+/// `(cache_dir, journal_path)`, read the same way by the CLI harness and
+/// both serving tiers: `SMS_NO_CACHE` disables the cache, otherwise
+/// `SMS_CACHE_DIR` relocates it from `default_cache_dir`; the journal
+/// file is named by `journal_var` (a tier's own `SMS_SERVE_JOURNAL` /
+/// `SMS_FLEET_JOURNAL`) and, when that is unset or blank, by `SMS_JOURNAL`.
 pub fn storage_from_env(
+    env: &Env,
     journal_var: &str,
-    cache_dir: &mut Option<PathBuf>,
-    journal_path: &mut Option<PathBuf>,
-) {
-    if std::env::var("SMS_NO_CACHE").is_ok_and(|v| v == "1") {
-        *cache_dir = None;
-    } else if let Ok(dir) = std::env::var("SMS_CACHE_DIR") {
-        *cache_dir = Some(PathBuf::from(dir));
-    }
-    if let Ok(path) = std::env::var(journal_var).or_else(|_| std::env::var("SMS_JOURNAL")) {
-        *journal_path = Some(PathBuf::from(path));
+    default_cache_dir: Option<PathBuf>,
+) -> (Option<PathBuf>, Option<PathBuf>) {
+    let no_cache = env.flag("SMS_NO_CACHE");
+    let cache_dir = env.path("SMS_CACHE_DIR").or(default_cache_dir).filter(|_| !no_cache);
+    (cache_dir, env.path(journal_var).or_else(|| env.path("SMS_JOURNAL")))
+}
+
+/// The files every run of this process writes: `SMS_TRACE` (sampled every
+/// `SMS_TRACE_PERIOD` cycles) and the `SMS_METRICS_*` dumps. Trace files
+/// are stamped with the trace id of an explicit
+/// `SMS_TRACE_CTX=<trace>-<span>`; `1`/`auto` mint a context only a client
+/// can propagate, so they stamp nothing.
+pub fn exports_from_env(env: &Env) -> RunExports {
+    let ctx = env.text("SMS_TRACE_CTX").and_then(TraceContext::parse);
+    RunExports {
+        trace: env.path("SMS_TRACE").map(|path| TraceSpec {
+            path,
+            period: env.positive("SMS_TRACE_PERIOD").unwrap_or(sms_sim::trace::DEFAULT_PERIOD),
+            trace_id: ctx.map(|ctx| ctx.trace_hex()),
+        }),
+        metrics: MetricsSpec {
+            prom_out: env.path("SMS_METRICS_OUT"),
+            csv_out: env.path("SMS_METRICS_CSV"),
+            period: env.positive("SMS_METRICS_PERIOD").unwrap_or(sms_sim::metrics::DEFAULT_PERIOD),
+        },
     }
 }
 
 impl HarnessConfig {
-    /// Reads the environment knobs:
-    ///
-    /// * `SMS_JOBS=N` — worker-thread count (default: available cores).
-    /// * `SMS_NO_CACHE=1` — disable the result cache.
-    /// * `SMS_CACHE_DIR=path` — cache directory (default `target/sms-cache`).
-    /// * `SMS_JOURNAL=path` — append JSONL events to `path`.
-    /// * `SMS_MAX_CYCLES=N` / `SMS_STALL_CYCLES=N` — per-run watchdog.
-    /// * `SMS_VALIDATE=1` — enable the stack invariant validator.
-    /// * `SMS_BREAKDOWN=1` — arm stall attribution on every run (armed
-    ///   jobs always simulate; see [`Harness::try_run_batch`]).
-    /// * `SMS_METRICS=1` — arm histogram/time-series telemetry on every
-    ///   run (armed jobs always simulate, like `SMS_BREAKDOWN`); with
-    ///   `SMS_METRICS_OUT` / `SMS_METRICS_CSV` each job also writes its
-    ///   Prometheus / CSV export.
-    /// * `SMS_RETRIES=N` — bounded retries for transient cache I/O.
-    /// * `SMS_RESUME=path` — resume completed runs from a prior journal.
-    /// * `SMS_HLBVH=1` — build scene BVHs with the parallel HLBVH builder
-    ///   (bypasses the cache; see [`HarnessConfig::hlbvh`]).
-    ///
-    /// Malformed numeric values warn (naming the variable and value) and
-    /// fall back to the default instead of panicking.
-    pub fn from_env() -> Self {
-        let mut cfg = HarnessConfig::default();
-        if let Some(jobs) = env_positive("SMS_JOBS") {
-            cfg.workers = jobs;
+    /// The defaults overridden by the snapshot's `harness` rows of
+    /// `sms_sim::env::DECLS` (the table in `EXPERIMENTS.md`).
+    pub fn from_env(env: &Env) -> Self {
+        let d = HarnessConfig::default();
+        let (cache_dir, journal_path) = storage_from_env(env, "SMS_JOURNAL", d.cache_dir);
+        HarnessConfig {
+            workers: env.positive("SMS_JOBS").map_or(d.workers, |n| n as usize),
+            cache_dir,
+            journal_path,
+            limits: RunLimits::from_env(env),
+            retries: env.non_negative("SMS_RETRIES").map_or(d.retries, |n| n as u32),
+            resume: env.path("SMS_RESUME"),
+            hlbvh: env.flag("SMS_HLBVH"),
+            exports: exports_from_env(env),
+            journal_sync: env.flag("SMS_JOURNAL_SYNC"),
+            ..d
         }
-        storage_from_env("SMS_JOURNAL", &mut cfg.cache_dir, &mut cfg.journal_path);
-        cfg.limits = RunLimits::from_env();
-        if let Ok(raw) = std::env::var("SMS_RETRIES") {
-            match raw.trim().parse::<u32>() {
-                Ok(n) => cfg.retries = n, // 0 = no retries, valid
-                Err(_) => log::warn(
-                    "env",
-                    &format!(
-                        "SMS_RETRIES: expected a non-negative integer, got `{raw}` — ignoring"
-                    ),
-                    &[("var", "SMS_RETRIES")],
-                ),
-            }
-        }
-        if let Ok(path) = std::env::var("SMS_RESUME") {
-            if !path.trim().is_empty() {
-                cfg.resume = Some(PathBuf::from(path));
-            }
-        }
-        if std::env::var("SMS_HLBVH").is_ok_and(|v| v == "1") {
-            cfg.hlbvh = true;
-        }
-        cfg
     }
 }
 
@@ -263,17 +257,6 @@ pub struct SceneBuild {
     pub prims: u64,
     /// BVH build wall time (binary build + collapse + flatten), µs.
     pub build_us: u64,
-}
-
-impl SceneBuild {
-    /// Build throughput in primitives per second (0 for a 0µs build).
-    pub fn prims_per_sec(&self) -> f64 {
-        if self.build_us > 0 {
-            self.prims as f64 / (self.build_us as f64 / 1e6)
-        } else {
-            0.0
-        }
-    }
 }
 
 /// End-of-batch accounting, also emitted as the journal's `batch_end`.
@@ -391,6 +374,7 @@ pub struct Harness {
     limits: RunLimits,
     resume: Option<ResumeState>,
     hlbvh: bool,
+    exports: RunExports,
 }
 
 impl Harness {
@@ -401,18 +385,17 @@ impl Harness {
             cache: config
                 .cache_dir
                 .map(|dir| ResultCache::with_salt(dir, config.salt).with_retries(config.retries)),
-            journal: Journal::new(config.journal_path),
+            journal: Journal::new(config.journal_path, config.journal_sync),
             limits: config.limits,
             resume: config.resume.map(|p| ResumeState::load(&p)),
             hlbvh: config.hlbvh,
+            exports: config.exports,
         }
     }
 
-    /// A harness honouring `SMS_JOBS`, `SMS_NO_CACHE`, `SMS_CACHE_DIR`,
-    /// `SMS_JOURNAL`, `SMS_MAX_CYCLES`, `SMS_STALL_CYCLES`, `SMS_VALIDATE`,
-    /// `SMS_RETRIES` and `SMS_RESUME` (see [`HarnessConfig::from_env`]).
-    pub fn from_env() -> Self {
-        Harness::new(HarnessConfig::from_env())
+    /// A harness configured by [`HarnessConfig::from_env`].
+    pub fn from_env(env: &Env) -> Self {
+        Harness::new(HarnessConfig::from_env(env))
     }
 
     /// The run journal (in-memory event stream).
@@ -500,14 +483,14 @@ impl Harness {
             });
         }
 
-        // Jobs whose effective limits (or a process-wide `SMS_TRACE`) arm
+        // Jobs whose effective limits (or the harness's trace export) arm
         // stall attribution or metrics telemetry must actually *run*: the
         // cache and resume state store only `SimStats` — byte-identical
         // with observation on or off — so a hit could not supply the
         // breakdown or metrics report (or write the trace file). Such jobs
         // skip the probe and the replay below; their stats still land in
         // the cache afterwards for unarmed future sweeps.
-        let trace_armed = TraceSpec::from_env().is_some();
+        let trace_armed = self.exports.trace.is_some();
         // HLBVH batches traverse a different tree, so their stats must not
         // mix with the default-path cache/resume state in either direction:
         // no probe, no replay, and (below) no store.
@@ -631,7 +614,8 @@ impl Harness {
                 }
             };
             let limits = req.limits.or(self.limits);
-            match try_run_prepared(scene, req.stack, req.gpu, &req.render, &limits) {
+            let exports = &self.exports;
+            match try_run_exporting(scene, req.stack, req.gpu, &req.render, &limits, exports) {
                 Ok(result) => {
                     // HLBVH stats would poison the default-path cache.
                     if let (Some(cache), false) = (cache, hlbvh) {

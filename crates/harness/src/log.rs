@@ -10,20 +10,20 @@
 //! {"ts_us":1754650000123456,"level":"warn","component":"fleet","msg":"backend down","backend":"127.0.0.1:9001"}
 //! ```
 //!
-//! Environment control:
-//!
-//! * `SMS_LOG=<path>` — append log lines to `<path>` instead of stderr.
-//! * `SMS_LOG_LEVEL=error|warn|info|debug` — drop lines below the
-//!   threshold (default `info`).
+//! `SMS_LOG=<path>` appends the lines to a file instead of stderr;
+//! `SMS_LOG_LEVEL=error|warn|info|debug` drops lines below a threshold
+//! (default `info`).
 //!
 //! The logger is pure observation: it never touches journals, stats, or
 //! cache entries, so arming or silencing it cannot change simulation
-//! results. It is process-global and initialized lazily on first use;
-//! tests that need determinism pass fields explicitly rather than racing
-//! on env vars.
+//! results. It is process-global: a process edge configures it once with
+//! [`init`]; a process that never does (tests, library users) logs to
+//! stderr at `info`.
 
 use crate::json::Json;
-use std::collections::HashSet;
+use crate::trace::wall_us;
+use sms_sim::Env;
+use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -67,37 +67,35 @@ struct Sink {
     level: Level,
     /// `Some` when `SMS_LOG` redirects to a file; `None` writes stderr.
     file: Option<Mutex<File>>,
-    /// Keys already emitted through [`warn_once`].
-    once: Mutex<HashSet<String>>,
 }
+
+static SINK: OnceLock<Sink> = OnceLock::new();
+/// Keys already emitted through [`warn_once`].
+static ONCE: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
 fn sink() -> &'static Sink {
-    static SINK: OnceLock<Sink> = OnceLock::new();
-    SINK.get_or_init(|| {
-        let level = std::env::var("SMS_LOG_LEVEL")
-            .ok()
-            .and_then(|s| Level::parse(&s))
-            .unwrap_or(Level::Info);
-        let file = std::env::var("SMS_LOG")
-            .ok()
-            .filter(|p| !p.trim().is_empty())
-            .and_then(|p| OpenOptions::new().create(true).append(true).open(p).ok())
-            .map(Mutex::new);
-        Sink { level, file, once: Mutex::new(HashSet::new()) }
-    })
+    SINK.get_or_init(|| Sink { level: Level::Info, file: None })
 }
 
-/// Whether a line at `level` would be emitted (callers can skip building
-/// expensive fields when it would not).
-pub fn enabled(level: Level) -> bool {
-    level <= sink().level
-}
-
-fn now_us() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
+/// The logging half of a process edge: configures the sink from `SMS_LOG`
+/// / `SMS_LOG_LEVEL`, then emits every warning the snapshot collected.
+/// Call once, first thing in `main`, before anything can log.
+pub fn init(env: &Env) {
+    let raw_level = env.text("SMS_LOG_LEVEL");
+    let level = raw_level.and_then(Level::parse);
+    let file = env
+        .path("SMS_LOG")
+        .and_then(|p| OpenOptions::new().create(true).append(true).open(p).ok())
+        .map(Mutex::new);
+    let _ = SINK.set(Sink { level: level.unwrap_or(Level::Info), file });
+    if let (Some(raw), None) = (raw_level, level) {
+        let msg =
+            format!("SMS_LOG_LEVEL: expected error|warn|info|debug, got `{raw}` — using info");
+        warn("env", &msg, &[]);
+    }
+    for w in &env.warnings {
+        warn("env", w, &[]);
+    }
 }
 
 /// Emits one structured log line. `fields` are appended to the object in
@@ -110,7 +108,7 @@ pub fn log(level: Level, component: &str, msg: &str, fields: &[(&str, &str)]) {
     }
     let own = |v: &str| v.to_owned();
     let mut pairs = vec![
-        (own("ts_us"), Json::U64(now_us())),
+        (own("ts_us"), Json::U64(wall_us())),
         (own("level"), Json::Str(own(level.as_str()))),
         (own("component"), Json::Str(own(component))),
         (own("msg"), Json::Str(own(msg))),
@@ -144,42 +142,12 @@ pub fn info(component: &str, msg: &str, fields: &[(&str, &str)]) {
     log(Level::Info, component, msg, fields);
 }
 
-/// [`log`] at [`Level::Debug`].
-pub fn debug(component: &str, msg: &str, fields: &[(&str, &str)]) {
-    log(Level::Debug, component, msg, fields);
-}
-
 /// Emits a warning at most once per process for a given `key` — the
 /// pattern the cache's degrade/quarantine paths need so a hot loop cannot
 /// flood the log with the same line.
 pub fn warn_once(key: &str, component: &str, msg: &str, fields: &[(&str, &str)]) {
-    let s = sink();
-    {
-        let mut once = s.once.lock().unwrap_or_else(PoisonError::into_inner);
-        if !once.insert(key.to_owned()) {
-            return;
-        }
-    }
-    warn(component, msg, fields);
-}
-
-/// Parses a positive integer from an env var. A malformed value is logged
-/// as a warning — naming the variable and the offending value — and
-/// treated as unset, so one typo degrades to defaults instead of killing
-/// an hour-scale sweep at startup. Shared by the harness, client, fleet,
-/// and server configs (one helper, one message).
-pub fn env_positive(var: &str) -> Option<usize> {
-    let raw = std::env::var(var).ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            warn(
-                "env",
-                &format!("{var}: expected a positive integer, got `{raw}` — ignoring"),
-                &[("var", var)],
-            );
-            None
-        }
+    if ONCE.lock().unwrap_or_else(PoisonError::into_inner).insert(key.to_owned()) {
+        warn(component, msg, fields);
     }
 }
 
@@ -200,15 +168,23 @@ mod tests {
 
     #[test]
     fn env_positive_accepts_and_rejects() {
-        // Distinct var names: env is process-global and tests run in
-        // parallel.
-        std::env::set_var("SMS_LOG_TEST_OK", "12");
-        assert_eq!(env_positive("SMS_LOG_TEST_OK"), Some(12));
-        std::env::set_var("SMS_LOG_TEST_BAD", "zero");
-        assert_eq!(env_positive("SMS_LOG_TEST_BAD"), None);
-        std::env::set_var("SMS_LOG_TEST_ZERO", "0");
-        assert_eq!(env_positive("SMS_LOG_TEST_ZERO"), None);
-        assert_eq!(env_positive("SMS_LOG_TEST_UNSET_NEVER"), None);
+        let env = Env::from_pairs(&[
+            ("SMS_JOBS", " 12 "),
+            ("SMS_MAX_CYCLES", "zero"),
+            ("SMS_STALL_CYCLES", "0"),
+            ("SMS_RETRIES", "0"),
+        ]);
+        assert_eq!(env.positive("SMS_JOBS"), Some(12));
+        assert_eq!(env.positive("SMS_MAX_CYCLES"), None);
+        assert_eq!(env.positive("SMS_STALL_CYCLES"), None);
+        assert_eq!(env.positive("SMS_TRACE_PERIOD"), None);
+        assert_eq!(env.non_negative("SMS_RETRIES"), Some(0));
+        // What `init` hands the logger: the variable and the offending value.
+        assert_eq!(env.warnings.len(), 2, "{:?}", env.warnings);
+        assert!(env.warnings[0].starts_with("SMS_MAX_CYCLES: "), "{:?}", env.warnings);
+        assert!(env.warnings[0].contains("got `zero`"), "{:?}", env.warnings);
+        assert!(env.warnings[1].starts_with("SMS_STALL_CYCLES: "), "{:?}", env.warnings);
+        init(&env); // emits them; must not panic whatever the sink's state
     }
 
     #[test]
@@ -217,7 +193,7 @@ mod tests {
         // the global sink's env-derived config.
         let own = |v: &str| v.to_owned();
         let pairs = vec![
-            (own("ts_us"), Json::U64(now_us())),
+            (own("ts_us"), Json::U64(wall_us())),
             (own("level"), Json::Str(own("warn"))),
             (own("component"), Json::Str(own("test"))),
             (own("msg"), Json::Str(own("quoted \"msg\"\n"))),
@@ -235,8 +211,6 @@ mod tests {
         // without panicking and the key must stay recorded.
         warn_once("test-dedupe-key", "test", "only once", &[]);
         warn_once("test-dedupe-key", "test", "only once", &[]);
-        let s = sink();
-        let once = s.once.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(once.contains("test-dedupe-key"));
+        assert!(ONCE.lock().unwrap_or_else(PoisonError::into_inner).contains("test-dedupe-key"));
     }
 }

@@ -141,7 +141,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
         {
-            let j = Journal::new(Some(path.clone()));
+            let j = Journal::new(Some(path.clone()), false);
             j.record(Event::BatchStart { jobs: 2, unique: 2, workers: 1 });
             for (job, key) in [(0usize, "k0"), (1, "k1")] {
                 j.record(Event::JobQueued {

@@ -15,6 +15,7 @@
 //! IDs are generated from wall clock + PID + a process counter (never from
 //! simulation state), so tracing cannot perturb determinism.
 
+use sms_sim::Env;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,29 +75,19 @@ impl TraceContext {
     /// fresh root; an explicit `<trace>-<span>` value adopts that exact
     /// context (which is what lets a CI smoke pick a known id and find it
     /// again in the merged timeline). Unset or malformed → `None` (off).
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("SMS_TRACE_CTX").ok()?;
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return None;
-        }
+    pub fn from_env(env: &Env) -> Option<Self> {
+        let raw = env.text("SMS_TRACE_CTX")?;
         if raw == "1" || raw.eq_ignore_ascii_case("auto") {
             return Some(TraceContext::root());
         }
-        match TraceContext::parse(raw) {
-            Some(ctx) => Some(ctx),
-            None => {
-                crate::log::warn(
-                    "trace",
-                    &format!(
-                        "SMS_TRACE_CTX: expected `1`, `auto`, or `<trace>-<span>` \
-                         (16 hex digits each), got `{raw}` — tracing stays off"
-                    ),
-                    &[],
-                );
-                None
-            }
+        let ctx = TraceContext::parse(raw);
+        if ctx.is_none() {
+            let expected = "`1`, `auto`, or `<trace>-<span>` (16 hex digits each)";
+            let msg =
+                format!("SMS_TRACE_CTX: expected {expected}, got `{raw}` — tracing stays off");
+            crate::log::warn("trace", &msg, &[]);
         }
+        ctx
     }
 
     /// Parses the wire form `<trace>-<span>`. The parsed context has no
@@ -177,6 +168,7 @@ mod tests {
         assert_eq!(TraceContext::parse("deadbeef-cafebabe"), None); // too short
         assert_eq!(TraceContext::parse("00c0ffee5eed1234-000000000000000g"), None);
         assert_eq!(TraceContext::parse("00c0ffee5eed1234-0000000000000000"), None); // span 0
+        assert_eq!(TraceContext::parse("00000000c0ffee42-0000000000000000"), None);
         assert_eq!(TraceContext::parse("+00000000c0ffee4-0000000000000001"), None); // sign
         assert_eq!(TraceContext::parse("00000000c0ffee42-+000000000000001"), None);
     }

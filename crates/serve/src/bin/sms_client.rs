@@ -37,7 +37,7 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut config = ClientConfig::from_env();
+    let mut config = ClientConfig::from_env(&sms_harness::capture_env());
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--addr") {
         if i + 1 >= args.len() {

@@ -70,7 +70,7 @@ fn await_backend_addr(addr_file: &std::path::Path) -> String {
 }
 
 fn main() {
-    let mut config = FleetConfig::from_env();
+    let mut config = FleetConfig::from_env(&sms_harness::capture_env());
     let mut addr_file: Option<String> = None;
     let mut spawn_n = 0usize;
     let mut args = std::env::args().skip(1);

@@ -17,7 +17,7 @@ use sms_serve::server::{ServeConfig, Server};
 use sms_serve::service::positive_arg;
 
 fn main() {
-    let mut config = ServeConfig::from_env();
+    let mut config = ServeConfig::from_env(&sms_harness::capture_env());
     let mut addr_file: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

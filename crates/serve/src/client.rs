@@ -10,8 +10,8 @@
 
 use crate::http::{self, Limits, Response};
 use crate::protocol::SweepOutcome;
-use sms_harness::log::{self, env_positive};
 use sms_harness::{TraceContext, TRACE_HEADER};
+use sms_sim::Env;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -61,38 +61,21 @@ impl Default for ClientConfig {
 }
 
 impl ClientConfig {
-    /// Reads `SMS_SERVE_ADDR`, `SMS_CLIENT_RETRIES`,
-    /// `SMS_CLIENT_DEADLINE_MS`, `SMS_CLIENT_TIMEOUT_MS`,
-    /// `SMS_CLIENT_HEDGE_MS` and `SMS_TRACE_CTX`.
-    pub fn from_env() -> Self {
-        let mut cfg = ClientConfig::default();
-        if let Ok(addr) = std::env::var("SMS_SERVE_ADDR") {
-            cfg.addr = addr;
+    /// The defaults overridden by the snapshot's `client` rows of
+    /// `sms_sim::env::DECLS` (the table in `EXPERIMENTS.md`).
+    pub fn from_env(env: &Env) -> Self {
+        let d = ClientConfig::default();
+        let ms = |var| env.positive(var).map(Duration::from_millis);
+        let read_timeout = ms("SMS_CLIENT_TIMEOUT_MS").unwrap_or(d.limits.read_timeout);
+        ClientConfig {
+            addr: env.text("SMS_SERVE_ADDR").map_or(d.addr, str::to_owned),
+            retries: env.non_negative("SMS_CLIENT_RETRIES").map_or(d.retries, |n| n as u32),
+            deadline: ms("SMS_CLIENT_DEADLINE_MS").unwrap_or(d.deadline),
+            hedge_after: ms("SMS_CLIENT_HEDGE_MS"),
+            limits: Limits { read_timeout, ..d.limits },
+            trace: TraceContext::from_env(env),
+            ..d
         }
-        if let Ok(raw) = std::env::var("SMS_CLIENT_RETRIES") {
-            match raw.trim().parse::<u32>() {
-                Ok(n) => cfg.retries = n, // 0 = single attempt, valid
-                Err(_) => log::warn(
-                    "env",
-                    &format!(
-                        "SMS_CLIENT_RETRIES: expected a non-negative integer, got `{raw}` — \
-                         ignoring"
-                    ),
-                    &[("var", "SMS_CLIENT_RETRIES")],
-                ),
-            }
-        }
-        if let Some(ms) = env_positive("SMS_CLIENT_DEADLINE_MS") {
-            cfg.deadline = Duration::from_millis(ms as u64);
-        }
-        if let Some(ms) = env_positive("SMS_CLIENT_TIMEOUT_MS") {
-            cfg.limits.read_timeout = Duration::from_millis(ms as u64);
-        }
-        if let Some(ms) = env_positive("SMS_CLIENT_HEDGE_MS") {
-            cfg.hedge_after = Some(Duration::from_millis(ms as u64));
-        }
-        cfg.trace = TraceContext::from_env();
-        cfg
     }
 }
 

@@ -47,11 +47,11 @@ use crate::http::{self, HttpError, Limits, Request};
 use crate::metrics::{inc, HttpCounters};
 use crate::protocol::{JobFailure, JobOutcome, JobRecord};
 use crate::service::{self, JobSink, Service, ServiceCore, SweepPlan, Tier};
-use sms_harness::log::env_positive;
 use sms_harness::trace::wall_us;
 use sms_harness::{Event, TraceContext};
 use sms_metrics::{Histogram, Registry};
 use sms_sim::gpu::SimStats;
+use sms_sim::Env;
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -95,6 +95,10 @@ pub struct FleetConfig {
     pub cache_dir: Option<PathBuf>,
     /// Fleet journal path; `None` keeps it in memory only.
     pub journal_path: Option<PathBuf>,
+    /// fsync the journal after every event (`SMS_JOURNAL_SYNC`).
+    pub journal_sync: bool,
+    /// The `git_hash` label of `sms_build_info` (`SMS_GIT_HASH`).
+    pub git_hash: String,
 }
 
 impl Default for FleetConfig {
@@ -113,56 +117,33 @@ impl Default for FleetConfig {
             limits: Limits::default(),
             cache_dir: None,
             journal_path: None,
+            journal_sync: false,
+            git_hash: "unknown".to_owned(),
         }
     }
 }
 
 impl FleetConfig {
-    /// Reads the environment knobs:
-    ///
-    /// * `SMS_FLEET_ADDR` — bind address (default `127.0.0.1:7746`).
-    /// * `SMS_FLEET_BACKENDS` — comma-separated backend `host:port` list.
-    /// * `SMS_FLEET_WORKERS` — concurrent cell dispatches.
-    /// * `SMS_FLEET_ATTEMPTS` — dispatch attempts per cell.
-    /// * `SMS_FLEET_COOLDOWN_MS` — breaker cooldown.
-    /// * `SMS_FLEET_HEDGE_MS` — hedge threshold (unset disables hedging).
-    /// * `SMS_FLEET_CELL_TIMEOUT_MS` — per-dispatch deadline.
-    /// * `SMS_CACHE_DIR` / `SMS_NO_CACHE=1` — shared cache directory.
-    /// * `SMS_FLEET_JOURNAL` (or `SMS_JOURNAL`) — fleet journal path.
-    pub fn from_env() -> Self {
-        let mut cfg = FleetConfig {
-            addr: std::env::var("SMS_FLEET_ADDR").unwrap_or_else(|_| "127.0.0.1:7746".to_owned()),
-            ..FleetConfig::default()
-        };
-        if let Ok(list) = std::env::var("SMS_FLEET_BACKENDS") {
-            cfg.backends = list
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_owned)
-                .collect();
+    /// The defaults overridden by the snapshot's `fleet` rows of
+    /// `sms_sim::env::DECLS` (the table in `EXPERIMENTS.md`).
+    pub fn from_env(env: &Env) -> Self {
+        let d = FleetConfig::default();
+        let ms = |var| env.positive(var).map(Duration::from_millis);
+        let (cache_dir, journal_path) =
+            sms_harness::storage_from_env(env, "SMS_FLEET_JOURNAL", d.cache_dir);
+        FleetConfig {
+            addr: env.text("SMS_FLEET_ADDR").unwrap_or("127.0.0.1:7746").to_owned(),
+            backends: env.list("SMS_FLEET_BACKENDS").into_iter().map(str::to_owned).collect(),
+            cell_attempts: env.positive("SMS_FLEET_ATTEMPTS").map_or(d.cell_attempts, |n| n as u32),
+            breaker_cooldown: ms("SMS_FLEET_COOLDOWN_MS").unwrap_or(d.breaker_cooldown),
+            hedge_after: ms("SMS_FLEET_HEDGE_MS"),
+            cell_timeout: ms("SMS_FLEET_CELL_TIMEOUT_MS").unwrap_or(d.cell_timeout),
+            cache_dir,
+            journal_path,
+            journal_sync: env.flag("SMS_JOURNAL_SYNC"),
+            git_hash: env.text("SMS_GIT_HASH").map_or(d.git_hash, str::to_owned),
+            ..d
         }
-        if let Some(n) = env_positive("SMS_FLEET_WORKERS") {
-            cfg.workers = n;
-        }
-        if let Some(n) = env_positive("SMS_FLEET_ATTEMPTS") {
-            cfg.cell_attempts = n as u32;
-        }
-        if let Some(ms) = env_positive("SMS_FLEET_COOLDOWN_MS") {
-            cfg.breaker_cooldown = Duration::from_millis(ms as u64);
-        }
-        if let Some(ms) = env_positive("SMS_FLEET_HEDGE_MS") {
-            cfg.hedge_after = Some(Duration::from_millis(ms as u64));
-        }
-        if let Some(ms) = env_positive("SMS_FLEET_CELL_TIMEOUT_MS") {
-            cfg.cell_timeout = Duration::from_millis(ms as u64);
-        }
-        sms_harness::storage_from_env(
-            "SMS_FLEET_JOURNAL",
-            &mut cfg.cache_dir,
-            &mut cfg.journal_path,
-        );
-        cfg
     }
 }
 
@@ -243,6 +224,7 @@ impl FleetMetrics {
         uptime_secs: f64,
         http: &HttpCounters,
         backends: &[BackendSnapshot],
+        git_hash: &str,
     ) -> Registry {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut reg = Registry::new();
@@ -328,11 +310,10 @@ impl FleetMetrics {
                 f64::from(b.breaker_state),
             );
         }
-        let git_hash = std::env::var("SMS_GIT_HASH").unwrap_or_else(|_| "unknown".to_owned());
         reg.labeled_gauge(
             "sms_build_info",
             "Build metadata; the value is always 1",
-            &[("version", env!("CARGO_PKG_VERSION")), ("git_hash", &git_hash)],
+            &[("version", env!("CARGO_PKG_VERSION")), ("git_hash", git_hash)],
             1.0,
         );
         reg.histogram(
@@ -771,6 +752,7 @@ impl Tier for FleetState {
             config.max_jobs_per_request,
             config.cache_dir.clone(),
             config.journal_path.clone(),
+            config.journal_sync,
             None,
         );
         core.journal.record(Event::BatchStart { jobs: 0, unique: 0, workers: 0 });
@@ -793,8 +775,9 @@ impl Tier for FleetState {
     }
 
     fn render_metrics(&self) -> String {
+        let (core, backends) = (&self.core, self.backend_snapshots());
         self.metrics
-            .registry(self.core.uptime_secs(), &self.core.http, &self.backend_snapshots())
+            .registry(core.uptime_secs(), &core.http, &backends, &self.config.git_hash)
             .render_prometheus()
     }
 
@@ -959,7 +942,7 @@ mod tests {
                 breaker_state: 2,
             },
         ];
-        let text = m.registry(12.5, &http, &backends).render_prometheus();
+        let text = m.registry(12.5, &http, &backends, "unknown").render_prometheus();
         sms_metrics::prom::validate(&text).expect("strict parse");
         let families = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
         assert_eq!(families, 20, "every family renders its header exactly once");

@@ -25,21 +25,21 @@ use crate::http::{HttpError, Limits, Request};
 use crate::metrics::{inc, ServerMetrics};
 use crate::protocol::{JobFailure, JobOutcome};
 use crate::service::{self, Service, ServiceCore, Tier};
-use sms_harness::log::env_positive;
 use sms_harness::trace::wall_us;
 use sms_harness::{pool, CacheKey, Event, RunError};
 use sms_sim::config::RenderConfig;
-use sms_sim::experiments::try_run_prepared;
+use sms_sim::experiments::{try_run_exporting, RunExports};
 use sms_sim::gpu::SimStats;
 use sms_sim::render::PreparedScene;
 use sms_sim::sim::RunLimits;
+use sms_sim::Env;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Construction-time server knobs.
 #[derive(Debug, Clone)]
@@ -71,6 +71,12 @@ pub struct ServeConfig {
     /// no fault code runs at all — behaviour is byte-identical to a build
     /// without the chaos layer.
     pub faults: Option<Arc<sms_harness::FaultPlan>>,
+    /// The files every simulated (never a cached) job writes: `SMS_TRACE`
+    /// timelines, stamped with the `SMS_TRACE_CTX` trace id for
+    /// `sms-trace merge --sim`. The default writes none.
+    pub exports: RunExports,
+    /// fsync the journal after every event (`SMS_JOURNAL_SYNC`).
+    pub journal_sync: bool,
 }
 
 impl Default for ServeConfig {
@@ -83,68 +89,38 @@ impl Default for ServeConfig {
             max_jobs_per_request: 256,
             max_inflight_jobs: (workers * 8).max(64),
             limits: Limits::default(),
-            cache_dir: Some(default_cache_dir()),
+            cache_dir: Some(sms_harness::default_cache_dir()),
             journal_path: None,
             run_limits: RunLimits::none(),
             faults: None,
+            exports: RunExports::default(),
+            journal_sync: false,
         }
     }
 }
 
-fn default_cache_dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/sms-cache"))
-}
-
 impl ServeConfig {
-    /// Reads the environment knobs:
-    ///
-    /// * `SMS_SERVE_ADDR` — bind address (default `127.0.0.1:7745`).
-    /// * `SMS_SERVE_WORKERS` — worker threads / concurrent simulations.
-    /// * `SMS_SERVE_MAX_CONNS` — active-connection bound.
-    /// * `SMS_SERVE_MAX_JOBS` — per-request job cap.
-    /// * `SMS_SERVE_MAX_INFLIGHT` — global in-flight job bound.
-    /// * `SMS_SERVE_TIMEOUT_MS` — socket read timeout.
-    /// * `SMS_SERVE_MAX_BODY` — request-body byte cap.
-    /// * `SMS_CACHE_DIR` / `SMS_NO_CACHE=1` — shared cache directory.
-    /// * `SMS_SERVE_JOURNAL` (or `SMS_JOURNAL`) — journal path.
-    /// * `SMS_MAX_CYCLES` / `SMS_STALL_CYCLES` / `SMS_VALIDATE` — per-run
-    ///   watchdogs, exactly as in the CLI harness.
-    /// * `SMS_FAULT` — seeded fault-injection spec (chaos testing only;
-    ///   see [`sms_harness::FaultPlan`]).
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig {
-            addr: std::env::var("SMS_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7745".to_owned()),
-            ..ServeConfig::default()
-        };
-        if let Some(n) = env_positive("SMS_SERVE_WORKERS") {
-            cfg.workers = n;
+    /// The defaults overridden by the snapshot's `serve` rows of
+    /// `sms_sim::env::DECLS` (the table in `EXPERIMENTS.md`). Bounds and
+    /// timeouts have no variable: `--workers` is a flag, the rest are the
+    /// fields above.
+    pub fn from_env(env: &Env) -> Self {
+        let d = ServeConfig::default();
+        let (cache_dir, journal_path) =
+            sms_harness::storage_from_env(env, "SMS_SERVE_JOURNAL", d.cache_dir);
+        // Served streams carry `SimStats` only: the observation arms stay
+        // off whatever `SMS_BREAKDOWN` / `SMS_METRICS` say.
+        let run_limits = RunLimits { breakdown: false, metrics: false, ..RunLimits::from_env(env) };
+        ServeConfig {
+            addr: env.text("SMS_SERVE_ADDR").unwrap_or("127.0.0.1:7745").to_owned(),
+            cache_dir,
+            journal_path,
+            run_limits,
+            faults: sms_harness::FaultPlan::from_env(env),
+            exports: sms_harness::exports_from_env(env),
+            journal_sync: env.flag("SMS_JOURNAL_SYNC"),
+            ..d
         }
-        if let Some(n) = env_positive("SMS_SERVE_MAX_CONNS") {
-            cfg.max_conns = n;
-        }
-        if let Some(n) = env_positive("SMS_SERVE_MAX_JOBS") {
-            cfg.max_jobs_per_request = n;
-        }
-        if let Some(n) = env_positive("SMS_SERVE_MAX_INFLIGHT") {
-            cfg.max_inflight_jobs = n;
-        }
-        if let Some(ms) = env_positive("SMS_SERVE_TIMEOUT_MS") {
-            cfg.limits.read_timeout = Duration::from_millis(ms as u64);
-        }
-        if let Some(n) = env_positive("SMS_SERVE_MAX_BODY") {
-            cfg.limits.max_body = n;
-        }
-        sms_harness::storage_from_env(
-            "SMS_SERVE_JOURNAL",
-            &mut cfg.cache_dir,
-            &mut cfg.journal_path,
-        );
-        let mut limits = RunLimits::from_env();
-        limits.breakdown = false;
-        limits.metrics = false;
-        cfg.run_limits = limits;
-        cfg.faults = sms_harness::FaultPlan::from_env();
-        cfg
     }
 }
 
@@ -353,7 +329,8 @@ impl ServerState {
         };
         self.permits.acquire();
         let limits = req.limits.or(self.config.run_limits);
-        let result = try_run_prepared(&scene, req.stack, req.gpu, &req.render, &limits);
+        let exports = &self.config.exports;
+        let result = try_run_exporting(&scene, req.stack, req.gpu, &req.render, &limits, exports);
         self.permits.release();
         match result {
             Ok(run) => {
@@ -382,6 +359,7 @@ impl Tier for ServerState {
             config.max_jobs_per_request,
             config.cache_dir.clone(),
             config.journal_path.clone(),
+            config.journal_sync,
             config.faults.clone(),
         );
         let workers = config.workers.max(1);

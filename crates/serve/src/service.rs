@@ -87,6 +87,7 @@ impl ServiceCore {
         max_jobs_per_request: usize,
         cache_dir: Option<PathBuf>,
         journal_path: Option<PathBuf>,
+        journal_sync: bool,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
         ServiceCore {
@@ -95,7 +96,7 @@ impl ServiceCore {
             max_jobs_per_request,
             cache: cache_dir.map(|dir| ResultCache::new(dir).with_faults(faults.clone())),
             keyer: ResultCache::new(PathBuf::new()),
-            journal: Journal::new(journal_path.clone()),
+            journal: Journal::new(journal_path.clone(), journal_sync),
             journal_path,
             faults,
             http: HttpCounters::default(),

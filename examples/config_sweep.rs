@@ -21,7 +21,8 @@ fn main() {
         .nth(1)
         .map(|s| s.parse().expect("unknown scene name"))
         .unwrap_or(SceneId::Party);
-    let render = RenderConfig::from_env();
+    let env = sms_harness::capture_env();
+    let render = RenderConfig::from_env(&env);
     println!("Sweeping stack configurations on {scene}...\n");
 
     let mut configs = vec![
@@ -42,7 +43,7 @@ fn main() {
     }
     configs.push(StackConfig::FullOnChip);
 
-    let harness = Harness::from_env();
+    let harness = Harness::from_env(&env);
     let requests: Vec<RunRequest> =
         configs.iter().map(|&stack| RunRequest::new(scene, stack, render)).collect();
     let (outcomes, summary) = harness.try_run_batch(&requests);

@@ -17,7 +17,8 @@ fn main() {
         .nth(1)
         .map(|s| s.parse().expect("unknown scene name"))
         .unwrap_or(SceneId::Chsnt);
-    let render = RenderConfig::from_env();
+    let env = sms_sim::Env::capture().reported();
+    let render = RenderConfig::from_env(&env);
 
     println!("Building {scene} and its BVH6...");
     let prepared = PreparedScene::build(scene, &render);

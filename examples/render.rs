@@ -3,8 +3,8 @@
 //! bit-identical image while measuring cycles).
 //!
 //! ```text
-//! cargo run --release --example render [SCENE ...]      # functional
-//! SMS_RENDER_SIM=1 cargo run --release --example render # via the simulator
+//! cargo run --release --example render [SCENE ...]          # functional
+//! cargo run --release --example render -- --sim [SCENE ...] # via the simulator
 //! ```
 //!
 //! Images are written to `target/renders/<scene>.ppm`.
@@ -15,15 +15,17 @@ use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<SceneId> =
-        std::env::args().skip(1).map(|s| s.parse().expect("unknown scene name")).collect();
+    let (flags, names): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a == "--sim");
+    let via_sim = !flags.is_empty();
+    let args: Vec<SceneId> = names.iter().map(|s| s.parse().expect("unknown scene name")).collect();
     let scenes = if args.is_empty() {
         vec![SceneId::Wknd, SceneId::Ship, SceneId::Ref, SceneId::Bunny]
     } else {
         args
     };
-    let via_sim = std::env::var("SMS_RENDER_SIM").map(|v| v == "1").unwrap_or(false);
-    let cfg = RenderConfig::from_env();
+    let env = sms_sim::Env::capture().reported();
+    let cfg = RenderConfig::from_env(&env);
 
     let dir = std::path::Path::new("target/renders");
     std::fs::create_dir_all(dir)?;

@@ -12,8 +12,9 @@ use sms_sim::experiments::scene_list;
 use sms_sim::report::{fmt_pct, Table};
 
 fn main() {
-    let cfg = RenderConfig::from_env();
-    let scenes = scene_list();
+    let env = sms_sim::Env::capture().reported();
+    let cfg = RenderConfig::from_env(&env);
+    let scenes = scene_list(&env).unwrap_or_else(|e| panic!("{e}"));
     println!("Measuring traversal-stack depths on {} scenes...\n", scenes.len());
     let (rows, total) = measure_all(&cfg, &scenes);
 

@@ -137,8 +137,5 @@ fn paper_workload_sizes() {
 /// `scene_list` returns the full Table II suite by default.
 #[test]
 fn default_scene_list_is_full_suite() {
-    // (Environment-dependent only if SMS_SCENES is set, which tests don't.)
-    if std::env::var("SMS_SCENES").is_err() {
-        assert_eq!(scene_list().len(), 16);
-    }
+    assert_eq!(scene_list(&sms_sim::Env::default()), Ok(SceneId::ALL.to_vec()));
 }
