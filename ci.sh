@@ -25,11 +25,24 @@ echo "==> byte-identity gate (benchmark seed-7 goldens: SimStats digest per cell
 echo "    render digest per scene for both builders, every exact per-layer count)"
 cargo test -q --manifest-path benchmark/Cargo.toml
 
+echo "==> hot-path identity (exact SimStats digests incl. SL/PRED and armed observers, Cache vs a"
+echo "    reference LRU on the Table I geometries, RT unit ticked every cycle vs only when due)"
+cargo test -q -p sms-sim --test sim_golden
+cargo test -q -p sms-mem --test cache_oracle
+cargo test -q -p sms-rtunit --test unit_vs_reference ticking_only_when_something_is_due_is_exact
+
 echo "==> one-place gate (the environment is read in crates/core/src/env.rs only; prints offenders)"
 # (`! git grep` would not trip `set -e`: an inverted status is exempt.)
 if git grep -nE 'env::(var|var_os|vars|vars_os)\b' -- crates examples tests \
      ':!crates/core/src/env.rs' ':!crates/proptests'; then
   echo "environment read outside sms_sim::env (declare the variable in DECLS, read it from the snapshot)"
+  exit 1
+fi
+
+echo "==> hash-free gate (no std HashMap / BinaryHeap on the per-access and per-lane paths: the"
+echo "    memory model and the RT unit; prints offenders)"
+if git grep -nE 'collections::(HashMap|BinaryHeap)' -- crates/mem/src crates/rtunit/src/unit.rs; then
+  echo "SipHash or a heap is back in the simulator's hot path (sms_mem's LineMap, WarpSlot's wake array)"
   exit 1
 fi
 

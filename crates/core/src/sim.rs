@@ -14,9 +14,10 @@
 //!   loads, framebuffer stores — flows through the per-SM L1D and shared
 //!   memory and the device-wide L2/DRAM.
 //!
-//! Idle stretches (every warp waiting on memory) are skipped by jumping to
-//! the next completion event; the result is cycle-exact with respect to the
-//! non-skipping loop.
+//! Idle stretches are skipped per SM and globally: an SM whose warps are
+//! all waiting is not visited until its next completion event, and when no
+//! SM can act time jumps to the earliest such event; the result is
+//! cycle-exact with respect to the non-skipping loop.
 //!
 //! The simulator's shading is *functionally exact*: it reuses
 //! [`crate::driver`], so the image it produces is bit-identical to the
@@ -282,6 +283,30 @@ struct Sm {
     mem_events: BinaryHeap<Reverse<(Cycle, WarpId)>>,
     /// `warps` needs re-sorting by id (perturbed by retire/refill).
     warps_dirty: bool,
+    /// The first cycle at which this SM can change state again, as of its
+    /// last visit; `None` once it has nothing left to wait for. Everything
+    /// it is computed from is SM-local, so the main loop neither visits the
+    /// SM nor advances time past it before then.
+    next_activity: Option<Cycle>,
+}
+
+impl Sm {
+    /// After the SM's visit at `now`: the next cycle while a warp can issue
+    /// a compute instruction, enter the RT unit or issue inside it, else the
+    /// earliest completion event.
+    fn next_activity_after(&self, now: Cycle) -> Option<Cycle> {
+        let issuable = self.rt.has_issuable()
+            || self.warps.iter().any(|warp| match warp.phase {
+                Phase::Compute { .. } => true,
+                Phase::TraceWait => self.rt.has_free_slot(),
+                _ => false,
+            });
+        if issuable {
+            return Some(now + 1);
+        }
+        let mem_done = self.mem_events.peek().map(|&Reverse((c, _))| c);
+        [self.rt.next_completion(), mem_done].into_iter().flatten().min().map(|c| c.max(now + 1))
+    }
 }
 
 /// Result of one cycle-level run.
@@ -426,6 +451,7 @@ impl<'a> GpuSim<'a> {
                     total_warps: 0,
                     mem_events: BinaryHeap::new(),
                     warps_dirty: false,
+                    next_activity: Some(0),
                 }
             })
             .collect();
@@ -508,6 +534,9 @@ impl<'a> GpuSim<'a> {
 
         loop {
             for sm in &mut sms {
+                if sm.next_activity.is_none_or(|c| c > now) {
+                    continue;
+                }
                 // 1. RT unit cycle; process retiring traces.
                 let results = sm.rt.tick(
                     now,
@@ -624,6 +653,7 @@ impl<'a> GpuSim<'a> {
                         None => break,
                     }
                 }
+                sm.next_activity = sm.next_activity_after(now);
             }
             // Time-series sampler (pure observation; see `crate::trace`).
             if let Some(rec) = recorder.as_mut() {
@@ -683,52 +713,13 @@ impl<'a> GpuSim<'a> {
                 }
             }
 
-            // Advance time: step by one while anything is issuable, else
-            // jump to the next completion event. Completion cycles come
-            // from the RT units' and SMs' event heaps; only the (small)
-            // resident-warp lists are scanned for issuable compute phases,
-            // and only until the first hit.
-            let mut issuable = false;
-            let mut next: Option<Cycle> = None;
-            for sm in &sms {
-                if let Some(c) = sm.rt.next_completion() {
-                    next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-                }
-                if let Some(&Reverse((c, _))) = sm.mem_events.peek() {
-                    next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-                }
-                if issuable {
-                    continue;
-                }
-                if sm.rt.has_issuable() {
-                    issuable = true;
-                    continue;
-                }
-                for warp in &sm.warps {
-                    match &warp.phase {
-                        Phase::Compute { .. } => {
-                            issuable = true;
-                            break;
-                        }
-                        Phase::TraceWait if sm.rt.has_free_slot() => {
-                            issuable = true;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            now = if issuable {
-                now + 1
-            } else {
-                match next {
-                    Some(c) => c.max(now + 1),
-                    None => {
-                        return Err(SimFault::Deadlock {
-                            at_cycle: now,
-                            snapshot: snapshot(&sms, now),
-                        })
-                    }
+            // Advance time to the first cycle at which some SM can act:
+            // the next one while anything is issuable, else the earliest
+            // completion event.
+            now = match sms.iter().filter_map(|sm| sm.next_activity).min() {
+                Some(c) => c,
+                None => {
+                    return Err(SimFault::Deadlock { at_cycle: now, snapshot: snapshot(&sms, now) })
                 }
             };
             if now >= budget {

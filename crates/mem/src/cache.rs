@@ -1,12 +1,15 @@
 //! A set-associative LRU cache model.
 //!
 //! Tracks only tags (the simulator moves data functionally); used for both
-//! the fully associative L1D and the 16-way L2 of Table I. LRU order within
-//! a set is maintained with an intrusive doubly-linked list so that even the
-//! 512-line fully associative L1 stays O(1) per access.
+//! the fully associative L1D and the 16-way L2 of Table I. The whole cache
+//! is a handful of flat arrays indexed by way slot (`set × ways + way`):
+//! the line each slot holds, an intrusive doubly-linked LRU list per set
+//! threaded through `prev`/`next`, and one line → slot table for the whole
+//! cache, so an access is one integer hash and a few array writes whether
+//! the set has 16 ways or 512.
 
+use crate::linemap::LineMap;
 use crate::space::{Addr, LINE_SIZE};
-use std::collections::HashMap;
 
 /// Static configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,98 +58,8 @@ impl CacheConfig {
 }
 
 const NIL: u32 = u32::MAX;
-
-/// One set's intrusive LRU list over way slots.
-#[derive(Debug, Clone)]
-struct Set {
-    /// Tag stored in each way; `None` = invalid.
-    tags: Vec<Option<Addr>>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32, // most recently used
-    tail: u32, // least recently used
-    lookup: HashMap<Addr, u32>,
-}
-
-impl Set {
-    fn new(ways: usize) -> Self {
-        let mut s = Set {
-            tags: vec![None; ways],
-            prev: vec![NIL; ways],
-            next: vec![NIL; ways],
-            head: NIL,
-            tail: NIL,
-            lookup: HashMap::with_capacity(ways),
-        };
-        // Chain all ways into the list, all invalid, any order.
-        for w in 0..ways as u32 {
-            s.push_front(w);
-        }
-        s
-    }
-
-    fn unlink(&mut self, w: u32) {
-        let (p, n) = (self.prev[w as usize], self.next[w as usize]);
-        if p != NIL {
-            self.next[p as usize] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NIL {
-            self.prev[n as usize] = p;
-        } else {
-            self.tail = p;
-        }
-    }
-
-    fn push_front(&mut self, w: u32) {
-        self.prev[w as usize] = NIL;
-        self.next[w as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = w;
-        }
-        self.head = w;
-        if self.tail == NIL {
-            self.tail = w;
-        }
-    }
-
-    fn touch(&mut self, w: u32) {
-        if self.head == w {
-            return;
-        }
-        self.unlink(w);
-        self.push_front(w);
-    }
-
-    /// Looks up `tag`; on hit promotes to MRU.
-    fn probe(&mut self, tag: Addr) -> bool {
-        if let Some(&w) = self.lookup.get(&tag) {
-            self.touch(w);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Inserts `tag`, evicting LRU if necessary. Returns the evicted tag.
-    fn fill(&mut self, tag: Addr) -> Option<Addr> {
-        if let Some(&w) = self.lookup.get(&tag) {
-            self.touch(w);
-            return None;
-        }
-        let victim = self.tail;
-        debug_assert_ne!(victim, NIL);
-        let evicted = self.tags[victim as usize].take();
-        if let Some(e) = evicted {
-            self.lookup.remove(&e);
-        }
-        self.tags[victim as usize] = Some(tag);
-        self.lookup.insert(tag, victim);
-        self.touch(victim);
-        evicted
-    }
-}
+/// The line number of a slot that holds nothing yet.
+const INVALID: u64 = u64::MAX;
 
 /// A tag-only set-associative LRU cache.
 ///
@@ -162,8 +75,18 @@ impl Set {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Set>,
     set_count: u64,
+    /// Line number held by each way slot; `INVALID` = empty.
+    lines: Vec<u64>,
+    /// LRU list links between the slots of one set.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Most recently used slot of each set.
+    head: Vec<u32>,
+    /// Least recently used slot of each set.
+    tail: Vec<u32>,
+    /// Resident line number → slot.
+    lookup: LineMap,
 }
 
 impl Cache {
@@ -185,10 +108,21 @@ impl Cache {
             ways,
             config.line_size
         );
+        assert!(sets * ways < NIL as u64, "way slots are indexed by u32");
+        let slots = (sets * ways) as u32;
+        // Each set's list starts as its slots in descending order, all
+        // empty: the first fills take slot 0, 1, 2, … of the set.
+        let ways = ways as u32;
+        let first = |slot: u32| slot.is_multiple_of(ways);
         Cache {
             config,
-            sets: (0..sets).map(|_| Set::new(ways as usize)).collect(),
             set_count: sets,
+            lines: vec![INVALID; slots as usize],
+            prev: (0..slots).map(|s| if first(s + 1) { NIL } else { s + 1 }).collect(),
+            next: (0..slots).map(|s| if first(s) { NIL } else { s - 1 }).collect(),
+            head: (0..slots).step_by(ways as usize).map(|s| s + ways - 1).collect(),
+            tail: (0..slots).step_by(ways as usize).collect(),
+            lookup: LineMap::with_capacity(slots as usize),
         }
     }
 
@@ -197,25 +131,55 @@ impl Cache {
         &self.config
     }
 
-    #[inline]
-    fn set_of(&self, line_addr: Addr) -> usize {
-        ((line_addr / self.config.line_size) % self.set_count) as usize
+    /// Moves `slot` to the MRU end of `set`'s list.
+    fn touch(&mut self, set: usize, slot: u32) {
+        if self.head[set] == slot {
+            return;
+        }
+        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
+        // Not the head, so `p` is a slot.
+        self.next[p as usize] = n;
+        if n != NIL {
+            self.prev[n as usize] = p;
+        } else {
+            self.tail[set] = p;
+        }
+        let head = self.head[set];
+        self.prev[slot as usize] = NIL;
+        self.next[slot as usize] = head;
+        self.prev[head as usize] = slot;
+        self.head[set] = slot;
     }
 
     /// Looks up the line containing `line_addr`; `true` on hit (promotes to
     /// MRU).
     pub fn probe(&mut self, line_addr: Addr) -> bool {
-        let tag = line_addr / self.config.line_size;
-        let set = self.set_of(line_addr);
-        self.sets[set].probe(tag)
+        let line = line_addr / self.config.line_size;
+        match self.lookup.get(line) {
+            Some(slot) => {
+                self.touch((line % self.set_count) as usize, slot as u32);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Installs the line containing `line_addr`, evicting the set's LRU line
     /// if needed. Returns the evicted line address, if any.
     pub fn fill(&mut self, line_addr: Addr) -> Option<Addr> {
-        let tag = line_addr / self.config.line_size;
-        let set = self.set_of(line_addr);
-        self.sets[set].fill(tag).map(|t| t * self.config.line_size)
+        if self.probe(line_addr) {
+            return None;
+        }
+        let line = line_addr / self.config.line_size;
+        let set = (line % self.set_count) as usize;
+        let victim = self.tail[set];
+        let evicted = std::mem::replace(&mut self.lines[victim as usize], line);
+        if evicted != INVALID {
+            self.lookup.remove(evicted);
+        }
+        self.lookup.insert(line, victim as u64);
+        self.touch(set, victim);
+        (evicted != INVALID).then(|| evicted * self.config.line_size)
     }
 }
 

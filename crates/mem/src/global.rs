@@ -1,9 +1,9 @@
 //! The shared L2 cache and DRAM behind all SMs.
 
 use crate::cache::{Cache, CacheConfig};
+use crate::linemap::LineMap;
 use crate::space::{AccessKind, Addr, Cycle};
 use crate::stats::MemStats;
-use std::collections::HashMap;
 
 /// A bandwidth-limited pipeline stage: at most one transaction per
 /// `interval` cycles.
@@ -65,6 +65,9 @@ impl Default for GlobalMemoryConfig {
     }
 }
 
+/// MSHR entries beyond which completed ones are pruned.
+const MSHR_PRUNE: usize = 4096;
+
 /// The device-level memory system shared by all SMs: L2 cache + DRAM.
 ///
 /// Line-granular. Misses are merged through an MSHR table so concurrent
@@ -75,7 +78,7 @@ pub struct GlobalMemory {
     l2: Cache,
     l2_ports: Vec<Port>,
     dram_ports: Vec<Port>,
-    mshr: HashMap<Addr, Cycle>,
+    mshr: LineMap,
     /// Device-level counters (L2/DRAM only; L1 counters live per SM).
     pub stats: MemStats,
 }
@@ -90,7 +93,7 @@ impl GlobalMemory {
             dram_ports: (0..config.dram_channels)
                 .map(|_| Port::new(config.dram_interval))
                 .collect(),
-            mshr: HashMap::new(),
+            mshr: LineMap::with_capacity(MSHR_PRUNE + 1),
             config,
             stats: MemStats::default(),
         }
@@ -105,11 +108,11 @@ impl GlobalMemory {
     /// cycle (when data would be back at the requesting SM's L1).
     pub fn access_line(&mut self, line: Addr, kind: AccessKind, at: Cycle) -> Cycle {
         // MSHR merge: if this line is already being fetched, ride along.
-        if let Some(&done) = self.mshr.get(&line) {
+        if let Some(done) = self.mshr.get(line) {
             if done > at {
                 return done;
             }
-            self.mshr.remove(&line);
+            self.mshr.remove(line);
         }
 
         let slice = ((line / crate::space::LINE_SIZE) % self.config.l2_slices as u64) as usize;
@@ -128,8 +131,8 @@ impl GlobalMemory {
             self.mshr.insert(line, done);
         }
         // Periodically prune stale MSHR entries to bound memory.
-        if self.mshr.len() > 4096 {
-            self.mshr.retain(|_, &mut d| d > at);
+        if self.mshr.len() > MSHR_PRUNE {
+            self.mshr.retain(|done| done > at);
         }
         done
     }

@@ -2,9 +2,9 @@
 
 use crate::cache::{Cache, CacheConfig};
 use crate::global::GlobalMemory;
+use crate::linemap::LineMap;
 use crate::space::{AccessKind, Addr, Cycle, LINE_SIZE};
 use crate::stats::MemStats;
-use std::collections::HashMap;
 
 /// Configuration of one SM's L1D slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +32,10 @@ impl Default for L1Config {
     }
 }
 
+/// Completed entries are swept out of the MSHR table once it holds more
+/// than this many (they are only ever dropped lazily otherwise).
+const MSHR_PRUNE: usize = 1024;
+
 /// One SM's L1 data cache, backed by the shared [`GlobalMemory`].
 ///
 /// Policy: loads allocate; stores are write-through without allocation
@@ -42,7 +46,7 @@ pub struct SmL1 {
     config: L1Config,
     cache: Cache,
     port: crate::global::Port,
-    mshr: HashMap<Addr, Cycle>,
+    mshr: LineMap,
     /// Per-SM counters (L1 hits/misses, stores, transaction classes).
     pub stats: MemStats,
 }
@@ -57,7 +61,7 @@ impl SmL1 {
                 line_size: LINE_SIZE,
             }),
             port: crate::global::Port::new(config.interval),
-            mshr: HashMap::new(),
+            mshr: LineMap::with_capacity(MSHR_PRUNE + 1),
             config,
             stats: MemStats::default(),
         }
@@ -108,11 +112,11 @@ impl SmL1 {
                 global.access_line(line, AccessKind::Store, start + self.config.latency)
             }
             AccessKind::Load => {
-                if let Some(&done) = self.mshr.get(&line) {
+                if let Some(done) = self.mshr.get(line) {
                     if done > at {
                         return done;
                     }
-                    self.mshr.remove(&line);
+                    self.mshr.remove(line);
                 }
                 if self.cache.probe(line) {
                     self.stats.l1_hits += 1;
@@ -128,8 +132,8 @@ impl SmL1 {
                 let done = global.access_line(line, AccessKind::Load, start + self.config.latency);
                 self.cache.fill(line);
                 self.mshr.insert(line, done);
-                if self.mshr.len() > 1024 {
-                    self.mshr.retain(|_, &mut d| d > at);
+                if self.mshr.len() > MSHR_PRUNE {
+                    self.mshr.retain(|done| done > at);
                 }
                 done
             }

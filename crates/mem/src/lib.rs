@@ -23,6 +23,7 @@ pub mod cache;
 pub mod coalesce;
 pub mod global;
 pub mod l1;
+mod linemap;
 pub mod record;
 pub mod shared;
 pub mod space;

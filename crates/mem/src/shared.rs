@@ -73,9 +73,9 @@ impl SharedMem {
     ///
     /// `accesses` are the per-thread `(byte address, size)` pairs collected
     /// by the memory scheduler for the scheduled warp. Returns the
-    /// completion cycle: `latency` plus one extra cycle for every serialized
-    /// bank pass beyond the first. Threads reading the *same word* broadcast
-    /// and do not conflict.
+    /// completion cycle: `latency` plus `conflict_replay_cycles` for every
+    /// serialized bank pass beyond the first. Threads reading the *same
+    /// word* broadcast and do not conflict.
     pub fn access_warp(
         &mut self,
         at: Cycle,

@@ -16,12 +16,14 @@
 //!    coalesce by line. Loads block their thread; stores are posted.
 //! 3. Completed warps retire and their [`TraceResult`] returns to the SM.
 //!
-//! Host-side scheduling is event-driven: every wait state ([`TState`])
-//! transitions only at its recorded completion cycle, so each warp slot
-//! keeps a min-heap of those cycles plus a counter of issuable lanes.
-//! Phase 1 skips a slot entirely unless an event is due, and the SM-facing
+//! Host-side scheduling is indexed by what can happen next: every wait
+//! state ([`TState`]) transitions only at its recorded completion cycle, so
+//! each warp slot keeps that cycle per lane (with the slot's minimum cached)
+//! and one bitmask per issuable state. A tick with no due wake, no issuable
+//! lane and no finished warp returns at once; phase 1 visits only the lanes
+//! whose wake cycle has come, phase 2 walks the set bits, and the SM-facing
 //! queries [`RtUnit::has_issuable`] / [`RtUnit::next_completion`] read the
-//! counter and the heap minimum instead of rescanning all 128 thread
+//! masks and the cached minimum instead of rescanning all 128 thread
 //! contexts — the transitions themselves are unchanged, so timing is
 //! cycle-identical to the scanning implementation.
 
@@ -36,8 +38,6 @@ use sms_bvh::{BvhLayout, FlatBvh, Hit, NodeId, Primitive};
 use sms_gpu::{GtoScheduler, SimStats, StallBreakdown, WarpId, WARP_SIZE};
 use sms_mem::{coalesce_lines_into, AccessKind, Cycle, GlobalMemory, SharedMem, SmL1};
 use sms_metrics::Histogram;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Static configuration of one RT unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,14 +98,14 @@ impl ThreadTraceRecorder {
 }
 
 /// Per-thread traversal state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum TState {
     /// Has a current node; needs its data fetched.
     NeedFetch,
     /// Node fetch in flight.
     WaitFetch { done: Cycle },
-    /// Operation unit busy; commits `step` at `done`.
-    OpWait { done: Cycle, step: StepOutcome },
+    /// Operation unit busy; commits [`ThreadCtx::step`] at `done`.
+    OpWait { done: Cycle },
     /// Stack micro-ops pending; head not yet issued.
     StackIssue,
     /// Head stack micro-op (a load) in flight.
@@ -128,6 +128,8 @@ enum StepOutcome {
 struct ThreadCtx {
     query: Option<RayQuery>,
     state: TState,
+    /// The node operation in flight while `state` is `OpWait`.
+    step: Option<StepOutcome>,
     current: Option<NodeId>,
     best: Option<Hit>,
     occluded: bool,
@@ -259,6 +261,9 @@ fn stack_class(level: StackLevel) -> LaneClass {
     }
 }
 
+/// `WarpSlot::wake` of a lane that is not in a wait state.
+const NOT_WAITING: Cycle = Cycle::MAX;
+
 #[derive(Debug)]
 struct WarpSlot {
     warp: WarpId,
@@ -266,11 +271,16 @@ struct WarpSlot {
     threads: Vec<ThreadCtx>,
     access_counts: [u32; WARP_SIZE],
     done_count: usize,
-    /// Completion cycles of in-flight waits (min-heap). Entries at or
-    /// before the current cycle are consumed by the phase-1 advance.
-    events: BinaryHeap<Reverse<Cycle>>,
-    /// Lanes in an issuable state (`NeedFetch` or `StackIssue`).
-    issuable: u32,
+    /// Completion cycle of each lane's in-flight wait; `NOT_WAITING` for a
+    /// lane in any other state.
+    wake: [Cycle; WARP_SIZE],
+    /// The earliest entry of `wake`. It may lag behind (too early) while
+    /// phase 1 consumes due wakes, which recomputes it before returning.
+    next_wake: Cycle,
+    /// Lanes in `NeedFetch`, one bit each.
+    need_fetch: u32,
+    /// Lanes in `StackIssue`, one bit each.
+    stack_issue: u32,
     /// Cycle-attribution state; `None` unless `RtUnitConfig::attribute`.
     attr: Option<Box<SlotAttr>>,
     /// Metrics accumulation state; `None` unless `RtUnitConfig::metrics`.
@@ -279,13 +289,13 @@ struct WarpSlot {
 
 impl WarpSlot {
     /// Routes every post-admission thread state change, keeping the
-    /// issuable-lane counter and the completion-event heap in sync. The
+    /// issuable-lane masks and the wake cycles in sync. The
     /// attribution class is derived from the new state; issue sites that
     /// know more (which memory level serves a wait) use
     /// [`WarpSlot::transition_traced`] instead.
     fn transition(&mut self, now: Cycle, lane: usize, state: TState) {
         if self.attr.is_some() {
-            let class = match &state {
+            let class = match state {
                 TState::NeedFetch | TState::StackIssue => LaneClass::SchedWait,
                 TState::OpWait { .. } => LaneClass::OpWait,
                 TState::Idle => LaneClass::Idle,
@@ -316,19 +326,47 @@ impl WarpSlot {
     }
 
     fn apply_transition(&mut self, lane: usize, state: TState) {
-        let becomes_issuable = matches!(state, TState::NeedFetch | TState::StackIssue);
-        if let TState::WaitFetch { done }
-        | TState::OpWait { done, .. }
-        | TState::StackWait { done } = &state
-        {
-            self.events.push(Reverse(*done));
-        }
-        let t = &mut self.threads[lane];
-        let was_issuable = matches!(t.state, TState::NeedFetch | TState::StackIssue);
-        t.state = state;
-        self.issuable -= was_issuable as u32;
-        self.issuable += becomes_issuable as u32;
+        let bit = 1u32 << lane;
+        self.need_fetch &= !bit;
+        self.stack_issue &= !bit;
+        self.wake[lane] = match state {
+            TState::NeedFetch => {
+                self.need_fetch |= bit;
+                NOT_WAITING
+            }
+            TState::StackIssue => {
+                self.stack_issue |= bit;
+                NOT_WAITING
+            }
+            TState::WaitFetch { done } | TState::OpWait { done } | TState::StackWait { done } => {
+                done
+            }
+            TState::Idle => NOT_WAITING,
+        };
+        self.next_wake = self.next_wake.min(self.wake[lane]);
+        self.threads[lane].state = state;
     }
+
+    /// `true` when some lane could issue work if this warp were scheduled.
+    fn issuable(&self) -> bool {
+        self.need_fetch | self.stack_issue != 0
+    }
+
+    /// The earliest in-flight completion, if any lane is waiting.
+    fn next_completion(&self) -> Option<Cycle> {
+        (self.next_wake != NOT_WAITING).then_some(self.next_wake)
+    }
+}
+
+/// The lanes whose bit is set in `mask`, ascending.
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
 }
 
 /// One lane's pending node fetch: at most two `(addr, bytes)` spans (the
@@ -381,6 +419,8 @@ pub struct RtSlice {
 pub struct RtUnit {
     config: RtUnitConfig,
     slots: Vec<Option<WarpSlot>>,
+    /// Occupied entries of `slots`.
+    resident: usize,
     sched: GtoScheduler,
     shared_stride: u64,
     scratch: IssueScratch,
@@ -414,6 +454,7 @@ impl RtUnit {
         RtUnit {
             shared_stride: config.stack.shared_bytes_per_warp(),
             slots: (0..config.max_warps).map(|_| None).collect(),
+            resident: 0,
             sched: GtoScheduler::new(),
             stack_metrics: config.metrics.then(Box::default),
             config,
@@ -465,12 +506,17 @@ impl RtUnit {
         use std::fmt::Write as _;
         let mut out = String::new();
         for slot in self.slots.iter().flatten() {
-            let next = slot.events.peek().map(|&Reverse(c)| c);
+            let next = slot.next_completion();
             let depths: usize = (0..WARP_SIZE).map(|l| slot.stacks.depth(l)).sum();
             let _ = writeln!(
                 out,
                 "      warp {}: done {}/{}, issuable {}, next event {:?}, total depth {}",
-                slot.warp, slot.done_count, WARP_SIZE, slot.issuable, next, depths
+                slot.warp,
+                slot.done_count,
+                WARP_SIZE,
+                (slot.need_fetch | slot.stack_issue).count_ones(),
+                next,
+                depths
             );
         }
         out
@@ -483,12 +529,12 @@ impl RtUnit {
 
     /// Number of warps currently resident.
     pub fn busy_warps(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.resident
     }
 
     /// `true` when a new warp can be admitted.
     pub fn has_free_slot(&self) -> bool {
-        self.busy_warps() < self.config.max_warps
+        self.resident < self.config.max_warps
     }
 
     /// Admits a warp trace request into the warp buffer at cycle `now`.
@@ -539,6 +585,7 @@ impl RtUnit {
                     ThreadCtx {
                         query,
                         state: TState::NeedFetch,
+                        step: None,
                         current,
                         best: None,
                         occluded: false,
@@ -553,6 +600,7 @@ impl RtUnit {
                 None => ThreadCtx {
                     query: None,
                     state: TState::Idle,
+                    step: None,
                     current: None,
                     best: None,
                     occluded: false,
@@ -575,29 +623,34 @@ impl RtUnit {
             threads,
             access_counts: [0; WARP_SIZE],
             done_count: WARP_SIZE - active,
-            events: BinaryHeap::new(),
-            issuable: active as u32,
+            wake: [NOT_WAITING; WARP_SIZE],
+            next_wake: NOT_WAITING,
+            need_fetch: 0,
+            stack_issue: 0,
             attr,
             mstate,
         };
         for lane in 0..WARP_SIZE {
             if slot.threads[lane].done {
                 slot.stacks.mark_done(lane);
+            } else {
+                slot.need_fetch |= 1 << lane;
             }
         }
         self.slots[slot_idx] = Some(slot);
+        self.resident += 1;
         Ok(())
     }
 
     /// `true` when some thread could issue work if its warp were scheduled.
     pub fn has_issuable(&self) -> bool {
-        self.slots.iter().flatten().any(|s| s.issuable > 0)
+        self.slots.iter().flatten().any(WarpSlot::issuable)
     }
 
     /// The earliest future cycle at which some waiting thread completes,
     /// if any thread is waiting.
     pub fn next_completion(&self) -> Option<Cycle> {
-        self.slots.iter().flatten().filter_map(|s| s.events.peek().map(|&Reverse(c)| c)).min()
+        self.slots.iter().flatten().filter_map(WarpSlot::next_completion).min()
     }
 
     /// Advances the RT unit by one cycle. Returns trace results of warps
@@ -613,12 +666,20 @@ impl RtUnit {
         global: &mut GlobalMemory,
         stats: &mut SimStats,
     ) -> Vec<TraceResult> {
+        // Nothing can change state this cycle unless a wait completes, a
+        // lane can issue, or a warp is ready to retire (which includes one
+        // admitted with no active lane).
+        let busy = |s: &WarpSlot| s.next_wake <= now || s.issuable() || s.done_count == WARP_SIZE;
+        if !self.slots.iter().flatten().any(busy) {
+            return Vec::new();
+        }
+
         // Phase 1: response FIFO + operation units. Wait states only
         // transition at their recorded completion cycle, so a slot whose
-        // earliest event is still in the future has nothing to do.
+        // earliest wake is still in the future has nothing to do.
         let mut op_buf = std::mem::take(&mut self.op_buf);
         for slot in self.slots.iter_mut().flatten() {
-            if slot.events.peek().is_some_and(|&Reverse(c)| c <= now) {
+            if slot.next_wake <= now {
                 Self::advance_threads(
                     slot,
                     now,
@@ -632,17 +693,12 @@ impl RtUnit {
                     &mut op_buf,
                     &mut self.progress,
                 );
-                // Every event at or before `now` has been consumed by the
-                // scan above (chained transitions included) — drop them.
-                while slot.events.peek().is_some_and(|&Reverse(c)| c <= now) {
-                    slot.events.pop();
-                }
             }
         }
         self.op_buf = op_buf;
 
         // Phase 2: schedule one warp (GTO) and issue its memory work.
-        let ready = self.slots.iter().flatten().filter(|s| s.issuable > 0).map(|s| s.warp);
+        let ready = self.slots.iter().flatten().filter(|s| s.issuable()).map(|s| s.warp);
         if let Some(warp) = self.sched.pick(ready) {
             let mut scratch = std::mem::take(&mut self.scratch);
             let slot = self
@@ -683,6 +739,7 @@ impl RtUnit {
             let finished = entry.as_ref().map(|s| s.done_count == WARP_SIZE).unwrap_or(false);
             if finished {
                 let mut slot = entry.take().expect("checked above");
+                self.resident -= 1;
                 self.sched.evict(slot.warp);
                 if let Some(pred) = &mut self.predictor {
                     // Train on retirement: each finished ray records the
@@ -730,10 +787,11 @@ impl RtUnit {
         progress: &mut u64,
     ) {
         for lane in 0..WARP_SIZE {
-            loop {
-                match &slot.threads[lane].state {
-                    TState::WaitFetch { done } if *done <= now => {
-                        let done = *done;
+            // Ascending lane order: commits borrow and release SH stacks,
+            // so the order in which due lanes commit is observable.
+            while slot.wake[lane] <= now {
+                match slot.threads[lane].state {
+                    TState::WaitFetch { done } => {
                         let t = &slot.threads[lane];
                         let node = t.current.expect("fetching requires a node");
                         let q = t.query.expect("active thread has a query");
@@ -758,7 +816,8 @@ impl RtUnit {
                             (StepOutcome::Stacked(s), lat)
                         };
                         *progress += 1; // fetch response consumed
-                        let next = TState::OpWait { done: done + lat, step };
+                        slot.threads[lane].step = Some(step);
+                        let next = TState::OpWait { done: done + lat };
                         if speculative {
                             // The probe's operation wait belongs to the
                             // predictor ledger bucket, not op_wait.
@@ -767,17 +826,11 @@ impl RtUnit {
                             slot.transition(now, lane, next);
                         }
                     }
-                    TState::OpWait { done, .. } if *done <= now => {
-                        // Idle and OpWait are both non-issuable and the
-                        // OpWait event is consumed right here, so this
-                        // direct swap keeps the slot counters untouched;
-                        // the commit sets the real next state (and its
-                        // transition flushes the OpWait interval).
-                        let TState::OpWait { step, .. } =
-                            std::mem::replace(&mut slot.threads[lane].state, TState::Idle)
-                        else {
-                            unreachable!()
-                        };
+                    TState::OpWait { .. } => {
+                        // The commit sets the next state; that transition
+                        // replaces the consumed wake cycle and flushes the
+                        // OpWait interval.
+                        let step = slot.threads[lane].step.take().expect("OpWait holds its step");
                         stats.node_visits += 1;
                         *progress += 1; // node operation committed
                         match step {
@@ -794,21 +847,20 @@ impl RtUnit {
                                 Self::commit_stackless(slot, now, lane, step, metrics);
                             }
                         }
-                        // The commit set the next state; keep draining in
-                        // case it is already complete (e.g. empty op list).
-                        break;
                     }
-                    TState::StackWait { done } if *done <= now => {
+                    TState::StackWait { .. } => {
                         slot.threads[lane].ops.pop_front();
                         *progress += 1; // blocking stack micro-op completed
                         let next = Self::after_ops_state(&slot.threads[lane]);
                         slot.transition(now, lane, next);
-                        break;
                     }
-                    _ => break,
+                    TState::NeedFetch | TState::StackIssue | TState::Idle => {
+                        unreachable!("only wait states carry a wake cycle")
+                    }
                 }
             }
         }
+        slot.next_wake = slot.wake.iter().copied().min().expect("a warp has lanes");
     }
 
     /// The state a thread enters once its current micro-op finished.
@@ -1143,19 +1195,17 @@ impl RtUnit {
     ) {
         // --- Node fetches: collect, coalesce, issue per line. ---
         sc.fetch_lanes.clear();
-        for lane in 0..WARP_SIZE {
-            if matches!(slot.threads[lane].state, TState::NeedFetch) {
-                let node = slot.threads[lane].current.expect("NeedFetch has a node");
-                let mut spans = [BvhLayout::node_fetch(node); 2];
-                let mut len = 1;
-                if let Some((first, count)) = bvh.leaf_range(node) {
-                    if count > 0 {
-                        spans[1] = BvhLayout::leaf_fetch(first, count);
-                        len = 2;
-                    }
+        for lane in set_bits(slot.need_fetch) {
+            let node = slot.threads[lane].current.expect("NeedFetch has a node");
+            let mut spans = [BvhLayout::node_fetch(node); 2];
+            let mut len = 1;
+            if let Some((first, count)) = bvh.leaf_range(node) {
+                if count > 0 {
+                    spans[1] = BvhLayout::leaf_fetch(first, count);
+                    len = 2;
                 }
-                sc.fetch_lanes.push(FetchSpans { lane, spans, len });
             }
+            sc.fetch_lanes.push(FetchSpans { lane, spans, len });
         }
         let attributing = slot.attr.is_some();
         if !sc.fetch_lanes.is_empty() {
@@ -1217,10 +1267,7 @@ impl RtUnit {
         sc.shared_batch.clear();
         sc.shared_addrs.clear();
         sc.global_lanes.clear();
-        for lane in 0..WARP_SIZE {
-            if !matches!(slot.threads[lane].state, TState::StackIssue) {
-                continue;
-            }
+        for lane in set_bits(slot.stack_issue) {
             let op = slot.threads[lane].ops.front().expect("StackIssue implies pending op");
             match op.space {
                 Space::Shared => {

@@ -6,7 +6,9 @@ use sms_bvh::{BuildParams, FlatBvh, Hit, PrimHit, Primitive};
 use sms_geom::{Aabb, Ray, SplitMix64, Triangle, Vec3};
 use sms_gpu::SimStats;
 use sms_mem::{GlobalMemory, GlobalMemoryConfig, L1Config, SharedMem, SharedMemConfig, SmL1};
-use sms_rtunit::{RayQuery, RtUnit, RtUnitConfig, SmsParams, StackConfig, TraceRequest};
+use sms_rtunit::{
+    RayQuery, RtUnit, RtUnitConfig, SmsParams, StackConfig, TraceRequest, TraceResult,
+};
 
 struct Tri(Triangle);
 impl Primitive for Tri {
@@ -45,14 +47,34 @@ fn rays(n: usize) -> Vec<Ray> {
         .collect()
 }
 
-/// Runs up to four warps of rays through one RT unit to completion;
-/// returns per-ray hits (in input order) and the total cycle count.
-fn run_unit(
+/// How the driver picks the next cycle to tick.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Clock {
+    /// `tick` on every cycle.
+    EveryCycle,
+    /// `tick` at `now + 1` while something is issuable, else jump to
+    /// `next_completion()` — the SM loop's idle skip.
+    EventDriven,
+}
+
+/// Everything observable about one drive of an RT unit.
+#[derive(Debug, PartialEq)]
+struct Drive {
+    /// `(retire cycle, result)` in retirement order.
+    retired: Vec<(u64, TraceResult)>,
+    stats: SimStats,
+}
+
+/// Runs up to four warps of rays through one RT unit to completion. After
+/// every `tick(now)` the unit must report no completion at or before
+/// `now`: the idle skip and `tick`'s own nothing-due return rest on it.
+fn drive(
     config: StackConfig,
     bvh: &FlatBvh,
     prims: &[Tri],
     all_rays: &[Ray],
-) -> (Vec<Option<Hit>>, u64, SimStats) {
+    clock: Clock,
+) -> Drive {
     assert!(all_rays.len() <= 128, "one RT unit holds at most 4 warps");
     let mut unit = RtUnit::new(RtUnitConfig::new(config));
     let mut l1 = SmL1::new(L1Config::default());
@@ -71,23 +93,59 @@ fn run_unit(
     }
 
     let mut now = 0u64;
-    let mut hits: Vec<Option<Hit>> = vec![None; all_rays.len()];
-    let mut retired = 0;
-    while retired < warps {
+    let mut retired = Vec::new();
+    loop {
         for res in unit.tick(now, bvh, prims, &mut l1, &mut shared, &mut global, &mut stats) {
-            let base = res.warp as usize * 32;
-            for lane in 0..32 {
-                if base + lane < hits.len() {
-                    hits[base + lane] = res.hits[lane];
-                }
-            }
-            retired += 1;
+            retired.push((now, res));
         }
-        now += 1;
+        let next = unit.next_completion();
+        assert!(next.is_none_or(|c| c > now), "{config} {clock:?}: {next:?} left due at {now}");
+        if retired.len() == warps {
+            break;
+        }
+        now = match clock {
+            Clock::EventDriven if !unit.has_issuable() => next.expect("a waiting lane"),
+            _ => now + 1,
+        };
         assert!(now < 50_000_000, "RT unit failed to converge");
     }
-    stats.cycles = now;
-    (hits, now, stats)
+    stats.cycles = now + 1;
+    Drive { retired, stats }
+}
+
+/// [`drive`] on every cycle; returns per-ray hits (in input order) and the
+/// total cycle count.
+fn run_unit(
+    config: StackConfig,
+    bvh: &FlatBvh,
+    prims: &[Tri],
+    all_rays: &[Ray],
+) -> (Vec<Option<Hit>>, u64, SimStats) {
+    let Drive { retired, stats } = drive(config, bvh, prims, all_rays, Clock::EveryCycle);
+    let mut hits: Vec<Option<Hit>> = vec![None; all_rays.len()];
+    for (_, res) in retired {
+        let base = res.warp as usize * 32;
+        for lane in 0..32 {
+            if base + lane < hits.len() {
+                hits[base + lane] = res.hits[lane];
+            }
+        }
+    }
+    (hits, stats.cycles, stats)
+}
+
+#[test]
+fn ticking_only_when_something_is_due_is_exact() {
+    let prims = cluttered_scene(12_000);
+    let bvh = FlatBvh::build(&prims, &BuildParams::default());
+    let rays = rays(128);
+    for config in [StackConfig::baseline8(), StackConfig::sms_default()] {
+        let every = drive(config, &bvh, &prims, &rays, Clock::EveryCycle);
+        let event = drive(config, &bvh, &prims, &rays, Clock::EventDriven);
+        assert_eq!(every.retired.len(), 4, "{config}: four warps retire");
+        assert!(every.stats.rb_spills > 0, "{config}: workload must reach the spill path");
+        assert_eq!(every, event, "{config}: skipped cycles must be cycles with nothing to do");
+    }
 }
 
 #[test]
