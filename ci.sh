@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Local CI for the sms-sim workspace. Offline-safe: every step resolves
-# from path dependencies only (the proptest/criterion suite lives in the
-# excluded `crates/proptests` workspace and is opt-in, see DESIGN.md).
+# from path dependencies only.
 #
 #   ./ci.sh          # tier-1 build+test, clippy -D warnings, fmt --check
 set -euo pipefail
@@ -31,10 +30,14 @@ cargo test -q -p sms-sim --test sim_golden
 cargo test -q -p sms-mem --test cache_oracle
 cargo test -q -p sms-rtunit --test unit_vs_reference ticking_only_when_something_is_due_is_exact
 
+echo "==> generated properties (sms_geom::check: stacks are exact LIFOs, every traversal vs brute"
+echo "    force, HLBVH blocks, predictor, histogram laws, geometry, coalescing, sim image vs render)"
+cargo test -q -p sms-sim --test 'prop_*'
+
 echo "==> one-place gate (the environment is read in crates/core/src/env.rs only; prints offenders)"
 # (`! git grep` would not trip `set -e`: an inverted status is exempt.)
 if git grep -nE 'env::(var|var_os|vars|vars_os)\b' -- crates examples tests \
-     ':!crates/core/src/env.rs' ':!crates/proptests'; then
+     ':!crates/core/src/env.rs'; then
   echo "environment read outside sms_sim::env (declare the variable in DECLS, read it from the snapshot)"
   exit 1
 fi
@@ -95,16 +98,6 @@ SMS_METRICS=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
   cargo bench --bench fig13_sms_ipc > /dev/null
 cargo run --release -q -p sms-bench --bin promlint -- \
   target/metrics.*.prom target/metrics.*.csv
-
-echo "==> proptest suite (opt-in: needs crates.io; skipped when offline)"
-if cargo metadata --offline --manifest-path crates/proptests/Cargo.toml \
-     --format-version 1 > /dev/null 2>&1; then
-  cargo test -q --manifest-path crates/proptests/Cargo.toml --test prop_metrics
-  cargo test -q --manifest-path crates/proptests/Cargo.toml --test prop_hlbvh
-  cargo test -q --manifest-path crates/proptests/Cargo.toml --test prop_stackless
-else
-  echo "    (skipped: proptest registry deps unavailable offline)"
-fi
 
 echo "==> breakdown sweep smoke (SMS_BREAKDOWN=1, SL + PRED columns included;"
 echo "    conservation — predictor_wait bucket included — asserted in-sim)"

@@ -6,7 +6,7 @@
 //! observations motivating dynamic intra-warp reallocation.
 //!
 //! This harness prints a per-thread summary and writes the full series to
-//! `target/fig10_traces.csv` for plotting.
+//! the workspace's `target/fig10_traces.csv` for plotting.
 
 use sms_bench::Table;
 use sms_sim::config::{RenderConfig, SimConfig};
@@ -61,8 +61,11 @@ fn main() {
     for (w, l, i, d) in &sim.thread_traces {
         csv.row([w.to_string(), l.to_string(), i.to_string(), d.to_string()]);
     }
-    let path = std::path::Path::new("target/fig10_traces.csv");
-    std::fs::create_dir_all("target").expect("create target dir");
-    std::fs::write(path, csv.to_csv()).expect("write csv");
+    // `cargo bench` runs this with the package directory as CWD, so a
+    // relative `target/` would land under `crates/bench/`.
+    let target = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target"));
+    std::fs::create_dir_all(target).expect("create target dir");
+    let path = target.canonicalize().expect("resolve target dir").join("fig10_traces.csv");
+    std::fs::write(&path, csv.to_csv()).expect("write csv");
     println!("full series written to {}", path.display());
 }

@@ -33,6 +33,7 @@
 //! ```
 
 pub mod aabb;
+pub mod check;
 pub mod onb;
 pub mod ray;
 pub mod rng;

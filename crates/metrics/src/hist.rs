@@ -10,8 +10,8 @@
 //!
 //! The layout is total over `u64`: every value maps to exactly one of the
 //! [`NUM_BUCKETS`] buckets, so [`Histogram::merge`] is a plain
-//! element-wise add and is associative and commutative (property-tested in
-//! `crates/proptests`). Count, sum, min and max are tracked exactly on the
+//! element-wise add and is associative and commutative (`prop_metrics.rs`
+//! in `crates/core/tests`). Count, sum, min and max are tracked exactly on the
 //! side, so `mean()` never suffers bucket quantization.
 
 use crate::fmt_f64;
