@@ -95,14 +95,14 @@ rm -f target/metrics.*.prom target/metrics.*.csv
 # CWD, so relative ones would land under crates/bench/.
 SMS_METRICS=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
   SMS_METRICS_OUT="$PWD/target/metrics.prom" SMS_METRICS_CSV="$PWD/target/metrics.csv" \
-  cargo bench --bench fig13_sms_ipc > /dev/null
+  cargo bench --bench figures -- fig13 > /dev/null
 cargo run --release -q -p sms-bench --bin promlint -- \
   target/metrics.*.prom target/metrics.*.csv
 
 echo "==> breakdown sweep smoke (SMS_BREAKDOWN=1, SL + PRED columns included;"
 echo "    conservation — predictor_wait bucket included — asserted in-sim)"
 SMS_BREAKDOWN=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
-  cargo bench --bench breakdown_stalls > /dev/null
+  cargo bench --bench figures -- breakdown_stalls > /dev/null
 
 echo "==> competitor byte-identity (SMS_STACKLESS=0 SMS_PREDICT=0 drops the SL/PRED"
 echo "    columns; every remaining cache entry must be byte-identical to the"
@@ -111,10 +111,10 @@ rm -rf target/compet-on-cache target/compet-off-cache
 # Absolute cache paths: cargo bench runs the bench with the package dir as
 # CWD, so a relative SMS_CACHE_DIR would land under crates/bench/.
 SMS_CACHE_DIR="$PWD/target/compet-on-cache" SMS_SCENES=WKND,SHIP \
-  cargo bench --bench fig13_sms_ipc > /dev/null
+  cargo bench --bench figures -- fig13 > /dev/null
 SMS_STACKLESS=0 SMS_PREDICT=0 \
   SMS_CACHE_DIR="$PWD/target/compet-off-cache" SMS_SCENES=WKND,SHIP \
-  cargo bench --bench fig13_sms_ipc > /dev/null
+  cargo bench --bench figures -- fig13 > /dev/null
 off_entries=0
 for f in target/compet-off-cache/*.json; do
   b=$(basename "$f")
@@ -130,11 +130,16 @@ on_entries=$(ls target/compet-on-cache/*.json | wc -l)
 
 echo "==> validator-on sweep smoke (SMS_VALIDATE=1, cache bypassed)"
 SMS_VALIDATE=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
-  cargo bench --bench fig13_sms_ipc > /dev/null
+  cargo bench --bench figures -- fig13 > /dev/null
 
 echo "==> SMS_HLBVH sweep smoke (HLBVH-built trees, cache bypassed both directions)"
 SMS_HLBVH=1 SMS_SCENES=WKND,SHIP \
-  cargo bench --bench fig13_sms_ipc > /dev/null
+  cargo bench --bench figures -- fig13 > /dev/null
+
+echo "==> figures vs experiments/fast.json (every experiment, fast tier, all 16 scenes, fresh"
+echo "    cache; a reduced number that left its verdict rule is named with its figure: exit 1)"
+rm -rf target/figures-cache
+SMS_CACHE_DIR="$PWD/target/figures-cache" cargo bench --bench figures > /dev/null
 
 echo "==> serve smoke (ephemeral port, client sweep, /metrics + /healthz, graceful drain)"
 rm -f target/serve-addr target/serve-smoke.jsonl

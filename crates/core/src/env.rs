@@ -2,7 +2,7 @@
 //!
 //! Every `SMS_*` variable any tier honours is one row of [`DECLS`]; this
 //! module holds the only calls into `std::env` for them and one parser per
-//! [`Kind`]. A process edge (a `main`, `sms_bench::env`) takes one [`Env`]
+//! [`Kind`]. A process edge (a `main`, `sms_bench::figures`) takes one [`Env`]
 //! snapshot with [`Env::capture`], reports its warnings once and hands
 //! `&Env` to the `from_env` constructors; tests build the same snapshot
 //! from `(name, value)` pairs. Nothing below an edge reads the environment.

@@ -1,4 +1,5 @@
-//! Plain-text table rendering for the per-figure bench harnesses.
+//! Plain-text rendering for the experiment runner: aligned tables and the
+//! numeric grid a matrix experiment reduces to.
 
 use std::fmt::Write as _;
 
@@ -83,6 +84,59 @@ pub fn fmt_improvement(ratio: f64) -> String {
 /// Formats a fraction (0..1) as a percentage.
 pub fn fmt_pct(frac: f64) -> String {
     format!("{:.1}%", frac * 100.0)
+}
+
+/// What a (scene × column) experiment reduces to: one numeric row per
+/// scene, then the summary rows. `NaN` marks a cell with no value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grid {
+    /// Column labels.
+    pub labels: Vec<String>,
+    /// `(row name, one number per column)`; the summary row is last.
+    pub rows: Vec<(String, Vec<f64>)>,
+}
+
+impl Grid {
+    /// Per-scene ratios plus their per-column geometric means: one row per
+    /// `(name, scenes)` subset whose scenes all ran, then `gmean` over all.
+    pub fn with_gmean(
+        labels: Vec<String>,
+        mut rows: Vec<(String, Vec<f64>)>,
+        subsets: &[(&str, &[&str])],
+    ) -> Self {
+        let gmeans = |rows: &[&(String, Vec<f64>)]| -> Vec<f64> {
+            (0..labels.len())
+                .map(|c| geomean(&rows.iter().map(|r| r.1[c]).collect::<Vec<_>>()))
+                .collect()
+        };
+        let mut summaries = Vec::new();
+        for (name, scenes) in subsets {
+            let of: Vec<_> = rows.iter().filter(|r| scenes.contains(&&*r.0)).collect();
+            if of.len() == scenes.len() {
+                summaries.push((name.to_string(), gmeans(&of)));
+            }
+        }
+        summaries.push(("gmean".to_owned(), gmeans(&rows.iter().collect::<Vec<_>>())));
+        rows.extend(summaries);
+        Grid { labels, rows }
+    }
+
+    /// The number at (`row`, `col`), if that row exists and the cell has one.
+    pub fn cell(&self, row: &str, col: usize) -> Option<f64> {
+        let (_, cells) = self.rows.iter().find(|(name, _)| name == row)?;
+        cells.get(col).copied().filter(|v| !v.is_nan())
+    }
+
+    /// Renders the grid under a `scene` column, each cell through `fmt(col, value)`.
+    pub fn table(&self, fmt: impl Fn(usize, f64) -> String) -> Table {
+        let mut table =
+            Table::new(std::iter::once("scene").chain(self.labels.iter().map(|l| &**l)));
+        for (name, cells) in &self.rows {
+            let cells = cells.iter().enumerate().map(|(c, &v)| fmt(c, v));
+            table.row(std::iter::once(name.clone()).chain(cells));
+        }
+        table
+    }
 }
 
 /// Geometric mean of a non-empty slice.

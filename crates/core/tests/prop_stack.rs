@@ -161,3 +161,36 @@ fn ra_capacity_invariants() {
         assert!(violation.is_none(), "{config} (borrow {}): {violation:?}", p.borrow_limit);
     });
 }
+
+/// `FromStr` is the inverse of `label()` for every config at the default
+/// borrow/flush limits — the label carries neither, so a parsed SMS config
+/// always has the paper's 4 / 3.
+#[test]
+fn label_parse_round_trip() {
+    for_cases(CASES, 0x1ABE1, |g| {
+        let c = match g.int(0, 5) {
+            0 => StackConfig::Baseline { rb_entries: g.int(1, 64) },
+            1 => StackConfig::FullOnChip,
+            2 => StackConfig::Stackless,
+            3 => StackConfig::Predictor { table_bits: g.int(1, 20) as u32 },
+            _ => {
+                let realloc = g.chance(0.5);
+                let SmsParams { borrow_limit, flush_limit, .. } = SmsParams::default();
+                StackConfig::Sms(SmsParams {
+                    borrow_limit,
+                    flush_limit,
+                    ..sms_params(g, 1, realloc)
+                })
+            }
+        };
+        assert_eq!(c.label().parse(), Ok(c), "{c}");
+    });
+}
+
+#[test]
+fn malformed_labels_do_not_parse() {
+    for bad in ["", "RB_0", "RB_8+SK", "RB_8+SH_0", "PRED_0", "PRED_21", "RB_8+", "RB_8+SH_8+SK+"] {
+        let err = bad.parse::<StackConfig>().expect_err(bad);
+        assert!(err.starts_with(&format!("unknown stack config `{bad}` (expected e.g. ")), "{err}");
+    }
+}

@@ -21,60 +21,13 @@ use sms_harness::json::{parse, Json};
 use sms_harness::{Event, Journal, RunRequest};
 use sms_sim::config::RenderConfig;
 use sms_sim::gpu::{GpuConfig, SimStats};
-use sms_sim::rtunit::{SmsParams, StackConfig};
+use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
 
-/// Parses a `StackConfig` label: the inverse of [`StackConfig::label`].
-///
-/// Accepted forms: `RB_<n>`, `RB_FULL`, `RB_<n>+SH_<m>`, with optional
-/// `+SK` and/or `+RA` suffixes (in that order, `+RA` may appear alone);
-/// plus the traversal competitors `SL` (stackless) and `PRED_<bits>`
-/// (ray-path predictor, `1..=20` table index bits).
+/// Parses a `StackConfig` label: the inverse of [`StackConfig::label`]
+/// (its `FromStr`; the error text is what a 4xx body carries).
 pub fn parse_stack_config(label: &str) -> Result<StackConfig, String> {
-    let err = || format!("unknown stack config `{label}` (expected e.g. RB_8, RB_8+SH_8+SK+RA)");
-    if label == "SL" {
-        return Ok(StackConfig::Stackless);
-    }
-    if let Some(bits) = label.strip_prefix("PRED_") {
-        return bits
-            .parse::<u32>()
-            .ok()
-            .filter(|&b| (1..=sms_sim::rtunit::predictor::MAX_TABLE_BITS).contains(&b))
-            .map(|table_bits| StackConfig::Predictor { table_bits })
-            .ok_or_else(err);
-    }
-    let mut parts = label.split('+');
-    let rb = parts.next().ok_or_else(err)?;
-    if rb == "RB_FULL" {
-        return if parts.next().is_none() { Ok(StackConfig::FullOnChip) } else { Err(err()) };
-    }
-    let rb_entries = rb
-        .strip_prefix("RB_")
-        .and_then(|n| n.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .ok_or_else(err)?;
-    let Some(sh) = parts.next() else {
-        return Ok(StackConfig::Baseline { rb_entries });
-    };
-    let sh_entries = sh
-        .strip_prefix("SH_")
-        .and_then(|n| n.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .ok_or_else(err)?;
-    let mut params = SmsParams { rb_entries, sh_entries, ..SmsParams::default() };
-    let mut rest = parts.peekable();
-    if rest.peek() == Some(&"SK") {
-        params = params.with_skewed(true);
-        rest.next();
-    }
-    if rest.peek() == Some(&"RA") {
-        params = params.with_realloc(true);
-        rest.next();
-    }
-    if rest.next().is_some() {
-        return Err(err());
-    }
-    Ok(StackConfig::Sms(params))
+    label.parse()
 }
 
 /// Parses a render-mode name into the workload configuration.
@@ -329,6 +282,7 @@ impl JobOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sms_sim::rtunit::SmsParams;
 
     #[test]
     fn stack_config_labels_roundtrip() {

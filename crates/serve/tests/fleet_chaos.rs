@@ -71,33 +71,11 @@ fn grid_requests() -> Vec<RunRequest> {
     let mut requests = Vec::new();
     for &scene in &SCENES {
         for name in CONFIG_NAMES {
-            let stack = parse_config(name);
+            let stack: StackConfig = name.parse().expect("test config label");
             requests.push(RunRequest::new(scene, stack, render).with_gpu(GpuConfig::default()));
         }
     }
     requests
-}
-
-fn parse_config(label: &str) -> StackConfig {
-    // Mirror of the wire labels used above; panics on a typo in the test.
-    match label {
-        "RB_8" => StackConfig::baseline8(),
-        "RB_8+SH_8" => StackConfig::Sms(sms_sim::rtunit::SmsParams {
-            rb_entries: 8,
-            sh_entries: 8,
-            ..sms_sim::rtunit::SmsParams::default()
-        }),
-        "RB_8+SH_8+SK+RA" => StackConfig::Sms(
-            sms_sim::rtunit::SmsParams {
-                rb_entries: 8,
-                sh_entries: 8,
-                ..sms_sim::rtunit::SmsParams::default()
-            }
-            .with_skewed(true)
-            .with_realloc(true),
-        ),
-        other => panic!("unknown test config label `{other}`"),
-    }
 }
 
 /// A backend is killed (deterministically, by fault injection) after its
