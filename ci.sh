@@ -21,8 +21,11 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> byte-identity gate (benchmark seed-7 goldens: SimStats digest per cell incl. SL,"
-echo "    render digest per scene for both builders, every exact per-layer count)"
+echo "    render digest per scene for both builders, every exact per-layer count; every FlatBvh"
+echo "    array of the 16 scenes; prop_bvh's median_build_equals_the_sorting_reference)"
 cargo test -q --manifest-path benchmark/Cargo.toml
+cargo test -q -p sms-sim --test layout_digest
+cargo test -q -p sms-sim --test prop_bvh median_build_equals_the_sorting_reference
 
 echo "==> hot-path identity (exact SimStats digests incl. SL/PRED and armed observers, Cache vs a"
 echo "    reference LRU on the Table I geometries, RT unit ticked every cycle vs only when due)"
@@ -72,9 +75,8 @@ echo "==> HLBVH suite (builder unit tests, golden vs binned SAH, worker determin
 cargo test -q -p sms-bvh --lib hlbvh
 cargo test -q -p sms-sim --test hlbvh_golden
 
-echo "==> layout + stackless + predictor suite (FlatBvh digests, batched vs scalar node_step,"
-echo "    escape links, stackless vs stacked drivers, table semantics)"
-cargo test -q -p sms-sim --test layout_digest
+echo "==> layout + stackless + predictor suite (batched vs scalar node_step, escape links,"
+echo "    stackless vs stacked drivers, table semantics; the FlatBvh digests ran in the first gate)"
 cargo test -q -p sms-bvh --lib flat
 cargo test -q -p sms-rtunit --lib predictor
 cargo test -q -p sms-sim --test stackless_golden

@@ -1,10 +1,12 @@
-//! Binned surface-area-heuristic (SAH) binary BVH builder.
+//! Binary BVH builders: object-median selection (the default, see
+//! [`SplitMethod::Median`]) and binned surface-area heuristic (SAH); the
+//! parallel HLBVH build lives in [`crate::hlbvh`].
 //!
 //! The binary tree is an intermediate product: [`crate::flat::FlatBvh`]
 //! collapses it into the wide BVH the RT unit traverses.
 
 use crate::Primitive;
-use sms_geom::Aabb;
+use sms_geom::{from_order_key, order_key, Aabb, Vec3};
 
 /// Number of SAH bins per axis.
 const SAH_BINS: usize = 16;
@@ -114,7 +116,8 @@ pub struct BinaryBvh {
 }
 
 impl BinaryBvh {
-    /// Builds a binary BVH over `prims` with binned SAH splits.
+    /// Builds a binary BVH over `prims` with the split strategy
+    /// `params.split` names (object-median selection by default).
     ///
     /// An empty primitive list yields a single empty leaf so that traversal
     /// code never needs a special case.
@@ -122,25 +125,26 @@ impl BinaryBvh {
         if params.split == SplitMethod::Hlbvh {
             return crate::hlbvh::build_hlbvh(prims, params);
         }
-        let mut info: Vec<PrimInfo> = prims
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let aabb = p.aabb();
-                PrimInfo { index: i as u32, centroid: aabb.centroid(), aabb }
-            })
-            .collect();
-
-        let mut nodes = Vec::with_capacity(prims.len().max(1) * 2);
-        if info.is_empty() {
-            nodes.push(BinaryNode::Leaf { aabb: Aabb::EMPTY, first: 0, count: 0 });
-            return BinaryBvh { nodes, prim_order: Vec::new() };
+        let empty_leaf = BinaryNode::Leaf { aabb: Aabb::EMPTY, first: 0, count: 0 };
+        if prims.is_empty() {
+            return BinaryBvh { nodes: vec![empty_leaf], prim_order: Vec::new() };
         }
-
-        nodes.push(BinaryNode::Leaf { aabb: Aabb::EMPTY, first: 0, count: 0 }); // root placeholder
-        let n = info.len();
-        build_recursive(&mut nodes, 0, &mut info, 0, n, params);
-        let prim_order = info.iter().map(|p| p.index).collect();
+        // Index 0 is the root; every recursion below fills its own slot.
+        let mut nodes = Vec::with_capacity(prims.len() * 2);
+        nodes.push(empty_leaf);
+        let prim_order = if params.split == SplitMethod::Median {
+            let mut items: Vec<MedianItem> =
+                prims.iter().enumerate().map(|(i, p)| MedianItem::new(i, p.aabb())).collect();
+            let mut build = MedianBuild { prims, nodes: &mut nodes, leaf: params.max_leaf_size };
+            build.split(0, &mut items, 0, None);
+            items.iter().map(|it| it.index).collect()
+        } else {
+            let mut info: Vec<PrimInfo> =
+                prims.iter().enumerate().map(|(i, p)| PrimInfo::new(i, p.aabb())).collect();
+            let n = info.len();
+            build_sah(&mut nodes, 0, &mut info, 0, n, params);
+            info.iter().map(|p| p.index).collect()
+        };
         BinaryBvh { nodes, prim_order }
     }
 
@@ -158,16 +162,149 @@ impl BinaryBvh {
     }
 }
 
-/// Per-primitive build record shared by every builder in this crate.
+/// Centroid extent at or below which a range counts as coincident: no
+/// axis separates it, so it is halved in place (or becomes a leaf).
+const COINCIDENT_EXTENT: f32 = 1e-9;
+
+/// Work item of the median build: the centroid as three order-preserving
+/// integer keys ([`sms_geom::order_key`]) and the primitive index. 16
+/// bytes, against 40 for a [`PrimInfo`]; the boxes are read from the
+/// primitives again at the leaves.
+#[derive(Debug, Clone, Copy)]
+struct MedianItem {
+    key: [u32; 3],
+    index: u32,
+}
+
+impl MedianItem {
+    fn new(index: usize, aabb: Aabb) -> Self {
+        let c = aabb.centroid();
+        MedianItem { key: [order_key(c.x), order_key(c.y), order_key(c.z)], index: index as u32 }
+    }
+
+    /// The item's place in the build's strict total order along `axis`:
+    /// centroid first, primitive index on ties, as one integer.
+    #[inline]
+    fn rank(&self, axis: usize) -> u64 {
+        u64::from(self.key[axis]) << 32 | u64::from(self.index)
+    }
+}
+
+/// The median build's recursion state.
+struct MedianBuild<'a, P> {
+    prims: &'a [P],
+    nodes: &'a mut Vec<BinaryNode>,
+    /// `BuildParams::max_leaf_size`.
+    leaf: usize,
+}
+
+impl<P: Primitive> MedianBuild<'_, P> {
+    /// Builds the subtree over `items` (which start at `first` in the final
+    /// `prim_order`) into `nodes[node_id]` and returns its bounds, unioned
+    /// bottom-up from the children.
+    ///
+    /// An inner node cuts at the median of the total order along the widest
+    /// centroid axis. Which half an item lands in depends only on that order,
+    /// so a selection yields the halves a full sort would; the order *inside*
+    /// a half is whatever the selection left. It can be observed in two
+    /// places only — a leaf's contents, and the `count / 2` cuts of a
+    /// coincident range — and there the range is first sorted along
+    /// `parent_axis`, the axis its nearest splitting ancestor cut on: the
+    /// order a sort at every node leaves it in (`prop_bvh.rs` keeps that
+    /// build as the reference this one must equal). The root has no such
+    /// ancestor and is still in index order.
+    fn split(
+        &mut self,
+        node_id: usize,
+        items: &mut [MedianItem],
+        first: usize,
+        parent_axis: Option<usize>,
+    ) -> Aabb {
+        // A range that fits a leaf needs no extent: nothing will separate it.
+        let extent = if items.len() > self.leaf { centroid_extent(items) } else { Vec3::ZERO };
+        if extent.max_component() <= COINCIDENT_EXTENT {
+            if let Some(axis) = parent_axis {
+                items.sort_unstable_by_key(|it| it.rank(axis));
+            }
+            return self.halve_in_order(node_id, items, first);
+        }
+        let axis = extent.max_axis();
+        let mid = items.len() / 2;
+        items.select_nth_unstable_by_key(mid, |it| it.rank(axis));
+        let (lo, hi) = items.split_at_mut(mid);
+        self.inner(node_id, |build, left, right| {
+            let lo_bounds = build.split(left, lo, first, Some(axis));
+            Aabb::union(&lo_bounds, &build.split(right, hi, first + mid, Some(axis)))
+        })
+    }
+
+    /// A range no axis separates, already in its observable order: a leaf of
+    /// up to four times the leaf size, else halved as it lies to bound the
+    /// recursion depth.
+    fn halve_in_order(&mut self, node_id: usize, items: &[MedianItem], first: usize) -> Aabb {
+        if items.len() <= self.leaf * 4 {
+            let mut aabb = Aabb::EMPTY;
+            for it in items {
+                aabb.grow(&self.prims[it.index as usize].aabb());
+            }
+            self.nodes[node_id] =
+                BinaryNode::Leaf { aabb, first: first as u32, count: items.len() as u32 };
+            return aabb;
+        }
+        let (lo, hi) = items.split_at(items.len() / 2);
+        self.inner(node_id, |build, left, right| {
+            let lo_bounds = build.halve_in_order(left, lo, first);
+            Aabb::union(&lo_bounds, &build.halve_in_order(right, hi, first + lo.len()))
+        })
+    }
+
+    /// Reserves two adjacent child slots, builds them with `children` (left
+    /// subtree first) and writes the inner node over the bounds it returns.
+    fn inner(
+        &mut self,
+        node_id: usize,
+        children: impl FnOnce(&mut Self, usize, usize) -> Aabb,
+    ) -> Aabb {
+        let left = self.nodes.len();
+        let placeholder = BinaryNode::Leaf { aabb: Aabb::EMPTY, first: 0, count: 0 };
+        self.nodes.extend([placeholder.clone(), placeholder]);
+        let aabb = children(self, left, left + 1);
+        self.nodes[node_id] = BinaryNode::Inner { aabb, left: left as u32, right: left as u32 + 1 };
+        aabb
+    }
+}
+
+/// `max - min` of the items' centroids per axis, taken over the integer keys
+/// and decoded: the same extent `Aabb::grow_point` over the centroids gives.
+fn centroid_extent(items: &[MedianItem]) -> Vec3 {
+    let (mut lo, mut hi) = ([u32::MAX; 3], [0u32; 3]);
+    for it in items {
+        for a in 0..3 {
+            lo[a] = lo[a].min(it.key[a]);
+            hi[a] = hi[a].max(it.key[a]);
+        }
+    }
+    let span = |a: usize| from_order_key(hi[a]) - from_order_key(lo[a]);
+    Vec3::new(span(0), span(1), span(2))
+}
+
+/// Per-primitive build record of the binned-SAH and HLBVH builders.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PrimInfo {
     pub(crate) index: u32,
-    pub(crate) centroid: sms_geom::Vec3,
+    pub(crate) centroid: Vec3,
     pub(crate) aabb: Aabb,
 }
 
-/// Builds the subtree for `info[first..first+count]` into `nodes[node_id]`.
-fn build_recursive(
+impl PrimInfo {
+    pub(crate) fn new(index: usize, aabb: Aabb) -> Self {
+        PrimInfo { index: index as u32, centroid: aabb.centroid(), aabb }
+    }
+}
+
+/// Builds the binned-SAH subtree for `info[first..first+count]` into
+/// `nodes[node_id]`.
+fn build_sah(
     nodes: &mut Vec<BinaryNode>,
     node_id: usize,
     info: &mut [PrimInfo],
@@ -175,55 +312,37 @@ fn build_recursive(
     count: usize,
     params: &BuildParams,
 ) {
-    let slice = &info[first..first + count];
+    let slice = &mut info[first..first + count];
     let mut bounds = Aabb::EMPTY;
     let mut centroid_bounds = Aabb::EMPTY;
-    for p in slice {
+    for p in slice.iter() {
         bounds.grow(&p.aabb);
         centroid_bounds.grow_point(p.centroid);
     }
-
+    let leaf = BinaryNode::Leaf { aabb: bounds, first: first as u32, count: count as u32 };
     if count <= params.max_leaf_size {
-        nodes[node_id] =
-            BinaryNode::Leaf { aabb: bounds, first: first as u32, count: count as u32 };
+        nodes[node_id] = leaf;
         return;
     }
 
-    let split = match params.split {
-        // `build` dispatches HLBVH to its own module before recursing.
-        SplitMethod::Hlbvh => unreachable!("HLBVH never reaches build_recursive"),
-        SplitMethod::BinnedSah => {
-            find_best_split(&info[first..first + count], &centroid_bounds, &bounds, params)
-        }
-        SplitMethod::Median => {
-            if centroid_bounds.extent().max_component() <= 1e-9 {
-                None
-            } else {
-                sort_along_widest_axis(&mut info[first..first + count], &centroid_bounds);
-                Some(MEDIAN_SPLIT)
-            }
-        }
-    };
-
-    let mid = match split {
-        Some(MEDIAN_SPLIT) => count / 2,
+    let mid = match find_best_split(slice, &centroid_bounds) {
         Some((axis, plane)) => {
-            let mid = partition(&mut info[first..first + count], axis, plane);
+            let mid = partition(slice, axis, plane);
             if mid == 0 || mid == count {
                 // Degenerate SAH split: sort along the widest centroid axis
                 // and cut at the median.
-                sort_along_widest_axis(&mut info[first..first + count], &centroid_bounds);
+                sort_along_widest_axis(slice, &centroid_bounds);
                 count / 2
             } else {
                 mid
             }
         }
         None => {
-            // All centroids coincide: either make a leaf (small) or split in
-            // half (any order) to bound recursion depth.
+            // All centroids coincide: either make a leaf (small) or halve
+            // the range as the ancestors' partitions left it, to bound the
+            // recursion depth.
             if count <= params.max_leaf_size * 4 {
-                nodes[node_id] =
-                    BinaryNode::Leaf { aabb: bounds, first: first as u32, count: count as u32 };
+                nodes[node_id] = leaf;
                 return;
             }
             count / 2
@@ -237,12 +356,9 @@ fn build_recursive(
     nodes[node_id] =
         BinaryNode::Inner { aabb: bounds, left: left_id as u32, right: right_id as u32 };
 
-    build_recursive(nodes, left_id, info, first, mid, params);
-    build_recursive(nodes, right_id, info, first + mid, count - mid, params);
+    build_sah(nodes, left_id, info, first, mid, params);
+    build_sah(nodes, right_id, info, first + mid, count - mid, params);
 }
-
-/// Sentinel split value marking a median split (primitives pre-sorted).
-const MEDIAN_SPLIT: (usize, f32) = (usize::MAX, 0.0);
 
 /// Deterministically orders primitives along the widest centroid axis.
 pub(crate) fn sort_along_widest_axis(slice: &mut [PrimInfo], centroid_bounds: &Aabb) {
@@ -256,20 +372,15 @@ pub(crate) fn sort_along_widest_axis(slice: &mut [PrimInfo], centroid_bounds: &A
 }
 
 /// Finds the best binned SAH split; `None` when all centroids coincide.
-pub(crate) fn find_best_split(
-    slice: &[PrimInfo],
-    centroid_bounds: &Aabb,
-    _bounds: &Aabb,
-    _params: &BuildParams,
-) -> Option<(usize, f32)> {
+pub(crate) fn find_best_split(slice: &[PrimInfo], centroid_bounds: &Aabb) -> Option<(usize, f32)> {
     let ext = centroid_bounds.extent();
-    if ext.max_component() <= 1e-9 {
+    if ext.max_component() <= COINCIDENT_EXTENT {
         return None;
     }
 
     let mut best: Option<(usize, f32, f32)> = None; // (axis, plane, cost)
     for axis in 0..3 {
-        if ext[axis] <= 1e-9 {
+        if ext[axis] <= COINCIDENT_EXTENT {
             continue;
         }
         let lo = centroid_bounds.min[axis];

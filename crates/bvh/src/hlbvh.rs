@@ -152,14 +152,8 @@ pub fn build_hlbvh<P: Primitive>(prims: &[P], params: &BuildParams) -> BinaryBvh
     //    and this single O(n) sweep is a sliver of the build; every later
     //    stage works on the Send+Sync `PrimInfo` array and fans out.
     let chunks = chunk_ranges(n, workers);
-    let info: Vec<PrimInfo> = prims
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let aabb = p.aabb();
-            PrimInfo { index: i as u32, centroid: aabb.centroid(), aabb }
-        })
-        .collect();
+    let info: Vec<PrimInfo> =
+        prims.iter().enumerate().map(|(i, p)| PrimInfo::new(i, p.aabb())).collect();
 
     // 2. Centroid bounds: chunked union. IEEE min/max are exactly
     //    associative and commutative, so the grouping cannot change bits.
@@ -230,17 +224,11 @@ pub fn build_hlbvh<P: Primitive>(prims: &[P], params: &BuildParams) -> BinaryBvh
 
     // 8. Binned-SAH upper tree over the treelet roots (serial: there are at
     //    most 2^TREELET_BITS of them), splicing treelet blocks as leaves.
-    let mut roots: Vec<PrimInfo> = blocks
-        .iter()
-        .enumerate()
-        .map(|(t, block)| {
-            let aabb = block[0].aabb();
-            PrimInfo { index: t as u32, centroid: aabb.centroid(), aabb }
-        })
-        .collect();
+    let mut roots: Vec<PrimInfo> =
+        blocks.iter().enumerate().map(|(t, block)| PrimInfo::new(t, block[0].aabb())).collect();
     let total: usize = blocks.iter().map(Vec::len).sum();
     let mut nodes = Vec::with_capacity(total + 2 * roots.len());
-    emit_upper(&mut nodes, &mut roots, &blocks, params);
+    emit_upper(&mut nodes, &mut roots, &blocks);
 
     BinaryBvh { nodes, prim_order: sorted.iter().map(|p| p.index).collect() }
 }
@@ -308,7 +296,6 @@ fn emit_upper(
     nodes: &mut Vec<BinaryNode>,
     roots: &mut [PrimInfo],
     blocks: &[Vec<BinaryNode>],
-    params: &BuildParams,
 ) -> u32 {
     if roots.len() == 1 {
         let base = nodes.len() as u32;
@@ -328,7 +315,7 @@ fn emit_upper(
         centroid_bounds.grow_point(r.centroid);
     }
     let count = roots.len();
-    let mid = match find_best_split(roots, &centroid_bounds, &bounds, params) {
+    let mid = match find_best_split(roots, &centroid_bounds) {
         Some((axis, plane)) => {
             let mid = partition(roots, axis, plane);
             if mid == 0 || mid == count {
@@ -345,8 +332,8 @@ fn emit_upper(
     let my = nodes.len();
     nodes.push(BinaryNode::Leaf { aabb: Aabb::EMPTY, first: 0, count: 0 }); // placeholder
     let (lo, hi) = roots.split_at_mut(mid);
-    let left = emit_upper(nodes, lo, blocks, params);
-    let right = emit_upper(nodes, hi, blocks, params);
+    let left = emit_upper(nodes, lo, blocks);
+    let right = emit_upper(nodes, hi, blocks);
     nodes[my] = BinaryNode::Inner { aabb: bounds, left, right };
     my as u32
 }

@@ -3,7 +3,8 @@
 //! This crate implements the acceleration-structure substrate the paper's
 //! evaluation rests on (§II-A):
 //!
-//! * [`builder`] — a binned-SAH *binary* BVH builder.
+//! * [`builder`] — the serial *binary* BVH builders: object-median
+//!   selection (the default) and binned SAH.
 //! * [`hlbvh`] — a parallel linear-time HLBVH builder (Morton codes +
 //!   radix sort + treelets with a binned-SAH upper tree) for paper-scale
 //!   scenes; deterministic in the worker count.

@@ -1,7 +1,7 @@
 //! Properties of the geometry kernels.
 
 use sms_geom::check::{for_cases, Gen};
-use sms_geom::{Aabb, DeterministicRng, Ray, Sphere, Triangle, Vec3};
+use sms_geom::{from_order_key, order_key, Aabb, DeterministicRng, Ray, Sphere, Triangle, Vec3};
 
 const CASES: u64 = 10_000;
 const INF: f32 = f32::INFINITY;
@@ -124,5 +124,49 @@ fn normalized_vectors_unit_length() {
     for_cases(CASES, 0x6E6, |g| {
         let v = dir(g);
         assert!((v.normalized().length() - 1.0).abs() < 1e-5, "{v:?}");
+    });
+}
+
+/// Any non-NaN float: a uniform bit pattern (every exponent, subnormals and
+/// both infinities included), or one of the values ties are made of.
+fn any_ordered_f32(g: &mut Gen) -> f32 {
+    const SPECIAL: [f32; 8] = [0.0, -0.0, 1.0, -1.0, f32::MIN_POSITIVE, f32::MAX, INF, -INF];
+    loop {
+        let x = if g.chance(0.25) {
+            SPECIAL[g.int(0, SPECIAL.len() - 1)]
+        } else {
+            f32::from_bits(g.rng.next_u32())
+        };
+        if !x.is_nan() {
+            return x;
+        }
+    }
+}
+
+#[test]
+fn order_key_orders_as_partial_cmp_does() {
+    assert_eq!(order_key(-0.0), order_key(0.0));
+    for nan in [f32::NAN, -f32::NAN] {
+        let key = order_key(nan);
+        assert!(
+            key < order_key(-INF) || key > order_key(INF),
+            "NaN keyed among the ordered floats"
+        );
+    }
+    for_cases(CASES, 0x6E7, |g| {
+        let a = any_ordered_f32(g);
+        // Half the pairs are neighbours, where a wrong bit flip would show.
+        let b = if g.chance(0.5) {
+            from_order_key(order_key(a).saturating_add_signed(g.int(0, 2) as i32 - 1))
+        } else {
+            any_ordered_f32(g)
+        };
+        if b.is_nan() {
+            return; // one past an infinity
+        }
+        assert_eq!(a.partial_cmp(&b), Some(order_key(a).cmp(&order_key(b))), "{a:e} vs {b:e}");
+        // The key decodes to the float it came from (`+0.0` for either zero).
+        assert_eq!(from_order_key(order_key(a)), a);
+        assert_eq!(from_order_key(order_key(a)).to_bits(), (a + 0.0).to_bits());
     });
 }

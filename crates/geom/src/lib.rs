@@ -52,3 +52,27 @@ pub use vec3::Vec3;
 /// A conservative epsilon used to offset secondary-ray origins away from
 /// surfaces to avoid self-intersection ("shadow acne").
 pub const RAY_EPSILON: f32 = 1e-4;
+
+/// Maps `x` to an integer that orders as `x` does: for any two non-NaN
+/// floats, `a.partial_cmp(&b) == Some(order_key(a).cmp(&order_key(b)))`.
+/// `-0.0` is folded onto `+0.0` first, because `partial_cmp` calls the two
+/// equal. A NaN, which `partial_cmp` cannot place, gets a key outside
+/// `order_key(-∞)..=order_key(+∞)`.
+///
+/// The BVH median build selects on these keys, so that a comparison is one
+/// integer compare.
+#[inline]
+pub fn order_key(x: f32) -> u32 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 31 == 0 {
+        bits | 1 << 31
+    } else {
+        !bits
+    }
+}
+
+/// The float [`order_key`] maps to `key` (`+0.0` for either zero).
+#[inline]
+pub fn from_order_key(key: u32) -> f32 {
+    f32::from_bits(if key >> 31 == 1 { key & !(1 << 31) } else { !key })
+}

@@ -37,8 +37,8 @@ use std::collections::HashMap;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Construction-time server knobs.
@@ -171,6 +171,10 @@ impl JobCell {
     }
 }
 
+/// One prepared scene, or why its build failed (a failed slot is dropped
+/// from the table as soon as its waiters have the error).
+type SceneSlot = OnceLock<Result<Arc<PreparedScene>, RunError>>;
+
 /// Counting semaphore bounding concurrent simulations server-wide.
 struct SimPermits {
     free: Mutex<usize>,
@@ -203,7 +207,11 @@ pub struct ServerState {
     config: ServeConfig,
     metrics: ServerMetrics,
     /// Warm prepared-scene tier, keyed by `(scene, render)` debug string.
-    scenes: Mutex<HashMap<String, Arc<PreparedScene>>>,
+    /// A slot is filled once, by whoever asked first (`prepare_once`).
+    scenes: Mutex<HashMap<String, Arc<SceneSlot>>>,
+    /// Scene builds started, for the single-flight tests: a statistic, so
+    /// `Relaxed`.
+    pub(crate) scene_builds: AtomicU64,
     /// Single-flight table, keyed by canonical cache key.
     inflight: Mutex<HashMap<String, Arc<JobCell>>>,
     permits: SimPermits,
@@ -242,28 +250,46 @@ impl ServerState {
     }
 
     /// Fetches (building and retaining on first use) a prepared scene.
-    /// Build panics surface as a structured error, and a failed build is
-    /// *not* retained, so a later request retries it.
     fn prepared_scene(
         &self,
         scene: sms_sim::scene::SceneId,
         render: &RenderConfig,
     ) -> Result<Arc<PreparedScene>, RunError> {
-        let key = format!("{scene:?}|{render:?}");
-        if let Some(found) = self.scenes.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            return Ok(Arc::clone(found));
-        }
-        let built =
-            catch_unwind(AssertUnwindSafe(|| Arc::new(PreparedScene::build(scene, render))))
-                .map_err(|payload| RunError::Panicked {
+        self.prepare_once(format!("{scene:?}|{render:?}"), || PreparedScene::build(scene, render))
+    }
+
+    /// Single-flight preparation: the first requester of `key` runs `build`
+    /// and every concurrent one blocks on it — preparation happens before a
+    /// simulation permit is taken, so a cold scene would otherwise be built
+    /// once per connection thread that misses. A build panic surfaces as a
+    /// structured error to every waiter, and a failed build is *not*
+    /// retained, so a later request retries it.
+    fn prepare_once(
+        &self,
+        key: String,
+        build: impl FnOnce() -> PreparedScene,
+    ) -> Result<Arc<PreparedScene>, RunError> {
+        let lock = || self.scenes.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = Arc::clone(lock().entry(key.clone()).or_default());
+        let outcome = slot.get_or_init(|| {
+            self.scene_builds.fetch_add(1, Ordering::Relaxed);
+            catch_unwind(AssertUnwindSafe(|| Arc::new(build()))).map_err(|payload| {
+                RunError::Panicked {
                     worker: 0,
                     message: format!(
                         "scene preparation panicked: {}",
                         pool::panic_message(payload)
                     ),
-                })?;
-        let mut table = self.scenes.lock().unwrap_or_else(PoisonError::into_inner);
-        Ok(Arc::clone(table.entry(key).or_insert(built)))
+                }
+            })
+        });
+        if outcome.is_err() {
+            let mut table = lock();
+            if table.get(&key).is_some_and(|current| Arc::ptr_eq(current, &slot)) {
+                table.remove(&key);
+            }
+        }
+        outcome.clone()
     }
 
     /// Runs one job through cache, single-flight table and simulator.
@@ -370,6 +396,7 @@ impl Tier for ServerState {
             core,
             metrics: ServerMetrics::default(),
             scenes: Mutex::new(HashMap::new()),
+            scene_builds: AtomicU64::new(0),
             inflight: Mutex::new(HashMap::new()),
             permits: SimPermits::new(workers),
             config,
@@ -465,6 +492,7 @@ impl Tier for ServerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sms_sim::scene::SceneId;
 
     /// A sweep whose peer is gone before the response head can be written
     /// errors out *after* admission; its share of `max_inflight_jobs` must
@@ -488,5 +516,56 @@ mod tests {
         assert_eq!(err.status, 500, "the response head cannot be written: {err}");
         assert_eq!(state.metrics.jobs_in_flight.load(Ordering::SeqCst), 0);
         assert!(state.render_metrics().contains("sms_serve_jobs_in_flight 0\n"));
+    }
+
+    /// Runs `request` on `n` threads released together; their results.
+    fn race<T: Send>(n: usize, request: impl Fn() -> T + Sync) -> Vec<T> {
+        let barrier = std::sync::Barrier::new(n);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        request()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("requester panicked")).collect()
+        })
+    }
+
+    /// The fleet keeps up to four single-cell sweeps open per backend, and
+    /// preparation runs before a permit is taken: a table that is only
+    /// checked and then filled lets every thread that misses build the
+    /// scene for itself.
+    #[test]
+    fn concurrent_requests_for_a_cold_scene_share_one_build() {
+        let state = ServerState::new(ServeConfig { cache_dir: None, ..ServeConfig::default() });
+        let render = RenderConfig::tiny();
+        let scenes = race(6, || state.prepared_scene(SceneId::Fox, &render).expect("FOX builds"));
+        assert_eq!(state.scene_builds.load(Ordering::Relaxed), 1, "one build for six requesters");
+        assert!(scenes.iter().all(|s| Arc::ptr_eq(s, &scenes[0])), "and one scene shared");
+        // Retained: a later request builds nothing.
+        state.prepared_scene(SceneId::Fox, &render).expect("warm");
+        assert_eq!(state.scene_builds.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panicking_build_fails_every_waiter_and_is_not_retained() {
+        let state = ServerState::new(ServeConfig { cache_dir: None, ..ServeConfig::default() });
+        let failures = race(6, || state.prepare_once("k".to_owned(), || panic!("no such mesh")));
+        for failure in failures {
+            let Err(RunError::Panicked { message, .. }) = failure else {
+                panic!("a waiter was handed a scene from a build that panicked");
+            };
+            assert_eq!(message, "scene preparation panicked: no such mesh");
+        }
+        assert!(state.scenes.lock().unwrap().is_empty(), "the failed slot was dropped");
+        let builds = state.scene_builds.load(Ordering::Relaxed);
+        let render = RenderConfig::tiny();
+        let retried =
+            state.prepare_once("k".to_owned(), || PreparedScene::build(SceneId::Wknd, &render));
+        assert!(retried.is_ok(), "a later request retries the build");
+        assert_eq!(state.scene_builds.load(Ordering::Relaxed), builds + 1);
     }
 }
