@@ -52,6 +52,13 @@ if git grep -nE 'collections::(HashMap|BinaryHeap)' -- crates/mem/src crates/rtu
   exit 1
 fi
 
+echo "==> one-executor gate (the backend runs cells through sms_harness::Executor, which holds the"
+echo "    scene table and the simulate step; prints offenders)"
+if git grep -nE 'try_run_exporting|PreparedScene::build' -- crates/serve/src; then
+  echo "sms-serve simulates or builds scenes itself again (call Executor::scene / Executor::simulate)"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -59,11 +66,13 @@ echo "==> fault-injection suite"
 cargo test -q -p sms-harness --test fault_injection
 
 echo "==> fleet chaos suite (killed backend, torn journal, all-down degraded mode, hedging,"
-echo "    both tiers' wire bytes vs the pre-skeleton goldens, malformed + door-shed parity)"
+echo "    both tiers' wire bytes vs the pre-skeleton goldens, malformed + door-shed parity, a"
+echo "    simulator panic gives its permit back)"
 cargo test -q -p sms-serve --test fleet_chaos
 cargo test -q -p sms-serve --test fleet_e2e
 cargo test -q -p sms-serve --test serve_e2e -- \
-  wire_bytes_match_parent_goldens malformed_requests_get_4xx_not_panic
+  wire_bytes_match_parent_goldens malformed_requests_get_4xx_not_panic \
+  a_simulator_panic_does_not_leak_a_permit
 cargo test -q -p sms-harness --test cache_robustness
 
 echo "==> journal/json regression suite (schema goldens, non-finite floats, watchdog)"

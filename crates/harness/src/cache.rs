@@ -51,6 +51,21 @@ pub struct CacheKey {
     pub hash: u64,
 }
 
+impl CacheKey {
+    /// `req`'s key under `salt` ([`SIM_VERSION_SALT`] wherever no cache
+    /// with a salt of its own is involved).
+    pub fn new(req: &RunRequest, salt: u32) -> CacheKey {
+        let canonical = format!(
+            "sms-sim salt={salt}|scene={}|stack={:?}|gpu={:?}|render={:?}",
+            req.scene.name(),
+            req.stack,
+            req.gpu,
+            req.render
+        );
+        CacheKey { hash: fnv1a64(canonical.as_bytes()), canonical }
+    }
+}
+
 /// 64-bit FNV-1a over `bytes`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -166,16 +181,7 @@ impl ResultCache {
 
     /// Computes the request's cache key under this cache's salt.
     pub fn key(&self, req: &RunRequest) -> CacheKey {
-        let canonical = format!(
-            "sms-sim salt={}|scene={}|stack={:?}|gpu={:?}|render={:?}",
-            self.salt,
-            req.scene.name(),
-            req.stack,
-            req.gpu,
-            req.render
-        );
-        let hash = fnv1a64(canonical.as_bytes());
-        CacheKey { canonical, hash }
+        CacheKey::new(req, self.salt)
     }
 
     /// The path an entry for `key` lives at.

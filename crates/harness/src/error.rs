@@ -54,6 +54,12 @@ pub enum RunError {
         /// Human-readable description with the offending values.
         detail: String,
     },
+    /// A serving fleet got no stats for the cell: every dispatch attempt
+    /// failed, or a backend answered with its own failure.
+    Fleet {
+        /// The fleet's diagnostic, which is the whole rendering.
+        message: String,
+    },
 }
 
 impl RunError {
@@ -83,6 +89,7 @@ impl RunError {
             RunError::Stalled { .. } => "stalled",
             RunError::Deadlock { .. } => "deadlock",
             RunError::Invariant { .. } => "invariant",
+            RunError::Fleet { .. } => "fleet",
         }
     }
 
@@ -115,6 +122,7 @@ impl fmt::Display for RunError {
             RunError::Invariant { lane, kind, detail } => {
                 write!(f, "stack invariant `{kind}` violated on lane {lane}: {detail}")
             }
+            RunError::Fleet { message } => f.write_str(message),
         }
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::cache::{builds_to_json, metrics_to_json, record_to_json, stats_to_json};
 use crate::json::Json;
-use crate::{BatchMetrics, SceneBuild};
+use crate::{BatchMetrics, CacheKey, RunError, RunRequest, SceneBuild};
 use sms_sim::gpu::{SimStats, StallBreakdown};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -170,6 +170,50 @@ pub enum Event {
 }
 
 impl Event {
+    /// `job_queued` for job `job`: `req` under its cache key.
+    pub fn queued(job: usize, req: &RunRequest, key: &CacheKey) -> Event {
+        let (w, h, spp) = req.render.workload(req.scene);
+        Event::JobQueued {
+            job,
+            scene: req.scene.name().to_owned(),
+            config: req.stack.label(),
+            workload: format!("{w}x{h}x{spp}"),
+            key: key.canonical.clone(),
+        }
+    }
+
+    /// The line that settles job `job`, for every tier: `job_finished` for
+    /// `(stats, cache_hit, breakdown)`, else `run_timeout` for a watchdog
+    /// abort and `run_failed` for anything else (worker 0 when there was
+    /// none).
+    pub fn settled(
+        job: usize,
+        worker: Option<usize>,
+        duration_us: u64,
+        outcome: Result<(&SimStats, bool, Option<StallBreakdown>), &RunError>,
+    ) -> Event {
+        match outcome {
+            Ok((stats, cache_hit, breakdown)) => Event::JobFinished {
+                job,
+                worker,
+                cache_hit,
+                cycles: stats.cycles,
+                duration_us,
+                stats: Some(*stats),
+                breakdown,
+            },
+            Err(err) => {
+                let (worker, kind, error) =
+                    (worker.unwrap_or(0), err.kind().to_owned(), err.to_string());
+                if err.is_timeout() {
+                    Event::RunTimeout { job, worker, kind, error, duration_us }
+                } else {
+                    Event::RunFailed { job, worker, kind, error, duration_us }
+                }
+            }
+        }
+    }
+
     /// A span event from a [`TraceContext`](crate::TraceContext) — the
     /// hex rendering and parent plumbing in one place, so recording sites
     /// stay one call.

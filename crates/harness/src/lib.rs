@@ -7,8 +7,9 @@
 //! * **Deduplication** — identical requests in one batch run once (the
 //!   `RB_8` baseline appears in nearly every figure's matrix).
 //! * **Parallel execution** — a `std::thread` worker pool sized to the
-//!   available cores (`SMS_JOBS=N` overrides), with each scene's
-//!   [`PreparedScene`] built once and shared across workers via [`Arc`].
+//!   available cores (`SMS_JOBS=N` overrides), running each cell through
+//!   the [`Executor`], whose scene table builds each [`PreparedScene`]
+//!   once and shares it across workers and batches via [`Arc`].
 //! * **Result caching** — a content-addressed on-disk cache
 //!   ([`ResultCache`]) makes re-running a figure harness a set of cache
 //!   hits (`SMS_NO_CACHE=1` bypasses it).
@@ -44,6 +45,7 @@
 
 pub mod cache;
 pub mod error;
+pub mod executor;
 pub mod faultinject;
 pub mod journal;
 pub mod json;
@@ -54,6 +56,7 @@ pub mod trace;
 
 pub use cache::{CacheKey, ResultCache, SIM_VERSION_SALT};
 pub use error::RunError;
+pub use executor::{Executor, Flight};
 pub use faultinject::{CacheFault, FaultPlan};
 pub use journal::{Event, Journal};
 pub use pool::JobPanic;
@@ -62,14 +65,15 @@ pub use sms_sim::sim::{RunLimits, SimFault};
 pub use trace::{TraceContext, TRACE_HEADER};
 
 use sms_metrics::HistSummary;
+use sms_sim::bvh::BuildParams;
 use sms_sim::config::RenderConfig;
-use sms_sim::experiments::{try_run_exporting, RunExports, RunResult};
+use sms_sim::experiments::{RunExports, RunResult};
 use sms_sim::gpu::{GpuConfig, StallBreakdown};
 use sms_sim::render::PreparedScene;
 use sms_sim::rtunit::StackConfig;
 use sms_sim::rtunit::StackMetrics;
 use sms_sim::scene::SceneId;
-use sms_sim::{Env, MetricsReport, MetricsSpec, TraceSpec};
+use sms_sim::{Env, MetricsSpec, TraceSpec};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -111,11 +115,6 @@ impl RunRequest {
     pub fn with_limits(mut self, limits: RunLimits) -> Self {
         self.limits = limits;
         self
-    }
-
-    fn workload_label(&self) -> String {
-        let (w, h, spp) = self.render.workload(self.scene);
-        format!("{w}x{h}x{spp}")
     }
 }
 
@@ -290,8 +289,9 @@ pub struct BatchSummary {
     /// are batch-wide, not averages of per-job percentiles. `None` when no
     /// job was armed.
     pub metrics: Option<BatchMetrics>,
-    /// Per-scene BVH build wall times for the scenes this batch prepared
-    /// (empty when every job was a cache hit or resume replay).
+    /// Per-scene BVH build wall times for the scenes this batch built
+    /// (empty when every job was a cache hit or resume replay, or found
+    /// its scene built by an earlier batch of the same [`Harness`]).
     pub builds: Vec<SceneBuild>,
 }
 
@@ -366,30 +366,34 @@ impl fmt::Display for BatchSummary {
 }
 
 /// The experiment-execution engine. Cheap to construct; hold one per
-/// process and feed it batches.
+/// process and feed it batches. Its [`Executor`]'s scene table lives as
+/// long as it does, so a scene is built once per harness, not per batch.
 pub struct Harness {
     workers: usize,
-    cache: Option<ResultCache>,
     journal: Journal,
-    limits: RunLimits,
     resume: Option<ResumeState>,
-    hlbvh: bool,
-    exports: RunExports,
+    exec: Executor,
 }
 
 impl Harness {
     /// A harness from explicit configuration.
     pub fn new(config: HarnessConfig) -> Self {
+        let workers = config.workers.max(1);
+        // HLBVH trees are not the default ones, so their stats must not mix
+        // with the default-path cache or resume state in either direction:
+        // an HLBVH harness has neither.
+        let (cache_dir, resume, build) = if config.hlbvh {
+            (None, None, BuildParams::hlbvh(workers))
+        } else {
+            (config.cache_dir, config.resume, BuildParams::default())
+        };
+        let cache = cache_dir
+            .map(|dir| ResultCache::with_salt(dir, config.salt).with_retries(config.retries));
         Harness {
-            workers: config.workers.max(1),
-            cache: config
-                .cache_dir
-                .map(|dir| ResultCache::with_salt(dir, config.salt).with_retries(config.retries)),
+            workers,
             journal: Journal::new(config.journal_path, config.journal_sync),
-            limits: config.limits,
-            resume: config.resume.map(|p| ResumeState::load(&p)),
-            hlbvh: config.hlbvh,
-            exports: config.exports,
+            resume: resume.map(|p| ResumeState::load(&p)),
+            exec: Executor::new(cache, workers, build, config.limits, config.exports),
         }
     }
 
@@ -403,9 +407,9 @@ impl Harness {
         &self.journal
     }
 
-    /// The result cache, if enabled.
+    /// The result cache, if enabled (never under HLBVH).
     pub fn cache(&self) -> Option<&ResultCache> {
-        self.cache.as_ref()
+        self.exec.cache()
     }
 
     /// Executes a batch. Identical requests are deduplicated, scenes are
@@ -423,10 +427,7 @@ impl Harness {
         let results = results
             .into_iter()
             .enumerate()
-            .map(|(i, r)| match r {
-                Ok(v) => v,
-                Err(e) => panic!("batch request {i} failed: {e}"),
-            })
+            .map(|(i, r)| r.unwrap_or_else(|e| panic!("batch request {i} failed: {e}")))
             .collect();
         (results, summary)
     }
@@ -441,30 +442,24 @@ impl Harness {
         requests: &[RunRequest],
     ) -> (Vec<Result<RunResult, RunError>>, BatchSummary) {
         let t0 = Instant::now();
+        let exec = &self.exec;
+        let micros = |since: Instant| since.elapsed().as_micros() as u64;
 
         // 1. Dedupe on the canonical cache key (also the identity used for
         //    the on-disk cache, so "same key" always means "same stats") —
         //    plus the limits, which are *not* in the cache key but can
         //    change how a job ends (aborted vs completed), so requests
         //    differing only in limits stay distinct jobs.
-        let keyer = match &self.cache {
-            Some(c) => c.clone(),
-            None => ResultCache::new(PathBuf::new()), // keys only, no I/O
-        };
         let mut job_of_request = Vec::with_capacity(requests.len());
         let mut jobs: Vec<(RunRequest, CacheKey)> = Vec::new();
         let mut seen: HashMap<String, usize> = HashMap::new();
         for req in requests {
-            let key = keyer.key(req);
-            let identity = format!("{:?}|{}", req.limits, key.canonical);
-            let job = match seen.get(&identity) {
-                Some(&j) => j,
-                None => {
+            let key = exec.key(req);
+            let job =
+                *seen.entry(format!("{:?}|{}", req.limits, key.canonical)).or_insert_with(|| {
                     jobs.push((*req, key));
-                    seen.insert(identity, jobs.len() - 1);
                     jobs.len() - 1
-                }
-            };
+                });
             job_of_request.push(job);
         }
 
@@ -474,13 +469,7 @@ impl Harness {
             workers: self.workers,
         });
         for (j, (req, key)) in jobs.iter().enumerate() {
-            self.journal.record(Event::JobQueued {
-                job: j,
-                scene: req.scene.name().to_owned(),
-                config: req.stack.label(),
-                workload: req.workload_label(),
-                key: key.canonical.clone(),
-            });
+            self.journal.record(Event::queued(j, req, key));
         }
 
         // Jobs whose effective limits (or the harness's trace export) arm
@@ -490,39 +479,27 @@ impl Harness {
         // breakdown or metrics report (or write the trace file). Such jobs
         // skip the probe and the replay below; their stats still land in
         // the cache afterwards for unarmed future sweeps.
-        let trace_armed = self.exports.trace.is_some();
-        // HLBVH batches traverse a different tree, so their stats must not
-        // mix with the default-path cache/resume state in either direction:
-        // no probe, no replay, and (below) no store.
-        let hlbvh = self.hlbvh;
+        let trace_armed = exec.exports.trace.is_some();
         let armed = |req: &RunRequest| {
-            let limits = req.limits.or(self.limits);
-            trace_armed || limits.breakdown || limits.metrics || hlbvh
+            let limits = req.limits.or(exec.limits);
+            trace_armed || limits.breakdown || limits.metrics
+        };
+        let hit = |req: &RunRequest, stats| {
+            let (scene, stack) = (req.scene, req.stack);
+            Some(Ok(RunResult { scene, stack, stats, breakdown: None, metrics: None }))
         };
 
         // 2. Probe the cache on the scheduler thread (tiny JSON reads).
-        type JobOutcome =
-            (sms_sim::gpu::SimStats, Option<StallBreakdown>, Option<Box<MetricsReport>>);
-        let mut slots: Vec<Option<Result<JobOutcome, RunError>>> = vec![None; jobs.len()];
+        let mut slots: Vec<Option<Result<RunResult, RunError>>> = vec![None; jobs.len()];
         let mut hits = 0usize;
-        if let Some(cache) = &self.cache {
-            for (j, (req, key)) in jobs.iter().enumerate() {
-                if armed(req) {
-                    continue;
-                }
+        if let Some(cache) = exec.cache() {
+            for (j, (req, key)) in jobs.iter().enumerate().filter(|(_, (req, _))| !armed(req)) {
                 let probe_start = Instant::now();
                 if let Some(stats) = cache.load(key) {
                     hits += 1;
-                    self.journal.record(Event::JobFinished {
-                        job: j,
-                        worker: None,
-                        cache_hit: true,
-                        cycles: stats.cycles,
-                        duration_us: probe_start.elapsed().as_micros() as u64,
-                        stats: Some(stats),
-                        breakdown: None,
-                    });
-                    slots[j] = Some(Ok((stats, None, None)));
+                    let finished = Ok((&stats, true, None));
+                    self.journal.record(Event::settled(j, None, micros(probe_start), finished));
+                    slots[j] = hit(req, stats);
                 }
             }
         }
@@ -538,154 +515,76 @@ impl Harness {
                     if let Some(stats) = state.lookup(key) {
                         resumed += 1;
                         self.journal.record(Event::JobResumed { job: j, cycles: stats.cycles });
-                        if let Some(cache) = &self.cache {
+                        if let Some(cache) = exec.cache() {
                             cache.store(key, &stats);
                         }
-                        slots[j] = Some(Ok((stats, None, None)));
+                        slots[j] = hit(req, stats);
                     }
                 }
             }
         }
         let misses: Vec<usize> = (0..jobs.len()).filter(|&j| slots[j].is_none()).collect();
 
-        // 3. Prepare each distinct (scene, render) once, in parallel. A
-        //    panicking build is deferred: it fails only the jobs that
-        //    needed that scene, when they reach step 4.
+        // 3. Warm the executor's scene table with each distinct (scene,
+        //    render) of the misses, in parallel; step 4 reads it back. A
+        //    panicking build is not kept, so it fails only the jobs that
+        //    need that scene, when their step 4 retries it.
         let mut scene_keys: Vec<(SceneId, RenderConfig)> = Vec::new();
-        let mut scene_of_miss = Vec::with_capacity(misses.len());
         for &j in &misses {
-            let req = &jobs[j].0;
-            let key = (req.scene, req.render);
-            let idx = scene_keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+            let key = (jobs[j].0.scene, jobs[j].0.render);
+            if !scene_keys.contains(&key) {
                 scene_keys.push(key);
-                scene_keys.len() - 1
-            });
-            scene_of_miss.push(idx);
+            }
         }
-        let build_params = if self.hlbvh {
-            sms_sim::bvh::BuildParams::hlbvh(self.workers)
-        } else {
-            sms_sim::bvh::BuildParams::default()
-        };
-        let prepared: Vec<Result<Arc<PreparedScene>, JobPanic>> =
-            pool::try_run_indexed(self.workers, scene_keys.len(), |i, _| {
-                let (id, render) = scene_keys[i];
-                Arc::new(PreparedScene::build_with(id, &render, &build_params))
-            });
-        let builds: Vec<SceneBuild> = scene_keys
+        let prepared = pool::run_indexed(self.workers, scene_keys.len(), |i, _| {
+            let (id, render) = scene_keys[i];
+            (id, exec.scene(id, &render))
+        });
+        let builds: Vec<SceneBuild> = prepared
             .iter()
-            .zip(&prepared)
-            .filter_map(|(&(id, _), result)| {
-                result.as_ref().ok().map(|p| SceneBuild {
-                    scene: id.name().to_owned(),
-                    prims: p.scene.prims.len() as u64,
-                    build_us: p.build_us,
-                })
+            .filter_map(|(id, (scene, built))| {
+                let p = scene.as_ref().ok().filter(|_| *built)?;
+                let (prims, build_us) = (p.scene.prims.len() as u64, p.build_us);
+                Some(SceneBuild { scene: id.name().to_owned(), prims, build_us })
             })
             .collect();
 
         // 4. Simulate the misses on the pool; slot by job id, so merge
         //    order is deterministic regardless of completion order. The
-        //    closure maps simulator faults to `RunError`s itself; the
-        //    pool's own `catch_unwind` additionally nets any panic that
-        //    escapes the simulator.
+        //    pool's own `catch_unwind` nets a panic that escapes the
+        //    simulator.
         let journal = &self.journal;
-        let cache = &self.cache;
         let sim_results = pool::try_run_indexed(self.workers, misses.len(), |i, worker| {
             let job = misses[i];
             let (req, key) = &jobs[job];
             journal.record(Event::JobStarted { job, worker });
             let job_start = Instant::now();
-            let scene = match &prepared[scene_of_miss[i]] {
-                Ok(scene) => scene,
-                Err(p) => {
-                    let err = RunError::Panicked {
-                        worker: p.worker,
-                        message: format!("scene preparation panicked: {}", p.message),
-                    };
-                    journal.record(Event::RunFailed {
-                        job,
-                        worker,
-                        kind: err.kind().to_owned(),
-                        error: err.to_string(),
-                        duration_us: job_start.elapsed().as_micros() as u64,
-                    });
-                    return Err(err);
-                }
-            };
-            let limits = req.limits.or(self.limits);
-            let exports = &self.exports;
-            match try_run_exporting(scene, req.stack, req.gpu, &req.render, &limits, exports) {
-                Ok(result) => {
-                    // HLBVH stats would poison the default-path cache.
-                    if let (Some(cache), false) = (cache, hlbvh) {
-                        cache.store(key, &result.stats);
-                    }
-                    journal.record(Event::JobFinished {
-                        job,
-                        worker: Some(worker),
-                        cache_hit: false,
-                        cycles: result.stats.cycles,
-                        duration_us: job_start.elapsed().as_micros() as u64,
-                        stats: Some(result.stats),
-                        breakdown: result.breakdown,
-                    });
-                    Ok((result.stats, result.breakdown, result.metrics))
-                }
-                Err(fault) => {
-                    let err = RunError::from_fault(fault);
-                    let duration_us = job_start.elapsed().as_micros() as u64;
-                    if err.is_timeout() {
-                        journal.record(Event::RunTimeout {
-                            job,
-                            worker,
-                            kind: err.kind().to_owned(),
-                            error: err.to_string(),
-                            duration_us,
-                        });
-                    } else {
-                        journal.record(Event::RunFailed {
-                            job,
-                            worker,
-                            kind: err.kind().to_owned(),
-                            error: err.to_string(),
-                            duration_us,
-                        });
-                    }
-                    Err(err)
-                }
-            }
+            let scene = exec.scene(req.scene, &req.render).0;
+            let outcome = scene.and_then(|scene| exec.simulate(&scene, req, key));
+            let finished = outcome.as_ref().map(|r| (&r.stats, false, r.breakdown));
+            journal.record(Event::settled(job, Some(worker), micros(job_start), finished));
+            outcome
         });
         for (&j, outcome) in misses.iter().zip(sim_results) {
-            slots[j] = Some(match outcome {
-                Ok(run) => run,
-                // Panic that escaped the closure before it could journal —
-                // journal it here so the record is complete.
-                Err(p) => {
-                    let worker = p.worker;
-                    let err = RunError::Panicked { worker: p.worker, message: p.message };
-                    self.journal.record(Event::RunFailed {
-                        job: j,
-                        worker,
-                        kind: err.kind().to_owned(),
-                        error: err.to_string(),
-                        duration_us: 0,
-                    });
-                    Err(err)
-                }
-            });
+            // A panic that escaped the closure before it could journal —
+            // journal it here so the record is complete.
+            slots[j] = Some(outcome.unwrap_or_else(|p| {
+                let err = RunError::Panicked { worker: p.worker, message: p.message };
+                self.journal.record(Event::settled(j, Some(p.worker), 0, Err(&err)));
+                Err(err)
+            }));
         }
 
+        let done = || slots.iter().flatten().filter_map(|r| r.as_ref().ok());
         let failed = slots.iter().flatten().filter(|r| r.is_err()).count();
-        let sim_cycles: u64 =
-            slots.iter().flatten().filter_map(|r| r.as_ref().ok()).map(|(s, _, _)| s.cycles).sum();
+        let sim_cycles: u64 = done().map(|r| r.stats.cycles).sum();
         let mut batch_breakdown: Option<StallBreakdown> = None;
         let mut batch_stacks: Option<StackMetrics> = None;
-        for (_, b, m) in slots.iter().flatten().filter_map(|r| r.as_ref().ok()) {
-            if let Some(b) = b {
+        for r in done() {
+            if let Some(b) = &r.breakdown {
                 batch_breakdown.get_or_insert_with(StallBreakdown::default).merge(b);
             }
-            if let Some(m) = m {
+            if let Some(m) = &r.metrics {
                 batch_stacks.get_or_insert_with(StackMetrics::default).merge(&m.stacks);
             }
         }
@@ -716,22 +615,11 @@ impl Harness {
             builds: summary.builds.clone(),
         });
 
-        let results = requests
+        // Every job is a hit, a resumed replay, or a miss that step 4
+        // slotted; requests sharing a job share its scene and stack.
+        let results = job_of_request
             .iter()
-            .zip(&job_of_request)
-            .map(|(req, &j)| match &slots[j] {
-                Some(Ok((stats, breakdown, metrics))) => Ok(RunResult {
-                    scene: req.scene,
-                    stack: req.stack,
-                    stats: *stats,
-                    breakdown: *breakdown,
-                    metrics: metrics.clone(),
-                }),
-                Some(Err(e)) => Err(e.clone()),
-                // Every job is a hit, a resumed replay, or a miss that step
-                // 4 slotted.
-                None => unreachable!("batch job was never resolved"),
-            })
+            .map(|&j| slots[j].clone().unwrap_or_else(|| unreachable!("batch job never resolved")))
             .collect();
         (results, summary)
     }
@@ -776,33 +664,17 @@ impl Harness {
         (grouped, summary)
     }
 
-    /// Builds the scenes (BVH included) on the worker pool, one build per
-    /// distinct scene; duplicates share the same [`Arc`]. Returned in input
-    /// order.
+    /// The scenes (BVH included) from the executor's scene table, built on
+    /// the worker pool where missing, one build per distinct scene (a
+    /// build that panics panics here); duplicates share the same [`Arc`].
+    /// Returned in input order.
     pub fn prepare_scenes(
         &self,
         scenes: &[SceneId],
         render: &RenderConfig,
     ) -> Vec<Arc<PreparedScene>> {
-        let mut distinct: Vec<SceneId> = Vec::new();
-        for &id in scenes {
-            if !distinct.contains(&id) {
-                distinct.push(id);
-            }
-        }
-        let built: Vec<Arc<PreparedScene>> =
-            pool::run_indexed(self.workers, distinct.len(), |i, _| {
-                Arc::new(PreparedScene::build(distinct[i], render))
-            });
-        scenes
-            .iter()
-            .map(|id| {
-                let i = distinct
-                    .iter()
-                    .position(|d| d == id)
-                    .unwrap_or_else(|| unreachable!("collected above"));
-                Arc::clone(&built[i])
-            })
-            .collect()
+        pool::run_indexed(self.workers, scenes.len(), |i, _| {
+            self.exec.scene(scenes[i], render).0.unwrap_or_else(|e| panic!("{e}"))
+        })
     }
 }

@@ -45,10 +45,10 @@
 use crate::client::{Client, ClientConfig};
 use crate::http::{self, HttpError, Limits, Request};
 use crate::metrics::{inc, HttpCounters};
-use crate::protocol::{JobFailure, JobOutcome, JobRecord};
+use crate::protocol::JobRecord;
 use crate::service::{self, JobSink, Service, ServiceCore, SweepPlan, Tier};
 use sms_harness::trace::wall_us;
-use sms_harness::{Event, TraceContext};
+use sms_harness::{Event, RunError, TraceContext};
 use sms_metrics::{Histogram, Registry};
 use sms_sim::gpu::SimStats;
 use sms_sim::Env;
@@ -712,7 +712,7 @@ fn worker_loop(
             CellOutcome::Done { stats, cache, backend } => (backend, Ok((*stats, cache))),
             CellOutcome::Fail { error, backend } => {
                 inc(&state.metrics.cells_failed);
-                (backend, Err(JobFailure { kind: "fleet".to_owned(), error, timeout: false }))
+                (backend, Err(RunError::Fleet { message: error }))
             }
         };
         if let Some(ctx) = &task.ctx {
@@ -726,13 +726,13 @@ fn worker_loop(
                         attrs.push(("backend".to_owned(), state.backends[b].addr.clone()));
                     }
                 }
-                Err(failure) => attrs.push(("error".to_owned(), failure.error.clone())),
+                Err(e) => attrs.push(("error".to_owned(), e.to_string())),
             }
             let dur = wall_us().saturating_sub(cell_start_us);
             let span = Event::span(ctx, "cell", "internal", cell_start_us, dur, attrs);
             state.core.journal.record(span);
         }
-        sink.settle(task.idx, JobOutcome { worker, duration_us, result });
+        sink.settle(task.idx, worker, duration_us, result);
         remaining.fetch_sub(1, Ordering::SeqCst);
     }
 }

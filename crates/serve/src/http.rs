@@ -198,10 +198,13 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
     if req.header("transfer-encoding").is_some() {
         return Err(HttpError::new(501, "request bodies must use Content-Length"));
     }
-    let content_length = match req.header("content-length") {
-        None => 0usize,
-        Some(raw) => parse_digits(raw, 10)
+    // Two lengths are invalid framing whatever they say (RFC 9112 §6.3).
+    let mut lengths = req.headers.iter().filter(|(k, _)| k == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0usize,
+        (Some((_, raw)), None) => parse_digits(raw, 10)
             .ok_or_else(|| HttpError::new(400, format!("malformed Content-Length `{raw}`")))?,
+        (Some(_), Some(_)) => return Err(HttpError::new(400, "more than one Content-Length")),
     };
     if req.method == "GET" && content_length > 0 {
         return Err(HttpError::new(400, "GET requests must not carry a body"));
@@ -514,6 +517,18 @@ mod tests {
         let chunked =
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n+5\r\nhello\r\n0\r\n\r\n";
         assert_eq!(response(chunked).unwrap_err().status, 400);
+    }
+
+    /// A second `Content-Length` is refused, not ignored: whichever one a
+    /// proxy in front honours, the two disagree on where the body ends.
+    #[test]
+    fn refuses_more_than_one_content_length() {
+        let conflicting =
+            b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 999\r\n\r\nabcd";
+        let err = parse_bytes(conflicting).unwrap_err();
+        assert_eq!((err.status, err.message.as_str()), (400, "more than one Content-Length"));
+        let repeated = b"POST /x HTTP/1.1\r\ncontent-length: 4\r\nContent-Length: 4\r\n\r\nabcd";
+        assert_eq!(parse_bytes(repeated).unwrap_err().status, 400);
     }
 
     #[test]

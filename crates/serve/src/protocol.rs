@@ -8,8 +8,8 @@
 //! ```
 //!
 //! The response stream deliberately *is* the journal codec: one
-//! [`Event`]-shaped JSON line per record (`job_queued`, `job_finished`,
-//! `run_failed`/`run_timeout`, then a closing `batch_end`), so a saved
+//! [`sms_harness::Event`]-shaped JSON line per record (`job_queued`,
+//! `job_finished`, `run_failed`/`run_timeout`, then a closing `batch_end`), so a saved
 //! response body is a valid `SMS_RESUME` journal fragment and every
 //! existing journal tool parses it unchanged.
 //!
@@ -18,7 +18,7 @@
 //! the strings clients send are the strings every table already prints.
 
 use sms_harness::json::{parse, Json};
-use sms_harness::{Event, Journal, RunRequest};
+use sms_harness::RunRequest;
 use sms_sim::config::RenderConfig;
 use sms_sim::gpu::{GpuConfig, SimStats};
 use sms_sim::rtunit::StackConfig;
@@ -114,7 +114,7 @@ pub struct JobRecord {
     /// `hit`, `miss` — or `shared` for a single-flight follower.
     pub cache: String,
     /// The run's stats, or the failure diagnostic.
-    pub outcome: Result<sms_sim::gpu::SimStats, String>,
+    pub outcome: Result<SimStats, String>,
 }
 
 /// A fully parsed `/v1/sweep` response stream.
@@ -190,92 +190,6 @@ impl SweepOutcome {
             }
         }
         Ok(out)
-    }
-}
-
-/// Renders the `job_queued` stream/journal line for one admitted job.
-pub fn job_queued_event(job: usize, req: &RunRequest, key: &str) -> Event {
-    let (w, h, spp) = req.render.workload(req.scene);
-    Event::JobQueued {
-        job,
-        scene: req.scene.name().to_owned(),
-        config: req.stack.label(),
-        workload: format!("{w}x{h}x{spp}"),
-        key: key.to_owned(),
-    }
-}
-
-/// Why a job has no stats: the simulator's structured verdict on a
-/// backend, exhausted dispatch attempts (kind `fleet`) on a fleet.
-#[derive(Debug, Clone)]
-pub(crate) struct JobFailure {
-    pub kind: String,
-    pub error: String,
-    /// A watchdog abort (`run_timeout`) rather than a `run_failed`.
-    pub timeout: bool,
-}
-
-/// How one job settled, as either tier's executor reports it to the sweep
-/// frame.
-#[derive(Debug, Clone)]
-pub(crate) struct JobOutcome {
-    /// The pool worker on a backend; the backend index on a fleet (`None`
-    /// for a degraded-mode cache hit).
-    pub worker: Option<usize>,
-    pub duration_us: u64,
-    /// The stats and their cache tier (`hit`, `miss`, `shared`).
-    pub result: Result<(SimStats, String), JobFailure>,
-}
-
-impl JobOutcome {
-    /// The journal-codec event for this job under id `job`: `job_finished`
-    /// (only `miss` is not a cache hit), `run_failed` or `run_timeout`.
-    fn event(&self, job: usize) -> Event {
-        let JobOutcome { worker, duration_us, .. } = *self;
-        match &self.result {
-            Ok((stats, cache)) => Event::JobFinished {
-                job,
-                worker,
-                cache_hit: cache != "miss",
-                cycles: stats.cycles,
-                duration_us,
-                stats: Some(*stats),
-                breakdown: None,
-            },
-            Err(failure) => {
-                let worker = worker.unwrap_or(0);
-                let (kind, error) = (failure.kind.clone(), failure.error.clone());
-                if failure.timeout {
-                    Event::RunTimeout { job, worker, kind, error, duration_us }
-                } else {
-                    Event::RunFailed { job, worker, kind, error, duration_us }
-                }
-            }
-        }
-    }
-
-    /// Renders the stream line under the request-local id and mirrors the
-    /// same event into `journal` under the process-unique id. The
-    /// single-flight `shared` tier is patched into the stream's `cache`
-    /// field, which the journal codec itself renders as `hit`.
-    pub(crate) fn stream_line(
-        &self,
-        journal: &Journal,
-        local_job: usize,
-        journal_job: usize,
-    ) -> String {
-        journal.record(self.event(journal_job));
-        let mut doc = self.event(local_job).to_json();
-        if matches!(&self.result, Ok((_, cache)) if cache == "shared") {
-            if let Json::Obj(pairs) = &mut doc {
-                for (k, v) in pairs.iter_mut() {
-                    if k == "cache" {
-                        *v = Json::Str("shared".to_owned());
-                    }
-                }
-            }
-        }
-        format!("{doc}\n")
     }
 }
 

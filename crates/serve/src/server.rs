@@ -6,8 +6,8 @@
 //! split into `(scene, config, render)` jobs, deduplicated two ways —
 //! within a request (like `Harness::try_run_batch`) and *across* requests
 //! via a single-flight table, so two clients sweeping the same cell share
-//! one execution — then run on the `sms-harness` worker pool with global
-//! admission permits bounding concurrent simulations.
+//! one execution — then run on the `sms-harness` worker pool through the
+//! harness's own cell executor, held resident.
 //!
 //! Failure containment mirrors the harness: a panicking or
 //! watchdog-aborted job becomes a structured `run_failed`/`run_timeout`
@@ -17,28 +17,25 @@
 //! queueing unboundedly.
 //!
 //! Accepting, routing, the sweep stream and the drain are the shared
-//! [`crate::service`] skeleton; this module is what the backend adds:
-//! the admission gate, the single-flight table, the simulation permits
-//! and the warm scene tier.
+//! [`crate::service`] skeleton; the scene table, the simulation permits
+//! and the simulate step are [`sms_harness::Executor`]'s. This module is
+//! what the backend adds: the admission gate and cross-request sharing of
+//! a cell (a [`Flight`]).
 
 use crate::http::{HttpError, Limits, Request};
 use crate::metrics::{inc, ServerMetrics};
-use crate::protocol::{JobFailure, JobOutcome};
 use crate::service::{self, Service, ServiceCore, Tier};
 use sms_harness::trace::wall_us;
-use sms_harness::{pool, CacheKey, Event, RunError};
-use sms_sim::config::RenderConfig;
-use sms_sim::experiments::{try_run_exporting, RunExports};
+use sms_harness::{pool, CacheKey, Event, Executor, Flight, RunError, RunRequest};
+use sms_sim::bvh::BuildParams;
+use sms_sim::experiments::RunExports;
 use sms_sim::gpu::SimStats;
-use sms_sim::render::PreparedScene;
 use sms_sim::sim::RunLimits;
 use sms_sim::Env;
-use std::collections::HashMap;
 use std::net::TcpStream;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Construction-time server knobs.
@@ -124,97 +121,17 @@ impl ServeConfig {
     }
 }
 
-/// How a job's result was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Served {
-    /// Loaded from the shared on-disk cache.
-    Hit,
-    /// Simulated by this request.
-    Miss,
-    /// Attached to another request's in-flight execution (single-flight).
-    Shared,
-}
-
-impl Served {
-    fn label(self) -> &'static str {
-        match self {
-            Served::Hit => "hit",
-            Served::Miss => "miss",
-            Served::Shared => "shared",
-        }
-    }
-}
-
-/// A single-flight cell: the leader publishes exactly once, followers
-/// block on the condvar.
-#[derive(Default)]
-struct JobCell {
-    done: Mutex<Option<Result<SimStats, RunError>>>,
-    cv: Condvar,
-}
-
-impl JobCell {
-    fn publish(&self, result: Result<SimStats, RunError>) {
-        let mut slot = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-        *slot = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<SimStats, RunError> {
-        let mut slot = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
-            }
-            slot = self.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// One prepared scene, or why its build failed (a failed slot is dropped
-/// from the table as soon as its waiters have the error).
-type SceneSlot = OnceLock<Result<Arc<PreparedScene>, RunError>>;
-
-/// Counting semaphore bounding concurrent simulations server-wide.
-struct SimPermits {
-    free: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl SimPermits {
-    fn new(n: usize) -> Self {
-        SimPermits { free: Mutex::new(n.max(1)), cv: Condvar::new() }
-    }
-
-    fn acquire(&self) {
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
-        while *free == 0 {
-            free = self.cv.wait(free).unwrap_or_else(PoisonError::into_inner);
-        }
-        *free -= 1;
-    }
-
-    fn release(&self) {
-        *self.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        self.cv.notify_one();
-    }
-}
-
 /// The backend [`Tier`]: what the handler threads share beyond the
 /// [`ServiceCore`].
 pub struct ServerState {
     core: ServiceCore,
     config: ServeConfig,
     metrics: ServerMetrics,
-    /// Warm prepared-scene tier, keyed by `(scene, render)` debug string.
-    /// A slot is filled once, by whoever asked first (`prepare_once`).
-    scenes: Mutex<HashMap<String, Arc<SceneSlot>>>,
-    /// Scene builds started, for the single-flight tests: a statistic, so
-    /// `Relaxed`.
-    pub(crate) scene_builds: AtomicU64,
-    /// Single-flight table, keyed by canonical cache key.
-    inflight: Mutex<HashMap<String, Arc<JobCell>>>,
-    permits: SimPermits,
+    /// The harness's cell executor, resident: scene table, simulation
+    /// permits, simulate step.
+    exec: Executor,
+    /// Cross-request single flight, keyed by canonical cache key.
+    inflight: Flight<(SimStats, &'static str)>,
 }
 
 /// A bound (or running) sweep server.
@@ -249,124 +166,33 @@ impl ServerState {
         Ok(Admitted { metrics: &self.metrics, n })
     }
 
-    /// Fetches (building and retaining on first use) a prepared scene.
-    fn prepared_scene(
-        &self,
-        scene: sms_sim::scene::SceneId,
-        render: &RenderConfig,
-    ) -> Result<Arc<PreparedScene>, RunError> {
-        self.prepare_once(format!("{scene:?}|{render:?}"), || PreparedScene::build(scene, render))
-    }
-
-    /// Single-flight preparation: the first requester of `key` runs `build`
-    /// and every concurrent one blocks on it — preparation happens before a
-    /// simulation permit is taken, so a cold scene would otherwise be built
-    /// once per connection thread that misses. A build panic surfaces as a
-    /// structured error to every waiter, and a failed build is *not*
-    /// retained, so a later request retries it.
-    fn prepare_once(
-        &self,
-        key: String,
-        build: impl FnOnce() -> PreparedScene,
-    ) -> Result<Arc<PreparedScene>, RunError> {
-        let lock = || self.scenes.lock().unwrap_or_else(PoisonError::into_inner);
-        let slot = Arc::clone(lock().entry(key.clone()).or_default());
-        let outcome = slot.get_or_init(|| {
-            self.scene_builds.fetch_add(1, Ordering::Relaxed);
-            catch_unwind(AssertUnwindSafe(|| Arc::new(build()))).map_err(|payload| {
-                RunError::Panicked {
-                    worker: 0,
-                    message: format!(
-                        "scene preparation panicked: {}",
-                        pool::panic_message(payload)
-                    ),
-                }
-            })
-        });
-        if outcome.is_err() {
-            let mut table = lock();
-            if table.get(&key).is_some_and(|current| Arc::ptr_eq(current, &slot)) {
-                table.remove(&key);
-            }
-        }
-        outcome.clone()
-    }
-
-    /// Runs one job through cache, single-flight table and simulator.
-    /// Never panics outward; always publishes to followers.
+    /// Runs one job through cache, single-flight table and executor: its
+    /// stats and cache tier (`hit`, `miss`, or `shared` for a follower).
+    /// Never panics outward; a follower always gets the leader's result.
     fn execute(
         &self,
-        req: &sms_harness::RunRequest,
+        req: &RunRequest,
         key: &CacheKey,
-    ) -> (Result<SimStats, RunError>, Served) {
+    ) -> Result<(SimStats, &'static str), RunError> {
+        let probe = || self.exec.cache().and_then(|cache| cache.load(key)).map(|s| (s, "hit"));
         // Cached cells never need coalescing: probe before touching the
         // single-flight table, so concurrent warm requests all report a
         // plain hit instead of racing one of them into a leader slot.
-        if let Some(cache) = &self.core.cache {
-            if let Some(stats) = cache.load(key) {
-                return (Ok(stats), Served::Hit);
-            }
+        if let Some(hit) = probe() {
+            return Ok(hit);
         }
-        // Single-flight: first requester of a key becomes the leader.
-        let cell = {
-            let mut table = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-            match table.get(&key.canonical) {
-                Some(cell) => {
-                    let cell = Arc::clone(cell);
-                    drop(table);
-                    inc(&self.metrics.singleflight_shared);
-                    return (cell.wait(), Served::Shared);
-                }
-                None => {
-                    let cell = Arc::new(JobCell::default());
-                    table.insert(key.canonical.clone(), Arc::clone(&cell));
-                    cell
-                }
+        let (outcome, led) = self.inflight.run(&key.canonical, || match probe() {
+            Some(hit) => Ok(hit),
+            None => {
+                let scene = self.exec.scene(req.scene, &req.render).0?;
+                Ok((self.exec.simulate(&scene, req, key)?.stats, "miss"))
             }
-        };
-
-        // Leader path. The catch_unwind turns any panic below into a
-        // structured error so followers can never be left waiting.
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.execute_leader(req, key)))
-            .unwrap_or_else(|payload| {
-                (
-                    Err(RunError::Panicked { worker: 0, message: pool::panic_message(payload) }),
-                    Served::Miss,
-                )
-            });
-        cell.publish(outcome.0.clone());
-        self.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&key.canonical);
-        outcome
-    }
-
-    fn execute_leader(
-        &self,
-        req: &sms_harness::RunRequest,
-        key: &CacheKey,
-    ) -> (Result<SimStats, RunError>, Served) {
-        if let Some(cache) = &self.core.cache {
-            if let Some(stats) = cache.load(key) {
-                return (Ok(stats), Served::Hit);
-            }
+        });
+        if led {
+            return outcome;
         }
-        let scene = match self.prepared_scene(req.scene, &req.render) {
-            Ok(scene) => scene,
-            Err(e) => return (Err(e), Served::Miss),
-        };
-        self.permits.acquire();
-        let limits = req.limits.or(self.config.run_limits);
-        let exports = &self.config.exports;
-        let result = try_run_exporting(&scene, req.stack, req.gpu, &req.render, &limits, exports);
-        self.permits.release();
-        match result {
-            Ok(run) => {
-                if let Some(cache) = &self.core.cache {
-                    cache.store(key, &run.stats);
-                }
-                (Ok(run.stats), Served::Miss)
-            }
-            Err(fault) => (Err(RunError::from_fault(fault)), Served::Miss),
-        }
+        inc(&self.metrics.singleflight_shared);
+        outcome.map(|(stats, _)| (stats, "shared"))
     }
 }
 
@@ -392,13 +218,13 @@ impl Tier for ServerState {
         // One batch_start at process scope: every later job_queued /
         // job_finished pair keys the journal for SMS_RESUME replay.
         core.journal.record(Event::BatchStart { jobs: 0, unique: 0, workers });
+        let (limits, exports) = (config.run_limits, config.exports.clone());
+        let build = BuildParams::default();
         ServerState {
+            exec: Executor::new(core.cache.clone(), workers, build, limits, exports),
             core,
             metrics: ServerMetrics::default(),
-            scenes: Mutex::new(HashMap::new()),
-            scene_builds: AtomicU64::new(0),
-            inflight: Mutex::new(HashMap::new()),
-            permits: SimPermits::new(workers),
+            inflight: Flight::new(false, ""),
             config,
         }
     }
@@ -448,7 +274,7 @@ impl Tier for ServerState {
                 self.core.journal.record(Event::JobStarted { job: sink.journal_id(i), worker });
                 let job_start = Instant::now();
                 let job_start_us = wall_us();
-                let (outcome, served) = self.execute(req, key);
+                let outcome = self.execute(req, key);
                 let duration_us = job_start.elapsed().as_micros() as u64;
                 self.metrics.observe_job(duration_us);
                 if let Some(sweep_ctx) = &plan.ctx {
@@ -457,7 +283,7 @@ impl Tier for ServerState {
                         format!("{}/{}", req.scene.name(), req.stack.label()),
                     )];
                     match &outcome {
-                        Ok(_) => attrs.push(("cache".to_owned(), served.label().to_owned())),
+                        Ok((_, cache)) => attrs.push(("cache".to_owned(), cache.to_string())),
                         Err(e) => attrs.push(("error".to_owned(), e.kind().to_owned())),
                     }
                     attrs.push(("worker".to_owned(), worker.to_string()));
@@ -470,20 +296,14 @@ impl Tier for ServerState {
                         attrs,
                     ));
                 }
-                match (&outcome, served) {
-                    (Err(_), _) => inc(&self.metrics.jobs_failed),
-                    (Ok(_), Served::Hit) => inc(&self.metrics.cache_hits),
-                    (Ok(_), Served::Miss) => inc(&self.metrics.cache_misses),
-                    (Ok(_), Served::Shared) => {}
+                match &outcome {
+                    Err(_) => inc(&self.metrics.jobs_failed),
+                    Ok((_, "hit")) => inc(&self.metrics.cache_hits),
+                    Ok((_, "miss")) => inc(&self.metrics.cache_misses),
+                    Ok(_) => {}
                 }
-                let result = outcome.map(|stats| (stats, served.label().to_owned())).map_err(|e| {
-                    JobFailure {
-                        kind: e.kind().to_owned(),
-                        error: e.to_string(),
-                        timeout: e.is_timeout(),
-                    }
-                });
-                sink.settle(i, JobOutcome { worker: Some(worker), duration_us, result });
+                let result = outcome.map(|(stats, cache)| (stats, cache.to_owned()));
+                sink.settle(i, Some(worker), duration_us, result);
             });
         })
     }
@@ -492,7 +312,6 @@ impl Tier for ServerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sms_sim::scene::SceneId;
 
     /// A sweep whose peer is gone before the response head can be written
     /// errors out *after* admission; its share of `max_inflight_jobs` must
@@ -516,56 +335,5 @@ mod tests {
         assert_eq!(err.status, 500, "the response head cannot be written: {err}");
         assert_eq!(state.metrics.jobs_in_flight.load(Ordering::SeqCst), 0);
         assert!(state.render_metrics().contains("sms_serve_jobs_in_flight 0\n"));
-    }
-
-    /// Runs `request` on `n` threads released together; their results.
-    fn race<T: Send>(n: usize, request: impl Fn() -> T + Sync) -> Vec<T> {
-        let barrier = std::sync::Barrier::new(n);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|_| {
-                    s.spawn(|| {
-                        barrier.wait();
-                        request()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("requester panicked")).collect()
-        })
-    }
-
-    /// The fleet keeps up to four single-cell sweeps open per backend, and
-    /// preparation runs before a permit is taken: a table that is only
-    /// checked and then filled lets every thread that misses build the
-    /// scene for itself.
-    #[test]
-    fn concurrent_requests_for_a_cold_scene_share_one_build() {
-        let state = ServerState::new(ServeConfig { cache_dir: None, ..ServeConfig::default() });
-        let render = RenderConfig::tiny();
-        let scenes = race(6, || state.prepared_scene(SceneId::Fox, &render).expect("FOX builds"));
-        assert_eq!(state.scene_builds.load(Ordering::Relaxed), 1, "one build for six requesters");
-        assert!(scenes.iter().all(|s| Arc::ptr_eq(s, &scenes[0])), "and one scene shared");
-        // Retained: a later request builds nothing.
-        state.prepared_scene(SceneId::Fox, &render).expect("warm");
-        assert_eq!(state.scene_builds.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn a_panicking_build_fails_every_waiter_and_is_not_retained() {
-        let state = ServerState::new(ServeConfig { cache_dir: None, ..ServeConfig::default() });
-        let failures = race(6, || state.prepare_once("k".to_owned(), || panic!("no such mesh")));
-        for failure in failures {
-            let Err(RunError::Panicked { message, .. }) = failure else {
-                panic!("a waiter was handed a scene from a build that panicked");
-            };
-            assert_eq!(message, "scene preparation panicked: no such mesh");
-        }
-        assert!(state.scenes.lock().unwrap().is_empty(), "the failed slot was dropped");
-        let builds = state.scene_builds.load(Ordering::Relaxed);
-        let render = RenderConfig::tiny();
-        let retried =
-            state.prepare_once("k".to_owned(), || PreparedScene::build(SceneId::Wknd, &render));
-        assert!(retried.is_ok(), "a later request retries the build");
-        assert_eq!(state.scene_builds.load(Ordering::Relaxed), builds + 1);
     }
 }

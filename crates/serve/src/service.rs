@@ -15,12 +15,14 @@
 
 use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
 use crate::metrics::{inc, HttpCounters};
-use crate::protocol::{self, parse_render, parse_stack_config, JobOutcome};
+use crate::protocol::{self, parse_render, parse_stack_config};
 use sms_harness::json::Json;
 use sms_harness::trace::wall_us;
 use sms_harness::{
-    log, CacheKey, Event, FaultPlan, Journal, ResultCache, RunRequest, TraceContext,
+    log, CacheKey, Event, FaultPlan, Journal, ResultCache, RunError, RunRequest, TraceContext,
+    SIM_VERSION_SALT,
 };
+use sms_sim::gpu::SimStats;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,8 +67,6 @@ pub struct ServiceCore {
     max_conns: usize,
     max_jobs_per_request: usize,
     pub(crate) cache: Option<ResultCache>,
-    /// Key computation even when the disk cache is off.
-    pub(crate) keyer: ResultCache,
     pub(crate) journal: Journal,
     journal_path: Option<PathBuf>,
     /// Deterministic fault injection (`SMS_FAULT`); `None` (always, for
@@ -95,7 +95,6 @@ impl ServiceCore {
             max_conns,
             max_jobs_per_request,
             cache: cache_dir.map(|dir| ResultCache::new(dir).with_faults(faults.clone())),
-            keyer: ResultCache::new(PathBuf::new()),
             journal: Journal::new(journal_path.clone(), journal_sync),
             journal_path,
             faults,
@@ -417,7 +416,7 @@ fn handle_probe(
         }
     }
     let render = parse_render(&render_name).map_err(bad)?;
-    let key = core.keyer.key(&RunRequest::new(scene_id, stack, render));
+    let key = CacheKey::new(&RunRequest::new(scene_id, stack, render), SIM_VERSION_SALT);
     match core.cache.as_ref().and_then(|c| c.load(&key)) {
         Some(stats) => {
             let doc = Json::Obj(vec![
@@ -474,13 +473,17 @@ pub(crate) fn plan_sweep(core: &ServiceCore, request: &Request) -> Result<SweepP
     // one streamed job, exactly like `Harness::try_run_batch`.
     let mut jobs: Vec<(RunRequest, CacheKey)> = Vec::new();
     for req in &sweep.requests {
-        let key = core.keyer.key(req);
+        let key = CacheKey::new(req, SIM_VERSION_SALT);
         if !jobs.iter().any(|(_, k)| k.canonical == key.canonical) {
             jobs.push((*req, key));
         }
     }
     Ok(SweepPlan { jobs, render_name: sweep.render_name, ctx, start_us: wall_us() })
 }
+
+/// How a job settled: its stats and cache tier (`hit`, `miss`, `shared`),
+/// or why it has none (`RunError::Fleet` on a fleet).
+pub(crate) type Settled = Result<(SimStats, String), RunError>;
 
 /// Where a tier's executor reports each job it settles, in any order.
 pub(crate) struct JobSink<'a> {
@@ -489,7 +492,7 @@ pub(crate) struct JobSink<'a> {
     // Behind a mutex because the executors share the sink across worker
     // threads (`mpsc::Sender` is not `Sync` on older toolchains); one
     // uncontended lock per settled job is noise next to a simulation.
-    tx: Mutex<mpsc::Sender<(JobOutcome, String)>>,
+    tx: Mutex<mpsc::Sender<(Settled, String)>>,
 }
 
 impl JobSink<'_> {
@@ -498,18 +501,32 @@ impl JobSink<'_> {
         self.journal_base + local
     }
 
-    /// Mirrors the job into the journal on the caller's thread — the record
-    /// is durable before anything else can happen to the process — then
-    /// queues its stream line.
-    pub(crate) fn settle(&self, local: usize, outcome: JobOutcome) {
-        let line = outcome.stream_line(&self.core.journal, local, self.journal_id(local));
+    /// Mirrors the job into the journal under its process-unique id on the
+    /// caller's thread — the record is durable before anything else can
+    /// happen to the process — then queues its stream line under the
+    /// request-local id. `worker` is the pool worker on a backend and the
+    /// backend index on a fleet (`None` for a degraded-mode cache hit);
+    /// `us` is the job's wall time.
+    pub(crate) fn settle(&self, local: usize, worker: Option<usize>, us: u64, result: Settled) {
+        let finished = result.as_ref().map(|(stats, cache)| (stats, cache != "miss", None));
+        let event = |job| Event::settled(job, worker, us, finished);
+        self.core.journal.record(event(self.journal_id(local)));
+        // The stream's `cache` is the tier as given: `shared` included,
+        // which the journal codec itself renders as `hit`.
+        let mut doc = event(local).to_json();
+        if let (Ok((_, cache)), Json::Obj(pairs)) = (&result, &mut doc) {
+            for (_, v) in pairs.iter_mut().filter(|(k, _)| k == "cache") {
+                *v = Json::Str(cache.clone());
+            }
+        }
         // Kill budget: the K-th finished job takes the process down *with*
         // its own result — journaled (and cached) but never streamed, just
         // as a crash between simulate and send would lose it.
         if self.core.faults.as_ref().is_some_and(|f| f.on_job_finished()) {
             return;
         }
-        let _ = self.tx.lock().unwrap_or_else(PoisonError::into_inner).send((outcome, line));
+        let line = format!("{doc}\n");
+        let _ = self.tx.lock().unwrap_or_else(PoisonError::into_inner).send((result, line));
     }
 }
 
@@ -535,9 +552,8 @@ pub(crate) fn stream_sweep(
     let jobs = &plan.jobs;
     let journal_base = core.job_seq.fetch_add(jobs.len() as u64, Ordering::SeqCst) as usize;
     for (local, (req, key)) in jobs.iter().enumerate() {
-        let queued = |job: usize| protocol::job_queued_event(job, req, &key.canonical);
-        let _ = writer.chunk(format!("{}\n", queued(local).to_json()).as_bytes());
-        core.journal.record(queued(journal_base + local));
+        let _ = writer.chunk(format!("{}\n", Event::queued(local, req, key).to_json()).as_bytes());
+        core.journal.record(Event::queued(journal_base + local, req, key));
     }
 
     // Injected mid-stream cut: when the per-sweep counter fires, this
@@ -554,8 +570,8 @@ pub(crate) fn stream_sweep(
         // The sink (and its sender) drops with the executor, ending `rx`.
         scope.spawn(move || execute(&sink));
         // Stream lines in completion order; each is flushed as one chunk.
-        for (outcome, line) in rx {
-            match &outcome.result {
+        for (result, line) in rx {
+            match &result {
                 Ok((stats, cache)) if cache == "miss" => {
                     misses += 1;
                     sim_cycles += stats.cycles;

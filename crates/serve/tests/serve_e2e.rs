@@ -265,6 +265,37 @@ fn watchdog_abort_is_a_structured_stream_error() {
     join.join().unwrap().unwrap();
 }
 
+/// A simulator panic is a structured `run_failed` and gives its
+/// simulation permit back. `RB_8+SH_64` trips the SH carve-out assertion
+/// (the paper's 64 KB unified L1D/shared array): with the permit leaked, a
+/// one-worker backend never simulates again and cannot drain.
+#[test]
+fn a_simulator_panic_does_not_leak_a_permit() {
+    let (handle, join) = Server::spawn(ServeConfig { workers: 1, ..test_config(None) }).unwrap();
+    // A leaked permit hangs the second sweep: the deadline fails it instead.
+    let client = Client::with_config(ClientConfig {
+        addr: handle.addr().to_string(),
+        base_backoff: Duration::from_millis(10),
+        deadline: Duration::from_secs(30),
+        ..ClientConfig::default()
+    });
+
+    let failed = client.sweep(&["WKND"], &["RB_8+SH_64"], "tiny").unwrap();
+    assert_eq!(failed.records.len(), 1);
+    let err = failed.records[0].outcome.as_ref().unwrap_err();
+    assert!(err.starts_with("run panicked") && err.contains("leaves no L1D"), "{err}");
+    assert_eq!(failed.summary.as_ref().unwrap().u64_field("failed"), Some(1));
+
+    let cold = client.sweep(&["WKND"], &["RB_8"], "tiny").expect("the backend still simulates");
+    assert_eq!(cold.records[0].cache, "miss");
+    assert!(cold.records[0].outcome.is_ok());
+    let text = handle.render_metrics();
+    assert!(text.contains("sms_serve_jobs_in_flight 0\n"), "{text}");
+
+    handle.request_drain();
+    join.join().unwrap().expect("the backend drains");
+}
+
 fn connect(addr: SocketAddr) -> TcpStream {
     let s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -316,6 +347,13 @@ fn drain_tiers((backend, fleet, joins): Tiers) {
     }
 }
 
+/// `POST /v1/sweep` with `body` announced by its real length, then
+/// `extra_headers`.
+fn sweep_request(extra_headers: &str, body: &str) -> Vec<u8> {
+    let head = format!("POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n", body.len());
+    format!("{head}{extra_headers}\r\n{body}").into_bytes()
+}
+
 /// Raw-socket fuzz against both tiers (they share one accept loop and one
 /// route table): malformed requests get 4xx responses, never a hang or a
 /// dead server, and a connection beyond `max_conns` is shed at the door.
@@ -332,15 +370,14 @@ fn malformed_requests_get_4xx_not_panic() {
         (b"POST /v1/sweep HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n".to_vec(), 413),
         (b"POST /v1/sweep HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(), 501),
         (b"POST /v1/sweep HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json".to_vec(), 400),
+        (sweep_request("", r#"{"scenes":[],"configs":["RB_8"]}"#), 400),
+        // A well-formed sweep whose real length (54) is followed by a
+        // second, conflicting Content-Length.
         (
-            {
-                let body = br#"{"scenes":[],"configs":["RB_8"]}"#;
-                let mut req =
-                    format!("POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len())
-                        .into_bytes();
-                req.extend_from_slice(body);
-                req
-            },
+            sweep_request(
+                "Content-Length: 999\r\n",
+                r#"{"scenes":["WKND"],"configs":["RB_8"],"render":"tiny"}"#,
+            ),
             400,
         ),
         (b"GET /v1/nope HTTP/1.1\r\n\r\n".to_vec(), 404),
@@ -377,7 +414,7 @@ fn malformed_requests_get_4xx_not_panic() {
     for (metrics, prefix) in
         [(backend.render_metrics(), "sms_serve"), (fleet.render_metrics(), "sms_fleet")]
     {
-        assert!(metrics.contains(&format!("{prefix}_bad_requests_total 11\n")), "{metrics}");
+        assert!(metrics.contains(&format!("{prefix}_bad_requests_total 12\n")), "{metrics}");
     }
     drain_tiers(tiers);
 
