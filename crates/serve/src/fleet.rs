@@ -7,6 +7,16 @@
 //! single-cell sweep dispatched to a backend, with the failure handling a
 //! multi-process deployment needs layered on top:
 //!
+//! * **Scene affinity** — a stack configuration changes the simulation,
+//!   never the prepared scene, so each `(scene, render)` has a *home*
+//!   backend: the least-loaded one when the scene was first routed (ties
+//!   to the backend with fewer homes). Its cells go home while the home's
+//!   breaker is closed and it has at most [`HOME_SLACK`] more dispatches
+//!   in flight than the least-loaded backend; otherwise they spill to the
+//!   least-loaded one and the home stays put. Each scene is then built,
+//!   and kept resident, on one backend instead of on every backend. A
+//!   pick reserves its backend's in-flight slot under the same lock, so a
+//!   burst of concurrent picks sees its own dispatches.
 //! * **Work stealing** — cells live in one shared queue; any worker may
 //!   pick up a retried cell and send it to a different backend than the
 //!   one that failed it.
@@ -50,7 +60,9 @@ use crate::service::{self, JobSink, Service, ServiceCore, SweepPlan, Tier};
 use sms_harness::trace::wall_us;
 use sms_harness::{Event, RunError, TraceContext};
 use sms_metrics::{Histogram, Registry};
+use sms_sim::config::RenderConfig;
 use sms_sim::gpu::SimStats;
+use sms_sim::scene::SceneId;
 use sms_sim::Env;
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -58,6 +70,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// How many more dispatches in flight than the least-loaded backend a
+/// scene's home may have and still take the scene's cell: past one, an
+/// idle backend's parallelism is worth more than not building the scene
+/// twice.
+const HOME_SLACK: u64 = 1;
+
+/// A backend's scene-table key (`Executor::scene`): what one preparation
+/// serves.
+type SceneKey = (SceneId, RenderConfig);
 
 /// Construction-time fleet knobs.
 #[derive(Debug, Clone)]
@@ -162,12 +184,71 @@ enum Breaker {
 struct BackendState {
     addr: String,
     breaker: Mutex<Breaker>,
-    /// Dispatches currently outstanding (least-loaded routing).
-    inflight: AtomicU64,
+    /// Dispatches picked and not yet ended (see [`Reservation`]).
+    inflight: Arc<AtomicU64>,
     /// Cells this backend answered successfully.
     jobs_done: AtomicU64,
     /// Dispatches this backend failed (transport, 5xx, bad stream).
     failures: AtomicU64,
+}
+
+/// One dispatch's slot in its backend's in-flight count: taken by
+/// [`FleetState::pick_backend`] and given back on drop, so no way out of a
+/// dispatch (error, panic, hedge loser) leaks it.
+struct Reservation {
+    backend: usize,
+    inflight: Arc<AtomicU64>,
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The scene → home-backend table, with each backend's home count.
+struct Homes {
+    table: Vec<(SceneKey, usize)>,
+    count: Vec<usize>,
+}
+
+impl Homes {
+    fn get(&self, scene: SceneKey) -> Option<usize> {
+        self.table.iter().find(|(k, _)| *k == scene).map(|&(_, b)| b)
+    }
+
+    fn set(&mut self, scene: SceneKey, backend: usize) {
+        match self.table.iter_mut().find(|(k, _)| *k == scene) {
+            Some((_, home)) => {
+                self.count[*home] -= 1;
+                *home = backend;
+            }
+            None => self.table.push((scene, backend)),
+        }
+        self.count[backend] += 1;
+    }
+}
+
+/// The routing rule over one snapshot of the pool. `loads[i]` is backend
+/// `i`'s in-flight count while its breaker is closed, `None` otherwise;
+/// `homes[i]` counts the scenes homed on it; `home` is the cell's scene's.
+/// Returns the backend to dispatch to and whether it becomes the scene's
+/// home, or `None` when nothing but `exclude` is routable.
+fn route(
+    loads: &[Option<u64>],
+    homes: &[usize],
+    home: Option<usize>,
+    exclude: Option<usize>,
+) -> Option<(usize, bool)> {
+    let load = |i: usize| loads[i].filter(|_| Some(i) != exclude);
+    let (least, _, best) = (0..loads.len()).filter_map(|i| Some((load(i)?, homes[i], i))).min()?;
+    match home {
+        Some(h) if load(h).is_some_and(|l| l <= least + HOME_SLACK) => Some((h, false)),
+        // A spill-over leaves a routable home in place and a hedge never
+        // moves one; a new scene, or one whose home is out of routing,
+        // moves in.
+        _ => Some((best, exclude.is_none() && home.is_none_or(|h| loads[h].is_none()))),
+    }
 }
 
 /// A point-in-time view of one backend, for `/metrics`.
@@ -331,6 +412,8 @@ pub struct FleetState {
     core: ServiceCore,
     config: FleetConfig,
     backends: Vec<BackendState>,
+    /// Scene affinity; every pick reads and reserves under this lock.
+    homes: Mutex<Homes>,
     metrics: FleetMetrics,
 }
 
@@ -342,26 +425,34 @@ impl FleetState {
         self.backends[i].breaker.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Picks the least-loaded closed-breaker backend, or promotes one
-    /// expired open breaker to a half-open probe. `exclude` keeps a hedge
-    /// off the backend already trying the cell.
-    fn pick_backend(&self, exclude: Option<usize>) -> Option<usize> {
-        let mut best: Option<(usize, u64)> = None;
-        for i in 0..self.backends.len() {
-            if Some(i) == exclude {
-                continue;
-            }
-            if matches!(*self.lock_breaker(i), Breaker::Closed { .. }) {
-                let load = self.backends[i].inflight.load(Ordering::SeqCst);
-                if best.is_none_or(|(_, l)| load < l) {
-                    best = Some((i, load));
+    /// Picks and reserves a backend for one dispatch of a `scene` cell:
+    /// a closed-breaker backend by [`route`], or else one expired open
+    /// breaker promoted to a half-open probe (which never becomes a home).
+    /// `exclude` keeps a hedge off the backend already trying the cell.
+    fn pick_backend(&self, scene: SceneKey, exclude: Option<usize>) -> Option<Reservation> {
+        let mut homes = self.homes.lock().unwrap_or_else(PoisonError::into_inner);
+        let loads: Vec<Option<u64>> = (0..self.backends.len())
+            .map(|i| {
+                matches!(*self.lock_breaker(i), Breaker::Closed { .. })
+                    .then(|| self.backends[i].inflight.load(Ordering::SeqCst))
+            })
+            .collect();
+        let picked = match route(&loads, &homes.count, homes.get(scene), exclude) {
+            Some((i, rehome)) => {
+                if rehome {
+                    homes.set(scene, i);
                 }
+                i
             }
-        }
-        if let Some((i, _)) = best {
-            return Some(i);
-        }
-        // No closed breaker: allow at most one half-open probe through.
+            None => self.promote_probe(exclude)?,
+        };
+        let inflight = Arc::clone(&self.backends[picked].inflight);
+        inflight.fetch_add(1, Ordering::SeqCst);
+        Some(Reservation { backend: picked, inflight })
+    }
+
+    /// With no closed breaker, lets at most one half-open probe through.
+    fn promote_probe(&self, exclude: Option<usize>) -> Option<usize> {
         let now = Instant::now();
         for i in 0..self.backends.len() {
             if Some(i) == exclude {
@@ -471,17 +562,17 @@ impl FleetState {
 /// failure comes back as `Ok` with the record's own `Err` outcome.
 fn dispatch_once(
     state: &Arc<FleetState>,
-    backend_idx: usize,
+    reservation: Reservation,
     req: &sms_harness::RunRequest,
     render_name: &str,
     trace: Option<TraceContext>,
 ) -> Result<JobRecord, String> {
-    let backend = &state.backends[backend_idx];
-    backend.inflight.fetch_add(1, Ordering::SeqCst);
+    let backend = &state.backends[reservation.backend];
     let client = state.cell_client(&backend.addr, trace);
     let config_label = req.stack.label();
     let outcome = client.sweep(&[req.scene.name()], &[&config_label], render_name);
-    backend.inflight.fetch_sub(1, Ordering::SeqCst);
+    // Before the result is sent: the next pick sees this dispatch ended.
+    drop(reservation);
     match outcome {
         Ok(sweep) => {
             let n = sweep.records.len();
@@ -548,8 +639,9 @@ enum RoundResult {
 /// settle-vs-requeue.
 fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan) -> RoundResult {
     let (req, key) = &plan.jobs[task.idx];
+    let scene = (req.scene, req.render);
     task.attempts += 1;
-    let Some(primary) = state.pick_backend(None) else {
+    let Some(reservation) = state.pick_backend(scene, None) else {
         // Degraded mode: no routable backend. Cached cells are still
         // served; everything else waits for a breaker to half-open, then
         // fails once the attempt budget runs out — never hangs.
@@ -570,6 +662,7 @@ fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan
         std::thread::sleep(state.config.breaker_cooldown.min(Duration::from_millis(50)));
         return RoundResult::Requeue;
     };
+    let primary = reservation.backend;
     if task.attempts > 1 && task.last_backend.is_some_and(|last| last != primary) {
         // A retry moving to a different backend is a successful steal.
         inc(&state.metrics.steals);
@@ -579,7 +672,10 @@ fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan
     let (tx, rx) = mpsc::channel::<(usize, Result<JobRecord, String>)>();
     let mut spans: Vec<DispatchSpan> = Vec::new();
     let mut spawn_dispatch =
-        |idx: usize, hedged: bool, tx: mpsc::Sender<(usize, Result<JobRecord, String>)>| {
+        |reservation: Reservation,
+         hedged: bool,
+         tx: mpsc::Sender<(usize, Result<JobRecord, String>)>| {
+            let idx = reservation.backend;
             let ctx = task.ctx.map(|cell| cell.child());
             if let Some(ctx) = ctx {
                 spans.push(DispatchSpan {
@@ -595,11 +691,11 @@ fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan
             let req = *req;
             let render = plan.render_name.clone();
             std::thread::spawn(move || {
-                let result = dispatch_once(&state, idx, &req, &render, ctx);
+                let result = dispatch_once(&state, reservation, &req, &render, ctx);
                 let _ = tx.send((idx, result));
             });
         };
-    spawn_dispatch(primary, false, tx.clone());
+    spawn_dispatch(reservation, false, tx.clone());
     let mut outstanding = 1u32;
     let mut hedge: Option<usize> = None;
     // Hold the first message when it beat the hedge threshold, so the
@@ -608,11 +704,11 @@ fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan
         Some(hedge_after) => match rx.recv_timeout(hedge_after) {
             Ok(msg) => Some(msg),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some(second) = state.pick_backend(Some(primary)) {
+                if let Some(second) = state.pick_backend(scene, Some(primary)) {
                     inc(&state.metrics.hedges);
+                    hedge = Some(second.backend);
                     spawn_dispatch(second, true, tx.clone());
                     outstanding += 1;
-                    hedge = Some(second);
                 }
                 None
             }
@@ -762,12 +858,13 @@ impl Tier for FleetState {
             .map(|addr| BackendState {
                 addr: addr.clone(),
                 breaker: Mutex::new(Breaker::Closed { fails: 0 }),
-                inflight: AtomicU64::new(0),
+                inflight: Arc::default(),
                 jobs_done: AtomicU64::new(0),
                 failures: AtomicU64::new(0),
             })
             .collect();
-        FleetState { core, backends, metrics: FleetMetrics::default(), config }
+        let homes = Mutex::new(Homes { table: Vec::new(), count: vec![0; config.backends.len()] });
+        FleetState { core, backends, homes, metrics: FleetMetrics::default(), config }
     }
 
     fn core(&self) -> &ServiceCore {
@@ -861,26 +958,35 @@ mod tests {
         }))
     }
 
+    fn scene(i: usize) -> SceneKey {
+        (SceneId::ALL[i], RenderConfig::tiny())
+    }
+
+    /// One pick whose reservation ends at once, as if its dispatch did.
+    fn pick(state: &FleetState, exclude: Option<usize>) -> Option<usize> {
+        state.pick_backend(scene(0), exclude).map(|r| r.backend)
+    }
+
     #[test]
     fn breaker_opens_at_threshold_and_probes_after_cooldown() {
         let state = test_state(&["a:1"], 2, Duration::from_millis(30));
-        assert_eq!(state.pick_backend(None), Some(0));
+        assert_eq!(pick(&state, None), Some(0));
         state.on_backend_failure(0);
-        assert_eq!(state.pick_backend(None), Some(0), "one failure is below the threshold");
+        assert_eq!(pick(&state, None), Some(0), "one failure is below the threshold");
         state.on_backend_failure(0);
-        assert_eq!(state.pick_backend(None), None, "breaker must open at the threshold");
+        assert_eq!(pick(&state, None), None, "breaker must open at the threshold");
         assert!(!state.any_backend_usable());
         assert_eq!(state.metrics.breaker_opens.load(Ordering::Relaxed), 1);
 
         std::thread::sleep(Duration::from_millis(40));
         assert!(state.any_backend_usable(), "cooldown expiry re-admits the backend");
-        assert_eq!(state.pick_backend(None), Some(0), "first pick is the half-open probe");
-        assert_eq!(state.pick_backend(None), None, "only one probe may be outstanding");
+        assert_eq!(pick(&state, None), Some(0), "first pick is the half-open probe");
+        assert_eq!(pick(&state, None), None, "only one probe may be outstanding");
 
         // A successful probe re-closes the breaker; routing resumes.
         state.on_backend_success(0);
-        assert_eq!(state.pick_backend(None), Some(0));
-        assert_eq!(state.pick_backend(None), Some(0), "closed breaker routes freely");
+        assert_eq!(pick(&state, None), Some(0));
+        assert_eq!(pick(&state, None), Some(0), "closed breaker routes freely");
     }
 
     #[test]
@@ -888,9 +994,9 @@ mod tests {
         let state = test_state(&["a:1"], 1, Duration::from_millis(30));
         state.on_backend_failure(0);
         std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(state.pick_backend(None), Some(0));
+        assert_eq!(pick(&state, None), Some(0));
         state.on_backend_failure(0);
-        assert_eq!(state.pick_backend(None), None, "failed probe must reopen the breaker");
+        assert_eq!(pick(&state, None), None, "failed probe must reopen the breaker");
         assert_eq!(state.metrics.breaker_opens.load(Ordering::Relaxed), 2);
     }
 
@@ -898,13 +1004,99 @@ mod tests {
     fn routing_prefers_least_loaded_and_respects_exclude() {
         let state = test_state(&["a:1", "b:2"], 3, Duration::from_secs(1));
         state.backends[0].inflight.store(5, Ordering::SeqCst);
-        assert_eq!(state.pick_backend(None), Some(1), "least-loaded backend wins");
-        assert_eq!(state.pick_backend(Some(1)), Some(0), "exclude forces the other backend");
+        let held = state.pick_backend(scene(0), None).expect("two closed backends");
+        assert_eq!(held.backend, 1, "least-loaded backend wins");
+        assert_eq!(state.backends[1].inflight.load(Ordering::SeqCst), 1, "the pick reserves");
+        assert_eq!(pick(&state, Some(1)), Some(0), "exclude forces the other backend");
+        drop(held);
+        assert_eq!(state.backends[1].inflight.load(Ordering::SeqCst), 0, "the drop releases");
         state.on_backend_failure(1);
         state.on_backend_failure(1);
         state.on_backend_failure(1);
-        assert_eq!(state.pick_backend(None), Some(0), "open breaker drops out of routing");
-        assert_eq!(state.pick_backend(Some(0)), None, "no hedge target left");
+        assert_eq!(pick(&state, None), Some(0), "open breaker drops out of routing");
+        assert_eq!(pick(&state, Some(0)), None, "no hedge target left");
+    }
+
+    /// A sweep's workers pick together, before any dispatch starts: each
+    /// pick must count the ones before it. A third scene homed on backend
+    /// 1 evens the home counts after the first pick, so only the first
+    /// pick's reservation can send the second one to backend 1.
+    #[test]
+    fn consecutive_picks_spread_over_idle_backends() {
+        let state = test_state(&["a:1", "b:2"], 3, Duration::from_secs(1));
+        state.homes.lock().unwrap().set(scene(2), 1);
+        let first = state.pick_backend(scene(0), None).expect("idle pool");
+        let second = state.pick_backend(scene(1), None).expect("idle pool");
+        assert_eq!((first.backend, second.backend), (0, 1));
+    }
+
+    /// The routing rule through `pick_backend`, over random in-flight
+    /// counts, breaker states, homes and hedges.
+    #[test]
+    fn routing_goes_home_within_the_slack_and_only_routing_moves_homes() {
+        sms_sim::geom::check::for_cases(2_000, 27, |g| {
+            let n = g.int(1, 4);
+            let addrs: Vec<String> = (0..n).map(|i| format!("b:{i}")).collect();
+            let addrs: Vec<&str> = addrs.iter().map(String::as_str).collect();
+            let state = test_state(&addrs, 3, Duration::from_secs(3600));
+            let far = Instant::now() + Duration::from_secs(3600);
+            let mut loads = Vec::new();
+            for i in 0..n {
+                let closed = g.chance(0.7);
+                if !closed {
+                    let open = g.chance(0.5);
+                    *state.lock_breaker(i) =
+                        if open { Breaker::Open { until: far } } else { Breaker::HalfOpen };
+                }
+                let load = g.int(0, 4) as u64;
+                state.backends[i].inflight.store(load, Ordering::SeqCst);
+                loads.push(closed.then_some(load));
+            }
+            let home = g.chance(0.7).then(|| g.int(0, n - 1));
+            let exclude = g.chance(0.3).then(|| g.int(0, n - 1));
+            let count = {
+                let mut homes = state.homes.lock().unwrap();
+                for s in 1..g.int(1, 8) {
+                    homes.set(scene(s), g.int(0, n - 1));
+                }
+                if let Some(h) = home {
+                    homes.set(scene(0), h);
+                }
+                homes.count.clone()
+            };
+
+            let eligible = |i: usize| loads[i].filter(|_| Some(i) != exclude);
+            let least = (0..n).filter_map(eligible).min();
+            let picked = state.pick_backend(scene(0), exclude);
+            let homes = state.homes.lock().unwrap();
+            let after = homes.get(scene(0));
+            for (b, &c) in homes.count.iter().enumerate() {
+                assert_eq!(c, homes.table.iter().filter(|e| e.1 == b).count(), "count of {b}");
+            }
+            let (Some(least), Some(r)) = (least, &picked) else {
+                assert!(picked.is_none() && least.is_none(), "a pick iff a routable backend");
+                assert_eq!(after, home, "no pick moves no home");
+                return;
+            };
+            let c = r.backend;
+            let load = eligible(c).expect("the pick is routable and not excluded");
+            assert!(load <= least + HOME_SLACK, "load {load} past the least {least}");
+            assert_eq!(state.backends[c].inflight.load(Ordering::SeqCst), load + 1, "reserved");
+            let qualifies = |h: usize| eligible(h).is_some_and(|l| l <= least + HOME_SLACK);
+            match home {
+                Some(h) if qualifies(h) => assert_eq!(c, h, "a qualifying home takes the cell"),
+                _ => assert!(
+                    (0..n).all(|i| eligible(i).is_none_or(|l| (load, count[c]) <= (l, count[i]))),
+                    "otherwise the least loaded, ties to fewer homes"
+                ),
+            }
+            let want = match (exclude, home) {
+                (Some(_), _) => home,
+                (None, Some(h)) if loads[h].is_some() => home,
+                (None, _) => Some(c),
+            };
+            assert_eq!(after, want, "hedges and spills keep the home; a dead one is replaced");
+        });
     }
 
     #[test]
@@ -915,9 +1107,9 @@ mod tests {
         state.on_backend_success(0);
         state.on_backend_failure(0);
         state.on_backend_failure(0);
-        assert_eq!(state.pick_backend(None), Some(0), "success must reset consecutive failures");
+        assert_eq!(pick(&state, None), Some(0), "success must reset consecutive failures");
         state.on_backend_failure(0);
-        assert_eq!(state.pick_backend(None), None);
+        assert_eq!(pick(&state, None), None);
     }
 
     #[test]

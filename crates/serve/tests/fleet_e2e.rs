@@ -1,13 +1,15 @@
 //! End-to-end contract of the fleet front tier over real sockets:
-//! lifecycle with live backends, hedged dispatch past an injected
-//! straggler (one client, then four concurrent ones), and strict
-//! `/metrics` output.
+//! lifecycle with live backends, scene-affinity routing, hedged dispatch
+//! past an injected straggler (one client, then four concurrent ones), and
+//! strict `/metrics` output.
 
+use sms_harness::json::{parse, Json};
 use sms_harness::FaultPlan;
 use sms_metrics::prom;
 use sms_serve::client::{Client, ClientConfig};
 use sms_serve::fleet::{FleetConfig, FleetServer};
 use sms_serve::server::{ServeConfig, Server};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,6 +103,70 @@ fn lifecycle_sweep_probe_metrics_drain() {
     b.request_drain();
     join_a.join().unwrap().unwrap();
     join_b.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Scene affinity over real sockets: with one fleet worker every pick
+/// sees idle backends, so every cell goes to its scene's home and each
+/// scene is journaled (prepared) by exactly one backend, and the fewer-homes
+/// tie-break gives both backends a scene. This proves the wiring — the
+/// sweep's scene reaches the routing table and the table reaches the
+/// dispatch. It does not exercise the load-dependent spill past the
+/// slack; the routing property in `fleet.rs` covers that.
+#[test]
+fn a_scene_is_prepared_on_one_backend() {
+    let dir = temp_dir("affinity");
+    let cache = dir.join("cache");
+    let journals = [dir.join("a.jsonl"), dir.join("b.jsonl")];
+    let spawn = |journal: &PathBuf| {
+        Server::spawn(ServeConfig {
+            workers: 1,
+            journal_path: Some(journal.clone()),
+            ..backend_config(cache.clone())
+        })
+        .unwrap()
+    };
+    let (a, join_a) = spawn(&journals[0]);
+    let (b, join_b) = spawn(&journals[1]);
+    let config = FleetConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        backends: vec![a.addr().to_string(), b.addr().to_string()],
+        workers: 1,
+        cache_dir: Some(cache.clone()),
+        ..FleetConfig::default()
+    };
+    let (fleet, join_fleet) = FleetServer::spawn(config).unwrap();
+
+    let (scenes, configs) = (["WKND", "BUNNY", "SHIP"], ["RB_8", "RB_8+SH_8+SK+RA"]);
+    let cold = fleet_client(fleet.addr()).sweep(&scenes, &configs, "tiny").unwrap();
+    assert_eq!(cold.records.len(), 6);
+    for rec in &cold.records {
+        assert!(rec.outcome.is_ok(), "cold cell failed: {:?}", rec.outcome);
+        assert_eq!(rec.cache, "miss", "{}/{}: a cold sweep simulates", rec.scene, rec.config);
+    }
+
+    fleet.request_drain();
+    join_fleet.join().unwrap().unwrap();
+    for (backend, join) in [(a, join_a), (b, join_b)] {
+        backend.request_drain();
+        join.join().unwrap().unwrap();
+    }
+    let queued: Vec<BTreeSet<String>> = journals
+        .iter()
+        .map(|path| {
+            std::fs::read_to_string(path)
+                .unwrap()
+                .lines()
+                .filter_map(|l| parse(l).ok())
+                .filter(|d| d.get("event").and_then(Json::as_str) == Some("job_queued"))
+                .map(|d| d.get("scene").and_then(Json::as_str).unwrap().to_owned())
+                .collect()
+        })
+        .collect();
+    assert!(queued[0].is_disjoint(&queued[1]), "a scene on both backends: {queued:?}");
+    let all: BTreeSet<String> = queued.iter().flatten().cloned().collect();
+    assert_eq!(all, scenes.iter().map(|s| (*s).to_owned()).collect(), "{queued:?}");
+    assert!(queued.iter().all(|q| !q.is_empty()), "each backend is home to a scene: {queued:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
