@@ -59,15 +59,26 @@ if git grep -nE 'try_run_exporting|PreparedScene::build' -- crates/serve/src; th
   exit 1
 fi
 
+echo "==> one-record gate (a finished cell is recovered from the result cache only: no journal"
+echo "    replayer, replay event or torn-journal fault; prints offenders)"
+# The bracketed letters keep this pattern from matching itself in a
+# repo-wide grep, and `[_]` keeps the env-docs test from reading it as a
+# variable name.
+if git grep -nE 'SMS[_]RESUME|Resume[S]tate|Job[R]esumed|job[_]resumed|journal[_]torn' -- \
+     crates examples tests; then
+  echo "a second copy of the finished-cell record is back (re-run on the cache instead)"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
 echo "==> fault-injection suite"
 cargo test -q -p sms-harness --test fault_injection
 
-echo "==> fleet chaos suite (killed backend, torn journal, all-down degraded mode, hedging,"
-echo "    both tiers' wire bytes vs the pre-skeleton goldens, malformed + door-shed parity, a"
-echo "    simulator panic gives its permit back)"
+echo "==> fleet chaos suite (killed backend, killed backend re-run from the cache, all-down"
+echo "    degraded mode, hedging, both tiers' wire bytes vs the pre-skeleton goldens, malformed +"
+echo "    door-shed parity, a simulator panic gives its permit back)"
 cargo test -q -p sms-serve --test fleet_chaos
 cargo test -q -p sms-serve --test fleet_e2e
 cargo test -q -p sms-serve --test serve_e2e -- \

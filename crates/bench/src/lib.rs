@@ -17,7 +17,7 @@
 //! Every experiment honours the `bench` and `harness` rows of the
 //! environment table in `EXPERIMENTS.md` (declared once, in
 //! `sms_sim::env::DECLS`): `SMS_SCENES`, `SMS_PAPER`, `SMS_JOBS`, the
-//! cache / journal / resume locations, the watchdogs and the observation
+//! cache and journal locations, the watchdogs and the observation
 //! arms. [`figures`] takes the process's one snapshot of them.
 //!
 //! Batches run on the fault-tolerant path: a panicking, livelocked or

@@ -48,7 +48,6 @@ pub const DECLS: &[Decl] = &[
     ("SMS_STALL_CYCLES", Positive, "off", "harness, serve", "forward-progress watchdog window"),
     ("SMS_VALIDATE", Flag, "off", "harness, serve", "attach the stack invariant validator"),
     ("SMS_RETRIES", NonNegative, "2", "harness", "bounded retries for transient cache I/O"),
-    ("SMS_RESUME", Path, "off", "harness", "replay completed runs from a prior journal"),
     ("SMS_BREAKDOWN", Flag, "off", "harness", "arm cycle attribution on every run"),
     ("SMS_TRACE", Path, "off", "harness, serve", "Chrome-trace timeline per run"),
     ("SMS_TRACE_PERIOD", Positive, "1024", "harness, serve", "trace counter sample period, cycles"),

@@ -96,7 +96,7 @@ impl SimFault {
         }
     }
 
-    /// `true` for the watchdog faults (budget/stall) that a resume should
+    /// `true` for the watchdog faults (budget/stall) that a re-run should
     /// not blindly retry with the same limits.
     pub fn is_timeout(&self) -> bool {
         matches!(self, SimFault::CycleBudget { .. } | SimFault::Stalled { .. })

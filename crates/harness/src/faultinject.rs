@@ -18,10 +18,11 @@
 //! drop_stream:every=<n>     cut every nth streamed response mid-body
 //! cache_truncate:every=<n>  truncate every nth cache entry as it is written
 //! cache_corrupt:every=<n>   flip bytes in every nth cache entry written
-//! journal_torn              when kill fires, also tear the journal tail
 //! ```
 //!
-//! Example: `SMS_FAULT="seed=7;kill:jobs=2;delay:every=3,ms=50"`.
+//! Example: `SMS_FAULT="seed=7;kill:jobs=2;delay:every=3,ms=50"`. Parsing
+//! is strict: every clause takes exactly its own arguments, each once, as
+//! plain decimal digits, and an `every` is at least 1.
 //!
 //! The entire layer is behind `Option<Arc<FaultPlan>>`: a `None` plan means
 //! no fault code executes at all, so behaviour with injection off is
@@ -53,7 +54,6 @@ pub struct FaultPlan {
     drop_stream_every: Option<u64>,
     cache_truncate_every: Option<u64>,
     cache_corrupt_every: Option<u64>,
-    journal_torn: bool,
 
     jobs_done: AtomicU64,
     responses: AtomicU64,
@@ -76,7 +76,6 @@ impl FaultPlan {
             drop_stream_every: None,
             cache_truncate_every: None,
             cache_corrupt_every: None,
-            journal_torn: false,
             jobs_done: AtomicU64::new(0),
             responses: AtomicU64::new(0),
             conns: AtomicU64::new(0),
@@ -84,49 +83,33 @@ impl FaultPlan {
             cache_writes: AtomicU64::new(0),
             killed: AtomicBool::new(false),
         };
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
+        for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
+            // `seed=<n>` is the one clause without a `:`; everything after
+            // its `=` must be the number.
+            if let Some(seed) = clause.strip_prefix("seed=") {
+                plan.seed = parse_u64("seed", seed)?;
                 continue;
             }
             let (name, args) = match clause.split_once(':') {
                 Some((n, a)) => (n.trim(), a.trim()),
                 None => (clause, ""),
             };
+            let every = || clause_args(name, args, ["every"]).map(|[every]| Some(every));
             match name {
-                "seed" => {
-                    // `seed=<n>` has no `:` so it arrives as the whole name.
-                    return Err(format!("fault clause `{clause}`: expected seed=<n>"));
-                }
-                _ if name.starts_with("seed=") => {
-                    plan.seed = parse_u64("seed", &name[5..])?;
-                }
-                "kill" => {
-                    plan.kill_after_jobs = Some(require_arg(name, args, "jobs")?);
-                }
+                "seed" => return Err(format!("fault clause `{clause}`: expected seed=<n>")),
+                "kill" => plan.kill_after_jobs = Some(clause_args(name, args, ["jobs"])?[0]),
                 "delay" => {
-                    plan.delay_every = Some(require_arg(name, args, "every")?);
-                    plan.delay_ms = require_arg(name, args, "ms")?;
+                    let [every, ms] = clause_args(name, args, ["every", "ms"])?;
+                    (plan.delay_every, plan.delay_ms) = (Some(every), ms);
                 }
-                "drop_conn" => {
-                    plan.drop_conn_every = Some(require_arg(name, args, "every")?);
-                }
-                "drop_stream" => {
-                    plan.drop_stream_every = Some(require_arg(name, args, "every")?);
-                }
-                "cache_truncate" => {
-                    plan.cache_truncate_every = Some(require_arg(name, args, "every")?);
-                }
-                "cache_corrupt" => {
-                    plan.cache_corrupt_every = Some(require_arg(name, args, "every")?);
-                }
-                "journal_torn" => {
-                    plan.journal_torn = true;
-                }
+                "drop_conn" => plan.drop_conn_every = every()?,
+                "drop_stream" => plan.drop_stream_every = every()?,
+                "cache_truncate" => plan.cache_truncate_every = every()?,
+                "cache_corrupt" => plan.cache_corrupt_every = every()?,
                 other => {
                     return Err(format!(
                         "unknown fault clause `{other}` (expected kill, delay, drop_conn, \
-                         drop_stream, cache_truncate, cache_corrupt, journal_torn, seed=<n>)"
+                         drop_stream, cache_truncate, cache_corrupt, seed=<n>)"
                     ));
                 }
             }
@@ -147,10 +130,7 @@ impl FaultPlan {
     }
 
     fn fires(&self, counter: &AtomicU64, every: Option<u64>) -> bool {
-        let every = match every {
-            Some(e) if e > 0 => e,
-            _ => return false,
-        };
+        let Some(every) = every else { return false };
         let n = counter.fetch_add(1, Ordering::Relaxed) + 1;
         (n + self.seed).is_multiple_of(every)
     }
@@ -204,10 +184,7 @@ impl FaultPlan {
             return None;
         }
         let n = self.cache_writes.fetch_add(1, Ordering::Relaxed) + 1;
-        let hits = |every: Option<u64>| match every {
-            Some(e) if e > 0 => (n + self.seed).is_multiple_of(e),
-            _ => false,
-        };
+        let hits = |every: Option<u64>| every.is_some_and(|e| (n + self.seed).is_multiple_of(e));
         if hits(self.cache_truncate_every) {
             Some(CacheFault::Truncate)
         } else if hits(self.cache_corrupt_every) {
@@ -216,30 +193,52 @@ impl FaultPlan {
             None
         }
     }
-
-    /// Should the journal tail be torn when the kill fault fires?
-    pub fn journal_torn(&self) -> bool {
-        self.journal_torn
-    }
 }
 
-fn parse_u64(what: &str, value: &str) -> Result<u64, String> {
+/// A count in plain decimal digits: `u64::from_str` would also take a
+/// leading `+`.
+fn parse_u64(clause: &str, value: &str) -> Result<u64, String> {
+    let value = value.trim();
     value
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| format!("fault clause `{what}`: `{value}` is not a non-negative integer"))
+        .bytes()
+        .all(|b| b.is_ascii_digit())
+        .then(|| value.parse::<u64>().ok())
+        .flatten()
+        .ok_or_else(|| format!("fault clause `{clause}`: `{value}` is not a non-negative integer"))
 }
 
-fn require_arg(clause: &str, args: &str, key: &str) -> Result<u64, String> {
-    for pair in args.split(',') {
-        let pair = pair.trim();
-        if let Some((k, v)) = pair.split_once('=') {
-            if k.trim() == key {
-                return parse_u64(clause, v);
-            }
+/// The values of `keys`, in order, from a clause's `key=<n>,…` list: each
+/// key exactly once and no other key. An `every` must be at least 1; 0
+/// would never fire.
+fn clause_args<const N: usize>(
+    clause: &str,
+    args: &str,
+    keys: [&str; N],
+) -> Result<[u64; N], String> {
+    let err = |what: String| format!("fault clause `{clause}`: {what}");
+    let mut values = [None; N];
+    for pair in args.split_terminator(',') {
+        let (key, value) =
+            pair.split_once('=').ok_or_else(|| err(format!("`{}` is not key=<n>", pair.trim())))?;
+        let key = key.trim();
+        let slot = keys
+            .iter()
+            .position(|&k| k == key)
+            .ok_or_else(|| err(format!("unknown argument `{key}`")))?;
+        if values[slot].is_some() {
+            return Err(err(format!("argument `{key}` given twice")));
         }
+        let n = parse_u64(clause, value)?;
+        if key == "every" && n == 0 {
+            return Err(err("every=0 never fires".to_owned()));
+        }
+        values[slot] = Some(n);
     }
-    Err(format!("fault clause `{clause}`: missing required argument `{key}=<n>`"))
+    let mut out = [0; N];
+    for ((out, value), key) in out.iter_mut().zip(values).zip(keys) {
+        *out = value.ok_or_else(|| err(format!("missing required argument `{key}=<n>`")))?;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -257,14 +256,13 @@ mod tests {
             assert!(plan.cache_write_fault().is_none());
         }
         assert!(!plan.killed());
-        assert!(!plan.journal_torn());
     }
 
     #[test]
     fn parse_full_spec() {
         let plan = FaultPlan::parse(
             "seed=7; kill:jobs=5; delay:every=3,ms=50; drop_conn:every=4; \
-             drop_stream:every=3; cache_truncate:every=2; cache_corrupt:every=2; journal_torn",
+             drop_stream:every=3; cache_truncate:every=2; cache_corrupt:every=2",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -275,17 +273,28 @@ mod tests {
         assert_eq!(plan.drop_stream_every, Some(3));
         assert_eq!(plan.cache_truncate_every, Some(2));
         assert_eq!(plan.cache_corrupt_every, Some(2));
-        assert!(plan.journal_torn());
     }
 
     #[test]
     fn malformed_specs_error() {
-        assert!(FaultPlan::parse("kill").is_err());
-        assert!(FaultPlan::parse("kill:jobs=x").is_err());
-        assert!(FaultPlan::parse("delay:every=3").is_err());
-        assert!(FaultPlan::parse("seed").is_err());
-        assert!(FaultPlan::parse("seed=abc").is_err());
-        assert!(FaultPlan::parse("frobnicate:every=1").is_err());
+        for (spec, clause) in [
+            ("kill", "kill"),
+            ("kill:jobs=x", "kill"),
+            ("delay:every=3", "delay"),
+            ("seed", "seed"),
+            ("seed=abc", "seed"),
+            ("frobnicate:every=1", "frobnicate"),
+            // Text after a seed is not dropped, a `+` is not a digit, and a
+            // clause takes exactly its own arguments, once each.
+            ("seed=7:kill:jobs=1", "seed"),
+            ("kill:jobs=+2", "kill"),
+            ("delay:every=3,ms=50,msx=1", "delay"),
+            ("kill:jobs=1,jobs=5", "kill"),
+            ("drop_conn:every=0", "drop_conn"),
+        ] {
+            let err = FaultPlan::parse(spec).err().unwrap_or_else(|| panic!("`{spec}` parsed"));
+            assert!(err.contains(&format!("`{clause}")), "`{spec}`: {err}");
+        }
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! {"event":"batch_end","jobs":80,"cache_hits":0,"cache_misses":80,"failed":1,"duration_us":412000}
 //! ```
 //!
-//! `job_finished` lines carry the full counter set, which makes a journal
-//! self-sufficient for crash-safe resume (`SMS_RESUME=<journal>`): a new
-//! sweep replays completed runs from it and re-executes only the rest.
+//! `job_finished` lines carry the full counter set, so a served stream
+//! (which is this codec) hands its client every cell's stats. No program
+//! reads a journal back to recover state: a killed sweep's finished cells
+//! are already in the result cache, and a re-run on that cache simulates
+//! only the rest.
 
 use crate::cache::{builds_to_json, metrics_to_json, record_to_json, stats_to_json};
 use crate::json::Json;
@@ -51,16 +53,9 @@ pub enum Event {
         config: String,
         /// Workload as `WxHxSPP`.
         workload: String,
-        /// Canonical cache key — the job's stable identity, which is what
-        /// `SMS_RESUME` matches completed runs against across processes.
+        /// Canonical cache key — the job's stable identity across
+        /// processes, the same one the result cache files it under.
         key: String,
-    },
-    /// A job was satisfied by a prior run's journal (`SMS_RESUME`).
-    JobResumed {
-        /// Job id within the batch.
-        job: usize,
-        /// Simulated cycles of the replayed result.
-        cycles: u64,
     },
     /// A worker picked the job up.
     JobStarted {
@@ -81,8 +76,8 @@ pub enum Event {
         cycles: u64,
         /// Wall-clock microseconds spent on this job.
         duration_us: u64,
-        /// The full counter set, when available. This is what makes the
-        /// journal self-sufficient for `SMS_RESUME` even without a cache.
+        /// The full counter set, when available: what a served stream's
+        /// client reads as the cell's result.
         stats: Option<SimStats>,
         /// Stall attribution, when the run was armed (`SMS_BREAKDOWN` /
         /// `SMS_TRACE`). Cache hits never carry one — the cache stores
@@ -257,11 +252,6 @@ impl Event {
                 (own("config"), Json::Str(config.clone())),
                 (own("workload"), Json::Str(workload.clone())),
                 (own("key"), Json::Str(key.clone())),
-            ]),
-            Event::JobResumed { job, cycles } => Json::Obj(vec![
-                (own("event"), Json::Str(own("job_resumed"))),
-                (own("job"), Json::U64(*job as u64)),
-                (own("cycles"), Json::U64(*cycles)),
             ]),
             Event::JobStarted { job, worker } => Json::Obj(vec![
                 (own("event"), Json::Str(own("job_started"))),
@@ -496,6 +486,53 @@ mod tests {
         assert_eq!(builds.len(), 1);
         assert_eq!(builds[0].scene, "SHIP");
         assert_eq!(builds[0].build_us, 480);
+    }
+
+    #[test]
+    fn journal_written_through_sink_survives_truncated_tail() {
+        // The durability contract end to end: events written through the
+        // real file sink (one flushed `write_all` per line), the process is
+        // then "killed" mid-write — simulated by truncating the file inside
+        // the final line — and every fully-written line must still parse.
+        let dir = std::env::temp_dir().join(format!("sms-durab-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        {
+            let j = Journal::new(Some(path.clone()), false);
+            j.record(Event::BatchStart { jobs: 2, unique: 2, workers: 1 });
+            for (job, key) in [(0usize, "k0"), (1, "k1")] {
+                j.record(Event::JobQueued {
+                    job,
+                    scene: "A".to_owned(),
+                    config: "c".to_owned(),
+                    workload: "w".to_owned(),
+                    key: key.to_owned(),
+                });
+                j.record(Event::JobFinished {
+                    job,
+                    worker: Some(0),
+                    cache_hit: false,
+                    cycles: 5,
+                    duration_us: 1,
+                    stats: Some(SimStats { cycles: 5, ..Default::default() }),
+                    breakdown: None,
+                });
+            }
+            j.flush();
+        }
+        // SIGKILL mid-line: chop the file 20 bytes into the last line.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let last_line_start = text.trim_end().rfind('\n').unwrap() + 1;
+        std::fs::write(&path, &text.as_bytes()[..last_line_start + 20]).unwrap();
+        let torn = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = torn.lines().collect();
+        assert_eq!(lines.len(), 5, "four whole lines and the torn one");
+        let (last, whole) = lines.split_last().unwrap();
+        for line in whole {
+            crate::json::parse(line).unwrap_or_else(|e| panic!("whole line must parse: {e}"));
+        }
+        assert!(crate::json::parse(last).is_err(), "the torn line must not parse: `{last}`");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod journal;
 pub mod json;
 pub mod log;
 pub mod pool;
-pub mod resume;
 pub mod trace;
 
 pub use cache::{CacheKey, ResultCache, SIM_VERSION_SALT};
@@ -60,7 +59,6 @@ pub use executor::{Executor, Flight};
 pub use faultinject::{CacheFault, FaultPlan};
 pub use journal::{Event, Journal};
 pub use pool::JobPanic;
-pub use resume::ResumeState;
 pub use sms_sim::sim::{RunLimits, SimFault};
 pub use trace::{TraceContext, TRACE_HEADER};
 
@@ -134,14 +132,11 @@ pub struct HarnessConfig {
     pub limits: RunLimits,
     /// Bounded-retry count for transient cache I/O.
     pub retries: u32,
-    /// A prior run's journal to resume from; its completed runs are served
-    /// without re-execution.
-    pub resume: Option<PathBuf>,
     /// Build scene BVHs with the parallel HLBVH builder (`SMS_HLBVH=1`)
     /// instead of the default median-split builder. HLBVH trees differ
     /// from the default trees, so HLBVH batches bypass the result cache
-    /// and resume replay in both directions (no probe, no store) — cached
-    /// default-path stats stay byte-identical.
+    /// in both directions (no probe, no store) — cached default-path stats
+    /// stay byte-identical.
     pub hlbvh: bool,
     /// The files every simulated run writes (`SMS_TRACE`, `SMS_METRICS_*`);
     /// the default writes none. An armed trace export arms attribution,
@@ -160,7 +155,6 @@ impl Default for HarnessConfig {
             salt: SIM_VERSION_SALT,
             limits: RunLimits::none(),
             retries: cache::DEFAULT_RETRIES,
-            resume: None,
             hlbvh: false,
             exports: RunExports::default(),
             journal_sync: false,
@@ -236,7 +230,6 @@ impl HarnessConfig {
             journal_path,
             limits: RunLimits::from_env(env),
             retries: env.non_negative("SMS_RETRIES").map_or(d.retries, |n| n as u32),
-            resume: env.path("SMS_RESUME"),
             hlbvh: env.flag("SMS_HLBVH"),
             exports: exports_from_env(env),
             journal_sync: env.flag("SMS_JOURNAL_SYNC"),
@@ -267,8 +260,6 @@ pub struct BatchSummary {
     pub unique_jobs: usize,
     /// Jobs served from the result cache.
     pub cache_hits: usize,
-    /// Jobs replayed from a resume journal (`SMS_RESUME`).
-    pub resumed: usize,
     /// Jobs that ran the simulator.
     pub cache_misses: usize,
     /// Jobs that failed or were aborted by the watchdog.
@@ -290,8 +281,8 @@ pub struct BatchSummary {
     /// job was armed.
     pub metrics: Option<BatchMetrics>,
     /// Per-scene BVH build wall times for the scenes this batch built
-    /// (empty when every job was a cache hit or resume replay, or found
-    /// its scene built by an earlier batch of the same [`Harness`]).
+    /// (empty when every job was a cache hit or found its scene built by
+    /// an earlier batch of the same [`Harness`]).
     pub builds: Vec<SceneBuild>,
 }
 
@@ -349,13 +340,12 @@ impl fmt::Display for BatchSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} jobs ({} unique) on {} workers: {} cache hits, {} resumed, {} simulated, \
+            "{} jobs ({} unique) on {} workers: {} cache hits, {} simulated, \
              {} failed, {:.2}s ({:.1} runs/s, {:.2e} sim-cycles/s)",
             self.jobs,
             self.unique_jobs,
             self.workers,
             self.cache_hits,
-            self.resumed,
             self.cache_misses,
             self.failed,
             self.wall.as_secs_f64(),
@@ -371,7 +361,6 @@ impl fmt::Display for BatchSummary {
 pub struct Harness {
     workers: usize,
     journal: Journal,
-    resume: Option<ResumeState>,
     exec: Executor,
 }
 
@@ -380,19 +369,18 @@ impl Harness {
     pub fn new(config: HarnessConfig) -> Self {
         let workers = config.workers.max(1);
         // HLBVH trees are not the default ones, so their stats must not mix
-        // with the default-path cache or resume state in either direction:
-        // an HLBVH harness has neither.
-        let (cache_dir, resume, build) = if config.hlbvh {
-            (None, None, BuildParams::hlbvh(workers))
+        // with the default-path cache in either direction: an HLBVH harness
+        // has none.
+        let (cache_dir, build) = if config.hlbvh {
+            (None, BuildParams::hlbvh(workers))
         } else {
-            (config.cache_dir, config.resume, BuildParams::default())
+            (config.cache_dir, BuildParams::default())
         };
         let cache = cache_dir
             .map(|dir| ResultCache::with_salt(dir, config.salt).with_retries(config.retries));
         Harness {
             workers,
             journal: Journal::new(config.journal_path, config.journal_sync),
-            resume: resume.map(|p| ResumeState::load(&p)),
             exec: Executor::new(cache, workers, build, config.limits, config.exports),
         }
     }
@@ -474,19 +462,15 @@ impl Harness {
 
         // Jobs whose effective limits (or the harness's trace export) arm
         // stall attribution or metrics telemetry must actually *run*: the
-        // cache and resume state store only `SimStats` — byte-identical
-        // with observation on or off — so a hit could not supply the
-        // breakdown or metrics report (or write the trace file). Such jobs
-        // skip the probe and the replay below; their stats still land in
-        // the cache afterwards for unarmed future sweeps.
+        // cache stores only `SimStats` — byte-identical with observation on
+        // or off — so a hit could not supply the breakdown or metrics
+        // report (or write the trace file). Such jobs skip the probe below;
+        // their stats still land in the cache afterwards for unarmed future
+        // sweeps.
         let trace_armed = exec.exports.trace.is_some();
         let armed = |req: &RunRequest| {
             let limits = req.limits.or(exec.limits);
             trace_armed || limits.breakdown || limits.metrics
-        };
-        let hit = |req: &RunRequest, stats| {
-            let (scene, stack) = (req.scene, req.stack);
-            Some(Ok(RunResult { scene, stack, stats, breakdown: None, metrics: None }))
         };
 
         // 2. Probe the cache on the scheduler thread (tiny JSON reads).
@@ -499,27 +483,9 @@ impl Harness {
                     hits += 1;
                     let finished = Ok((&stats, true, None));
                     self.journal.record(Event::settled(j, None, micros(probe_start), finished));
-                    slots[j] = hit(req, stats);
-                }
-            }
-        }
-
-        // 2b. Replay completed runs from a prior journal (`SMS_RESUME`).
-        // Failed/timed-out runs never entered the resume state, so they
-        // re-execute below. Replayed results are written into the cache so
-        // the *next* run hits without needing the resume file at all.
-        let mut resumed = 0usize;
-        if let Some(state) = &self.resume {
-            for (j, (req, key)) in jobs.iter().enumerate() {
-                if slots[j].is_none() && !armed(req) {
-                    if let Some(stats) = state.lookup(key) {
-                        resumed += 1;
-                        self.journal.record(Event::JobResumed { job: j, cycles: stats.cycles });
-                        if let Some(cache) = exec.cache() {
-                            cache.store(key, &stats);
-                        }
-                        slots[j] = hit(req, stats);
-                    }
+                    let (scene, stack) = (req.scene, req.stack);
+                    let result = RunResult { scene, stack, stats, breakdown: None, metrics: None };
+                    slots[j] = Some(Ok(result));
                 }
             }
         }
@@ -593,7 +559,6 @@ impl Harness {
             jobs: requests.len(),
             unique_jobs: jobs.len(),
             cache_hits: hits,
-            resumed,
             cache_misses: misses.len(),
             failed,
             workers: self.workers,
@@ -615,7 +580,7 @@ impl Harness {
             builds: summary.builds.clone(),
         });
 
-        // Every job is a hit, a resumed replay, or a miss that step 4
+        // Every job is a hit or a miss that step 4
         // slotted; requests sharing a job share its scene and stack.
         let results = job_of_request
             .iter()

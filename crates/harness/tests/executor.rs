@@ -30,7 +30,6 @@ fn shape(e: &Event) -> Shape {
         Event::JobFinished { job, worker, cache_hit, .. } => {
             ("job_finished", Some(job), worker, hit(cache_hit))
         }
-        Event::JobResumed { job, .. } => ("job_resumed", Some(job), None, None),
         Event::RunFailed { job, worker, .. } => ("run_failed", Some(job), Some(worker), None),
         Event::RunTimeout { job, worker, .. } => ("run_timeout", Some(job), Some(worker), None),
         Event::Span { .. } => ("span", None, None, None),

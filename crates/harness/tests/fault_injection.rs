@@ -2,7 +2,7 @@
 //!
 //! Each test injects a different failure class — a panicking run, a
 //! watchdog abort (cycle budget / stall), a corrupt cache entry, a killed
-//! sweep resumed from its journal — and asserts the exact batch-level
+//! sweep re-run on its cache — and asserts the exact batch-level
 //! contract: every other job completes, results stay positionally aligned
 //! with the requests, and the journal records the failure as a structured
 //! `run_failed` / `run_timeout` event.
@@ -220,65 +220,38 @@ fn corrupt_cache_entry_mid_sweep_heals_and_batch_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The in-process twin of `fleet_chaos`'s killed-backend re-run: a
+/// finished cell is in the result cache, so a new harness on that cache
+/// simulates only what did not finish.
 #[test]
-fn killed_sweep_resumes_from_journal_and_reruns_only_unfinished() {
-    let dir = temp_dir("resume");
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal_path = dir.join("journal.jsonl");
+fn a_killed_sweeps_finished_cells_are_not_simulated_again() {
+    let dir = temp_dir("rerun");
 
-    // First sweep: two healthy runs and one injected failure, cache off —
-    // the journal is the only survivor of the "crash".
-    let first = Harness::new(HarnessConfig {
-        workers: 2,
-        cache_dir: None,
-        journal_path: Some(journal_path.clone()),
-        ..HarnessConfig::default()
-    });
+    // First sweep: two healthy runs and one injected failure.
     let reqs = [
         good(SceneId::Wknd, StackConfig::baseline8()),
         panicking(),
         good(SceneId::Wknd, StackConfig::sms_default()),
     ];
-    let (before, _) = first.try_run_batch(&reqs);
+    let (before, _) = quiet_harness(2, Some(dir.clone())).try_run_batch(&reqs);
     assert!(before[0].is_ok() && before[2].is_ok() && before[1].is_err());
 
-    // Second sweep resumes from the journal into a fresh cache. The two
-    // finished runs replay without simulating; the failed one — now fixed
-    // (a sane GPU config) — re-executes. A brand-new request also runs.
-    let cache_dir = dir.join("cache");
-    let resumed = Harness::new(HarnessConfig {
-        workers: 2,
-        cache_dir: Some(cache_dir.clone()),
-        journal_path: None,
-        resume: Some(journal_path),
-        ..HarnessConfig::default()
-    });
+    // Second sweep, on a new harness over the same cache: the two finished
+    // runs hit; the failed one — now fixed (a sane GPU config) — and a
+    // brand-new request simulate.
     let fixed = good(SceneId::Wknd, StackConfig::baseline8())
         .with_gpu(GpuConfig { num_sms: 4, ..GpuConfig::default() });
     let reqs2 = [reqs[0], fixed, reqs[2], good(SceneId::Wknd, StackConfig::FullOnChip)];
-    let (after, summary) = resumed.try_run_batch(&reqs2);
-
+    let (after, summary) = quiet_harness(2, Some(dir.clone())).try_run_batch(&reqs2);
     assert!(after.iter().all(Result::is_ok));
-    assert_eq!(summary.resumed, 2, "both finished runs replay from the journal");
+    assert_eq!(summary.cache_hits, 2, "both finished runs come from the cache");
     assert_eq!(summary.cache_misses, 2, "only the fixed and the new request simulate");
-    assert_eq!(summary.cache_hits, 0);
-    assert_eq!(after[0].as_ref().unwrap().stats, before[0].as_ref().unwrap().stats);
-    assert_eq!(after[2].as_ref().unwrap().stats, before[2].as_ref().unwrap().stats);
 
-    let resumes = resumed
-        .journal()
-        .last_batch()
-        .iter()
-        .filter(|e| matches!(e, Event::JobResumed { .. }))
-        .count();
-    assert_eq!(resumes, 2);
-
-    // Replayed results were backfilled into the cache: a third sweep of
-    // the original requests is served without the resume file.
-    let third = quiet_harness(2, Some(cache_dir));
-    let (_, s3) = third.try_run_batch(&[reqs[0], reqs[2]]);
-    assert_eq!(s3.cache_hits, 2);
-    assert_eq!(s3.cache_misses, 0);
+    // Stats equal an uncached run of the same requests.
+    let (direct, _) = quiet_harness(2, None).try_run_batch(&reqs2);
+    for (a, d) in after.iter().zip(&direct) {
+        assert_eq!(a.as_ref().unwrap().stats, d.as_ref().unwrap().stats);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,11 +1,12 @@
 //! Journal schema stability: every event kind serializes to the exact
-//! JSONL line downstream tooling (resume, `breakdown_stalls`, external
-//! dashboards) parses.
+//! JSONL line downstream tooling (the served stream's client, `sms-trace`,
+//! `breakdown_stalls`, external dashboards) parses.
 //!
 //! The golden strings below ARE the schema. If a change here is
-//! intentional, it is a schema migration: confirm `resume.rs` still parses
-//! old journals (new fields must be additive/optional) and update the
-//! examples in `journal.rs`'s module docs.
+//! intentional, it is a schema migration: confirm
+//! `sms_serve::protocol::SweepOutcome::parse` still reads old streams (new
+//! fields must be additive/optional) and update the examples in
+//! `journal.rs`'s module docs.
 
 use sms_harness::json::{parse, Json};
 use sms_harness::{cache, BatchMetrics, Event, SceneBuild};
@@ -48,14 +49,6 @@ fn job_queued_line() {
 }
 
 #[test]
-fn job_resumed_line() {
-    golden(
-        &Event::JobResumed { job: 2, cycles: 184_223 },
-        r#"{"event":"job_resumed","job":2,"cycles":184223}"#,
-    );
-}
-
-#[test]
 fn job_started_line() {
     golden(
         &Event::JobStarted { job: 1, worker: 3 },
@@ -92,7 +85,7 @@ fn job_finished_line_roundtrips_stats_and_breakdown() {
             r#""breakdown":{"compute":30,"mem_wait":0,"rt_admit":0,"in_rt":12,"warp_cycles":42,"rt_sched_wait":0,"fetch_wait_l1":0,"fetch_wait_l2":0,"fetch_wait_dram":0,"op_wait":0,"stack_wait_rb_sh":0,"stack_wait_sh_global":0,"stack_wait_flush":0,"bank_conflict_replay":0,"predictor_wait":0,"rt_idle":384,"rt_lane_cycles":384}}"#,
         ),
     );
-    // The payloads round-trip through the same codecs resume/tools use —
+    // The payloads round-trip through the same codecs clients/tools use —
     // u64 fidelity beyond 2^53 included.
     assert_eq!(cache::stats_from_json(doc.get("stats").unwrap()), Some(stats));
     let b = breakdown_from_json(doc.get("breakdown").unwrap()).unwrap();

@@ -48,7 +48,7 @@ fn armed_sweep_stats_are_byte_identical_and_salt_is_stable() {
 
     for (a, b) in off.iter().zip(&on) {
         // Byte-for-byte over the serialized payload: this is exactly what
-        // a cache entry or resume journal stores, so equality here means
+        // a cache entry or journal line stores, so equality here means
         // armed and unarmed sweeps are interchangeable on disk.
         let off_bytes = cache::stats_to_json(&a.stats).to_string();
         let on_bytes = cache::stats_to_json(&b.stats).to_string();

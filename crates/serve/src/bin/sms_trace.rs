@@ -140,8 +140,8 @@ fn load_spans(path: &str, source: usize) -> Result<Vec<Span>, String> {
             continue;
         }
         let Ok(doc) = parse(line) else {
-            // Foreign or crash-truncated lines are the resume parser's
-            // problem; only well-formed span events concern us.
+            // Foreign or crash-truncated lines are skipped; only
+            // well-formed span events concern us.
             continue;
         };
         if doc.get("event").and_then(|e| e.as_str()) != Some("span") {

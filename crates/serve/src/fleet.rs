@@ -42,8 +42,8 @@
 //!   derived from the breaker cooldown, so clients come back exactly
 //!   when a half-open probe could have recovered a backend.
 //!
-//! The fleet keeps its own journal (cells keyed like any harness run, so
-//! `SMS_RESUME` replays it) and a `sms_fleet_*` metrics registry with
+//! The fleet keeps its own journal (cells keyed like any harness run) and
+//! a `sms_fleet_*` metrics registry with
 //! per-backend labeled families. Fault injection lives in the
 //! *backends* (`SMS_FAULT` on `sms-serve`); the fleet's behaviour under
 //! those faults is what the chaos tests pin down.

@@ -22,7 +22,7 @@
 //!   sides share (the build environment is offline; no hyper).
 //! * [`protocol`] — sweep-request parsing and the stream codec. The
 //!   response stream *is* the harness journal format, so a saved response
-//!   body works as an `SMS_RESUME` fragment unchanged.
+//!   body is a valid journal and every journal tool reads it unchanged.
 //! * [`metrics`] — the backend's instrument set (`sms_serve_*`) and the
 //!   counters the skeleton keeps for either tier.
 //! * [`fleet`] — the fault-tolerant front tier: one `sms-fleet` process

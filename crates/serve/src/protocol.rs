@@ -10,8 +10,8 @@
 //! The response stream deliberately *is* the journal codec: one
 //! [`sms_harness::Event`]-shaped JSON line per record (`job_queued`,
 //! `job_finished`, `run_failed`/`run_timeout`, then a closing `batch_end`), so a saved
-//! response body is a valid `SMS_RESUME` journal fragment and every
-//! existing journal tool parses it unchanged.
+//! response body is a valid journal that [`SweepOutcome::parse`] reads and
+//! every existing journal tool parses unchanged.
 //!
 //! Config labels are parsed by [`parse_stack_config`], the exact inverse
 //! of [`StackConfig::label`] — `RB_8`, `RB_FULL`, `RB_8+SH_8+SK+RA` — so

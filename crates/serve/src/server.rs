@@ -216,7 +216,7 @@ impl Tier for ServerState {
         );
         let workers = config.workers.max(1);
         // One batch_start at process scope: every later job_queued /
-        // job_finished pair keys the journal for SMS_RESUME replay.
+        // job_finished pair shares its process-unique job id.
         core.journal.record(Event::BatchStart { jobs: 0, unique: 0, workers });
         let (limits, exports) = (config.run_limits, config.exports.clone());
         let build = BuildParams::default();

@@ -10,8 +10,9 @@
 //! Shutdown is a drain: `POST /v1/drain` (or SIGTERM in the binaries)
 //! stops the accept loop, lets in-flight connections finish, flushes the
 //! journal, and returns from [`Service::run`]. An abrupt kill instead
-//! leaves the journal replayable via `SMS_RESUME` (every line is flushed
-//! as written).
+//! loses at most the journal line being written (every line is flushed as
+//! written); each cell it finished is already in the result cache, so a
+//! re-run simulates only the rest.
 
 use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
 use crate::metrics::{inc, HttpCounters};
@@ -68,7 +69,6 @@ pub struct ServiceCore {
     max_jobs_per_request: usize,
     pub(crate) cache: Option<ResultCache>,
     pub(crate) journal: Journal,
-    journal_path: Option<PathBuf>,
     /// Deterministic fault injection (`SMS_FAULT`); `None` (always, for
     /// the fleet) means no fault code runs at all.
     pub(crate) faults: Option<Arc<FaultPlan>>,
@@ -95,8 +95,7 @@ impl ServiceCore {
             max_conns,
             max_jobs_per_request,
             cache: cache_dir.map(|dir| ResultCache::new(dir).with_faults(faults.clone())),
-            journal: Journal::new(journal_path.clone(), journal_sync),
-            journal_path,
+            journal: Journal::new(journal_path, journal_sync),
             faults,
             http: HttpCounters::default(),
             started: Instant::now(),
@@ -117,26 +116,6 @@ impl ServiceCore {
     /// `true` once an injected kill budget has run out.
     pub(crate) fn killed(&self) -> bool {
         self.faults.as_ref().is_some_and(|f| f.killed())
-    }
-
-    /// The injected-kill exit: no drain, no `batch_end`, no flush — the
-    /// listener drops (further connects are refused) and, when configured,
-    /// the journal's tail line is torn mid-write, exactly the wreckage a
-    /// SIGKILL leaves behind. Returns an error so the binary exits nonzero
-    /// like a crashed process.
-    fn die_of_injected_kill(&self) -> std::io::Result<()> {
-        let tear_journal = self.faults.as_ref().is_some_and(|f| f.journal_torn());
-        if let Some(path) = self.journal_path.as_ref().filter(|_| tear_journal) {
-            if let Ok(meta) = std::fs::metadata(path) {
-                // Rip the last few bytes off the flushed tail so the
-                // final line is half-written.
-                let torn = meta.len().saturating_sub(7);
-                if let Ok(f) = std::fs::OpenOptions::new().write(true).open(path) {
-                    let _ = f.set_len(torn);
-                }
-            }
-        }
-        Err(std::io::Error::other("fault injection: killed after job budget"))
     }
 }
 
@@ -234,7 +213,11 @@ impl<T: Tier> Service<T> {
         let core = self.tier.core();
         loop {
             if core.killed() {
-                return core.die_of_injected_kill();
+                // The injected-kill exit: no drain, no `batch_end`, no
+                // flush; the listener drops, so further connects are
+                // refused. The error makes the binary exit nonzero like a
+                // crashed process.
+                return Err(std::io::Error::other("fault injection: killed after job budget"));
             }
             if core.draining() {
                 break;
@@ -548,7 +531,7 @@ pub(crate) fn stream_sweep(
 
     // The stream uses request-local ids (a self-contained journal
     // fragment); the process journal uses process-unique ids so concurrent
-    // requests cannot collide in SMS_RESUME replay.
+    // requests' lines cannot collide when a reader pairs them up.
     let jobs = &plan.jobs;
     let journal_base = core.job_seq.fetch_add(jobs.len() as u64, Ordering::SeqCst) as usize;
     for (local, (req, key)) in jobs.iter().enumerate() {

@@ -127,10 +127,14 @@ fn lifecycle_sweep_probe_metrics_drain() {
     assert_eq!(client.post("/v1/drain", &[]).unwrap().status, 200);
     join.join().unwrap().expect("drained server must exit cleanly");
 
-    // The journal the server left behind is a valid resume source: all 4
-    // unique cells are recoverable.
-    let resumed = sms_harness::ResumeState::load(&journal);
-    assert_eq!(resumed.len(), 4, "journal must replay every completed cell");
+    // The journal the server left behind is a strict journal-codec stream:
+    // both sweeps' 8 records, all finished, the 4 cold ones simulated.
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let journaled = sms_serve::protocol::SweepOutcome::parse(&text).unwrap();
+    assert_eq!(journaled.records.len(), 8, "journal must record every settled cell");
+    assert!(journaled.records.iter().all(|r| r.outcome.is_ok()));
+    let simulated = journaled.records.iter().filter(|r| r.cache == "miss").count();
+    assert_eq!(simulated, 4, "each of the 4 unique cells simulated once");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
