@@ -21,13 +21,13 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> byte-identity gate (benchmark seed-7 goldens: SimStats digest per cell incl. SL,"
-echo "    render digest per scene for both builders, every exact per-layer count; every FlatBvh"
-echo "    array of the 16 scenes; prop_bvh's median_build_equals_the_sorting_reference)"
+echo "    render digest per scene for both builders, every exact per-layer count; goldens.txt's"
+echo "    FlatBvh digests of the 16 scenes; prop_bvh's median_build_equals_the_sorting_reference)"
 cargo test -q --manifest-path benchmark/Cargo.toml
 cargo test -q -p sms-sim --test layout_digest
 cargo test -q -p sms-sim --test prop_bvh median_build_equals_the_sorting_reference
 
-echo "==> hot-path identity (exact SimStats digests incl. SL/PRED and armed observers, Cache vs a"
+echo "==> hot-path identity (goldens.txt's SimStats digests incl. SL/PRED, armed observers, Cache vs a"
 echo "    reference LRU on the Table I geometries, RT unit ticked every cycle vs only when due)"
 cargo test -q -p sms-sim --test sim_golden
 cargo test -q -p sms-mem --test cache_oracle
@@ -67,6 +67,16 @@ echo "    replayer, replay event or torn-journal fault; prints offenders)"
 if git grep -nE 'SMS[_]RESUME|Resume[S]tate|Job[R]esumed|job[_]resumed|journal[_]torn' -- \
      crates examples tests; then
   echo "a second copy of the finished-cell record is back (re-run on the cache instead)"
+  exit 1
+fi
+
+echo "==> one-FNV gate (one FNV-1a under crates/, sms_geom::golden's; prints the files that hold"
+echo "    its prime)"
+# `git grep -c` prints one `file:count` line per file holding the prime.
+fnv_files=$(git grep -c '0x0000_0100_0000_01b3' -- crates ':!crates/*/tests/*' || true)
+if [ "$(printf '%s\n' "$fnv_files" | grep -c .)" -ne 1 ]; then
+  echo "$fnv_files"
+  echo "FNV-1a must live in crates/geom/src/golden.rs only (call sms_geom::golden::Fnv1a)"
   exit 1
 fi
 

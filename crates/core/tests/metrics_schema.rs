@@ -2,10 +2,13 @@
 //! interface external tooling scrapes, so their exact shape is pinned the
 //! same way `crates/harness/tests/journal_schema.rs` pins the journal.
 //!
-//! The golden strings below ARE the schema. If a change is intentional,
-//! it is a schema migration: update the metric rows in `EXPERIMENTS.md`
-//! and re-check any dashboards scraping the dumps.
+//! The renderings are the `metrics_schema.*` rows of the golden table
+//! (`goldens.txt`, `sms_geom::golden`), one row per line, and those rows
+//! are the schema. A row that moves on purpose is a schema migration:
+//! update the metric rows in `EXPERIMENTS.md` and re-check any dashboards
+//! scraping the dumps.
 
+use sms_sim::geom::golden;
 use sms_sim::gpu::SimStats;
 use sms_sim::metrics::{MetricsReport, SampleCounts, SeriesSampler};
 
@@ -55,116 +58,24 @@ fn sample_stats() -> SimStats {
     }
 }
 
-const GOLDEN_PROM: &str = r#"# HELP sms_cycles_total Simulated cycles
-# TYPE sms_cycles_total counter
-sms_cycles_total{scene="SHIP",config="RB_8+SH_8"} 1000
-# HELP sms_instructions_total Committed instructions (compute + traversal)
-# TYPE sms_instructions_total counter
-sms_instructions_total{scene="SHIP",config="RB_8+SH_8"} 1550
-# HELP sms_rays_traced_total Nearest-hit rays traced
-# TYPE sms_rays_traced_total counter
-sms_rays_traced_total{scene="SHIP",config="RB_8+SH_8"} 4
-# HELP sms_shadow_rays_total Occlusion rays traced
-# TYPE sms_shadow_rays_total counter
-sms_shadow_rays_total{scene="SHIP",config="RB_8+SH_8"} 1
-# HELP sms_node_visits_total BVH node visits
-# TYPE sms_node_visits_total counter
-sms_node_visits_total{scene="SHIP",config="RB_8+SH_8"} 50
-# HELP sms_stack_spills_total Traversal-stack entries spilled to global memory
-# TYPE sms_stack_spills_total counter
-sms_stack_spills_total{scene="SHIP",config="RB_8+SH_8"} 2
-# HELP sms_stack_reloads_total Traversal-stack entries reloaded from global memory
-# TYPE sms_stack_reloads_total counter
-sms_stack_reloads_total{scene="SHIP",config="RB_8+SH_8"} 2
-# HELP sms_ra_flushes_total Reallocation whole-stack flushes
-# TYPE sms_ra_flushes_total counter
-sms_ra_flushes_total{scene="SHIP",config="RB_8+SH_8"} 1
-# HELP sms_ra_borrows_total Reallocation SH-stack borrows
-# TYPE sms_ra_borrows_total counter
-sms_ra_borrows_total{scene="SHIP",config="RB_8+SH_8"} 3
-# HELP sms_ipc Instructions per cycle
-# TYPE sms_ipc gauge
-sms_ipc{scene="SHIP",config="RB_8+SH_8"} 1.55
-# HELP sms_stack_depth Logical stack depth after every push
-# TYPE sms_stack_depth histogram
-sms_stack_depth_bucket{scene="SHIP",config="RB_8+SH_8",le="2"} 3
-sms_stack_depth_bucket{scene="SHIP",config="RB_8+SH_8",le="5"} 4
-sms_stack_depth_bucket{scene="SHIP",config="RB_8+SH_8",le="+Inf"} 4
-sms_stack_depth_sum{scene="SHIP",config="RB_8+SH_8"} 11
-sms_stack_depth_count{scene="SHIP",config="RB_8+SH_8"} 4
-# HELP sms_sh_occupancy SH-level entries of the pushing lane, after every push
-# TYPE sms_sh_occupancy histogram
-sms_sh_occupancy_bucket{scene="SHIP",config="RB_8+SH_8",le="1"} 4
-sms_sh_occupancy_bucket{scene="SHIP",config="RB_8+SH_8",le="+Inf"} 4
-sms_sh_occupancy_sum{scene="SHIP",config="RB_8+SH_8"} 4
-sms_sh_occupancy_count{scene="SHIP",config="RB_8+SH_8"} 4
-# HELP sms_borrow_chain SH stacks linked into the pushing lane's chain
-# TYPE sms_borrow_chain histogram
-sms_borrow_chain_bucket{scene="SHIP",config="RB_8+SH_8",le="0"} 4
-sms_borrow_chain_bucket{scene="SHIP",config="RB_8+SH_8",le="+Inf"} 4
-sms_borrow_chain_sum{scene="SHIP",config="RB_8+SH_8"} 0
-sms_borrow_chain_count{scene="SHIP",config="RB_8+SH_8"} 4
-# HELP sms_flush_run Consecutive-flush counter of reallocation-flushed segments
-# TYPE sms_flush_run histogram
-sms_flush_run_bucket{scene="SHIP",config="RB_8+SH_8",le="2"} 1
-sms_flush_run_bucket{scene="SHIP",config="RB_8+SH_8",le="+Inf"} 1
-sms_flush_run_sum{scene="SHIP",config="RB_8+SH_8"} 2
-sms_flush_run_count{scene="SHIP",config="RB_8+SH_8"} 1
-# HELP sms_ray_latency_cycles Per-ray traversal latency (admission to lane completion)
-# TYPE sms_ray_latency_cycles histogram
-sms_ray_latency_cycles_bucket{scene="SHIP",config="RB_8+SH_8",le="959"} 1
-sms_ray_latency_cycles_bucket{scene="SHIP",config="RB_8+SH_8",le="+Inf"} 1
-sms_ray_latency_cycles_sum{scene="SHIP",config="RB_8+SH_8"} 900
-sms_ray_latency_cycles_count{scene="SHIP",config="RB_8+SH_8"} 1
-# HELP sms_ray_spills Per-ray entries spilled to global memory
-# TYPE sms_ray_spills histogram
-sms_ray_spills_bucket{scene="SHIP",config="RB_8+SH_8",le="0"} 1
-sms_ray_spills_bucket{scene="SHIP",config="RB_8+SH_8",le="+Inf"} 1
-sms_ray_spills_sum{scene="SHIP",config="RB_8+SH_8"} 0
-sms_ray_spills_count{scene="SHIP",config="RB_8+SH_8"} 1
-# HELP sms_ray_reloads Per-ray entries reloaded from global memory
-# TYPE sms_ray_reloads histogram
-sms_ray_reloads_bucket{scene="SHIP",config="RB_8+SH_8",le="0"} 1
-sms_ray_reloads_bucket{scene="SHIP",config="RB_8+SH_8",le="+Inf"} 1
-sms_ray_reloads_sum{scene="SHIP",config="RB_8+SH_8"} 0
-sms_ray_reloads_count{scene="SHIP",config="RB_8+SH_8"} 1
-"#;
-
-const GOLDEN_CSV: &str = r#"cycle,resident_warps,rt_busy,mem_queue,l1_hit_rate,l2_hit_rate,ipc
-0,0,0,0,0,0,0
-100,8,3,2,0.75,0.5,1.5
-"#;
-
 #[test]
 fn prometheus_dump_matches_golden() {
     let text = sample_report().registry("SHIP", "RB_8+SH_8", &sample_stats()).render_prometheus();
-    if text != GOLDEN_PROM {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/metrics_schema_actual.prom");
-        let _ = std::fs::write(path, &text);
-        panic!("prometheus schema drift — actual dump written to {path}");
-    }
+    golden::check("metrics_schema", &[("prometheus", &text)]);
     // The golden dump parses under the strict validator, like every
     // production dump must.
-    let samples = sms_metrics::prom::validate(GOLDEN_PROM).expect("golden must parse strictly");
+    let samples = sms_metrics::prom::validate(&text).expect("golden must parse strictly");
     assert!(samples > 0);
 }
 
 #[test]
 fn series_csv_matches_golden() {
     let csv = sample_report().series.to_csv();
-    if csv != GOLDEN_CSV {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/metrics_schema_actual.csv");
-        let _ = std::fs::write(path, &csv);
-        panic!("csv schema drift — actual dump written to {path}");
-    }
-    sms_metrics::series::validate_csv(GOLDEN_CSV).expect("golden must validate");
+    golden::check("metrics_schema", &[("csv", &csv)]);
+    sms_metrics::series::validate_csv(&csv).expect("golden must validate");
 }
 
 #[test]
 fn summary_line_is_stable() {
-    assert_eq!(
-        sample_report().summary_line(),
-        "stack depth p50/p95/p99 2/5/5 max 5 over 4 pushes; \
-         ray latency p50/p95 900/900 cycles over 1 rays; 2 samples"
-    );
+    golden::check("metrics_schema", &[("summary", sample_report().summary_line())]);
 }

@@ -34,6 +34,7 @@
 
 pub mod aabb;
 pub mod check;
+pub mod golden;
 pub mod onb;
 pub mod ray;
 pub mod rng;

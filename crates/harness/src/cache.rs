@@ -36,6 +36,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+pub use sms_sim::geom::golden::fnv1a64;
+
 /// Bump on any change to the cycle model that alters simulation results:
 /// all previously cached entries become unreachable (stale keys).
 pub const SIM_VERSION_SALT: u32 = 1;
@@ -64,16 +66,6 @@ impl CacheKey {
         );
         CacheKey { hash: fnv1a64(canonical.as_bytes()), canonical }
     }
-}
-
-/// 64-bit FNV-1a over `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Default bounded-retry count for transient cache I/O (`SMS_RETRIES`).
@@ -707,13 +699,5 @@ mod tests {
     fn builds_missing_field_is_rejected() {
         check_missing(&builds_row(), &[]);
         assert_eq!(builds_from_json(&Json::U64(3)), None);
-    }
-
-    #[test]
-    fn fnv_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -4,6 +4,7 @@
 
 use sms_harness::{Harness, HarnessConfig, ResultCache, RunRequest, SIM_VERSION_SALT};
 use sms_sim::config::RenderConfig;
+use sms_sim::geom::golden;
 use sms_sim::gpu::SimStats;
 use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
@@ -244,53 +245,23 @@ fn distinct_requests_have_distinct_keys() {
 }
 
 /// Pins what a real entry looks like on disk: the file name (the FNV hash
-/// of the `{:?}`-rendered key) and every byte of the body. WKND's
-/// predictor never probes at this size, so its entry carries no `pred_*`
-/// pair; SPRNG's confirms once and never mispredicts, which pins that the
-/// pair is emitted together. The literals were recorded at the commit
-/// before the counter records were declared by macro; a change to any of
-/// them is a cache-format change that strands every existing cache.
+/// of the `{:?}`-rendered key) and every byte of the body, as the
+/// `cache_robustness.<scene>.<stack>.{file,entry}` rows of the golden table
+/// (`goldens.txt`, `sms_geom::golden`). WKND's predictor never probes at
+/// this size, so its entry carries no `pred_*` pair; SPRNG's confirms once
+/// and never mispredicts, which pins that the pair is emitted together.
+/// The rows were recorded at the commit before the counter records were
+/// declared by macro; a change to any of them is a cache-format change
+/// that strands every existing cache.
 #[test]
 fn on_disk_entry_bytes_are_pinned() {
-    const GPU_RENDER: &str = "gpu=GpuConfig { num_sms: 8, registers_per_sm: 32768, \
-        rt_units_per_sm: 1, max_warps_per_rt_unit: 4, resident_warps_per_sm: 8, issue_width: 4, \
-        unified_bytes: 65536, l1: L1Config { size_bytes: 65536, latency: 20, interval: 1, \
-        stack_bypasses_l1: true }, shared: SharedMemConfig { banks: 32, bank_width: 4, \
-        latency: 20, interval: 1, conflict_replay_cycles: 8 }, global: GlobalMemoryConfig { \
-        l2: CacheConfig { size_bytes: 3145728, assoc: 16, line_size: 128 }, l2_latency: 160, \
-        l2_interval: 1, l2_slices: 8, dram_latency: 200, dram_interval: 2, dram_channels: 4 }, \
-        box_latency: 10, tri_latency: 20 }|render=RenderConfig { mode: Tiny, max_depth: 3, \
-        shadow_rays: true, seed: 7 }";
-    const WKND_STATS: &str = r#"{"cycles":19029,"thread_instructions":25560,"node_visits":8541,"rays_traced":528,"shadow_rays":208,"rb_spills":5,"rb_reloads":5,"sh_spills":0,"sh_reloads":0,"ra_flushes":0,"ra_borrows":0,"mem":{"l1_hits":2911,"l1_misses":1061,"l2_hits":336,"l2_misses":581,"stores":37,"stack_transactions":10,"stack_l1_hits":0,"stack_l1_misses":5,"data_transactions":4187,"shared_accesses":0,"bank_conflict_cycles":0}}"#;
-    const SPRNG_STATS: &str = r#"{"cycles":72455,"thread_instructions":24056,"node_visits":12855,"rays_traced":463,"shadow_rays":192,"rb_spills":343,"rb_reloads":325,"sh_spills":0,"sh_reloads":0,"ra_flushes":0,"ra_borrows":0,"pred_hits":1,"pred_misses":0,"mem":{"l1_hits":5705,"l1_misses":6538,"l2_hits":2377,"l2_misses":4369,"stores":375,"stack_transactions":668,"stack_l1_hits":0,"stack_l1_misses":325,"data_transactions":12147,"shared_accesses":0,"bank_conflict_cycles":0}}"#;
-    // (scene, stack, file name, `stack=` rendering, `sum`, `stats`)
     let predictor = StackConfig::Predictor { table_bits: 12 };
-    let golden = [
-        (
-            SceneId::Wknd,
-            StackConfig::baseline8(),
-            "15b4b91a610a6cf9.json",
-            "Baseline { rb_entries: 8 }",
-            "90b09d3c654267d1",
-            WKND_STATS,
-        ),
-        (
-            SceneId::Wknd,
-            predictor,
-            "1343bdc1d91235cb.json",
-            "Predictor { table_bits: 12 }",
-            "7322db66729e70b7",
-            WKND_STATS,
-        ),
-        (
-            SceneId::Sprng,
-            predictor,
-            "bf9943ece8d6c529.json",
-            "Predictor { table_bits: 12 }",
-            "3fb6a28805463fe1",
-            SPRNG_STATS,
-        ),
-    ];
+    let requests = [
+        (SceneId::Wknd, StackConfig::baseline8()),
+        (SceneId::Wknd, predictor),
+        (SceneId::Sprng, predictor),
+    ]
+    .map(|(scene, stack)| RunRequest::new(scene, stack, RenderConfig::tiny()));
 
     let dir = temp_dir("golden");
     let harness = Harness::new(HarnessConfig {
@@ -298,28 +269,26 @@ fn on_disk_entry_bytes_are_pinned() {
         cache_dir: Some(dir.clone()),
         ..HarnessConfig::default()
     });
-    let requests: Vec<RunRequest> = golden
-        .iter()
-        .map(|&(scene, stack, ..)| RunRequest::new(scene, stack, RenderConfig::tiny()))
-        .collect();
     let (_, summary) = harness.run_batch(&requests);
-    assert_eq!(summary.cache_misses, golden.len());
+    assert_eq!(summary.cache_misses, requests.len());
 
+    let cache = harness.cache().unwrap();
+    let (mut names, mut rows) = (Vec::new(), Vec::new());
+    for req in &requests {
+        let path = cache.entry_path(&cache.key(req));
+        let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+        let case = format!("{}.{}", req.scene.name(), req.stack.label());
+        rows.push((format!("{case}.file"), name.clone()));
+        rows.push((format!("{case}.entry"), std::fs::read_to_string(&path).unwrap()));
+        names.push(name);
+    }
     let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     on_disk.sort();
-    let mut names: Vec<&str> = golden.iter().map(|g| g.2).collect();
     names.sort();
-    assert_eq!(on_disk, names, "entry file names moved (or a temp file was left behind)");
-    for (scene, _, name, stack, sum, stats) in golden {
-        let expected = format!(
-            "{{\"salt\":1,\"key\":\"sms-sim salt=1|scene={}|stack={stack}|{GPU_RENDER}\",\
-             \"sum\":\"{sum}\",\"stats\":{stats}}}",
-            scene.name()
-        );
-        assert_eq!(std::fs::read_to_string(dir.join(name)).unwrap(), expected, "{name}");
-    }
+    assert_eq!(on_disk, names, "one file per entry, and no temp file left behind");
+    golden::check("cache_robustness", &rows);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,9 @@
 //! JSONL line downstream tooling (the served stream's client, `sms-trace`,
 //! `breakdown_stalls`, external dashboards) parses.
 //!
-//! The golden strings below ARE the schema. If a change here is
-//! intentional, it is a schema migration: confirm
+//! Each test's line is the `journal_schema.<test>` row of the golden table
+//! (`goldens.txt`, `sms_geom::golden`), and that row is the schema. A row
+//! that moves on purpose is a schema migration: confirm
 //! `sms_serve::protocol::SweepOutcome::parse` still reads old streams (new
 //! fields must be additive/optional) and update the examples in
 //! `journal.rs`'s module docs.
@@ -11,13 +12,15 @@
 use sms_harness::json::{parse, Json};
 use sms_harness::{cache, BatchMetrics, Event, SceneBuild};
 use sms_metrics::HistSummary;
+use sms_sim::geom::golden;
 use sms_sim::gpu::{SimStats, StallBreakdown};
 
-/// Serializes, checks against the golden line, parses the line back, and
-/// returns the parsed document for field-level spot checks.
-fn golden(event: &Event, want: &str) -> Json {
+/// Serializes, checks the line against row `case` of the golden table,
+/// parses the line back, and returns the parsed document for field-level
+/// spot checks.
+fn golden(case: &str, event: &Event) -> Json {
     let line = event.to_json().to_string();
-    assert_eq!(line, want, "schema drift for {event:?}");
+    golden::check("journal_schema", &[(case, &line)]);
     parse(&line).unwrap_or_else(|e| panic!("journal line must reparse: {e}\n{line}"))
 }
 
@@ -27,16 +30,14 @@ fn breakdown_from_json(doc: &Json) -> Option<StallBreakdown> {
 
 #[test]
 fn batch_start_line() {
-    let doc = golden(
-        &Event::BatchStart { jobs: 80, unique: 64, workers: 8 },
-        r#"{"event":"batch_start","jobs":80,"unique":64,"workers":8}"#,
-    );
+    let doc = golden("batch_start_line", &Event::BatchStart { jobs: 80, unique: 64, workers: 8 });
     assert_eq!(doc.u64_field("unique"), Some(64));
 }
 
 #[test]
 fn job_queued_line() {
     golden(
+        "job_queued_line",
         &Event::JobQueued {
             job: 0,
             scene: "WKND".to_owned(),
@@ -44,16 +45,12 @@ fn job_queued_line() {
             workload: "32x32x1".to_owned(),
             key: "sms-sim salt=1|scene=WKND".to_owned(),
         },
-        r#"{"event":"job_queued","job":0,"scene":"WKND","config":"RB_8+SH_8+SK+RA","workload":"32x32x1","key":"sms-sim salt=1|scene=WKND"}"#,
     );
 }
 
 #[test]
 fn job_started_line() {
-    golden(
-        &Event::JobStarted { job: 1, worker: 3 },
-        r#"{"event":"job_started","job":1,"worker":3}"#,
-    );
+    golden("job_started_line", &Event::JobStarted { job: 1, worker: 3 });
 }
 
 #[test]
@@ -77,14 +74,7 @@ fn job_finished_line_roundtrips_stats_and_breakdown() {
         stats: Some(stats),
         breakdown: Some(breakdown),
     };
-    let doc = golden(
-        &e,
-        concat!(
-            r#"{"event":"job_finished","job":4,"worker":1,"cache":"miss","cycles":42,"duration_us":1234,"#,
-            r#""stats":{"cycles":42,"thread_instructions":9007199254740993,"node_visits":0,"rays_traced":0,"shadow_rays":0,"rb_spills":0,"rb_reloads":0,"sh_spills":0,"sh_reloads":0,"ra_flushes":0,"ra_borrows":0,"mem":{"l1_hits":0,"l1_misses":0,"l2_hits":0,"l2_misses":0,"stores":0,"stack_transactions":0,"stack_l1_hits":0,"stack_l1_misses":0,"data_transactions":0,"shared_accesses":0,"bank_conflict_cycles":0}},"#,
-            r#""breakdown":{"compute":30,"mem_wait":0,"rt_admit":0,"in_rt":12,"warp_cycles":42,"rt_sched_wait":0,"fetch_wait_l1":0,"fetch_wait_l2":0,"fetch_wait_dram":0,"op_wait":0,"stack_wait_rb_sh":0,"stack_wait_sh_global":0,"stack_wait_flush":0,"bank_conflict_replay":0,"predictor_wait":0,"rt_idle":384,"rt_lane_cycles":384}}"#,
-        ),
-    );
+    let doc = golden("job_finished_line_roundtrips_stats_and_breakdown", &e);
     // The payloads round-trip through the same codecs clients/tools use —
     // u64 fidelity beyond 2^53 included.
     assert_eq!(cache::stats_from_json(doc.get("stats").unwrap()), Some(stats));
@@ -104,16 +94,14 @@ fn job_finished_cache_hit_has_null_worker_and_breakdown() {
         stats: None,
         breakdown: None,
     };
-    let doc = golden(
-        &e,
-        r#"{"event":"job_finished","job":0,"worker":null,"cache":"hit","cycles":7,"duration_us":0,"stats":null,"breakdown":null}"#,
-    );
+    let doc = golden("job_finished_cache_hit_has_null_worker_and_breakdown", &e);
     assert_eq!(doc.get("worker"), Some(&Json::Null));
 }
 
 #[test]
 fn run_timeout_line() {
     golden(
+        "run_timeout_line",
         &Event::RunTimeout {
             job: 3,
             worker: 0,
@@ -121,13 +109,13 @@ fn run_timeout_line() {
             error: "no progress\nSM0: ...".to_owned(),
             duration_us: 99,
         },
-        r#"{"event":"run_timeout","job":3,"worker":0,"kind":"stalled","error":"no progress\nSM0: ...","duration_us":99}"#,
     );
 }
 
 #[test]
 fn run_failed_line() {
     golden(
+        "run_failed_line",
         &Event::RunFailed {
             job: 5,
             worker: 2,
@@ -135,13 +123,13 @@ fn run_failed_line() {
             error: "boom \"quoted\"".to_owned(),
             duration_us: 7,
         },
-        r#"{"event":"run_failed","job":5,"worker":2,"kind":"panic","error":"boom \"quoted\"","duration_us":7}"#,
     );
 }
 
 #[test]
 fn span_line() {
     golden(
+        "span_line",
         &Event::Span {
             trace: "00000000deadbeef".to_owned(),
             span: "0000000000000002".to_owned(),
@@ -158,11 +146,6 @@ fn span_line() {
                 ("outcome".to_owned(), "cancelled".to_owned()),
             ],
         },
-        concat!(
-            r#"{"event":"span","trace":"00000000deadbeef","span":"0000000000000002","parent":"0000000000000001","#,
-            r#""name":"dispatch","kind":"client","start_us":1700000000000000,"dur_us":4200,"#,
-            r#""attrs":{"backend":"127.0.0.1:7745","attempt":"1","hedge":"1","breaker_state":"closed","outcome":"cancelled"}}"#,
-        ),
     );
 }
 
@@ -170,13 +153,7 @@ fn span_line() {
 fn span_line_root_has_null_parent_and_ctx_constructor_matches() {
     let ctx = sms_harness::TraceContext { trace_id: 0xdead_beef, span_id: 0x1, parent: None };
     let e = Event::span(&ctx, "sweep", "server", 10, 20, vec![("jobs".to_owned(), "2".to_owned())]);
-    let doc = golden(
-        &e,
-        concat!(
-            r#"{"event":"span","trace":"00000000deadbeef","span":"0000000000000001","parent":null,"#,
-            r#""name":"sweep","kind":"server","start_us":10,"dur_us":20,"attrs":{"jobs":"2"}}"#,
-        ),
-    );
+    let doc = golden("span_line_root_has_null_parent_and_ctx_constructor_matches", &e);
     assert_eq!(doc.get("parent"), Some(&Json::Null));
 }
 
@@ -194,14 +171,7 @@ fn batch_end_line_with_breakdown() {
         metrics: None,
         builds: vec![SceneBuild { scene: "SHIP".to_owned(), prims: 6321, build_us: 480 }],
     };
-    let doc = golden(
-        &e,
-        concat!(
-            r#"{"event":"batch_end","jobs":2,"cache_hits":1,"cache_misses":1,"failed":0,"duration_us":2000000,"sim_cycles":100,"runs_per_sec":1,"sim_cycles_per_sec":50,"#,
-            r#""breakdown":{"compute":1,"mem_wait":0,"rt_admit":0,"in_rt":0,"warp_cycles":1,"rt_sched_wait":0,"fetch_wait_l1":0,"fetch_wait_l2":0,"fetch_wait_dram":0,"op_wait":0,"stack_wait_rb_sh":0,"stack_wait_sh_global":0,"stack_wait_flush":0,"bank_conflict_replay":0,"predictor_wait":0,"rt_idle":0,"rt_lane_cycles":0},"#,
-            r#""metrics":null,"builds":[{"scene":"SHIP","prims":6321,"build_us":480}]}"#,
-        ),
-    );
+    let doc = golden("batch_end_line_with_breakdown", &e);
     assert_eq!(breakdown_from_json(doc.get("breakdown").unwrap()), Some(breakdown));
     assert_eq!(
         cache::builds_from_json(doc.get("builds").unwrap()),
@@ -228,12 +198,6 @@ fn batch_end_line_with_metrics() {
         metrics: Some(metrics),
         builds: Vec::new(),
     };
-    let doc = golden(
-        &e,
-        concat!(
-            r#"{"event":"batch_end","jobs":1,"cache_hits":0,"cache_misses":1,"failed":0,"duration_us":1000000,"sim_cycles":50,"runs_per_sec":1,"sim_cycles_per_sec":50,"breakdown":null,"#,
-            r#""metrics":{"stack_depth":{"count":640,"sum":3200,"p50":5,"p95":11,"p99":14,"max":19},"ray_latency":{"count":256,"sum":51200,"p50":180,"p95":420,"p99":504,"max":611},"spills":12,"reloads":12},"builds":[]}"#,
-        ),
-    );
+    let doc = golden("batch_end_line_with_metrics", &e);
     assert_eq!(cache::metrics_from_json(doc.get("metrics").unwrap()), Some(metrics));
 }

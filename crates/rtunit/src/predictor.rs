@@ -25,6 +25,7 @@
 //! each finished ray's final hit, keyed by the ray's hash.
 
 use sms_bvh::NodeId;
+use sms_geom::golden::{fnv1a64_extend, FNV_OFFSET};
 use sms_geom::Ray;
 
 /// Widest supported table index (2^20 entries ≈ 12 MiB — already far past
@@ -66,14 +67,9 @@ impl RayPredictor {
 
     /// FNV-1a over the quantized ray origin and direction.
     pub fn hash(ray: &Ray) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for v in [ray.origin.x, ray.origin.y, ray.origin.z, ray.dir.x, ray.dir.y, ray.dir.z] {
-            for b in quantize(v).to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        [ray.origin.x, ray.origin.y, ray.origin.z, ray.dir.x, ray.dir.y, ray.dir.z]
+            .into_iter()
+            .fold(FNV_OFFSET, |h, v| fnv1a64_extend(h, &quantize(v).to_le_bytes()))
     }
 
     /// The predicted leaf for `hash`, if the table holds one. The full

@@ -429,7 +429,12 @@ impl FleetState {
     /// a closed-breaker backend by [`route`], or else one expired open
     /// breaker promoted to a half-open probe (which never becomes a home).
     /// `exclude` keeps a hedge off the backend already trying the cell.
-    fn pick_backend(&self, scene: SceneKey, exclude: Option<usize>) -> Option<Reservation> {
+    fn pick_backend(
+        &self,
+        scene: SceneKey,
+        exclude: Option<usize>,
+        now: Instant,
+    ) -> Option<Reservation> {
         let mut homes = self.homes.lock().unwrap_or_else(PoisonError::into_inner);
         let loads: Vec<Option<u64>> = (0..self.backends.len())
             .map(|i| {
@@ -444,7 +449,7 @@ impl FleetState {
                 }
                 i
             }
-            None => self.promote_probe(exclude)?,
+            None => self.promote_probe(exclude, now)?,
         };
         let inflight = Arc::clone(&self.backends[picked].inflight);
         inflight.fetch_add(1, Ordering::SeqCst);
@@ -452,8 +457,7 @@ impl FleetState {
     }
 
     /// With no closed breaker, lets at most one half-open probe through.
-    fn promote_probe(&self, exclude: Option<usize>) -> Option<usize> {
-        let now = Instant::now();
+    fn promote_probe(&self, exclude: Option<usize>, now: Instant) -> Option<usize> {
         for i in 0..self.backends.len() {
             if Some(i) == exclude {
                 continue;
@@ -471,8 +475,7 @@ impl FleetState {
 
     /// `true` when at least one backend could take a dispatch right now
     /// (closed, probing, or past its cooldown).
-    fn any_backend_usable(&self) -> bool {
-        let now = Instant::now();
+    fn any_backend_usable(&self, now: Instant) -> bool {
         (0..self.backends.len()).any(|i| match *self.lock_breaker(i) {
             Breaker::Closed { .. } | Breaker::HalfOpen => true,
             Breaker::Open { until } => until <= now,
@@ -487,10 +490,10 @@ impl FleetState {
 
     /// A failed dispatch counts toward the threshold; at the threshold —
     /// or on a failed half-open probe — the breaker opens.
-    fn on_backend_failure(&self, i: usize) {
+    fn on_backend_failure(&self, i: usize, now: Instant) {
         self.backends[i].failures.fetch_add(1, Ordering::Relaxed);
         let mut breaker = self.lock_breaker(i);
-        let open = Breaker::Open { until: Instant::now() + self.config.breaker_cooldown };
+        let open = Breaker::Open { until: now + self.config.breaker_cooldown };
         match *breaker {
             Breaker::Closed { fails } if fails + 1 >= self.config.breaker_threshold => {
                 *breaker = open;
@@ -641,7 +644,7 @@ fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan
     let (req, key) = &plan.jobs[task.idx];
     let scene = (req.scene, req.render);
     task.attempts += 1;
-    let Some(reservation) = state.pick_backend(scene, None) else {
+    let Some(reservation) = state.pick_backend(scene, None, Instant::now()) else {
         // Degraded mode: no routable backend. Cached cells are still
         // served; everything else waits for a breaker to half-open, then
         // fails once the attempt budget runs out — never hangs.
@@ -704,7 +707,7 @@ fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan
         Some(hedge_after) => match rx.recv_timeout(hedge_after) {
             Ok(msg) => Some(msg),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some(second) = state.pick_backend(scene, Some(primary)) {
+                if let Some(second) = state.pick_backend(scene, Some(primary), Instant::now()) {
                     inc(&state.metrics.hedges);
                     hedge = Some(second.backend);
                     spawn_dispatch(second, true, tx.clone());
@@ -749,7 +752,7 @@ fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan
                 });
             }
             Err(e) => {
-                state.on_backend_failure(idx);
+                state.on_backend_failure(idx, Instant::now());
                 if let Some(pos) = spans.iter().position(|d| d.backend == idx) {
                     record_dispatch_span(state, &spans.remove(pos), "error");
                 }
@@ -898,7 +901,7 @@ impl Tier for FleetState {
         // need a live simulation is shed *before* the stream starts, with a
         // Retry-After matched to the breaker cooldown. All-cached sweeps fall
         // through — the workers serve them without contacting anyone.
-        if !self.any_backend_usable() {
+        if !self.any_backend_usable(Instant::now()) {
             let cache = self.core.cache.as_ref();
             let all_cached =
                 cache.is_some_and(|c| jobs.iter().all(|(_, key)| c.load(key).is_some()));
@@ -962,41 +965,46 @@ mod tests {
         (SceneId::ALL[i], RenderConfig::tiny())
     }
 
-    /// One pick whose reservation ends at once, as if its dispatch did.
-    fn pick(state: &FleetState, exclude: Option<usize>) -> Option<usize> {
-        state.pick_backend(scene(0), exclude).map(|r| r.backend)
+    /// One pick at `now` whose reservation ends at once, as if its dispatch
+    /// did.
+    fn pick(state: &FleetState, exclude: Option<usize>, now: Instant) -> Option<usize> {
+        state.pick_backend(scene(0), exclude, now).map(|r| r.backend)
     }
 
     #[test]
     fn breaker_opens_at_threshold_and_probes_after_cooldown() {
-        let state = test_state(&["a:1"], 2, Duration::from_millis(30));
-        assert_eq!(pick(&state, None), Some(0));
-        state.on_backend_failure(0);
-        assert_eq!(pick(&state, None), Some(0), "one failure is below the threshold");
-        state.on_backend_failure(0);
-        assert_eq!(pick(&state, None), None, "breaker must open at the threshold");
-        assert!(!state.any_backend_usable());
+        let cooldown = Duration::from_millis(30);
+        let state = test_state(&["a:1"], 2, cooldown);
+        let now = Instant::now();
+        assert_eq!(pick(&state, None, now), Some(0));
+        state.on_backend_failure(0, now);
+        assert_eq!(pick(&state, None, now), Some(0), "one failure is below the threshold");
+        state.on_backend_failure(0, now);
+        assert_eq!(pick(&state, None, now), None, "breaker must open at the threshold");
+        assert!(!state.any_backend_usable(now));
         assert_eq!(state.metrics.breaker_opens.load(Ordering::Relaxed), 1);
 
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(state.any_backend_usable(), "cooldown expiry re-admits the backend");
-        assert_eq!(pick(&state, None), Some(0), "first pick is the half-open probe");
-        assert_eq!(pick(&state, None), None, "only one probe may be outstanding");
+        let later = now + cooldown;
+        assert!(state.any_backend_usable(later), "cooldown expiry re-admits the backend");
+        assert_eq!(pick(&state, None, later), Some(0), "first pick is the half-open probe");
+        assert_eq!(pick(&state, None, later), None, "only one probe may be outstanding");
 
         // A successful probe re-closes the breaker; routing resumes.
         state.on_backend_success(0);
-        assert_eq!(pick(&state, None), Some(0));
-        assert_eq!(pick(&state, None), Some(0), "closed breaker routes freely");
+        assert_eq!(pick(&state, None, later), Some(0));
+        assert_eq!(pick(&state, None, later), Some(0), "closed breaker routes freely");
     }
 
     #[test]
     fn failed_halfopen_probe_reopens_immediately() {
-        let state = test_state(&["a:1"], 1, Duration::from_millis(30));
-        state.on_backend_failure(0);
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(pick(&state, None), Some(0));
-        state.on_backend_failure(0);
-        assert_eq!(pick(&state, None), None, "failed probe must reopen the breaker");
+        let cooldown = Duration::from_millis(30);
+        let state = test_state(&["a:1"], 1, cooldown);
+        let now = Instant::now();
+        state.on_backend_failure(0, now);
+        let later = now + cooldown;
+        assert_eq!(pick(&state, None, later), Some(0));
+        state.on_backend_failure(0, later);
+        assert_eq!(pick(&state, None, later), None, "failed probe must reopen the breaker");
         assert_eq!(state.metrics.breaker_opens.load(Ordering::Relaxed), 2);
     }
 
@@ -1004,17 +1012,18 @@ mod tests {
     fn routing_prefers_least_loaded_and_respects_exclude() {
         let state = test_state(&["a:1", "b:2"], 3, Duration::from_secs(1));
         state.backends[0].inflight.store(5, Ordering::SeqCst);
-        let held = state.pick_backend(scene(0), None).expect("two closed backends");
+        let now = Instant::now();
+        let held = state.pick_backend(scene(0), None, now).expect("two closed backends");
         assert_eq!(held.backend, 1, "least-loaded backend wins");
         assert_eq!(state.backends[1].inflight.load(Ordering::SeqCst), 1, "the pick reserves");
-        assert_eq!(pick(&state, Some(1)), Some(0), "exclude forces the other backend");
+        assert_eq!(pick(&state, Some(1), now), Some(0), "exclude forces the other backend");
         drop(held);
         assert_eq!(state.backends[1].inflight.load(Ordering::SeqCst), 0, "the drop releases");
-        state.on_backend_failure(1);
-        state.on_backend_failure(1);
-        state.on_backend_failure(1);
-        assert_eq!(pick(&state, None), Some(0), "open breaker drops out of routing");
-        assert_eq!(pick(&state, Some(0)), None, "no hedge target left");
+        state.on_backend_failure(1, now);
+        state.on_backend_failure(1, now);
+        state.on_backend_failure(1, now);
+        assert_eq!(pick(&state, None, now), Some(0), "open breaker drops out of routing");
+        assert_eq!(pick(&state, Some(0), now), None, "no hedge target left");
     }
 
     /// A sweep's workers pick together, before any dispatch starts: each
@@ -1025,8 +1034,9 @@ mod tests {
     fn consecutive_picks_spread_over_idle_backends() {
         let state = test_state(&["a:1", "b:2"], 3, Duration::from_secs(1));
         state.homes.lock().unwrap().set(scene(2), 1);
-        let first = state.pick_backend(scene(0), None).expect("idle pool");
-        let second = state.pick_backend(scene(1), None).expect("idle pool");
+        let now = Instant::now();
+        let first = state.pick_backend(scene(0), None, now).expect("idle pool");
+        let second = state.pick_backend(scene(1), None, now).expect("idle pool");
         assert_eq!((first.backend, second.backend), (0, 1));
     }
 
@@ -1039,7 +1049,8 @@ mod tests {
             let addrs: Vec<String> = (0..n).map(|i| format!("b:{i}")).collect();
             let addrs: Vec<&str> = addrs.iter().map(String::as_str).collect();
             let state = test_state(&addrs, 3, Duration::from_secs(3600));
-            let far = Instant::now() + Duration::from_secs(3600);
+            let now = Instant::now();
+            let far = now + Duration::from_secs(3600);
             let mut loads = Vec::new();
             for i in 0..n {
                 let closed = g.chance(0.7);
@@ -1067,7 +1078,7 @@ mod tests {
 
             let eligible = |i: usize| loads[i].filter(|_| Some(i) != exclude);
             let least = (0..n).filter_map(eligible).min();
-            let picked = state.pick_backend(scene(0), exclude);
+            let picked = state.pick_backend(scene(0), exclude, now);
             let homes = state.homes.lock().unwrap();
             let after = homes.get(scene(0));
             for (b, &c) in homes.count.iter().enumerate() {
@@ -1102,14 +1113,15 @@ mod tests {
     #[test]
     fn breaker_success_resets_the_failure_count() {
         let state = test_state(&["a:1"], 3, Duration::from_secs(1));
-        state.on_backend_failure(0);
-        state.on_backend_failure(0);
+        let now = Instant::now();
+        state.on_backend_failure(0, now);
+        state.on_backend_failure(0, now);
         state.on_backend_success(0);
-        state.on_backend_failure(0);
-        state.on_backend_failure(0);
-        assert_eq!(pick(&state, None), Some(0), "success must reset consecutive failures");
-        state.on_backend_failure(0);
-        assert_eq!(pick(&state, None), None);
+        state.on_backend_failure(0, now);
+        state.on_backend_failure(0, now);
+        assert_eq!(pick(&state, None, now), Some(0), "success must reset consecutive failures");
+        state.on_backend_failure(0, now);
+        assert_eq!(pick(&state, None, now), None);
     }
 
     #[test]

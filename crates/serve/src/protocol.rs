@@ -51,11 +51,20 @@ pub struct SweepRequest {
     pub render_name: String,
 }
 
-/// Parses and validates a sweep body. Every scene and config label must
-/// parse; the cross-product must be non-empty and at most `max_jobs`.
+/// Parses and validates a sweep body: `scenes`, `configs` and an optional
+/// `render`, each once; every label must parse; 1 to `max_jobs` cells.
 pub fn parse_sweep(body: &[u8], max_jobs: usize) -> Result<SweepRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
     let doc = parse(text).map_err(|e| format!("body is not valid JSON: {e}"))?;
+    let Json::Obj(fields) = &doc else { return Err("body must be a JSON object".to_owned()) };
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if !["scenes", "configs", "render"].contains(&key.as_str()) {
+            return Err(format!("unknown field `{key}`"));
+        }
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("duplicate field `{key}`"));
+        }
+    }
     let strings = |field: &str| -> Result<Vec<String>, String> {
         match doc.get(field) {
             Some(Json::Arr(items)) => items
@@ -265,6 +274,25 @@ mod tests {
             parse_sweep(br#"{"scenes":["SHIP"],"configs":["RB_8"],"render":"huge"}"#, 10).is_err()
         );
         assert!(parse_sweep(&[0xff, 0xfe], 10).unwrap_err().contains("UTF-8"));
+        // A misspelt or repeated key is refused by name, not ignored.
+        for (body, want) in [
+            (
+                &br#"{"scenes":["WKND"],"configs":["RB_8"],"rendr":"tiny"}"#[..],
+                "unknown field `rendr`",
+            ),
+            (
+                br#"{"scenes":["WKND"],"configs":["RB_8"],"scenes":["SHIP"]}"#,
+                "duplicate field `scenes`",
+            ),
+            (
+                br#"{"scenes":["WKND"],"configs":["RB_8"],"render":"tiny","render":"fast"}"#,
+                "duplicate field `render`",
+            ),
+            (br#"["WKND"]"#, "JSON object"),
+        ] {
+            let err = parse_sweep(body, 10).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]

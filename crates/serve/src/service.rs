@@ -391,13 +391,17 @@ fn handle_probe(
         .ok_or_else(|| bad("probe path must be /v1/jobs/<scene>/<config>".to_owned()))?;
     let scene_id = scene.parse::<sms_sim::scene::SceneId>().map_err(|e| bad(e.to_string()))?;
     let stack = parse_stack_config(config).map_err(bad)?;
-    let mut render_name = "fast".to_owned();
+    let mut render_name = None;
     for pair in request.query.split('&').filter(|p| !p.is_empty()) {
         match pair.split_once('=') {
-            Some(("render", mode)) => render_name = mode.to_owned(),
+            Some(("render", _)) if render_name.is_some() => {
+                return Err(bad("duplicate query parameter `render`".to_owned()))
+            }
+            Some(("render", mode)) => render_name = Some(mode.to_owned()),
             _ => return Err(bad(format!("unknown query parameter `{pair}`"))),
         }
     }
+    let render_name = render_name.unwrap_or_else(|| "fast".to_owned());
     let render = parse_render(&render_name).map_err(bad)?;
     let key = CacheKey::new(&RunRequest::new(scene_id, stack, render), SIM_VERSION_SALT);
     match core.cache.as_ref().and_then(|c| c.load(&key)) {

@@ -17,6 +17,7 @@ use sms_serve::server::{ServeConfig, Server, ServerState};
 use sms_serve::service::Handle;
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::try_run_prepared;
+use sms_sim::geom::golden;
 use sms_sim::gpu::{GpuConfig, SimStats};
 use sms_sim::render::PreparedScene;
 use sms_sim::rtunit::StackConfig;
@@ -389,6 +390,18 @@ fn malformed_requests_get_4xx_not_panic() {
         // The probe prefix is stripped once, not repeatedly.
         (b"GET /v1/jobs//v1/jobs/WKND/RB_8 HTTP/1.1\r\n\r\n".to_vec(), 400),
         (b"\xff\xfe\x00garbage\r\n\r\n".to_vec(), 400),
+        // A misspelt or repeated key is refused, not ignored: `rendr` would
+        // otherwise run the ~100x larger default workload.
+        (sweep_request("", r#"{"scenes":["WKND"],"configs":["RB_8"],"rendr":"tiny"}"#), 400),
+        (sweep_request("", r#"{"scenes":["WKND"],"configs":["RB_8"],"scenes":["SHIP"]}"#), 400),
+        (
+            sweep_request(
+                "",
+                r#"{"scenes":["WKND"],"configs":["RB_8"],"render":"tiny","render":"fast"}"#,
+            ),
+            400,
+        ),
+        (b"GET /v1/jobs/WKND/RB_8?render=tiny&render=fast HTTP/1.1\r\n\r\n".to_vec(), 400),
     ];
     // An oversized sweep (beyond the per-request job cap) is a 400.
     let scenes =
@@ -418,7 +431,7 @@ fn malformed_requests_get_4xx_not_panic() {
     for (metrics, prefix) in
         [(backend.render_metrics(), "sms_serve"), (fleet.render_metrics(), "sms_fleet")]
     {
-        assert!(metrics.contains(&format!("{prefix}_bad_requests_total 12\n")), "{metrics}");
+        assert!(metrics.contains(&format!("{prefix}_bad_requests_total 16\n")), "{metrics}");
     }
     drain_tiers(tiers);
 
@@ -441,21 +454,13 @@ fn malformed_requests_get_4xx_not_panic() {
 }
 
 /// Raw response bytes (status line, headers, body) of the routes the
-/// skeleton answers itself, for a backend and a fleet alike. The goldens
-/// were captured from the two hand-copied services the skeleton replaced,
-/// so a byte that moves here is a wire change, not a refactor.
+/// skeleton answers itself, for a backend and a fleet alike: the
+/// `serve_e2e.*` rows of the golden table (`goldens.txt`,
+/// `sms_geom::golden`). They were captured from the two hand-copied
+/// services the skeleton replaced, so a byte that moves here is a wire
+/// change, not a refactor.
 #[test]
 fn wire_bytes_match_parent_goldens() {
-    const HEALTHZ_OK: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
-         Content-Length: 3\r\nConnection: close\r\n\r\nok\n";
-    const HEALTHZ_DRAINING: &str = "HTTP/1.1 503 Service Unavailable\r\n\
-         Content-Type: text/plain\r\nContent-Length: 9\r\nConnection: close\r\n\
-         Retry-After: 1\r\n\r\ndraining\n";
-    const DRAIN: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
-         Content-Length: 9\r\nConnection: close\r\n\r\ndraining\n";
-    const NOT_FOUND: &str = "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\n\
-         Content-Length: 26\r\nConnection: close\r\n\r\nno route for GET /v1/nope\n";
-
     // One recognizable cached cell, so the probe hit has a fixed body. The
     // cache key and the stats object have their own goldens; this one pins
     // the head and the field layout around them.
@@ -478,33 +483,32 @@ fn wire_bytes_match_parent_goldens() {
     );
 
     let tiers = spawn_tiers(64, Some(dir.clone()));
+    let mut seen = Vec::new();
     let drains: [(&str, SocketAddr, &dyn Fn()); 2] = [
         ("backend", tiers.0.addr(), &|| tiers.0.request_drain()),
         ("fleet", tiers.1.addr(), &|| tiers.1.request_drain()),
     ];
     for (tier, addr, request_drain) in drains {
         let get = |path: &str| exchange(addr, format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes());
-        assert_eq!(get("/healthz"), HEALTHZ_OK, "{tier}");
-        assert_eq!(get("/v1/nope"), NOT_FOUND, "{tier}");
+        let healthz_ok = get("/healthz");
+        let not_found = get("/v1/nope");
         assert_eq!(get("/v1/jobs/WKND/RB_8?render=tiny"), probe_hit, "{tier}");
         // Two connections accepted while the tier is live and answered
         // once the drain flag is up: accepts are FIFO, so the round trip in
         // between proves both are already in their handler threads.
         let (late_health, late_drain) = (connect(addr), connect(addr));
-        assert_eq!(get("/healthz"), HEALTHZ_OK, "{tier}");
+        assert_eq!(get("/healthz"), healthz_ok, "{tier}");
         request_drain();
-        assert_eq!(
-            finish(late_health, b"GET /healthz HTTP/1.1\r\n\r\n"),
-            HEALTHZ_DRAINING,
-            "{tier}"
-        );
-        assert_eq!(
-            finish(late_drain, b"POST /v1/drain HTTP/1.1\r\nContent-Length: 0\r\n\r\n"),
-            DRAIN,
-            "{tier}"
-        );
+        seen.push([
+            ("healthz_ok", healthz_ok),
+            ("healthz_draining", finish(late_health, b"GET /healthz HTTP/1.1\r\n\r\n")),
+            ("drain", finish(late_drain, b"POST /v1/drain HTTP/1.1\r\nContent-Length: 0\r\n\r\n")),
+            ("not_found", not_found),
+        ]);
     }
     drain_tiers(tiers);
+    golden::check("serve_e2e", &seen[0]);
+    assert_eq!(seen[1], seen[0], "the fleet answers byte for byte as the backend does");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
