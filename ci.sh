@@ -80,6 +80,14 @@ if [ "$(printf '%s\n' "$fnv_files" | grep -c .)" -ne 1 ]; then
   exit 1
 fi
 
+echo "==> no-poll gate (the serving accept loop blocks in accept and is woken on purpose; prints"
+echo "    offenders)"
+# The bracketed letters keep this pattern from matching itself.
+if git grep -nE 'set_nonblocking\(true\)|ACCEPT[_]POLL|DRAIN[_]POLL' -- crates/serve/src; then
+  echo "an accept poll is back in sms-serve (block in accept; wake the loop with ServiceCore::wake)"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -191,6 +199,17 @@ grep -q '^sms_serve_jobs_total 4$' target/serve-metrics.prom
 cargo run --release -q -p sms-bench --bin promlint -- target/serve-metrics.prom
 serve_client drain
 wait "$serve_pid" || { echo "sms-serve did not drain cleanly"; exit 1; }
+
+echo "==> SIGTERM smoke (the built sms-serve itself, not cargo: kill -TERM drains and exits 0)"
+rm -f target/sigterm-addr target/sigterm.log
+target/release/sms-serve --addr 127.0.0.1:0 --addr-file target/sigterm-addr --workers 1 \
+  2> target/sigterm.log &
+sigterm_pid=$!
+await_addr_file target/sigterm-addr "$sigterm_pid"
+kill -TERM "$sigterm_pid"
+wait "$sigterm_pid" || { cat target/sigterm.log; echo "sms-serve did not drain on SIGTERM"; exit 1; }
+grep -q 'drained, exiting' target/sigterm.log \
+  || { cat target/sigterm.log; echo "sms-serve exited on SIGTERM without draining"; exit 1; }
 
 echo "==> fleet smoke (2 backends, one injected kill, sweep survives, strict metrics)"
 rm -f target/fleet-addr target/fleet-a-addr target/fleet-b-addr target/fleet-journal.jsonl

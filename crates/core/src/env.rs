@@ -60,11 +60,10 @@ pub const DECLS: &[Decl] = &[
     ("SMS_PREDICT", Flag, "on", "bench", "the ray-path-predictor (`PRED_*`) competitor column"),
     ("SMS_PREDICT_BITS", Positive, "12", "bench", "predictor table index width, 1..=20"),
     ("SMS_SERVE_ADDR", Text, "`127.0.0.1:7745`", "serve, client", "server bind address and client target"),
-    ("SMS_SERVE_JOURNAL", Path, "`SMS_JOURNAL`, else in-memory", "serve", "server-side journal file"),
+    ("SMS_SERVE_JOURNAL", Path, "`SMS_JOURNAL`, else none", "serve", "server-side journal file"),
     ("SMS_CLIENT_RETRIES", NonNegative, "3", "client", "retries after the first attempt"),
     ("SMS_CLIENT_DEADLINE_MS", Positive, "600 000", "client", "wall-clock budget per request"),
     ("SMS_CLIENT_TIMEOUT_MS", Positive, "10 000", "client", "socket read timeout"),
-    ("SMS_CLIENT_HEDGE_MS", Positive, "off", "client", "duplicate a request unanswered after N ms"),
     ("SMS_JOURNAL_SYNC", Flag, "off", "harness, serve, fleet", "fsync the journal after every event"),
     ("SMS_FAULT", Text, "off", "serve", "deterministic fault-injection spec"),
     ("SMS_FLEET_ADDR", Text, "`127.0.0.1:7746`", "fleet", "fleet bind address"),
@@ -73,7 +72,7 @@ pub const DECLS: &[Decl] = &[
     ("SMS_FLEET_COOLDOWN_MS", Positive, "1 000", "fleet", "circuit-breaker open duration"),
     ("SMS_FLEET_HEDGE_MS", Positive, "off", "fleet", "duplicate a cell unanswered after N ms"),
     ("SMS_FLEET_CELL_TIMEOUT_MS", Positive, "600 000", "fleet", "per-dispatch deadline"),
-    ("SMS_FLEET_JOURNAL", Path, "`SMS_JOURNAL`, else in-memory", "fleet", "fleet-side journal file"),
+    ("SMS_FLEET_JOURNAL", Path, "`SMS_JOURNAL`, else none", "fleet", "fleet-side journal file"),
     ("SMS_TRACE_CTX", Text, "off", "client, harness, serve", "distributed-tracing context"),
     ("SMS_LOG", Path, "stderr", "all", "structured JSONL log file"),
     ("SMS_LOG_LEVEL", Text, "`info`", "all", "minimum level the structured logger emits"),

@@ -1,9 +1,11 @@
 //! Structured run journal: one JSONL event per scheduler transition.
 //!
-//! Events are always collected in memory (so tests and callers can assert
-//! on them); when `SMS_JOURNAL=<path>` is set — or a path is configured
-//! explicitly — each event is also appended to that file as one JSON line,
-//! giving the repo its first machine-readable observability stream:
+//! A harness batch's journal also keeps its events in memory (a batch is
+//! finite, and tests and callers assert on them); a resident service's is
+//! write-through and keeps none. When `SMS_JOURNAL=<path>` is set — or a
+//! path is configured explicitly — each event is appended to that file as
+//! one JSON line, giving the repo its first machine-readable observability
+//! stream:
 //!
 //! ```text
 //! {"event":"batch_start","jobs":80,"unique":80,"workers":8}
@@ -345,7 +347,8 @@ impl Event {
 }
 
 struct Inner {
-    events: Vec<Event>,
+    /// Every event so far; `None` for a write-through journal.
+    events: Option<Vec<Event>>,
     sink: Option<File>,
     /// `SMS_JOURNAL_SYNC=1`: fsync after every line (crash-safe against
     /// power loss, not just process death).
@@ -358,12 +361,23 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// A journal that optionally appends JSONL to `path`, fsyncing every
-    /// line when `sync`. An unopenable path disables the file sink (the
-    /// in-memory journal still works).
+    /// A journal that keeps every event in memory and optionally appends
+    /// JSONL to `path`, fsyncing every line when `sync`. An unopenable path
+    /// disables the file sink (the in-memory journal still works).
     pub fn new(path: Option<PathBuf>, sync: bool) -> Self {
+        Self::open(path, sync, Some(Vec::new()))
+    }
+
+    /// A journal that only writes `path` (as [`Journal::new`] does) and
+    /// keeps nothing in memory: [`Journal::events`] stays empty. For a
+    /// process that journals without end.
+    pub fn write_through(path: Option<PathBuf>, sync: bool) -> Self {
+        Self::open(path, sync, None)
+    }
+
+    fn open(path: Option<PathBuf>, sync: bool, events: Option<Vec<Event>>) -> Self {
         let sink = path.and_then(|p| OpenOptions::new().create(true).append(true).open(p).ok());
-        Journal { inner: Mutex::new(Inner { events: Vec::new(), sink, sync }) }
+        Journal { inner: Mutex::new(Inner { events, sink, sync }) }
     }
 
     /// Records one event (and writes its JSONL line, if a sink is set).
@@ -385,7 +399,9 @@ impl Journal {
                 let _ = f.sync_data();
             }
         }
-        inner.events.push(event);
+        if let Some(events) = inner.events.as_mut() {
+            events.push(event);
+        }
     }
 
     /// Forces the sink to stable storage (drain/shutdown path). A no-op
@@ -398,9 +414,10 @@ impl Journal {
         }
     }
 
-    /// Snapshot of all events recorded so far.
+    /// Snapshot of all events recorded so far (none for a write-through
+    /// journal).
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).events.clone()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).events.clone().unwrap_or_default()
     }
 
     /// Events recorded since (and including) the most recent `BatchStart`.

@@ -30,18 +30,13 @@ pub struct ClientConfig {
     /// Hard wall-clock budget for one request, attempts and sleeps
     /// included.
     pub deadline: Duration,
-    /// Hedge threshold: when an attempt has not answered after this long,
-    /// fire a duplicate attempt and take whichever answers first (the
-    /// server's single-flight dedup and shared cache make the duplicate
-    /// idempotent). `None` disables hedging.
-    pub hedge_after: Option<Duration>,
     /// Socket limits (timeouts, response size caps).
     pub limits: Limits,
     /// Distributed-tracing context to attach as the `x-sms-trace` header
-    /// on every attempt (retries and hedges carry the same context, so
-    /// their server-side spans all land in one trace). `None` sends no
-    /// header, which keeps the serving tier's journals byte-identical to
-    /// an untraced run.
+    /// on every attempt (retries carry the same context, so their
+    /// server-side spans all land in one trace). `None` sends no header,
+    /// which keeps the serving tier's journals byte-identical to an
+    /// untraced run.
     pub trace: Option<TraceContext>,
 }
 
@@ -53,7 +48,6 @@ impl Default for ClientConfig {
             base_backoff: Duration::from_millis(100),
             max_backoff: Duration::from_secs(2),
             deadline: Duration::from_secs(600),
-            hedge_after: None,
             limits: Limits::default(),
             trace: None,
         }
@@ -71,7 +65,6 @@ impl ClientConfig {
             addr: env.text("SMS_SERVE_ADDR").map_or(d.addr, str::to_owned),
             retries: env.non_negative("SMS_CLIENT_RETRIES").map_or(d.retries, |n| n as u32),
             deadline: ms("SMS_CLIENT_DEADLINE_MS").unwrap_or(d.deadline),
-            hedge_after: ms("SMS_CLIENT_HEDGE_MS"),
             limits: Limits { read_timeout, ..d.limits },
             trace: TraceContext::from_env(env),
             ..d
@@ -163,22 +156,14 @@ impl Client {
         })
     }
 
-    /// One request with the full retry loop. With hedging enabled, every
-    /// loop iteration may fan out to a duplicate attempt; `Retry-After`
-    /// from whichever attempt answered still drives the next backoff, and
-    /// the overall deadline bounds hedge waits exactly like retry sleeps.
+    /// One request with the full retry loop: `Retry-After` drives the next
+    /// backoff, and the overall deadline bounds every attempt and sleep.
     fn request(&self, method: &str, path: &str, body: &[u8]) -> Result<Response, ClientError> {
         let start = Instant::now();
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let outcome = match self.config.hedge_after {
-                Some(hedge_after) => {
-                    self.attempt_hedged(method, path, body, start, hedge_after, &mut attempts)
-                }
-                None => self.attempt(method, path, body, start),
-            };
-            let (mut err, retry_after) = match outcome {
+            let (mut err, retry_after) = match self.attempt(method, path, body, start) {
                 Ok(resp) if resp.status < 500 => return Ok(resp),
                 Ok(resp) => {
                     let retry_after = resp
@@ -258,87 +243,6 @@ impl Client {
         stream.write_all(head.as_bytes()).map_err(|e| format!("send request head: {e}"))?;
         stream.write_all(body).map_err(|e| format!("send request body: {e}"))?;
         http::read_response(&mut stream, &self.config.limits).map_err(|e| e.to_string())
-    }
-
-    /// One wire attempt with straggler hedging: if the primary attempt has
-    /// not answered after `hedge_after`, a duplicate attempt is fired and
-    /// the first *acceptable* (non-5xx) response wins. A fast failure does
-    /// not hedge — the outer retry loop already handles it. Every wait is
-    /// clipped to the request deadline, so a hung server costs at most the
-    /// remaining budget, not a full socket timeout. The losing attempt's
-    /// thread is left to finish in the background (its socket timeouts
-    /// bound it); its result is discarded.
-    fn attempt_hedged(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        start: Instant,
-        hedge_after: Duration,
-        attempts: &mut u32,
-    ) -> Result<Response, String> {
-        use std::sync::mpsc;
-        let (tx, rx) = mpsc::channel::<Result<Response, String>>();
-        let spawn_attempt = |tx: mpsc::Sender<Result<Response, String>>| {
-            let client = self.clone();
-            let method = method.to_owned();
-            let path = path.to_owned();
-            let body = body.to_vec();
-            std::thread::spawn(move || {
-                let _ = tx.send(client.attempt(&method, &path, &body, start));
-            });
-        };
-        let remaining = || self.config.deadline.checked_sub(start.elapsed());
-        let Some(rem) = remaining() else {
-            return Err("request deadline exhausted".to_owned());
-        };
-        spawn_attempt(tx.clone());
-        let mut results: Vec<Result<Response, String>> = Vec::new();
-        let mut outstanding = 1u32;
-        match rx.recv_timeout(hedge_after.min(rem)) {
-            Ok(res) => {
-                outstanding -= 1;
-                results.push(res);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // The primary is straggling: hedge a duplicate.
-                *attempts += 1;
-                spawn_attempt(tx.clone());
-                outstanding += 1;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err("hedge attempt thread vanished".to_owned());
-            }
-        }
-        drop(tx);
-        loop {
-            if let Some(i) = results.iter().position(|r| matches!(r, Ok(resp) if resp.status < 500))
-            {
-                return results.swap_remove(i); // first acceptable answer wins
-            }
-            if outstanding == 0 {
-                break;
-            }
-            let Some(rem) = remaining() else { break };
-            match rx.recv_timeout(rem) {
-                Ok(res) => {
-                    outstanding -= 1;
-                    results.push(res);
-                }
-                Err(_) => break, // deadline ran out mid-wait
-            }
-        }
-        // No acceptable response. Prefer a real (5xx) response over a
-        // transport error so the caller still sees Retry-After.
-        let mut fallback: Option<Result<Response, String>> = None;
-        for res in results {
-            if res.is_ok() || fallback.is_none() {
-                fallback = Some(res);
-            }
-        }
-        fallback.unwrap_or_else(|| {
-            Err("request deadline exhausted awaiting hedged attempts".to_owned())
-        })
     }
 
     /// Sleeps the backoff for this attempt (never past the deadline).
@@ -498,105 +402,6 @@ mod tests {
             "stalled read must end near the 250ms deadline, not the 10s socket timeout"
         );
         assert_eq!(err.status, None, "a stalled body is a transport error: {err}");
-    }
-
-    #[test]
-    fn hedged_request_overtakes_a_straggling_primary() {
-        // First connection stalls 800ms before answering; later ones answer
-        // immediately. With a 50ms hedge threshold the duplicate attempt
-        // must win long before the primary wakes up.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let seen = Arc::clone(&hits);
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(mut conn) = conn else { break };
-                let n = seen.fetch_add(1, Ordering::SeqCst);
-                std::thread::spawn(move || {
-                    let mut buf = [0u8; 1024];
-                    let _ = conn.read(&mut buf);
-                    let body: &[u8] = if n == 0 {
-                        std::thread::sleep(Duration::from_millis(800));
-                        b"slow"
-                    } else {
-                        b"fast"
-                    };
-                    let head = format!(
-                        "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                        body.len()
-                    );
-                    let _ = conn.write_all(head.as_bytes());
-                    let _ = conn.write_all(body);
-                });
-            }
-        });
-        let client = Client::with_config(ClientConfig {
-            addr: addr.to_string(),
-            retries: 0,
-            hedge_after: Some(Duration::from_millis(50)),
-            deadline: Duration::from_secs(5),
-            ..ClientConfig::default()
-        });
-        let t0 = Instant::now();
-        let resp = client.get("/healthz").unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.text(), "fast", "the hedge, not the straggler, must win");
-        assert!(t0.elapsed() < Duration::from_millis(700), "hedge must beat the stall");
-        assert_eq!(hits.load(Ordering::SeqCst), 2, "exactly one hedge fired");
-    }
-
-    #[test]
-    fn deadline_covers_hedge_waits_too() {
-        // A server that accepts and then never answers: without the
-        // deadline clipping hedge waits, the client would block for the
-        // full 10s socket read timeout. Held connections are parked so the
-        // client sees silence, not a reset.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
-            let mut parked = Vec::new();
-            for conn in listener.incoming() {
-                let Ok(conn) = conn else { break };
-                parked.push(conn);
-            }
-        });
-        let client = Client::with_config(ClientConfig {
-            addr: addr.to_string(),
-            retries: 0,
-            hedge_after: Some(Duration::from_millis(50)),
-            deadline: Duration::from_millis(250),
-            ..ClientConfig::default()
-        });
-        let t0 = Instant::now();
-        let err = client.get("/healthz").unwrap_err();
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "deadline must bound hedge waits, not the socket timeout"
-        );
-        assert!(err.message.contains("deadline"), "error should name the deadline: {err}");
-        assert_eq!(err.attempts, 2, "primary + one hedge");
-    }
-
-    #[test]
-    fn fast_failures_do_not_hedge() {
-        // 5xx arrives instantly, well inside the hedge threshold: the
-        // retry loop (not a hedge) must handle it, one connection per
-        // attempt.
-        let (addr, hits) = flaky_server(u32::MAX, true);
-        let client = Client::with_config(ClientConfig {
-            addr: addr.to_string(),
-            retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
-            hedge_after: Some(Duration::from_secs(1)),
-            deadline: Duration::from_secs(5),
-            ..ClientConfig::default()
-        });
-        let err = client.get("/healthz").unwrap_err();
-        assert_eq!(err.status, Some(503));
-        assert_eq!(err.attempts, 3);
-        assert_eq!(hits.load(Ordering::SeqCst), 3, "no hedge connections for fast failures");
     }
 
     #[test]

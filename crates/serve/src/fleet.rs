@@ -68,7 +68,7 @@ use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How many more dispatches in flight than the least-loaded backend a
@@ -115,7 +115,8 @@ pub struct FleetConfig {
     /// Shared result-cache directory (degraded-mode serving); should be
     /// the same directory the backends write.
     pub cache_dir: Option<PathBuf>,
-    /// Fleet journal path; `None` keeps it in memory only.
+    /// Fleet journal path; `None` writes none (a service journal keeps
+    /// no events in memory).
     pub journal_path: Option<PathBuf>,
     /// fsync the journal after every event (`SMS_JOURNAL_SYNC`).
     pub journal_sync: bool,
@@ -539,8 +540,8 @@ impl FleetState {
         }
     }
 
-    /// A client for one single-cell dispatch: no client-side retries or
-    /// hedging (the fleet owns both), socket read timeout stretched to the
+    /// A client for one single-cell dispatch: no client-side retries (the
+    /// fleet owns retries and hedging), socket read timeout stretched to the
     /// cell deadline (a single-cell sweep streams nothing while the
     /// simulation runs). `trace` is the dispatch span context; it rides
     /// the wire as `x-sms-trace` so the backend parents under it.
@@ -551,7 +552,6 @@ impl FleetState {
             addr: backend.to_owned(),
             retries: 0,
             deadline: self.config.cell_timeout,
-            hedge_after: None,
             limits,
             trace,
             ..ClientConfig::default()
@@ -776,32 +776,65 @@ fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan
     RoundResult::Requeue
 }
 
+/// One sweep's cells waiting for a worker, and how many have not settled.
+struct CellQueue {
+    /// The waiting cells, and the count of cells not yet settled.
+    state: Mutex<(VecDeque<CellTask>, usize)>,
+    /// Signalled when a cell is requeued (one worker) and when the last
+    /// cell settles (every worker).
+    ready: Condvar,
+}
+
+impl CellQueue {
+    fn lock(&self) -> std::sync::MutexGuard<'_, (VecDeque<CellTask>, usize)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next cell, waiting while another worker may still requeue one;
+    /// `None` once every cell has settled.
+    fn pop(&self) -> Option<CellTask> {
+        let mut state = self.lock();
+        loop {
+            if state.1 == 0 {
+                return None;
+            }
+            if let Some(task) = state.0.pop_front() {
+                return Some(task);
+            }
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn requeue(&self, task: CellTask) {
+        self.lock().0.push_back(task);
+        self.ready.notify_one();
+    }
+
+    fn settled(&self) {
+        let mut state = self.lock();
+        state.1 -= 1;
+        if state.1 == 0 {
+            self.ready.notify_all();
+        }
+    }
+}
+
 /// A worker thread: pop cells, run rounds, settle or requeue, until every
 /// cell of the sweep has settled. A settled cell is counted, gets its
 /// `cell` span (when traced) and goes to the sweep frame.
 fn worker_loop(
     state: &Arc<FleetState>,
-    queue: &Mutex<VecDeque<CellTask>>,
-    remaining: &AtomicU64,
+    queue: &CellQueue,
     plan: &SweepPlan,
     cell_start_us: u64,
     sink: &JobSink<'_>,
 ) {
-    loop {
-        if remaining.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let task = queue.lock().unwrap_or_else(PoisonError::into_inner).pop_front();
-        let Some(mut task) = task else {
-            // Another worker may still requeue a failed cell.
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        };
+    while let Some(mut task) = queue.pop() {
         let t0 = Instant::now();
         let outcome = match run_cell_round(state, &mut task, plan) {
             RoundResult::Settled(outcome) => outcome,
             RoundResult::Requeue => {
-                queue.lock().unwrap_or_else(PoisonError::into_inner).push_back(task);
+                queue.requeue(task);
                 continue;
             }
         };
@@ -832,7 +865,7 @@ fn worker_loop(
             state.core.journal.record(span);
         }
         sink.settle(task.idx, worker, duration_us, result);
-        remaining.fetch_sub(1, Ordering::SeqCst);
+        queue.settled();
     }
 }
 
@@ -923,25 +956,21 @@ impl Tier for FleetState {
             self.metrics.cells.fetch_add(jobs.len() as u64, Ordering::Relaxed);
             // Tracing is armed per request: each cell parents under the
             // sweep span, each dispatch under its cell.
-            let queue: Mutex<VecDeque<CellTask>> = Mutex::new(
-                (0..jobs.len())
-                    .map(|idx| CellTask {
-                        idx,
-                        attempts: 0,
-                        last_backend: None,
-                        ctx: plan.ctx.map(|sweep| sweep.child()),
-                    })
-                    .collect(),
-            );
-            let remaining = AtomicU64::new(jobs.len() as u64);
+            let tasks = (0..jobs.len())
+                .map(|idx| CellTask {
+                    idx,
+                    attempts: 0,
+                    last_backend: None,
+                    ctx: plan.ctx.map(|sweep| sweep.child()),
+                })
+                .collect();
+            let queue = CellQueue { state: Mutex::new((tasks, jobs.len())), ready: Condvar::new() };
             let cell_start_us = wall_us();
             let n_workers = self.config.workers.clamp(1, jobs.len().max(1));
             std::thread::scope(|scope| {
                 for _ in 0..n_workers {
-                    let (queue, remaining, plan) = (&queue, &remaining, &plan);
-                    scope.spawn(move || {
-                        worker_loop(self, queue, remaining, plan, cell_start_us, sink);
-                    });
+                    let (queue, plan) = (&queue, &plan);
+                    scope.spawn(move || worker_loop(self, queue, plan, cell_start_us, sink));
                 }
             });
         })

@@ -57,7 +57,8 @@ pub struct ServeConfig {
     pub limits: Limits,
     /// Shared result-cache directory; `None` disables the warm disk tier.
     pub cache_dir: Option<PathBuf>,
-    /// JSONL journal path; `None` keeps the journal in memory only.
+    /// JSONL journal path; `None` writes none (a service journal keeps
+    /// no events in memory).
     pub journal_path: Option<PathBuf>,
     /// Watchdog limits applied to every served run. The observation
     /// arms (`breakdown`/`metrics`) are ignored: served streams carry

@@ -7,6 +7,11 @@
 //! `POST /v1/sweep` to the [`Tier`], whose handler is [`plan_sweep`], its
 //! own admission check, then [`stream_sweep`] around its own executor.
 //!
+//! The accept loop blocks in `accept` and never sleeps on the request
+//! path. What ends it — a drain request, SIGTERM in the binaries, an
+//! injected kill — wakes it by connecting to the listener's own port
+//! (`ServiceCore::wake`); the loop drops that connection uncounted.
+//!
 //! Shutdown is a drain: `POST /v1/drain` (or SIGTERM in the binaries)
 //! stops the accept loop, lets in-flight connections finish, flushes the
 //! journal, and returns from [`Service::run`]. An abrupt kill instead
@@ -24,21 +29,25 @@ use sms_harness::{
     SIM_VERSION_SALT,
 };
 use sms_sim::gpu::SimStats;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-/// How often the drain wait re-checks for in-flight connections.
-const DRAIN_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop backs off after `accept` reports the process
+/// out of descriptors or buffers: the pending connection stays in the
+/// backlog, so an immediate retry would fail the same way at once.
+const EXHAUSTED_BACKOFF: Duration = Duration::from_millis(10);
+/// How often the binaries' SIGTERM watcher reads [`SIGNAL_DRAIN`]. No
+/// request waits on it.
+const SIGNAL_CHECK: Duration = Duration::from_millis(50);
 
 /// Process-wide drain request flag, for the SIGTERM handler (a signal
-/// handler cannot reach into an [`Arc`]). Every accept loop polls it
-/// alongside its own flag.
+/// handler cannot reach into an [`Arc`]). Every accept loop reads it
+/// alongside its own flag; the binaries' watcher thread turns it into a
+/// wake-up.
 static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
 
 /// Registers a SIGTERM handler that flips the drain flag. Pure-libc FFI:
@@ -77,7 +86,12 @@ pub struct ServiceCore {
     /// Process-unique job ids for the journal (stream ids are per-request).
     job_seq: AtomicU64,
     draining: AtomicBool,
-    active_conns: AtomicU64,
+    /// The bound listener's address, the target of [`ServiceCore::wake`].
+    addr: OnceLock<SocketAddr>,
+    /// Connections in their handler threads; the drain waits on
+    /// `conns_idle` until it reaches zero.
+    active_conns: Mutex<usize>,
+    conns_idle: Condvar,
 }
 
 impl ServiceCore {
@@ -95,18 +109,42 @@ impl ServiceCore {
             max_conns,
             max_jobs_per_request,
             cache: cache_dir.map(|dir| ResultCache::new(dir).with_faults(faults.clone())),
-            journal: Journal::new(journal_path, journal_sync),
+            // Write-through: a resident process serves without end, so it
+            // keeps no in-memory copy of what it journals.
+            journal: Journal::write_through(journal_path, journal_sync),
             faults,
             http: HttpCounters::default(),
             started: Instant::now(),
             job_seq: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            active_conns: AtomicU64::new(0),
+            addr: OnceLock::new(),
+            active_conns: Mutex::new(0),
+            conns_idle: Condvar::new(),
         }
     }
 
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst) || SIGNAL_DRAIN.load(Ordering::SeqCst)
+    }
+
+    /// Raises the drain flag and wakes the accept loop.
+    fn request_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// Wakes the accept loop out of its blocking `accept` by connecting to
+    /// its own listener; call it after setting whatever ends the loop. The
+    /// loop drops the connection uncounted. A no-op before the listener is
+    /// bound and after it is gone.
+    fn wake(&self) {
+        if let Some(&addr) = self.addr.get() {
+            wake_listener(addr);
+        }
+    }
+
+    fn lock_conns(&self) -> MutexGuard<'_, usize> {
+        self.active_conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub(crate) fn uptime_secs(&self) -> f64 {
@@ -170,7 +208,7 @@ impl<T: Tier> Handle<T> {
 
     /// Requests a graceful drain: stop accepting, finish in-flight work.
     pub fn request_drain(&self) {
-        self.tier.core().draining.store(true, Ordering::SeqCst);
+        self.tier.core().request_drain();
     }
 
     /// Renders the live Prometheus metrics (same payload as `/metrics`).
@@ -186,8 +224,9 @@ impl<T: Tier> Service<T> {
         let addr = T::addr(&config);
         let listener = TcpListener::bind(addr)
             .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {addr}: {e}")))?;
-        listener.set_nonblocking(true)?;
-        Ok(Service { listener, tier: Arc::new(T::new(config)) })
+        let tier = Arc::new(T::new(config));
+        let _ = tier.core().addr.set(listener.local_addr()?);
+        Ok(Service { listener, tier })
     }
 
     /// The bound address (useful with `addr = 127.0.0.1:0`).
@@ -208,10 +247,25 @@ impl<T: Tier> Service<T> {
     /// Accepts connections until a drain is requested, then waits for all
     /// in-flight connections, flushes the journal, and returns. Each
     /// connection is handled on its own thread, one request per
-    /// connection.
+    /// connection. The loop blocks in `accept`; whatever ends it connects
+    /// once to wake it (`ServiceCore::wake`).
     pub fn run(self) -> std::io::Result<()> {
         let core = self.tier.core();
         loop {
+            let mut stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) => match accept_failure(&e) {
+                    AcceptFailure::Retry => continue,
+                    AcceptFailure::Exhausted => {
+                        inc(&core.http.shed);
+                        std::thread::sleep(EXHAUSTED_BACKOFF);
+                        continue;
+                    }
+                    AcceptFailure::Fatal => return Err(e),
+                },
+            };
+            // The wake-up connection (and any connection that raced it)
+            // is dropped here, before anything counts it.
             if core.killed() {
                 // The injected-kill exit: no drain, no `batch_end`, no
                 // flush; the listener drops, so further connects are
@@ -222,36 +276,24 @@ impl<T: Tier> Service<T> {
             if core.draining() {
                 break;
             }
-            match self.listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    if core.faults.as_ref().is_some_and(|f| f.should_drop_conn()) {
-                        continue; // injected fault: connection reset, no reply
-                    }
-                    let active = core.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
-                    if active > core.max_conns as u64 {
-                        // Load shed at the door: bounded accept queue.
-                        inc(&core.http.shed);
-                        let message = format!("{} at connection capacity; retry", T::NAME);
-                        http::write_error(&mut stream, &HttpError { status: 503, message });
-                        core.active_conns.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    let tier = Arc::clone(&self.tier);
-                    std::thread::spawn(move || {
-                        handle_connection(&tier, stream);
-                        tier.core().active_conns.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) => return Err(e),
+            if core.faults.as_ref().is_some_and(|f| f.should_drop_conn()) {
+                continue; // injected fault: connection reset, no reply
             }
+            let Some(slot) = ConnSlot::take(&self.tier) else {
+                // Load shed at the door: bounded accept queue.
+                inc(&core.http.shed);
+                let message = format!("{} at connection capacity; retry", T::NAME);
+                http::write_error(&mut stream, &HttpError { status: 503, message });
+                continue;
+            };
+            std::thread::spawn(move || handle_connection(&slot.0, stream));
         }
         // Drain: finish in-flight connections, then flush the journal.
-        while core.active_conns.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(DRAIN_POLL);
+        let mut active = core.lock_conns();
+        while *active > 0 {
+            active = core.conns_idle.wait(active).unwrap_or_else(PoisonError::into_inner);
         }
+        drop(active);
         let (cache_hits, cache_misses, failed) = self.tier.drain_totals();
         core.journal.record(Event::BatchEnd {
             jobs: core.job_seq.load(Ordering::SeqCst) as usize,
@@ -287,6 +329,14 @@ impl<T: Tier> Service<T> {
         let addr = service
             .local_addr()
             .unwrap_or_else(|e| fail(format!("cannot read bound address: {e}")));
+        // The SIGTERM handler can only store a flag; this thread turns the
+        // flag into the loop's wake-up.
+        std::thread::spawn(move || {
+            while !SIGNAL_DRAIN.load(Ordering::SeqCst) {
+                std::thread::sleep(SIGNAL_CHECK);
+            }
+            wake_listener(addr);
+        });
         if let Some(path) = addr_file {
             if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
                 fail(format!("cannot write {path}: {e}"));
@@ -299,6 +349,85 @@ impl<T: Tier> Service<T> {
             Ok(()) => log::info(name, "drained, exiting", &[]),
             Err(e) => fail(format!("accept loop failed: {e}")),
         }
+    }
+}
+
+/// Connects once to the listener at `addr`, over loopback when it is
+/// bound to an unspecified address. Refused once the listener is gone.
+fn wake_listener(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
+
+/// One connection's place in `active_conns`: taken at the door, given back
+/// on drop on the handler thread, so a handler that unwinds gives it back
+/// too, and the last one out wakes the drain.
+struct ConnSlot<T: Tier>(Arc<T>);
+
+impl<T: Tier> ConnSlot<T> {
+    /// `None` when `max_conns` connections are already in their handlers.
+    fn take(tier: &Arc<T>) -> Option<Self> {
+        let core = tier.core();
+        let mut active = core.lock_conns();
+        (*active < core.max_conns).then(|| {
+            *active += 1;
+            ConnSlot(Arc::clone(tier))
+        })
+    }
+}
+
+impl<T: Tier> Drop for ConnSlot<T> {
+    fn drop(&mut self) {
+        let core = self.0.core();
+        let mut active = core.lock_conns();
+        *active -= 1;
+        if *active == 0 {
+            core.conns_idle.notify_all();
+        }
+    }
+}
+
+/// What the accept loop does about a failed `accept`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptFailure {
+    /// The error belongs to one pending connection (accept(2):
+    /// `ECONNABORTED` and the pending network errors): take the next one.
+    Retry,
+    /// The process is out of descriptors or buffers: count a shed and back
+    /// off, since the connection stays in the backlog.
+    Exhausted,
+    /// The listener itself is broken: end the loop.
+    Fatal,
+}
+
+/// The accept-error policy, by `ErrorKind` and, for the errnos without a
+/// kind of their own, by Linux errno value.
+fn accept_failure(e: &std::io::Error) -> AcceptFailure {
+    use std::io::ErrorKind as K;
+    // EPROTO, ENOPROTOOPT, EHOSTDOWN, ENONET, EOPNOTSUPP; then ENFILE,
+    // EMFILE, ENOBUFS.
+    #[cfg(target_os = "linux")]
+    let (retry, exhausted): (&[i32], &[i32]) = (&[71, 92, 112, 64, 95], &[23, 24, 105]);
+    #[cfg(not(target_os = "linux"))]
+    let (retry, exhausted): (&[i32], &[i32]) = (&[], &[]);
+    let errno = e.raw_os_error().unwrap_or(0);
+    match e.kind() {
+        K::ConnectionAborted
+        | K::ConnectionReset
+        | K::Interrupted
+        | K::WouldBlock
+        | K::NetworkDown
+        | K::NetworkUnreachable
+        | K::HostUnreachable => AcceptFailure::Retry,
+        K::OutOfMemory => AcceptFailure::Exhausted,
+        _ if retry.contains(&errno) => AcceptFailure::Retry,
+        _ if exhausted.contains(&errno) => AcceptFailure::Exhausted,
+        _ => AcceptFailure::Fatal,
     }
 }
 
@@ -359,7 +488,7 @@ fn route<T: Tier>(
             write_ok(stream, "text/plain; version=0.0.4", tier.render_metrics().as_bytes())
         }
         ("POST", "/v1/drain") => {
-            core.draining.store(true, Ordering::SeqCst);
+            core.request_drain();
             write_ok(stream, "text/plain", b"draining\n")
         }
         ("POST", "/v1/sweep") => tier.handle_sweep(request, stream),
@@ -510,6 +639,7 @@ impl JobSink<'_> {
         // its own result — journaled (and cached) but never streamed, just
         // as a crash between simulate and send would lose it.
         if self.core.faults.as_ref().is_some_and(|f| f.on_job_finished()) {
+            self.core.wake();
             return;
         }
         let line = format!("{doc}\n");
@@ -610,4 +740,151 @@ pub(crate) fn stream_sweep(
     let _ = writer.chunk(format!("{}\n", summary.to_json()).as_bytes());
     let _ = writer.finish();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ClientConfig};
+    use crate::fleet::{FleetConfig, FleetServer};
+    use crate::server::{ServeConfig, Server};
+    use std::io::{Error, ErrorKind};
+
+    /// How long a test waits for a loop to end before calling it hung. A
+    /// failure detector only: every loop here ends at once when it works.
+    const HUNG: Duration = Duration::from_secs(5);
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sms-service-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The loop's exit, or a panic once it has not come within [`HUNG`].
+    fn ended(join: JoinHandle<std::io::Result<()>>) -> std::io::Result<()> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(join.join().unwrap()));
+        rx.recv_timeout(HUNG).expect("the accept loop is still blocked in accept")
+    }
+
+    #[test]
+    fn drain_wakes_an_idle_listener() {
+        let (handle, join) =
+            Server::spawn(ServeConfig { cache_dir: None, ..Default::default() }).expect("bind");
+        handle.request_drain();
+        ended(join).expect("a drained loop returns Ok");
+    }
+
+    #[test]
+    fn injected_kill_ends_the_loop_without_traffic() {
+        let config = ServeConfig {
+            workers: 1,
+            cache_dir: None,
+            faults: Some(Arc::new(FaultPlan::parse("kill:jobs=1").unwrap())),
+            ..Default::default()
+        };
+        let (handle, join) = Server::spawn(config).expect("bind");
+        let once =
+            ClientConfig { addr: handle.addr().to_string(), retries: 0, ..Default::default() };
+        let cut = Client::with_config(once).sweep(&["WKND"], &["RB_8"], "tiny");
+        assert!(cut.is_err(), "the killing job's line is never streamed: {cut:?}");
+        let err = ended(join).expect_err("a killed loop returns Err");
+        assert!(err.to_string().contains("killed"), "{err}");
+    }
+
+    /// A backend and a fleet each write every line to their JSONL file and
+    /// keep none in memory, however many sweeps they serve.
+    #[test]
+    fn resident_journal_keeps_no_history() {
+        const SWEEPS: usize = 50;
+        let dir = temp_dir("journal");
+        let (backend_file, fleet_file) = (dir.join("backend.jsonl"), dir.join("fleet.jsonl"));
+        let (backend, join_backend) = Server::spawn(ServeConfig {
+            cache_dir: Some(dir.join("cache")),
+            journal_path: Some(backend_file.clone()),
+            ..Default::default()
+        })
+        .expect("bind backend");
+        let (fleet, join_fleet) = FleetServer::spawn(FleetConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            backends: vec![backend.addr().to_string()],
+            journal_path: Some(fleet_file.clone()),
+            ..FleetConfig::default()
+        })
+        .expect("bind fleet");
+        let client = Client::new(fleet.addr().to_string());
+        // One cold sweep, then the warm ones.
+        for _ in 0..=SWEEPS {
+            let outcome = client.sweep(&["WKND"], &["RB_8"], "tiny").expect("sweep");
+            assert!(outcome.records[0].outcome.is_ok());
+        }
+        for core in [backend.tier.core(), fleet.tier.core()] {
+            assert_eq!(core.journal.events(), Vec::new(), "a service journal retains nothing");
+        }
+        fleet.request_drain();
+        backend.request_drain();
+        ended(join_fleet).unwrap();
+        ended(join_backend).unwrap();
+
+        // Per sweep a backend writes job_queued, job_started, job_finished
+        // and batch_end, a fleet all but job_started; each file opens with
+        // batch_start and closes with the drain's batch_end.
+        let sweeps = SWEEPS + 1;
+        for (file, per_sweep) in [(&backend_file, 4), (&fleet_file, 3)] {
+            let text = std::fs::read_to_string(file).unwrap();
+            assert_eq!(text.lines().count(), 2 + per_sweep * sweeps, "{}", file.display());
+            let records = crate::protocol::SweepOutcome::parse(&text).unwrap().records;
+            assert_eq!(records.len(), sweeps, "{}", file.display());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn accept_errors_retry_one_connection_back_off_on_exhaustion_else_end_the_loop() {
+        let kinds = [
+            (ErrorKind::ConnectionAborted, AcceptFailure::Retry),
+            (ErrorKind::ConnectionReset, AcceptFailure::Retry),
+            (ErrorKind::Interrupted, AcceptFailure::Retry),
+            (ErrorKind::WouldBlock, AcceptFailure::Retry),
+            (ErrorKind::NetworkDown, AcceptFailure::Retry),
+            (ErrorKind::NetworkUnreachable, AcceptFailure::Retry),
+            (ErrorKind::HostUnreachable, AcceptFailure::Retry),
+            (ErrorKind::OutOfMemory, AcceptFailure::Exhausted),
+            (ErrorKind::InvalidInput, AcceptFailure::Fatal),
+            (ErrorKind::PermissionDenied, AcceptFailure::Fatal),
+            (ErrorKind::Other, AcceptFailure::Fatal),
+        ];
+        for (kind, want) in kinds {
+            assert_eq!(accept_failure(&Error::from(kind)), want, "{kind:?}");
+        }
+        #[cfg(target_os = "linux")]
+        {
+            let errnos = [
+                ("ECONNABORTED", 103, AcceptFailure::Retry),
+                ("EPROTO", 71, AcceptFailure::Retry),
+                ("ENOPROTOOPT", 92, AcceptFailure::Retry),
+                ("EHOSTDOWN", 112, AcceptFailure::Retry),
+                ("ENONET", 64, AcceptFailure::Retry),
+                ("EHOSTUNREACH", 113, AcceptFailure::Retry),
+                ("EOPNOTSUPP", 95, AcceptFailure::Retry),
+                ("ENETDOWN", 100, AcceptFailure::Retry),
+                ("ENETUNREACH", 101, AcceptFailure::Retry),
+                ("EINTR", 4, AcceptFailure::Retry),
+                ("EAGAIN", 11, AcceptFailure::Retry),
+                ("ENFILE", 23, AcceptFailure::Exhausted),
+                ("EMFILE", 24, AcceptFailure::Exhausted),
+                ("ENOBUFS", 105, AcceptFailure::Exhausted),
+                ("ENOMEM", 12, AcceptFailure::Exhausted),
+                ("EBADF", 9, AcceptFailure::Fatal),
+                ("EINVAL", 22, AcceptFailure::Fatal),
+                ("ENOTSOCK", 88, AcceptFailure::Fatal),
+                ("EFAULT", 14, AcceptFailure::Fatal),
+                ("EPERM", 1, AcceptFailure::Fatal),
+            ];
+            for (name, errno, want) in errnos {
+                assert_eq!(accept_failure(&Error::from_raw_os_error(errno)), want, "{name}");
+            }
+        }
+    }
 }

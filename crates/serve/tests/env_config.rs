@@ -128,5 +128,4 @@ fn numeric_and_text_rows_reach_their_fields() {
     assert_eq!((client.addr.as_str(), client.retries), ("127.0.0.1:9", 0));
     assert_eq!(client.limits.read_timeout, Duration::from_millis(250));
     assert_eq!(client.trace.map(|t| t.trace_hex()).as_deref(), Some("00000000c0ffee42"));
-    assert_eq!(client.hedge_after, None);
 }
