@@ -129,15 +129,17 @@ cargo test -q -p sms-sim --test metrics_observation
 cargo test -q -p sms-sim --test metrics_schema
 cargo test -q -p sms-harness --test metrics_byte_identity
 
-echo "==> SMS_METRICS smoke (armed sweep; per-job Prometheus/CSV dumps strictly parsed)"
-rm -f target/metrics.*.prom target/metrics.*.csv
-# Absolute dump paths: cargo bench runs the bench with the package dir as
-# CWD, so relative ones would land under crates/bench/.
-SMS_METRICS=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
-  SMS_METRICS_OUT="$PWD/target/metrics.prom" SMS_METRICS_CSV="$PWD/target/metrics.csv" \
+echo "==> SMS_METRICS smoke (armed sweep; per-job Prometheus/CSV dumps in one run directory,"
+echo "    strictly parsed)"
+rm -rf target/metrics-out
+# An absolute run directory: cargo bench runs the bench with the package
+# dir as CWD, so a relative one would land under crates/bench/.
+SMS_METRICS=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP SMS_OUT="$PWD/target/metrics-out" \
   cargo bench --bench figures -- fig13 > /dev/null
 cargo run --release -q -p sms-bench --bin promlint -- \
-  target/metrics.*.prom target/metrics.*.csv
+  target/metrics-out/*.prom target/metrics-out/*.csv
+grep -q '"event":"batch_end"' target/metrics-out/journal.jsonl \
+  || { echo "the run directory holds no journal"; exit 1; }
 
 echo "==> breakdown sweep smoke (SMS_BREAKDOWN=1, SL + PRED columns included;"
 echo "    conservation — predictor_wait bucket included — asserted in-sim)"
@@ -182,9 +184,9 @@ rm -rf target/figures-cache
 SMS_CACHE_DIR="$PWD/target/figures-cache" cargo bench --bench figures > /dev/null
 
 echo "==> serve smoke (ephemeral port, client sweep, /metrics + /healthz, graceful drain)"
-rm -f target/serve-addr target/serve-smoke.jsonl
-rm -rf target/serve-smoke-cache
-SMS_SERVE_JOURNAL=target/serve-smoke.jsonl SMS_CACHE_DIR=target/serve-smoke-cache \
+rm -f target/serve-addr
+rm -rf target/serve-smoke-cache target/serve-smoke
+SMS_OUT=target/serve-smoke SMS_CACHE_DIR=target/serve-smoke-cache \
   cargo run --release -q -p sms-serve --bin sms-serve -- \
   --addr 127.0.0.1:0 --addr-file target/serve-addr --workers 2 &
 serve_pid=$!
@@ -212,8 +214,8 @@ grep -q 'drained, exiting' target/sigterm.log \
   || { cat target/sigterm.log; echo "sms-serve exited on SIGTERM without draining"; exit 1; }
 
 echo "==> fleet smoke (2 backends, one injected kill, sweep survives, strict metrics)"
-rm -f target/fleet-addr target/fleet-a-addr target/fleet-b-addr target/fleet-journal.jsonl
-rm -rf target/fleet-smoke-cache
+rm -f target/fleet-addr target/fleet-a-addr target/fleet-b-addr
+rm -rf target/fleet-smoke-cache target/fleet-smoke
 # Backend A dies of a deterministic injected kill after its first
 # completed job; the fleet must finish the sweep on backend B alone.
 SMS_FAULT="kill:jobs=1" SMS_CACHE_DIR=target/fleet-smoke-cache \
@@ -226,7 +228,7 @@ SMS_CACHE_DIR=target/fleet-smoke-cache \
 backend_b_pid=$!
 await_addr_file target/fleet-a-addr "$backend_a_pid"
 await_addr_file target/fleet-b-addr "$backend_b_pid"
-SMS_FLEET_JOURNAL=target/fleet-journal.jsonl SMS_CACHE_DIR=target/fleet-smoke-cache \
+SMS_OUT=target/fleet-smoke SMS_CACHE_DIR=target/fleet-smoke-cache \
   SMS_FLEET_BACKENDS="$(cat target/fleet-a-addr),$(cat target/fleet-b-addr)" \
   cargo run --release -q -p sms-serve --bin sms-fleet -- \
   --addr 127.0.0.1:0 --addr-file target/fleet-addr &
@@ -240,7 +242,7 @@ fleet_client metrics > target/fleet-metrics.prom
 grep -q '^sms_fleet_cells_total 4$' target/fleet-metrics.prom
 grep -q '^sms_fleet_cells_failed_total 0$' target/fleet-metrics.prom
 cargo run --release -q -p sms-bench --bin promlint -- target/fleet-metrics.prom
-grep -q job_finished target/fleet-journal.jsonl
+grep -q job_finished target/fleet-smoke/fleet.journal.jsonl
 fleet_client drain
 wait "$fleet_pid" || { echo "sms-fleet did not drain cleanly"; exit 1; }
 if wait "$backend_a_pid"; then
@@ -252,31 +254,27 @@ cargo run --release -q -p sms-serve --bin sms-client -- \
 wait "$backend_b_pid" || { echo "fleet backend B did not drain cleanly"; exit 1; }
 
 echo "==> traced fleet smoke (SMS_TRACE_CTX armed end to end, merged + validated)"
-rm -f target/dtrace-addr target/dtrace-a-addr target/dtrace-b-addr
-rm -f target/dtrace-fleet.jsonl target/dtrace-a.jsonl target/dtrace-b.jsonl
-rm -f target/dtrace-sim-a.*.json target/dtrace-sim-b.*.json target/trace-merged.json
-rm -rf target/dtrace-cache
+rm -f target/dtrace-addr target/dtrace-a-addr target/dtrace-b-addr target/trace-merged.json
+rm -rf target/dtrace-cache target/dtrace-a target/dtrace-b target/dtrace-fleet
 # One fixed trace context shared by the client and (for sim-trace linkage)
 # both backends; backend A again dies of an injected kill so the merged
 # trace must show the fleet retrying/hedging the orphaned cells onto B.
-# Distinct SMS_TRACE stems per backend: concurrent processes must never
-# write the same sim-trace file.
+# One run directory per process: concurrent processes must never append
+# to the same journal or write the same sim-trace file.
 trace_ctx="00000000c0ffee42-0000000000000001"
 SMS_FAULT="kill:jobs=1" SMS_CACHE_DIR=target/dtrace-cache \
-  SMS_TRACE=target/dtrace-sim-a.json SMS_TRACE_CTX="$trace_ctx" \
-  SMS_SERVE_JOURNAL=target/dtrace-a.jsonl \
+  SMS_TRACE=1 SMS_TRACE_CTX="$trace_ctx" SMS_OUT=target/dtrace-a \
   cargo run --release -q -p sms-serve --bin sms-serve -- \
   --addr 127.0.0.1:0 --addr-file target/dtrace-a-addr --workers 1 &
 dtrace_a_pid=$!
 SMS_CACHE_DIR=target/dtrace-cache \
-  SMS_TRACE=target/dtrace-sim-b.json SMS_TRACE_CTX="$trace_ctx" \
-  SMS_SERVE_JOURNAL=target/dtrace-b.jsonl \
+  SMS_TRACE=1 SMS_TRACE_CTX="$trace_ctx" SMS_OUT=target/dtrace-b \
   cargo run --release -q -p sms-serve --bin sms-serve -- \
   --addr 127.0.0.1:0 --addr-file target/dtrace-b-addr --workers 2 &
 dtrace_b_pid=$!
 await_addr_file target/dtrace-a-addr "$dtrace_a_pid"
 await_addr_file target/dtrace-b-addr "$dtrace_b_pid"
-SMS_FLEET_JOURNAL=target/dtrace-fleet.jsonl SMS_CACHE_DIR=target/dtrace-cache \
+SMS_OUT=target/dtrace-fleet SMS_CACHE_DIR=target/dtrace-cache \
   SMS_FLEET_HEDGE_MS=1 \
   SMS_FLEET_BACKENDS="$(cat target/dtrace-a-addr),$(cat target/dtrace-b-addr)" \
   cargo run --release -q -p sms-serve --bin sms-fleet -- \
@@ -301,20 +299,21 @@ wait "$dtrace_b_pid" || { echo "traced backend B did not drain cleanly"; exit 1;
 # (backend A was killed mid-write, so its journal may end in a torn line —
 # the merge below skips torn lines but validate is strict by design).
 cargo run --release -q -p sms-serve --bin sms-trace -- validate \
-  target/dtrace-fleet.jsonl target/dtrace-b.jsonl
-grep -q '"event":"span"' target/dtrace-fleet.jsonl \
+  target/dtrace-fleet/fleet.journal.jsonl target/dtrace-b/journal.jsonl
+grep -q '"event":"span"' target/dtrace-fleet/fleet.journal.jsonl \
   || { echo "traced fleet journal carries no span lines"; exit 1; }
 # Merge fleet + backend journals and any sim traces the backends exported
 # into one Chrome-trace file, then assert it really carries dispatch
 # slices and cross-track flow arrows for this trace.
 sim_args=()
-for f in target/dtrace-sim-a.*.json target/dtrace-sim-b.*.json; do
+for f in target/dtrace-a/*.trace.json target/dtrace-b/*.trace.json; do
   [ -f "$f" ] && sim_args+=(--sim "$f")
 done
 cargo run --release -q -p sms-serve --bin sms-trace -- merge \
   --trace 00000000c0ffee42 --out target/trace-merged.json \
   "${sim_args[@]}" \
-  target/dtrace-fleet.jsonl target/dtrace-a.jsonl target/dtrace-b.jsonl
+  target/dtrace-fleet/fleet.journal.jsonl target/dtrace-a/journal.jsonl \
+  target/dtrace-b/journal.jsonl
 grep -q '"name":"dispatch"' target/trace-merged.json \
   || { echo "merged trace carries no dispatch spans"; exit 1; }
 grep -q '"ph":"s"' target/trace-merged.json \

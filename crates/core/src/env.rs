@@ -43,24 +43,19 @@ pub const DECLS: &[Decl] = &[
     ("SMS_JOBS", Positive, "available cores", "harness", "worker-thread count"),
     ("SMS_NO_CACHE", Flag, "off", "harness, serve, fleet", "bypass the result cache"),
     ("SMS_CACHE_DIR", Path, "`target/sms-cache`", "harness, serve, fleet", "result-cache directory"),
-    ("SMS_JOURNAL", Path, "in-memory only", "harness, serve, fleet", "JSONL run-journal file"),
+    ("SMS_OUT", Path, "none", "all", "run directory: journal, log, per-run trace and metrics files"),
     ("SMS_MAX_CYCLES", Positive, "unlimited (hard cap 2⁴⁰)", "harness, serve", "per-run cycle budget"),
     ("SMS_STALL_CYCLES", Positive, "off", "harness, serve", "forward-progress watchdog window"),
     ("SMS_VALIDATE", Flag, "off", "harness, serve", "attach the stack invariant validator"),
     ("SMS_RETRIES", NonNegative, "2", "harness", "bounded retries for transient cache I/O"),
     ("SMS_BREAKDOWN", Flag, "off", "harness", "arm cycle attribution on every run"),
-    ("SMS_TRACE", Path, "off", "harness, serve", "Chrome-trace timeline per run"),
-    ("SMS_TRACE_PERIOD", Positive, "1024", "harness, serve", "trace counter sample period, cycles"),
+    ("SMS_TRACE", Flag, "off", "harness, serve", "Chrome-trace timeline per run, into `SMS_OUT`"),
     ("SMS_METRICS", Flag, "off", "harness", "arm run metrics on every run"),
-    ("SMS_METRICS_OUT", Path, "off", "harness", "Prometheus text dump per armed run"),
-    ("SMS_METRICS_CSV", Path, "off", "harness", "sampled series CSV per armed run"),
-    ("SMS_METRICS_PERIOD", Positive, "1024", "harness", "metrics series sample period, cycles"),
     ("SMS_HLBVH", Flag, "off", "harness", "build BVHs with the parallel HLBVH builder"),
     ("SMS_STACKLESS", Flag, "on", "bench", "the stackless (`SL`) competitor column"),
     ("SMS_PREDICT", Flag, "on", "bench", "the ray-path-predictor (`PRED_*`) competitor column"),
     ("SMS_PREDICT_BITS", Positive, "12", "bench", "predictor table index width, 1..=20"),
     ("SMS_SERVE_ADDR", Text, "`127.0.0.1:7745`", "serve, client", "server bind address and client target"),
-    ("SMS_SERVE_JOURNAL", Path, "`SMS_JOURNAL`, else none", "serve", "server-side journal file"),
     ("SMS_CLIENT_RETRIES", NonNegative, "3", "client", "retries after the first attempt"),
     ("SMS_CLIENT_DEADLINE_MS", Positive, "600 000", "client", "wall-clock budget per request"),
     ("SMS_CLIENT_TIMEOUT_MS", Positive, "10 000", "client", "socket read timeout"),
@@ -72,9 +67,7 @@ pub const DECLS: &[Decl] = &[
     ("SMS_FLEET_COOLDOWN_MS", Positive, "1 000", "fleet", "circuit-breaker open duration"),
     ("SMS_FLEET_HEDGE_MS", Positive, "off", "fleet", "duplicate a cell unanswered after N ms"),
     ("SMS_FLEET_CELL_TIMEOUT_MS", Positive, "600 000", "fleet", "per-dispatch deadline"),
-    ("SMS_FLEET_JOURNAL", Path, "`SMS_JOURNAL`, else none", "fleet", "fleet-side journal file"),
     ("SMS_TRACE_CTX", Text, "off", "client, harness, serve", "distributed-tracing context"),
-    ("SMS_LOG", Path, "stderr", "all", "structured JSONL log file"),
     ("SMS_LOG_LEVEL", Text, "`info`", "all", "minimum level the structured logger emits"),
     ("SMS_GIT_HASH", Text, "`unknown`", "fleet", "`git_hash` label of `sms_build_info`"),
 ];
@@ -202,7 +195,8 @@ mod tests {
     /// One grammar for every flag: each row is `(name, value, reads as,
     /// warns)`. At least one row per declared flag; the four `=true` rows
     /// on the `== "1"` flags and the `=false` row on `SMS_STACKLESS` are
-    /// the ones the three old grammars got wrong.
+    /// the ones the three old grammars got wrong, and a path given to
+    /// `SMS_TRACE` (its grammar before the run directory) arms nothing.
     #[test]
     fn every_flag_reads_one_grammar() {
         let rows: &[(&str, &str, bool, bool)] = &[
@@ -215,6 +209,8 @@ mod tests {
             ("SMS_VALIDATE", " yes ", true, false),
             ("SMS_BREAKDOWN", "false", false, false),
             ("SMS_BREAKDOWN", "On", true, false),
+            ("SMS_TRACE", "1", true, false),
+            ("SMS_TRACE", "out.json", false, true),
             ("SMS_METRICS", "0", false, false),
             ("SMS_METRICS", "", false, false),
             ("SMS_METRICS", "2", false, true),
@@ -249,9 +245,9 @@ mod tests {
             ("SMS_MAX_CYCLES", "-3"),
             ("SMS_PREDICT_BITS", "junk"),
             ("SMS_CLIENT_RETRIES", "many"),
-            ("SMS_TRACE_PERIOD", ""),
+            ("SMS_FLEET_HEDGE_MS", ""),
             ("SMS_CACHE_DIR", "  "),
-            ("SMS_TRACE", " out.json "),
+            ("SMS_OUT", " run "),
             ("SMS_SERVE_ADDR", " 127.0.0.1:9 "),
             ("SMS_FLEET_BACKENDS", "a:1, ,b:2,"),
             ("HOME", "/root"),
@@ -261,9 +257,9 @@ mod tests {
         assert_eq!(env.positive("SMS_MAX_CYCLES"), None);
         assert_eq!(env.positive("SMS_PREDICT_BITS"), None);
         assert_eq!(env.non_negative("SMS_CLIENT_RETRIES"), None);
-        assert_eq!(env.positive("SMS_TRACE_PERIOD"), None);
+        assert_eq!(env.positive("SMS_FLEET_HEDGE_MS"), None);
         assert_eq!(env.path("SMS_CACHE_DIR"), None);
-        assert_eq!(env.path("SMS_TRACE"), Some(PathBuf::from("out.json")));
+        assert_eq!(env.path("SMS_OUT"), Some(PathBuf::from("run")));
         assert_eq!(env.text("SMS_SERVE_ADDR"), Some("127.0.0.1:9"));
         assert_eq!(env.list("SMS_FLEET_BACKENDS"), ["a:1", "b:2"]);
         assert!(env.list("SMS_SCENES").is_empty());

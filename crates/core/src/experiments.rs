@@ -20,13 +20,14 @@
 
 use crate::config::{RenderConfig, SimConfig};
 use crate::env::Env;
-use crate::metrics::{MetricsReport, MetricsSpec};
+use crate::metrics::MetricsReport;
 use crate::render::PreparedScene;
 use crate::sim::{GpuSim, RunLimits, SimFault};
 use crate::trace::TraceSpec;
 use sms_gpu::{GpuConfig, SimStats, StallBreakdown};
 use sms_rtunit::{SmsParams, StackConfig};
 use sms_scene::SceneId;
+use std::path::PathBuf;
 use std::sync::LazyLock;
 
 /// The outcome of one `(scene, configuration)` cycle-level run.
@@ -118,25 +119,46 @@ pub fn try_run_prepared(
     try_run_exporting(prepared, stack, gpu, render, limits, &RunExports::default())
 }
 
-/// The files a run writes besides returning its result. Filled once at
-/// the process edge (`sms_harness::exports_from_env`) and carried as data
-/// on `HarnessConfig` / `ServeConfig` down to [`try_run_exporting`]; the
-/// default exports nothing.
+/// The files a run writes besides returning its result, all into one run
+/// directory. Filled once at the process edge
+/// (`sms_harness::exports_from_env`) and carried as data on
+/// `HarnessConfig` / `ServeConfig` down to [`try_run_exporting`]; the
+/// default writes nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunExports {
-    /// Chrome-trace export (`SMS_TRACE`); arms attribution on every run.
-    pub trace: Option<TraceSpec>,
-    /// Metrics dumps and sampling period, for runs with
-    /// [`RunLimits::metrics`] armed.
-    pub metrics: MetricsSpec,
+    /// The run directory (`SMS_OUT`); `None` writes no file.
+    pub dir: Option<PathBuf>,
+    /// A Chrome-trace timeline per run (`SMS_TRACE`); with a directory to
+    /// write it to, arms attribution on every run.
+    pub trace: bool,
+    /// The trace id every timeline is stamped with ([`TraceSpec::trace_id`]).
+    pub trace_id: Option<String>,
+}
+
+impl RunExports {
+    /// Whether runs write timelines: `trace`, and a directory to hold them.
+    pub fn traced(&self) -> bool {
+        self.trace && self.dir.is_some()
+    }
+
+    /// `<dir>/<job>.<ext>`, the one name of a run's `ext` file, with `job`
+    /// sanitized to `[A-Za-z0-9._-]` (`SHIP.RB_8+SH_8` →
+    /// `SHIP.RB_8_SH_8`) so parallel `(scene, config)` runs never share a
+    /// file; `None` without a directory.
+    pub fn file(&self, job: &str, ext: &str) -> Option<PathBuf> {
+        let clean: String = job
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() || c == '.' || c == '-' { c } else { '_' })
+            .collect();
+        Some(self.dir.as_ref()?.join(format!("{clean}.{ext}")))
+    }
 }
 
 /// The one job-running function: [`try_run_prepared`] plus `exports`.
 ///
-/// Every configured path is suffixed with the scene and stack-config
-/// labels (`<stem>.<SCENE>.<CONFIG>.json`, inserted before a metrics
-/// path's own extension) so sweep jobs — possibly running in parallel —
-/// never clobber each other.
+/// A traced run writes `<scene>.<config>.trace.json` and a run with
+/// [`RunLimits::metrics`] armed writes `<scene>.<config>.prom` and `.csv`,
+/// all into the run directory ([`RunExports::file`]).
 pub fn try_run_exporting(
     prepared: &PreparedScene,
     stack: StackConfig,
@@ -146,27 +168,22 @@ pub fn try_run_exporting(
     exports: &RunExports,
 ) -> Result<RunResult, SimFault> {
     let config = SimConfig::new(gpu, stack, *render);
-    let job = || format!("{}.{}", prepared.scene.id, stack.label());
-    let mut sim = GpuSim::new(prepared, config)
-        .with_limits(*limits)
-        .with_metrics_period(exports.metrics.period);
-    if let Some(spec) = &exports.trace {
-        sim = sim.with_trace(spec.for_job(&job()));
+    let job = format!("{}.{}", prepared.scene.id, stack.label());
+    let mut sim = GpuSim::new(prepared, config).with_limits(*limits);
+    if let Some(path) = exports.file(&job, "trace.json").filter(|_| exports.trace) {
+        sim = sim.with_trace(TraceSpec { path, trace_id: exports.trace_id.clone() });
     }
     let run = sim.try_run()?;
-    if let Some(m) = &run.metrics {
-        let out = exports.metrics.for_job(&job());
-        let write =
-            |path: &std::path::Path, text: String, var: &str| match std::fs::write(path, text) {
-                Ok(()) => eprintln!("{var}: wrote {}", path.display()),
-                Err(e) => eprintln!("warning: {var}: failed to write {}: {e}", path.display()),
-            };
-        if let Some(p) = &out.prom_out {
-            let reg = m.registry(&prepared.scene.id.to_string(), &stack.label(), &run.stats);
-            write(p, reg.render_prometheus(), "SMS_METRICS_OUT");
-        }
-        if let Some(p) = &out.csv_out {
-            write(p, m.series.to_csv(), "SMS_METRICS_CSV");
+    if let (Some(m), Some(prom)) = (&run.metrics, exports.file(&job, "prom")) {
+        let reg = m.registry(&prepared.scene.id.to_string(), &stack.label(), &run.stats);
+        let csv = prom.with_extension("csv");
+        for (path, text) in [(prom, reg.render_prometheus()), (csv, m.series.to_csv())] {
+            match std::fs::write(&path, text) {
+                Ok(()) => eprintln!("SMS_METRICS: wrote {}", path.display()),
+                Err(e) => {
+                    eprintln!("warning: SMS_METRICS: failed to write {}: {e}", path.display())
+                }
+            }
         }
     }
     Ok(RunResult {

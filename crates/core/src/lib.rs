@@ -46,7 +46,7 @@ pub mod trace;
 pub use config::{RenderConfig, SimConfig};
 pub use env::Env;
 pub use experiments::{RunExports, RunResult};
-pub use metrics::{MetricsReport, MetricsSpec};
+pub use metrics::MetricsReport;
 pub use sim::{GpuSim, RunLimits, SimFault};
 pub use trace::TraceSpec;
 

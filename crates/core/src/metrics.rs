@@ -4,13 +4,13 @@
 //! Setting `SMS_METRICS=1` (or [`crate::sim::RunLimits::metrics`]) arms
 //! the layer: the RT units record the distributions described in
 //! [`sms_rtunit::StackMetrics`], and the simulator's main loop samples a
-//! fleet-wide time series every `SMS_METRICS_PERIOD` cycles (default
-//! 1024). The run returns a [`MetricsReport`] on
-//! [`crate::sim::SimRun::metrics`]; the experiment entry points export it:
+//! fleet-wide time series every [`crate::sim::SAMPLE_PERIOD`] cycles. The
+//! run returns a [`MetricsReport`] on [`crate::sim::SimRun::metrics`]; with
+//! an `SMS_OUT` run directory the experiment entry points export it there:
 //!
-//! * `SMS_METRICS_OUT=metrics.prom` — Prometheus text dump (strictly
-//!   parseable by `sms_metrics::prom::validate`);
-//! * `SMS_METRICS_CSV=metrics.csv` — the sampled series as CSV;
+//! * `<scene>.<config>.prom` — Prometheus text dump (strictly parseable by
+//!   `sms_metrics::prom::validate`);
+//! * `<scene>.<config>.csv` — the sampled series as CSV;
 //! * with `SMS_TRACE` also set, the series rides along as a counter track
 //!   in the Chrome-trace file.
 //!
@@ -23,55 +23,6 @@ use sms_gpu::SimStats;
 use sms_mem::Cycle;
 use sms_metrics::{Registry, SeriesRecorder};
 use sms_rtunit::StackMetrics;
-use std::path::PathBuf;
-
-/// Default time-series sampling period in cycles.
-pub const DEFAULT_PERIOD: Cycle = 1024;
-
-/// Metrics output configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSpec {
-    /// Prometheus text-dump path (`SMS_METRICS_OUT`), if any.
-    pub prom_out: Option<PathBuf>,
-    /// Time-series CSV path (`SMS_METRICS_CSV`), if any.
-    pub csv_out: Option<PathBuf>,
-    /// Sampling period in cycles (`SMS_METRICS_PERIOD`).
-    pub period: Cycle,
-}
-
-impl Default for MetricsSpec {
-    fn default() -> Self {
-        MetricsSpec { prom_out: None, csv_out: None, period: DEFAULT_PERIOD }
-    }
-}
-
-impl MetricsSpec {
-    /// A copy of this spec with every output path suffixed
-    /// `<stem>.<suffix>.<ext>` — used by sweeps so parallel
-    /// `(scene, config)` jobs don't clobber one file. Unlike the trace
-    /// spec's variant this preserves each path's own extension
-    /// (`metrics.prom` → `metrics.SHIP.RB_8.prom`). The suffix is
-    /// sanitized to `[A-Za-z0-9._-]`.
-    pub fn for_job(&self, suffix: &str) -> MetricsSpec {
-        let clean: String = suffix
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '.' || c == '-' { c } else { '_' })
-            .collect();
-        let suffixed = |p: &PathBuf| {
-            let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("metrics");
-            let file = match p.extension().and_then(|e| e.to_str()) {
-                Some(ext) => format!("{stem}.{clean}.{ext}"),
-                None => format!("{stem}.{clean}"),
-            };
-            p.with_file_name(file)
-        };
-        MetricsSpec {
-            prom_out: self.prom_out.as_ref().map(suffixed),
-            csv_out: self.csv_out.as_ref().map(suffixed),
-            period: self.period,
-        }
-    }
-}
 
 /// The fleet-wide counters one time-series sample is computed from.
 #[derive(Debug, Clone, Copy, Default)]
@@ -276,18 +227,16 @@ pub(crate) fn json_num(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::RunExports;
+    use std::path::PathBuf;
 
     #[test]
     fn spec_suffix_preserves_extension() {
-        let spec = MetricsSpec {
-            prom_out: Some(PathBuf::from("/tmp/m/metrics.prom")),
-            csv_out: Some(PathBuf::from("series.csv")),
-            period: 64,
-        };
-        let job = spec.for_job("SHIP.SMS_8+SK");
-        assert_eq!(job.prom_out.unwrap(), PathBuf::from("/tmp/m/metrics.SHIP.SMS_8_SK.prom"));
-        assert_eq!(job.csv_out.unwrap(), PathBuf::from("series.SHIP.SMS_8_SK.csv"));
-        assert_eq!(job.period, 64);
+        let exports = RunExports { dir: Some(PathBuf::from("/tmp/m")), ..RunExports::default() };
+        let file = |ext| exports.file("SHIP.SMS_8+SK", ext);
+        assert_eq!(file("prom"), Some(PathBuf::from("/tmp/m/SHIP.SMS_8_SK.prom")));
+        assert_eq!(file("csv"), Some(PathBuf::from("/tmp/m/SHIP.SMS_8_SK.csv")));
+        assert_eq!(RunExports::default().file("SHIP.SMS_8+SK", "prom"), None);
     }
 
     #[test]

@@ -48,6 +48,10 @@ const FRAMEBUFFER_BASE: u64 = 0xE000_0000;
 /// any real workload, applied even when no explicit budget is configured.
 const HARD_CYCLE_CAP: Cycle = 1 << 40;
 
+/// Default sample period in cycles of both sampled tracks: the trace's
+/// per-SM counters and the metrics series.
+pub const SAMPLE_PERIOD: Cycle = 1024;
+
 /// Why a simulation run was aborted. Every variant carries enough context
 /// to diagnose the run post-mortem without re-running it; the harness
 /// journals these as structured `run_failed` / `run_timeout` events.
@@ -341,7 +345,7 @@ pub struct GpuSim<'a> {
     trace_warp_limit: u32,
     limits: RunLimits,
     trace: Option<TraceSpec>,
-    metrics_period: Cycle,
+    sample_period: Cycle,
 }
 
 impl<'a> GpuSim<'a> {
@@ -354,7 +358,7 @@ impl<'a> GpuSim<'a> {
             trace_warp_limit: 0,
             limits: RunLimits::none(),
             trace: None,
-            metrics_period: crate::metrics::DEFAULT_PERIOD,
+            sample_period: SAMPLE_PERIOD,
         }
     }
 
@@ -371,11 +375,12 @@ impl<'a> GpuSim<'a> {
         self
     }
 
-    /// Sets the metrics time-series sampling period (cycles). Only
-    /// consulted when [`RunLimits::metrics`] is armed.
-    pub fn with_metrics_period(mut self, period: Cycle) -> Self {
+    /// Sets the sample period (cycles) of both sampled tracks: the trace's
+    /// counters and the metrics series. Only consulted when tracing or
+    /// [`RunLimits::metrics`] is armed.
+    pub fn with_sample_period(mut self, period: Cycle) -> Self {
         assert!(period > 0, "sampling period must be positive");
-        self.metrics_period = period;
+        self.sample_period = period;
         self
     }
 
@@ -417,11 +422,11 @@ impl<'a> GpuSim<'a> {
         // Tracing implies attribution (slices and counters reuse its
         // timestamps); either way the simulation itself is unchanged.
         let attribute = self.limits.breakdown || self.trace.is_some();
-        let mut recorder = self
-            .trace
-            .as_ref()
-            .map(|spec| TraceRecorder::new(spec.clone(), gpu.num_sms, gpu.max_warps_per_rt_unit));
-        let mut msampler = self.limits.metrics.then(|| SeriesSampler::new(self.metrics_period));
+        let period = self.sample_period;
+        let mut recorder = self.trace.as_ref().map(|spec| {
+            TraceRecorder::new(spec.clone(), period, gpu.num_sms, gpu.max_warps_per_rt_unit)
+        });
+        let mut msampler = self.limits.metrics.then(|| SeriesSampler::new(period));
 
         // Build all warps and distribute round-robin over SMs.
         let mut sms: Vec<Sm> = (0..gpu.num_sms)
@@ -777,7 +782,7 @@ impl<'a> GpuSim<'a> {
             Box::new(MetricsReport {
                 stacks: stack_metrics,
                 series: msampler.map(SeriesSampler::into_series).unwrap_or_default(),
-                period: self.metrics_period,
+                period: self.sample_period,
             })
         });
         if let Some(mut rec) = recorder {

@@ -1,14 +1,16 @@
 //! Opt-in time-series trace export (Chrome trace-event / Perfetto JSON).
 //!
-//! A [`TraceSpec`] (`SMS_TRACE=out.json`, read at the process edge) arms
+//! A [`TraceSpec`] (`SMS_TRACE=1`, read at the process edge, writes
+//! `<scene>.<config>.trace.json` into the `SMS_OUT` run directory) arms
 //! the cycle-attribution layer and makes the simulator emit a trace file
 //! loadable in Perfetto or `chrome://tracing`:
 //!
 //! * one *process* per SM with one *thread* per RT-unit warp slot, carrying
 //!   a `ph:"X"` slice for every warp residency (admission → retirement);
-//! * `ph:"C"` counter tracks per SM sampled every `SMS_TRACE_PERIOD` cycles
-//!   (default 1024): resident warps, busy RT slots, memory event-queue
-//!   depth, and cumulative shared-memory bank-conflict cycles;
+//! * `ph:"C"` counter tracks per SM sampled every
+//!   [`crate::sim::SAMPLE_PERIOD`] cycles, the metrics series' period:
+//!   resident warps, busy RT slots, memory event-queue depth, and
+//!   cumulative shared-memory bank-conflict cycles;
 //! * top-level `cycles` and `stallBreakdown` keys (extra keys are tolerated
 //!   by both viewers) so one file carries the whole diagnosis.
 //!
@@ -27,38 +29,17 @@ use sms_rtunit::RtSlice;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// Default counter-sampling period in cycles.
-pub const DEFAULT_PERIOD: Cycle = 1024;
-
-/// Where and how often to trace, and what to stamp the file with.
+/// Where to trace, and what to stamp the file with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpec {
-    /// Output path (`SMS_TRACE`).
+    /// Output path.
     pub path: PathBuf,
-    /// Counter-sampling period in cycles (`SMS_TRACE_PERIOD`).
-    pub period: Cycle,
     /// The request-correlation trace id (16 lowercase hex digits) written
     /// as the file's top-level `"traceId"`, so the `sms-trace` merger can
     /// link a request's spans to its per-warp timeline. Filled at the
     /// process edge from an explicit `SMS_TRACE_CTX=<trace>-<span>`; the
     /// wire format and its one parser live in `sms_harness::TraceContext`.
     pub trace_id: Option<String>,
-}
-
-impl TraceSpec {
-    /// A copy of this spec writing to `<stem>.<suffix>.json` next to the
-    /// configured path — used by sweeps so parallel `(scene, config)` jobs
-    /// don't clobber one file. The suffix is sanitized to `[A-Za-z0-9._-]`.
-    pub fn for_job(&self, suffix: &str) -> TraceSpec {
-        let clean: String = suffix
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '.' || c == '-' { c } else { '_' })
-            .collect();
-        let stem = self.path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-        let file = format!("{stem}.{clean}.json");
-        let path = self.path.with_file_name(file);
-        TraceSpec { path, period: self.period, trace_id: self.trace_id.clone() }
-    }
 }
 
 /// One SM's counter snapshot, read by the sampler at each period boundary.
@@ -80,14 +61,16 @@ pub struct SmCounters {
 #[derive(Debug)]
 pub struct TraceRecorder {
     spec: TraceSpec,
+    period: Cycle,
     events: Vec<String>,
     next_sample: Cycle,
 }
 
 impl TraceRecorder {
-    /// Creates a recorder and emits the metadata events naming one process
-    /// per SM and one thread per RT-unit warp slot.
-    pub fn new(spec: TraceSpec, num_sms: usize, rt_slots: usize) -> Self {
+    /// Creates a recorder sampling its counters every `period` cycles and
+    /// emits the metadata events naming one process per SM and one thread
+    /// per RT-unit warp slot.
+    pub fn new(spec: TraceSpec, period: Cycle, num_sms: usize, rt_slots: usize) -> Self {
         let mut events = Vec::new();
         for sm in 0..num_sms {
             events.push(format!(
@@ -99,7 +82,7 @@ impl TraceRecorder {
                 ));
             }
         }
-        TraceRecorder { spec, events, next_sample: 0 }
+        TraceRecorder { spec, period, events, next_sample: 0 }
     }
 
     /// `true` when `now` has reached the next sampling boundary. The main
@@ -122,7 +105,7 @@ impl TraceRecorder {
                 c.conflict_cycles
             ));
         }
-        self.next_sample = (now / self.spec.period + 1) * self.spec.period;
+        self.next_sample = (now / self.period + 1) * self.period;
     }
 
     /// Merges the metrics layer's sampled fleet-wide series as one
@@ -196,20 +179,27 @@ pub fn breakdown_json(b: &StallBreakdown) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::RunExports;
 
     #[test]
     fn job_suffix_is_sanitized_and_keeps_directory() {
-        let spec =
-            TraceSpec { path: PathBuf::from("/tmp/traces/run.json"), period: 64, trace_id: None };
-        let job = spec.for_job("SHIP/SMS_8+SK");
-        assert_eq!(job.path, PathBuf::from("/tmp/traces/run.SHIP_SMS_8_SK.json"));
-        assert_eq!(job.period, 64);
+        let exports = RunExports {
+            dir: Some(PathBuf::from("/tmp/traces")),
+            trace: true,
+            ..RunExports::default()
+        };
+        let path = exports.file("SHIP/SMS_8+SK", "trace.json");
+        assert_eq!(path, Some(PathBuf::from("/tmp/traces/SHIP_SMS_8_SK.trace.json")));
+        assert!(exports.traced());
+        // No run directory: nowhere to write, so nothing is traced.
+        let nowhere = RunExports { trace: true, ..RunExports::default() };
+        assert_eq!((nowhere.file("SHIP.RB_8", "trace.json"), nowhere.traced()), (None, false));
     }
 
     #[test]
     fn sampling_boundary_rearms_past_now() {
-        let spec = TraceSpec { path: PathBuf::from("t.json"), period: 100, trace_id: None };
-        let mut rec = TraceRecorder::new(spec, 1, 1);
+        let spec = TraceSpec { path: PathBuf::from("t.json"), trace_id: None };
+        let mut rec = TraceRecorder::new(spec, 100, 1, 1);
         assert!(rec.sample_due(0));
         rec.sample(
             0,

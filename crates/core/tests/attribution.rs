@@ -71,8 +71,8 @@ fn trace_export_writes_wellformed_file_without_perturbing_stats() {
     let path = std::env::temp_dir().join("sms_attr_test_trace.json");
     let _ = std::fs::remove_file(&path);
     let config = SimConfig::new(GpuConfig::default(), stack, RenderConfig::tiny());
-    let spec = TraceSpec { path: path.clone(), period: 64, trace_id: None };
-    let traced = GpuSim::new(&prepared, config).with_trace(spec).run();
+    let spec = TraceSpec { path: path.clone(), trace_id: None };
+    let traced = GpuSim::new(&prepared, config).with_trace(spec).with_sample_period(64).run();
 
     assert_eq!(off.stats, traced.stats, "tracing must not perturb stats");
     let text = std::fs::read_to_string(&path).expect("trace file written");

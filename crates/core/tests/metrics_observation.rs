@@ -22,7 +22,7 @@ use sms_sim::{RenderConfig, SimConfig};
 
 fn run(prepared: &PreparedScene, stack: StackConfig, limits: RunLimits, period: u64) -> SimRun {
     let config = SimConfig::new(GpuConfig::default(), stack, RenderConfig::tiny());
-    GpuSim::new(prepared, config).with_limits(limits).with_metrics_period(period).run()
+    GpuSim::new(prepared, config).with_limits(limits).with_sample_period(period).run()
 }
 
 fn tight_sms() -> StackConfig {

@@ -2,8 +2,9 @@
 //!
 //! A harness batch's journal also keeps its events in memory (a batch is
 //! finite, and tests and callers assert on them); a resident service's is
-//! write-through and keeps none. When `SMS_JOURNAL=<path>` is set — or a
-//! path is configured explicitly — each event is appended to that file as
+//! write-through and keeps none. When an `SMS_OUT=<dir>` run directory is
+//! set (`<dir>/journal.jsonl`; a fleet's is `<dir>/fleet.journal.jsonl`) —
+//! or a path is configured explicitly — each event is appended to that file as
 //! one JSON line, giving the repo its first machine-readable observability
 //! stream:
 //!

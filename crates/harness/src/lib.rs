@@ -71,7 +71,7 @@ use sms_sim::render::PreparedScene;
 use sms_sim::rtunit::StackConfig;
 use sms_sim::rtunit::StackMetrics;
 use sms_sim::scene::SceneId;
-use sms_sim::{Env, MetricsSpec, TraceSpec};
+use sms_sim::Env;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -138,9 +138,10 @@ pub struct HarnessConfig {
     /// in both directions (no probe, no store) — cached default-path stats
     /// stay byte-identical.
     pub hlbvh: bool,
-    /// The files every simulated run writes (`SMS_TRACE`, `SMS_METRICS_*`);
-    /// the default writes none. An armed trace export arms attribution,
-    /// so such batches always simulate (see [`Harness::try_run_batch`]).
+    /// The files every simulated run writes into the run directory
+    /// (`SMS_OUT`: `SMS_TRACE` timelines, `SMS_METRICS` dumps); the default
+    /// writes none. An armed trace export arms attribution, so such
+    /// batches always simulate (see [`Harness::try_run_batch`]).
     pub exports: RunExports,
     /// fsync the journal after every event (`SMS_JOURNAL_SYNC`).
     pub journal_sync: bool,
@@ -173,48 +174,59 @@ pub fn default_cache_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/sms-cache"))
 }
 
+/// The journal's name in the run directory, for the CLI harness and a
+/// backend (one process per directory).
+pub const JOURNAL_FILE: &str = "journal.jsonl";
+/// The fleet's journal name, so a fleet and a backend may share a
+/// directory.
+pub const FLEET_JOURNAL_FILE: &str = "fleet.journal.jsonl";
+/// The structured log's name in the run directory.
+pub const LOG_FILE: &str = "log.jsonl";
+
 /// The process edge of every binary built on the harness: snapshots the
-/// environment, configures the logger from it and emits the snapshot's
-/// warnings, once. Call first thing in `main` and pass the snapshot down.
+/// environment, creates the `SMS_OUT` run directory, configures the logger
+/// (which may write into it) and emits the snapshot's warnings, once. Call
+/// first thing in `main` and pass the snapshot down.
 pub fn capture_env() -> Env {
     let env = Env::capture();
+    let out = env.path("SMS_OUT");
+    let made = out.as_ref().map(|dir| std::fs::create_dir_all(dir).map_err(|e| (dir, e)));
     log::init(&env);
+    if let Some(Err((dir, e))) = made {
+        log::warn("env", &format!("SMS_OUT: cannot create {}: {e}", dir.display()), &[]);
+    }
+    if env.flag("SMS_TRACE") && out.is_none() {
+        log::warn("env", "SMS_TRACE: no SMS_OUT run directory to write to — not tracing", &[]);
+    }
     env
 }
 
 /// `(cache_dir, journal_path)`, read the same way by the CLI harness and
 /// both serving tiers: `SMS_NO_CACHE` disables the cache, otherwise
-/// `SMS_CACHE_DIR` relocates it from `default_cache_dir`; the journal
-/// file is named by `journal_var` (a tier's own `SMS_SERVE_JOURNAL` /
-/// `SMS_FLEET_JOURNAL`) and, when that is unset or blank, by `SMS_JOURNAL`.
+/// `SMS_CACHE_DIR` relocates it from `default_cache_dir`; the journal is
+/// the tier's `journal_file` ([`JOURNAL_FILE`] or [`FLEET_JOURNAL_FILE`])
+/// in the `SMS_OUT` run directory, and none without one.
 pub fn storage_from_env(
     env: &Env,
-    journal_var: &str,
+    journal_file: &str,
     default_cache_dir: Option<PathBuf>,
 ) -> (Option<PathBuf>, Option<PathBuf>) {
     let no_cache = env.flag("SMS_NO_CACHE");
     let cache_dir = env.path("SMS_CACHE_DIR").or(default_cache_dir).filter(|_| !no_cache);
-    (cache_dir, env.path(journal_var).or_else(|| env.path("SMS_JOURNAL")))
+    (cache_dir, env.path("SMS_OUT").map(|dir| dir.join(journal_file)))
 }
 
-/// The files every run of this process writes: `SMS_TRACE` (sampled every
-/// `SMS_TRACE_PERIOD` cycles) and the `SMS_METRICS_*` dumps. Trace files
-/// are stamped with the trace id of an explicit
-/// `SMS_TRACE_CTX=<trace>-<span>`; `1`/`auto` mint a context only a client
-/// can propagate, so they stamp nothing.
+/// The files every run of this process writes into the `SMS_OUT` run
+/// directory: an `SMS_TRACE` timeline, and the dumps of every run
+/// `SMS_METRICS` arms. Timelines are stamped with the trace id of an
+/// explicit `SMS_TRACE_CTX=<trace>-<span>`; `1`/`auto` mint a context only
+/// a client can propagate, so they stamp nothing.
 pub fn exports_from_env(env: &Env) -> RunExports {
     let ctx = env.text("SMS_TRACE_CTX").and_then(TraceContext::parse);
     RunExports {
-        trace: env.path("SMS_TRACE").map(|path| TraceSpec {
-            path,
-            period: env.positive("SMS_TRACE_PERIOD").unwrap_or(sms_sim::trace::DEFAULT_PERIOD),
-            trace_id: ctx.map(|ctx| ctx.trace_hex()),
-        }),
-        metrics: MetricsSpec {
-            prom_out: env.path("SMS_METRICS_OUT"),
-            csv_out: env.path("SMS_METRICS_CSV"),
-            period: env.positive("SMS_METRICS_PERIOD").unwrap_or(sms_sim::metrics::DEFAULT_PERIOD),
-        },
+        dir: env.path("SMS_OUT"),
+        trace: env.flag("SMS_TRACE"),
+        trace_id: ctx.map(|ctx| ctx.trace_hex()),
     }
 }
 
@@ -223,7 +235,7 @@ impl HarnessConfig {
     /// `sms_sim::env::DECLS` (the table in `EXPERIMENTS.md`).
     pub fn from_env(env: &Env) -> Self {
         let d = HarnessConfig::default();
-        let (cache_dir, journal_path) = storage_from_env(env, "SMS_JOURNAL", d.cache_dir);
+        let (cache_dir, journal_path) = storage_from_env(env, JOURNAL_FILE, d.cache_dir);
         HarnessConfig {
             workers: env.positive("SMS_JOBS").map_or(d.workers, |n| n as usize),
             cache_dir,
@@ -467,7 +479,7 @@ impl Harness {
         // report (or write the trace file). Such jobs skip the probe below;
         // their stats still land in the cache afterwards for unarmed future
         // sweeps.
-        let trace_armed = exec.exports.trace.is_some();
+        let trace_armed = exec.exports.traced();
         let armed = |req: &RunRequest| {
             let limits = req.limits.or(exec.limits);
             trace_armed || limits.breakdown || limits.metrics

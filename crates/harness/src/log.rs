@@ -10,7 +10,8 @@
 //! {"ts_us":1754650000123456,"level":"warn","component":"fleet","msg":"backend down","backend":"127.0.0.1:9001"}
 //! ```
 //!
-//! `SMS_LOG=<path>` appends the lines to a file instead of stderr;
+//! An `SMS_OUT=<dir>` run directory appends the lines to `<dir>/log.jsonl`
+//! instead of stderr;
 //! `SMS_LOG_LEVEL=error|warn|info|debug` drops lines below a threshold
 //! (default `info`).
 //!
@@ -22,6 +23,7 @@
 
 use crate::json::Json;
 use crate::trace::wall_us;
+use crate::LOG_FILE;
 use sms_sim::Env;
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
@@ -65,7 +67,7 @@ impl Level {
 
 struct Sink {
     level: Level,
-    /// `Some` when `SMS_LOG` redirects to a file; `None` writes stderr.
+    /// `Some` when the run directory holds the log; `None` writes stderr.
     file: Option<Mutex<File>>,
 }
 
@@ -77,15 +79,15 @@ fn sink() -> &'static Sink {
     SINK.get_or_init(|| Sink { level: Level::Info, file: None })
 }
 
-/// The logging half of a process edge: configures the sink from `SMS_LOG`
+/// The logging half of a process edge: configures the sink from `SMS_OUT`
 /// / `SMS_LOG_LEVEL`, then emits every warning the snapshot collected.
 /// Call once, first thing in `main`, before anything can log.
 pub fn init(env: &Env) {
     let raw_level = env.text("SMS_LOG_LEVEL");
     let level = raw_level.and_then(Level::parse);
     let file = env
-        .path("SMS_LOG")
-        .and_then(|p| OpenOptions::new().create(true).append(true).open(p).ok())
+        .path("SMS_OUT")
+        .and_then(|dir| OpenOptions::new().create(true).append(true).open(dir.join(LOG_FILE)).ok())
         .map(Mutex::new);
     let _ = SINK.set(Sink { level: level.unwrap_or(Level::Info), file });
     if let (Some(raw), None) = (raw_level, level) {
@@ -177,7 +179,7 @@ mod tests {
         assert_eq!(env.positive("SMS_JOBS"), Some(12));
         assert_eq!(env.positive("SMS_MAX_CYCLES"), None);
         assert_eq!(env.positive("SMS_STALL_CYCLES"), None);
-        assert_eq!(env.positive("SMS_TRACE_PERIOD"), None);
+        assert_eq!(env.positive("SMS_FLEET_COOLDOWN_MS"), None);
         assert_eq!(env.non_negative("SMS_RETRIES"), Some(0));
         // What `init` hands the logger: the variable and the offending value.
         assert_eq!(env.warnings.len(), 2, "{:?}", env.warnings);

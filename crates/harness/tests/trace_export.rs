@@ -26,10 +26,9 @@ fn tiny(stack: StackConfig) -> RunRequest {
     RunRequest::new(SceneId::Wknd, stack, RenderConfig::tiny())
 }
 
-/// `SMS_TRACE=<dir>/run.json` plus `extra`, as `HarnessConfig` exports.
+/// `SMS_OUT=<dir> SMS_TRACE=1` plus `extra`, as `HarnessConfig` exports.
 fn traced(dir: &Path, extra: &[(&str, &str)]) -> HarnessConfig {
-    let trace = dir.join("run.json");
-    let mut pairs = vec![("SMS_TRACE", trace.to_str().unwrap())];
+    let mut pairs = vec![("SMS_OUT", dir.to_str().unwrap()), ("SMS_TRACE", "1")];
     pairs.extend_from_slice(extra);
     let env = Env::from_pairs(&pairs);
     assert!(env.warnings.is_empty(), "{:?}", env.warnings);
@@ -41,11 +40,21 @@ fn traced(dir: &Path, extra: &[(&str, &str)]) -> HarnessConfig {
     }
 }
 
+/// The names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
 fn sms_trace_emits_wellformed_conserving_json() {
     let dir = fresh_dir("smoke");
-    let config = traced(&dir, &[("SMS_TRACE_PERIOD", "256")]);
-    assert_eq!(config.exports.trace.as_ref().map(|t| t.period), Some(256));
+    let config = traced(&dir, &[]);
+    assert!(config.exports.traced());
     let harness = Harness::new(config);
     let reqs = [tiny(StackConfig::baseline8()), tiny(StackConfig::sms_default())];
     let (results, summary) = harness.try_run_batch(&reqs);
@@ -55,7 +64,7 @@ fn sms_trace_emits_wellformed_conserving_json() {
     for (req, result) in reqs.iter().zip(&results) {
         let run = result.as_ref().unwrap();
         let path =
-            dir.join(format!("run.{}.{}.json", req.scene, req.stack.label().replace('+', "_")));
+            dir.join(format!("{}.{}.trace.json", req.scene, req.stack.label().replace('+', "_")));
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("trace file {} must exist: {e}", path.display()));
         let doc = parse(&text).expect("trace must be valid JSON end to end");
@@ -114,11 +123,45 @@ fn trace_id_is_stamped_only_by_a_context_the_one_parser_accepts() {
         let harness = Harness::new(traced(&dir, &[("SMS_TRACE_CTX", ctx)]));
         let (_, summary) = harness.try_run_batch(&[tiny(StackConfig::baseline8())]);
         assert_eq!(summary.failed, 0);
-        let doc = parse(&std::fs::read_to_string(dir.join("run.WKND.RB_8.json")).unwrap()).unwrap();
-        let id = doc.get("traceId").and_then(Json::as_str);
-        assert_eq!(id, stamped.then_some("00000000c0ffee42"), "SMS_TRACE_CTX={ctx}");
+        let text = std::fs::read_to_string(dir.join("WKND.RB_8.trace.json")).unwrap();
+        let id = parse(&text).unwrap().get("traceId").and_then(Json::as_str).map(str::to_owned);
+        assert_eq!(id.as_deref(), stamped.then_some("00000000c0ffee42"), "SMS_TRACE_CTX={ctx}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// One run directory holds every artefact of a run, under its fixed name:
+/// the journal, and per simulated cell its timeline and both metrics dumps.
+#[test]
+fn one_run_directory_holds_every_artefact_of_a_sweep() {
+    let dir = fresh_dir("out");
+    let env = Env::from_pairs(&[
+        ("SMS_OUT", dir.to_str().unwrap()),
+        ("SMS_TRACE", "1"),
+        ("SMS_METRICS", "1"),
+        ("SMS_NO_CACHE", "1"),
+        ("SMS_JOBS", "2"),
+    ]);
+    assert!(env.warnings.is_empty(), "{:?}", env.warnings);
+    let harness = Harness::from_env(&env);
+    let reqs = [tiny(StackConfig::baseline8()), tiny(StackConfig::sms_default())];
+    let (_, summary) = harness.try_run_batch(&reqs);
+    assert_eq!((summary.cache_misses, summary.failed), (2, 0));
+    assert!(summary.breakdown.is_some() && summary.metrics.is_some(), "{summary:?}");
+
+    let mut want = vec!["journal.jsonl".to_owned()];
+    for cell in ["WKND.RB_8", "WKND.RB_8_SH_8_SK_RA"] {
+        want.extend(["csv", "prom", "trace.json"].map(|ext| format!("{cell}.{ext}")));
+    }
+    want.sort();
+    assert_eq!(listing(&dir), want);
+    let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+    assert_eq!(journal.matches("\"event\":\"job_finished\"").count(), 2, "{journal}");
+    let prom = std::fs::read_to_string(dir.join("WKND.RB_8.prom")).unwrap();
+    sms_metrics::prom::validate(&prom).expect("the dump parses strictly");
+    let csv = std::fs::read_to_string(dir.join("WKND.RB_8.csv")).unwrap();
+    sms_metrics::series::validate_csv(&csv).expect("the series parses strictly");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The property the old lazy reads could not offer: an unarmed
@@ -143,20 +186,17 @@ fn unarmed_default_batch_ignores_the_ambient_environment() {
     let dir = fresh_dir("ambient");
     let out = std::process::Command::new(std::env::current_exe().unwrap())
         .args(["--exact", "unarmed_default_batch_reports_no_observation"])
-        .env("SMS_TRACE", dir.join("run.json"))
+        .env("SMS_OUT", &dir)
+        .env("SMS_TRACE", "1")
         .env("SMS_TRACE_CTX", "00000000c0ffee42-0000000000000001")
         .env("SMS_BREAKDOWN", "1")
         .env("SMS_METRICS", "1")
-        .env("SMS_METRICS_OUT", dir.join("m.prom"))
-        .env("SMS_METRICS_CSV", dir.join("m.csv"))
-        .env("SMS_JOURNAL", dir.join("journal.jsonl"))
         .output()
         .unwrap();
     let (stdout, stderr) =
         (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
     assert!(out.status.success() && stdout.contains("1 passed"), "{stdout}\n{stderr}");
-    let written: Vec<_> =
-        std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    let written = listing(&dir);
     assert!(written.is_empty(), "an unarmed batch wrote {written:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

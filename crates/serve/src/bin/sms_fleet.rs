@@ -15,7 +15,10 @@
 //! Children inherit the environment, so `SMS_FAULT` set here injects
 //! faults into every spawned backend — handy for one-command chaos
 //! smokes, but for targeted chaos start backends by hand with distinct
-//! specs and adopt them with `--backends`.
+//! specs and adopt them with `--backends`. The one exception is the
+//! `SMS_OUT` run directory: spawned backend `i` writes its journal, log
+//! and traces into `<SMS_OUT>/backend-<i>`, so no two processes share a
+//! file.
 //!
 //! SIGTERM (or `POST /v1/drain`) drains the front tier, then drains any
 //! spawned children and waits for them to exit.
@@ -24,10 +27,12 @@ use sms_harness::log;
 use sms_serve::fleet::{FleetConfig, FleetServer};
 use sms_serve::service::positive_arg;
 use sms_serve::Client;
+use std::path::Path;
 
-/// Launches one `sms-serve` child on an ephemeral port and returns it
-/// with the address file it will announce itself in.
-fn spawn_backend(index: usize) -> (std::process::Child, std::path::PathBuf) {
+/// Launches one `sms-serve` child on an ephemeral port, with its own
+/// run directory inside the fleet's `out`, and returns it with the
+/// address file it will announce itself in.
+fn spawn_backend(index: usize, out: Option<&Path>) -> (std::process::Child, std::path::PathBuf) {
     let serve_bin = std::env::current_exe()
         .ok()
         .and_then(|p| p.parent().map(|d| d.join("sms-serve")))
@@ -36,16 +41,15 @@ fn spawn_backend(index: usize) -> (std::process::Child, std::path::PathBuf) {
     let addr_file =
         std::env::temp_dir().join(format!("sms-fleet-backend-{}-{index}.addr", std::process::id()));
     let _ = std::fs::remove_file(&addr_file);
-    let child = std::process::Command::new(&serve_bin)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--addr-file")
-        .arg(&addr_file)
-        .spawn()
-        .unwrap_or_else(|e| {
-            log::error("fleet", &format!("cannot spawn {}: {e}", serve_bin.display()), &[]);
-            std::process::exit(1);
-        });
+    let mut command = std::process::Command::new(&serve_bin);
+    command.arg("--addr").arg("127.0.0.1:0").arg("--addr-file").arg(&addr_file);
+    if let Some(out) = out {
+        command.env("SMS_OUT", out.join(format!("backend-{index}")));
+    }
+    let child = command.spawn().unwrap_or_else(|e| {
+        log::error("fleet", &format!("cannot spawn {}: {e}", serve_bin.display()), &[]);
+        std::process::exit(1);
+    });
     (child, addr_file)
 }
 
@@ -70,7 +74,9 @@ fn await_backend_addr(addr_file: &std::path::Path) -> String {
 }
 
 fn main() {
-    let mut config = FleetConfig::from_env(&sms_harness::capture_env());
+    let env = sms_harness::capture_env();
+    let mut config = FleetConfig::from_env(&env);
+    let out = env.path("SMS_OUT");
     let mut addr_file: Option<String> = None;
     let mut spawn_n = 0usize;
     let mut args = std::env::args().skip(1);
@@ -113,7 +119,7 @@ fn main() {
 
     let mut children = Vec::new();
     for i in 0..spawn_n {
-        let (child, file) = spawn_backend(i);
+        let (child, file) = spawn_backend(i, out.as_deref());
         let addr = await_backend_addr(&file);
         log::info("fleet", &format!("spawned backend {i} at {addr}"), &[("backend", &addr)]);
         config.backends.push(addr);

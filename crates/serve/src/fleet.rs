@@ -153,7 +153,7 @@ impl FleetConfig {
         let d = FleetConfig::default();
         let ms = |var| env.positive(var).map(Duration::from_millis);
         let (cache_dir, journal_path) =
-            sms_harness::storage_from_env(env, "SMS_FLEET_JOURNAL", d.cache_dir);
+            sms_harness::storage_from_env(env, sms_harness::FLEET_JOURNAL_FILE, d.cache_dir);
         FleetConfig {
             addr: env.text("SMS_FLEET_ADDR").unwrap_or("127.0.0.1:7746").to_owned(),
             backends: env.list("SMS_FLEET_BACKENDS").into_iter().map(str::to_owned).collect(),

@@ -69,9 +69,10 @@ pub struct ServeConfig {
     /// no fault code runs at all — behaviour is byte-identical to a build
     /// without the chaos layer.
     pub faults: Option<Arc<sms_harness::FaultPlan>>,
-    /// The files every simulated (never a cached) job writes: `SMS_TRACE`
-    /// timelines, stamped with the `SMS_TRACE_CTX` trace id for
-    /// `sms-trace merge --sim`. The default writes none.
+    /// The files every simulated (never a cached) job writes into the
+    /// `SMS_OUT` run directory: `SMS_TRACE` timelines, stamped with the
+    /// `SMS_TRACE_CTX` trace id for `sms-trace merge --sim`. The default
+    /// writes none.
     pub exports: RunExports,
     /// fsync the journal after every event (`SMS_JOURNAL_SYNC`).
     pub journal_sync: bool,
@@ -105,7 +106,7 @@ impl ServeConfig {
     pub fn from_env(env: &Env) -> Self {
         let d = ServeConfig::default();
         let (cache_dir, journal_path) =
-            sms_harness::storage_from_env(env, "SMS_SERVE_JOURNAL", d.cache_dir);
+            sms_harness::storage_from_env(env, sms_harness::JOURNAL_FILE, d.cache_dir);
         // Served streams carry `SimStats` only: the observation arms stay
         // off whatever `SMS_BREAKDOWN` / `SMS_METRICS` say.
         let run_limits = RunLimits { breakdown: false, metrics: false, ..RunLimits::from_env(env) };

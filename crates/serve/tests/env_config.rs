@@ -18,12 +18,7 @@ use std::time::Duration;
 #[test]
 fn blank_storage_paths_leave_every_tier_at_its_default() {
     for blank in ["", "   "] {
-        let env = Env::from_pairs(&[
-            ("SMS_CACHE_DIR", blank),
-            ("SMS_JOURNAL", blank),
-            ("SMS_SERVE_JOURNAL", blank),
-            ("SMS_FLEET_JOURNAL", blank),
-        ]);
+        let env = Env::from_pairs(&[("SMS_CACHE_DIR", blank), ("SMS_OUT", blank)]);
         assert!(env.warnings.is_empty(), "{:?}", env.warnings);
         let (harness, serve, fleet) = (
             HarnessConfig::from_env(&env),
@@ -38,19 +33,62 @@ fn blank_storage_paths_leave_every_tier_at_its_default() {
             (None, None, None)
         );
     }
-    // Set, the same function relocates all three; a tier's own journal
-    // variable wins over the shared one.
-    let env = Env::from_pairs(&[
-        ("SMS_CACHE_DIR", " /c "),
-        ("SMS_JOURNAL", "/j"),
-        ("SMS_FLEET_JOURNAL", "/fj"),
-    ]);
+    // Set, the same function relocates all three; each tier's journal has
+    // its fixed name in the one run directory.
+    let env = Env::from_pairs(&[("SMS_CACHE_DIR", " /c "), ("SMS_OUT", "/run")]);
     let dir = Some(PathBuf::from("/c"));
     assert_eq!(HarnessConfig::from_env(&env).cache_dir, dir);
     assert_eq!(ServeConfig::from_env(&env).cache_dir, dir);
     assert_eq!(FleetConfig::from_env(&env).cache_dir, dir);
-    assert_eq!(ServeConfig::from_env(&env).journal_path, Some(PathBuf::from("/j")));
-    assert_eq!(FleetConfig::from_env(&env).journal_path, Some(PathBuf::from("/fj")));
+    let journal = Some(PathBuf::from("/run/journal.jsonl"));
+    assert_eq!(HarnessConfig::from_env(&env).journal_path, journal);
+    assert_eq!(ServeConfig::from_env(&env).journal_path, journal);
+    let fleet_journal = Some(PathBuf::from("/run/fleet.journal.jsonl"));
+    assert_eq!(FleetConfig::from_env(&env).journal_path, fleet_journal);
+}
+
+/// One run directory: `SMS_OUT` names every artefact of both simulating
+/// tiers, `SMS_TRACE` is a flag that arms it, and the seven path
+/// variables and two sample periods it replaced are reported as unknown
+/// and move nothing.
+#[test]
+fn one_run_directory_names_every_artefact() {
+    let env = Env::from_pairs(&[
+        ("SMS_OUT", "/run"),
+        ("SMS_TRACE", "1"),
+        ("SMS_JOURNAL", "/j"),
+        ("SMS_SERVE_JOURNAL", "/sj"),
+        ("SMS_FLEET_JOURNAL", "/fj"),
+        ("SMS_METRICS_OUT", "/m.prom"),
+        ("SMS_METRICS_CSV", "/m.csv"),
+        ("SMS_LOG", "/log"),
+        ("SMS_TRACE_PERIOD", "64"),
+        ("SMS_METRICS_PERIOD", "64"),
+    ]);
+    let unknown: Vec<&str> = env.warnings.iter().map(|w| w.split(':').next().unwrap()).collect();
+    assert_eq!(
+        unknown,
+        [
+            "SMS_JOURNAL",
+            "SMS_SERVE_JOURNAL",
+            "SMS_FLEET_JOURNAL",
+            "SMS_METRICS_OUT",
+            "SMS_METRICS_CSV",
+            "SMS_LOG",
+            "SMS_TRACE_PERIOD",
+            "SMS_METRICS_PERIOD",
+        ]
+    );
+    let exports = HarnessConfig::from_env(&env).exports;
+    assert_eq!(exports, ServeConfig::from_env(&env).exports, "one grammar on both tiers");
+    assert!(exports.traced());
+    let file = |ext| exports.file("WKND.RB_8+SH_8", ext).unwrap();
+    assert_eq!(file("trace.json"), PathBuf::from("/run/WKND.RB_8_SH_8.trace.json"));
+    assert_eq!(file("prom"), PathBuf::from("/run/WKND.RB_8_SH_8.prom"));
+    assert_eq!(file("csv"), PathBuf::from("/run/WKND.RB_8_SH_8.csv"));
+    // Without a run directory the flag writes nothing and arms nothing.
+    let nowhere = HarnessConfig::from_env(&Env::from_pairs(&[("SMS_TRACE", "1")])).exports;
+    assert!(!nowhere.traced());
 }
 
 /// One flag grammar, at the consumers: `=true` arms what `=1` arms (the

@@ -293,3 +293,53 @@ fn hedging_under_concurrent_clients_loses_no_cell_and_stays_idempotent() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One run directory over real processes: `sms-fleet --spawn 1` under
+/// `SMS_OUT=<dir>` journals and logs into `<dir>` and gives its spawned
+/// backend `<dir>/backend-0`, so no two processes append to one file.
+#[test]
+fn a_spawned_backend_gets_its_own_run_directory() {
+    let dir = temp_dir("spawn");
+    let (out, addr_file) = (dir.join("out"), dir.join("fleet.addr"));
+    let mut fleet = std::process::Command::new(env!("CARGO_BIN_EXE_sms-fleet"))
+        .args(["--addr", "127.0.0.1:0", "--spawn", "1", "--addr-file"])
+        .arg(&addr_file)
+        .env_clear()
+        .env("SMS_OUT", &out)
+        .env("SMS_CACHE_DIR", dir.join("cache"))
+        .spawn()
+        .unwrap();
+    // A hang detector only: the fleet announces itself once its backend has.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let addr = loop {
+        match std::fs::read_to_string(&addr_file) {
+            Ok(text) if text.ends_with('\n') => break text.trim().parse().unwrap(),
+            _ => {
+                assert!(fleet.try_wait().unwrap().is_none(), "sms-fleet exited before listening");
+                assert!(Instant::now() < deadline, "sms-fleet never wrote {}", addr_file.display());
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    };
+    let client = fleet_client(addr);
+    let outcome = client.sweep(&["WKND"], &["RB_8"], "tiny").unwrap();
+    assert!(outcome.records[0].outcome.is_ok(), "{:?}", outcome.records[0].outcome);
+    assert_eq!(client.post("/v1/drain", b"").unwrap().status, 200);
+    assert!(fleet.wait().unwrap().success(), "the fleet drains its backend and exits 0");
+
+    let read = |file: &str| {
+        std::fs::read_to_string(out.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+    };
+    for journal in ["fleet.journal.jsonl", "backend-0/journal.jsonl"] {
+        assert!(read(journal).contains("\"event\":\"job_finished\""), "{journal}");
+    }
+    assert!(read("log.jsonl").contains("spawned backend 0"), "the fleet logs to its own file");
+    assert!(read("backend-0/log.jsonl").contains("drained, exiting"), "and the backend to its");
+    let mut top: Vec<String> = std::fs::read_dir(&out)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    top.sort();
+    assert_eq!(top, ["backend-0", "fleet.journal.jsonl", "log.jsonl"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,7 +3,7 @@
 //!
 //! The sweep runs as one deduplicated `sms-harness` batch: configs fan out
 //! across the worker pool and a re-run of the same sweep is served entirely
-//! from the on-disk result cache (`SMS_JOBS`, `SMS_NO_CACHE`, `SMS_JOURNAL`
+//! from the on-disk result cache (`SMS_JOBS`, `SMS_NO_CACHE`, `SMS_OUT`
 //! apply, see DESIGN.md).
 //!
 //! ```text
