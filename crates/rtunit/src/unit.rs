@@ -446,6 +446,8 @@ pub struct RtUnit {
     slices: Option<Vec<RtSlice>>,
     /// Ray-path prediction table; `Some` only for `PRED_*` configurations.
     predictor: Option<Box<RayPredictor>>,
+    /// The traversal discipline: escape-index walks (`SL`), not stacked.
+    stackless: bool,
 }
 
 impl RtUnit {
@@ -467,6 +469,7 @@ impl RtUnit {
             progress: 0,
             slices: None,
             predictor: config.stack.predictor_bits().map(|bits| Box::new(RayPredictor::new(bits))),
+            stackless: config.stack.is_stackless(),
         }
     }
 
@@ -687,6 +690,7 @@ impl RtUnit {
                     prims,
                     stats,
                     &self.config,
+                    self.stackless,
                     &mut self.depth_recorder,
                     &mut self.stack_metrics,
                     &mut self.thread_traces,
@@ -780,6 +784,7 @@ impl RtUnit {
         prims: &[P],
         stats: &mut SimStats,
         config: &RtUnitConfig,
+        stackless: bool,
         depths: &mut Histogram,
         metrics: &mut Option<Box<StackMetrics>>,
         traces: &mut Option<ThreadTraceRecorder>,
@@ -796,7 +801,7 @@ impl RtUnit {
                         let node = t.current.expect("fetching requires a node");
                         let q = t.query.expect("active thread has a query");
                         let speculative = t.speculative;
-                        let (step, lat) = if matches!(config.stack, StackConfig::Stackless) {
+                        let (step, lat) = if stackless {
                             let s = bvh.stackless_step(prims, &q.ray, node, q.t_min, t.t_max);
                             // An own-box miss (even on a leaf node) is just
                             // a box test; only a box hit on a leaf reaches

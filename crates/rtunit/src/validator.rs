@@ -270,7 +270,7 @@ impl StackValidator {
             );
             return;
         }
-        if let Some(p) = stacks.config().sms_params() {
+        if let Some(p) = stacks.config().sh_level() {
             for &seg in stacks.chain(lane) {
                 let len = stacks.segment_len(seg as usize);
                 if len > p.sh_entries {
@@ -289,10 +289,7 @@ impl StackValidator {
     /// across the whole warp (a bad transition on one lane can corrupt
     /// another lane's chain, so this is warp-global on purpose).
     fn check_chains(&mut self, stacks: &crate::WarpStacks) {
-        let Some(p) = stacks.config().sms_params() else { return };
-        if p.sh_entries == 0 {
-            return;
-        }
+        let Some(p) = stacks.config().sh_level() else { return };
         // occupants[s] = *active* lanes whose chain links segment s. A
         // retired lane's chain is frozen stale state — flush rotation means
         // it may still reference a segment that has since been idled and
