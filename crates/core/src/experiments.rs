@@ -116,7 +116,7 @@ pub fn try_run_prepared(
     render: &RenderConfig,
     limits: &RunLimits,
 ) -> Result<RunResult, SimFault> {
-    try_run_exporting(prepared, stack, gpu, render, limits, &RunExports::default())
+    try_run_exporting(prepared, stack, gpu, render, limits, &RunExports::default(), 0)
 }
 
 /// The files a run writes besides returning its result, all into one run
@@ -143,8 +143,7 @@ impl RunExports {
 
     /// `<dir>/<job>.<ext>`, the one name of a run's `ext` file, with `job`
     /// sanitized to `[A-Za-z0-9._-]` (`SHIP.RB_8+SH_8` →
-    /// `SHIP.RB_8_SH_8`) so parallel `(scene, config)` runs never share a
-    /// file; `None` without a directory.
+    /// `SHIP.RB_8_SH_8`); `None` without a directory.
     pub fn file(&self, job: &str, ext: &str) -> Option<PathBuf> {
         let clean: String = job
             .chars()
@@ -156,9 +155,12 @@ impl RunExports {
 
 /// The one job-running function: [`try_run_prepared`] plus `exports`.
 ///
-/// A traced run writes `<scene>.<config>.trace.json` and a run with
-/// [`RunLimits::metrics`] armed writes `<scene>.<config>.prom` and `.csv`,
-/// all into the run directory ([`RunExports::file`]).
+/// A traced run writes `<scene>.<config>.<id>.trace.json` and a run with
+/// [`RunLimits::metrics`] armed writes `<scene>.<config>.<id>.prom` and
+/// `.csv`, all into the run directory ([`RunExports::file`]). `<id>` is
+/// the first 8 hex digits of `key`, the run's identity (the harness passes
+/// its cache key's hash), so parallel runs whose labels collide — another
+/// `GpuConfig`, other RA limits — never share a file.
 pub fn try_run_exporting(
     prepared: &PreparedScene,
     stack: StackConfig,
@@ -166,9 +168,10 @@ pub fn try_run_exporting(
     render: &RenderConfig,
     limits: &RunLimits,
     exports: &RunExports,
+    key: u64,
 ) -> Result<RunResult, SimFault> {
     let config = SimConfig::new(gpu, stack, *render);
-    let job = format!("{}.{}", prepared.scene.id, stack.label());
+    let job = format!("{}.{}.{:08x}", prepared.scene.id, stack.label(), key >> 32);
     let mut sim = GpuSim::new(prepared, config).with_limits(*limits);
     if let Some(path) = exports.file(&job, "trace.json").filter(|_| exports.trace) {
         sim = sim.with_trace(TraceSpec { path, trace_id: exports.trace_id.clone() });

@@ -187,9 +187,23 @@ fn label_parse_round_trip() {
     });
 }
 
+/// Sizes past `u32::MAX` are refused, not truncated: the last literal
+/// once parsed and then simulated exactly as `RB_8+SH_8`.
 #[test]
 fn malformed_labels_do_not_parse() {
-    for bad in ["", "RB_0", "RB_8+SK", "RB_8+SH_0", "PRED_0", "PRED_21", "RB_8+", "RB_8+SH_8+SK+"] {
+    for bad in [
+        "",
+        "RB_0",
+        "RB_8+SK",
+        "RB_8+SH_0",
+        "PRED_0",
+        "PRED_21",
+        "RB_8+",
+        "RB_8+SH_8+SK+",
+        "RB_4294967296",
+        "RB_8+SH_4294967296",
+        "RB_8+SH_2305843009213693960",
+    ] {
         let err = bad.parse::<StackConfig>().expect_err(bad);
         assert!(err.starts_with(&format!("unknown stack config `{bad}` (expected e.g. ")), "{err}");
     }

@@ -69,15 +69,21 @@ impl Default for GpuConfig {
 }
 
 impl GpuConfig {
+    /// Whether carving `shared_bytes` out of the unified array leaves at
+    /// least one 128-byte L1 line.
+    pub fn fits_shared_carveout(&self, shared_bytes: u64) -> bool {
+        shared_bytes.checked_add(128).is_some_and(|needed| needed <= self.unified_bytes)
+    }
+
     /// Returns a copy whose L1D gives up `shared_bytes` of the unified
     /// array to shared memory (the SMS trade).
     ///
     /// # Panics
     ///
-    /// Panics if `shared_bytes` does not leave at least one L1 line.
+    /// Panics unless [`GpuConfig::fits_shared_carveout`].
     pub fn with_shared_carveout(mut self, shared_bytes: u64) -> Self {
         assert!(
-            shared_bytes + 128 <= self.unified_bytes,
+            self.fits_shared_carveout(shared_bytes),
             "carving {shared_bytes}B out of a {}B unified array leaves no L1D",
             self.unified_bytes
         );
@@ -149,6 +155,10 @@ mod tests {
         let c = GpuConfig::default().with_shared_carveout(8 * 1024);
         assert_eq!(c.l1.size_bytes, 56 * 1024);
         assert_eq!(c.unified_bytes, 64 * 1024);
+        // One 128-byte L1 line must stay; an absurd carve-out must not wrap.
+        assert!(c.fits_shared_carveout(64 * 1024 - 128));
+        assert!(!c.fits_shared_carveout(64 * 1024 - 127));
+        assert!(!c.fits_shared_carveout(u64::MAX));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! [`Harness::try_run_batch`]: crate::Harness::try_run_batch
 
-use crate::{pool, CacheKey, ResultCache, RunError, RunRequest, SIM_VERSION_SALT};
+use crate::{pool, CacheKey, FaultPlan, ResultCache, RunError, RunRequest, SIM_VERSION_SALT};
 use sms_sim::bvh::BuildParams;
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::{try_run_exporting, RunExports, RunResult};
@@ -111,6 +111,7 @@ pub struct Executor {
     /// `Relaxed`.
     pub(crate) scene_builds: AtomicU64,
     permits: Permits,
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl Executor {
@@ -132,7 +133,15 @@ impl Executor {
             scenes: Flight::new(true, "scene preparation panicked: "),
             scene_builds: AtomicU64::new(0),
             permits: Permits { free: Mutex::new(permits.max(1)), cv: Condvar::new() },
+            faults: None,
         }
+    }
+
+    /// The executor with `faults`' `sim_panic` clause armed in
+    /// [`Executor::simulate`].
+    pub fn with_faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// The result cache, if there is one.
@@ -180,8 +189,12 @@ impl Executor {
     ) -> Result<RunResult, RunError> {
         let run = {
             let _permit = self.permits.acquire();
+            if self.faults.as_ref().is_some_and(|f| f.sim_panics()) {
+                panic!("injected simulator panic (SMS_FAULT sim_panic)");
+            }
             let limits = req.limits.or(self.limits);
-            try_run_exporting(scene, req.stack, req.gpu, &req.render, &limits, &self.exports)
+            let exports = &self.exports;
+            try_run_exporting(scene, req.stack, req.gpu, &req.render, &limits, exports, key.hash)
         }
         .map_err(RunError::from_fault)?;
         if let Some(cache) = &self.cache {

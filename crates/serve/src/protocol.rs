@@ -85,6 +85,17 @@ pub fn parse_sweep(body: &[u8], max_jobs: usize) -> Result<SweepRequest, String>
         .collect::<Result<_, _>>()?;
     let configs: Vec<StackConfig> =
         strings("configs")?.iter().map(|s| parse_stack_config(s)).collect::<Result<_, _>>()?;
+    let gpu = GpuConfig::default();
+    for stack in &configs {
+        let carve = stack.shared_carveout(gpu.max_warps_per_rt_unit);
+        if !gpu.fits_shared_carveout(carve) {
+            return Err(format!(
+                "config `{stack}` carves {carve}B of SH stacks out of the {}B unified \
+                 L1/shared array, leaving no L1D",
+                gpu.unified_bytes
+            ));
+        }
+    }
     let render_name = match doc.get("render") {
         None => "fast".to_owned(),
         Some(v) => {
@@ -102,9 +113,7 @@ pub fn parse_sweep(body: &[u8], max_jobs: usize) -> Result<SweepRequest, String>
     let requests = scenes
         .iter()
         .flat_map(|&id| {
-            configs.iter().map(move |&stack| {
-                RunRequest::new(id, stack, render).with_gpu(GpuConfig::default())
-            })
+            configs.iter().map(move |&stack| RunRequest::new(id, stack, render).with_gpu(gpu))
         })
         .collect();
     Ok(SweepRequest { requests, render_name })
@@ -274,6 +283,12 @@ mod tests {
             parse_sweep(br#"{"scenes":["SHIP"],"configs":["RB_8"],"render":"huge"}"#, 10).is_err()
         );
         assert!(parse_sweep(&[0xff, 0xfe], 10).unwrap_err().contains("UTF-8"));
+        // A config the request's GPU cannot hold is refused by label, not
+        // run into the carve-out assertion on every cell.
+        let err =
+            parse_sweep(br#"{"scenes":["SHIP"],"configs":["RB_8","RB_8+SH_64"]}"#, 10).unwrap_err();
+        assert!(err.contains("`RB_8+SH_64`") && err.contains("leaving no L1D"), "{err}");
+        assert!(parse_sweep(br#"{"scenes":["SHIP"],"configs":["RB_8+SH_63+SK+RA"]}"#, 10).is_ok());
         // A misspelt or repeated key is refused by name, not ignored.
         for (body, want) in [
             (

@@ -223,7 +223,8 @@ impl Tier for ServerState {
         let (limits, exports) = (config.run_limits, config.exports.clone());
         let build = BuildParams::default();
         ServerState {
-            exec: Executor::new(core.cache.clone(), workers, build, limits, exports),
+            exec: Executor::new(core.cache.clone(), workers, build, limits, exports)
+                .with_faults(config.faults.clone()),
             core,
             metrics: ServerMetrics::default(),
             inflight: Flight::new(false, ""),

@@ -10,7 +10,7 @@
 //! the door shed, and the raw bytes of the skeleton's own routes.
 
 use sms_harness::cache::stats_to_json;
-use sms_harness::{ResultCache, RunRequest};
+use sms_harness::{FaultPlan, ResultCache, RunRequest};
 use sms_serve::client::{Client, ClientConfig};
 use sms_serve::fleet::{FleetConfig, FleetServer, FleetState};
 use sms_serve::server::{ServeConfig, Server, ServerState};
@@ -26,6 +26,7 @@ use sms_sim::sim::RunLimits;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -271,12 +272,16 @@ fn watchdog_abort_is_a_structured_stream_error() {
 }
 
 /// A simulator panic is a structured `run_failed` and gives its
-/// simulation permit back. `RB_8+SH_64` trips the SH carve-out assertion
-/// (the paper's 64 KB unified L1D/shared array): with the permit leaked, a
-/// one-worker backend never simulates again and cannot drain.
+/// simulation permit back: with the permit leaked, a one-worker backend
+/// never simulates again and cannot drain. No request can make the model
+/// panic (`RB_8+SH_64`, whose carve-out leaves no L1D, is refused with a
+/// 400), so the panic is injected: the first simulation under
+/// `seed=1;sim_panic:every=2` panics under its permit, the second does not.
 #[test]
 fn a_simulator_panic_does_not_leak_a_permit() {
-    let (handle, join) = Server::spawn(ServeConfig { workers: 1, ..test_config(None) }).unwrap();
+    let faults = FaultPlan::parse("seed=1;sim_panic:every=2").unwrap();
+    let config = ServeConfig { workers: 1, faults: Some(Arc::new(faults)), ..test_config(None) };
+    let (handle, join) = Server::spawn(config).unwrap();
     // A leaked permit hangs the second sweep: the deadline fails it instead.
     let client = Client::with_config(ClientConfig {
         addr: handle.addr().to_string(),
@@ -285,10 +290,13 @@ fn a_simulator_panic_does_not_leak_a_permit() {
         ..ClientConfig::default()
     });
 
-    let failed = client.sweep(&["WKND"], &["RB_8+SH_64"], "tiny").unwrap();
+    let refused = client.sweep(&["WKND"], &["RB_8+SH_64"], "tiny").unwrap_err().to_string();
+    assert!(refused.contains("`RB_8+SH_64`") && refused.contains("leaving no L1D"), "{refused}");
+
+    let failed = client.sweep(&["WKND"], &["RB_8"], "tiny").unwrap();
     assert_eq!(failed.records.len(), 1);
     let err = failed.records[0].outcome.as_ref().unwrap_err();
-    assert!(err.starts_with("run panicked") && err.contains("leaves no L1D"), "{err}");
+    assert!(err.starts_with("run panicked") && err.contains("injected simulator panic"), "{err}");
     assert_eq!(failed.summary.as_ref().unwrap().u64_field("failed"), Some(1));
 
     let cold = client.sweep(&["WKND"], &["RB_8"], "tiny").expect("the backend still simulates");
