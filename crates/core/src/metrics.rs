@@ -8,9 +8,9 @@
 //! run returns a [`MetricsReport`] on [`crate::sim::SimRun::metrics`]; with
 //! an `SMS_OUT` run directory the experiment entry points export it there:
 //!
-//! * `<scene>.<config>.prom` — Prometheus text dump (strictly parseable by
+//! * `<scene>.<config>.<id>.prom` — Prometheus text dump (strictly parseable by
 //!   `sms_metrics::prom::validate`);
-//! * `<scene>.<config>.csv` — the sampled series as CSV;
+//! * `<scene>.<config>.<id>.csv` — the sampled series as CSV;
 //! * with `SMS_TRACE` also set, the series rides along as a counter track
 //!   in the Chrome-trace file.
 //!

@@ -1,7 +1,7 @@
 //! Opt-in time-series trace export (Chrome trace-event / Perfetto JSON).
 //!
 //! A [`TraceSpec`] (`SMS_TRACE=1`, read at the process edge, writes
-//! `<scene>.<config>.trace.json` into the `SMS_OUT` run directory) arms
+//! `<scene>.<config>.<id>.trace.json` into the `SMS_OUT` run directory) arms
 //! the cycle-attribution layer and makes the simulator emit a trace file
 //! loadable in Perfetto or `chrome://tracing`:
 //!

@@ -1,8 +1,10 @@
 //! The stack invariant validator over a full Fig. 13-style sweep: every
 //! configuration class (baseline register stacks, SMS with and without
-//! skewing/reallocation, full on-chip) runs under validation with zero
-//! violations — and because the validator is pure observation, the stats
-//! are bit-identical to the same sweep with validation off.
+//! skewing/reallocation, full on-chip, the competitors with no SH level,
+//! and the borrow/flush limits `ablation_ra_limits` runs) runs under
+//! validation with zero violations — and because the validator is pure
+//! observation, the stats are bit-identical to the same sweep with
+//! validation off.
 
 use sms_harness::{Harness, HarnessConfig, RunLimits, RunRequest};
 use sms_sim::config::RenderConfig;
@@ -16,7 +18,16 @@ fn fig13_configs() -> Vec<StackConfig> {
         StackConfig::Sms(SmsParams::default().with_skewed(true)),
         StackConfig::sms_default(),
         StackConfig::FullOnChip,
+        StackConfig::stackless(),
+        StackConfig::predictor_default(),
+        StackConfig::Sms(SmsParams { borrow_limit: 1, ..full_sms() }),
+        StackConfig::Sms(SmsParams { flush_limit: 0, ..full_sms() }),
     ]
+}
+
+/// `RB_8+SH_8+SK+RA`'s parameters.
+fn full_sms() -> SmsParams {
+    SmsParams::default().with_skewed(true).with_realloc(true)
 }
 
 #[test]
