@@ -2,7 +2,7 @@
 //! `PRED_*` competitors included — the cycle simulator renders the image
 //! the functional renderer renders, the `StackValidator` stays silent and
 //! the run never stalls. `sim_correctness.rs` pins five hand-picked
-//! configurations; this draws them.
+//! configurations; this draws them, on every scene of the suite.
 
 mod common;
 
@@ -14,8 +14,10 @@ use sms_sim::config::{RenderConfig, SimConfig};
 use sms_sim::render::{render, PreparedScene};
 use sms_sim::{GpuSim, RunLimits};
 
-/// Per scene; 20 ms a case, four scenes.
+/// Cases for the four scenes drawn longest (~20 ms a case).
 const CASES: u64 = 64;
+/// Cases for each of the other twelve scenes.
+const CASES_PER_SCENE: u64 = 16;
 /// Far above the longest memory round trip (~400 cycles).
 const STALL_CYCLES: u64 = 10_000;
 
@@ -32,9 +34,9 @@ fn stack_config(g: &mut Gen) -> StackConfig {
     }
 }
 
-fn sim_image_matches_render(id: SceneId) {
+fn sim_image_matches_render(id: SceneId, cases: u64) {
     let prepared = PreparedScene::build(id, &RenderConfig::tiny());
-    for_cases(CASES, id as u64, |g| {
+    for_cases(cases, id as u64, |g| {
         let stack = stack_config(g);
         let cfg = RenderConfig { seed: g.rng.next_u64(), ..RenderConfig::tiny() };
         let limits =
@@ -55,20 +57,80 @@ fn sim_image_matches_render(id: SceneId) {
 
 #[test]
 fn ship() {
-    sim_image_matches_render(SceneId::Ship);
+    sim_image_matches_render(SceneId::Ship, CASES);
 }
 
 #[test]
 fn wknd() {
-    sim_image_matches_render(SceneId::Wknd);
+    sim_image_matches_render(SceneId::Wknd, CASES);
 }
 
 #[test]
 fn party() {
-    sim_image_matches_render(SceneId::Party);
+    sim_image_matches_render(SceneId::Party, CASES);
 }
 
 #[test]
 fn bunny() {
-    sim_image_matches_render(SceneId::Bunny);
+    sim_image_matches_render(SceneId::Bunny, CASES);
+}
+
+#[test]
+fn sprng() {
+    sim_image_matches_render(SceneId::Sprng, CASES_PER_SCENE);
+}
+
+#[test]
+fn fox() {
+    sim_image_matches_render(SceneId::Fox, CASES_PER_SCENE);
+}
+
+#[test]
+fn lands() {
+    sim_image_matches_render(SceneId::Lands, CASES_PER_SCENE);
+}
+
+#[test]
+fn crnvl() {
+    sim_image_matches_render(SceneId::Crnvl, CASES_PER_SCENE);
+}
+
+#[test]
+fn spnza() {
+    sim_image_matches_render(SceneId::Spnza, CASES_PER_SCENE);
+}
+
+#[test]
+fn bath() {
+    sim_image_matches_render(SceneId::Bath, CASES_PER_SCENE);
+}
+
+#[test]
+fn robot() {
+    sim_image_matches_render(SceneId::Robot, CASES_PER_SCENE);
+}
+
+#[test]
+fn car() {
+    sim_image_matches_render(SceneId::Car, CASES_PER_SCENE);
+}
+
+#[test]
+fn frst() {
+    sim_image_matches_render(SceneId::Frst, CASES_PER_SCENE);
+}
+
+#[test]
+fn ref_scene() {
+    sim_image_matches_render(SceneId::Ref, CASES_PER_SCENE);
+}
+
+#[test]
+fn chsnt() {
+    sim_image_matches_render(SceneId::Chsnt, CASES_PER_SCENE);
+}
+
+#[test]
+fn park() {
+    sim_image_matches_render(SceneId::Park, CASES_PER_SCENE);
 }
