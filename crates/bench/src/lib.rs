@@ -44,8 +44,10 @@
 use sms_harness::json::{self, Json};
 use sms_harness::{Harness, HarnessConfig, RunError, RunLimits, RunRequest};
 use sms_sim::analyze::{depth_buckets, depth_fraction_at, measure_all};
-use sms_sim::bvh::traverse::NodeStep;
-use sms_sim::bvh::{intersect_nearest_restart, BuildParams, BvhStats, SplitMethod};
+use sms_sim::bvh::{
+    intersect_nearest_restart, traverse, BuildParams, BvhStats, RayQuery, SplitMethod,
+    TraversalScratch,
+};
 use sms_sim::config::{RenderConfig, SimConfig};
 use sms_sim::experiments::{
     try_run_prepared, Column, Experiment, Reduction, RunResult, Verdict, DEEP, EXPERIMENTS,
@@ -563,10 +565,10 @@ fn fig10(ctx: &Ctx, _: &Experiment, _: &[SceneId]) -> Outcome {
     let (mut fewest, mut most) = (usize::MAX, 0);
     for (warp, lane) in (0..2u32).flat_map(|w| (0..32u8).map(move |l| (w, l))) {
         let of_thread = || traces.iter().filter(move |t| (t.0, t.1) == (warp, lane));
-        let accesses = of_thread().map(|t| t.2 + 1).max().unwrap_or(0);
-        let max_depth = of_thread().map(|t| t.3).max().unwrap_or(0);
-        table.row([warp, u32::from(lane), accesses, u32::from(max_depth)].map(|n| n.to_string()));
-        (fewest, most) = (fewest.min(of_thread().count()), most.max(of_thread().count()));
+        let accesses = of_thread().count();
+        let max_depth = of_thread().map(|t| usize::from(t.3)).max().unwrap_or(0);
+        table.row([warp as usize, usize::from(lane), accesses, max_depth].map(|n| n.to_string()));
+        (fewest, most) = (fewest.min(accesses), most.max(accesses));
     }
     println!("{table}");
     let deep = traces.iter().filter(|t| t.3 > 8).count();
@@ -637,30 +639,6 @@ fn bvh_quality(ctx: &Ctx, exp: &Experiment, scenes: &[SceneId]) -> Outcome {
     Ok(chsnt)
 }
 
-/// Stack traversal with an exact node-visit counter (same order as
-/// `intersect_nearest`).
-fn count_stack_visits(prepared: &PreparedScene, ray: &sms_sim::geom::Ray) -> u64 {
-    let mut visits = 0u64;
-    let mut stack: Vec<u32> = Vec::with_capacity(64);
-    let mut current = Some(0u32);
-    let mut limit = f32::INFINITY;
-    while let Some(node) = current {
-        visits += 1;
-        match prepared.bvh.node_step(prepared.prims(), ray, node, 0.0, limit) {
-            NodeStep::Inner(hits) if hits.is_empty() => current = stack.pop(),
-            NodeStep::Inner(hits) => {
-                stack.extend((1..hits.len()).rev().map(|i| hits.get(i).1));
-                current = Some(hits.get(0).1);
-            }
-            NodeStep::Leaf(hit) => {
-                limit = hit.map_or(limit, |h| limit.min(h.t));
-                current = stack.pop();
-            }
-        }
-    }
-    visits
-}
-
 /// §VIII-A: stackless restart-trail traversal removes stack traffic
 /// entirely but pays extra node visits on every backtrack (restarting from
 /// the root); the inflation is the work SMS would save if the two were
@@ -672,11 +650,13 @@ fn restart_trail(ctx: &Ctx, _: &Experiment, scenes: &[SceneId]) -> Outcome {
     for &id in scenes {
         let prepared = PreparedScene::build(id, &ctx.render);
         let cam = &prepared.scene.camera;
+        let (bvh, prims) = (&prepared.bvh, prepared.prims());
+        let mut scratch = TraversalScratch::new();
         let (mut stack_visits, mut restart_visits, mut restarts) = (0u64, 0u64, 0u64);
         for (px, py) in (0..cam.height).flat_map(|py| (0..cam.width).map(move |px| (px, py))) {
             let ray = cam.primary_ray(px, py, 0);
-            stack_visits += count_stack_visits(&prepared, &ray);
-            let (bvh, prims) = (&prepared.bvh, prepared.prims());
+            let query = RayQuery::nearest(ray, 0.0);
+            stack_visits += traverse(bvh, prims, &query, &mut (), &mut scratch).visits;
             let (_, s) = intersect_nearest_restart(bvh, prims, &ray, 0.0, f32::INFINITY);
             restart_visits += s.node_visits;
             restarts += s.restarts;

@@ -389,12 +389,6 @@ impl FlatBvh {
         }
     }
 
-    /// `true` when `node` is a leaf (selects the operation-unit latency).
-    #[inline]
-    pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.nodes[node as usize].is_leaf()
-    }
-
     /// Performs one stackless node visit: the node's *own* ray-box test,
     /// plus the leaf's ray-primitive tests when the box is hit.
     pub fn stackless_step<P: Primitive>(
@@ -438,7 +432,7 @@ impl FlatBvh {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::traverse::{intersect_any_with, intersect_nearest_with, TraversalScratch};
+    use crate::traverse::{traverse, traverse_stackless, RayQuery, TraversalScratch};
     use sms_geom::Triangle;
 
     pub(crate) struct Tri(pub(crate) Triangle);
@@ -565,7 +559,9 @@ pub(crate) mod tests {
             let mut compared = 0usize;
             for ray in rays().chain(axis) {
                 for (t_min, t_max) in [(0.0, f32::INFINITY), (0.0, 10.0), (4.5, 5.5)] {
-                    for id in (0..bvh.nodes.len() as NodeId).filter(|&id| !bvh.is_leaf(id)) {
+                    for id in (0..bvh.nodes.len() as NodeId)
+                        .filter(|&id| !bvh.nodes[id as usize].is_leaf())
+                    {
                         let NodeStep::Inner(batched) =
                             bvh.node_step(&prims, &ray, id, t_min, t_max)
                         else {
@@ -623,33 +619,20 @@ pub(crate) mod tests {
         let mut scratch = TraversalScratch::new();
         let mut stackless_visits = 0u64;
         for (i, ray) in rays().enumerate() {
-            let stacked = intersect_nearest_with(
-                &flat,
-                &prims,
-                &ray,
-                0.0,
-                f32::INFINITY,
-                &mut (),
-                &mut scratch,
-            );
-            let stackless = crate::traverse::intersect_nearest_stackless(
-                &flat,
-                &prims,
-                &ray,
-                0.0,
-                f32::INFINITY,
-                Some(&mut stackless_visits),
-            );
+            let nearest = RayQuery::nearest(ray, 0.0);
+            let stacked = traverse(&flat, &prims, &nearest, &mut (), &mut scratch);
+            let stackless = traverse_stackless(&flat, &prims, &nearest);
+            stackless_visits += stackless.visits;
             // Same nearest primitive at the same bit-exact t: both paths
             // cull conservatively and keep the closest primitive hit.
             assert_eq!(
-                stacked.map(|h| (h.prim, h.t.to_bits())),
-                stackless.map(|h| (h.prim, h.t.to_bits())),
+                stacked.hit.map(|h| (h.prim, h.t.to_bits())),
+                stackless.hit.map(|h| (h.prim, h.t.to_bits())),
                 "ray {i}: stackless nearest hit must agree"
             );
-            let so = intersect_any_with(&flat, &prims, &ray, 0.0, 10.0, &mut (), &mut scratch);
-            let slo =
-                crate::traverse::intersect_any_stackless(&flat, &prims, &ray, 0.0, 10.0, None);
+            let occlusion = RayQuery::occlusion(ray, 0.0, 10.0);
+            let so = traverse(&flat, &prims, &occlusion, &mut (), &mut scratch).occluded;
+            let slo = traverse_stackless(&flat, &prims, &occlusion).occluded;
             assert_eq!(so, slo, "ray {i}: stackless occlusion must agree");
         }
         assert!(stackless_visits > 0, "the visit counter must observe traversal");

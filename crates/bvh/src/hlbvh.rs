@@ -405,7 +405,7 @@ mod tests {
     use super::*;
     use crate::builder::SplitMethod;
     use crate::flat::FlatBvh;
-    use crate::traverse::intersect_nearest;
+    use crate::traverse::{traverse, RayQuery, TraversalScratch};
     use crate::{Hit, PrimHit};
     use sms_geom::{Ray, Triangle, Vec3};
 
@@ -526,8 +526,10 @@ mod tests {
             let x = (i % 16) as f32 * 5.0 - 40.0;
             let z = (i / 16) as f32 * 10.0 - 40.0;
             let ray = Ray::new(Vec3::new(x, 30.0, z), Vec3::new(0.02, -1.0, 0.03));
-            let a = intersect_nearest(&sah, &prims, &ray, 0.0, f32::INFINITY, &mut ());
-            let b = intersect_nearest(&hl, &prims, &ray, 0.0, f32::INFINITY, &mut ());
+            let query = RayQuery::nearest(ray, 0.0);
+            let mut scratch = TraversalScratch::new();
+            let a = traverse(&sah, &prims, &query, &mut (), &mut scratch).hit;
+            let b = traverse(&hl, &prims, &query, &mut (), &mut scratch).hit;
             assert_eq!(a.map(|h: Hit| h.t), b.map(|h: Hit| h.t), "ray {i} nearest-t differs");
         }
     }

@@ -18,11 +18,13 @@
 //!   primitive record gets a byte address in the simulated global address
 //!   space, which is what the cycle-level RT unit fetches through the cache
 //!   hierarchy.
-//! * [`traverse`] — the *logical* traversal algorithm (depth-first with a
-//!   traversal stack, nearest-first child ordering). Both the functional
-//!   reference renderer and the cycle-level RT unit drive the same
-//!   [`FlatBvh::node_step`] kernel, which guarantees that traversal work is
-//!   identical across stack configurations — only *timing* differs.
+//! * [`traverse`](mod@traverse) — the *logical* traversal, written once: the
+//!   [`RayQuery`] with its one leaf rule, and the two functional drivers,
+//!   [`traverse()`] (stacked, nearest-first) and [`traverse_stackless`]
+//!   (escape links). The functional renderer and the cycle-level RT unit
+//!   drive the same [`FlatBvh::node_step`] kernel and leaf rule, which
+//!   guarantees that traversal work is identical across stack
+//!   configurations — only *timing* differs.
 //! * [`restart`] — restart-trail stackless traversal (paper §VIII-A), the
 //!   visit-count comparison point for the hierarchical stack.
 //! * [`stats`] — stack-depth recording (paper Figs. 4, 5 and 10) and BVH
@@ -31,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use sms_bvh::{BuildParams, FlatBvh, Primitive, PrimHit};
+//! use sms_bvh::{BuildParams, FlatBvh, Primitive, PrimHit, RayQuery, TraversalScratch};
 //! use sms_geom::{Aabb, Ray, Triangle, Vec3};
 //!
 //! struct Tri(Triangle);
@@ -56,11 +58,17 @@
 //! let bvh = FlatBvh::build(&prims, &BuildParams::default());
 //! assert!(bvh.nodes.iter().all(|n| n.is_leaf() || n.count() <= 6), "BVH6");
 //! let ray = Ray::new(Vec3::new(10.2, 0.2, -5.0), Vec3::new(0.0, 0.0, 1.0));
-//! let hit = sms_bvh::intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ());
-//! // The stackless escape-link walk finds the same nearest hit.
-//! let stackless = sms_bvh::intersect_nearest_stackless(&bvh, &prims, &ray, 0.0, f32::INFINITY, None);
-//! assert_eq!(hit.map(|h| h.prim), Some(10));
-//! assert_eq!(hit, stackless);
+//! let query = RayQuery::nearest(ray, 0.0);
+//! let stacked = sms_bvh::traverse(&bvh, &prims, &query, &mut (), &mut TraversalScratch::new());
+//! assert_eq!(stacked.hit.map(|h| h.prim), Some(10));
+//! // The stackless escape-link walk finds the same nearest hit, at the
+//! // price of more node visits.
+//! let stackless = sms_bvh::traverse_stackless(&bvh, &prims, &query);
+//! assert_eq!(stacked.hit, stackless.hit);
+//! assert!(stackless.visits >= stacked.visits);
+//! // An occlusion query stops at the first hit it finds.
+//! let shadow = RayQuery::occlusion(ray, 0.0, 10.0);
+//! assert!(sms_bvh::traverse_stackless(&bvh, &prims, &shadow).occluded);
 //! ```
 
 pub mod builder;
@@ -86,9 +94,8 @@ pub use layout::{BvhLayout, NODE_BASE_ADDR, NODE_STRIDE, PRIM_BASE_ADDR, PRIM_ST
 pub use restart::{intersect_nearest_restart, RestartStats};
 pub use stats::BvhStats;
 pub use traverse::{
-    intersect_any, intersect_any_stackless, intersect_any_with, intersect_nearest,
-    intersect_nearest_stackless, intersect_nearest_with, Hit, StackObserver, StacklessStep,
-    TraversalScratch,
+    traverse, traverse_stackless, Hit, LeafOutcome, QueryState, RayQuery, StackObserver,
+    StacklessStep, Traversal, TraversalScratch,
 };
 
 use sms_geom::{Aabb, Ray};

@@ -1,21 +1,25 @@
-//! Logical BVH traversal: depth-first, nearest-first, stack-based.
+//! Logical BVH traversal, written once.
 //!
 //! The traversal *algorithm* is deliberately factored out of the timing
-//! model: [`FlatBvh::node_step`] performs the work of one node visit
-//! (the ray-box tests of an internal node, or the ray-primitive tests of a
-//! leaf), and the drivers — [`intersect_nearest`], [`intersect_any`] here,
-//! and the RT-unit state machine in the `sms-rtunit` crate — layer stack
-//! management on top. Because traversal order depends only on the ray and
-//! the BVH, *every stack configuration performs identical traversal work*;
-//! configurations differ only in where stack entries physically live and
-//! what memory traffic they cost. This mirrors the paper's normalized-IPC
-//! methodology.
+//! model. [`FlatBvh::node_step`] (stacked) and [`FlatBvh::stackless_step`]
+//! (escape links) perform the work of one node visit, and
+//! [`RayQuery::apply_leaf`] is the one rule that turns a leaf's hit into
+//! the query's answer. Two functional drivers layer the visit order on
+//! top — [`traverse`] (depth-first, nearest child first, with a stack) and
+//! [`traverse_stackless`] (fixed order, escape links) — and so does the
+//! RT-unit state machine in the `sms-rtunit` crate, one visit per
+//! operation-unit commit. Because traversal order depends only on the ray
+//! and the BVH, *every stack configuration performs identical traversal
+//! work*; configurations differ only in where stack entries physically
+//! live and what memory traffic they cost. This mirrors the paper's
+//! normalized-IPC methodology.
 //!
 //! Child ordering goes through the single [`ChildHits::insert`]
 //! implementation with its deterministic `(t, node)` tie-break.
 
 use crate::flat::{FlatBvh, NodeId};
 use crate::Primitive;
+use sms_geom::Ray;
 
 /// Maximum supported branching factor (the paper's BVH6 fits comfortably).
 pub const MAX_WIDTH: usize = 8;
@@ -161,14 +165,99 @@ pub enum StacklessStep {
     },
 }
 
-/// Reusable traversal working memory.
-///
-/// The drivers below need one node stack per *in-flight* ray, not per ray
-/// traced: callers on hot paths (the functional renderer, reference-trace
-/// loops) hold one `TraversalScratch` and thread it through every call,
-/// reducing per-ray heap allocation to zero. The one-shot wrappers
-/// [`intersect_nearest`] / [`intersect_any`] allocate a fresh scratch for
-/// convenience.
+/// One ray query: the ray, its parameter interval and its kind. Every
+/// traversal starts from [`RayQuery::start`] and feeds each leaf it visits
+/// through [`RayQuery::apply_leaf`], the one leaf rule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RayQuery {
+    /// The ray to trace.
+    pub ray: Ray,
+    /// Minimum ray parameter.
+    pub t_min: f32,
+    /// Maximum ray parameter (shadow rays bound this by the light distance).
+    pub t_max: f32,
+    /// `true` for occlusion (any-hit) queries: traversal terminates at the
+    /// first primitive hit.
+    pub any_hit: bool,
+}
+
+/// What a traversal of a [`RayQuery`] has found so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct QueryState {
+    /// The nearest hit accepted so far (never set by an any-hit query).
+    pub best: Option<Hit>,
+    /// The query's `t_max`, shrunk to `best.t` by every accepted hit.
+    pub t_max: f32,
+    /// `true` once an any-hit query found its occluder.
+    pub occluded: bool,
+}
+
+/// What one leaf's hit did to a query ([`RayQuery::apply_leaf`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafOutcome {
+    /// No hit, or one not nearer than the current `t_max`.
+    Ignored,
+    /// The hit became `best` and shrank `t_max`.
+    Nearer,
+    /// An any-hit query was hit: its traversal ends here.
+    Occluded,
+}
+
+impl RayQuery {
+    /// A nearest-hit (closest-hit) query over `[t_min, ∞)`.
+    pub fn nearest(ray: Ray, t_min: f32) -> Self {
+        RayQuery { ray, t_min, t_max: f32::INFINITY, any_hit: false }
+    }
+
+    /// An occlusion query over `[t_min, t_max]`.
+    pub fn occlusion(ray: Ray, t_min: f32, t_max: f32) -> Self {
+        RayQuery { ray, t_min, t_max, any_hit: true }
+    }
+
+    /// The state a traversal of this query starts from.
+    #[inline]
+    pub fn start(&self) -> QueryState {
+        QueryState { best: None, t_max: self.t_max, occluded: false }
+    }
+
+    /// The leaf rule: applies the nearest hit a visited leaf reported.
+    ///
+    /// An any-hit query ends at any hit. Otherwise a hit strictly below the
+    /// current `t_max` becomes `best` and shrinks `t_max`; anything else
+    /// is ignored, so on an exact-`t` tie across leaves the first leaf
+    /// visited keeps the hit. Inside a leaf, [`FlatBvh`] already kept the
+    /// nearest primitive.
+    #[inline]
+    pub fn apply_leaf(&self, state: &mut QueryState, hit: Option<Hit>) -> LeafOutcome {
+        match hit {
+            Some(_) if self.any_hit => {
+                state.occluded = true;
+                LeafOutcome::Occluded
+            }
+            Some(h) if h.t < state.t_max => {
+                state.t_max = h.t;
+                state.best = Some(h);
+                LeafOutcome::Nearer
+            }
+            _ => LeafOutcome::Ignored,
+        }
+    }
+}
+
+/// What one functional traversal of a [`RayQuery`] found, and its cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Traversal {
+    /// The nearest hit (`None` on a miss and for any-hit queries).
+    pub hit: Option<Hit>,
+    /// `true` when an any-hit query found an occluder.
+    pub occluded: bool,
+    /// Nodes visited.
+    pub visits: u64,
+}
+
+/// Reusable traversal working memory: [`traverse`] needs one node stack
+/// per *in-flight* ray, so hot loops (the functional renderer) thread one
+/// scratch through every call and allocate nothing per ray.
 #[derive(Debug, Default)]
 pub struct TraversalScratch {
     stack: Vec<NodeId>,
@@ -181,189 +270,77 @@ impl TraversalScratch {
     }
 }
 
-/// Nearest-hit traversal with an unbounded logical stack.
+/// The stacked traversal: depth-first, nearest child first, the other
+/// intersected children pushed far-to-near on an unbounded logical stack
+/// (paper §II-A).
 ///
-/// This is the functional reference: the RT-unit timing model performs the
-/// same visits in the same order and must produce identical results (asserted
-/// by integration tests). Allocates a fresh [`TraversalScratch`] per call;
-/// loops over many rays should use [`intersect_nearest_with`].
-pub fn intersect_nearest<P: Primitive, O: StackObserver>(
+/// This is the functional reference for every stacked configuration: the
+/// RT-unit timing model performs the same visits in the same order, the
+/// same pushes and pops at the same depths (`observer` sees each), and
+/// produces identical results (asserted by integration tests).
+pub fn traverse<P: Primitive, O: StackObserver>(
     bvh: &FlatBvh,
     prims: &[P],
-    ray: &sms_geom::Ray,
-    t_min: f32,
-    t_max: f32,
-    observer: &mut O,
-) -> Option<Hit> {
-    intersect_nearest_with(bvh, prims, ray, t_min, t_max, observer, &mut TraversalScratch::new())
-}
-
-/// [`intersect_nearest`] with caller-provided scratch (zero allocation).
-pub fn intersect_nearest_with<P: Primitive, O: StackObserver>(
-    bvh: &FlatBvh,
-    prims: &[P],
-    ray: &sms_geom::Ray,
-    t_min: f32,
-    t_max: f32,
+    query: &RayQuery,
     observer: &mut O,
     scratch: &mut TraversalScratch,
-) -> Option<Hit> {
+) -> Traversal {
     let stack = &mut scratch.stack;
     stack.clear();
-    let mut current: Option<NodeId> = Some(0);
-    let mut best: Option<Hit> = None;
-    let mut limit = t_max;
-
-    while let Some(node) = current {
-        match bvh.node_step(prims, ray, node, t_min, limit) {
-            NodeStep::Inner(hits) => {
-                if hits.is_empty() {
-                    current = pop(stack, observer);
-                } else {
-                    // Visit nearest child next; push the rest far-to-near so
-                    // the nearest pending child is popped first (paper §II-A).
-                    for i in (1..hits.len()).rev() {
-                        stack.push(hits.get(i).1);
-                        observer.on_push(stack.len());
-                    }
-                    current = Some(hits.get(0).1);
-                }
-            }
-            NodeStep::Leaf(hit) => {
-                if let Some(h) = hit {
-                    if h.t < limit {
-                        limit = h.t;
-                        best = Some(h);
-                    }
-                }
-                current = pop(stack, observer);
-            }
-        }
-    }
-    best
-}
-
-/// Any-hit (occlusion) traversal: returns `true` as soon as any primitive is
-/// hit in `[t_min, t_max]`. Used for shadow rays. Allocates a fresh
-/// [`TraversalScratch`] per call; loops should use [`intersect_any_with`].
-pub fn intersect_any<P: Primitive, O: StackObserver>(
-    bvh: &FlatBvh,
-    prims: &[P],
-    ray: &sms_geom::Ray,
-    t_min: f32,
-    t_max: f32,
-    observer: &mut O,
-) -> bool {
-    intersect_any_with(bvh, prims, ray, t_min, t_max, observer, &mut TraversalScratch::new())
-}
-
-/// [`intersect_any`] with caller-provided scratch (zero allocation).
-pub fn intersect_any_with<P: Primitive, O: StackObserver>(
-    bvh: &FlatBvh,
-    prims: &[P],
-    ray: &sms_geom::Ray,
-    t_min: f32,
-    t_max: f32,
-    observer: &mut O,
-    scratch: &mut TraversalScratch,
-) -> bool {
-    let stack = &mut scratch.stack;
-    stack.clear();
+    let mut state = query.start();
+    let mut visits = 0u64;
     let mut current: Option<NodeId> = Some(0);
 
     while let Some(node) = current {
-        match bvh.node_step(prims, ray, node, t_min, t_max) {
-            NodeStep::Inner(hits) => {
-                if hits.is_empty() {
-                    current = pop(stack, observer);
-                } else {
-                    for i in (1..hits.len()).rev() {
-                        stack.push(hits.get(i).1);
-                        observer.on_push(stack.len());
-                    }
-                    current = Some(hits.get(0).1);
+        visits += 1;
+        current = match bvh.node_step(prims, &query.ray, node, query.t_min, state.t_max) {
+            NodeStep::Inner(hits) if !hits.is_empty() => {
+                // Visit the nearest child next; push the rest far-to-near
+                // so the nearest pending child is popped first.
+                for i in (1..hits.len()).rev() {
+                    stack.push(hits.get(i).1);
+                    observer.on_push(stack.len());
                 }
+                Some(hits.get(0).1)
             }
+            NodeStep::Inner(_) => pop(stack, observer),
             NodeStep::Leaf(hit) => {
-                if hit.is_some() {
-                    return true;
+                if query.apply_leaf(&mut state, hit) == LeafOutcome::Occluded {
+                    break;
                 }
-                current = pop(stack, observer);
+                pop(stack, observer)
             }
-        }
+        };
     }
-    false
+    Traversal { hit: state.best, occluded: state.occluded, visits }
 }
 
-/// Nearest-hit traversal with **zero stack operations**: every visit
+/// The stackless traversal: **zero stack operations**, every visit
 /// resolves locally through the escape links.
 ///
 /// The visit order is fixed left-to-right (child-record order), not
-/// nearest-first, so the same ray touches more nodes than the stacked
-/// drivers — `visits` (when provided) counts them so callers can quantify
-/// the re-visit overhead. Hit results are identical to
-/// [`intersect_nearest`]: both paths cull with conservative box tests and
-/// keep the closest primitive hit.
-pub fn intersect_nearest_stackless<P: Primitive>(
-    bvh: &FlatBvh,
-    prims: &[P],
-    ray: &sms_geom::Ray,
-    t_min: f32,
-    t_max: f32,
-    mut visits: Option<&mut u64>,
-) -> Option<Hit> {
+/// nearest-first, so the same ray touches more nodes than [`traverse`];
+/// `visits` quantifies the re-visit overhead. Hit distances are identical
+/// to [`traverse`]'s: both paths cull with conservative box tests and keep
+/// the closest primitive hit.
+pub fn traverse_stackless<P: Primitive>(bvh: &FlatBvh, prims: &[P], query: &RayQuery) -> Traversal {
+    let mut state = query.start();
+    let mut visits = 0u64;
     let mut current: Option<NodeId> = Some(0);
-    let mut best: Option<Hit> = None;
-    let mut limit = t_max;
     while let Some(node) = current {
-        if let Some(v) = visits.as_deref_mut() {
-            *v += 1;
-        }
-        current = match bvh.stackless_step(prims, ray, node, t_min, limit) {
+        visits += 1;
+        current = match bvh.stackless_step(prims, &query.ray, node, query.t_min, state.t_max) {
             StacklessStep::Descend { child } => Some(child),
             StacklessStep::Leaf { hit, escape } => {
-                if let Some(h) = hit {
-                    if h.t < limit {
-                        limit = h.t;
-                        best = Some(h);
-                    }
+                if query.apply_leaf(&mut state, hit) == LeafOutcome::Occluded {
+                    break;
                 }
                 escape
             }
             StacklessStep::Miss { escape } => escape,
         };
     }
-    best
-}
-
-/// Any-hit (occlusion) traversal via escape links: returns `true` as soon
-/// as any primitive is hit in `[t_min, t_max]`. Zero stack operations; see
-/// [`intersect_nearest_stackless`].
-pub fn intersect_any_stackless<P: Primitive>(
-    bvh: &FlatBvh,
-    prims: &[P],
-    ray: &sms_geom::Ray,
-    t_min: f32,
-    t_max: f32,
-    mut visits: Option<&mut u64>,
-) -> bool {
-    let mut current: Option<NodeId> = Some(0);
-    while let Some(node) = current {
-        if let Some(v) = visits.as_deref_mut() {
-            *v += 1;
-        }
-        current = match bvh.stackless_step(prims, ray, node, t_min, t_max) {
-            StacklessStep::Descend { child } => Some(child),
-            StacklessStep::Leaf { hit, escape } => {
-                if hit.is_some() {
-                    return true;
-                }
-                escape
-            }
-            StacklessStep::Miss { escape } => escape,
-        };
-    }
-    false
+    Traversal { hit: state.best, occluded: state.occluded, visits }
 }
 
 #[inline]
@@ -406,6 +383,16 @@ mod tests {
             .collect()
     }
 
+    fn nearest(bvh: &FlatBvh, prims: &[Tri], ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
+        let query = RayQuery { ray: *ray, t_min, t_max, any_hit: false };
+        traverse(bvh, prims, &query, &mut (), &mut TraversalScratch::new()).hit
+    }
+
+    fn occluded(bvh: &FlatBvh, prims: &[Tri], ray: &Ray, t_max: f32) -> bool {
+        let query = RayQuery::occlusion(*ray, 0.0, t_max);
+        traverse(bvh, prims, &query, &mut (), &mut TraversalScratch::new()).occluded
+    }
+
     fn brute_force(prims: &[Tri], ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
         let mut best: Option<Hit> = None;
         let mut limit = t_max;
@@ -425,7 +412,7 @@ mod tests {
         for i in 0..20 {
             let x = (i as f32) * 0.05 - 0.5;
             let ray = Ray::new(Vec3::new(x, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
-            let a = intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ());
+            let a = nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY);
             let b = brute_force(&prims, &ray, 0.0, f32::INFINITY);
             assert_eq!(a.map(|h| h.prim), b.map(|h| h.prim));
         }
@@ -436,8 +423,8 @@ mod tests {
         let prims = walls(10);
         let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(100.0, 100.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
-        assert!(intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ()).is_none());
-        assert!(!intersect_any(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ()));
+        assert!(nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY).is_none());
+        assert!(!occluded(&bvh, &prims, &ray, f32::INFINITY));
     }
 
     #[test]
@@ -445,9 +432,53 @@ mod tests {
         let prims = walls(10);
         let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(0.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
-        assert!(intersect_any(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ()));
+        assert!(occluded(&bvh, &prims, &ray, f32::INFINITY));
         // Nothing closer than z=1, so a segment ending at 0.5 is unoccluded.
-        assert!(!intersect_any(&bvh, &prims, &ray, 0.0, 0.5, &mut ()));
+        assert!(!occluded(&bvh, &prims, &ray, 0.5));
+    }
+
+    #[test]
+    fn leaf_rule_keeps_the_first_of_equal_hits_and_ends_any_hit_queries() {
+        let ray = Ray::new(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0));
+        let hit = |t: f32, prim: u32| Some(Hit { t, prim, u: 0.0, v: 0.0 });
+        let query = RayQuery::nearest(ray, 0.0);
+        let mut state = query.start();
+        assert_eq!(query.apply_leaf(&mut state, None), LeafOutcome::Ignored);
+        assert_eq!(query.apply_leaf(&mut state, hit(2.0, 0)), LeafOutcome::Nearer);
+        assert_eq!(query.apply_leaf(&mut state, hit(2.0, 1)), LeafOutcome::Ignored);
+        assert_eq!(query.apply_leaf(&mut state, hit(3.0, 2)), LeafOutcome::Ignored);
+        assert_eq!(
+            (state.best.map(|h| h.prim), state.t_max, state.occluded),
+            (Some(0), 2.0, false)
+        );
+
+        let query = RayQuery::occlusion(ray, 0.0, 5.0);
+        let mut state = query.start();
+        assert_eq!(query.apply_leaf(&mut state, hit(4.0, 3)), LeafOutcome::Occluded);
+        assert_eq!((state.best, state.t_max, state.occluded), (None, 5.0, true));
+    }
+
+    #[test]
+    fn both_drivers_count_visits_and_agree_on_any_hit() {
+        let prims = walls(50);
+        let bvh = FlatBvh::build(&prims, &BuildParams::default());
+        let mut scratch = TraversalScratch::new();
+        for i in 0..20 {
+            let x = (i as f32) * 0.05 - 0.5;
+            let ray = Ray::new(Vec3::new(x, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
+            let near = RayQuery::nearest(ray, 0.0);
+            let stacked = traverse(&bvh, &prims, &near, &mut (), &mut scratch);
+            let stackless = traverse_stackless(&bvh, &prims, &near);
+            assert_eq!(stacked.hit, stackless.hit);
+            assert!(stacked.visits >= 1 && stackless.visits >= 1);
+            for t_max in [0.5, 1.5, f32::INFINITY] {
+                let occ = RayQuery::occlusion(ray, 0.0, t_max);
+                let stacked = traverse(&bvh, &prims, &occ, &mut (), &mut scratch);
+                let stackless = traverse_stackless(&bvh, &prims, &occ);
+                assert_eq!((stacked.hit, stacked.occluded), (None, t_max > 1.0));
+                assert_eq!((stackless.hit, stackless.occluded), (None, t_max > 1.0));
+            }
+        }
     }
 
     #[test]
@@ -503,7 +534,8 @@ mod tests {
         let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(0.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
         let mut c = Counter::default();
-        let _ = intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut c);
+        let query = RayQuery::nearest(ray, 0.0);
+        let _ = traverse(&bvh, &prims, &query, &mut c, &mut TraversalScratch::new());
         // Every push is eventually popped (traversal runs to completion).
         assert_eq!(c.pushes, c.pops);
         assert!(c.pushes > 0, "a ray through 64 stacked walls must push");
@@ -514,9 +546,9 @@ mod tests {
         let prims = walls(50);
         let bvh = FlatBvh::build(&prims, &BuildParams::default());
         let ray = Ray::new(Vec3::new(0.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
-        let hit = intersect_nearest(&bvh, &prims, &ray, 0.0, 0.5, &mut ());
+        let hit = nearest(&bvh, &prims, &ray, 0.0, 0.5);
         assert!(hit.is_none());
-        let hit = intersect_nearest(&bvh, &prims, &ray, 1.5, f32::INFINITY, &mut ());
+        let hit = nearest(&bvh, &prims, &ray, 1.5, f32::INFINITY);
         assert_eq!(hit.unwrap().prim, 1, "t_min skips the first wall");
     }
 
@@ -528,16 +560,9 @@ mod tests {
         for i in 0..20 {
             let x = (i as f32) * 0.05 - 0.5;
             let ray = Ray::new(Vec3::new(x, 0.0, 0.0), Vec3::new(0.0, 0.0, 1.0));
-            let fresh = intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ());
-            let reused = intersect_nearest_with(
-                &bvh,
-                &prims,
-                &ray,
-                0.0,
-                f32::INFINITY,
-                &mut (),
-                &mut scratch,
-            );
+            let query = RayQuery::nearest(ray, 0.0);
+            let fresh = traverse(&bvh, &prims, &query, &mut (), &mut TraversalScratch::new());
+            let reused = traverse(&bvh, &prims, &query, &mut (), &mut scratch);
             assert_eq!(fresh, reused);
         }
     }

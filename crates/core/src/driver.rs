@@ -8,9 +8,8 @@
 //! identical rays and the cycle model's traversal work equals the
 //! reference.
 
-use sms_bvh::Hit;
+use sms_bvh::{Hit, RayQuery};
 use sms_geom::{Ray, SplitMix64, Vec3, RAY_EPSILON};
-use sms_rtunit::RayQuery;
 use sms_scene::{Light, Scene};
 
 /// Compute-instruction budget of the ray-generation phase (per thread).
@@ -210,7 +209,7 @@ mod tests {
         let ps = prepared();
         let s = &ps.scene;
         let r = s.camera.primary_ray(4, 4, 0);
-        let hit = ps.trace(&r);
+        let hit = ps.trace(&RayQuery::nearest(r, 0.0)).hit;
         let mut a = PathState::new(4, 4, 0, 1);
         let mut b = PathState::new(4, 4, 0, 1);
         let oa = shade(s, &mut a, &r, hit, 4, true);
@@ -224,7 +223,7 @@ mod tests {
         let ps = prepared();
         let s = &ps.scene;
         let r = s.camera.primary_ray(8, 14, 0);
-        if let Some(hit) = ps.trace(&r) {
+        if let Some(hit) = ps.trace(&RayQuery::nearest(r, 0.0)).hit {
             let mut p = PathState::new(8, 14, 0, 1);
             let out = shade(s, &mut p, &r, Some(hit), 1, false);
             assert!(out.bounce.is_none(), "depth 1 means no secondary bounce");

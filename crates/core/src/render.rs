@@ -6,8 +6,8 @@
 
 use crate::config::RenderConfig;
 use crate::driver::{self, PathState};
-use sms_bvh::{BuildParams, FlatBvh, Hit, TraversalScratch};
-use sms_geom::{Ray, Vec3};
+use sms_bvh::{BuildParams, FlatBvh, RayQuery, Traversal, TraversalScratch};
+use sms_geom::Vec3;
 use sms_metrics::Histogram;
 use sms_scene::{Scene, SceneId, ScenePrimitive};
 use std::io::Write;
@@ -47,20 +47,11 @@ impl PreparedScene {
         &self.scene.prims
     }
 
-    /// Reference nearest-hit trace.
-    pub fn trace(&self, ray: &Ray) -> Option<Hit> {
-        sms_bvh::intersect_nearest(&self.bvh, self.prims(), ray, 0.0, f32::INFINITY, &mut ())
+    /// Reference trace of one query (nearest-hit or occlusion) through
+    /// the stacked functional driver.
+    pub fn trace(&self, query: &RayQuery) -> Traversal {
+        sms_bvh::traverse(&self.bvh, self.prims(), query, &mut (), &mut TraversalScratch::new())
     }
-
-    /// Reference occlusion trace.
-    pub fn occluded(&self, ray: &Ray, t_min: f32, t_max: f32) -> bool {
-        sms_bvh::intersect_any(&self.bvh, self.prims(), ray, t_min, t_max, &mut ())
-    }
-}
-
-/// Reference nearest-hit used by driver unit tests (builds nothing).
-pub fn trace_reference(prepared: &PreparedScene, ray: &Ray) -> Option<Hit> {
-    prepared.trace(ray)
 }
 
 /// Output of a functional render.
@@ -98,15 +89,11 @@ pub fn render(prepared: &PreparedScene, config: &RenderConfig) -> RenderOutput {
                 let mut ray = path.primary_ray(scene);
                 while path.alive {
                     rays += 1;
-                    let hit = sms_bvh::intersect_nearest_with(
-                        &prepared.bvh,
-                        prepared.prims(),
-                        &ray,
-                        0.0,
-                        f32::INFINITY,
-                        &mut depths,
-                        &mut scratch,
-                    );
+                    let mut trace = |query: &RayQuery| {
+                        let (bvh, prims) = (&prepared.bvh, prepared.prims());
+                        sms_bvh::traverse(bvh, prims, query, &mut depths, &mut scratch)
+                    };
+                    let hit = trace(&RayQuery::nearest(ray, 0.0)).hit;
                     let out = driver::shade(
                         scene,
                         &mut path,
@@ -117,16 +104,7 @@ pub fn render(prepared: &PreparedScene, config: &RenderConfig) -> RenderOutput {
                     );
                     if let Some((query, contrib)) = out.shadow {
                         shadow_rays += 1;
-                        let occ = sms_bvh::intersect_any_with(
-                            &prepared.bvh,
-                            prepared.prims(),
-                            &query.ray,
-                            query.t_min,
-                            query.t_max,
-                            &mut depths,
-                            &mut scratch,
-                        );
-                        driver::apply_shadow(&mut path, contrib, occ);
+                        driver::apply_shadow(&mut path, contrib, trace(&query).occluded);
                     }
                     match out.bounce {
                         Some(b) => ray = b,

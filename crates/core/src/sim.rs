@@ -33,7 +33,6 @@ use sms_bvh::FlatBvh;
 use sms_geom::{Ray, Vec3};
 use sms_gpu::{SimStats, StallBreakdown, WarpId, WARP_SIZE};
 use sms_mem::{coalesce_lines, AccessKind, Cycle, GlobalMemory, SharedMem, SmL1, SHADE_BASE_ADDR};
-use sms_metrics::Histogram;
 use sms_rtunit::{
     RayQuery, RtUnit, RtUnitConfig, StackViolation, ThreadTraceRecorder, TraceRequest, TraceResult,
 };
@@ -324,8 +323,6 @@ pub struct SimRun {
     pub width: u32,
     /// Image height.
     pub height: u32,
-    /// Stack-depth histogram (when `config.record_depths`).
-    pub depths: Histogram,
     /// Per-thread stack traces (when `config.trace_warp_limit > 0`).
     pub thread_traces: Vec<(WarpId, u8, u32, u16)>,
     /// Cycle attribution (when [`RunLimits::breakdown`] or a trace spec is
@@ -341,7 +338,6 @@ pub struct SimRun {
 pub struct GpuSim<'a> {
     prepared: &'a PreparedScene,
     config: SimConfig,
-    record_depths: bool,
     trace_warp_limit: u32,
     limits: RunLimits,
     trace: Option<TraceSpec>,
@@ -354,7 +350,6 @@ impl<'a> GpuSim<'a> {
         GpuSim {
             prepared,
             config,
-            record_depths: false,
             trace_warp_limit: 0,
             limits: RunLimits::none(),
             trace: None,
@@ -384,13 +379,10 @@ impl<'a> GpuSim<'a> {
         self
     }
 
-    /// Records stack depths at every push/pop (Figs. 4/5, slight overhead).
-    pub fn record_depths(mut self, on: bool) -> Self {
-        self.record_depths = on;
-        self
-    }
-
-    /// Records per-thread depth traces for warps below `limit` (Fig. 10).
+    /// Records per-thread depth traces for warps below `limit` (Fig. 10):
+    /// one sample at every push and pop, numbered per thread across the
+    /// run. Over all warps their depths are the functional renderer's
+    /// stack-depth histogram (Figs. 4/5).
     pub fn trace_warps(mut self, limit: u32) -> Self {
         self.trace_warp_limit = limit;
         self
@@ -435,7 +427,6 @@ impl<'a> GpuSim<'a> {
                 rt_cfg.max_warps = gpu.max_warps_per_rt_unit;
                 rt_cfg.box_latency = gpu.box_latency;
                 rt_cfg.tri_latency = gpu.tri_latency;
-                rt_cfg.record_depths = self.record_depths;
                 rt_cfg.validate = self.limits.validate;
                 rt_cfg.attribute = attribute;
                 rt_cfg.metrics = self.limits.metrics;
@@ -737,12 +728,10 @@ impl<'a> GpuSim<'a> {
         }
 
         stats.cycles = now;
-        let mut depths = Histogram::new();
         let mut thread_traces = Vec::new();
         let mut stack_metrics = sms_rtunit::StackMetrics::default();
         for (i, mut sm) in sms.into_iter().enumerate() {
             stats.mem.merge(&sm.l1.stats);
-            depths.merge(&sm.rt.depth_recorder);
             if attribute {
                 breakdown.merge(sm.rt.breakdown());
             }
@@ -797,7 +786,7 @@ impl<'a> GpuSim<'a> {
                 Err(e) => eprintln!("warning: SMS_TRACE: failed to write trace: {e}"),
             }
         }
-        Ok(SimRun { stats, image, width: w, height: h, depths, thread_traces, breakdown, metrics })
+        Ok(SimRun { stats, image, width: w, height: h, thread_traces, breakdown, metrics })
     }
 
     /// Consumes a trace result: shading (main) or shadow application.

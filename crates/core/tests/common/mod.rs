@@ -3,7 +3,9 @@
 //! facing ones.
 #![allow(dead_code)] // each suite uses its own subset
 
-use sms_bvh::{BuildParams, Primitive, SplitMethod};
+use sms_bvh::{
+    BuildParams, FlatBvh, Primitive, RayQuery, SplitMethod, Traversal, TraversalScratch,
+};
 use sms_geom::check::Gen;
 use sms_geom::{DeterministicRng, Ray};
 use sms_rtunit::SmsParams;
@@ -73,4 +75,14 @@ pub fn sms_params(g: &mut Gen, sh_min: usize, realloc: bool) -> SmsParams {
 /// the reference no BVH is involved in.
 pub fn brute_hits(prims: &[ScenePrimitive], ray: &Ray, t_min: f32, t_max: f32) -> Vec<f32> {
     prims.iter().filter_map(|p| p.intersect(ray, t_min, t_max)).map(|h| h.t).collect()
+}
+
+/// The stacked functional driver's answer to `query`.
+pub fn stacked(bvh: &FlatBvh, prims: &[ScenePrimitive], query: &RayQuery) -> Traversal {
+    sms_bvh::traverse(bvh, prims, query, &mut (), &mut TraversalScratch::new())
+}
+
+/// A nearest-hit query over `[t_min, t_max]`.
+pub fn nearest(ray: Ray, t_min: f32, t_max: f32) -> RayQuery {
+    RayQuery { ray, t_min, t_max, any_hit: false }
 }

@@ -5,7 +5,7 @@
 //! out deterministically, the worker count must never change a byte of
 //! the flattened layout.
 
-use sms_bvh::BuildParams;
+use sms_bvh::{BuildParams, RayQuery};
 use sms_sim::config::RenderConfig;
 use sms_sim::driver::PathState;
 use sms_sim::render::PreparedScene;
@@ -26,13 +26,15 @@ fn hlbvh_hits_match_binned_sah_on_every_scene() {
         for py in 0..h {
             for px in 0..w {
                 let ray = PathState::new(px, py, 0, render.seed).primary_ray(&reference.scene);
-                let want = reference.trace(&ray).map(|hit| hit.t.to_bits());
-                let got = hlbvh.trace(&ray).map(|hit| hit.t.to_bits());
+                let nearest = RayQuery::nearest(ray, 0.0);
+                let want = reference.trace(&nearest).hit.map(|hit| hit.t.to_bits());
+                let got = hlbvh.trace(&nearest).hit.map(|hit| hit.t.to_bits());
                 assert_eq!(want, got, "nearest-hit diverged on {id:?} pixel ({px},{py})");
                 let t = want.map(f32::from_bits).unwrap_or(1.0e4);
+                let shadow = RayQuery::occlusion(ray, 1.0e-3, t * 0.999);
                 assert_eq!(
-                    reference.occluded(&ray, 1.0e-3, t * 0.999),
-                    hlbvh.occluded(&ray, 1.0e-3, t * 0.999),
+                    reference.trace(&shadow).occluded,
+                    hlbvh.trace(&shadow).occluded,
                     "any-hit diverged on {id:?} pixel ({px},{py})"
                 );
                 rays += 1;

@@ -6,11 +6,11 @@
 
 mod common;
 
-use common::{aimed_ray, brute_hits, build_params, soup};
+use common::{aimed_ray, brute_hits, build_params, nearest, soup, stacked};
 use sms_bvh::builder::{BinaryBvh, BinaryNode};
 use sms_bvh::{
-    intersect_any, intersect_any_stackless, intersect_nearest, intersect_nearest_restart,
-    intersect_nearest_stackless, BuildParams, FlatBvh, PrimHit, Primitive,
+    intersect_nearest_restart, traverse_stackless, BuildParams, FlatBvh, Hit, PrimHit, Primitive,
+    RayQuery,
 };
 use sms_geom::check::{for_cases, Gen};
 use sms_geom::{Aabb, Ray, Vec3};
@@ -33,21 +33,25 @@ fn traversal_matches_brute_force() {
         let expected = hits.iter().copied().reduce(f32::min);
         let ctx = || format!("{} prims, {params:?}, {ray:?}", prims.len());
 
-        let stacked = intersect_nearest(&bvh, &prims, &ray, 0.0, INF, &mut ()).map(|h| h.t);
-        assert_eq!(stacked, expected, "stacked vs brute force: {}", ctx());
+        let query = RayQuery::nearest(ray, 0.0);
+        let found = stacked(&bvh, &prims, &query);
+        assert_eq!(found.hit.map(|h| h.t), expected, "stacked vs brute force: {}", ctx());
+        assert!(found.visits >= 1, "every walk visits at least the root");
         // The two stack-free walks visit the same tree in another order:
-        // bit-equal to the stacked answer, not merely close.
-        let stacked = stacked.map(f32::to_bits);
+        // bit-equal to the stacked answer on `t`, not merely close. Both
+        // visit the leaves in DFS pre-order under the same shrinking
+        // `t_max`, so they also agree on the primitive of an exact tie.
+        let t_bits = |hit: Option<Hit>| hit.map(|h| h.t.to_bits());
+        let key = |hit: Option<Hit>| hit.map(|h| (h.prim, h.t.to_bits()));
+        let stackless = traverse_stackless(&bvh, &prims, &query);
+        assert_eq!(t_bits(stackless.hit), t_bits(found.hit), "stackless: {}", ctx());
+        assert!(stackless.visits >= 1, "every walk visits at least the root");
         let (restart, _) = intersect_nearest_restart(&bvh, &prims, &ray, 0.0, INF);
-        assert_eq!(restart.map(|h| h.t.to_bits()), stacked, "restart trail: {}", ctx());
-        let mut visits = 0u64;
-        let stackless =
-            intersect_nearest_stackless(&bvh, &prims, &ray, 0.0, INF, Some(&mut visits));
-        assert_eq!(stackless.map(|h| h.t.to_bits()), stacked, "stackless: {}", ctx());
-        assert!(visits >= 1, "every walk visits at least the root");
+        assert_eq!(key(restart), key(stackless.hit), "restart trail vs stackless: {}", ctx());
         // Any-hit agrees with existence, on both drivers.
-        assert_eq!(intersect_any(&bvh, &prims, &ray, 0.0, INF, &mut ()), expected.is_some());
-        assert_eq!(intersect_any_stackless(&bvh, &prims, &ray, 0.0, INF, None), expected.is_some());
+        let any = RayQuery::occlusion(ray, 0.0, INF);
+        assert_eq!(stacked(&bvh, &prims, &any).occluded, expected.is_some());
+        assert_eq!(traverse_stackless(&bvh, &prims, &any).occluded, expected.is_some());
     });
     // A generator that drifts back to vacuity (uniform rays: 2.5 % hit
     // anything, 0.35 % hit two) must fail here instead of passing above.
@@ -62,8 +66,8 @@ fn t_range_restriction_is_monotone() {
         let bvh = FlatBvh::build(&prims, &build_params(g));
         let ray = aimed_ray(g, &prims);
         let cut = g.rng.range_f32(0.1, 40.0);
-        let unbounded = intersect_nearest(&bvh, &prims, &ray, 0.0, INF, &mut ());
-        let bounded = intersect_nearest(&bvh, &prims, &ray, 0.0, cut, &mut ());
+        let unbounded = stacked(&bvh, &prims, &nearest(ray, 0.0, INF)).hit;
+        let bounded = stacked(&bvh, &prims, &nearest(ray, 0.0, cut)).hit;
         match (unbounded, bounded) {
             // A bounded hit is the unbounded one, and inside the bound.
             (Some(u), Some(b)) => {

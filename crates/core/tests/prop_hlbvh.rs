@@ -5,10 +5,9 @@
 
 mod common;
 
-use common::{aimed_ray, brute_hits, build_params, soup};
+use common::{aimed_ray, brute_hits, build_params, soup, stacked};
 use sms_bvh::{
-    intersect_any, intersect_nearest, morton_decode, morton_encode, radix_sort_pairs, BuildParams,
-    FlatBvh, SplitMethod,
+    morton_decode, morton_encode, radix_sort_pairs, BuildParams, FlatBvh, RayQuery, SplitMethod,
 };
 use sms_geom::check::for_cases;
 
@@ -69,9 +68,9 @@ fn hlbvh_traversal_matches_brute_force() {
         let bvh = FlatBvh::build(&prims, &params);
         let ray = aimed_ray(g, &prims);
         let expected = brute_hits(&prims, &ray, 0.0, f32::INFINITY).into_iter().reduce(f32::min);
-        let got = intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ()).map(|h| h.t);
+        let got = stacked(&bvh, &prims, &RayQuery::nearest(ray, 0.0)).hit.map(|h| h.t);
         assert_eq!(got, expected, "{} prims, {params:?}, {ray:?}", prims.len());
-        let any = intersect_any(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ());
+        let any = stacked(&bvh, &prims, &RayQuery::occlusion(ray, 0.0, f32::INFINITY)).occluded;
         assert_eq!(any, expected.is_some());
     });
 }

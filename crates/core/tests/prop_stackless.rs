@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::{aimed_ray, brute_hits, build_params, soup};
-use sms_bvh::{intersect_nearest, FlatBvh};
+use common::{aimed_ray, brute_hits, build_params, nearest, soup, stacked};
+use sms_bvh::FlatBvh;
 use sms_geom::check::for_cases;
 use sms_rtunit::RayPredictor;
 use std::collections::HashMap;
@@ -20,7 +20,7 @@ fn speculative_prime_preserves_the_nearest_hit() {
         let prims = soup(g);
         let bvh = FlatBvh::build(&prims, &build_params(g));
         let ray = aimed_ray(g, &prims);
-        let full = intersect_nearest(&bvh, &prims, &ray, 0.0, f32::INFINITY, &mut ());
+        let full = stacked(&bvh, &prims, &nearest(ray, 0.0, f32::INFINITY)).hit;
         // The predictor's fallback protocol: a speculative probe that hits
         // some primitive primes (best, t_max), then traversal restarts
         // from the root with the tightened interval. Whichever primitive
@@ -30,7 +30,7 @@ fn speculative_prime_preserves_the_nearest_hit() {
             return;
         }
         let probe_t = on_ray[g.int(0, on_ray.len() - 1)];
-        let rest = intersect_nearest(&bvh, &prims, &ray, 0.0, probe_t, &mut ());
+        let rest = stacked(&bvh, &prims, &nearest(ray, 0.0, probe_t)).hit;
         let primed_t = rest.map_or(probe_t, |r| r.t);
         assert_eq!(
             Some(primed_t.to_bits()),

@@ -82,13 +82,18 @@ fn depth_recording_in_sim_matches_functional() {
     // the same pushes/pops happen at the same logical depths.
     let cfg = RenderConfig::tiny();
     let prepared = PreparedScene::build(SceneId::Bunny, &cfg);
+    // The Fig. 10 thread-trace recorder, armed on every warp, sees them.
     let functional = render(&prepared, &cfg).depths;
     let sim = sms_sim::GpuSim::new(&prepared, SimConfig::with_stack(StackConfig::FullOnChip, cfg))
-        .record_depths(true)
+        .trace_warps(u32::MAX)
         .run();
-    assert_eq!(sim.depths.count(), functional.count());
-    assert_eq!(sim.depths.max(), functional.max());
-    assert_eq!(sim.depths, functional);
+    let mut depths = sms_metrics::Histogram::new();
+    for &(_, _, _, depth) in &sim.thread_traces {
+        depths.record(u64::from(depth));
+    }
+    assert_eq!(depths.count(), functional.count());
+    assert_eq!(depths.max(), functional.max());
+    assert_eq!(depths, functional);
 }
 
 #[test]
@@ -110,4 +115,27 @@ fn thread_traces_recorded_for_fig10() {
     assert!(!lane0.is_empty());
     assert_eq!(lane0[0], 0);
     assert!(lane0.windows(2).all(|p| p[1] == p[0] + 1));
+}
+
+#[test]
+fn fig10_access_index_runs_per_thread_across_the_run() {
+    // Each warp of a tiny PARTY render issues several traces (primary,
+    // shadow and bounce rays); a thread numbers its stack accesses across
+    // all of them, so every (warp, lane, index) key is unique and each
+    // thread's indices run 0, 1, 2, … with no restart.
+    let cfg = RenderConfig::tiny();
+    let prepared = PreparedScene::build(SceneId::Party, &cfg);
+    let sim = sms_sim::GpuSim::new(&prepared, SimConfig::with_stack(StackConfig::FullOnChip, cfg))
+        .trace_warps(2)
+        .run();
+    assert!(sim.stats.shadow_rays > 0, "the warps trace more than once");
+    let mut per_thread: std::collections::BTreeMap<(u32, u8), Vec<u32>> = Default::default();
+    for &(warp, lane, index, _) in &sim.thread_traces {
+        per_thread.entry((warp, lane)).or_default().push(index);
+    }
+    assert!(!per_thread.is_empty());
+    for ((warp, lane), indices) in per_thread {
+        let restart = indices.iter().zip(0..).find(|&(&index, expected)| index != expected);
+        assert_eq!(restart, None, "warp {warp} lane {lane}: (index, expected) of its first gap");
+    }
 }

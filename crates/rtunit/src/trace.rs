@@ -1,34 +1,10 @@
 //! Trace-ray requests and results exchanged between the SM and its RT unit.
 
 use sms_bvh::Hit;
-use sms_geom::Ray;
+/// One thread's ray query within a warp-level trace instruction: the one
+/// query type every traversal answers, defined beside the leaf rule.
+pub use sms_bvh::RayQuery;
 use sms_gpu::{WarpId, WARP_SIZE};
-
-/// One thread's ray query within a warp-level trace instruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RayQuery {
-    /// The ray to trace.
-    pub ray: Ray,
-    /// Minimum ray parameter.
-    pub t_min: f32,
-    /// Maximum ray parameter (shadow rays bound this by the light distance).
-    pub t_max: f32,
-    /// `true` for occlusion (any-hit) queries: traversal terminates at the
-    /// first primitive hit.
-    pub any_hit: bool,
-}
-
-impl RayQuery {
-    /// A nearest-hit (closest-hit) query over `[t_min, ∞)`.
-    pub fn nearest(ray: Ray, t_min: f32) -> Self {
-        RayQuery { ray, t_min, t_max: f32::INFINITY, any_hit: false }
-    }
-
-    /// An occlusion query over `[t_min, t_max]`.
-    pub fn occlusion(ray: Ray, t_min: f32, t_max: f32) -> Self {
-        RayQuery { ray, t_min, t_max, any_hit: true }
-    }
-}
 
 /// A warp-level trace instruction entering the RT unit's warp buffer.
 ///
@@ -70,7 +46,7 @@ pub struct TraceResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sms_geom::Vec3;
+    use sms_geom::{Ray, Vec3};
 
     #[test]
     fn active_lane_count() {

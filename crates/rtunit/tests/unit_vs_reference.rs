@@ -2,12 +2,14 @@
 //! results for every stack configuration, and its cycle counts must order
 //! the way the paper's architecture argument predicts.
 
-use sms_bvh::{BuildParams, FlatBvh, Hit, PrimHit, Primitive};
+use sms_bvh::{BuildParams, FlatBvh, Hit, PrimHit, Primitive, TraversalScratch};
 use sms_geom::{Aabb, Ray, SplitMix64, Triangle, Vec3};
 use sms_gpu::SimStats;
 use sms_mem::{GlobalMemory, GlobalMemoryConfig, L1Config, SharedMem, SharedMemConfig, SmL1};
+use sms_metrics::Histogram;
 use sms_rtunit::{
-    RayQuery, RtUnit, RtUnitConfig, SmsParams, StackConfig, TraceRequest, TraceResult,
+    RayQuery, RtUnit, RtUnitConfig, SmsParams, StackConfig, ThreadTraceRecorder, TraceRequest,
+    TraceResult,
 };
 
 struct Tri(Triangle);
@@ -154,9 +156,13 @@ fn results_match_reference_for_all_configs() {
     let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let rays = rays(32);
 
+    let mut scratch = TraversalScratch::new();
     let reference: Vec<Option<Hit>> = rays
         .iter()
-        .map(|r| sms_bvh::intersect_nearest(&bvh, &prims, r, 0.0, f32::INFINITY, &mut ()))
+        .map(|r| {
+            let query = RayQuery::nearest(*r, 0.0);
+            sms_bvh::traverse(&bvh, &prims, &query, &mut (), &mut scratch).hit
+        })
         .collect();
 
     for config in [
@@ -239,7 +245,8 @@ fn occlusion_queries_match_reference() {
     let mut stats = SimStats::default();
     let queries: Vec<Option<RayQuery>> =
         rays.iter().map(|r| Some(RayQuery::occlusion(*r, 0.0, 25.0))).collect();
-    unit.try_admit(0, TraceRequest::new(0, queries.try_into().unwrap()), &mut stats).unwrap();
+    let request = TraceRequest::new(0, queries.clone().try_into().unwrap());
+    unit.try_admit(0, request, &mut stats).unwrap();
     let mut now = 0;
     let mut results = Vec::new();
     while results.is_empty() {
@@ -248,9 +255,11 @@ fn occlusion_queries_match_reference() {
         assert!(now < 20_000_000);
     }
     let res = results.pop().unwrap();
-    for (lane, r) in rays.iter().enumerate() {
-        let expected = sms_bvh::intersect_any(&bvh, &prims, r, 0.0, 25.0, &mut ());
-        assert_eq!(res.occluded[lane], expected, "lane {lane}");
+    let mut scratch = TraversalScratch::new();
+    for (lane, query) in queries.iter().enumerate() {
+        let expected = sms_bvh::traverse(&bvh, &prims, &query.unwrap(), &mut (), &mut scratch);
+        assert_eq!(res.occluded[lane], expected.occluded, "lane {lane}");
+        assert_eq!(res.hits[lane], None, "lane {lane}: an any-hit query keeps no hit");
     }
     assert_eq!(stats.shadow_rays, 32);
 }
@@ -293,12 +302,13 @@ fn skew_reduces_bank_conflict_cycles() {
 
 #[test]
 fn depth_recorder_sees_pushes() {
+    // The Fig. 10 thread-trace recorder sees every push and pop at the
+    // depths the functional driver's observer sees.
     let prims = cluttered_scene(2000);
     let bvh = FlatBvh::build(&prims, &BuildParams::default());
     let rays = rays(32);
-    let mut cfg = RtUnitConfig::new(StackConfig::FullOnChip);
-    cfg.record_depths = true;
-    let mut unit = RtUnit::new(cfg);
+    let mut unit = RtUnit::new(RtUnitConfig::new(StackConfig::FullOnChip));
+    unit.thread_traces = Some(ThreadTraceRecorder::new(u32::MAX));
     let mut l1 = SmL1::new(L1Config::default());
     let mut shared = SharedMem::new(SharedMemConfig::default());
     let mut global = GlobalMemory::new(GlobalMemoryConfig::default());
@@ -312,6 +322,17 @@ fn depth_recorder_sees_pushes() {
         now += 1;
         assert!(now < 20_000_000);
     }
-    assert!(unit.depth_recorder.count() > 0);
-    assert!(unit.depth_recorder.max() > 2);
+    let mut depths = Histogram::new();
+    for &(_, _, _, depth) in &unit.thread_traces.expect("armed").samples {
+        depths.record(u64::from(depth));
+    }
+    let mut functional = Histogram::new();
+    let mut scratch = TraversalScratch::new();
+    for r in &rays {
+        let query = RayQuery::nearest(*r, 0.0);
+        sms_bvh::traverse(&bvh, &prims, &query, &mut functional, &mut scratch);
+    }
+    assert!(depths.count() > 0);
+    assert!(depths.max() > 2);
+    assert_eq!(depths, functional);
 }

@@ -43,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 image: sim.image,
                 width: sim.width,
                 height: sim.height,
-                depths: sim.depths,
+                // Stack depths are the functional renderer's to record.
+                depths: Default::default(),
                 rays: sim.stats.rays_traced,
                 shadow_rays: sim.stats.shadow_rays,
             }
