@@ -104,6 +104,31 @@ if ! awk '
   exit 1
 fi
 
+echo "==> one-traversal gate (the traversal is written once: outside tests only sms_bvh's"
+echo "    traverse.rs and the RT unit visit nodes, and the retired host drivers and depth"
+echo "    recorders stay gone; prints offenders)"
+# Each file is read up to its `#[cfg(test)]` module; the two definitions in
+# flat.rs are not calls.
+if ! awk '
+  FNR == 1 { tests = 0 }
+  /^#\[cfg\(test\)\]/ { tests = 1 }
+  tests { next }
+  /(^|[^A-Za-z0-9_])(node_step|stackless_step)\(/ && !/fn (node_step|stackless_step)\(/ {
+    print FILENAME ":" FNR ":" $0; bad = 1
+  }
+  END { exit bad }' $(git ls-files 'crates/*/src/*.rs' 'examples/*.rs' |
+      grep -vxE 'crates/bvh/src/traverse\.rs|crates/rtunit/src/unit\.rs'); then
+  echo "a node visit is driven outside the two traversal homes (call sms_bvh::traverse or"
+  echo "traverse_stackless, or RayQuery::apply_leaf for a leaf)"
+  exit 1
+fi
+if git grep -nwE 'intersect_nearest|intersect_any|count_stack_visits|record_depths|depth_recorder' \
+     -- crates; then
+  echo "a retired traversal driver or depth recorder is back (use sms_bvh::traverse /"
+  echo "traverse_stackless; record depths with the Fig. 10 thread-trace recorder)"
+  exit 1
+fi
+
 echo "==> no-poll gate (the serving accept loop blocks in accept and is woken on purpose; prints"
 echo "    offenders)"
 # The bracketed letters keep this pattern from matching itself.
