@@ -20,9 +20,11 @@
 //! * [`trace`] — the trace-ray request/result interface used by the SM
 //!   model.
 //!
-//! Traversal order is computed by `sms_bvh::FlatBvh::node_step`, the same
-//! kernel the functional renderer uses, so results are bit-identical to the
-//! reference and traversal *work* is identical across stack configurations.
+//! Traversal order is computed by `sms_bvh::FlatBvh::node_step` (or
+//! `stackless_step` under `SL`) and every leaf ends in
+//! `sms_bvh::RayQuery::apply_leaf`: the kernel and the leaf rule the
+//! functional drivers use, so results are bit-identical to the reference
+//! and traversal *work* is identical across stack configurations.
 
 pub mod metrics;
 pub mod microop;
