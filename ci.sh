@@ -129,6 +129,24 @@ if git grep -nwE 'intersect_nearest|intersect_any|count_stack_visits|record_dept
   exit 1
 fi
 
+echo "==> one-probe gate (the fleet reads a cell from the result cache once per sweep, in"
+echo "    handle_sweep's read-first step, and once per retried round, in run_cell_round; prints"
+echo "    any other call)"
+# fleet.rs is read up to its `#[cfg(test)]` module; `fn` is the function a
+# line sits in, and an atomic's `load(Ordering::…)` is not a cache read.
+if ! awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+  /\.load\(/ && !/\.load\(Ordering::/ {
+    if ((fn == "handle_sweep" || fn == "run_cell_round") && !seen[fn]++) next
+    print FILENAME ":" FNR ":" $0; bad = 1
+  }
+  END { exit bad }' crates/serve/src/fleet.rs; then
+  echo "the fleet reads the result cache outside its read-first step and retry re-read (answer"
+  echo "the cell from the read handle_sweep made, or re-read once at the top of a retried round)"
+  exit 1
+fi
+
 echo "==> no-poll gate (the serving accept loop blocks in accept and is woken on purpose; prints"
 echo "    offenders)"
 # The bracketed letters keep this pattern from matching itself.
@@ -144,8 +162,10 @@ echo "==> fault-injection suite"
 cargo test -q -p sms-harness --test fault_injection
 
 echo "==> fleet chaos suite (killed backend, killed backend re-run from the cache, all-down"
-echo "    degraded mode, hedging, both tiers' wire bytes vs the pre-skeleton goldens, malformed +"
-echo "    door-shed parity, a simulator panic gives its permit back)"
+echo "    degraded mode, a retried cell's latency covers every round, cached cells answered by"
+echo "    the fleet with no dispatch (warm, mixed, torn or corrupted entry), hedging, both tiers'"
+echo "    wire bytes vs the pre-skeleton goldens, malformed + door-shed parity, a simulator panic"
+echo "    gives its permit back)"
 cargo test -q -p sms-serve --test fleet_chaos
 cargo test -q -p sms-serve --test fleet_e2e
 cargo test -q -p sms-serve --test serve_e2e -- \

@@ -5,9 +5,12 @@
 //! `<suite>.<case>:<n>` row per line, `\r` and `\\` escaped). [`check`]
 //! writes it with this run's rows to `target/goldens.txt`, so re-blessing
 //! is `cp target/goldens.txt goldens.txt` after a whole `cargo test` run.
+//! The workspace root is found at run time from the test's working
+//! directory, so a copy of the tree checks its own table even when it
+//! reuses another tree's build.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 /// The 64-bit FNV-1a hash of no bytes (the offset basis).
@@ -31,9 +34,18 @@ static WRITE_LOCK: Mutex<()> = Mutex::new(());
 /// records them in `target/goldens.txt`, and panics naming every row that
 /// moved as `old → new`.
 pub fn check(suite: &str, observed: &[(impl AsRef<str>, impl AsRef<str>)]) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("crates/geom");
+    let cwd = std::env::current_dir().expect("a working directory");
+    let root = workspace_root(&cwd)
+        .unwrap_or_else(|| panic!("no goldens.txt beside a Cargo.toml above {}", cwd.display()));
     let observed: Vec<_> = observed.iter().map(|(c, v)| (c.as_ref(), v.as_ref())).collect();
     check_in(&root.join("goldens.txt"), &root.join("target/goldens.txt"), suite, &observed);
+}
+
+/// The first directory at or above `start` that holds both `goldens.txt`
+/// and `Cargo.toml`: the workspace root of a test run from any package.
+fn workspace_root(start: &Path) -> Option<PathBuf> {
+    let holds = |dir: &Path| dir.join("goldens.txt").is_file() && dir.join("Cargo.toml").is_file();
+    start.ancestors().find(|dir| holds(dir)).map(Path::to_path_buf)
 }
 
 /// [`check`] against `committed`, writing `written`; the merge starts from
@@ -117,7 +129,6 @@ fn of_case(line: &str, key: &str) -> bool {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::path::PathBuf;
 
     #[test]
     fn fnv_vectors() {
@@ -136,6 +147,25 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("goldens.txt"), committed).unwrap();
         (dir.join("goldens.txt"), dir.join("target/goldens.txt"))
+    }
+
+    #[test]
+    fn the_root_is_the_nearest_directory_with_the_table_and_a_manifest() {
+        let dir = std::env::temp_dir().join(format!("sms-golden-{}-root", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (root, member) = (dir.join("tree"), dir.join("tree/crates/geom"));
+        fs::create_dir_all(member.join("src")).unwrap();
+        for file in ["goldens.txt", "Cargo.toml", "crates/geom/Cargo.toml"] {
+            fs::write(root.join(file), "").unwrap();
+        }
+        // A member's manifest with no table beside it is not a root, nor
+        // is a table with no manifest beside it: the walk goes on up.
+        fs::write(member.join("src/goldens.txt"), "").unwrap();
+        assert_eq!(workspace_root(&member.join("src")), Some(root.clone()), "from inside a member");
+        assert_eq!(workspace_root(&root), Some(root.clone()), "from the root itself");
+        fs::remove_file(root.join("goldens.txt")).unwrap();
+        assert_eq!(workspace_root(&member.join("src")), None, "no table beside a manifest");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// The panic message of a failed check.

@@ -3,9 +3,11 @@
 //!
 //! A fleet speaks the same wire protocol as a single server — `POST
 //! /v1/sweep` in, journal-codec JSONL out — but instead of simulating it
-//! *routes*: each deduplicated `(scene, config)` cell becomes one
-//! single-cell sweep dispatched to a backend, with the failure handling a
-//! multi-process deployment needs layered on top:
+//! *routes*. Each deduplicated `(scene, config)` cell is first read from
+//! the shared result cache: a hit is answered by the fleet itself, with no
+//! dispatch. Each miss becomes one single-cell sweep dispatched to a
+//! backend, with the failure handling a multi-process deployment needs
+//! layered on top:
 //!
 //! * **Scene affinity** — a stack configuration changes the simulation,
 //!   never the prepared scene, so each `(scene, render)` has a *home*
@@ -36,11 +38,11 @@
 //!   tables and the shared on-disk cache make hedges idempotent: the
 //!   losing dispatch is either coalesced or a cache hit, never a second
 //!   simulation.
-//! * **Graceful degradation** — with every breaker open, sweeps whose
-//!   cells are all cached are served from the cache alone; anything
-//!   needing a live simulation is shed with `503` and a `Retry-After`
-//!   derived from the breaker cooldown, so clients come back exactly
-//!   when a half-open probe could have recovered a backend.
+//! * **Graceful degradation** — with every breaker open, a sweep with a
+//!   miss is shed with `503` and a `Retry-After` derived from the breaker
+//!   cooldown, so clients come back exactly when a half-open probe could
+//!   have recovered a backend. An all-hit sweep needs no backend and is
+//!   served as always.
 //!
 //! The fleet keeps its own journal (cells keyed like any harness run) and
 //! a `sms_fleet_*` metrics registry with
@@ -49,8 +51,9 @@
 //! those faults is what the chaos tests pin down.
 //!
 //! Accepting, routing, the sweep stream and the drain are the shared
-//! [`crate::service`] skeleton; this module is what the fleet adds:
-//! breakers, dispatch with retries and hedging, and degraded mode.
+//! [`crate::service`] skeleton; this module is what the fleet adds: the
+//! read-first cache step, breakers, dispatch with retries and hedging, and
+//! degraded mode.
 
 use crate::client::{Client, ClientConfig};
 use crate::http::{self, HttpError, Limits, Request};
@@ -112,8 +115,8 @@ pub struct FleetConfig {
     pub cell_timeout: Duration,
     /// HTTP parsing limits and socket timeouts for the *front* side.
     pub limits: Limits,
-    /// Shared result-cache directory (degraded-mode serving); should be
-    /// the same directory the backends write.
+    /// Shared result-cache directory: cells found there are answered
+    /// without a dispatch. Should be the directory the backends write.
     pub cache_dir: Option<PathBuf>,
     /// Fleet journal path; `None` writes none (a service journal keeps
     /// no events in memory).
@@ -284,8 +287,9 @@ pub struct FleetMetrics {
     pub hedges: AtomicU64,
     /// Hedged cells won by the duplicate, not the original.
     pub hedge_wins: AtomicU64,
-    /// Cells served straight from the shared cache with no healthy
-    /// backend available.
+    /// Cells answered from the shared cache without a dispatch.
+    pub cache_hits: AtomicU64,
+    /// The cache hits served while no backend was usable.
     pub degraded_hits: AtomicU64,
     /// Breaker transitions into the open state.
     pub breaker_opens: AtomicU64,
@@ -347,6 +351,11 @@ impl FleetMetrics {
             "sms_fleet_hedge_wins_total",
             "Hedged cells won by the duplicate dispatch",
             get(&self.hedge_wins),
+        );
+        reg.counter(
+            "sms_fleet_cache_hits_total",
+            "Cells answered from the shared cache without a dispatch",
+            get(&self.cache_hits),
         );
         reg.counter(
             "sms_fleet_degraded_hits_total",
@@ -483,6 +492,15 @@ impl FleetState {
         })
     }
 
+    /// Counts one cell answered from the shared cache without a dispatch,
+    /// as degraded when no backend could have taken it.
+    fn count_hit(&self, usable: bool) {
+        inc(&self.metrics.cache_hits);
+        if !usable {
+            inc(&self.metrics.degraded_hits);
+        }
+    }
+
     /// A successful dispatch closes the backend's breaker outright.
     fn on_backend_success(&self, i: usize) {
         self.backends[i].jobs_done.fetch_add(1, Ordering::Relaxed);
@@ -591,15 +609,25 @@ fn dispatch_once(
 
 /// How one cell finally settled.
 enum CellOutcome {
-    /// A usable result (live dispatch or degraded cache hit).
+    /// A usable result (a dispatch, or a hit answered by the fleet).
     Done { stats: Box<SimStats>, cache: String, backend: Option<usize> },
     /// A terminal failure (structured, or attempts exhausted).
     Fail { error: String, backend: Option<usize> },
 }
 
+impl CellOutcome {
+    /// A cell the fleet answered from the shared cache, with no backend.
+    fn hit(stats: SimStats) -> Self {
+        CellOutcome::Done { stats: Box::new(stats), cache: "hit".to_owned(), backend: None }
+    }
+}
+
 /// One queue entry: a cell and its attempt history.
 struct CellTask {
     idx: usize,
+    /// When the cell's first round started: its latency covers every
+    /// round, failed dispatches and back-offs included.
+    started: Option<Instant>,
     attempts: u32,
     last_backend: Option<usize>,
     /// The cell's span context when the sweep arrived traced; every
@@ -637,25 +665,25 @@ enum RoundResult {
     Requeue,
 }
 
-/// One dispatch round for one cell: pick a backend (or degrade), fire the
-/// primary, hedge on a straggle, attribute breaker outcomes, and decide
-/// settle-vs-requeue.
+/// One dispatch round for one missed cell: re-read it on a retry, pick a
+/// backend (or wait out degraded mode), fire the primary, hedge on a
+/// straggle, attribute breaker outcomes, and decide settle-vs-requeue.
 fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan) -> RoundResult {
     let (req, key) = &plan.jobs[task.idx];
     let scene = (req.scene, req.render);
     task.attempts += 1;
-    let Some(reservation) = state.pick_backend(scene, None, Instant::now()) else {
-        // Degraded mode: no routable backend. Cached cells are still
-        // served; everything else waits for a breaker to half-open, then
-        // fails once the attempt budget runs out — never hangs.
+    // A retry first re-reads its cell: another request may have finished
+    // it since the sweep's read, and then it needs no backend.
+    if task.attempts > 1 {
         if let Some(stats) = state.core.cache.as_ref().and_then(|c| c.load(key)) {
-            inc(&state.metrics.degraded_hits);
-            return RoundResult::Settled(CellOutcome::Done {
-                stats: Box::new(stats),
-                cache: "hit".to_owned(),
-                backend: None,
-            });
+            state.count_hit(state.any_backend_usable(Instant::now()));
+            return RoundResult::Settled(CellOutcome::hit(stats));
         }
+    }
+    let Some(reservation) = state.pick_backend(scene, None, Instant::now()) else {
+        // Degraded mode: no routable backend. The cell waits for a breaker
+        // to half-open, then fails once the attempt budget runs out —
+        // never hangs.
         if task.attempts >= state.config.cell_attempts {
             return RoundResult::Settled(CellOutcome::Fail {
                 error: format!("no healthy backend within {} attempts", task.attempts),
@@ -820,8 +848,7 @@ impl CellQueue {
 }
 
 /// A worker thread: pop cells, run rounds, settle or requeue, until every
-/// cell of the sweep has settled. A settled cell is counted, gets its
-/// `cell` span (when traced) and goes to the sweep frame.
+/// cell of the sweep has settled.
 fn worker_loop(
     state: &Arc<FleetState>,
     queue: &CellQueue,
@@ -830,7 +857,7 @@ fn worker_loop(
     sink: &JobSink<'_>,
 ) {
     while let Some(mut task) = queue.pop() {
-        let t0 = Instant::now();
+        let t0 = *task.started.get_or_insert_with(Instant::now);
         let outcome = match run_cell_round(state, &mut task, plan) {
             RoundResult::Settled(outcome) => outcome,
             RoundResult::Requeue => {
@@ -839,34 +866,48 @@ fn worker_loop(
             }
         };
         let duration_us = t0.elapsed().as_micros() as u64;
-        state.metrics.observe_cell(duration_us);
-        let (worker, result) = match outcome {
-            CellOutcome::Done { stats, cache, backend } => (backend, Ok((*stats, cache))),
-            CellOutcome::Fail { error, backend } => {
-                inc(&state.metrics.cells_failed);
-                (backend, Err(RunError::Fleet { message: error }))
-            }
-        };
-        if let Some(ctx) = &task.ctx {
-            let (req, _) = &plan.jobs[task.idx];
-            let mut attrs =
-                vec![("cell".to_owned(), format!("{}/{}", req.scene.name(), req.stack.label()))];
-            match &result {
-                Ok((_, cache)) => {
-                    attrs.push(("cache".to_owned(), cache.clone()));
-                    if let Some(b) = worker {
-                        attrs.push(("backend".to_owned(), state.backends[b].addr.clone()));
-                    }
-                }
-                Err(e) => attrs.push(("error".to_owned(), e.to_string())),
-            }
-            let dur = wall_us().saturating_sub(cell_start_us);
-            let span = Event::span(ctx, "cell", "internal", cell_start_us, dur, attrs);
-            state.core.journal.record(span);
-        }
-        sink.settle(task.idx, worker, duration_us, result);
+        settle_cell(state, plan, &task, cell_start_us, duration_us, outcome, sink);
         queue.settled();
     }
+}
+
+/// A settled cell, from a dispatch or from the cache, is counted, gets its
+/// `cell` span (when traced) and goes to the sweep frame.
+fn settle_cell(
+    state: &FleetState,
+    plan: &SweepPlan,
+    task: &CellTask,
+    cell_start_us: u64,
+    duration_us: u64,
+    outcome: CellOutcome,
+    sink: &JobSink<'_>,
+) {
+    state.metrics.observe_cell(duration_us);
+    let (worker, result) = match outcome {
+        CellOutcome::Done { stats, cache, backend } => (backend, Ok((*stats, cache))),
+        CellOutcome::Fail { error, backend } => {
+            inc(&state.metrics.cells_failed);
+            (backend, Err(RunError::Fleet { message: error }))
+        }
+    };
+    if let Some(ctx) = &task.ctx {
+        let (req, _) = &plan.jobs[task.idx];
+        let mut attrs =
+            vec![("cell".to_owned(), format!("{}/{}", req.scene.name(), req.stack.label()))];
+        match &result {
+            Ok((_, cache)) => {
+                attrs.push(("cache".to_owned(), cache.clone()));
+                if let Some(b) = worker {
+                    attrs.push(("backend".to_owned(), state.backends[b].addr.clone()));
+                }
+            }
+            Err(e) => attrs.push(("error".to_owned(), e.to_string())),
+        }
+        let dur = wall_us().saturating_sub(cell_start_us);
+        let span = Event::span(ctx, "cell", "internal", cell_start_us, dur, attrs);
+        state.core.journal.record(span);
+    }
+    sink.settle(task.idx, worker, duration_us, result);
 }
 
 impl Tier for FleetState {
@@ -916,11 +957,12 @@ impl Tier for FleetState {
 
     fn drain_totals(&self) -> (u64, u64, u64) {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        (get(&self.metrics.degraded_hits), 0, get(&self.metrics.cells_failed))
+        (get(&self.metrics.cache_hits), 0, get(&self.metrics.cells_failed))
     }
 
-    /// `POST /v1/sweep` — fan the cells out over the backends inside the
-    /// shared sweep frame; records stream as cells settle.
+    /// `POST /v1/sweep` — answer the cached cells and fan the misses out
+    /// over the backends inside the shared sweep frame; records stream as
+    /// cells settle.
     fn handle_sweep(
         self: &Arc<Self>,
         request: &Request,
@@ -930,43 +972,62 @@ impl Tier for FleetState {
         let jobs = &plan.jobs;
         inc(&self.metrics.sweeps);
 
-        // Degraded admission: with no routable backend, a sweep that would
-        // need a live simulation is shed *before* the stream starts, with a
-        // Retry-After matched to the breaker cooldown. All-cached sweeps fall
-        // through — the workers serve them without contacting anyone.
-        if !self.any_backend_usable(Instant::now()) {
-            let cache = self.core.cache.as_ref();
-            let all_cached =
-                cache.is_some_and(|c| jobs.iter().all(|(_, key)| c.load(key).is_some()));
-            if !all_cached {
-                inc(&self.core.http.shed);
-                let secs = self.config.breaker_cooldown.as_secs().max(1).to_string();
-                return http::write_response(
-                    stream,
-                    503,
-                    "text/plain",
-                    &[("Retry-After", &secs)],
-                    b"no healthy backend and sweep is not fully cached; retry\n",
-                )
-                .map_err(|e| HttpError { status: 500, message: e.to_string() });
-            }
+        // Read first: each cell is read from the shared cache once, here,
+        // with its read time. A hit is answered by the fleet itself; only
+        // the misses are dispatched.
+        let cache = self.core.cache.as_ref();
+        let reads: Vec<Option<(SimStats, u64)>> = jobs
+            .iter()
+            .map(|(_, key)| {
+                let t0 = Instant::now();
+                let stats = cache.and_then(|c| c.load(key))?;
+                Some((stats, t0.elapsed().as_micros() as u64))
+            })
+            .collect();
+        let misses = reads.iter().filter(|read| read.is_none()).count();
+
+        // Degraded admission: with no routable backend, a sweep with a miss
+        // is shed *before* the stream starts, with a Retry-After matched to
+        // the breaker cooldown. An all-hit sweep needs no backend.
+        let usable = self.any_backend_usable(Instant::now());
+        if !usable && misses > 0 {
+            inc(&self.core.http.shed);
+            let secs = self.config.breaker_cooldown.as_secs().max(1).to_string();
+            return http::write_response(
+                stream,
+                503,
+                "text/plain",
+                &[("Retry-After", &secs)],
+                b"no healthy backend and sweep is not fully cached; retry\n",
+            )
+            .map_err(|e| HttpError { status: 500, message: e.to_string() });
         }
 
         service::stream_sweep(&self.core, &plan, stream, |sink| {
             self.metrics.cells.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+            let cell_start_us = wall_us();
             // Tracing is armed per request: each cell parents under the
             // sweep span, each dispatch under its cell.
-            let tasks = (0..jobs.len())
-                .map(|idx| CellTask {
+            let mut queued = VecDeque::with_capacity(misses);
+            for (idx, read) in reads.into_iter().enumerate() {
+                let task = CellTask {
                     idx,
+                    started: None,
                     attempts: 0,
                     last_backend: None,
                     ctx: plan.ctx.map(|sweep| sweep.child()),
-                })
-                .collect();
-            let queue = CellQueue { state: Mutex::new((tasks, jobs.len())), ready: Condvar::new() };
-            let cell_start_us = wall_us();
-            let n_workers = self.config.workers.clamp(1, jobs.len().max(1));
+                };
+                let Some((stats, read_us)) = read else {
+                    queued.push_back(task);
+                    continue;
+                };
+                self.count_hit(usable);
+                let outcome = CellOutcome::hit(stats);
+                settle_cell(self, &plan, &task, cell_start_us, read_us, outcome, sink);
+            }
+            // One worker per miss at most: an all-hit sweep starts none.
+            let queue = CellQueue { state: Mutex::new((queued, misses)), ready: Condvar::new() };
+            let n_workers = self.config.workers.max(1).min(misses);
             std::thread::scope(|scope| {
                 for _ in 0..n_workers {
                     let (queue, plan) = (&queue, &plan);
@@ -1178,7 +1239,7 @@ mod tests {
         let text = m.registry(12.5, &http, &backends, "unknown").render_prometheus();
         sms_metrics::prom::validate(&text).expect("strict parse");
         let families = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
-        assert_eq!(families, 20, "every family renders its header exactly once");
+        assert_eq!(families, 21, "every family renders its header exactly once");
         assert!(text.contains("sms_fleet_backend_up{backend=\"127.0.0.1:1\"} 1"));
         assert!(text.contains("sms_fleet_backend_up{backend=\"127.0.0.1:2\"} 0"));
         assert!(text.contains("sms_fleet_backend_failures_total{backend=\"127.0.0.1:2\"} 4"));

@@ -1,13 +1,15 @@
 //! Seeded chaos: the fleet must lose zero cells when a backend dies
 //! mid-sweep, a killed backend's finished cells must not be simulated
-//! again, and the fleet must degrade to cache-only serving when every
-//! backend is down.
+//! again, the fleet must degrade to cache-only serving when every
+//! backend is down, and a retried cell's latency must cover its every
+//! round.
 //!
 //! Fault injection is the deterministic `FaultPlan` layer (`SMS_FAULT`),
 //! configured directly on the backend `ServeConfig` so each test controls
 //! exactly which backend misbehaves and how.
 
 use sms_harness::cache::stats_to_json;
+use sms_harness::json::{parse, Json};
 use sms_harness::{FaultPlan, Harness, HarnessConfig, ResultCache, RunRequest};
 use sms_serve::client::{Client, ClientConfig};
 use sms_serve::fleet::{FleetConfig, FleetServer};
@@ -206,9 +208,18 @@ fn a_killed_backends_finished_cells_are_not_simulated_again() {
     }
 }
 
+/// The counter `name` in a `/metrics` text.
+fn metric(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("metric {name} missing:\n{metrics}"))
+}
+
 /// With every backend down, cached cells are still served (degraded
 /// mode) and uncached sweeps are shed with a `Retry-After` matching the
-/// breaker cooldown — never queued, never hung.
+/// breaker cooldown — never queued, never hung. A cached cell never
+/// reaches a backend, so an uncached sweep opens the breaker first.
 #[test]
 fn all_backends_down_serves_cache_and_sheds_misses() {
     let dir = temp_dir("down");
@@ -234,22 +245,30 @@ fn all_backends_down_serves_cache_and_sheds_misses() {
     let (fleet, join_fleet) = FleetServer::spawn(config).unwrap();
     let client = fleet_client(fleet.addr());
 
-    // Sweep of the cached cell: first round opens the breaker (connect
-    // refused), second round serves the cell from cache.
+    // An uncached cell dials the dead backend: the refused connection
+    // opens the breaker, and with no backend left the cell fails once its
+    // two attempts are spent.
+    let opened = client.sweep(&["WKND"], &["RB_8+SH_8"], "tiny").unwrap();
+    assert_eq!(opened.records.len(), 1);
+    assert!(opened.records[0].outcome.is_err(), "no backend can simulate it");
+    let metrics = fleet.render_metrics();
+    assert_eq!(metric(&metrics, "sms_fleet_breaker_opens_total"), 1, "{metrics}");
+    assert!(metrics.contains(&format!("sms_fleet_backend_up{{backend=\"{dead}\"}} 0")));
+
+    // The cached cell is served from the cache alone, with its exact
+    // stats, and counted as a hit served while no backend was usable.
     let outcome = client.sweep(&["WKND"], &["RB_8"], "tiny").unwrap();
     assert_eq!(outcome.records.len(), 1);
     let rec = &outcome.records[0];
     assert_eq!(rec.cache, "hit", "degraded mode must serve from cache");
     assert_eq!(
-        rec.outcome.as_ref().unwrap().cycles,
-        424_242,
+        stats_to_json(rec.outcome.as_ref().unwrap()).to_string(),
+        stats_to_json(&warm_stats).to_string(),
         "served stats must be the cached entry"
     );
     let metrics = fleet.render_metrics();
-    assert!(
-        !metrics.contains("sms_fleet_degraded_hits_total 0"),
-        "degraded hit must be counted:\n{metrics}"
-    );
+    assert_eq!(metric(&metrics, "sms_fleet_degraded_hits_total"), 1, "{metrics}");
+    assert_eq!(metric(&metrics, "sms_fleet_cache_hits_total"), 1, "{metrics}");
 
     // An uncached sweep is shed before the stream starts, with the
     // cooldown-derived Retry-After (write_error's hardcoded 1s would be
@@ -274,5 +293,44 @@ fn all_backends_down_serves_cache_and_sheds_misses() {
 
     fleet.request_drain();
     join_fleet.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cell's latency covers every round it took, not only the last one.
+/// Its first round's dispatch is refused and opens the breaker; the
+/// second finds no backend and waits out the degraded back-off (50 ms
+/// under a 10 s cooldown); the third fails it. The journal's
+/// `duration_us` and the latency histogram must both include the wait.
+#[test]
+fn a_retried_cell_reports_the_latency_of_every_round() {
+    let dir = temp_dir("latency");
+    let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+    let journal = dir.join("fleet-journal.jsonl");
+    let config = FleetConfig {
+        cell_attempts: 3,
+        journal_path: Some(journal.clone()),
+        ..fleet_config(vec![dead.to_string()], dir.join("cache"))
+    };
+    let (fleet, join_fleet) = FleetServer::spawn(config).unwrap();
+
+    let outcome = fleet_client(fleet.addr()).sweep(&["WKND"], &["RB_8"], "tiny").unwrap();
+    assert_eq!(outcome.records.len(), 1);
+    assert!(outcome.records[0].outcome.is_err(), "no backend can simulate it");
+    let metrics = fleet.render_metrics();
+    assert_eq!(metric(&metrics, "sms_fleet_retries_total"), 1, "one refused dispatch");
+    let latency = metric(&metrics, "sms_fleet_cell_latency_us_sum");
+    assert!(latency >= 50_000, "the back-off is part of the cell's latency: {latency} us");
+    fleet.request_drain();
+    join_fleet.join().unwrap().unwrap();
+
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let failed: Vec<Json> = text
+        .lines()
+        .map(|l| parse(l).unwrap())
+        .filter(|d| d.get("event").and_then(Json::as_str) == Some("run_failed"))
+        .collect();
+    assert_eq!(failed.len(), 1, "{text}");
+    let journaled = failed[0].u64_field("duration_us").unwrap();
+    assert_eq!(journaled, latency, "the journal and the histogram tell one latency");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,17 +1,26 @@
 //! End-to-end contract of the fleet front tier over real sockets:
-//! lifecycle with live backends, scene-affinity routing, hedged dispatch
-//! past an injected straggler (one client, then four concurrent ones), and
-//! strict `/metrics` output.
+//! lifecycle with live backends, cached cells answered without a dispatch
+//! (a warm sweep, a mixed one, a damaged cache entry), scene-affinity
+//! routing, hedged dispatch past an injected straggler (one client, then
+//! four concurrent ones), and strict `/metrics` output.
 
+use sms_harness::cache::stats_to_json;
 use sms_harness::json::{parse, Json};
-use sms_harness::FaultPlan;
+use sms_harness::{FaultPlan, Harness, HarnessConfig, ResultCache, RunRequest};
 use sms_metrics::prom;
 use sms_serve::client::{Client, ClientConfig};
-use sms_serve::fleet::{FleetConfig, FleetServer};
-use sms_serve::server::{ServeConfig, Server};
+use sms_serve::fleet::{FleetConfig, FleetServer, FleetState};
+use sms_serve::protocol::SweepOutcome;
+use sms_serve::server::{ServeConfig, Server, ServerState};
+use sms_serve::service::Handle;
+use sms_sim::config::RenderConfig;
+use sms_sim::gpu::GpuConfig;
+use sms_sim::rtunit::StackConfig;
+use sms_sim::scene::SceneId;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -104,6 +113,180 @@ fn lifecycle_sweep_probe_metrics_drain() {
     join_a.join().unwrap().unwrap();
     join_b.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sample `name` in a `/metrics` text, summed over its label sets.
+fn metric(metrics: &str, name: &str) -> u64 {
+    let values: Vec<u64> = metrics
+        .lines()
+        .filter_map(|l| {
+            let rest = l.strip_prefix(name)?;
+            let value = match rest.strip_prefix('{') {
+                Some(labeled) => labeled.split_once("} ")?.1,
+                None => rest.strip_prefix(' ')?,
+            };
+            value.parse().ok()
+        })
+        .collect();
+    assert!(!values.is_empty(), "metric {name} missing:\n{metrics}");
+    values.iter().sum()
+}
+
+/// The request a sweep's `scene`/`config` cell becomes, built the way the
+/// wire protocol builds it.
+fn request(scene: &str, config: &str) -> RunRequest {
+    let scene = *SceneId::ALL.iter().find(|s| s.name() == scene).expect("test scene");
+    let stack: StackConfig = config.parse().expect("test config label");
+    RunRequest::new(scene, stack, RenderConfig::tiny()).with_gpu(GpuConfig::default())
+}
+
+/// Every record of `outcome` succeeded with the stats of a fleet-less,
+/// cache-less simulation of its cell.
+fn assert_matches_direct_run(outcome: &SweepOutcome) {
+    let harness = Harness::new(HarnessConfig { workers: 1, cache_dir: None, ..Default::default() });
+    let requests: Vec<RunRequest> =
+        outcome.records.iter().map(|r| request(&r.scene, &r.config)).collect();
+    let (direct, _) = harness.run_batch(&requests);
+    for (rec, direct) in outcome.records.iter().zip(&direct) {
+        let served = rec.outcome.as_ref().expect("cell must succeed");
+        assert_eq!(
+            stats_to_json(served).to_string(),
+            stats_to_json(&direct.stats).to_string(),
+            "{}/{}: served stats must be byte-identical to a direct run",
+            rec.scene,
+            rec.config
+        );
+    }
+}
+
+/// Two backends on one cache directory behind a fleet that reads it too.
+struct Pool {
+    dir: PathBuf,
+    backends: Vec<(Handle<ServerState>, JoinHandle<std::io::Result<()>>)>,
+    fleet: Handle<FleetState>,
+    join_fleet: JoinHandle<std::io::Result<()>>,
+}
+
+impl Pool {
+    fn start(name: &str) -> Pool {
+        let dir = temp_dir(name);
+        let cache = dir.join("cache");
+        let backends: Vec<_> =
+            (0..2).map(|_| Server::spawn(backend_config(cache.clone())).unwrap()).collect();
+        let (fleet, join_fleet) = FleetServer::spawn(FleetConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            backends: backends.iter().map(|(b, _)| b.addr().to_string()).collect(),
+            workers: 4,
+            cache_dir: Some(cache),
+            ..FleetConfig::default()
+        })
+        .unwrap();
+        Pool { dir, backends, fleet, join_fleet }
+    }
+
+    fn sweep(&self, scenes: &[&str], configs: &[&str]) -> SweepOutcome {
+        fleet_client(self.fleet.addr()).sweep(scenes, configs, "tiny").unwrap()
+    }
+
+    /// Each backend's `sms_serve_requests_total`: every dispatch is one.
+    fn backend_requests(&self) -> Vec<u64> {
+        let requests =
+            |b: &Handle<ServerState>| metric(&b.render_metrics(), "sms_serve_requests_total");
+        self.backends.iter().map(|(b, _)| requests(b)).collect()
+    }
+
+    fn stop(self) {
+        self.fleet.request_drain();
+        self.join_fleet.join().unwrap().unwrap();
+        for (backend, join) in self.backends {
+            backend.request_drain();
+            join.join().unwrap().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// A warm sweep through the fleet is answered from the cache the fleet
+/// reads: no backend sees a request, no cell is dispatched, and every
+/// record carries the direct run's stats.
+#[test]
+fn a_warm_sweep_opens_no_backend_connection() {
+    let pool = Pool::start("warm");
+    let (scenes, configs) = (["WKND", "BUNNY"], ["RB_8", "RB_8+SH_8"]);
+    let cold = pool.sweep(&scenes, &configs);
+    assert!(cold.records.iter().all(|r| r.cache == "miss"), "a cold sweep simulates");
+    let requests = pool.backend_requests();
+    assert_eq!(requests.iter().sum::<u64>(), 4, "one dispatch per cold cell: {requests:?}");
+
+    let warm = pool.sweep(&scenes, &configs);
+    assert_eq!(warm.records.len(), 4);
+    assert!(warm.records.iter().all(|r| r.cache == "hit"), "a warm sweep is all hits");
+    assert_eq!(pool.backend_requests(), requests, "a warm sweep reaches no backend");
+    assert_matches_direct_run(&warm);
+    let metrics = pool.fleet.render_metrics();
+    assert_eq!(metric(&metrics, "sms_fleet_cache_hits_total"), 4, "{metrics}");
+    assert_eq!(metric(&metrics, "sms_fleet_backend_jobs_total"), 4, "the cold cells only");
+    assert_eq!(metric(&metrics, "sms_fleet_degraded_hits_total"), 0, "both backends were up");
+    assert_eq!(metric(&metrics, "sms_fleet_cell_latency_us_count"), 8, "every cell is timed");
+    pool.stop();
+}
+
+/// A sweep half of whose cells are cached dispatches exactly the other
+/// half; the fleet counts the cached half as its own hits.
+#[test]
+fn a_mixed_sweep_dispatches_exactly_its_misses() {
+    let pool = Pool::start("mixed");
+    pool.sweep(&["WKND"], &["RB_8", "RB_8+SH_8"]);
+    let before = pool.fleet.render_metrics();
+
+    let mixed = pool.sweep(&["WKND", "BUNNY"], &["RB_8", "RB_8+SH_8"]);
+    assert_eq!(mixed.records.len(), 4);
+    for rec in &mixed.records {
+        let want = if rec.scene == "WKND" { "hit" } else { "miss" };
+        assert_eq!(rec.cache, want, "{}/{}", rec.scene, rec.config);
+    }
+    assert_matches_direct_run(&mixed);
+    let after = pool.fleet.render_metrics();
+    let delta = |name: &str| metric(&after, name) - metric(&before, name);
+    assert_eq!(delta("sms_fleet_backend_jobs_total"), 2, "the two misses are dispatched");
+    assert_eq!(delta("sms_fleet_cache_hits_total"), 2, "the two hits are not");
+    pool.stop();
+}
+
+/// The fleet is a second reader of the cache's bytes: a torn entry and a
+/// corrupted one are misses there too. Both cells are dispatched and
+/// simulated again with the right stats, and nothing panics.
+#[test]
+fn a_damaged_cache_entry_is_a_miss_at_the_fleet() {
+    let pool = Pool::start("damaged");
+    let (scenes, configs) = (["WKND"], ["RB_8", "RB_8+SH_8", "RB_8+SH_8+SK+RA"]);
+    pool.sweep(&scenes, &configs);
+    let cache = ResultCache::new(pool.dir.join("cache"));
+    let path = |config| cache.entry_path(&cache.key(&request("WKND", config)));
+    let torn = std::fs::read_to_string(path("RB_8")).unwrap();
+    std::fs::write(path("RB_8"), &torn[..torn.len() / 2]).unwrap();
+    // One digit of the stats changed: still JSON, but off its checksum.
+    let text = std::fs::read_to_string(path("RB_8+SH_8")).unwrap();
+    let at = text.find("\"cycles\":").unwrap() + "\"cycles\":".len();
+    let digit = if text.as_bytes()[at] == b'1' { "2" } else { "1" };
+    let corrupt = format!("{}{digit}{}", &text[..at], &text[at + 1..]);
+    std::fs::write(path("RB_8+SH_8"), corrupt).unwrap();
+    let before = pool.fleet.render_metrics();
+
+    let rerun = pool.sweep(&scenes, &configs);
+    assert_eq!(rerun.records.len(), 3);
+    for rec in &rerun.records {
+        let want = if rec.config == "RB_8+SH_8+SK+RA" { "hit" } else { "miss" };
+        assert_eq!(rec.cache, want, "{}/{}", rec.scene, rec.config);
+    }
+    assert_matches_direct_run(&rerun);
+    let after = pool.fleet.render_metrics();
+    let delta = |name: &str| metric(&after, name) - metric(&before, name);
+    assert_eq!(delta("sms_fleet_backend_jobs_total"), 2, "both damaged cells are dispatched");
+    assert_eq!(delta("sms_fleet_cells_failed_total"), 0);
+    // The re-simulated entries healed: a third sweep is all hits.
+    assert!(pool.sweep(&scenes, &configs).records.iter().all(|r| r.cache == "hit"));
+    pool.stop();
 }
 
 /// Scene affinity over real sockets: with one fleet worker every pick
@@ -211,14 +394,7 @@ fn hedge_overtakes_an_injected_straggler() {
     );
 
     let metrics = fleet.render_metrics();
-    let count = |name: &str| -> u64 {
-        metrics
-            .lines()
-            .find(|l| l.starts_with(name) && !l.starts_with('#'))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("metric {name} missing:\n{metrics}"))
-    };
+    let count = |name: &str| metric(&metrics, name);
     assert!(count("sms_fleet_hedges_total") >= 1, "a hedge must have fired:\n{metrics}");
     assert!(count("sms_fleet_hedge_wins_total") >= 1, "the hedge must have won:\n{metrics}");
 
