@@ -130,20 +130,39 @@ if git grep -nwE 'intersect_nearest|intersect_any|count_stack_visits|record_dept
 fi
 
 echo "==> one-probe gate (the fleet reads a cell from the result cache once per sweep, in"
-echo "    handle_sweep's read-first step, and once per retried round, in run_cell_round; prints"
-echo "    any other call)"
+echo "    handle_sweep's read-first step, and once per retried attempt, in run_cell; prints any"
+echo "    other call)"
 # fleet.rs is read up to its `#[cfg(test)]` module; `fn` is the function a
 # line sits in, and an atomic's `load(Ordering::…)` is not a cache read.
 if ! awk '
   /^#\[cfg\(test\)\]/ { exit }
   match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
   /\.load\(/ && !/\.load\(Ordering::/ {
-    if ((fn == "handle_sweep" || fn == "run_cell_round") && !seen[fn]++) next
+    if ((fn == "handle_sweep" || fn == "run_cell") && !seen[fn]++) next
     print FILENAME ":" FNR ":" $0; bad = 1
   }
   END { exit bad }' crates/serve/src/fleet.rs; then
   echo "the fleet reads the result cache outside its read-first step and retry re-read (answer"
-  echo "the cell from the read handle_sweep made, or re-read once at the top of a retried round)"
+  echo "the cell from the read handle_sweep made, or re-read once at the top of a retried attempt)"
+  exit 1
+fi
+
+echo "==> one-dispatch gate (the fleet runs each missed cell inline on the worker that took it:"
+echo "    no dispatch thread, channel race or hedge; prints offenders)"
+# fleet.rs is read up to its `#[cfg(test)]` module: the sweep's
+# `thread::scope` is the only place it starts threads.
+if ! awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /mpsc|Condvar|std::thread::spawn/ { print FILENAME ":" FNR ":" $0; bad = 1 }
+  END { exit bad }' crates/serve/src/fleet.rs; then
+  echo "the fleet dispatches off its worker thread again (call dispatch_once inline in run_cell)"
+  exit 1
+fi
+# The bracketed letters keep these patterns from matching themselves, and
+# `[H]` keeps the env-docs test from reading a variable name.
+if git grep -nE 'hedge[_]after|SMS_FLEET_[H]EDGE_MS|respond[_]delay|sms_fleet_[h]edge_wins' -- crates; then
+  echo "the retired fleet hedge is back (a missed cell is one deterministic simulation: retry it,"
+  echo "never duplicate it)"
   exit 1
 fi
 
@@ -163,7 +182,7 @@ cargo test -q -p sms-harness --test fault_injection
 
 echo "==> fleet chaos suite (killed backend, killed backend re-run from the cache, all-down"
 echo "    degraded mode, a retried cell's latency covers every round, cached cells answered by"
-echo "    the fleet with no dispatch (warm, mixed, torn or corrupted entry), hedging, both tiers'"
+echo "    the fleet with no dispatch (warm, mixed, torn or corrupted entry), both tiers'"
 echo "    wire bytes vs the pre-skeleton goldens, malformed + door-shed parity, a simulator panic"
 echo "    gives its permit back)"
 cargo test -q -p sms-serve --test fleet_chaos
@@ -327,7 +346,7 @@ rm -f target/dtrace-addr target/dtrace-a-addr target/dtrace-b-addr target/trace-
 rm -rf target/dtrace-cache target/dtrace-a target/dtrace-b target/dtrace-fleet
 # One fixed trace context shared by the client and (for sim-trace linkage)
 # both backends; backend A again dies of an injected kill so the merged
-# trace must show the fleet retrying/hedging the orphaned cells onto B.
+# trace must show the fleet retrying the orphaned cells onto B.
 # One run directory per process: concurrent processes must never append
 # to the same journal or write the same sim-trace file.
 trace_ctx="00000000c0ffee42-0000000000000001"
@@ -344,7 +363,6 @@ dtrace_b_pid=$!
 await_addr_file target/dtrace-a-addr "$dtrace_a_pid"
 await_addr_file target/dtrace-b-addr "$dtrace_b_pid"
 SMS_OUT=target/dtrace-fleet SMS_CACHE_DIR=target/dtrace-cache \
-  SMS_FLEET_HEDGE_MS=1 \
   SMS_FLEET_BACKENDS="$(cat target/dtrace-a-addr),$(cat target/dtrace-b-addr)" \
   cargo run --release -q -p sms-serve --bin sms-fleet -- \
   --addr 127.0.0.1:0 --addr-file target/dtrace-addr &

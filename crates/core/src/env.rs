@@ -65,7 +65,6 @@ pub const DECLS: &[Decl] = &[
     ("SMS_FLEET_BACKENDS", List, "none", "fleet", "backends to route over"),
     ("SMS_FLEET_ATTEMPTS", Positive, "4", "fleet", "dispatch attempts per cell"),
     ("SMS_FLEET_COOLDOWN_MS", Positive, "1 000", "fleet", "circuit-breaker open duration"),
-    ("SMS_FLEET_HEDGE_MS", Positive, "off", "fleet", "duplicate a cell unanswered after N ms"),
     ("SMS_FLEET_CELL_TIMEOUT_MS", Positive, "600 000", "fleet", "per-dispatch deadline"),
     ("SMS_TRACE_CTX", Text, "off", "client, harness, serve", "distributed-tracing context"),
     ("SMS_LOG_LEVEL", Text, "`info`", "all", "minimum level the structured logger emits"),
@@ -245,7 +244,7 @@ mod tests {
             ("SMS_MAX_CYCLES", "-3"),
             ("SMS_PREDICT_BITS", "junk"),
             ("SMS_CLIENT_RETRIES", "many"),
-            ("SMS_FLEET_HEDGE_MS", ""),
+            ("SMS_FLEET_COOLDOWN_MS", ""),
             ("SMS_CACHE_DIR", "  "),
             ("SMS_OUT", " run "),
             ("SMS_SERVE_ADDR", " 127.0.0.1:9 "),
@@ -257,7 +256,7 @@ mod tests {
         assert_eq!(env.positive("SMS_MAX_CYCLES"), None);
         assert_eq!(env.positive("SMS_PREDICT_BITS"), None);
         assert_eq!(env.non_negative("SMS_CLIENT_RETRIES"), None);
-        assert_eq!(env.positive("SMS_FLEET_HEDGE_MS"), None);
+        assert_eq!(env.positive("SMS_FLEET_COOLDOWN_MS"), None);
         assert_eq!(env.path("SMS_CACHE_DIR"), None);
         assert_eq!(env.path("SMS_OUT"), Some(PathBuf::from("run")));
         assert_eq!(env.text("SMS_SERVE_ADDR"), Some("127.0.0.1:9"));

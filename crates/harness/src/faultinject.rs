@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is parsed from the `SMS_FAULT` environment variable (or an
 //! explicit spec string in tests) and threaded by hand into the components it
-//! torments: the serve accept/respond paths, the result cache and a backend
+//! torments: the serve accept and stream paths, the result cache and a backend
 //! executor's simulate step. Decisions
 //! are **counter-based, not random**: each fault site owns an atomic counter
 //! and fires when `(count + seed) % every == 0`. That makes the *number* of
@@ -14,7 +14,6 @@
 //! ```text
 //! seed=<n>                  offset every site counter by n (default 0)
 //! kill:jobs=<k>             hard-kill the server after k finished jobs
-//! delay:every=<n>,ms=<m>    stall every nth response by m milliseconds
 //! drop_conn:every=<n>       drop every nth accepted connection unanswered
 //! drop_stream:every=<n>     cut every nth streamed response mid-body
 //! cache_truncate:every=<n>  truncate every nth cache entry as it is written
@@ -23,9 +22,9 @@
 //!                           permit (a model bug no request can provoke)
 //! ```
 //!
-//! Example: `SMS_FAULT="seed=7;kill:jobs=2;delay:every=3,ms=50"`. Parsing
+//! Example: `SMS_FAULT="seed=7;kill:jobs=2;drop_stream:every=3"`. Parsing
 //! is strict: every clause takes exactly its own arguments, each once, as
-//! plain decimal digits, and an `every` is at least 1.
+//! plain decimal digits, and an `every` and a kill's `jobs` are at least 1.
 //!
 //! The entire layer is behind `Option<Arc<FaultPlan>>`: a `None` plan means
 //! no fault code executes at all, so behaviour with injection off is
@@ -33,7 +32,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What to do to a cache entry that is about to be written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +49,6 @@ pub enum CacheFault {
 pub struct FaultPlan {
     seed: u64,
     kill_after_jobs: Option<u64>,
-    delay_every: Option<u64>,
-    delay_ms: u64,
     drop_conn_every: Option<u64>,
     drop_stream_every: Option<u64>,
     cache_truncate_every: Option<u64>,
@@ -60,7 +56,6 @@ pub struct FaultPlan {
     sim_panic_every: Option<u64>,
 
     jobs_done: AtomicU64,
-    responses: AtomicU64,
     conns: AtomicU64,
     streams: AtomicU64,
     cache_writes: AtomicU64,
@@ -75,15 +70,12 @@ impl FaultPlan {
         let mut plan = FaultPlan {
             seed: 0,
             kill_after_jobs: None,
-            delay_every: None,
-            delay_ms: 0,
             drop_conn_every: None,
             drop_stream_every: None,
             cache_truncate_every: None,
             cache_corrupt_every: None,
             sim_panic_every: None,
             jobs_done: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
             conns: AtomicU64::new(0),
             streams: AtomicU64::new(0),
             cache_writes: AtomicU64::new(0),
@@ -105,10 +97,6 @@ impl FaultPlan {
             match name {
                 "seed" => return Err(format!("fault clause `{clause}`: expected seed=<n>")),
                 "kill" => plan.kill_after_jobs = Some(clause_args(name, args, ["jobs"])?[0]),
-                "delay" => {
-                    let [every, ms] = clause_args(name, args, ["every", "ms"])?;
-                    (plan.delay_every, plan.delay_ms) = (Some(every), ms);
-                }
                 "drop_conn" => plan.drop_conn_every = every()?,
                 "drop_stream" => plan.drop_stream_every = every()?,
                 "cache_truncate" => plan.cache_truncate_every = every()?,
@@ -116,8 +104,8 @@ impl FaultPlan {
                 "sim_panic" => plan.sim_panic_every = every()?,
                 other => {
                     return Err(format!(
-                        "unknown fault clause `{other}` (expected kill, delay, drop_conn, \
-                         drop_stream, cache_truncate, cache_corrupt, sim_panic, seed=<n>)"
+                        "unknown fault clause `{other}` (expected kill, drop_conn, drop_stream, \
+                         cache_truncate, cache_corrupt, sim_panic, seed=<n>)"
                     ));
                 }
             }
@@ -147,16 +135,6 @@ impl FaultPlan {
     /// the floor without a response?
     pub fn should_drop_conn(&self) -> bool {
         self.fires(&self.conns, self.drop_conn_every)
-    }
-
-    /// Respond path: how long should this response stall before being
-    /// written, if at all? (Creates deterministic stragglers for hedging.)
-    pub fn respond_delay(&self) -> Option<Duration> {
-        if self.fires(&self.responses, self.delay_every) {
-            Some(Duration::from_millis(self.delay_ms))
-        } else {
-            None
-        }
     }
 
     /// Streaming path: should this streamed response be cut mid-body?
@@ -222,7 +200,8 @@ fn parse_u64(clause: &str, value: &str) -> Result<u64, String> {
 
 /// The values of `keys`, in order, from a clause's `key=<n>,…` list: each
 /// key exactly once and no other key. An `every` must be at least 1; 0
-/// would never fire.
+/// would never fire. A kill's `jobs` must be at least 1: the budget counts
+/// finished jobs from the first, so 0 would read as 1.
 fn clause_args<const N: usize>(
     clause: &str,
     args: &str,
@@ -242,8 +221,10 @@ fn clause_args<const N: usize>(
             return Err(err(format!("argument `{key}` given twice")));
         }
         let n = parse_u64(clause, value)?;
-        if key == "every" && n == 0 {
-            return Err(err("every=0 never fires".to_owned()));
+        match (key, n) {
+            ("every", 0) => return Err(err("every=0 never fires".to_owned())),
+            ("jobs", 0) => return Err(err("jobs=0 is below the first finished job".to_owned())),
+            _ => {}
         }
         values[slot] = Some(n);
     }
@@ -263,7 +244,6 @@ mod tests {
         let plan = FaultPlan::parse("").unwrap();
         for _ in 0..64 {
             assert!(!plan.should_drop_conn());
-            assert!(plan.respond_delay().is_none());
             assert!(!plan.should_drop_stream());
             assert!(!plan.on_job_finished());
             assert!(plan.cache_write_fault().is_none());
@@ -275,15 +255,12 @@ mod tests {
     #[test]
     fn parse_full_spec() {
         let plan = FaultPlan::parse(
-            "seed=7; kill:jobs=5; delay:every=3,ms=50; drop_conn:every=4; \
-             drop_stream:every=3; cache_truncate:every=2; cache_corrupt:every=2; \
-             sim_panic:every=6",
+            "seed=7; kill:jobs=5; drop_conn:every=4; drop_stream:every=3; \
+             cache_truncate:every=2; cache_corrupt:every=2; sim_panic:every=6",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.kill_after_jobs, Some(5));
-        assert_eq!(plan.delay_every, Some(3));
-        assert_eq!(plan.delay_ms, 50);
         assert_eq!(plan.drop_conn_every, Some(4));
         assert_eq!(plan.drop_stream_every, Some(3));
         assert_eq!(plan.cache_truncate_every, Some(2));
@@ -296,7 +273,7 @@ mod tests {
         for (spec, clause) in [
             ("kill", "kill"),
             ("kill:jobs=x", "kill"),
-            ("delay:every=3", "delay"),
+            ("drop_stream", "drop_stream"),
             ("seed", "seed"),
             ("seed=abc", "seed"),
             ("frobnicate:every=1", "frobnicate"),
@@ -304,9 +281,12 @@ mod tests {
             // clause takes exactly its own arguments, once each.
             ("seed=7:kill:jobs=1", "seed"),
             ("kill:jobs=+2", "kill"),
-            ("delay:every=3,ms=50,msx=1", "delay"),
+            ("drop_stream:every=3,everyx=1", "drop_stream"),
             ("kill:jobs=1,jobs=5", "kill"),
             ("drop_conn:every=0", "drop_conn"),
+            ("kill:jobs=0", "kill"),
+            // The straggler clause is retired: it is an unknown clause now.
+            ("delay:every=3,ms=50", "delay"),
         ] {
             let err = FaultPlan::parse(spec).err().unwrap_or_else(|| panic!("`{spec}` parsed"));
             assert!(err.contains(&format!("`{clause}")), "`{spec}`: {err}");
@@ -341,13 +321,87 @@ mod tests {
         assert!(plan.killed());
     }
 
+    /// Specs generated from the clause vocabulary (the retired `delay`
+    /// too), then mangled: truncated at any byte, a `;`, `,` or `=` dropped
+    /// or doubled, a sign or whitespace added, a number past `u64::MAX`.
+    /// Parsing never panics, every refusal names a clause of the spec, and
+    /// every accepted plan can fire: each `every` and the kill budget are
+    /// at least 1.
     #[test]
-    fn delay_returns_configured_duration() {
-        let plan = FaultPlan::parse("delay:every=2,ms=40").unwrap();
-        assert!(plan.respond_delay().is_none());
-        assert_eq!(plan.respond_delay(), Some(Duration::from_millis(40)));
-        assert!(plan.respond_delay().is_none());
-        assert_eq!(plan.respond_delay(), Some(Duration::from_millis(40)));
+    fn generated_specs_parse_or_name_a_clause() {
+        use sms_sim::geom::check::{for_cases, Gen};
+        const CLAUSES: [(&str, &[&str]); 8] = [
+            ("kill", &["jobs"]),
+            ("delay", &["every", "ms"]),
+            ("drop_conn", &["every"]),
+            ("drop_stream", &["every"]),
+            ("cache_truncate", &["every"]),
+            ("cache_corrupt", &["every"]),
+            ("sim_panic", &["every"]),
+            ("seed", &[]),
+        ];
+        for_cases(4_000, 37, |g| {
+            let number = |g: &mut Gen| match g.int(0, 5) {
+                0 => "18446744073709551616".to_owned(),
+                1 => u64::MAX.to_string(),
+                _ => g.int(0, 3).to_string(),
+            };
+            let mut clauses = Vec::new();
+            for _ in 0..g.size(0, 4) {
+                let (name, keys) = CLAUSES[g.int(0, CLAUSES.len() - 1)];
+                if name == "seed" {
+                    clauses.push(format!("seed={}", number(g)));
+                    continue;
+                }
+                let args: Vec<String> =
+                    keys.iter().map(|key| format!("{key}={}", number(g))).collect();
+                clauses.push(format!("{name}:{}", args.join(",")));
+            }
+            let mut spec = clauses.join(";").into_bytes();
+            for _ in 0..g.int(0, 3) {
+                match g.int(0, 3) {
+                    0 => spec.truncate(g.int(0, spec.len())),
+                    1 | 2 => {
+                        let sep = [b';', b',', b'='][g.int(0, 2)];
+                        let seps: Vec<usize> =
+                            (0..spec.len()).filter(|&i| spec[i] == sep).collect();
+                        if let Some(&i) = seps.get(g.int(0, seps.len())) {
+                            if g.chance(0.5) {
+                                spec.remove(i);
+                            } else {
+                                spec.insert(i, sep);
+                            }
+                        }
+                    }
+                    _ => {
+                        let junk = [b'+', b'-', b' ', b'\t'][g.int(0, 3)];
+                        let i = g.int(0, spec.len());
+                        spec.insert(i, junk);
+                    }
+                }
+            }
+            let spec = String::from_utf8(spec).expect("the generator writes ASCII");
+            match FaultPlan::parse(&spec) {
+                Ok(plan) => {
+                    let every = [
+                        plan.drop_conn_every,
+                        plan.drop_stream_every,
+                        plan.cache_truncate_every,
+                        plan.cache_corrupt_every,
+                        plan.sim_panic_every,
+                    ];
+                    assert!(every.iter().all(|e| e.is_none_or(|e| e >= 1)), "`{spec}`: {every:?}");
+                    let kill = plan.kill_after_jobs;
+                    assert!(kill.is_none_or(|k| k >= 1), "`{spec}`: kill budget {kill:?}");
+                }
+                Err(err) => {
+                    let named =
+                        err.split_once("clause `").and_then(|(_, rest)| rest.split_once('`'));
+                    let named = named.map_or("", |(name, _)| name);
+                    assert!(!named.is_empty() && spec.contains(named), "`{spec}`: {err}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub enum Event {
         /// Span duration in microseconds.
         dur_us: u64,
         /// Free-form string attributes (`cell`, `backend`, `attempt`,
-        /// `hedge`, `cache`, `breaker_state`, `cancelled`, ...), rendered
+        /// `cache`, `breaker_state`, `outcome`, ...), rendered
         /// as a JSON object in insertion order.
         attrs: Vec<(String, String)>,
     },

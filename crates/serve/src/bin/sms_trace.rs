@@ -9,7 +9,7 @@
 //! more JSONL journals — typically the fleet journal plus each backend's —
 //! and renders one Chrome-trace/Perfetto JSON timeline: one process track
 //! per journal, one slice per span, and `ph:"s"`/`ph:"f"` flow arrows for
-//! every parent→child edge so hedges and steals draw as arrows across
+//! every parent→child edge so retries and steals draw as arrows across
 //! process tracks. Sim traces written by `SMS_TRACE`-armed jobs (which
 //! embed a top-level `"traceId"`) are folded in with `--sim`, so a
 //! request's spans link to its per-warp timeline. The merge is strict:
@@ -427,7 +427,7 @@ fn render_events(
             tid(&s.span),
             Json::Obj(args),
         ));
-        // One flow arrow per parent edge; hedge and steal dispatches show
+        // One flow arrow per parent edge; a retried cell's dispatches show
         // as arrows fanning out of the cell into different tracks.
         if let Some((ppid, ptid, pstart)) = s.parent.as_ref().and_then(|p| locate(&s.trace, p)) {
             let flow = format!("\"cat\":\"trace\",\"id\":\"0x{}\"", s.span);

@@ -10,6 +10,7 @@
 
 use crate::http::{self, Limits, Response};
 use crate::protocol::SweepOutcome;
+use sms_harness::json::Json;
 use sms_harness::{TraceContext, TRACE_HEADER};
 use sms_sim::Env;
 use std::io::Write;
@@ -134,14 +135,15 @@ impl Client {
         configs: &[&str],
         render: &str,
     ) -> Result<SweepOutcome, ClientError> {
-        let quote_list =
-            |xs: &[&str]| xs.iter().map(|x| format!("\"{x}\"")).collect::<Vec<_>>().join(",");
-        let body = format!(
-            "{{\"scenes\":[{}],\"configs\":[{}],\"render\":\"{render}\"}}",
-            quote_list(scenes),
-            quote_list(configs)
-        );
-        let resp = self.post("/v1/sweep", body.as_bytes())?;
+        // Built as a `Json` value, so a label holding `"` or `\` is escaped
+        // and reaches the server's label check intact.
+        let list = |xs: &[&str]| Json::Arr(xs.iter().map(|x| Json::Str((*x).to_owned())).collect());
+        let body = Json::Obj(vec![
+            ("scenes".to_owned(), list(scenes)),
+            ("configs".to_owned(), list(configs)),
+            ("render".to_owned(), Json::Str(render.to_owned())),
+        ]);
+        let resp = self.post("/v1/sweep", body.to_string().as_bytes())?;
         if resp.status != 200 {
             return Err(ClientError {
                 status: Some(resp.status),

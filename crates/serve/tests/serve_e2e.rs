@@ -547,3 +547,16 @@ fn two_servers_share_one_cache_dir() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The client escapes its labels: a scene name holding a `"` reaches the
+/// backend's label check intact and is refused by name, with a 400 — not
+/// as a body that is not JSON.
+#[test]
+fn a_quoted_label_is_refused_by_name() {
+    let (handle, join) = Server::spawn(test_config(None)).unwrap();
+    let err = quick_client(handle.addr()).sweep(&["WK\"ND"], &["RB_8"], "tiny").unwrap_err();
+    assert_eq!(err.status, Some(400), "{err}");
+    assert!(err.message.contains("unknown scene name `WK\"ND`"), "{err}");
+    handle.request_drain();
+    join.join().unwrap().unwrap();
+}

@@ -1,13 +1,13 @@
 //! Distributed-tracing end to end: one client trace context must survive
-//! hedged and retried dispatch across two backends, with every span the
+//! routed and retried dispatch across two backends, with every span the
 //! fleet and the backends record sharing the client's trace id and
 //! parenting into one tree — and with tracing disarmed, journals must
 //! carry no span lines at all (byte-identity with the pre-tracing tier).
 //!
 //! The trace context is injected via `ClientConfig::trace` (never the
-//! environment — tests run in parallel), and hedging/failure are made
-//! deterministic structurally: a zero hedge threshold hedges every cell,
-//! a bound-then-dropped port refuses every dispatch.
+//! environment — tests run in parallel), and routing/failure are made
+//! deterministic structurally: two scenes over two idle backends get one
+//! home each, a bound-then-dropped port refuses every dispatch.
 
 use sms_harness::json::{parse, Json};
 use sms_harness::TraceContext;
@@ -62,14 +62,16 @@ fn attr<'a>(doc: &'a Json, name: &str) -> &'a str {
     doc.get("attrs").and_then(|a| a.get(name)).and_then(|v| v.as_str()).unwrap_or_default()
 }
 
-/// Hedged sweep: with a zero hedge threshold every cell fires a duplicate
-/// dispatch, so the journal must show — under one trace id — the fleet
-/// sweep parented on the client's span, cells parented on the sweep, and
-/// per cell one winning dispatch plus one hedge loser recorded as
-/// cancelled at the decision point.
+/// Traced sweep over two backends: two scenes with two configurations
+/// each, so each scene is homed on its own backend. The journal must show,
+/// under one trace id, the fleet sweep parented on the client's span, cells
+/// parented on the sweep, exactly one `ok` dispatch per cell parented on
+/// its cell, each scene's dispatches on one backend and the two scenes on
+/// different ones, and backend B's sweep spans parented on fleet dispatch
+/// spans.
 #[test]
-fn hedged_sweep_keeps_one_trace_and_cancels_the_loser() {
-    let dir = temp_dir("hedge");
+fn traced_sweep_keeps_one_trace_over_two_backends() {
+    let dir = temp_dir("two-backends");
     let cache = dir.join("cache");
     let b_journal = dir.join("backend-b.jsonl");
 
@@ -82,7 +84,6 @@ fn hedged_sweep_keeps_one_trace_and_cancels_the_loser() {
         addr: "127.0.0.1:0".to_owned(),
         backends: vec![handle_a.addr().to_string(), handle_b.addr().to_string()],
         workers: 2,
-        hedge_after: Some(Duration::ZERO),
         journal_path: Some(journal.clone()),
         cache_dir: Some(cache),
         ..FleetConfig::default()
@@ -91,9 +92,9 @@ fn hedged_sweep_keeps_one_trace_and_cancels_the_loser() {
 
     let ctx = TraceContext::root();
     let outcome = traced_client(fleet.addr(), Some(ctx))
-        .sweep(&["WKND"], &["RB_8", "RB_8+SH_8"], "tiny")
+        .sweep(&["WKND", "BUNNY"], &["RB_8", "RB_8+SH_8"], "tiny")
         .unwrap();
-    assert_eq!(outcome.records.len(), 2);
+    assert_eq!(outcome.records.len(), 4);
     assert!(outcome.records.iter().all(|r| r.outcome.is_ok()));
 
     fleet.request_drain();
@@ -115,54 +116,45 @@ fn hedged_sweep_keeps_one_trace_and_cancels_the_loser() {
     assert_eq!(field(sweep[0], "kind"), "server");
 
     let cells: Vec<&Json> = fleet_spans.iter().filter(|s| field(s, "name") == "cell").collect();
-    assert_eq!(cells.len(), 2, "one cell span per deduped cell");
+    assert_eq!(cells.len(), 4, "one cell span per deduped cell");
     for c in &cells {
         assert_eq!(field(c, "parent"), field(sweep[0], "span"), "cells parent on the sweep");
     }
 
     let dispatches: Vec<&Json> =
         fleet_spans.iter().filter(|s| field(s, "name") == "dispatch").collect();
-    let hedged: Vec<&&Json> = dispatches.iter().filter(|d| attr(d, "hedge") == "1").collect();
-    assert!(!hedged.is_empty(), "a zero hedge threshold must fire hedges");
-    for h in &hedged {
-        assert!(
-            cells.iter().any(|c| field(c, "span") == field(h, "parent")),
-            "hedge dispatch must parent on its cell span: {h}"
-        );
-    }
-    let cancelled: Vec<&&Json> =
-        dispatches.iter().filter(|d| attr(d, "outcome") == "cancelled").collect();
-    assert!(!cancelled.is_empty(), "the hedge race's loser must be recorded as cancelled");
-    // Per cell with both an ok and a cancelled dispatch, they must ride
-    // different backends — that is the hedge.
+    assert_eq!(dispatches.len(), 4, "one dispatch per cell: {dispatches:?}");
+    let mut homes: Vec<(&str, &str)> = Vec::new();
     for c in &cells {
         let of_cell: Vec<&&Json> =
             dispatches.iter().filter(|d| field(d, "parent") == field(c, "span")).collect();
-        let ok = of_cell.iter().find(|d| attr(d, "outcome") == "ok");
-        let lost = of_cell.iter().find(|d| attr(d, "outcome") == "cancelled");
-        if let (Some(ok), Some(lost)) = (ok, lost) {
-            assert_ne!(attr(ok, "backend"), attr(lost, "backend"), "hedge must change backends");
-        }
+        assert_eq!(of_cell.len(), 1, "exactly one dispatch parents on {c}");
+        assert_eq!(attr(of_cell[0], "outcome"), "ok", "{}", of_cell[0]);
+        let scene = attr(c, "cell").split('/').next().unwrap();
+        homes.push((scene, attr(of_cell[0], "backend")));
     }
+    homes.sort_unstable();
+    homes.dedup();
+    assert_eq!(homes.len(), 2, "each scene on one backend: {homes:?}");
+    assert_ne!(homes[0].1, homes[1].1, "the two scenes on two backends: {homes:?}");
 
     // Cross-process: backend B's spans continue the same trace, and its
     // sweep spans parent on fleet dispatch spans.
     let b_spans = spans(&b_journal);
-    if !b_spans.is_empty() {
-        for s in &b_spans {
-            assert_eq!(field(s, "trace"), ctx.trace_hex(), "backend continues the trace: {s}");
-        }
-        for s in b_spans.iter().filter(|s| field(s, "name") == "sweep") {
-            assert!(
-                dispatches.iter().any(|d| field(d, "span") == field(s, "parent")),
-                "backend sweep must parent on a fleet dispatch span: {s}"
-            );
-        }
+    assert!(!b_spans.is_empty(), "backend B is home to a scene and records spans");
+    for s in &b_spans {
+        assert_eq!(field(s, "trace"), ctx.trace_hex(), "backend continues the trace: {s}");
+    }
+    for s in b_spans.iter().filter(|s| field(s, "name") == "sweep") {
         assert!(
-            b_spans.iter().any(|s| field(s, "name") == "job" && !attr(s, "cell").is_empty()),
-            "backend must record job spans with a cell attribute"
+            dispatches.iter().any(|d| field(d, "span") == field(s, "parent")),
+            "backend sweep must parent on a fleet dispatch span: {s}"
         );
     }
+    assert!(
+        b_spans.iter().any(|s| field(s, "name") == "job" && !attr(s, "cell").is_empty()),
+        "backend must record job spans with a cell attribute"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
