@@ -166,6 +166,14 @@ if git grep -nE 'hedge[_]after|SMS_FLEET_[H]EDGE_MS|respond[_]delay|sms_fleet_[h
   exit 1
 fi
 
+echo "==> one-config gate (no tree, retry-count or competitor-column switch; prints offenders)"
+# The bracketed letters keep the pattern from matching itself or the env-docs test.
+if git grep -nwE 'S[M]S_(HLBVH|RETRIES|STACKLESS|PREDICT|PREDICT_BITS)|with[_]retries|competitor[_]configs' -- crates; then
+  echo "a retired switch is back (every sweep builds PreparedScene::build's tree, retries cache"
+  echo "I/O DEFAULT_RETRIES times and shows every competitor column)"
+  exit 1
+fi
+
 echo "==> no-poll gate (the serving accept loop blocks in accept and is woken on purpose; prints"
 echo "    offenders)"
 # The bracketed letters keep this pattern from matching itself.
@@ -234,36 +242,15 @@ echo "    conservation — predictor_wait bucket included — asserted in-sim)"
 SMS_BREAKDOWN=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
   cargo bench --bench figures -- breakdown_stalls > /dev/null
 
-echo "==> competitor byte-identity (SMS_STACKLESS=0 SMS_PREDICT=0 drops the SL/PRED"
-echo "    columns; every remaining cache entry must be byte-identical to the"
-echo "    features-on sweep's entry for the same cell — sha256-verified)"
-rm -rf target/compet-on-cache target/compet-off-cache
-# Absolute cache paths: cargo bench runs the bench with the package dir as
-# CWD, so a relative SMS_CACHE_DIR would land under crates/bench/.
-SMS_CACHE_DIR="$PWD/target/compet-on-cache" SMS_SCENES=WKND,SHIP \
-  cargo bench --bench figures -- fig13 > /dev/null
-SMS_STACKLESS=0 SMS_PREDICT=0 \
-  SMS_CACHE_DIR="$PWD/target/compet-off-cache" SMS_SCENES=WKND,SHIP \
-  cargo bench --bench figures -- fig13 > /dev/null
-off_entries=0
-for f in target/compet-off-cache/*.json; do
-  b=$(basename "$f")
-  [ -f "target/compet-on-cache/$b" ] || { echo "features-on sweep lost cache entry $b"; exit 1; }
-  on_sum=$(sha256sum "target/compet-on-cache/$b" | cut -d' ' -f1)
-  off_sum=$(sha256sum "$f" | cut -d' ' -f1)
-  [ "$on_sum" = "$off_sum" ] || { echo "cache entry $b differs with competitors enabled"; exit 1; }
-  off_entries=$((off_entries + 1))
-done
-[ "$off_entries" -eq 10 ] || { echo "expected 10 baseline cache entries (2 scenes x 5 configs), saw $off_entries"; exit 1; }
-on_entries=$(ls target/compet-on-cache/*.json | wc -l)
-[ "$on_entries" -eq 14 ] || { echo "expected 14 features-on cache entries (10 + SL/PRED), saw $on_entries"; exit 1; }
+echo "==> fig13 entry count (a fresh-cache sweep over WKND,SHIP writes 2 scenes x 7 configs)"
+rm -rf target/fig13-cache
+# Absolute: cargo bench runs the bench from crates/bench.
+SMS_CACHE_DIR="$PWD/target/fig13-cache" SMS_SCENES=WKND,SHIP cargo bench --bench figures -- fig13 > /dev/null
+n=$(ls target/fig13-cache/*.json | wc -l)
+[ "$n" -eq 14 ] || { echo "expected 14 fig13 cache entries (SL and PRED_12 included), saw $n"; exit 1; }
 
 echo "==> validator-on sweep smoke (SMS_VALIDATE=1, cache bypassed)"
 SMS_VALIDATE=1 SMS_NO_CACHE=1 SMS_SCENES=WKND,SHIP \
-  cargo bench --bench figures -- fig13 > /dev/null
-
-echo "==> SMS_HLBVH sweep smoke (HLBVH-built trees, cache bypassed both directions)"
-SMS_HLBVH=1 SMS_SCENES=WKND,SHIP \
   cargo bench --bench figures -- fig13 > /dev/null
 
 echo "==> figures vs experiments/fast.json (every experiment, fast tier, all 16 scenes, fresh"

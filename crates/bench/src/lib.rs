@@ -50,38 +50,16 @@ use sms_sim::bvh::{
 };
 use sms_sim::config::{RenderConfig, SimConfig};
 use sms_sim::experiments::{
-    try_run_prepared, Column, Experiment, Reduction, RunResult, Verdict, DEEP, EXPERIMENTS,
+    scene_list, try_run_prepared, Column, Experiment, Reduction, RunResult, Verdict, DEEP,
+    EXPERIMENTS,
 };
 use sms_sim::gpu::{GpuConfig, StallBreakdown};
 use sms_sim::render::{render, PreparedScene};
 use sms_sim::report::{fmt_improvement, fmt_pct, geomean, Grid, Table};
 use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
-use sms_sim::Env;
 use std::iter::once;
 use std::path::PathBuf;
-
-/// The stack-elimination competitor columns appended to the sweeps that
-/// compare against SMS: stackless traversal (`SL`, `SMS_STACKLESS`) and
-/// the hash-based leaf predictor (`PRED_<SMS_PREDICT_BITS>`,
-/// `SMS_PREDICT`), both on by default. Dropping them restores the
-/// pre-competitor matrix — the remaining cells' stats and cache entries
-/// are byte-identical either way.
-pub fn competitor_configs(env: &Env) -> Vec<StackConfig> {
-    let mut configs = Vec::new();
-    if env.flag("SMS_STACKLESS") {
-        configs.push(StackConfig::stackless());
-    }
-    if env.flag("SMS_PREDICT") {
-        let bits = env.positive("SMS_PREDICT_BITS").unwrap_or(12);
-        assert!(
-            bits <= u64::from(sms_sim::rtunit::predictor::MAX_TABLE_BITS),
-            "SMS_PREDICT_BITS must be in 1..=20, got {bits}"
-        );
-        configs.push(StackConfig::Predictor { table_bits: bits as u32 });
-    }
-    configs
-}
 
 /// What every experiment runs against.
 pub struct Ctx {
@@ -91,8 +69,6 @@ pub struct Ctx {
     pub scenes: Vec<SceneId>,
     /// Workload sizing (`SMS_PAPER`).
     pub render: RenderConfig,
-    /// The competitor columns ([`competitor_configs`]).
-    pub competitors: Vec<StackConfig>,
     /// The harness-wide limits, for the cells simulated outside a batch.
     pub limits: RunLimits,
 }
@@ -109,17 +85,19 @@ pub struct Report {
 /// One result per (scene, column), or the error that stopped that cell.
 pub type Cells = Vec<Vec<Result<RunResult, RunError>>>;
 
-/// Runs `exp`'s columns (plus the competitors, if it takes them) on
+/// Runs `exp`'s columns (plus the stack-elimination competitors `SL` and
+/// `PRED_12` the paper sets beside SMS, if it takes them) on
 /// `scenes` as one fault-tolerant batch; returns the column headers and
 /// the cells grouped per scene, and prints the batch summary.
 pub fn run_cells(ctx: &Ctx, exp: &Experiment, scenes: &[SceneId]) -> (Vec<String>, Cells) {
     let mut columns = exp.columns.clone();
     if exp.competitors {
-        let competitor = |s: &StackConfig| {
+        let competitor = |s: StackConfig| {
             let (gpu, limits) = (GpuConfig::default(), exp.columns[0].limits);
-            Column { stack: *s, gpu, limits, label: s.label(), base: 0 }
+            Column { stack: s, gpu, limits, label: s.label(), base: 0 }
         };
-        columns.extend(ctx.competitors.iter().map(competitor));
+        let competitors = [StackConfig::stackless(), StackConfig::predictor_default()];
+        columns.extend(competitors.map(competitor));
     }
     let request = |id, c: &Column| {
         RunRequest::new(id, c.stack, ctx.render).with_gpu(c.gpu).with_limits(c.limits)
@@ -385,24 +363,24 @@ pub fn select(ids: &[String]) -> Result<Vec<&'static Experiment>, String> {
 /// The `figures` target: runs the experiments named by `args` (all, in
 /// paper order, when none is; `--flags` such as cargo's `--bench` are
 /// ignored), writes `target/figures.json` and returns the exit status: 2
-/// if a run failed or an id is unknown, 1 if a number left its verdict
-/// rule, else 0.
+/// if a run failed, an id is unknown or `SMS_SCENES` names an unknown or
+/// repeated scene, 1 if a number left its verdict rule, else 0.
 pub fn figures(args: impl Iterator<Item = String>) -> i32 {
-    let selected = match select(&args.filter(|a| !a.starts_with("--")).collect::<Vec<_>>()) {
-        Ok(selected) => selected,
-        Err(unknown) => {
-            eprintln!("{unknown}");
+    let ids: Vec<String> = args.filter(|a| !a.starts_with("--")).collect();
+    let env = sms_harness::capture_env();
+    let (selected, scenes) = match select(&ids).and_then(|s| Ok((s, scene_list(&env)?))) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("{e}");
             return 2;
         }
     };
-    let env = sms_harness::capture_env();
     let config = HarnessConfig::from_env(&env);
     let ctx = Ctx {
         limits: config.limits,
         harness: Harness::new(config),
-        scenes: sms_sim::experiments::scene_list(&env).unwrap_or_else(|e| panic!("{e}")),
+        scenes,
         render: RenderConfig::from_env(&env),
-        competitors: competitor_configs(&env),
     };
     let recorded = (ctx.render == RenderConfig::fast() && ctx.scenes == SceneId::ALL).then(|| {
         // Unreadable records hold nothing: every number then strays, by name.

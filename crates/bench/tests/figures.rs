@@ -9,7 +9,6 @@ use sms_harness::{Harness, HarnessConfig, RunLimits};
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::{experiment, Experiment, Reduction, Verdict, EXPERIMENTS, RB_SWEEP};
 use sms_sim::report::Grid;
-use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
 
 fn tiny_ctx() -> Ctx {
@@ -19,7 +18,6 @@ fn tiny_ctx() -> Ctx {
         harness: Harness::new(config),
         scenes: vec![SceneId::Wknd, SceneId::Ship],
         render: RenderConfig::tiny(),
-        competitors: vec![StackConfig::stackless(), StackConfig::predictor_default()],
     }
 }
 

@@ -47,14 +47,9 @@ pub const DECLS: &[Decl] = &[
     ("SMS_MAX_CYCLES", Positive, "unlimited (hard cap 2⁴⁰)", "harness, serve", "per-run cycle budget"),
     ("SMS_STALL_CYCLES", Positive, "off", "harness, serve", "forward-progress watchdog window"),
     ("SMS_VALIDATE", Flag, "off", "harness, serve", "attach the stack invariant validator"),
-    ("SMS_RETRIES", NonNegative, "2", "harness", "bounded retries for transient cache I/O"),
     ("SMS_BREAKDOWN", Flag, "off", "harness", "arm cycle attribution on every run"),
     ("SMS_TRACE", Flag, "off", "harness, serve", "Chrome-trace timeline per run, into `SMS_OUT`"),
     ("SMS_METRICS", Flag, "off", "harness", "arm run metrics on every run"),
-    ("SMS_HLBVH", Flag, "off", "harness", "build BVHs with the parallel HLBVH builder"),
-    ("SMS_STACKLESS", Flag, "on", "bench", "the stackless (`SL`) competitor column"),
-    ("SMS_PREDICT", Flag, "on", "bench", "the ray-path-predictor (`PRED_*`) competitor column"),
-    ("SMS_PREDICT_BITS", Positive, "12", "bench", "predictor table index width, 1..=20"),
     ("SMS_SERVE_ADDR", Text, "`127.0.0.1:7745`", "serve, client", "server bind address and client target"),
     ("SMS_CLIENT_RETRIES", NonNegative, "3", "client", "retries after the first attempt"),
     ("SMS_CLIENT_DEADLINE_MS", Positive, "600 000", "client", "wall-clock budget per request"),
@@ -192,16 +187,15 @@ mod tests {
     }
 
     /// One grammar for every flag: each row is `(name, value, reads as,
-    /// warns)`. At least one row per declared flag; the four `=true` rows
-    /// on the `== "1"` flags and the `=false` row on `SMS_STACKLESS` are
-    /// the ones the three old grammars got wrong, and a path given to
-    /// `SMS_TRACE` (its grammar before the run directory) arms nothing.
+    /// warns)`. At least one row per declared flag; the `=true` rows on
+    /// the `== "1"` flags are the ones the old grammars got wrong, and a
+    /// path given to `SMS_TRACE` (its grammar before the run directory)
+    /// arms nothing.
     #[test]
     fn every_flag_reads_one_grammar() {
         let rows: &[(&str, &str, bool, bool)] = &[
             ("SMS_JOURNAL_SYNC", "true", true, false),
             ("SMS_NO_CACHE", "true", true, false),
-            ("SMS_HLBVH", "TRUE", true, false),
             ("SMS_PAPER", "true", true, false),
             ("SMS_PAPER", "1", true, false),
             ("SMS_VALIDATE", "true", true, false),
@@ -213,12 +207,7 @@ mod tests {
             ("SMS_METRICS", "0", false, false),
             ("SMS_METRICS", "", false, false),
             ("SMS_METRICS", "2", false, true),
-            ("SMS_STACKLESS", "false", false, false),
-            ("SMS_STACKLESS", "0", false, false),
-            ("SMS_STACKLESS", "", false, false),
-            ("SMS_STACKLESS", "nope", true, true),
-            ("SMS_PREDICT", "off", false, false),
-            ("SMS_PREDICT", "1", true, false),
+            ("SMS_NO_CACHE", "off", false, false),
             // A typo is reported and arms nothing.
             ("SMS_VALDIATE", "1", false, true),
         ];
@@ -240,9 +229,8 @@ mod tests {
     fn one_parser_per_kind_trims_and_treats_blank_as_unset() {
         let env = Env::from_pairs(&[
             ("SMS_JOBS", " 4 "),
-            ("SMS_RETRIES", "0"),
             ("SMS_MAX_CYCLES", "-3"),
-            ("SMS_PREDICT_BITS", "junk"),
+            ("SMS_FLEET_ATTEMPTS", "junk"),
             ("SMS_CLIENT_RETRIES", "many"),
             ("SMS_FLEET_COOLDOWN_MS", ""),
             ("SMS_CACHE_DIR", "  "),
@@ -252,10 +240,11 @@ mod tests {
             ("HOME", "/root"),
         ]);
         assert_eq!(env.positive("SMS_JOBS"), Some(4));
-        assert_eq!(env.non_negative("SMS_RETRIES"), Some(0));
         assert_eq!(env.positive("SMS_MAX_CYCLES"), None);
-        assert_eq!(env.positive("SMS_PREDICT_BITS"), None);
+        assert_eq!(env.positive("SMS_FLEET_ATTEMPTS"), None);
         assert_eq!(env.non_negative("SMS_CLIENT_RETRIES"), None);
+        let zero = Env::from_pairs(&[("SMS_CLIENT_RETRIES", "0")]);
+        assert_eq!(zero.non_negative("SMS_CLIENT_RETRIES"), Some(0));
         assert_eq!(env.positive("SMS_FLEET_COOLDOWN_MS"), None);
         assert_eq!(env.path("SMS_CACHE_DIR"), None);
         assert_eq!(env.path("SMS_OUT"), Some(PathBuf::from("run")));
@@ -265,9 +254,9 @@ mod tests {
         // Malformed integers warn with the variable and the value; blanks
         // and foreign variables do not.
         let vars: Vec<&str> = env.warnings.iter().map(|w| w.split(':').next().unwrap()).collect();
-        assert_eq!(vars, ["SMS_MAX_CYCLES", "SMS_PREDICT_BITS", "SMS_CLIENT_RETRIES"]);
+        assert_eq!(vars, ["SMS_MAX_CYCLES", "SMS_FLEET_ATTEMPTS", "SMS_CLIENT_RETRIES"]);
         assert!(env.warnings[1].contains("got `junk`"), "{:?}", env.warnings);
-        assert!(env.warnings[1].contains("(12)"), "{:?}", env.warnings);
+        assert!(env.warnings[1].contains("(4)"), "{:?}", env.warnings);
     }
 
     /// Every `SMS_*` token in `text`, in order of appearance.

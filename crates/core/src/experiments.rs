@@ -200,14 +200,24 @@ pub fn try_run_exporting(
 
 /// The scene list a harness should evaluate: all 16 by default, or the
 /// comma-separated subset in `SMS_SCENES` (e.g. `SMS_SCENES=SHIP,BUNNY`).
-/// An unknown name is an error naming the variable and the token: a
-/// figure over the wrong scene set is not a reproduction.
+/// An unknown name, or one that repeats an earlier name (names match
+/// case-insensitively), is an error naming the variable and the token: a
+/// figure over the wrong scene set is not a reproduction, and a repeated
+/// scene would weigh double in every summary row.
 pub fn scene_list(env: &Env) -> Result<Vec<SceneId>, String> {
     let names = env.list("SMS_SCENES");
     if names.is_empty() {
         return Ok(SceneId::ALL.to_vec());
     }
-    names.iter().map(|n| n.parse().map_err(|e| format!("SMS_SCENES: `{n}`: {e}"))).collect()
+    let mut scenes = Vec::with_capacity(names.len());
+    for n in names {
+        let id: SceneId = n.parse().map_err(|e| format!("SMS_SCENES: `{n}`: {e}"))?;
+        if scenes.contains(&id) {
+            return Err(format!("SMS_SCENES: `{n}` repeats scene {}", id.name()));
+        }
+        scenes.push(id);
+    }
+    Ok(scenes)
 }
 
 /// Runs every `(scene, config)` pair serially, reusing each scene's BVH.
@@ -321,8 +331,8 @@ pub struct Experiment {
     pub subset: &'static [&'static str],
     /// Matrix columns; column 0 is the default normalisation base.
     pub columns: Vec<Column>,
-    /// Append the `SL` / `PRED_*` competitor columns (`SMS_STACKLESS`,
-    /// `SMS_PREDICT`), run under column 0's limits.
+    /// Append the `SL` and `PRED_12` competitor columns, run under
+    /// column 0's limits.
     pub competitors: bool,
     /// What is computed from the results.
     pub reduction: Reduction,
@@ -572,6 +582,8 @@ mod tests {
         assert_eq!(scene_list(&Env::default()), Ok(SceneId::ALL.to_vec()));
         let err = list("SHIP,SHPI").unwrap_err();
         assert!(err.contains("SMS_SCENES") && err.contains("`SHPI`"), "{err}");
+        let err = list("SHIP,BUNNY,ship").unwrap_err(); // a repeat would weigh SHIP double
+        assert!(err.contains("SMS_SCENES") && err.contains("`ship`"), "{err}");
     }
 
     #[test]

@@ -31,9 +31,10 @@ impl PreparedScene {
         Self::build_with(id, render, &BuildParams::default())
     }
 
-    /// Builds the named scene and its BVH with explicit build parameters —
-    /// the harness routes `SMS_HLBVH=1` here with
-    /// [`sms_bvh::SplitMethod::Hlbvh`] and its worker count.
+    /// Builds the named scene and its BVH with explicit build parameters,
+    /// for the tree-quality ablation and the builder comparisons. The
+    /// harness and the serving tiers build [`PreparedScene::build`]'s tree
+    /// only: it is the one tree a cache key means.
     pub fn build_with(id: SceneId, render: &RenderConfig, params: &BuildParams) -> Self {
         let scene = render.apply(Scene::build(id));
         let start = std::time::Instant::now();

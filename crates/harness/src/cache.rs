@@ -16,8 +16,8 @@
 //! racing writers of the same key both succeed (POSIX rename replaces
 //! atomically — and since the same key always holds the same bytes, "last
 //! writer wins" and "first writer wins" are indistinguishable). Transient
-//! I/O errors are retried with exponential backoff (`SMS_RETRIES`, default
-//! 2); a persistently unwritable directory (read-only mount, full disk)
+//! I/O errors are retried with exponential backoff ([`DEFAULT_RETRIES`]
+//! times); a persistently unwritable directory (read-only mount, full disk)
 //! degrades the cache to a no-op with a single warning instead of a crash.
 //!
 //! The second half of this file is the JSON codec for the counter records
@@ -68,8 +68,23 @@ impl CacheKey {
     }
 }
 
-/// Default bounded-retry count for transient cache I/O (`SMS_RETRIES`).
+/// Bounded-retry count for transient cache I/O, on every tier.
 pub const DEFAULT_RETRIES: u32 = 2;
+
+/// Runs `op` up to `1 + DEFAULT_RETRIES` times with exponential backoff,
+/// returning the first success or the last attempt's error. `Ok(None)`
+/// means "definitive miss" and is returned immediately (no retry).
+fn with_retry<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
+    let mut delay = Duration::from_millis(5);
+    for _ in 0..DEFAULT_RETRIES {
+        if let Ok(v) = op() {
+            return Ok(v);
+        }
+        std::thread::sleep(delay);
+        delay *= 2;
+    }
+    op()
+}
 
 /// Shared degradation state: once the directory proves unusable, every
 /// clone of the cache (workers hold clones) goes quiet together and the
@@ -86,7 +101,6 @@ struct Degrade {
 pub struct ResultCache {
     dir: PathBuf,
     salt: u32,
-    retries: u32,
     degrade: Arc<Degrade>,
     faults: Option<Arc<FaultPlan>>,
 }
@@ -100,19 +114,7 @@ impl ResultCache {
     /// A cache with an explicit salt — for tests and for migration tooling
     /// that needs to inspect entries written by an older simulator version.
     pub fn with_salt(dir: impl Into<PathBuf>, salt: u32) -> Self {
-        ResultCache {
-            dir: dir.into(),
-            salt,
-            retries: DEFAULT_RETRIES,
-            degrade: Arc::new(Degrade::default()),
-            faults: None,
-        }
-    }
-
-    /// Sets the bounded-retry count for transient I/O failures.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
+        ResultCache { dir: dir.into(), salt, degrade: Arc::new(Degrade::default()), faults: None }
     }
 
     /// Attaches a fault-injection plan that may truncate or corrupt entries
@@ -147,30 +149,6 @@ impl ResultCache {
         }
     }
 
-    /// Runs `op` up to `1 + retries` times with exponential backoff,
-    /// returning the first success. `Ok(None)` means "definitive miss" and
-    /// is returned immediately (no retry).
-    fn with_retry<T>(
-        &self,
-        mut op: impl FnMut() -> std::io::Result<T>,
-    ) -> Result<T, std::io::Error> {
-        let mut delay = Duration::from_millis(5);
-        let mut last;
-        let mut attempt = 0;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) => last = e,
-            }
-            if attempt >= self.retries {
-                return Err(last);
-            }
-            attempt += 1;
-            std::thread::sleep(delay);
-            delay *= 2;
-        }
-    }
-
     /// Computes the request's cache key under this cache's salt.
     pub fn key(&self, req: &RunRequest) -> CacheKey {
         CacheKey::new(req, self.salt)
@@ -194,14 +172,13 @@ impl ResultCache {
             return None;
         }
         let path = self.entry_path(key);
-        let text = self
-            .with_retry(|| match fs::read_to_string(&path) {
-                Ok(t) => Ok(Some(t)),
-                Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
-                Err(e) => Err(e),
-            })
-            .ok()
-            .flatten()?;
+        let text = with_retry(|| match fs::read_to_string(&path) {
+            Ok(t) => Ok(Some(t)),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        })
+        .ok()
+        .flatten()?;
         match self.validate_entry(key, &text) {
             Loaded::Hit(stats) => Some(*stats),
             Loaded::Miss => None,
@@ -281,7 +258,7 @@ impl ResultCache {
             ("sum".to_owned(), Json::Str(entry_checksum(&key.canonical, stats))),
             ("stats".to_owned(), stats_to_json(stats)),
         ]);
-        if let Err(e) = self.with_retry(|| fs::create_dir_all(&self.dir)) {
+        if let Err(e) = with_retry(|| fs::create_dir_all(&self.dir)) {
             self.degrade(&e);
             return;
         }
@@ -301,7 +278,7 @@ impl ResultCache {
             apply_cache_fault(&mut body, fault);
         }
         let entry = self.entry_path(key);
-        let result = self.with_retry(|| {
+        let result = with_retry(|| {
             fs::write(&tmp, &body)?;
             match fs::rename(&tmp, &entry) {
                 Ok(()) => Ok(()),

@@ -6,8 +6,8 @@
 //!   run of the work and its result. The executor uses it for scenes; the
 //!   backend uses a second one to share cells across requests.
 //! * The scene table ([`Executor::scene`]) — one [`PreparedScene`] per
-//!   `(scene, render)`, built on first use with the executor's
-//!   [`BuildParams`] and kept for the executor's lifetime.
+//!   `(scene, render)`, built on first use with the default tree (the one
+//!   every cache key means) and kept for the executor's lifetime.
 //! * The simulate step ([`Executor::simulate`]) — a simulation permit
 //!   held by a drop guard, the request's limits over the executor's, the
 //!   one job-running function, the cache store, `SimFault` → [`RunError`].
@@ -15,7 +15,6 @@
 //! [`Harness::try_run_batch`]: crate::Harness::try_run_batch
 
 use crate::{pool, CacheKey, FaultPlan, ResultCache, RunError, RunRequest, SIM_VERSION_SALT};
-use sms_sim::bvh::BuildParams;
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::{try_run_exporting, RunExports, RunResult};
 use sms_sim::render::PreparedScene;
@@ -105,7 +104,6 @@ pub struct Executor {
     cache: Option<ResultCache>,
     pub(crate) limits: RunLimits,
     pub(crate) exports: RunExports,
-    build: BuildParams,
     scenes: Flight<Arc<PreparedScene>>,
     /// Scene builds started, for the single-flight tests: a statistic, so
     /// `Relaxed`.
@@ -115,13 +113,12 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// At most `permits` concurrent simulations, scenes built with
-    /// `build`, `limits` under every request's own, every simulated run
-    /// writing `exports` and stored to `cache`.
+    /// At most `permits` concurrent simulations, `limits` under every
+    /// request's own, every simulated run writing `exports` and stored to
+    /// `cache`.
     pub fn new(
         cache: Option<ResultCache>,
         permits: usize,
-        build: BuildParams,
         limits: RunLimits,
         exports: RunExports,
     ) -> Self {
@@ -129,7 +126,6 @@ impl Executor {
             cache,
             limits,
             exports,
-            build,
             scenes: Flight::new(true, "scene preparation panicked: "),
             scene_builds: AtomicU64::new(0),
             permits: Permits { free: Mutex::new(permits.max(1)), cv: Condvar::new() },
@@ -162,9 +158,7 @@ impl Executor {
         id: SceneId,
         render: &RenderConfig,
     ) -> (Result<Arc<PreparedScene>, RunError>, bool) {
-        self.prepare(format!("{id:?}|{render:?}"), || {
-            PreparedScene::build_with(id, render, &self.build)
-        })
+        self.prepare(format!("{id:?}|{render:?}"), || PreparedScene::build(id, render))
     }
 
     fn prepare(
@@ -209,7 +203,7 @@ mod tests {
     use super::*;
 
     fn executor() -> Executor {
-        Executor::new(None, 1, BuildParams::default(), RunLimits::none(), RunExports::default())
+        Executor::new(None, 1, RunLimits::none(), RunExports::default())
     }
 
     /// Runs `request` on `n` threads released together; their results.

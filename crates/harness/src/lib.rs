@@ -63,7 +63,6 @@ pub use sms_sim::sim::{RunLimits, SimFault};
 pub use trace::{TraceContext, TRACE_HEADER};
 
 use sms_metrics::HistSummary;
-use sms_sim::bvh::BuildParams;
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::{RunExports, RunResult};
 use sms_sim::gpu::{GpuConfig, StallBreakdown};
@@ -125,19 +124,9 @@ pub struct HarnessConfig {
     pub cache_dir: Option<PathBuf>,
     /// JSONL journal sink; `None` keeps the journal in memory only.
     pub journal_path: Option<PathBuf>,
-    /// Simulator version salt for cache keys.
-    pub salt: u32,
     /// Harness-wide watchdog limits / validation, applied to every run
     /// (per-request limits take precedence field by field).
     pub limits: RunLimits,
-    /// Bounded-retry count for transient cache I/O.
-    pub retries: u32,
-    /// Build scene BVHs with the parallel HLBVH builder (`SMS_HLBVH=1`)
-    /// instead of the default median-split builder. HLBVH trees differ
-    /// from the default trees, so HLBVH batches bypass the result cache
-    /// in both directions (no probe, no store) — cached default-path stats
-    /// stay byte-identical.
-    pub hlbvh: bool,
     /// The files every simulated run writes into the run directory
     /// (`SMS_OUT`: `SMS_TRACE` timelines, `SMS_METRICS` dumps); the default
     /// writes none. An armed trace export arms attribution, so such
@@ -153,10 +142,7 @@ impl Default for HarnessConfig {
             workers: default_workers(),
             cache_dir: Some(default_cache_dir()),
             journal_path: None,
-            salt: SIM_VERSION_SALT,
             limits: RunLimits::none(),
-            retries: cache::DEFAULT_RETRIES,
-            hlbvh: false,
             exports: RunExports::default(),
             journal_sync: false,
         }
@@ -241,11 +227,8 @@ impl HarnessConfig {
             cache_dir,
             journal_path,
             limits: RunLimits::from_env(env),
-            retries: env.non_negative("SMS_RETRIES").map_or(d.retries, |n| n as u32),
-            hlbvh: env.flag("SMS_HLBVH"),
             exports: exports_from_env(env),
             journal_sync: env.flag("SMS_JOURNAL_SYNC"),
-            ..d
         }
     }
 }
@@ -380,20 +363,11 @@ impl Harness {
     /// A harness from explicit configuration.
     pub fn new(config: HarnessConfig) -> Self {
         let workers = config.workers.max(1);
-        // HLBVH trees are not the default ones, so their stats must not mix
-        // with the default-path cache in either direction: an HLBVH harness
-        // has none.
-        let (cache_dir, build) = if config.hlbvh {
-            (None, BuildParams::hlbvh(workers))
-        } else {
-            (config.cache_dir, BuildParams::default())
-        };
-        let cache = cache_dir
-            .map(|dir| ResultCache::with_salt(dir, config.salt).with_retries(config.retries));
+        let cache = config.cache_dir.map(ResultCache::new);
         Harness {
             workers,
             journal: Journal::new(config.journal_path, config.journal_sync),
-            exec: Executor::new(cache, workers, build, config.limits, config.exports),
+            exec: Executor::new(cache, workers, config.limits, config.exports),
         }
     }
 
@@ -407,7 +381,7 @@ impl Harness {
         &self.journal
     }
 
-    /// The result cache, if enabled (never under HLBVH).
+    /// The result cache, if enabled.
     pub fn cache(&self) -> Option<&ResultCache> {
         self.exec.cache()
     }

@@ -174,13 +174,13 @@ mod tests {
             ("SMS_JOBS", " 12 "),
             ("SMS_MAX_CYCLES", "zero"),
             ("SMS_STALL_CYCLES", "0"),
-            ("SMS_RETRIES", "0"),
+            ("SMS_CLIENT_RETRIES", "0"),
         ]);
         assert_eq!(env.positive("SMS_JOBS"), Some(12));
         assert_eq!(env.positive("SMS_MAX_CYCLES"), None);
         assert_eq!(env.positive("SMS_STALL_CYCLES"), None);
         assert_eq!(env.positive("SMS_FLEET_COOLDOWN_MS"), None);
-        assert_eq!(env.non_negative("SMS_RETRIES"), Some(0));
+        assert_eq!(env.non_negative("SMS_CLIENT_RETRIES"), Some(0));
         // What `init` hands the logger: the variable and the offending value.
         assert_eq!(env.warnings.len(), 2, "{:?}", env.warnings);
         assert!(env.warnings[0].starts_with("SMS_MAX_CYCLES: "), "{:?}", env.warnings);

@@ -226,7 +226,9 @@ impl std::fmt::Display for StackConfig {
 /// in `1..=u32::MAX`, and optional `+SK` and/or `+RA` suffixes (in that
 /// order, `+RA` may appear alone);
 /// plus the traversal competitors `SL` (stackless) and `PRED_<bits>`
-/// (ray-path predictor, `1..=20` table index bits). A label does not carry
+/// (ray-path predictor, `1..=20` table index bits). Every count is
+/// spelled as `label` prints it, `[1-9][0-9]*`: no sign, no leading zero,
+/// so each accepted string is the label of its parse. A label does not carry
 /// `borrow_limit` / `flush_limit`: a parsed SMS config has the paper's
 /// defaults, so `c.label().parse() == Ok(c)` holds for exactly those.
 impl std::str::FromStr for StackConfig {
@@ -238,20 +240,16 @@ impl std::str::FromStr for StackConfig {
         if label == "SL" {
             return Ok(StackConfig::Stackless);
         }
+        // `str::parse` also takes `+8` and `08`, which `label` never prints.
+        let count = |n: &str| n.parse::<u32>().ok().filter(|_| !n.starts_with(['+', '0']));
         if let Some(bits) = label.strip_prefix("PRED_") {
-            return bits
-                .parse::<u32>()
-                .ok()
+            return count(bits)
                 .filter(|&b| (1..=crate::predictor::MAX_TABLE_BITS).contains(&b))
                 .map(|table_bits| StackConfig::Predictor { table_bits })
                 .ok_or_else(err);
         }
         let entries = |part: &str, prefix: &str| {
-            part.strip_prefix(prefix)
-                .and_then(|n| n.parse::<u32>().ok())
-                .filter(|&n| n > 0)
-                .map(|n| n as usize)
-                .ok_or_else(err)
+            part.strip_prefix(prefix).and_then(count).map(|n| n as usize).ok_or_else(err)
         };
         let mut parts = label.split('+');
         let rb = parts.next().ok_or_else(err)?;

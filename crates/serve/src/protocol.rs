@@ -145,8 +145,9 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// Parses a JSONL response body. Unknown or malformed lines are
-    /// errors — the server promises a strict journal-codec stream.
+    /// Parses a JSONL response body. Malformed lines, and a job queued or
+    /// settled twice, are errors — the server promises a strict
+    /// journal-codec stream; a line with an unknown event tag passes.
     pub fn parse(text: &str) -> Result<SweepOutcome, String> {
         let mut out = SweepOutcome::default();
         let mut queued: Vec<(u64, String, String, String)> = Vec::new();
@@ -166,14 +167,23 @@ impl SweepOutcome {
                     .ok_or_else(|| format!("`{event}` line missing `{name}`"))
             };
             match event {
-                "job_queued" => queued.push((
-                    field("job")?,
-                    text_field("scene")?,
-                    text_field("config")?,
-                    text_field("key")?,
-                )),
+                "job_queued" => {
+                    let job = field("job")?;
+                    if queued.iter().any(|(j, ..)| *j == job) {
+                        return Err(format!("job {job} queued twice"));
+                    }
+                    queued.push((
+                        job,
+                        text_field("scene")?,
+                        text_field("config")?,
+                        text_field("key")?,
+                    ));
+                }
                 "job_finished" | "run_failed" | "run_timeout" => {
                     let job = field("job")?;
+                    if out.records.iter().any(|r| r.job == job) {
+                        return Err(format!("job {job} settled twice"));
+                    }
                     let (scene, config) = queued
                         .iter()
                         .find(|(j, ..)| *j == job)
@@ -251,9 +261,67 @@ mod tests {
             "PRED_64",
             "PRED_x",
             "PRED_",
+            // `str::parse` takes a sign and leading zeros; a label has neither
+            // (a `+` inside `RB_` / `SH_` is also the separator).
+            "RB_+8",
+            "RB_08",
+            "RB_8+SH_+8",
+            "RB_8+SH_08",
+            "PRED_+12",
         ] {
             assert!(parse_stack_config(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    /// Labels generated from the grammar (`RB_n`, `RB_FULL`, `+SH_m`, `+SK`,
+    /// `+RA`, `SL`, `PRED_b`), then mangled: a sign or leading zero on a
+    /// count, a truncation at any byte, a doubled or dropped `+`, swapped
+    /// suffixes, lower case, counts past `u32::MAX`. Parsing never panics,
+    /// an accepted string is byte for byte the label of its parse, and a
+    /// refusal quotes the input.
+    #[test]
+    fn generated_labels_parse_to_themselves_or_are_quoted() {
+        use sms_sim::geom::check::{for_cases, Gen};
+        let count = |g: &mut Gen| match g.int(0, 9) {
+            0..=3 => ["0", "4294967295", "4294967296", "99999999999999999999"][g.int(0, 3)].into(),
+            _ => g.int(1, 24).to_string(),
+        };
+        // A byte index of one of the `c`s in `label`, if it has one.
+        let pick = |g: &mut Gen, label: &str, c: char| {
+            let at: Vec<usize> = label.match_indices(c).map(|(i, _)| i).collect();
+            at.get(g.int(0, at.len())).copied()
+        };
+        for_cases(10_000, 38, |g| {
+            let mut label = match g.int(0, 4) {
+                0 => "SL".to_owned(),
+                1 => format!("PRED_{}", count(g)),
+                2 => "RB_FULL".to_owned(),
+                3 => format!("RB_{}", count(g)),
+                _ => format!("RB_{}+SH_{}", count(g), count(g)),
+            } + ["", "+SK", "+RA", "+SK+RA"][g.int(0, 3)];
+            for _ in 0..g.int(0, 3) {
+                match g.int(0, 5) {
+                    0 => {
+                        if let Some(i) = pick(g, &label, '_') {
+                            label.insert(i + 1, ['+', '-', '0'][g.int(0, 2)]);
+                        }
+                    }
+                    1 => label.truncate(g.int(0, label.len())),
+                    2 => match pick(g, &label, '+') {
+                        Some(i) if g.chance(0.5) => drop(label.remove(i)),
+                        Some(i) => label.insert(i, '+'),
+                        None => {}
+                    },
+                    3 => label = label.replace("+SK+RA", "+RA+SK").replace("+SH_", "+SK+SH_"),
+                    4 => label.make_ascii_lowercase(),
+                    _ => label += &count(g),
+                }
+            }
+            match parse_stack_config(&label) {
+                Ok(config) => assert_eq!(config.label(), label, "`{label}` is not its label"),
+                Err(err) => assert!(err.contains(&format!("`{label}`")), "`{label}`: {err}"),
+            }
+        });
     }
 
     #[test]
@@ -338,5 +406,21 @@ mod tests {
     fn truncated_stream_is_an_error() {
         assert!(SweepOutcome::parse("{\"event\":\"job_que").is_err());
         assert!(SweepOutcome::parse("{\"event\":\"job_finished\",\"job\":9}").is_err());
+    }
+
+    /// One record per job: no tier queues or settles a job twice, so a
+    /// stream that does is refused by job id, not read as two records.
+    #[test]
+    fn a_job_queued_or_settled_twice_is_an_error() {
+        let queued = r#"{"event":"job_queued","job":0,"scene":"WKND","config":"RB_8","key":"k0"}"#;
+        let failed = r#"{"event":"run_failed","job":0,"error":"boom"}"#;
+        let timeout = r#"{"event":"run_timeout","job":0,"error":"slow"}"#;
+        let info = r#"{"event":"span","name":"dispatch"}"#;
+        let records =
+            |lines: &[&str]| SweepOutcome::parse(&lines.join("\n")).map(|o| o.records.len());
+        assert_eq!(records(&[queued, info, failed]), Ok(1));
+        assert_eq!(records(&[queued, queued, failed]), Err("job 0 queued twice".to_owned()));
+        assert_eq!(records(&[queued, failed, failed]), Err("job 0 settled twice".to_owned()));
+        assert_eq!(records(&[queued, failed, timeout]), Err("job 0 settled twice".to_owned()));
     }
 }

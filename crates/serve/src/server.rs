@@ -27,7 +27,6 @@ use crate::metrics::{inc, ServerMetrics};
 use crate::service::{self, Service, ServiceCore, Tier};
 use sms_harness::trace::wall_us;
 use sms_harness::{pool, CacheKey, Event, Executor, Flight, RunError, RunRequest};
-use sms_sim::bvh::BuildParams;
 use sms_sim::experiments::RunExports;
 use sms_sim::gpu::SimStats;
 use sms_sim::sim::RunLimits;
@@ -221,9 +220,8 @@ impl Tier for ServerState {
         // job_finished pair shares its process-unique job id.
         core.journal.record(Event::BatchStart { jobs: 0, unique: 0, workers });
         let (limits, exports) = (config.run_limits, config.exports.clone());
-        let build = BuildParams::default();
         ServerState {
-            exec: Executor::new(core.cache.clone(), workers, build, limits, exports)
+            exec: Executor::new(core.cache.clone(), workers, limits, exports)
                 .with_faults(config.faults.clone()),
             core,
             metrics: ServerMetrics::default(),

@@ -99,7 +99,6 @@ fn true_arms_every_flag_on_every_tier() {
         let env = Env::from_pairs(&[
             ("SMS_JOURNAL_SYNC", on),
             ("SMS_NO_CACHE", on),
-            ("SMS_HLBVH", on),
             ("SMS_PAPER", on),
             ("SMS_VALIDATE", on),
             ("SMS_BREAKDOWN", on),
@@ -111,7 +110,7 @@ fn true_arms_every_flag_on_every_tier() {
         );
         assert!(harness.journal_sync && serve.journal_sync && fleet.journal_sync, "={on}");
         assert_eq!((harness.cache_dir, serve.cache_dir, fleet.cache_dir), (None, None, None));
-        assert!(harness.hlbvh && harness.limits.validate && harness.limits.breakdown);
+        assert!(harness.limits.validate && harness.limits.breakdown);
         // Served streams carry `SimStats` only: observation stays off.
         assert_eq!(serve.run_limits, RunLimits { validate: true, ..RunLimits::none() });
         assert_eq!(RenderConfig::from_env(&env), RenderConfig::paper());
@@ -122,15 +121,15 @@ fn true_arms_every_flag_on_every_tier() {
 }
 
 /// The surviving numeric and text rows reach their fields; the deleted
-/// `SMS_SERVE_*` bounds and the retired fleet hedge threshold are reported
-/// as unknown and move nothing.
+/// `SMS_SERVE_*` bounds, the retired fleet hedge threshold and the retired
+/// tree, retry and competitor-column switches are reported as unknown and
+/// move nothing.
 #[test]
 fn numeric_and_text_rows_reach_their_fields() {
-    // Spelled in two parts: ci.sh fails on the whole retired name under crates/.
+    // Spelled in parts: ci.sh fails on the whole retired names under crates/.
     let hedge = ["SMS_FLEET", "HEDGE_MS"].join("_");
     let env = Env::from_pairs(&[
         ("SMS_JOBS", "3"),
-        ("SMS_RETRIES", "0"),
         ("SMS_MAX_CYCLES", "5000"),
         ("SMS_SERVE_ADDR", "127.0.0.1:9"),
         ("SMS_FAULT", "kill:jobs=1"),
@@ -149,7 +148,7 @@ fn numeric_and_text_rows_reach_their_fields() {
     assert_eq!(unknown, [hedge.as_str(), "SMS_SERVE_MAX_CONNS", "SMS_FLEET_WORKERS"]);
 
     let harness = HarnessConfig::from_env(&env);
-    assert_eq!((harness.workers, harness.retries), (3, 0));
+    assert_eq!(harness.workers, 3);
     assert_eq!(harness.limits.max_cycles, Some(5000));
 
     let serve = ServeConfig::from_env(&env);
@@ -165,12 +164,21 @@ fn numeric_and_text_rows_reach_their_fields() {
     assert_eq!(fleet.breaker_cooldown, Duration::from_millis(15));
     assert_eq!(fleet.git_hash, "abc123");
     assert_eq!(FleetConfig::from_env(&Env::default()).addr, "127.0.0.1:7746");
-    let hedged = Env::from_pairs(&[(hedge.as_str(), "15")]);
-    assert_eq!(
-        format!("{:?}", FleetConfig::from_env(&hedged)),
-        format!("{:?}", FleetConfig::from_env(&Env::default())),
-        "the retired hedge threshold moves nothing"
-    );
+    let configs = |env: &Env| {
+        let (h, s, f) =
+            (HarnessConfig::from_env(env), ServeConfig::from_env(env), FleetConfig::from_env(env));
+        format!("{h:?} {s:?} {f:?}")
+    };
+    let switches = ["HLBVH", "RETRIES", "STACKLESS", "PREDICT", "PREDICT_BITS"];
+    for name in switches.map(|n| format!("SMS_{n}")).iter().chain([&hedge]) {
+        for value in ["0", "1", "15"] {
+            let retired = Env::from_pairs(&[(name.as_str(), value)]);
+            let undeclared = format!("{name}: not a variable");
+            let warned = matches!(&retired.warnings[..], [w] if w.starts_with(&undeclared));
+            assert!(warned, "{name}={value}: {:?}", retired.warnings);
+            assert_eq!(configs(&retired), configs(&Env::default()), "{name}={value} moved");
+        }
+    }
 
     let client = ClientConfig::from_env(&env);
     assert_eq!((client.addr.as_str(), client.retries), ("127.0.0.1:9", 0));
