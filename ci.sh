@@ -82,6 +82,25 @@ if [ "$(printf '%s\n' "$fnv_files" | grep -c .)" -ne 1 ]; then
   exit 1
 fi
 
+echo "==> one-writer gate (JSON is escaped and Json is displayed in crates/harness/src/json.rs only,"
+echo "    and its writer formats no single value through write!; prints offenders)"
+if git grep -nE '\\\\u\{:04x\}|Display for Json[^A-Za-z]' -- crates examples tests \
+     ':!crates/harness/src/json.rs'; then
+  echo "a second JSON writer is back (write through sms_harness::json: Json::write_to, Object,"
+  echo "write_str)"
+  exit 1
+fi
+# json.rs is read up to its `#[cfg(test)]` module, which keeps the old tree
+# writer as the byte-identity oracle.
+if ! awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /write!\([^,]*, *"\{[A-Za-z_0-9]*\}"/ { print FILENAME ":" FNR ":" $0; bad = 1 }
+  END { exit bad }' crates/harness/src/json.rs; then
+  echo "the JSON writer formats a single char or number through write! again (push byte runs"
+  echo "with one push_str; write counters with write_u64)"
+  exit 1
+fi
+
 echo "==> one-hierarchy gate (WarpStacks derives the stack levels once: stack.rs reads self.config"
 echo "    only in WarpStacks::new and config(), and the RT unit, the validator and the overhead"
 echo "    report name no StackConfig variant outside their tests; prints offenders)"
@@ -197,13 +216,17 @@ cargo test -q -p sms-serve --test fleet_chaos
 cargo test -q -p sms-serve --test fleet_e2e
 cargo test -q -p sms-serve --test serve_e2e -- \
   wire_bytes_match_parent_goldens malformed_requests_get_4xx_not_panic \
-  a_simulator_panic_does_not_leak_a_permit
+  a_simulator_panic_does_not_leak_a_permit a_nesting_bomb_is_a_400_on_both_tiers
 cargo test -q -p sms-harness --test cache_robustness
 
-echo "==> journal/json regression suite (schema goldens, non-finite floats, watchdog)"
+echo "==> journal/json regression suite (schema goldens, non-finite floats, watchdog; generated"
+echo "    garbage against RFC 8259, every writer byte for byte against the old tree writer)"
 cargo test -q -p sms-harness --test journal_schema
 cargo test -q -p sms-harness --lib json::
 cargo test -q -p sms-harness --lib journal::
+cargo test -q -p sms-harness --lib -- --exact json::tests::garbage_is_refused_in_bounds_or_round_trips \
+  json::tests::every_writer_matches_the_tree_writer journal::tests::every_event_matches_the_tree_writer \
+  cache::tests::records_and_checksum_match_the_tree_writer cache::tests::cursor_decode_equals_get_decode
 
 echo "==> HLBVH suite (builder unit tests, golden vs binned SAH, worker determinism)"
 cargo test -q -p sms-bvh --lib hlbvh

@@ -21,11 +21,13 @@
 //! degrades the cache to a no-op with a single warning instead of a crash.
 //!
 //! The second half of this file is the JSON codec for the counter records
-//! (entry `stats`, journal payloads): one `encode` and one `decode`
-//! over field lists that are each written exactly once.
+//! (entry `stats`, journal payloads): one `encode`, which writes a record
+//! straight into the caller's buffer (or into the entry checksum), and one
+//! `decode`, which reads the fields in the order `encode` wrote them, over
+//! field lists that are each written exactly once.
 
 use crate::faultinject::{CacheFault, FaultPlan};
-use crate::json::{parse, Json};
+use crate::json::{parse, write_str, write_u64, Fields, Json, Object, Sink};
 use crate::RunRequest;
 use sms_sim::gpu::SimStats;
 use sms_sim::mem::MemStats;
@@ -37,6 +39,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use sms_sim::geom::golden::fnv1a64;
+use sms_sim::geom::golden::{fnv1a64_extend, FNV_OFFSET};
 
 /// Bump on any change to the cycle model that alters simulation results:
 /// all previously cached entries become unreachable (stale keys).
@@ -194,13 +197,15 @@ impl ResultCache {
         let Ok(doc) = parse(text) else {
             return Loaded::Corrupt("unparseable JSON (torn write?)");
         };
-        let Some(salt) = doc.u64_field("salt") else {
+        // In the order `store` writes them.
+        let mut fields = Fields::new(&doc);
+        let Some(salt) = fields.get("salt").and_then(Json::as_u64) else {
             return Loaded::Corrupt("missing or mistyped `salt` field");
         };
         if salt != self.salt as u64 {
             return Loaded::Miss; // stale simulator version, not damage
         }
-        let Some(canonical) = doc.get("key").and_then(Json::as_str) else {
+        let Some(canonical) = fields.get("key").and_then(Json::as_str) else {
             return Loaded::Corrupt("missing or mistyped `key` field");
         };
         if canonical != key.canonical {
@@ -210,7 +215,8 @@ impl ResultCache {
             // colliding entry costs only a re-simulation — so quarantine.
             return Loaded::Corrupt("key mismatch (bit rot, or a 1-in-2^64 hash collision)");
         }
-        let Some(stats_doc) = doc.get("stats") else {
+        let sum = fields.get("sum");
+        let Some(stats_doc) = fields.get("stats") else {
             return Loaded::Corrupt("missing `stats` object");
         };
         let Some(stats) = stats_from_json(stats_doc) else {
@@ -218,7 +224,7 @@ impl ResultCache {
         };
         // Entries predating checksums (no `sum`) are trusted as before;
         // anything written going forward must verify.
-        if let Some(sum) = doc.get("sum") {
+        if let Some(sum) = sum {
             let Some(sum) = sum.as_str() else {
                 return Loaded::Corrupt("mistyped `sum` field");
             };
@@ -252,12 +258,6 @@ impl ResultCache {
         if self.is_degraded() {
             return;
         }
-        let doc = Json::Obj(vec![
-            ("salt".to_owned(), Json::U64(self.salt as u64)),
-            ("key".to_owned(), Json::Str(key.canonical.clone())),
-            ("sum".to_owned(), Json::Str(entry_checksum(&key.canonical, stats))),
-            ("stats".to_owned(), stats_to_json(stats)),
-        ]);
         if let Err(e) = with_retry(|| fs::create_dir_all(&self.dir)) {
             self.degrade(&e);
             return;
@@ -273,7 +273,12 @@ impl ResultCache {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut body = doc.to_string();
+        let mut body = String::new();
+        let mut entry = Object::new(&mut body);
+        entry.u64("salt", self.salt as u64).str("key", &key.canonical);
+        entry.str("sum", &entry_checksum(&key.canonical, stats));
+        write_stats(entry.key("stats"), stats);
+        entry.end();
         if let Some(fault) = self.faults.as_ref().and_then(|f| f.cache_write_fault()) {
             apply_cache_fault(&mut body, fault);
         }
@@ -310,11 +315,24 @@ enum Loaded {
 }
 
 /// Checksum stored in each entry's `sum` field: FNV-1a over the canonical
-/// key and the deterministic stats serialization, rendered as 16 hex
-/// digits. Catches bit rot that still parses as valid JSON.
+/// key, `|` and the deterministic stats serialization, rendered as 16 hex
+/// digits. Catches bit rot that still parses as valid JSON. The stats are
+/// hashed as they are written, never held as text.
 pub fn entry_checksum(canonical: &str, stats: &SimStats) -> String {
-    let body = stats_to_json(stats).to_string();
-    format!("{:016x}", fnv1a64(format!("{canonical}|{body}").as_bytes()))
+    let mut sum = Fnv(FNV_OFFSET);
+    sum.put(canonical);
+    sum.put("|");
+    write_stats(&mut sum, stats);
+    format!("{:016x}", sum.0)
+}
+
+/// FNV-1a as a writer's sink: the state after the bytes put so far.
+struct Fnv(u64);
+
+impl Sink for Fnv {
+    fn put(&mut self, s: &str) {
+        self.0 = fnv1a64_extend(self.0, s.as_bytes());
+    }
 }
 
 /// Damages an entry body in place per the injected fault. The body is
@@ -351,25 +369,33 @@ enum Slot<'a> {
 
 type Slots<'a> = Vec<(&'static str, Slot<'a>)>;
 
-/// The one encoder: an object with one key per slot, in slot order.
-fn encode(slots: Slots<'_>) -> Json {
-    let value = |slot| match slot {
-        Slot::U64(v) | Slot::Opt(v) => Json::U64(*v),
-        Slot::Str(s) => Json::Str(s.clone()),
-        Slot::Obj(inner) => encode(inner),
-    };
-    Json::Obj(slots.into_iter().map(|(name, slot)| (name.to_owned(), value(slot))).collect())
+/// The one encoder: an object with one key per slot, in slot order,
+/// written into `out`.
+fn encode<S: Sink + ?Sized>(out: &mut S, slots: Slots<'_>) {
+    let mut obj = Object::new(out);
+    for (name, slot) in slots {
+        match slot {
+            Slot::U64(v) | Slot::Opt(v) => write_u64(obj.key(name), *v),
+            Slot::Str(s) => write_str(obj.key(name), s),
+            Slot::Obj(inner) => encode(obj.key(name), inner),
+        }
+    }
+    obj.end();
 }
 
 /// The one decoder: fills every slot from `doc`; `None` if a required
-/// field is missing or mistyped.
+/// field is missing or mistyped. It reads the fields with a cursor, so a
+/// document in `encode`'s order decodes in one pass over its pairs; any
+/// other order, or a duplicated key, decodes as [`Json::get`] reads it.
 fn decode(doc: &Json, slots: Slots<'_>) -> Option<()> {
+    let mut fields = Fields::new(doc);
     for (name, slot) in slots {
+        let field = fields.get(name);
         match slot {
-            Slot::U64(out) => *out = doc.u64_field(name)?,
-            Slot::Opt(out) => *out = doc.u64_field(name).unwrap_or(*out),
-            Slot::Str(out) => doc.get(name)?.as_str()?.clone_into(out),
-            Slot::Obj(inner) => decode(doc.get(name)?, inner)?,
+            Slot::U64(out) => *out = field?.as_u64()?,
+            Slot::Opt(out) => *out = field.and_then(Json::as_u64).unwrap_or(*out),
+            Slot::Str(out) => field?.as_str()?.clone_into(out),
+            Slot::Obj(inner) => decode(field?, inner)?,
         }
     }
     Some(())
@@ -380,10 +406,14 @@ fn flat<'a, const N: usize>(names: &[&'static str; N], values: &'a mut [u64; N])
     names.iter().copied().zip(values.iter_mut().map(Slot::U64)).collect()
 }
 
-/// Serializes a flat `counter_record!` record (`StallBreakdown` in the
+/// Writes a flat `counter_record!` record (`StallBreakdown` in the
 /// journal) from its `FIELDS` and `values()`.
-pub fn record_to_json<const N: usize>(names: &[&'static str; N], mut values: [u64; N]) -> Json {
-    encode(flat(names, &mut values))
+pub fn write_record<const N: usize>(
+    out: &mut String,
+    names: &[&'static str; N],
+    mut values: [u64; N],
+) {
+    encode(out, flat(names, &mut values));
 }
 
 /// Deserializes a flat record into the argument of its `from_values`;
@@ -411,15 +441,22 @@ fn stats_slots<'a>(
     slots
 }
 
-/// Serializes the full counter set (the cache entry's `stats`, the
-/// journal's `job_finished` payload).
-pub fn stats_to_json(s: &SimStats) -> Json {
+/// Writes the full counter set (the cache entry's `stats`, the journal's
+/// `job_finished` payload) into `out`: a buffer, or the entry checksum.
+pub fn write_stats<S: Sink + ?Sized>(out: &mut S, s: &SimStats) {
     let (mut scalars, mut mem) = (s.values(), s.mem.values());
     let mut slots = stats_slots(&mut scalars, &mut mem);
     if s.pred_hits == 0 && s.pred_misses == 0 {
         slots.retain(|(_, slot)| !matches!(slot, Slot::Opt(_)));
     }
-    encode(slots)
+    encode(out, slots);
+}
+
+/// The full counter set as JSON text ([`write_stats`] into a new string).
+pub fn stats_json(s: &SimStats) -> String {
+    let mut out = String::new();
+    write_stats(&mut out, s);
+    out
 }
 
 /// Deserializes a counter set; `None` if any field is missing or mistyped.
@@ -461,9 +498,9 @@ fn build_slots(b: &mut crate::SceneBuild) -> Slots<'_> {
     ]
 }
 
-/// Serializes a batch metrics digest (journal `batch_end` payload).
-pub fn metrics_to_json(m: &crate::BatchMetrics) -> Json {
-    encode(metrics_slots(&mut { *m }))
+/// Writes a batch metrics digest (journal `batch_end` payload).
+pub fn write_metrics(out: &mut String, m: &crate::BatchMetrics) {
+    encode(out, metrics_slots(&mut { *m }));
 }
 
 /// Deserializes a batch metrics digest; `None` if any field is missing or
@@ -473,9 +510,16 @@ pub fn metrics_from_json(doc: &Json) -> Option<crate::BatchMetrics> {
     decode(doc, metrics_slots(&mut m)).map(|()| m)
 }
 
-/// Serializes per-scene build records for the journal's `batch_end` line.
-pub fn builds_to_json(builds: &[crate::SceneBuild]) -> Json {
-    Json::Arr(builds.iter().map(|b| encode(build_slots(&mut b.clone()))).collect())
+/// Writes per-scene build records for the journal's `batch_end` line.
+pub fn write_builds(out: &mut String, builds: &[crate::SceneBuild]) {
+    out.push('[');
+    for (i, b) in builds.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        encode(out, build_slots(&mut b.clone()));
+    }
+    out.push(']');
 }
 
 /// Deserializes per-scene build records; `None` if the document is not an
@@ -492,7 +536,7 @@ pub fn builds_from_json(doc: &Json) -> Option<Vec<crate::SceneBuild>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{BatchMetrics, SceneBuild};
     use sms_sim::gpu::StallBreakdown;
@@ -511,11 +555,18 @@ mod tests {
 
     fn row<T: PartialEq + 'static>(
         sample: T,
-        encode: impl Fn(&T) -> Json,
+        encode: impl Fn(&T) -> String,
         decode: impl Fn(&Json) -> Option<T> + 'static,
     ) -> Row {
-        let doc = encode(&sample);
+        let doc = parse(&encode(&sample)).unwrap();
         Row { doc, decodes_to_sample: Box::new(move |doc| decode(doc).map(|got| got == sample)) }
+    }
+
+    /// What `write` puts into an empty buffer.
+    fn text(write: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        write(&mut out);
+        out
     }
 
     /// Every sample value is above 2^53 (not representable as `f64`) and
@@ -526,13 +577,13 @@ mod tests {
 
     fn stats_row() -> Row {
         let s = SimStats { mem: MemStats::from_values(big(100)), ..SimStats::from_values(big(0)) };
-        row(s, stats_to_json, stats_from_json)
+        row(s, stats_json, stats_from_json)
     }
 
     fn breakdown_row() -> Row {
         row(
             StallBreakdown::from_values(big(0)),
-            |b| record_to_json(&StallBreakdown::FIELDS, b.values()),
+            |b| text(|out| write_record(out, &StallBreakdown::FIELDS, b.values())),
             |doc| record_from_json(doc, &StallBreakdown::FIELDS).map(StallBreakdown::from_values),
         )
     }
@@ -544,7 +595,7 @@ mod tests {
         };
         let [spills, reloads] = big(20);
         let m = BatchMetrics { stack_depth: hist(0), ray_latency: hist(10), spills, reloads };
-        row(m, metrics_to_json, metrics_from_json)
+        row(m, |m| text(|out| write_metrics(out, m)), metrics_from_json)
     }
 
     fn builds_row() -> Row {
@@ -553,7 +604,7 @@ mod tests {
             SceneBuild { scene: "SHIP".to_owned(), prims: 6_321, build_us: 480 },
             SceneBuild { scene: "ROBOT".to_owned(), prims, build_us },
         ];
-        row(builds, |b| builds_to_json(b), builds_from_json)
+        row(builds, |b| text(|out| write_builds(out, b)), builds_from_json)
     }
 
     /// The row survives the text form (where a value above 2^53 would lose
@@ -633,13 +684,13 @@ mod tests {
         // entries stay byte-identical to those written before the counters
         // existed — and absent parses as zero.
         let plain = SimStats { pred_hits: 0, pred_misses: 0, ..SimStats::from_values(big(0)) };
-        let doc = stats_to_json(&plain);
+        let doc = parse(&stats_json(&plain)).unwrap();
         assert_eq!(keys(&doc).len(), SimStats::FIELDS.len() - PRED.len() + 1);
         assert!(PRED.iter().all(|name| doc.get(name).is_none()));
         assert_eq!(stats_from_json(&doc), Some(plain));
         // One of the two set: both are emitted, the zero included.
         let hit = SimStats { pred_hits: 5, ..plain };
-        let doc = stats_to_json(&hit);
+        let doc = parse(&stats_json(&hit)).unwrap();
         assert_eq!(doc.u64_field("pred_misses"), Some(0));
         assert_eq!(stats_from_json(&doc), Some(hit));
     }
@@ -669,12 +720,188 @@ mod tests {
     #[test]
     fn builds_roundtrip() {
         check_roundtrip(&builds_row());
-        assert_eq!(builds_from_json(&builds_to_json(&[])), Some(Vec::new()));
+        assert_eq!(text(|out| write_builds(out, &[])), "[]");
+        assert_eq!(builds_from_json(&Json::Arr(Vec::new())), Some(Vec::new()));
     }
 
     #[test]
     fn builds_missing_field_is_rejected() {
         check_missing(&builds_row(), &[]);
         assert_eq!(builds_from_json(&Json::U64(3)), None);
+    }
+
+    /// The record codec before it wrote into a buffer: one `Json` tree per
+    /// record, rendered by the tree writer, and a decoder that looks every
+    /// field up with `Json::get`. The oracle the streamed path must equal.
+    pub(crate) mod old {
+        use super::super::{build_slots, flat, metrics_slots, stats_slots, Slot, Slots, PRED};
+        use crate::json::{tests::oracle, Json};
+        use sms_sim::geom::golden::fnv1a64;
+        use sms_sim::gpu::SimStats;
+        use sms_sim::mem::MemStats;
+
+        fn encode(slots: Slots<'_>) -> Json {
+            let value = |slot| match slot {
+                Slot::U64(v) | Slot::Opt(v) => Json::U64(*v),
+                Slot::Str(s) => Json::Str(s.clone()),
+                Slot::Obj(inner) => encode(inner),
+            };
+            Json::Obj(
+                slots.into_iter().map(|(name, slot)| (name.to_owned(), value(slot))).collect(),
+            )
+        }
+
+        fn decode(doc: &Json, slots: Slots<'_>) -> Option<()> {
+            for (name, slot) in slots {
+                match slot {
+                    Slot::U64(out) => *out = doc.u64_field(name)?,
+                    Slot::Opt(out) => *out = doc.u64_field(name).unwrap_or(*out),
+                    Slot::Str(out) => doc.get(name)?.as_str()?.clone_into(out),
+                    Slot::Obj(inner) => decode(doc.get(name)?, inner)?,
+                }
+            }
+            Some(())
+        }
+
+        pub fn stats_to_json(s: &SimStats) -> Json {
+            let (mut scalars, mut mem) = (s.values(), s.mem.values());
+            let mut slots = stats_slots(&mut scalars, &mut mem);
+            if s.pred_hits == 0 && s.pred_misses == 0 {
+                slots.retain(|(_, slot)| !matches!(slot, Slot::Opt(_)));
+            }
+            assert!(PRED.iter().all(|p| SimStats::FIELDS.contains(p)));
+            encode(slots)
+        }
+
+        pub fn stats_from_json(doc: &Json) -> Option<SimStats> {
+            let (mut scalars, mut mem) = ([0; SimStats::FIELDS.len()], [0; MemStats::FIELDS.len()]);
+            decode(doc, stats_slots(&mut scalars, &mut mem))?;
+            Some(SimStats { mem: MemStats::from_values(mem), ..SimStats::from_values(scalars) })
+        }
+
+        pub fn record_to_json<const N: usize>(
+            names: &[&'static str; N],
+            mut values: [u64; N],
+        ) -> Json {
+            encode(flat(names, &mut values))
+        }
+
+        pub fn metrics_to_json(m: &crate::BatchMetrics) -> Json {
+            encode(metrics_slots(&mut { *m }))
+        }
+
+        pub fn builds_to_json(builds: &[crate::SceneBuild]) -> Json {
+            Json::Arr(builds.iter().map(|b| encode(build_slots(&mut b.clone()))).collect())
+        }
+
+        pub fn entry_checksum(canonical: &str, stats: &SimStats) -> String {
+            let body = oracle(&stats_to_json(stats));
+            format!("{:016x}", fnv1a64(format!("{canonical}|{body}").as_bytes()))
+        }
+    }
+
+    /// A counter set with every value drawn at a random width, the
+    /// predictor counters set or not (a third of the cases zero both).
+    fn stats(g: &mut sms_sim::geom::check::Gen) -> SimStats {
+        let mut draw = || g.rng.next_u64() >> g.int(0, 63);
+        let s = SimStats {
+            mem: MemStats::from_values(from_fn(|_| draw())),
+            ..SimStats::from_values(from_fn(|_| draw()))
+        };
+        match g.int(0, 2) {
+            0 => SimStats { pred_hits: 0, pred_misses: 0, ..s },
+            1 => SimStats { pred_hits: 0, ..s },
+            _ => s,
+        }
+    }
+
+    /// The streamed writer against the tree writer, byte for byte: counter
+    /// sets with and without the predictor counters, the stall breakdown,
+    /// the metrics digest, build records, the entry checksum, and a whole
+    /// entry as `store` puts it on disk.
+    #[test]
+    fn records_and_checksum_match_the_tree_writer() {
+        use crate::json::tests::oracle;
+        let dir = std::env::temp_dir().join(format!("sms-cache-oracle-{}", std::process::id()));
+        let cache = ResultCache::new(&dir);
+        let key = CacheKey { canonical: "sms-sim salt=1|scene=\"Q\"\n|é".to_owned(), hash: 7 };
+        sms_sim::geom::check::for_cases(500, 39, |g| {
+            let s = stats(g);
+            let tree = old::stats_to_json(&s);
+            assert_eq!(stats_json(&s), oracle(&tree));
+            assert_eq!(entry_checksum(&key.canonical, &s), old::entry_checksum(&key.canonical, &s));
+            let values: [u64; StallBreakdown::FIELDS.len()] = from_fn(|i| s.values()[i % 8]);
+            let old_record = old::record_to_json(&StallBreakdown::FIELDS, values);
+            assert_eq!(
+                text(|out| write_record(out, &StallBreakdown::FIELDS, values)),
+                oracle(&old_record)
+            );
+            if g.chance(0.05) {
+                cache.store(&key, &s);
+                let on_disk = std::fs::read_to_string(cache.entry_path(&key)).unwrap();
+                let entry = Json::Obj(vec![
+                    ("salt".to_owned(), Json::U64(SIM_VERSION_SALT as u64)),
+                    ("key".to_owned(), Json::Str(key.canonical.clone())),
+                    ("sum".to_owned(), Json::Str(old::entry_checksum(&key.canonical, &s))),
+                    ("stats".to_owned(), tree),
+                ]);
+                assert_eq!(on_disk, oracle(&entry));
+                assert_eq!(cache.load(&key), Some(s));
+            }
+        });
+        let m = metrics_row_sample();
+        assert_eq!(text(|out| write_metrics(out, &m)), oracle(&old::metrics_to_json(&m)));
+        let build = SceneBuild { scene: "S\u{1}\"".to_owned(), prims: u64::MAX, build_us: 0 };
+        let builds = [build.clone(), build];
+        assert_eq!(text(|out| write_builds(out, &builds)), oracle(&old::builds_to_json(&builds)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn metrics_row_sample() -> BatchMetrics {
+        let hist = |salt| {
+            let [count, sum, p50, p95, p99, max] = big(salt);
+            sms_metrics::HistSummary { count, sum, p50, p95, p99, max }
+        };
+        BatchMetrics { stack_depth: hist(0), ray_latency: hist(10), spills: 0, reloads: u64::MAX }
+    }
+
+    /// The cursor decoder reads what the `Json::get` decoder reads from
+    /// documents whose pairs are reordered, duplicated (with another
+    /// value), dropped or mistyped, at the top level and in `mem`.
+    #[test]
+    fn cursor_decode_equals_get_decode() {
+        fn shuffle(g: &mut sms_sim::geom::check::Gen, pairs: &mut Vec<(String, Json)>) {
+            for _ in 0..g.int(0, 4) {
+                let n = pairs.len();
+                if n == 0 {
+                    return;
+                }
+                let i = g.int(0, n - 1);
+                match g.int(0, 4) {
+                    0 => pairs.swap(i, g.int(0, n - 1)),
+                    1 => {
+                        let mut dup = pairs[i].clone();
+                        if let Json::U64(v) = &mut dup.1 {
+                            *v = v.wrapping_add(1);
+                        }
+                        pairs.insert(g.int(0, n), dup);
+                    }
+                    2 => {
+                        pairs.remove(i);
+                    }
+                    3 => pairs[i].1 = Json::Str("7".to_owned()),
+                    _ => pairs.reverse(),
+                }
+            }
+        }
+        sms_sim::geom::check::for_cases(2_000, 39, |g| {
+            let Json::Obj(mut pairs) = old::stats_to_json(&stats(g)) else { unreachable!() };
+            if let Some((_, Json::Obj(mem))) = pairs.iter_mut().find(|(k, _)| k == "mem") {
+                shuffle(g, mem);
+            }
+            shuffle(g, &mut pairs);
+            let doc = Json::Obj(pairs);
+            assert_eq!(stats_from_json(&doc), old::stats_from_json(&doc), "{doc}");
+        });
     }
 }

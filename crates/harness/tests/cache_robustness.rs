@@ -171,7 +171,7 @@ fn legacy_entries_without_checksum_still_load() {
     let body = format!(
         "{{\"salt\":{SIM_VERSION_SALT},\"key\":{:?},\"stats\":{}}}",
         key.canonical,
-        sms_harness::cache::stats_to_json(&stats)
+        sms_harness::cache::stats_json(&stats)
     );
     std::fs::write(cache.entry_path(&key), body).unwrap();
     assert_eq!(cache.load(&key), Some(stats), "legacy entries must stay readable");

@@ -19,7 +19,7 @@ use sms_sim::gpu::{SimStats, StallBreakdown};
 /// parses the line back, and returns the parsed document for field-level
 /// spot checks.
 fn golden(case: &str, event: &Event) -> Json {
-    let line = event.to_json().to_string();
+    let line = event.to_string();
     golden::check("journal_schema", &[(case, &line)]);
     parse(&line).unwrap_or_else(|e| panic!("journal line must reparse: {e}\n{line}"))
 }

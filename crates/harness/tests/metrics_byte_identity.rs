@@ -50,8 +50,8 @@ fn armed_sweep_stats_are_byte_identical_and_salt_is_stable() {
         // Byte-for-byte over the serialized payload: this is exactly what
         // a cache entry or journal line stores, so equality here means
         // armed and unarmed sweeps are interchangeable on disk.
-        let off_bytes = cache::stats_to_json(&a.stats).to_string();
-        let on_bytes = cache::stats_to_json(&b.stats).to_string();
+        let off_bytes = cache::stats_json(&a.stats);
+        let on_bytes = cache::stats_json(&b.stats);
         assert_eq!(off_bytes, on_bytes, "{} / {}", a.scene, a.stack.label());
         assert_eq!(cache::fnv1a64(off_bytes.as_bytes()), cache::fnv1a64(on_bytes.as_bytes()));
         assert!(a.metrics.is_none());

@@ -22,7 +22,7 @@
 use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
 use crate::metrics::{inc, HttpCounters};
 use crate::protocol::{self, parse_render, parse_stack_config};
-use sms_harness::json::Json;
+use sms_harness::json::Object;
 use sms_harness::trace::wall_us;
 use sms_harness::{
     log, CacheKey, Event, FaultPlan, Journal, ResultCache, RunError, RunRequest, TraceContext,
@@ -531,14 +531,14 @@ fn handle_probe(
     let key = CacheKey::new(&RunRequest::new(scene_id, stack, render), SIM_VERSION_SALT);
     match core.cache.as_ref().and_then(|c| c.load(&key)) {
         Some(stats) => {
-            let doc = Json::Obj(vec![
-                ("key".to_owned(), Json::Str(key.canonical)),
-                ("scene".to_owned(), Json::Str(scene_id.name().to_owned())),
-                ("config".to_owned(), Json::Str(stack.label())),
-                ("render".to_owned(), Json::Str(render_name)),
-                ("stats".to_owned(), sms_harness::cache::stats_to_json(&stats)),
-            ]);
-            write_ok(stream, "application/json", format!("{doc}\n").as_bytes())
+            let mut body = String::new();
+            let mut doc = Object::new(&mut body);
+            doc.str("key", &key.canonical).str("scene", scene_id.name());
+            doc.str("config", &stack.label()).str("render", &render_name);
+            sms_harness::cache::write_stats(doc.key("stats"), &stats);
+            doc.end();
+            body.push('\n');
+            write_ok(stream, "application/json", body.as_bytes())
         }
         None => Err(HttpError {
             status: 404,
@@ -604,7 +604,7 @@ pub(crate) struct JobSink<'a> {
     // Behind a mutex because the executors share the sink across worker
     // threads (`mpsc::Sender` is not `Sync` on older toolchains); one
     // uncontended lock per settled job is noise next to a simulation.
-    tx: Mutex<mpsc::Sender<(Settled, String)>>,
+    tx: Mutex<mpsc::Sender<(Settled, Event)>>,
 }
 
 impl JobSink<'_> {
@@ -616,21 +616,14 @@ impl JobSink<'_> {
     /// Mirrors the job into the journal under its process-unique id on the
     /// caller's thread — the record is durable before anything else can
     /// happen to the process — then queues its stream line under the
-    /// request-local id. `worker` is the pool worker on a backend and the
-    /// backend index on a fleet (`None` for a degraded-mode cache hit);
-    /// `us` is the job's wall time.
+    /// request-local id, for the stream to write. `worker` is the pool
+    /// worker on a backend and the backend index on a fleet (`None` for a
+    /// degraded-mode cache hit); `us` is the job's wall time.
     pub(crate) fn settle(&self, local: usize, worker: Option<usize>, us: u64, result: Settled) {
         let finished = result.as_ref().map(|(stats, cache)| (stats, cache != "miss", None));
         let event = |job| Event::settled(job, worker, us, finished);
         self.core.journal.record(event(self.journal_id(local)));
-        // The stream's `cache` is the tier as given: `shared` included,
-        // which the journal codec itself renders as `hit`.
-        let mut doc = event(local).to_json();
-        if let (Ok((_, cache)), Json::Obj(pairs)) = (&result, &mut doc) {
-            for (_, v) in pairs.iter_mut().filter(|(k, _)| k == "cache") {
-                *v = Json::Str(cache.clone());
-            }
-        }
+        let line = event(local);
         // Kill budget: the K-th finished job takes the process down *with*
         // its own result — journaled (and cached) but never streamed, just
         // as a crash between simulate and send would lose it.
@@ -638,7 +631,6 @@ impl JobSink<'_> {
             self.core.wake();
             return;
         }
-        let line = format!("{doc}\n");
         let _ = self.tx.lock().unwrap_or_else(PoisonError::into_inner).send((result, line));
     }
 }
@@ -659,13 +651,22 @@ pub(crate) fn stream_sweep(
     let mut writer = ChunkedWriter::start(stream, 200, "application/jsonl")
         .map_err(|e| HttpError { status: 500, message: e.to_string() })?;
 
+    // Every stream line is written into this one buffer, then sent as one
+    // chunk.
+    let mut line = String::new();
+    let mut send = |writer: &mut ChunkedWriter<'_>, event: &Event, tier: Option<&str>| {
+        line.clear();
+        event.write_with_cache(&mut line, tier);
+        line.push('\n');
+        writer.chunk(line.as_bytes())
+    };
     // The stream uses request-local ids (a self-contained journal
     // fragment); the process journal uses process-unique ids so concurrent
     // requests' lines cannot collide when a reader pairs them up.
     let jobs = &plan.jobs;
     let journal_base = core.job_seq.fetch_add(jobs.len() as u64, Ordering::SeqCst) as usize;
     for (local, (req, key)) in jobs.iter().enumerate() {
-        let _ = writer.chunk(format!("{}\n", Event::queued(local, req, key).to_json()).as_bytes());
+        let _ = send(&mut writer, &Event::queued(local, req, key), None);
         core.journal.record(Event::queued(journal_base + local, req, key));
     }
 
@@ -683,7 +684,7 @@ pub(crate) fn stream_sweep(
         // The sink (and its sender) drops with the executor, ending `rx`.
         scope.spawn(move || execute(&sink));
         // Stream lines in completion order; each is flushed as one chunk.
-        for (result, line) in rx {
+        for (result, event) in rx {
             match &result {
                 Ok((stats, cache)) if cache == "miss" => {
                     misses += 1;
@@ -694,8 +695,11 @@ pub(crate) fn stream_sweep(
             }
             if !core.killed() && stream_cut_after != Some(0) {
                 // A closed peer is not an error: keep settling jobs so the
-                // cache and journal still warm up for the next request.
-                let _ = writer.chunk(line.as_bytes());
+                // cache and journal still warm up for the next request. The
+                // stream's `cache` is the tier as given: `shared` included,
+                // which the journal codec itself renders as `hit`.
+                let tier = result.as_ref().ok().map(|(_, cache)| cache.as_str());
+                let _ = send(&mut writer, &event, tier);
                 if let Some(n) = &mut stream_cut_after {
                     *n -= 1;
                 }
@@ -733,7 +737,7 @@ pub(crate) fn stream_sweep(
             ],
         ));
     }
-    let _ = writer.chunk(format!("{}\n", summary.to_json()).as_bytes());
+    let _ = send(&mut writer, &summary, None);
     let _ = writer.finish();
     Ok(())
 }

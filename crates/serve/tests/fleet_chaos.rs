@@ -8,7 +8,7 @@
 //! configured directly on the backend `ServeConfig` so each test controls
 //! exactly which backend misbehaves and how.
 
-use sms_harness::cache::stats_to_json;
+use sms_harness::cache::stats_json;
 use sms_harness::json::{parse, Json};
 use sms_harness::{FaultPlan, Harness, HarnessConfig, ResultCache, RunRequest};
 use sms_serve::client::{Client, ClientConfig};
@@ -105,8 +105,8 @@ fn assert_matches_direct_run(outcome: &SweepOutcome) {
             .unwrap_or_else(|| panic!("cell {}/{label} missing from the stream", req.scene.name()));
         let served_stats = served.outcome.as_ref().expect("cell must succeed");
         assert_eq!(
-            stats_to_json(served_stats).to_string(),
-            stats_to_json(&direct_run.stats).to_string(),
+            stats_json(served_stats),
+            stats_json(&direct_run.stats),
             "served stats must be byte-identical to a direct run"
         );
     }
@@ -262,8 +262,8 @@ fn all_backends_down_serves_cache_and_sheds_misses() {
     let rec = &outcome.records[0];
     assert_eq!(rec.cache, "hit", "degraded mode must serve from cache");
     assert_eq!(
-        stats_to_json(rec.outcome.as_ref().unwrap()).to_string(),
-        stats_to_json(&warm_stats).to_string(),
+        stats_json(rec.outcome.as_ref().unwrap()),
+        stats_json(&warm_stats),
         "served stats must be the cached entry"
     );
     let metrics = fleet.render_metrics();

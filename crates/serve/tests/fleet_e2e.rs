@@ -3,7 +3,7 @@
 //! (a warm sweep, a mixed one, a damaged cache entry), scene-affinity
 //! routing, four concurrent clients, and strict `/metrics` output.
 
-use sms_harness::cache::stats_to_json;
+use sms_harness::cache::stats_json;
 use sms_harness::json::{parse, Json};
 use sms_harness::{Harness, HarnessConfig, ResultCache, RunRequest};
 use sms_metrics::prom;
@@ -148,8 +148,8 @@ fn assert_matches_direct_run(outcome: &SweepOutcome) {
     for (rec, direct) in outcome.records.iter().zip(&direct) {
         let served = rec.outcome.as_ref().expect("cell must succeed");
         assert_eq!(
-            stats_to_json(served).to_string(),
-            stats_to_json(&direct.stats).to_string(),
+            stats_json(served),
+            stats_json(&direct.stats),
             "{}/{}: served stats must be byte-identical to a direct run",
             rec.scene,
             rec.config

@@ -9,7 +9,7 @@
 //! `sms_serve::service`, answers for both): malformed-request handling,
 //! the door shed, and the raw bytes of the skeleton's own routes.
 
-use sms_harness::cache::stats_to_json;
+use sms_harness::cache::stats_json;
 use sms_harness::{FaultPlan, ResultCache, RunRequest};
 use sms_serve::client::{Client, ClientConfig};
 use sms_serve::fleet::{FleetConfig, FleetServer, FleetState};
@@ -461,6 +461,22 @@ fn malformed_requests_get_4xx_not_panic() {
     drain_tiers(tiers);
 }
 
+/// A sweep body of 20 000 `[` (1/50 of the body limit) is a 400 naming the
+/// depth limit on both tiers, not a stack overflow in the handler thread
+/// that aborts the whole process: both still answer `/healthz` after it.
+#[test]
+fn a_nesting_bomb_is_a_400_on_both_tiers() {
+    let tiers = spawn_tiers(64, None);
+    let bomb = sweep_request("", &"[".repeat(20_000));
+    for (tier, addr) in [("backend", tiers.0.addr()), ("fleet", tiers.1.addr())] {
+        let resp = exchange(addr, &bomb);
+        assert_eq!(status(&resp), 400, "{tier}: {resp}");
+        assert!(resp.contains("nesting deeper than 64"), "{tier}: {resp}");
+        assert_eq!(quick_client(addr).get("/healthz").unwrap().status, 200, "{tier}");
+    }
+    drain_tiers(tiers);
+}
+
 /// Raw response bytes (status line, headers, body) of the routes the
 /// skeleton answers itself, for a backend and a fleet alike: the
 /// `serve_e2e.*` rows of the golden table (`goldens.txt`,
@@ -482,7 +498,7 @@ fn wire_bytes_match_parent_goldens() {
     let body = format!(
         "{{\"key\":\"{}\",\"scene\":\"WKND\",\"config\":\"RB_8\",\"render\":\"tiny\",\"stats\":{}}}\n",
         key.canonical,
-        stats_to_json(&stats)
+        stats_json(&stats)
     );
     let probe_hit = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
