@@ -148,6 +148,26 @@ if git grep -nwE 'intersect_nearest|intersect_any|count_stack_visits|record_dept
   exit 1
 fi
 
+echo "==> one-box gate (a BVH box is stored once, in its parent's child record: FlatNode holds no"
+echo "    f32, and flat.rs writes a child plane only in push_child; prints offenders)"
+# flat.rs is read up to its `#[cfg(test)]` module; `fn` is the function a
+# line sits in.
+if ! awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /^pub struct FlatNode/ { node = 1 }
+  node && /f32/ { print FILENAME ":" FNR ":" $0; bad = 1 }
+  node && /^}/ { node = 0 }
+  match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+  /child_(min|max)_[xyz](\.(push|extend|insert|resize|fill)|\[[^]]*\] *[-+*\/]?=[^=])/ &&
+      fn != "push_child" {
+    print FILENAME ":" FNR ":" $0; bad = 1
+  }
+  END { exit bad }' crates/bvh/src/flat.rs; then
+  echo "a node box is stored twice again (FlatNode keeps ids and counts; write a box with"
+  echo "FlatBvh::push_child and read a node's own box with FlatBvh::own_aabb)"
+  exit 1
+fi
+
 echo "==> one-probe gate (the fleet reads a cell from the result cache once per sweep, in"
 echo "    handle_sweep's read-first step, and once per retried attempt, in run_cell; prints any"
 echo "    other call)"

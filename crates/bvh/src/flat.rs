@@ -7,19 +7,25 @@
 //! (standing in for the 8-byte node addresses of real hardware).
 //!
 //! [`FlatBvh`] is the only runtime layout. [`FlatBvh::from_binary`]
-//! collapses the builder's binary tree to width `k` and writes, in that one
-//! DFS pre-order recursion:
+//! collapses the builder's binary tree to width `k` and writes, in one
+//! DFS pre-order recursion, arrays allocated once at their final length:
 //!
-//! * one fixed 32-byte [`FlatNode`] record per node, indexed by [`NodeId`]
+//! * one 16-byte [`FlatNode`] record per node, indexed by [`NodeId`]
 //!   (DFS pre-order — the first child of an internal node is `parent + 1`),
 //!   which is also the simulated address mapping of
-//!   [`crate::layout::BvhLayout`] and the `(t, node)` traversal tie-break;
+//!   [`crate::layout::BvhLayout`] and the `(t, node)` traversal tie-break.
+//!   It holds the child or primitive range, the index of the child record
+//!   that stores the node's own box, and the node's escape link
+//!   (stackless traversal: in pre-order the first id after the node's
+//!   subtree, known when the recursion returns);
 //! * a child-record pool in which the children of each internal node are
 //!   adjacent, with the child AABBs stored as six structure-of-arrays plane
-//!   vectors (`min_x .. max_z`) — one node visit reads one contiguous run;
-//! * the escape link of every node (stackless traversal): in pre-order it
-//!   is the first id after the node's subtree, known when the recursion
-//!   returns;
+//!   vectors (`min_x .. max_z`) — one node visit reads one contiguous run.
+//!   This is the only place a box is stored: a node's own bounds are its
+//!   parent's child record (the root's are [`FlatBvh::root_aabb`]), so a
+//!   node costs 16 B, a child record 28 B and a primitive slot 4 B (a node
+//!   used to repeat its 24-byte box in a 32-byte record plus a 4-byte
+//!   escape link: 36 B per node);
 //! * the leaf primitive permutation, copied verbatim from the binary tree.
 //!
 //! The ray-box test evaluates a full [`MAX_WIDTH`]-lane batch of child
@@ -42,35 +48,49 @@ pub type NodeId = u32;
 /// Leaf flag in [`FlatNode::count_kind`]; low bits hold the count.
 const LEAF_BIT: u32 = 1 << 31;
 
-/// Sentinel in [`FlatBvh::escape`]: a node whose whole right context is
+/// Sentinel in [`FlatNode::escape`]: a node whose whole right context is
 /// exhausted has no escape target (traversal is finished).
 pub const NO_NODE: NodeId = NodeId::MAX;
+
+/// Sentinel in [`FlatNode::own`]: the root is no child, its box is
+/// [`FlatBvh::root_aabb`].
+const NO_RECORD: u32 = u32::MAX;
+
+/// Marks the last slot of an inner node in [`FlatBvh::from_binary`]'s
+/// collapse plan (binary node ids stay below it).
+const LAST_SLOT: u32 = 1 << 31;
 
 /// Trailing padding entries on the child pool so a node's batch load of
 /// [`MAX_WIDTH`] lanes is always in bounds; pad lanes are masked out.
 const CHILD_PAD: usize = MAX_WIDTH;
 
-/// One node of a [`FlatBvh`]: 32 bytes, cache-line friendly.
+/// One node of a [`FlatBvh`]: 16 bytes and 16-byte aligned, so a node
+/// visit — stacked or stackless — reads one cache line of the node pool.
 ///
-/// `min`/`max` are the node's own bounds (from the parent's child record;
-/// the root uses the scene bounds). For internal nodes `first` indexes the
-/// child-record pool and the low bits of `count_kind` give the child count;
-/// for leaves (`count_kind & LEAF_BIT != 0`) `first` indexes
-/// [`FlatBvh::prim_order`] and the low bits give the primitive count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(C)]
+/// For internal nodes `first` indexes the child-record pool and the low
+/// bits of `count_kind` give the child count; for leaves
+/// (`count_kind & LEAF_BIT != 0`) `first` indexes [`FlatBvh::prim_order`]
+/// and the low bits give the primitive count. The node's own box is not
+/// repeated here: `own` names the child record that stores it
+/// ([`FlatBvh::own_aabb`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(16))]
 pub struct FlatNode {
-    /// Node bounds, minimum corner.
-    pub min: [f32; 3],
     /// Child-record index (inner) or first primitive slot (leaf).
     pub first: u32,
-    /// Node bounds, maximum corner.
-    pub max: [f32; 3],
     /// Leaf flag (high bit) and child/primitive count (low 31 bits).
     pub count_kind: u32,
+    /// Index of the parent's child record that holds this node's bounds
+    /// (the root has none; see [`FlatNode::own_record`]).
+    pub own: u32,
+    /// Escape link: the next sibling in child-record order, or — for a
+    /// last child — the parent's escape, transitively. [`NO_NODE`] means
+    /// the stackless traversal is finished. Following it skips the node's
+    /// entire subtree.
+    pub escape: NodeId,
 }
 
-const _: () = assert!(std::mem::size_of::<FlatNode>() == 32, "FlatNode must stay 32 bytes");
+const _: () = assert!(std::mem::size_of::<FlatNode>() == 16, "FlatNode must stay 16 bytes");
 
 impl FlatNode {
     /// `true` when this node is a leaf.
@@ -83,6 +103,12 @@ impl FlatNode {
     #[inline]
     pub fn count(&self) -> u32 {
         self.count_kind & !LEAF_BIT
+    }
+
+    /// The child record holding this node's bounds; `None` for the root.
+    #[inline]
+    pub fn own_record(&self) -> Option<usize> {
+        (self.own != NO_RECORD).then_some(self.own as usize)
     }
 }
 
@@ -111,13 +137,8 @@ pub struct FlatBvh {
     pub child_max_z: Vec<f32>,
     /// Permutation of primitive indices referenced by leaves.
     pub prim_order: Vec<u32>,
-    /// Bounds of the whole scene.
+    /// Bounds of the whole scene: the root's own box.
     pub root_aabb: Aabb,
-    /// Escape link per node: the next sibling in child-record order, or —
-    /// for a last child — the parent's escape, transitively. [`NO_NODE`]
-    /// means the stackless traversal is finished. Following `escape`
-    /// skips the node's entire subtree.
-    pub escape: Vec<NodeId>,
     /// Maximum node depth (root = 0), recorded by the build.
     depth: usize,
 }
@@ -125,8 +146,10 @@ pub struct FlatBvh {
 impl FlatBvh {
     /// Builds a wide BVH directly from primitives.
     pub fn build<P: Primitive>(prims: &[P], params: &BuildParams) -> Self {
-        let binary = BinaryBvh::build(prims, params);
-        Self::from_binary(&binary, params.branching_factor)
+        let mut binary = BinaryBvh::build(prims, params);
+        // The binary tree is dropped here: its permutation moves, uncopied.
+        let prim_order = std::mem::take(&mut binary.prim_order);
+        Self::collapse(&binary, prim_order, params.branching_factor)
     }
 
     /// Collapses a binary BVH into a wide BVH with branching factor `width`.
@@ -137,20 +160,31 @@ impl FlatBvh {
     /// remain. This is the standard BVH2→BVHk conversion used by wide-BVH
     /// work the paper builds on.
     ///
+    /// The collapse runs first, into a plan of child records (binary ids in
+    /// pool order); its length sizes every array, which the emission then
+    /// fills without growing.
+    ///
     /// # Panics
     ///
     /// Panics unless `2 <= width <= MAX_WIDTH`.
     pub fn from_binary(binary: &BinaryBvh, width: usize) -> Self {
+        Self::collapse(binary, binary.prim_order.clone(), width)
+    }
+
+    /// [`FlatBvh::from_binary`] with the binary tree's `prim_order` given.
+    fn collapse(binary: &BinaryBvh, prim_order: Vec<u32>, width: usize) -> Self {
         assert!(
             (2..=MAX_WIDTH).contains(&width),
             "branching factor must be in 2..={MAX_WIDTH}, got {width}"
         );
-        // Collapsing only removes nodes, so the binary node count bounds
-        // the node pool; every wide node but the root is one child record.
-        let bound = binary.nodes.len();
-        let children = bound - 1 + CHILD_PAD;
+        assert!(binary.nodes.len() < LAST_SLOT as usize, "binary tree too large to collapse");
+        // Collapsing only removes nodes and every wide node but the root is
+        // one child record, so the binary node count bounds the plan.
+        let mut plan = Vec::with_capacity(binary.nodes.len());
+        plan_collapse(binary, 0, width, &mut plan);
+        let (nodes, children) = (plan.len() + 1, plan.len() + CHILD_PAD);
         let mut out = FlatBvh {
-            nodes: Vec::with_capacity(bound),
+            nodes: Vec::with_capacity(nodes),
             child_node: Vec::with_capacity(children),
             child_min_x: Vec::with_capacity(children),
             child_min_y: Vec::with_capacity(children),
@@ -158,42 +192,22 @@ impl FlatBvh {
             child_max_x: Vec::with_capacity(children),
             child_max_y: Vec::with_capacity(children),
             child_max_z: Vec::with_capacity(children),
-            prim_order: binary.prim_order.clone(),
+            prim_order,
             root_aabb: binary.nodes[0].aabb(),
-            escape: Vec::with_capacity(bound),
             depth: 0,
         };
-        out.emit(binary, 0, width, 0);
-        // `emit` records "first id after my subtree"; for the rightmost
-        // spine that is the end of the tree, where traversal finishes.
-        let end = out.nodes.len() as NodeId;
-        for e in &mut out.escape {
-            if *e == end {
-                *e = NO_NODE;
-            }
-        }
+        out.emit(binary, &plan, 0, NO_RECORD, 0);
         // Pad the child pool so every inner node can load a full
         // MAX_WIDTH-lane batch; pad lanes never reach ChildHits (masked by
         // the child count) so their values are arbitrary-but-fixed.
         for _ in 0..CHILD_PAD {
             out.push_child(0, &Aabb { min: Vec3::ZERO, max: Vec3::ZERO });
         }
-        out.nodes.shrink_to_fit();
-        out.escape.shrink_to_fit();
-        out.child_node.shrink_to_fit();
-        for plane in [
-            &mut out.child_min_x,
-            &mut out.child_min_y,
-            &mut out.child_min_z,
-            &mut out.child_max_x,
-            &mut out.child_max_y,
-            &mut out.child_max_z,
-        ] {
-            plane.shrink_to_fit();
-        }
+        debug_assert_eq!((out.nodes.len(), out.child_node.len()), (nodes, children));
         out
     }
 
+    /// Appends one child record: the only writer of a box in this layout.
     fn push_child(&mut self, node: NodeId, aabb: &Aabb) {
         self.child_node.push(node);
         self.child_min_x.push(aabb.min.x);
@@ -204,67 +218,46 @@ impl FlatBvh {
         self.child_max_z.push(aabb.max.z);
     }
 
-    /// Emits the wide node for binary node `bin_id` (at depth `level`) and,
-    /// recursively, its subtree.
-    fn emit(&mut self, binary: &BinaryBvh, bin_id: u32, width: usize, level: usize) {
+    /// Emits the wide node for binary node `bin_id` (at depth `level`, its
+    /// box in child record `own`) and, recursively, its subtree; an inner
+    /// node's slots are the `plan` entries from the pool's current end.
+    fn emit(&mut self, binary: &BinaryBvh, plan: &[u32], bin_id: u32, own: u32, level: usize) {
         let my_id = self.nodes.len();
         self.depth = self.depth.max(level);
-        let aabb = binary.nodes[bin_id as usize].aabb();
-        let (min, max) =
-            ([aabb.min.x, aabb.min.y, aabb.min.z], [aabb.max.x, aabb.max.y, aabb.max.z]);
+        // The first id after a subtree is its escape; past the last node
+        // the traversal is finished.
+        let end = plan.len() + 1;
+        let escape = |after: usize| if after == end { NO_NODE } else { after as NodeId };
         match &binary.nodes[bin_id as usize] {
             BinaryNode::Leaf { first, count, .. } => {
                 self.nodes.push(FlatNode {
-                    min,
                     first: *first,
-                    max,
                     count_kind: *count | LEAF_BIT,
+                    own,
+                    escape: escape(my_id + 1),
                 });
-                self.escape.push(my_id as NodeId + 1);
             }
-            BinaryNode::Inner { left, right, .. } => {
-                // Gather up to `width` binary subtree roots under this node.
-                let mut slots = [0u32; MAX_WIDTH];
-                (slots[0], slots[1]) = (*left, *right);
-                let mut len = 2;
-                while len < width {
-                    // Expand the inner slot with the largest surface area.
-                    let candidate = slots[..len]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &s)| {
-                            matches!(binary.nodes[s as usize], BinaryNode::Inner { .. })
-                        })
-                        .max_by(|(_, &a), (_, &b)| {
-                            let sa = binary.nodes[a as usize].aabb().surface_area();
-                            let sb = binary.nodes[b as usize].aabb().surface_area();
-                            sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .map(|(i, _)| i);
-                    let Some(i) = candidate else { break };
-                    let BinaryNode::Inner { left, right, .. } = &binary.nodes[slots[i] as usize]
-                    else {
-                        unreachable!("candidate filter only selects inner nodes")
-                    };
-                    // The expanded slot's children go to the back.
-                    slots.copy_within(i + 1..len, i);
-                    (slots[len - 1], slots[len]) = (*left, *right);
-                    len += 1;
-                }
-
-                // Reserve this node's child records before descending, so
-                // the pool stays in node-id order.
+            BinaryNode::Inner { .. } => {
+                // This node's child records are reserved before descending,
+                // so the pool stays in node-id order.
                 let first = self.child_node.len();
-                self.nodes.push(FlatNode { min, first: first as u32, max, count_kind: len as u32 });
-                self.escape.push(NO_NODE);
-                for &s in &slots[..len] {
-                    self.push_child(NO_NODE, &binary.nodes[s as usize].aabb());
+                let last = plan[first..].iter().position(|&s| s & LAST_SLOT != 0);
+                let len = 1 + last.expect("collapse flags every inner node's last slot");
+                self.nodes.push(FlatNode {
+                    first: first as u32,
+                    count_kind: len as u32,
+                    own,
+                    escape: NO_NODE,
+                });
+                let slots = first..first + len;
+                for &s in &plan[slots.clone()] {
+                    self.push_child(NO_NODE, &binary.nodes[(s & !LAST_SLOT) as usize].aabb());
                 }
-                for (k, &s) in slots[..len].iter().enumerate() {
-                    self.child_node[first + k] = self.nodes.len() as NodeId;
-                    self.emit(binary, s, width, level + 1);
+                for slot in slots {
+                    self.child_node[slot] = self.nodes.len() as NodeId;
+                    self.emit(binary, plan, plan[slot] & !LAST_SLOT, slot as u32, level + 1);
                 }
-                self.escape[my_id] = self.nodes.len() as NodeId;
+                self.nodes[my_id].escape = escape(self.nodes.len());
             }
         }
     }
@@ -274,26 +267,25 @@ impl FlatBvh {
         self.depth
     }
 
-    /// Total size of the flat arrays in host bytes (node pool + child pool
-    /// + escape links, excluding the fixed batch padding).
+    /// Total size of the flat arrays in host bytes: the node pool, the
+    /// child pool (node id and six planes per record, excluding the fixed
+    /// batch padding) and the primitive permutation `prim_order`.
     pub fn host_bytes(&self) -> usize {
         let children = self.child_node.len().saturating_sub(CHILD_PAD);
         self.nodes.len() * std::mem::size_of::<FlatNode>()
             + children * (std::mem::size_of::<NodeId>() + 6 * 4)
             + self.prim_order.len() * 4
-            + self.escape.len() * std::mem::size_of::<NodeId>()
     }
 
     /// The node's own bounds as an [`Aabb`] — the exact `f32` planes the
-    /// parent's child record stored (scene bounds for the root), so the
+    /// parent's child record stores (scene bounds for the root), so the
     /// stackless own-box test culls with the same values the stacked
     /// drivers tested one level up.
     #[inline]
     pub fn own_aabb(&self, node: NodeId) -> Aabb {
-        let n = &self.nodes[node as usize];
-        Aabb {
-            min: Vec3::new(n.min[0], n.min[1], n.min[2]),
-            max: Vec3::new(n.max[0], n.max[1], n.max[2]),
+        match self.nodes[node as usize].own_record() {
+            Some(slot) => self.child_aabb(slot),
+            None => self.root_aabb,
         }
     }
 
@@ -400,10 +392,7 @@ impl FlatBvh {
         t_max: f32,
     ) -> StacklessStep {
         let n = &self.nodes[node as usize];
-        let escape = {
-            let e = self.escape[node as usize];
-            (e != NO_NODE).then_some(e)
-        };
+        let escape = (n.escape != NO_NODE).then_some(n.escape);
         if self.own_aabb(node).intersect(ray, t_min, t_max).is_none() {
             return StacklessStep::Miss { escape };
         }
@@ -426,6 +415,48 @@ impl FlatBvh {
     #[inline]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+}
+
+/// Appends the collapse of binary node `bin_id`'s subtree to `plan`, in the
+/// order [`FlatBvh::emit`] reserves child records: an inner node's slots
+/// (binary ids, the last flagged [`LAST_SLOT`]), then each slot's subtree.
+fn plan_collapse(binary: &BinaryBvh, bin_id: u32, width: usize, plan: &mut Vec<u32>) {
+    let BinaryNode::Inner { left, right, .. } = &binary.nodes[bin_id as usize] else { return };
+    // Gather up to `width` binary subtree roots under this node, each with
+    // its surface area when it is an inner node (a leaf is never expanded).
+    let area = |s: u32| match &binary.nodes[s as usize] {
+        BinaryNode::Inner { aabb, .. } => Some(aabb.surface_area()),
+        BinaryNode::Leaf { .. } => None,
+    };
+    let mut slots = [0u32; MAX_WIDTH];
+    let mut areas = [None; MAX_WIDTH];
+    (slots[0], slots[1]) = (*left, *right);
+    (areas[0], areas[1]) = (area(*left), area(*right));
+    let mut len = 2;
+    while len < width {
+        // Expand the inner slot with the largest surface area.
+        let candidate = areas[..len]
+            .iter()
+            .enumerate()
+            .filter_map(|(i, a)| a.map(|a| (i, a)))
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i);
+        let Some(i) = candidate else { break };
+        let BinaryNode::Inner { left, right, .. } = &binary.nodes[slots[i] as usize] else {
+            unreachable!("candidate filter only selects inner nodes")
+        };
+        // The expanded slot's children go to the back.
+        slots.copy_within(i + 1..len, i);
+        areas.copy_within(i + 1..len, i);
+        (slots[len - 1], slots[len]) = (*left, *right);
+        (areas[len - 1], areas[len]) = (area(*left), area(*right));
+        len += 1;
+    }
+    plan.extend_from_slice(&slots[..len]);
+    *plan.last_mut().expect("an inner node has two slots") |= LAST_SLOT;
+    for &s in &slots[..len] {
+        plan_collapse(binary, s, width, plan);
     }
 }
 
@@ -503,8 +534,7 @@ pub(crate) mod tests {
 
         // Ids are DFS pre-order and the child pool is in id order: an
         // inner node's records start where the previous inner node's end,
-        // its first child is the next id, and each child record carries
-        // exactly the bounds the child node stores as its own.
+        // its first child is the next id, and its children's ids rise.
         let mut pool = 0u32;
         for (id, n) in flat.nodes.iter().enumerate().filter(|(_, n)| !n.is_leaf()) {
             assert_eq!(n.first, pool, "node {id}: child records out of id order");
@@ -512,9 +542,6 @@ pub(crate) mod tests {
             assert!((2..=6).contains(&n.count()));
             let slots = n.first as usize..(n.first + n.count()) as usize;
             assert_eq!(flat.child_node[slots.start], id as NodeId + 1);
-            for slot in slots.clone() {
-                assert_eq!(flat.child_aabb(slot), flat.own_aabb(flat.child_node[slot]));
-            }
             assert!(flat.child_node[slots].windows(2).all(|w| w[0] < w[1]));
         }
         assert_eq!(pool as usize + CHILD_PAD, flat.child_node.len());
@@ -581,12 +608,12 @@ pub(crate) mod tests {
     fn escape_links_are_well_formed() {
         let prims = grid(300);
         let flat = FlatBvh::build(&prims, &BuildParams::default());
-        assert_eq!(flat.escape[0], NO_NODE, "root's escape ends traversal");
+        assert_eq!(flat.nodes[0].escape, NO_NODE, "root's escape ends traversal");
         for id in 0..flat.nodes.len() {
             let children = children(&flat, id as NodeId);
             for (k, &c) in children.iter().enumerate() {
-                let expect = children.get(k + 1).copied().unwrap_or(flat.escape[id]);
-                assert_eq!(flat.escape[c as usize], expect);
+                let expect = children.get(k + 1).copied().unwrap_or(flat.nodes[id].escape);
+                assert_eq!(flat.nodes[c as usize].escape, expect);
             }
         }
         // Following escape links from the root's first child must walk
@@ -600,7 +627,7 @@ pub(crate) mod tests {
             let n = &flat.nodes[current as usize];
             current = if n.is_leaf() {
                 // skip subtree: leaf has none
-                flat.escape[current as usize]
+                flat.nodes[current as usize].escape
             } else {
                 // descend to first child (always, ignoring geometry)
                 flat.child_node[n.first as usize]
@@ -639,13 +666,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn node_record_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<FlatNode>(), 32);
+    fn node_record_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<FlatNode>(), 16);
+        assert_eq!(std::mem::align_of::<FlatNode>(), 16);
         let prims = grid(64);
         let flat = FlatBvh::build(&prims, &BuildParams::default());
-        // 32 B per node + 4 B escape link, 28 B per child record, 4 B per
-        // primitive slot — and nothing else.
+        // 16 B per node (escape link included), 28 B per child record,
+        // 4 B per primitive slot — and nothing else.
         let (n, c) = (flat.nodes.len(), flat.nodes.len() - 1);
-        assert_eq!(flat.host_bytes(), n * 36 + c * 28 + 64 * 4);
+        assert_eq!(flat.host_bytes(), n * 16 + c * 28 + 64 * 4);
+        // Every array is allocated at its final length.
+        assert_eq!(flat.nodes.capacity(), n);
+        assert_eq!(flat.child_node.capacity(), c + CHILD_PAD);
+        assert_eq!(flat.child_max_z.capacity(), c + CHILD_PAD);
     }
 }

@@ -10,8 +10,12 @@
 //!   scenes; deterministic in the worker count.
 //! * [`flat`] — collapse of the binary BVH into the *wide* BVH ("BVHk",
 //!   the paper traverses BVH6: up to six children per internal node),
-//!   written straight into contiguous 32-byte node records with SoA child
-//!   AABB planes and stackless escape links. [`FlatBvh`] is the one
+//!   written straight into contiguous 16-byte node records with SoA child
+//!   AABB planes and stackless escape links. A box is stored once, in the
+//!   parent's child record, which the node names ([`FlatBvh::own_aabb`]):
+//!   16 B per node, 28 B per child record and 4 B per primitive slot,
+//!   where a node record used to repeat that box in 32 B and keep its
+//!   escape link in 4 more. [`FlatBvh`] is the one
 //!   runtime layout: the functional renderer, the cycle-level RT unit and
 //!   the stackless drivers all traverse it.
 //! * [`layout`] — the simulated memory image of the BVH: every node and

@@ -87,7 +87,7 @@ fn single_leaf_scene() {
     assert_eq!(bvh.nodes.len(), 1);
     assert_eq!(bvh.leaf_range(0), Some((0, 3)));
     assert_eq!(bvh.depth(), 0);
-    assert_eq!(bvh.escape, [crate::NO_NODE]);
+    assert_eq!(bvh.nodes[0].escape, crate::NO_NODE);
 }
 
 #[test]

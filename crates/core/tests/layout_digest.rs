@@ -7,9 +7,11 @@
 //! `FlatBvh::from_binary` started emitting the arrays directly, so they
 //! pin the one-pass build to what the two-pass build produced: node
 //! numbering, child-pool order, every `f32` plane bit, the primitive
-//! permutation and the escape links.
+//! permutation and the escape links. A node's bounds are hashed through
+//! `FlatBvh::own_aabb`, wherever the layout keeps them, so the rows
+//! outlive a change of where a node's box is stored.
 
-use sms_bvh::{BuildParams, FlatBvh};
+use sms_bvh::{BuildParams, FlatBvh, NodeId};
 use sms_sim::config::RenderConfig;
 use sms_sim::geom::golden::{self, fnv1a64_extend, FNV_OFFSET};
 use sms_sim::render::PreparedScene;
@@ -34,8 +36,11 @@ fn digest(bvh: &FlatBvh) -> u64 {
     let mut hash = FNV_OFFSET;
     let h = &mut hash;
     word(h, bvh.nodes.len() as u32);
-    for n in &bvh.nodes {
-        n.min.iter().chain(&n.max).for_each(|f| word(h, f.to_bits()));
+    for (id, n) in bvh.nodes.iter().enumerate() {
+        let own = bvh.own_aabb(id as NodeId);
+        [own.min.x, own.min.y, own.min.z, own.max.x, own.max.y, own.max.z]
+            .iter()
+            .for_each(|f| word(h, f.to_bits()));
         word(h, n.first);
         word(h, n.count_kind);
     }
@@ -53,7 +58,7 @@ fn digest(bvh: &FlatBvh) -> u64 {
     words(h, bvh.prim_order.iter().copied());
     let (lo, hi) = (bvh.root_aabb.min, bvh.root_aabb.max);
     floats(h, &[lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]);
-    words(h, bvh.escape.iter().copied());
+    words(h, bvh.nodes.iter().map(|n| n.escape));
     hash
 }
 

@@ -49,20 +49,26 @@ pub fn fbm(seed: u64, x: f32, z: f32, octaves: u32) -> f32 {
 /// `[-size/2, size/2]²` with heights from `height(x, z)`.
 pub fn terrain<F: Fn(f32, f32) -> f32>(nx: u32, nz: u32, size: f32, height: F) -> Vec<Triangle> {
     let mut tris = Vec::with_capacity((nx * nz * 2) as usize);
-    let h = |i: u32, j: u32| {
+    // Each lattice point is evaluated once: a row of points is shared by
+    // the two rows of cells it borders.
+    let row = |i: u32| -> Vec<Vec3> {
         let x = (i as f32 / nx as f32 - 0.5) * size;
-        let z = (j as f32 / nz as f32 - 0.5) * size;
-        Vec3::new(x, height(x, z), z)
+        (0..=nz)
+            .map(|j| {
+                let z = (j as f32 / nz as f32 - 0.5) * size;
+                Vec3::new(x, height(x, z), z)
+            })
+            .collect()
     };
+    let mut lo = row(0);
     for i in 0..nx {
-        for j in 0..nz {
-            let p00 = h(i, j);
-            let p10 = h(i + 1, j);
-            let p01 = h(i, j + 1);
-            let p11 = h(i + 1, j + 1);
+        let hi = row(i + 1);
+        for j in 0..nz as usize {
+            let (p00, p10, p01, p11) = (lo[j], hi[j], lo[j + 1], hi[j + 1]);
             tris.push(Triangle::new(p00, p10, p11));
             tris.push(Triangle::new(p00, p11, p01));
         }
+        lo = hi;
     }
     tris
 }
@@ -90,13 +96,14 @@ pub fn blob(
         };
         center + dir * r
     };
+    // Each lattice point is evaluated once, as in `terrain`.
+    let row = |i: u32| -> Vec<Vec3> { (0..=slices).map(|j| point(i, j)).collect() };
     let mut tris = Vec::with_capacity((stacks * slices * 2) as usize);
+    let mut lo = row(0);
     for i in 0..stacks {
-        for j in 0..slices {
-            let p00 = point(i, j);
-            let p10 = point(i + 1, j);
-            let p01 = point(i, j + 1);
-            let p11 = point(i + 1, j + 1);
+        let hi = row(i + 1);
+        for j in 0..slices as usize {
+            let (p00, p10, p01, p11) = (lo[j], hi[j], lo[j + 1], hi[j + 1]);
             if i > 0 {
                 tris.push(Triangle::new(p00, p10, p11));
             }
@@ -104,6 +111,7 @@ pub fn blob(
                 tris.push(Triangle::new(p00, p11, p01));
             }
         }
+        lo = hi;
     }
     tris
 }
@@ -215,36 +223,34 @@ pub fn tree(
     (wood, leaves)
 }
 
-/// Uniformly subdivides each triangle into a `detail × detail` barycentric
-/// grid (`detail²` coplanar sub-triangles), preserving the covered surface
-/// exactly. `detail <= 1` returns the input untouched — the default scene
-/// builds never pass through this function, keeping them bit-identical.
+/// Uniformly subdivides `tri` into a `detail × detail` barycentric grid
+/// (`detail²` coplanar sub-triangles, handed to `emit` in a fixed order),
+/// preserving the covered surface exactly. `detail <= 1` emits `tri`
+/// untouched — the default scene builds never pass through this function,
+/// keeping them bit-identical.
 ///
 /// This is how [`crate::Scene::build_scaled`] lifts the ~1/100-scale
 /// stand-in meshes to paper-class triangle counts: the BVH gets genuinely
 /// deeper and wider (every sub-triangle has its own bounds) while the
-/// scene's silhouette, materials and camera stay the same.
-pub fn subdivide(tris: Vec<Triangle>, detail: u32) -> Vec<Triangle> {
+/// scene's silhouette, materials and camera stay the same. The caller
+/// owns the output, so it can size it once: `detail²` per triangle.
+pub fn subdivide(tri: &Triangle, detail: u32, mut emit: impl FnMut(Triangle)) {
     if detail <= 1 {
-        return tris;
+        return emit(*tri);
     }
     let s = detail as usize;
-    let mut out = Vec::with_capacity(tris.len() * s * s);
     let inv = 1.0 / detail as f32;
-    for tri in &tris {
-        let e1 = (tri.v1 - tri.v0) * inv;
-        let e2 = (tri.v2 - tri.v0) * inv;
-        let p = |a: usize, b: usize| tri.v0 + e1 * a as f32 + e2 * b as f32;
-        for a in 0..s {
-            for b in 0..s - a {
-                out.push(Triangle::new(p(a, b), p(a + 1, b), p(a, b + 1)));
-                if a + b < s - 1 {
-                    out.push(Triangle::new(p(a + 1, b), p(a + 1, b + 1), p(a, b + 1)));
-                }
+    let e1 = (tri.v1 - tri.v0) * inv;
+    let e2 = (tri.v2 - tri.v0) * inv;
+    let p = |a: usize, b: usize| tri.v0 + e1 * a as f32 + e2 * b as f32;
+    for a in 0..s {
+        for b in 0..s - a {
+            emit(Triangle::new(p(a, b), p(a + 1, b), p(a, b + 1)));
+            if a + b < s - 1 {
+                emit(Triangle::new(p(a + 1, b), p(a + 1, b + 1), p(a, b + 1)));
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -337,13 +343,20 @@ mod tests {
         }
     }
 
+    /// Every sub-triangle of every triangle of `tris`, in order.
+    fn subdivided(tris: &[Triangle], detail: u32) -> Vec<Triangle> {
+        let mut out = Vec::new();
+        tris.iter().for_each(|t| subdivide(t, detail, |s| out.push(s)));
+        out
+    }
+
     #[test]
     fn subdivide_counts_and_area() {
         let base =
             vec![Triangle::new(Vec3::ZERO, Vec3::new(3.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 3.0))];
         let area: f32 = base.iter().map(|t| t.area()).sum();
         for detail in [1u32, 2, 3, 7] {
-            let sub = subdivide(base.clone(), detail);
+            let sub = subdivided(&base, detail);
             assert_eq!(sub.len(), (detail * detail) as usize);
             let sub_area: f32 = sub.iter().map(|t| t.area()).sum();
             assert!((sub_area - area).abs() < 1e-3, "detail {detail}: area drifted");
@@ -353,8 +366,8 @@ mod tests {
     #[test]
     fn subdivide_detail_one_is_identity() {
         let base = box_mesh(Vec3::ZERO, Vec3::ONE);
-        assert_eq!(subdivide(base.clone(), 1), base);
-        assert_eq!(subdivide(base.clone(), 0), base);
+        assert_eq!(subdivided(&base, 1), base);
+        assert_eq!(subdivided(&base, 0), base);
     }
 
     #[test]

@@ -213,20 +213,18 @@ impl Scene {
         if detail <= 1 {
             return scene;
         }
-        scene.prims = scene
-            .prims
-            .into_iter()
-            .flat_map(|p| match p.shape {
-                Shape::Tri(t) => {
-                    let material = p.material;
-                    gen::subdivide(vec![t], detail)
-                        .into_iter()
-                        .map(move |t| ScenePrimitive { shape: Shape::Tri(t), material })
-                        .collect::<Vec<_>>()
-                }
-                _ => vec![p],
-            })
-            .collect();
+        let tris = scene.triangle_count();
+        let sub = (detail * detail) as usize;
+        let mut prims = Vec::with_capacity(tris * sub + scene.prims.len() - tris);
+        for p in &scene.prims {
+            match &p.shape {
+                Shape::Tri(t) => gen::subdivide(t, detail, |t| {
+                    prims.push(ScenePrimitive { shape: Shape::Tri(t), material: p.material })
+                }),
+                _ => prims.push(*p),
+            }
+        }
+        scene.prims = prims;
         scene
     }
 
@@ -277,6 +275,16 @@ mod tests {
             |s: &Scene| s.prims.iter().filter(|p| !matches!(p.shape, Shape::Tri(_))).count();
         assert_eq!(spheres(&scaled), spheres(&base));
         assert_eq!(scaled.camera.width, base.camera.width);
+    }
+
+    #[test]
+    fn scenes_are_built_at_their_final_length() {
+        for id in SceneId::ALL {
+            let s = Scene::build(id);
+            assert_eq!(s.prims.capacity(), s.prims.len(), "{id}: slack in prims");
+        }
+        let scaled = Scene::build_scaled(SceneId::Ship, 3);
+        assert_eq!(scaled.prims.capacity(), scaled.prims.len(), "SHIP x3: slack in prims");
     }
 
     #[test]

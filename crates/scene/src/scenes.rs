@@ -5,7 +5,7 @@
 //! scene's traversal character as described in the paper's §VII-B.
 
 use crate::gen;
-use crate::material::Material;
+use crate::material::{Material, MaterialId};
 use crate::primitive::ScenePrimitive;
 use crate::{Camera, Light, Scene, SceneId};
 use sms_geom::{SplitMix64, Triangle, Vec3};
@@ -33,14 +33,25 @@ pub fn build(id: SceneId) -> Scene {
 }
 
 /// Incrementally assembles a scene's primitives and materials.
+///
+/// The pieces are kept as the generators return them, so that
+/// [`Assembler::finish`] writes `prims` once, at its final length, in the
+/// order the pieces came.
 struct Assembler {
-    prims: Vec<ScenePrimitive>,
+    pieces: Vec<Piece>,
+    len: usize,
     materials: Vec<Material>,
+}
+
+/// One call's worth of primitives.
+enum Piece {
+    Tris(Vec<Triangle>, MaterialId),
+    Prim(ScenePrimitive),
 }
 
 impl Assembler {
     fn new() -> Self {
-        Assembler { prims: Vec::new(), materials: Vec::new() }
+        Assembler { pieces: Vec::new(), len: 0, materials: Vec::new() }
     }
 
     fn material(&mut self, m: Material) -> u32 {
@@ -49,13 +60,15 @@ impl Assembler {
     }
 
     fn tris(&mut self, tris: impl IntoIterator<Item = Triangle>, mat: u32) {
-        self.prims.extend(
-            tris.into_iter().map(|t| ScenePrimitive { shape: crate::Shape::Tri(t), material: mat }),
-        );
+        // A generator's `Vec` is kept as it is, not copied.
+        let tris: Vec<Triangle> = tris.into_iter().collect();
+        self.len += tris.len();
+        self.pieces.push(Piece::Tris(tris, mat));
     }
 
     fn sphere(&mut self, center: Vec3, radius: f32, mat: u32) {
-        self.prims.push(ScenePrimitive::sphere(center, radius, mat));
+        self.len += 1;
+        self.pieces.push(Piece::Prim(ScenePrimitive::sphere(center, radius, mat)));
     }
 
     fn finish(
@@ -66,15 +79,17 @@ impl Assembler {
         sky_horizon: Vec3,
         sky_zenith: Vec3,
     ) -> Scene {
-        Scene {
-            id,
-            prims: self.prims,
-            materials: self.materials,
-            camera,
-            light,
-            sky_horizon,
-            sky_zenith,
+        let mut prims = Vec::with_capacity(self.len);
+        for piece in self.pieces {
+            match piece {
+                Piece::Tris(tris, material) => prims.extend(
+                    tris.into_iter()
+                        .map(|t| ScenePrimitive { shape: crate::Shape::Tri(t), material }),
+                ),
+                Piece::Prim(p) => prims.push(p),
+            }
         }
+        Scene { id, prims, materials: self.materials, camera, light, sky_horizon, sky_zenith }
     }
 }
 
