@@ -123,6 +123,19 @@ if ! awk '
   exit 1
 fi
 
+echo "==> one-observation gate (the stack manager records its own events: outside tests the RT"
+echo "    unit reads no global-level length, flush counter or flush count of WarpStacks; prints"
+echo "    offenders)"
+# unit.rs is read up to its `#[cfg(test)]` module, if it has one.
+if ! awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /global_len\(|segment_flushes\(|ra_flushes/ { print FILENAME ":" FNR ":" $0; bad = 1 }
+  END { exit bad }' crates/rtunit/src/unit.rs; then
+  echo "the RT unit works out the stack manager's events from outside again (record them in"
+  echo "WarpStacks: its StackRecord, the global level's per-lane counts, make_room's flush run)"
+  exit 1
+fi
+
 echo "==> one-traversal gate (the traversal is written once: outside tests only sms_bvh's"
 echo "    traverse.rs and the RT unit visit nodes, and the retired host drivers and depth"
 echo "    recorders stay gone; prints offenders)"
@@ -205,11 +218,12 @@ if git grep -nE 'hedge[_]after|SMS_FLEET_[H]EDGE_MS|respond[_]delay|sms_fleet_[h
   exit 1
 fi
 
-echo "==> one-config gate (no tree, retry-count or competitor-column switch; prints offenders)"
+echo "==> one-config gate (no tree, retry-count, competitor-column or RA flush-limit switch;"
+echo "    prints offenders)"
 # The bracketed letters keep the pattern from matching itself or the env-docs test.
-if git grep -nwE 'S[M]S_(HLBVH|RETRIES|STACKLESS|PREDICT|PREDICT_BITS)|with[_]retries|competitor[_]configs' -- crates; then
+if git grep -nwE 'S[M]S_(HLBVH|RETRIES|STACKLESS|PREDICT|PREDICT_BITS)|with[_]retries|competitor[_]configs|flush[_]limit' -- crates; then
   echo "a retired switch is back (every sweep builds PreparedScene::build's tree, retries cache"
-  echo "I/O DEFAULT_RETRIES times and shows every competitor column)"
+  echo "I/O DEFAULT_RETRIES times and shows every competitor column; RA has no flush limit)"
   exit 1
 fi
 

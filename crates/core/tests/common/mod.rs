@@ -58,8 +58,8 @@ pub fn build_params(g: &mut Gen) -> BuildParams {
     }
 }
 
-/// Any SMS stack: `RB_1..=16 + SH_sh_min..=16`, skew either way, every
-/// borrow limit 0..=6 and flush limit 0..=4.
+/// Any SMS stack: `RB_1..=16 + SH_sh_min..=16`, skew either way and every
+/// borrow limit 0..=6.
 pub fn sms_params(g: &mut Gen, sh_min: usize, realloc: bool) -> SmsParams {
     SmsParams {
         rb_entries: g.int(1, 16),
@@ -67,7 +67,6 @@ pub fn sms_params(g: &mut Gen, sh_min: usize, realloc: bool) -> SmsParams {
         skewed: g.chance(0.5),
         realloc,
         borrow_limit: g.int(0, 6),
-        flush_limit: g.int(0, 4) as u8,
     }
 }
 

@@ -64,7 +64,8 @@ fn lifo_exactness_under_interleaving() {
 }
 
 /// The one shrunk failure the old registry-backed suite ever recorded
-/// (`RB_1+SH_1+RA`, one borrow, no flush budget), kept as a literal.
+/// (`RB_1+SH_1+RA`, one borrow), kept as a literal. It was found with a
+/// flush limit of 0, which no stack ever read.
 #[test]
 fn lifo_regression_rb1_sh1_ra_borrow1_flush0() {
     const T: bool = true;
@@ -75,7 +76,6 @@ fn lifo_regression_rb1_sh1_ra_borrow1_flush0() {
         skewed: false,
         realloc: true,
         borrow_limit: 1,
-        flush_limit: 0,
     });
     #[rustfmt::skip]
     let ops = [
@@ -175,12 +175,8 @@ fn label_parse_round_trip() {
             3 => StackConfig::Predictor { table_bits: g.int(1, 20) as u32 },
             _ => {
                 let realloc = g.chance(0.5);
-                let SmsParams { borrow_limit, flush_limit, .. } = SmsParams::default();
-                StackConfig::Sms(SmsParams {
-                    borrow_limit,
-                    flush_limit,
-                    ..sms_params(g, 1, realloc)
-                })
+                let SmsParams { borrow_limit, .. } = SmsParams::default();
+                StackConfig::Sms(SmsParams { borrow_limit, ..sms_params(g, 1, realloc) })
             }
         };
         assert_eq!(c.label().parse(), Ok(c), "{c}");

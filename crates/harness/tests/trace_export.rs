@@ -192,7 +192,7 @@ fn one_run_directory_holds_every_artefact_of_a_sweep() {
 fn cells_whose_labels_collide_keep_their_own_files() {
     let dir = fresh_dir("collide");
     let small_l1 = GpuConfig::default().with_l1_size(32 * 1024);
-    let limited = SmsParams { borrow_limit: 1, flush_limit: 0, ..SmsParams::default() };
+    let limited = SmsParams { borrow_limit: 1, ..SmsParams::default() };
     let reqs = [
         tiny(StackConfig::baseline8()),
         tiny(StackConfig::baseline8()).with_gpu(small_l1),

@@ -21,7 +21,6 @@ fn fig13_configs() -> Vec<StackConfig> {
         StackConfig::stackless(),
         StackConfig::predictor_default(),
         StackConfig::Sms(SmsParams { borrow_limit: 1, ..full_sms() }),
-        StackConfig::Sms(SmsParams { flush_limit: 0, ..full_sms() }),
     ]
 }
 

@@ -1,40 +1,20 @@
-//! Stack and traversal distributions recorded by the RT unit.
+//! Stack and traversal distributions, recorded by the stack manager.
 //!
-//! Armed via [`crate::RtUnitConfig::metrics`] and, like the validator and
-//! the stall-attribution taxonomy, **pure observation**: the recorders
-//! read simulator state around the stack manager's push/pop choke points
-//! but never feed a value back into a timing or counter decision, so a run
+//! Armed via [`crate::RtUnitConfig::metrics`]: each admitted warp's
+//! [`crate::WarpStacks`] records its own pushes, flushes and finished rays,
+//! and the RT unit merges a retiring warp's record into its
+//! [`StackMetrics`]. Like the validator this is **pure observation**: a run
 //! with metrics on is byte-identical to one with metrics off.
 //!
 //! Depths, occupancies and chain lengths are all far below the histogram's
 //! linear-bucket cutoff, so those distributions are exact; only per-ray
 //! traversal latency uses the log-bucketed region.
 
-use sms_gpu::WARP_SIZE;
-use sms_mem::Cycle;
 use sms_metrics::Histogram;
 
-/// Per-warp-slot accumulation state, allocated at admission (mirrors the
-/// attribution taxonomy's `SlotAttr`). Lives behind an `Option<Box<..>>`
-/// on the slot so the unarmed hot path carries one pointer-sized `None`.
-#[derive(Debug)]
-pub(crate) struct SlotMetrics {
-    /// Cycle the warp was admitted to the warp buffer.
-    pub admitted_at: Cycle,
-    /// Entries this lane spilled to its global-memory stack so far.
-    pub spills: [u32; WARP_SIZE],
-    /// Entries this lane reloaded from its global-memory stack so far.
-    pub reloads: [u32; WARP_SIZE],
-}
-
-impl SlotMetrics {
-    pub(crate) fn new(admitted_at: Cycle) -> Self {
-        SlotMetrics { admitted_at, spills: [0; WARP_SIZE], reloads: [0; WARP_SIZE] }
-    }
-}
-
-/// Distributions over stack behaviour, aggregated across all retired rays
-/// of one RT unit (merged across SMs by the simulator at end of run).
+/// Distributions over stack behaviour: one trace's, recorded by its
+/// stacks, or those of every retired trace of one RT unit (merged across
+/// SMs by the simulator at end of run).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StackMetrics {
     /// Logical stack depth after every push.
@@ -45,7 +25,7 @@ pub struct StackMetrics {
     /// (1 = dedicated only; >1 = borrows held).
     pub borrow_chain: Histogram,
     /// Consecutive-flush counter of the segment a reallocation flush just
-    /// evicted (the paper's §VI-B flush-limit pressure signal).
+    /// evicted (the paper's §VI-B `Flush` field), one per flush.
     pub flush_runs: Histogram,
     /// Per-ray traversal latency: admission to lane completion, in cycles.
     pub ray_latency: Histogram,
@@ -56,7 +36,7 @@ pub struct StackMetrics {
 }
 
 impl StackMetrics {
-    /// Folds another unit's distributions into this one.
+    /// Folds another trace's or unit's distributions into this one.
     pub fn merge(&mut self, other: &StackMetrics) {
         // Exhaustive destructuring: adding a field without merging it is a
         // compile error.

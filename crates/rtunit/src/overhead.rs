@@ -42,9 +42,9 @@ impl OverheadReport {
                     let idle = 1;
                     // Priority distinguishes the allocation order of the
                     // concurrent stacks (paper: 4 -> 2 bits); Flush counts
-                    // 0..=flush_limit (paper: 3 -> 2 bits).
+                    // the paper's 0..=3 consecutive flushes in 2 bits.
                     let priority = ceil_log2(p.borrow_limit.max(2) as u32);
-                    let flush = ceil_log2((p.flush_limit as u32 + 1).max(2));
+                    let flush = 2;
                     next_tid + idle + priority + flush
                 } else {
                     0

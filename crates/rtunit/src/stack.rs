@@ -24,13 +24,18 @@
 //!   full borrow idle stacks (up to 4 concurrent borrows, tracked like the
 //!   hardware's `Next TID` links). With nothing left to borrow, the chain's
 //!   *bottom* stack is flushed wholesale to global memory and promoted to
-//!   the top (≤3 consecutive flushes per stack before a forced flush).
+//!   the top. Each stack's `Flush` field counts its consecutive flushes; no
+//!   limit applies, as the paper's 3 does not say what a lane does past it.
+//!
+//! Armed like the validator, a [`WarpStacks`] records its own events into
+//! a `StackRecord`: the [`StackMetrics`] and the Fig. 10 depth log.
 
+use crate::metrics::StackMetrics;
 use crate::microop::{MicroOp, Space, StackLevel};
 use crate::validator::{StackValidator, StackViolation};
 use sms_gpu::{SimStats, WARP_SIZE};
 use sms_mem::space::spill_slot_addr;
-use sms_mem::{AccessKind, Addr};
+use sms_mem::{AccessKind, Addr, Cycle};
 
 /// Parameters of the SMS two-level stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,21 +50,12 @@ pub struct SmsParams {
     pub realloc: bool,
     /// Maximum concurrently borrowed SH stacks per thread (paper: 4).
     pub borrow_limit: usize,
-    /// Maximum consecutive flushes per allocated SH stack (paper: 3).
-    pub flush_limit: u8,
 }
 
 impl Default for SmsParams {
     /// `RB_8 + SH_8` without optimizations (the paper's `+SH_8` bar).
     fn default() -> Self {
-        SmsParams {
-            rb_entries: 8,
-            sh_entries: 8,
-            skewed: false,
-            realloc: false,
-            borrow_limit: 4,
-            flush_limit: 3,
-        }
+        SmsParams { rb_entries: 8, sh_entries: 8, skewed: false, realloc: false, borrow_limit: 4 }
     }
 }
 
@@ -229,8 +225,8 @@ impl std::fmt::Display for StackConfig {
 /// (ray-path predictor, `1..=20` table index bits). Every count is
 /// spelled as `label` prints it, `[1-9][0-9]*`: no sign, no leading zero,
 /// so each accepted string is the label of its parse. A label does not carry
-/// `borrow_limit` / `flush_limit`: a parsed SMS config has the paper's
-/// defaults, so `c.label().parse() == Ok(c)` holds for exactly those.
+/// `borrow_limit`: a parsed SMS config has the paper's 4, so
+/// `c.label().parse() == Ok(c)` holds for exactly that limit.
 impl std::str::FromStr for StackConfig {
     type Err = String;
 
@@ -306,11 +302,14 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 }
 
 /// The global level: each lane's spilled entries, oldest first, in its
-/// thread's local-memory spill slots ([`spill_slot_addr`]).
-#[derive(Debug, Clone)]
+/// thread's local-memory spill slots ([`spill_slot_addr`]), and the
+/// entries each lane has written there and read back.
+#[derive(Debug, Clone, Default)]
 struct GlobalLevel {
-    lanes: Vec<Vec<u32>>,
+    lanes: [Vec<u32>; WARP_SIZE],
     tid_base: u32,
+    writes: [u32; WARP_SIZE],
+    reads: [u32; WARP_SIZE],
 }
 
 impl GlobalLevel {
@@ -318,6 +317,7 @@ impl GlobalLevel {
     fn push(&mut self, lane: usize, v: u32) -> Addr {
         let slot = self.lanes[lane].len() as u32;
         self.lanes[lane].push(v);
+        self.writes[lane] += 1;
         spill_slot_addr(self.tid_base + lane as u32, slot)
     }
 
@@ -330,6 +330,7 @@ impl GlobalLevel {
     /// Reloads the lane's newest spilled entry: one global load.
     fn reload(&mut self, lane: usize, ops: &mut Vec<MicroOp>) -> Option<u32> {
         let v = self.lanes[lane].pop()?;
+        self.reads[lane] += 1;
         let addr = spill_slot_addr(self.tid_base + lane as u32, self.lanes[lane].len() as u32);
         ops.push(MicroOp::global(AccessKind::Load, StackLevel::ShGlobal, addr));
         Some(v)
@@ -465,7 +466,8 @@ impl ShLevel {
     }
 
     /// Takes the RB's evicted entry `v` onto the lane's top SH stack,
-    /// making room first when it is full.
+    /// making room first when it is full. Returns the flushed stack's
+    /// consecutive-flush count when making room flushed one.
     fn push(
         &mut self,
         lane: usize,
@@ -474,16 +476,17 @@ impl ShLevel {
         validator: Option<&mut StackValidator>,
         stats: &mut SimStats,
         ops: &mut Vec<MicroOp>,
-    ) {
-        if self.segs[self.top(lane) as usize].len == self.cap {
-            self.make_room(lane, global, validator, stats, ops);
-        }
+    ) -> Option<u8> {
+        let full = self.segs[self.top(lane) as usize].len == self.cap;
+        let flushed = full.then(|| self.make_room(lane, global, validator, stats, ops)).flatten();
         let slot = self.push_top(self.top(lane), v);
         ops.push(MicroOp::shared(AccessKind::Store, StackLevel::RbSh, self.addr(slot)));
+        flushed
     }
 
     /// Frees one slot in the lane's top SH stack: single-entry spill
-    /// without reallocation, else borrow, else flush (§VI-B).
+    /// without reallocation, else borrow, else flush (§VI-B). Returns the
+    /// flushed stack's consecutive-flush count when it flushed.
     fn make_room(
         &mut self,
         lane: usize,
@@ -491,7 +494,7 @@ impl ShLevel {
         validator: Option<&mut StackValidator>,
         stats: &mut SimStats,
         ops: &mut Vec<MicroOp>,
-    ) {
+    ) -> Option<u8> {
         if !self.realloc {
             // Plain SMS: move the single stack's oldest entry to global
             // (shared load -> global store), as in Fig. 7 steps 3-4.
@@ -499,7 +502,7 @@ impl ShLevel {
             ops.push(MicroOp::shared(AccessKind::Load, StackLevel::ShGlobal, self.addr(slot)));
             global.spill(lane, v, ops);
             stats.sh_spills += 1;
-            return;
+            return None;
         }
         // 1. Borrow an idle stack from an early-finished thread.
         let chain_len = self.chain_lens[lane] as usize;
@@ -509,19 +512,20 @@ impl ShLevel {
                 self.chains[lane][chain_len] = idle;
                 self.chain_lens[lane] += 1;
                 stats.ra_borrows += 1;
-                return;
+                return None;
             }
         }
         // 2. Flush the bottom stack wholesale to global memory and promote
-        //    it to the top of the chain. Beyond the flush limit this still
-        //    happens (forced) — it is the only move that preserves
-        //    bottom-up fill order across linked stacks.
+        //    it to the top of the chain: the only move that preserves
+        //    bottom-up fill order across linked stacks. Its Flush field
+        //    counts the run; no limit stops it.
         if let Some(v) = validator {
             v.before_flush(lane, chain_len, self.borrow_limit, self.find_idle().is_some());
         }
         let bottom = self.chains[lane][0];
         let seg = &mut self.segs[bottom as usize];
         seg.flushes = seg.flushes.saturating_add(1);
+        let run = seg.flushes;
         stats.ra_flushes += 1;
         let burst = |space, kind| MicroOp { space, kind, level: StackLevel::Flush, addrs: vec![] };
         let mut reads = burst(Space::Shared, AccessKind::Load);
@@ -536,6 +540,7 @@ impl ShLevel {
         let seg = &mut self.segs[bottom as usize];
         seg.bottom = seg.base;
         self.chains[lane][..chain_len].rotate_left(1);
+        Some(run)
     }
 
     /// Pops the lane's newest SH entry for the RB, then refills the bottom
@@ -600,6 +605,38 @@ impl ShLevel {
     }
 }
 
+/// What an armed [`WarpStacks`] records of its own events over one trace;
+/// each part is `None` until armed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct StackRecord {
+    /// The push, flush and per-ray distributions.
+    pub metrics: Option<StackMetrics>,
+    /// `(lane, depth after the op)` at every push and pop, in order.
+    pub depths: Option<Vec<(u8, u16)>>,
+}
+
+impl StackRecord {
+    /// One completed push, with the flushed stack's run if it flushed one.
+    fn after_push(&mut self, stacks: &WarpStacks, lane: usize, flush_run: Option<u8>) {
+        if let Some(m) = &mut self.metrics {
+            m.depth_at_push.record(stacks.depth(lane) as u64);
+            m.sh_occupancy.record(stacks.sh_count(lane) as u64);
+            m.borrow_chain.record(stacks.chain_len(lane) as u64);
+            if let Some(run) = flush_run {
+                m.flush_runs.record(u64::from(run));
+            }
+        }
+        self.log_depth(stacks, lane);
+    }
+
+    /// One completed push or pop, in the depth log.
+    fn log_depth(&mut self, stacks: &WarpStacks, lane: usize) {
+        if let Some(log) = &mut self.depths {
+            log.push((lane as u8, stacks.depth(lane).min(u16::MAX as usize) as u16));
+        }
+    }
+}
+
 /// The traversal stacks of one warp (32 threads), in one RT-unit warp slot.
 ///
 /// The hierarchy is data, derived once from the [`StackConfig`]: an RB
@@ -635,6 +672,8 @@ pub struct WarpStacks {
     /// Optional invariant validator (see [`crate::validator`]); absent in
     /// normal runs, so the hot paths below pay one `Option` check at most.
     validator: Option<Box<StackValidator>>,
+    /// What the armed recorders recorded; absent in normal runs.
+    record: Option<Box<StackRecord>>,
 }
 
 impl WarpStacks {
@@ -650,8 +689,9 @@ impl WarpStacks {
             rb_cap: config.rb_capacity(),
             rb: vec![Vec::new(); WARP_SIZE],
             sh: config.sh_level().map(|p| ShLevel::new(p, region_base)),
-            global: GlobalLevel { lanes: vec![Vec::new(); WARP_SIZE], tid_base },
+            global: GlobalLevel { tid_base, ..GlobalLevel::default() },
             validator: None,
+            record: None,
         }
     }
 
@@ -667,12 +707,43 @@ impl WarpStacks {
         self.validator.as_mut().and_then(|v| v.take_violation())
     }
 
-    /// Runs `f` with the validator temporarily detached (it needs `&self`
-    /// while living inside `self`). No-op without a validator.
-    fn with_validator(&mut self, f: impl FnOnce(&mut StackValidator, &WarpStacks)) {
-        if let Some(mut v) = self.validator.take() {
-            f(&mut v, self);
-            self.validator = Some(v);
+    /// Runs `f` with the observer in `field` (the validator or the record)
+    /// temporarily detached: it needs `&self` while living inside `self`.
+    /// No-op while `field` is `None`.
+    fn observe<T>(
+        &mut self,
+        field: fn(&mut Self) -> &mut Option<Box<T>>,
+        f: impl FnOnce(&mut T, &WarpStacks),
+    ) {
+        if let Some(mut o) = field(self).take() {
+            f(&mut o, self);
+            *field(self) = Some(o);
+        }
+    }
+
+    /// Arms the [`StackMetrics`] of every push, flush and
+    /// [`WarpStacks::ray_done`]. Pure observation, like the validator.
+    pub(crate) fn enable_metrics(&mut self) {
+        self.record.get_or_insert_with(Box::default).metrics = Some(StackMetrics::default());
+    }
+
+    /// Arms the Fig. 10 depth log. Pure observation, like the validator.
+    pub(crate) fn enable_depth_log(&mut self) {
+        self.record.get_or_insert_with(Box::default).depths = Some(Vec::new());
+    }
+
+    /// Takes what the armed recorders recorded; `None` when none is armed.
+    pub(crate) fn take_record(&mut self) -> Option<StackRecord> {
+        self.record.take().map(|r| *r)
+    }
+
+    /// Records a finished ray (lane): its latency and its global-level
+    /// writes and reads. No-op unless the metrics are armed.
+    pub(crate) fn ray_done(&mut self, lane: usize, latency: Cycle) {
+        if let Some(m) = self.record.as_mut().and_then(|r| r.metrics.as_mut()) {
+            m.ray_latency.record(latency);
+            m.ray_spills.record(u64::from(self.global.writes[lane]));
+            m.ray_reloads.record(u64::from(self.global.reads[lane]));
         }
     }
 
@@ -754,19 +825,25 @@ impl WarpStacks {
     /// Pushes `node` onto the lane's logical stack, appending the memory
     /// micro-ops of any required spills to `ops`.
     pub fn push(&mut self, lane: usize, node: u32, stats: &mut SimStats, ops: &mut Vec<MicroOp>) {
+        let mut flush_run = None;
         if self.rb[lane].len() >= self.rb_cap {
             // RB overflow: spill the oldest RB entry one level down.
             stats.rb_spills += 1;
             let old = self.rb[lane].remove(0);
             let validator = self.validator.as_deref_mut();
             match &mut self.sh {
-                Some(sh) => sh.push(lane, old, &mut self.global, validator, stats, ops),
+                Some(sh) => {
+                    flush_run = sh.push(lane, old, &mut self.global, validator, stats, ops);
+                }
                 None => self.global.spill(lane, old, ops),
             }
         }
         self.rb[lane].push(node);
+        if self.record.is_some() {
+            self.observe(|s| &mut s.record, |r, s| r.after_push(s, lane, flush_run));
+        }
         if self.validator.is_some() {
-            self.with_validator(|v, s| v.after_push(s, lane, node));
+            self.observe(|s| &mut s.validator, |v, s| v.after_push(s, lane, node));
         }
     }
 
@@ -786,8 +863,11 @@ impl WarpStacks {
             stats.rb_reloads += 1;
             self.rb[lane].insert(0, v);
         }
+        if self.record.is_some() {
+            self.observe(|s| &mut s.record, |r, s| r.log_depth(s, lane));
+        }
         if self.validator.is_some() {
-            self.with_validator(|va, s| va.after_pop(s, lane, val));
+            self.observe(|s| &mut s.validator, |va, s| va.after_pop(s, lane, val));
         }
         val
     }
@@ -802,7 +882,7 @@ impl WarpStacks {
             sh.clear(lane);
         }
         if self.validator.is_some() {
-            self.with_validator(|v, s| v.on_clear(s, lane));
+            self.observe(|s| &mut s.validator, |v, s| v.on_clear(s, lane));
         }
     }
 
@@ -823,7 +903,7 @@ impl WarpStacks {
             sh.done(lane);
         }
         if self.validator.is_some() {
-            self.with_validator(|v, s| v.on_mark_done(s, lane));
+            self.observe(|s| &mut s.validator, |v, s| v.on_mark_done(s, lane));
         }
     }
 }
@@ -1121,6 +1201,27 @@ mod tests {
         // LIFO still holds.
         let popped = pop_all(&mut s, 0);
         assert_eq!(popped, (0..17).rev().collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn armed_stacks_record_their_own_events() {
+        let cfg = StackConfig::Sms(SmsParams::default().with_realloc(true));
+        let mut s = WarpStacks::new(&cfg, 0, 0);
+        s.enable_metrics();
+        s.enable_depth_log();
+        // No lane is done: the 17th push flushes lane 0's 8-entry SH stack.
+        let (stats, _) = push_n(&mut s, 0, 17);
+        assert_eq!(pop_all(&mut s, 0).len(), 17);
+        s.ray_done(0, 40);
+        let record = s.take_record().expect("armed");
+        let m = record.metrics.expect("metrics armed");
+        assert_eq!(m.depth_at_push.count(), 17);
+        assert_eq!((m.flush_runs.count(), m.flush_runs.max()), (stats.ra_flushes, 1));
+        assert_eq!((m.ray_spills.sum(), m.ray_reloads.sum()), (8, 8));
+        assert_eq!(m.ray_latency.sum(), 40);
+        let depths: Vec<u16> = record.depths.expect("log armed").iter().map(|&(_, d)| d).collect();
+        assert_eq!(depths, (1..=17).chain((0..17).rev()).collect::<Vec<u16>>());
+        assert_eq!(s.take_record(), None, "taken once");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! contexts — the transitions themselves are unchanged, so timing is
 //! cycle-identical to the scanning implementation.
 
-use crate::metrics::{SlotMetrics, StackMetrics};
+use crate::metrics::StackMetrics;
 use crate::microop::{MicroOp, Space, StackLevel};
 use crate::predictor::RayPredictor;
 use crate::stack::{StackConfig, WarpStacks};
@@ -78,7 +78,8 @@ impl RtUnitConfig {
 }
 
 /// Records per-thread depth traces for the paper's Fig. 10: one sample at
-/// every push and pop (over all warps, the depths of Figs. 4/5).
+/// every push and pop (over all warps, the depths of Figs. 4/5), logged by
+/// each traced warp's stacks and appended here when its trace retires.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadTraceRecorder {
     /// Record only warps with id below this bound.
@@ -96,18 +97,19 @@ impl ThreadTraceRecorder {
         ThreadTraceRecorder { warp_limit, ..Self::default() }
     }
 
-    /// Records one stack access of `(warp, lane)` that left `depth` entries.
-    fn record(&mut self, warp: WarpId, lane: usize, depth: usize) {
-        if warp >= self.warp_limit {
-            return;
-        }
+    /// Appends one retired trace's `(lane, depth)` log, numbering each
+    /// thread's accesses on from the warp's earlier traces.
+    fn append(&mut self, warp: WarpId, log: &[(u8, u16)]) {
         let w = warp as usize;
         if self.next_index.len() <= w {
             self.next_index.resize(w + 1, [0; WARP_SIZE]);
         }
-        let index = &mut self.next_index[w][lane];
-        self.samples.push((warp, lane as u8, *index, depth.min(u16::MAX as usize) as u16));
-        *index += 1;
+        let next = &mut self.next_index[w];
+        for &(lane, depth) in log {
+            let index = &mut next[usize::from(lane)];
+            self.samples.push((warp, lane, *index, depth));
+            *index += 1;
+        }
     }
 }
 
@@ -201,7 +203,6 @@ enum LaneClass {
 /// attribution-off run pays one pointer per slot and no per-cycle work.
 #[derive(Debug)]
 struct SlotAttr {
-    admitted_at: Cycle,
     /// Start of each lane's current interval.
     since: [Cycle; WARP_SIZE],
     /// Class each lane's current interval will be charged to.
@@ -215,7 +216,6 @@ struct SlotAttr {
 impl SlotAttr {
     fn new(now: Cycle, threads: &[ThreadCtx]) -> Self {
         SlotAttr {
-            admitted_at: now,
             since: [now; WARP_SIZE],
             class: std::array::from_fn(|lane| {
                 if threads[lane].current.is_none() {
@@ -261,11 +261,11 @@ impl SlotAttr {
 
     /// Final flush at warp retirement: closes every lane interval, records
     /// the total, and checks the conservation law for this warp.
-    fn finish(&mut self, now: Cycle, warp: WarpId) -> &StallBreakdown {
+    fn finish(&mut self, now: Cycle, admitted_at: Cycle, warp: WarpId) -> &StallBreakdown {
         for lane in 0..WARP_SIZE {
             self.flush_lane(lane, now);
         }
-        self.breakdown.rt_lane_cycles = (now - self.admitted_at) * WARP_SIZE as u64;
+        self.breakdown.rt_lane_cycles = (now - admitted_at) * WARP_SIZE as u64;
         assert_eq!(
             self.breakdown.lane_sum(),
             self.breakdown.rt_lane_cycles,
@@ -290,6 +290,8 @@ const NOT_WAITING: Cycle = Cycle::MAX;
 #[derive(Debug)]
 struct WarpSlot {
     warp: WarpId,
+    /// Cycle the warp was admitted to the warp buffer.
+    admitted_at: Cycle,
     stacks: WarpStacks,
     threads: Vec<ThreadCtx>,
     done_count: usize,
@@ -305,8 +307,6 @@ struct WarpSlot {
     stack_issue: u32,
     /// Cycle-attribution state; `None` unless `RtUnitConfig::attribute`.
     attr: Option<Box<SlotAttr>>,
-    /// Metrics accumulation state; `None` unless `RtUnitConfig::metrics`.
-    mstate: Option<Box<SlotMetrics>>,
 }
 
 impl WarpSlot {
@@ -577,6 +577,12 @@ impl RtUnit {
         if self.config.validate {
             stacks.enable_validator();
         }
+        if self.config.metrics {
+            stacks.enable_metrics();
+        }
+        if self.thread_traces.as_ref().is_some_and(|t| req.warp < t.warp_limit) {
+            stacks.enable_depth_log();
+        }
         let mut threads = Vec::with_capacity(WARP_SIZE);
         for query in req.rays {
             match query {
@@ -607,9 +613,9 @@ impl RtUnit {
         }
         // Inactive lanes release their SH stacks to the idle pool at once.
         let attr = self.config.attribute.then(|| Box::new(SlotAttr::new(now, &threads)));
-        let mstate = self.config.metrics.then(|| Box::new(SlotMetrics::new(now)));
         let mut slot = WarpSlot {
             warp: req.warp,
+            admitted_at: now,
             stacks,
             threads,
             done_count: WARP_SIZE - req.active_lanes(),
@@ -618,7 +624,6 @@ impl RtUnit {
             need_fetch: 0,
             stack_issue: 0,
             attr,
-            mstate,
         };
         for lane in 0..WARP_SIZE {
             if slot.threads[lane].current.is_none() {
@@ -677,8 +682,6 @@ impl RtUnit {
                     prims,
                     stats,
                     &self.config,
-                    &mut self.stack_metrics,
-                    &mut self.thread_traces,
                     &mut op_buf,
                     &mut self.progress,
                 );
@@ -740,14 +743,22 @@ impl RtUnit {
                     }
                 }
                 if let Some(mut attr) = slot.attr.take() {
-                    self.breakdown.merge(attr.finish(now, slot.warp));
+                    self.breakdown.merge(attr.finish(now, slot.admitted_at, slot.warp));
                     if let Some(slices) = &mut self.slices {
                         slices.push(RtSlice {
                             slot: idx as u8,
                             warp: slot.warp,
-                            start: attr.admitted_at,
+                            start: slot.admitted_at,
                             end: now,
                         });
+                    }
+                }
+                if let Some(record) = slot.stacks.take_record() {
+                    if let (Some(m), Some(all)) = (&record.metrics, &mut self.stack_metrics) {
+                        all.merge(m);
+                    }
+                    if let (Some(log), Some(tr)) = (&record.depths, &mut self.thread_traces) {
+                        tr.append(slot.warp, log);
                     }
                 }
                 results.push(TraceResult {
@@ -769,8 +780,6 @@ impl RtUnit {
         prims: &[P],
         stats: &mut SimStats,
         config: &RtUnitConfig,
-        metrics: &mut Option<Box<StackMetrics>>,
-        traces: &mut Option<ThreadTraceRecorder>,
         op_buf: &mut Vec<MicroOp>,
         progress: &mut u64,
     ) {
@@ -821,15 +830,13 @@ impl RtUnit {
                         *progress += 1; // node operation committed
                         match step {
                             StepOutcome::Stacked(step) if slot.threads[lane].speculative => {
-                                Self::resolve_speculation(slot, now, lane, step, stats, metrics);
+                                Self::resolve_speculation(slot, now, lane, step, stats);
                             }
                             StepOutcome::Stacked(step) => {
-                                Self::commit_step(
-                                    slot, now, lane, step, stats, metrics, traces, op_buf,
-                                );
+                                Self::commit_step(slot, now, lane, step, stats, op_buf);
                             }
                             StepOutcome::Stackless(step) => {
-                                Self::commit_stackless(slot, now, lane, step, metrics);
+                                Self::commit_stackless(slot, now, lane, step);
                             }
                         }
                     }
@@ -860,13 +867,8 @@ impl RtUnit {
     }
 
     /// Ends a lane's traversal: the one "lane done" path of every commit.
-    fn finish_lane(
-        slot: &mut WarpSlot,
-        now: Cycle,
-        lane: usize,
-        end: LaneEnd,
-        metrics: &mut Option<Box<StackMetrics>>,
-    ) {
+    /// The ray's latency is stamped on its stacks' record.
+    fn finish_lane(slot: &mut WarpSlot, now: Cycle, lane: usize, end: LaneEnd) {
         let t = &mut slot.threads[lane];
         t.current = None;
         let next = match end {
@@ -880,7 +882,7 @@ impl RtUnit {
             }
         };
         slot.done_count += 1;
-        Self::observe_lane_done(slot, lane, now, metrics);
+        slot.stacks.ray_done(lane, now - slot.admitted_at);
         slot.transition(now, lane, next);
     }
 
@@ -912,7 +914,6 @@ impl RtUnit {
         lane: usize,
         step: NodeStep,
         stats: &mut SimStats,
-        metrics: &mut Option<Box<StackMetrics>>,
     ) {
         let t = &mut slot.threads[lane];
         t.speculative = false;
@@ -926,7 +927,7 @@ impl RtUnit {
             stats.pred_misses += 1;
         }
         if Self::apply_leaf(t, hit) == LeafOutcome::Occluded {
-            return Self::finish_lane(slot, now, lane, LaneEnd::Exhausted, metrics);
+            return Self::finish_lane(slot, now, lane, LaneEnd::Exhausted);
         }
         slot.threads[lane].current = Some(0);
         slot.transition(now, lane, TState::NeedFetch);
@@ -936,13 +937,7 @@ impl RtUnit {
     /// escape link, with the leaf rule of the stacked path. No stack
     /// exists, so there are no micro-ops and no spills — the only cost is
     /// the extra node visits the escape order incurs.
-    fn commit_stackless(
-        slot: &mut WarpSlot,
-        now: Cycle,
-        lane: usize,
-        step: StacklessStep,
-        metrics: &mut Option<Box<StackMetrics>>,
-    ) {
+    fn commit_stackless(slot: &mut WarpSlot, now: Cycle, lane: usize, step: StacklessStep) {
         let next_node = match step {
             StacklessStep::Descend { child } => Some(child),
             StacklessStep::Leaf { hit, escape } => {
@@ -959,43 +954,26 @@ impl RtUnit {
                 slot.threads[lane].current = Some(node);
                 slot.transition(now, lane, TState::NeedFetch);
             }
-            None => Self::finish_lane(slot, now, lane, LaneEnd::Exhausted, metrics),
+            None => Self::finish_lane(slot, now, lane, LaneEnd::Exhausted),
         }
     }
 
     /// Applies a completed node visit: child ordering, stack pushes/pops,
     /// the leaf rule (§II-B "BVH operation complete" path).
-    #[allow(clippy::too_many_arguments)]
     fn commit_step(
         slot: &mut WarpSlot,
         now: Cycle,
         lane: usize,
         step: NodeStep,
         stats: &mut SimStats,
-        metrics: &mut Option<Box<StackMetrics>>,
-        traces: &mut Option<ThreadTraceRecorder>,
         new_ops: &mut Vec<MicroOp>,
     ) {
         new_ops.clear();
-        let mut record = |slot: &WarpSlot, lane: usize| {
-            if let Some(tr) = traces {
-                tr.record(slot.warp, lane, slot.stacks.depth(lane));
-            }
-        };
-
         let visit = match step {
             NodeStep::Inner(hits) if !hits.is_empty() => {
                 // Push the non-nearest intersected children far-to-near.
                 for i in (1..hits.len()).rev() {
-                    let pre = slot
-                        .mstate
-                        .is_some()
-                        .then(|| (slot.stacks.global_len(lane), stats.ra_flushes));
                     slot.stacks.push(lane, hits.get(i).1, stats, new_ops);
-                    record(slot, lane);
-                    if let Some((pre_global, pre_flushes)) = pre {
-                        Self::observe_push(slot, lane, pre_global, pre_flushes, stats, metrics);
-                    }
                 }
                 Some(hits.get(0).1)
             }
@@ -1003,7 +981,7 @@ impl RtUnit {
             NodeStep::Leaf(hit) => {
                 if Self::apply_leaf(&mut slot.threads[lane], hit) == LeafOutcome::Occluded {
                     // Occlusion query: terminate immediately.
-                    return Self::finish_lane(slot, now, lane, LaneEnd::Occluded, metrics);
+                    return Self::finish_lane(slot, now, lane, LaneEnd::Occluded);
                 }
                 None
             }
@@ -1011,67 +989,14 @@ impl RtUnit {
         let visit = match visit {
             Some(node) => node,
             None if slot.stacks.is_empty(lane) => {
-                return Self::finish_lane(slot, now, lane, LaneEnd::Exhausted, metrics);
+                return Self::finish_lane(slot, now, lane, LaneEnd::Exhausted);
             }
-            None => {
-                let pre_global = slot.stacks.global_len(lane);
-                let node = slot.stacks.pop(lane, stats, new_ops);
-                record(slot, lane);
-                if let Some(ms) = slot.mstate.as_deref_mut() {
-                    ms.reloads[lane] +=
-                        pre_global.saturating_sub(slot.stacks.global_len(lane)) as u32;
-                }
-                node
-            }
+            None => slot.stacks.pop(lane, stats, new_ops),
         };
         slot.threads[lane].current = Some(visit);
         slot.threads[lane].ops.extend(new_ops.drain(..));
         let next = Self::after_ops_state(&slot.threads[lane]);
         slot.transition(now, lane, next);
-    }
-
-    /// Records the armed distributions for one completed push: depth and
-    /// SH occupancy/chain state after the push, the lane's spill delta,
-    /// and — when the push forced a reallocation flush — the evicted
-    /// segment's consecutive-flush run. Spills land in the pushing lane's
-    /// own global stack (both the baseline RB overflow and every SMS
-    /// variant), so the `global_len` delta is exactly this push's spills.
-    fn observe_push(
-        slot: &mut WarpSlot,
-        lane: usize,
-        pre_global: usize,
-        pre_flushes: u64,
-        stats: &SimStats,
-        metrics: &mut Option<Box<StackMetrics>>,
-    ) {
-        let (Some(m), Some(ms)) = (metrics.as_deref_mut(), slot.mstate.as_deref_mut()) else {
-            return;
-        };
-        m.depth_at_push.record(slot.stacks.depth(lane) as u64);
-        m.sh_occupancy.record(slot.stacks.sh_count(lane) as u64);
-        m.borrow_chain.record(slot.stacks.chain_len(lane) as u64);
-        ms.spills[lane] += slot.stacks.global_len(lane).saturating_sub(pre_global) as u32;
-        if stats.ra_flushes > pre_flushes {
-            // make_room rotates the flushed segment to the chain's tail.
-            if let Some(&seg) = slot.stacks.chain(lane).last() {
-                m.flush_runs.record(slot.stacks.segment_flushes(seg as usize) as u64);
-            }
-        }
-    }
-
-    /// Folds one finished ray (lane) into the per-ray distributions.
-    fn observe_lane_done(
-        slot: &mut WarpSlot,
-        lane: usize,
-        now: Cycle,
-        metrics: &mut Option<Box<StackMetrics>>,
-    ) {
-        let (Some(m), Some(ms)) = (metrics.as_deref_mut(), slot.mstate.as_deref_mut()) else {
-            return;
-        };
-        m.ray_latency.record(now - ms.admitted_at);
-        m.ray_spills.record(ms.spills[lane] as u64);
-        m.ray_reloads.record(ms.reloads[lane] as u64);
     }
 
     /// Ranks fetch classes so a lane waiting on several lines is charged

@@ -17,8 +17,8 @@
 //!   and never shares a stack with another *active* lane.
 //! * **Flush policy** (§VI-B) — a bottom-stack flush is only legal when
 //!   borrowing is impossible: the chain is at the borrow limit or no idle
-//!   stack exists. This is what makes flush runs *consecutive* in the
-//!   paper's sense (`flush_limit` bookkeeping resets on release).
+//!   stack exists. This makes flush runs *consecutive* in the paper's
+//!   sense (a stack's `Flush` count resets on release; no run is bounded).
 //! * **Idle consistency** — an idle SH stack is empty, has a reset flush
 //!   counter, and is never linked into an active lane's chain.
 //!

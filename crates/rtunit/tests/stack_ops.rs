@@ -4,7 +4,7 @@
 //! runs. This suite drives `WarpStacks` directly with seeded streams of
 //! pushes, pops, `mark_done` and `clear_lane` over all 32 lanes, for the
 //! hierarchies no cell reaches: plain SH, skew only, reallocation only,
-//! `SH_0`, a non-power-of-two SH size and tight borrow / flush limits.
+//! `SH_0`, a non-power-of-two SH size and a tight borrow limit.
 //! Each `stack_ops.<config>` row of `goldens.txt` is an FNV-1a digest over
 //! every popped value, every emitted `MicroOp` (space, kind, level and
 //! each `(addr, size)`) and the final `SimStats::values()`. A row that
@@ -42,16 +42,15 @@ fn configs() -> Vec<(String, StackConfig)> {
         ["RB_8+SH_8", "RB_8+SH_8+SK", "RB_8+SH_8+RA", "RB_8+SH_8+SK+RA", "RB_2+SH_5+SK+RA"]
             .map(parsed),
     );
-    // Reallocation at its tightest: one borrow, no flush budget.
+    // Reallocation at its tightest: one borrow.
     let tight = SmsParams {
         rb_entries: 1,
         sh_entries: 1,
         realloc: true,
         borrow_limit: 1,
-        flush_limit: 0,
         ..SmsParams::default()
     };
-    configs.push(("RB_1+SH_1+RA.borrow1.flush0".to_owned(), StackConfig::Sms(tight)));
+    configs.push(("RB_1+SH_1+RA.borrow1".to_owned(), StackConfig::Sms(tight)));
     configs
 }
 

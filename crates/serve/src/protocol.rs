@@ -13,9 +13,10 @@
 //! response body is a valid journal that [`SweepOutcome::parse`] reads and
 //! every existing journal tool parses unchanged.
 //!
-//! Config labels are parsed by [`parse_stack_config`], the exact inverse
-//! of [`StackConfig::label`] — `RB_8`, `RB_FULL`, `RB_8+SH_8+SK+RA` — so
-//! the strings clients send are the strings every table already prints.
+//! Config labels are parsed by `StackConfig`'s `FromStr`, the exact
+//! inverse of [`StackConfig::label`] — `RB_8`, `RB_FULL`, `RB_8+SH_8+SK+RA`
+//! — so the strings clients send are the strings every table already
+//! prints, and its error text is what a 4xx body carries.
 
 use sms_harness::json::{parse, Json};
 use sms_harness::RunRequest;
@@ -23,12 +24,6 @@ use sms_sim::config::RenderConfig;
 use sms_sim::gpu::{GpuConfig, SimStats};
 use sms_sim::rtunit::StackConfig;
 use sms_sim::scene::SceneId;
-
-/// Parses a `StackConfig` label: the inverse of [`StackConfig::label`]
-/// (its `FromStr`; the error text is what a 4xx body carries).
-pub fn parse_stack_config(label: &str) -> Result<StackConfig, String> {
-    label.parse()
-}
 
 /// Parses a render-mode name into the workload configuration.
 pub fn parse_render(name: &str) -> Result<RenderConfig, String> {
@@ -84,7 +79,7 @@ pub fn parse_sweep(body: &[u8], max_jobs: usize) -> Result<SweepRequest, String>
         .map(|s| s.parse::<SceneId>().map_err(|e| e.to_string()))
         .collect::<Result<_, _>>()?;
     let configs: Vec<StackConfig> =
-        strings("configs")?.iter().map(|s| parse_stack_config(s)).collect::<Result<_, _>>()?;
+        strings("configs")?.iter().map(|s| s.parse()).collect::<Result<_, _>>()?;
     let gpu = GpuConfig::default();
     for stack in &configs {
         let carve = stack.shared_carveout(gpu.max_warps_per_rt_unit);
@@ -241,7 +236,7 @@ mod tests {
             StackConfig::predictor_default(),
             StackConfig::Predictor { table_bits: 8 },
         ] {
-            assert_eq!(parse_stack_config(&config.label()), Ok(config), "{}", config.label());
+            assert_eq!(config.label().parse(), Ok(config), "{}", config.label());
         }
     }
 
@@ -269,7 +264,7 @@ mod tests {
             "RB_8+SH_08",
             "PRED_+12",
         ] {
-            assert!(parse_stack_config(bad).is_err(), "`{bad}` should not parse");
+            assert!(bad.parse::<StackConfig>().is_err(), "`{bad}` should not parse");
         }
     }
 
@@ -317,7 +312,7 @@ mod tests {
                     _ => label += &count(g),
                 }
             }
-            match parse_stack_config(&label) {
+            match label.parse::<StackConfig>() {
                 Ok(config) => assert_eq!(config.label(), label, "`{label}` is not its label"),
                 Err(err) => assert!(err.contains(&format!("`{label}`")), "`{label}`: {err}"),
             }

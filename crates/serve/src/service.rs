@@ -21,7 +21,7 @@
 
 use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
 use crate::metrics::{inc, HttpCounters};
-use crate::protocol::{self, parse_render, parse_stack_config};
+use crate::protocol::{self, parse_render};
 use sms_harness::json::Object;
 use sms_harness::trace::wall_us;
 use sms_harness::{
@@ -29,6 +29,7 @@ use sms_harness::{
     SIM_VERSION_SALT,
 };
 use sms_sim::gpu::SimStats;
+use sms_sim::rtunit::StackConfig;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -515,7 +516,7 @@ fn handle_probe(
         .and_then(|rest| rest.split_once('/'))
         .ok_or_else(|| bad("probe path must be /v1/jobs/<scene>/<config>".to_owned()))?;
     let scene_id = scene.parse::<sms_sim::scene::SceneId>().map_err(|e| bad(e.to_string()))?;
-    let stack = parse_stack_config(config).map_err(bad)?;
+    let stack = config.parse::<StackConfig>().map_err(bad)?;
     let mut render_name = None;
     for pair in request.query.split('&').filter(|p| !p.is_empty()) {
         match pair.split_once('=') {
