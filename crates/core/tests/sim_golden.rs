@@ -14,7 +14,11 @@
 //! armed over every warp, pin what those observers produce: each
 //! `sim_observers.<scene>.<stack>.{prom,csv,traces}` row is the FNV-1a of
 //! the rendered Prometheus text, of the series CSV and of the thread-trace
-//! samples in `(warp, lane, index)` order.
+//! samples in `(warp, lane, index)` order. Two more rows per cell pin the
+//! cycle-attribution layer: `<cell>.breakdown` is the FNV-1a of every
+//! `StallBreakdown` field from a run with only `breakdown` armed, and
+//! `<cell>.timeline` that of the Chrome-trace file a traced run writes
+//! (residency slices, sampled counters and the breakdown).
 
 use sms_sim::geom::golden::{self, fnv1a64, fnv1a64_extend, FNV_OFFSET};
 use sms_sim::gpu::{GpuConfig, SimStats};
@@ -22,11 +26,15 @@ use sms_sim::render::PreparedScene;
 use sms_sim::rtunit::{SmsParams, StackConfig};
 use sms_sim::scene::SceneId;
 use sms_sim::sim::{GpuSim, RunLimits};
+use sms_sim::trace::TraceSpec;
 use sms_sim::{experiments, RenderConfig, SimConfig};
 
+fn fold(values: impl IntoIterator<Item = u64>) -> u64 {
+    values.into_iter().fold(FNV_OFFSET, |h, v| fnv1a64_extend(h, &v.to_le_bytes()))
+}
+
 fn digest(stats: &SimStats) -> u64 {
-    let values = stats.values().into_iter().chain(stats.mem.values());
-    values.fold(FNV_OFFSET, |h, v| fnv1a64_extend(h, &v.to_le_bytes()))
+    fold(stats.values().into_iter().chain(stats.mem.values()))
 }
 
 /// SMS with one borrow allowed: reallocation runs into the limit, so
@@ -83,6 +91,9 @@ fn stats_digests_match_the_recorded_cells() {
 fn observer_digests_match_the_recorded_cells() {
     let render = RenderConfig::tiny();
     let armed = RunLimits { metrics: true, ..RunLimits::none() };
+    let attributed = RunLimits { breakdown: true, ..RunLimits::none() };
+    let dir = std::env::temp_dir().join(format!("sms-golden-timeline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the trace directory");
     let mut rows = Vec::new();
     for scene in SCENES {
         let prepared = PreparedScene::build(scene, &render);
@@ -101,15 +112,24 @@ fn observer_digests_match_the_recorded_cells() {
                 let h = fnv1a64_extend(h, &[lane]);
                 fnv1a64_extend(fnv1a64_extend(h, &index.to_le_bytes()), &depth.to_le_bytes())
             });
+            let run = GpuSim::new(&prepared, config).with_limits(attributed).run();
+            let breakdown = fold(run.breakdown.expect("breakdown armed").values());
+            let path = dir.join(format!("{cell}.trace.json"));
+            let spec = TraceSpec { path: path.clone(), trace_id: None };
+            GpuSim::new(&prepared, config).with_trace(spec).run();
+            let timeline = std::fs::read(&path).expect("the traced run wrote its file");
             for (what, d) in [
                 ("prom", fnv1a64(prom.as_bytes())),
                 ("csv", fnv1a64(metrics.series.to_csv().as_bytes())),
                 ("traces", traces),
+                ("breakdown", breakdown),
+                ("timeline", fnv1a64(&timeline)),
             ] {
                 rows.push((format!("{cell}.{what}"), format!("{d:#018x}")));
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
     golden::check("sim_observers", &rows);
 }
 
