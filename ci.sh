@@ -136,6 +136,15 @@ if ! awk '
   exit 1
 fi
 
+echo "==> one-wake gate (a node visit wakes its lane once: the operation is worked out when the"
+echo "    fetch issues and commits at arrival + unit latency, so the RT unit has no fetch-wait"
+echo "    state; prints offenders)"
+if git grep -n 'WaitFetch' -- crates/rtunit/src; then
+  echo "a node fetch's arrival is a wake of its own again (compute the step in issue_warp and"
+  echo "enter OpWait at arrival + latency; WarpSlot::fetched keeps the arrival)"
+  exit 1
+fi
+
 echo "==> one-traversal gate (the traversal is written once: outside tests only sms_bvh's"
 echo "    traverse.rs and the RT unit visit nodes, and the retired host drivers and depth"
 echo "    recorders stay gone; prints offenders)"

@@ -296,8 +296,11 @@ struct Sm {
 impl Sm {
     /// After the SM's visit at `now`: the next cycle while a warp can issue
     /// a compute instruction, enter the RT unit or issue inside it, else the
-    /// earliest completion event.
-    fn next_activity_after(&self, now: Cycle) -> Option<Cycle> {
+    /// earliest completion event. A sampler reads the first visited cycle
+    /// at or after each period boundary, so while one is armed (`sampled`)
+    /// the RT unit's node-data arrivals are visited too, as when each was a
+    /// wake of its own; they change no state.
+    fn next_activity_after(&self, now: Cycle, sampled: bool) -> Option<Cycle> {
         let issuable = self.rt.has_issuable()
             || self.warps.iter().any(|warp| match warp.phase {
                 Phase::Compute { .. } => true,
@@ -308,7 +311,9 @@ impl Sm {
             return Some(now + 1);
         }
         let mem_done = self.mem_events.peek().map(|&Reverse((c, _))| c);
-        [self.rt.next_completion(), mem_done].into_iter().flatten().min().map(|c| c.max(now + 1))
+        let arrival = if sampled { self.rt.next_arrival_after(now) } else { None };
+        let next = [self.rt.next_completion(), mem_done, arrival].into_iter().flatten().min();
+        next.map(|c| c.max(now + 1))
     }
 }
 
@@ -419,6 +424,7 @@ impl<'a> GpuSim<'a> {
             TraceRecorder::new(spec.clone(), period, gpu.num_sms, gpu.max_warps_per_rt_unit)
         });
         let mut msampler = self.limits.metrics.then(|| SeriesSampler::new(period));
+        let sampled = recorder.is_some() || msampler.is_some();
 
         // Build all warps and distribute round-robin over SMs.
         let mut sms: Vec<Sm> = (0..gpu.num_sms)
@@ -516,8 +522,8 @@ impl<'a> GpuSim<'a> {
 
         // Watchdog state: the effective cycle budget and a forward-progress
         // counter (traces retired by RT units + warps fully finished +
-        // completed RT micro-events — fetch responses, node-op commits and
-        // stack micro-ops — so a long-but-live traversal is not mistaken
+        // RT micro-events — issued node fetches, node-op commits and stack
+        // micro-ops — so a long-but-live traversal is not mistaken
         // for a stall just because no full trace retired in the window).
         let budget = self.limits.max_cycles.map_or(HARD_CYCLE_CAP, |m| m.min(HARD_CYCLE_CAP));
         let mut retired_traces: u64 = 0;
@@ -649,7 +655,7 @@ impl<'a> GpuSim<'a> {
                         None => break,
                     }
                 }
-                sm.next_activity = sm.next_activity_after(now);
+                sm.next_activity = sm.next_activity_after(now, sampled);
             }
             // Time-series sampler (pure observation; see `crate::trace`).
             if let Some(rec) = recorder.as_mut() {

@@ -2,22 +2,28 @@
 //!
 //! Per cycle ([`RtUnit::tick`]):
 //!
-//! 1. **Response / operation units** (all warps): node data whose fetch
-//!    completed flows through the matching operation unit (ray-box for
-//!    internal nodes, ray-triangle for leaves — §II-B) and, after the unit's
-//!    latency, commits: intersected children are sorted nearest-first, the
-//!    nearest is visited next, the rest are pushed; leaf hits shrink
-//!    `t_max`; exhausted rays pop. Pushes and pops go through the
-//!    [`WarpStacks`] stack manager, which emits timed memory micro-ops.
+//! 1. **Operation commits** (all warps): a node operation whose data has
+//!    arrived and whose unit latency has passed commits: intersected
+//!    children are sorted nearest-first, the nearest is visited next, the
+//!    rest are pushed; leaf hits shrink `t_max`; exhausted rays pop. Pushes
+//!    and pops go through the [`WarpStacks`] stack manager, which emits
+//!    timed memory micro-ops. Finished blocking stack micro-ops release
+//!    their lanes.
 //! 2. **Warp scheduling** (GTO, §II-B): one warp is scheduled; its threads'
 //!    node fetches are collected and coalesced into line transactions, and
 //!    the head stack micro-op of each stalled thread is issued — shared-
 //!    memory ops batch into one warp-wide banked transaction, global ops
-//!    coalesce by line. Loads block their thread; stores are posted.
+//!    coalesce by line. Loads block their thread; stores are posted. A
+//!    fetched node's data passes through the response FIFO into the
+//!    matching operation unit (ray-box for internal nodes, ray-triangle for
+//!    leaves — §II-B), so its operation is worked out at issue and the lane
+//!    waits once, until `arrival + unit latency`: the operation reads only
+//!    the ray, the node and the lane's own `t_max`, which nothing but the
+//!    lane's own commit changes.
 //! 3. Completed warps retire and their [`TraceResult`] returns to the SM.
 //!
 //! Host-side scheduling is indexed by what can happen next: every wait
-//! state ([`TState`]) transitions only at its recorded completion cycle, so
+//! state (`TState`) transitions only at its recorded completion cycle, so
 //! each warp slot keeps that cycle per lane (with the slot's minimum cached)
 //! and one bitmask per issuable state. A tick with no due wake, no issuable
 //! lane and no finished warp returns at once; phase 1 visits only the lanes
@@ -118,9 +124,9 @@ impl ThreadTraceRecorder {
 enum TState {
     /// Has a current node; needs its data fetched.
     NeedFetch,
-    /// Node fetch in flight.
-    WaitFetch { done: Cycle },
-    /// Operation unit busy; commits [`ThreadCtx::step`] at `done`.
+    /// Node visit in flight: the fetched data arrives at the lane's
+    /// [`WarpSlot::fetched`] cycle, passes through the operation unit, and
+    /// [`ThreadCtx::step`] commits at `done`.
     OpWait { done: Cycle },
     /// Stack micro-ops pending; head not yet issued.
     StackIssue,
@@ -178,7 +184,8 @@ struct ThreadCtx {
 enum LaneClass {
     /// Issuable (`NeedFetch` / `StackIssue`) but not yet scheduled.
     SchedWait,
-    /// Node fetch in flight, served by the L1.
+    /// Node fetch in flight, served by the L1. The three fetch classes
+    /// end at the lane's data arrival; the rest of the visit is `OpWait`.
     FetchL1,
     /// Node fetch in flight, served by the L2.
     FetchL2,
@@ -229,8 +236,23 @@ impl SlotAttr {
         }
     }
 
-    /// Charges the lane's interval `[since, now)` to its current class.
-    fn flush_lane(&mut self, lane: usize, now: Cycle) {
+    /// Charges the lane's interval `[since, now)` to its current class. A
+    /// node visit's interval splits at its data's arrival `fetched`: the
+    /// fetch class takes `[since, fetched)` and the operation unit the rest.
+    fn flush_lane(&mut self, lane: usize, now: Cycle, fetched: Cycle) {
+        let fetching = matches!(
+            self.class[lane],
+            LaneClass::FetchL1 | LaneClass::FetchL2 | LaneClass::FetchDram
+        );
+        if fetching && fetched < now {
+            self.charge(lane, fetched);
+            self.class[lane] = LaneClass::OpWait;
+        }
+        self.charge(lane, now);
+    }
+
+    /// Charges `[since, now)` to the lane's current class.
+    fn charge(&mut self, lane: usize, now: Cycle) {
         let dt = now - self.since[lane];
         self.since[lane] = now;
         if dt == 0 {
@@ -261,9 +283,10 @@ impl SlotAttr {
 
     /// Final flush at warp retirement: closes every lane interval, records
     /// the total, and checks the conservation law for this warp.
-    fn finish(&mut self, now: Cycle, admitted_at: Cycle, warp: WarpId) -> &StallBreakdown {
+    fn finish(&mut self, now: Cycle, slot: &WarpSlot) -> &StallBreakdown {
+        let (admitted_at, warp) = (slot.admitted_at, slot.warp);
         for lane in 0..WARP_SIZE {
-            self.flush_lane(lane, now);
+            self.flush_lane(lane, now, slot.fetched[lane]);
         }
         self.breakdown.rt_lane_cycles = (now - admitted_at) * WARP_SIZE as u64;
         assert_eq!(
@@ -301,6 +324,9 @@ struct WarpSlot {
     /// The earliest entry of `wake`. It may lag behind (too early) while
     /// phase 1 consumes due wakes, which recomputes it before returning.
     next_wake: Cycle,
+    /// Arrival cycle of each lane's latest node fetch; an `OpWait` lane
+    /// commits its latency after it.
+    fetched: [Cycle; WARP_SIZE],
     /// Lanes in `NeedFetch`, one bit each.
     need_fetch: u32,
     /// Lanes in `StackIssue`, one bit each.
@@ -319,11 +345,10 @@ impl WarpSlot {
         if self.attr.is_some() {
             let class = match state {
                 TState::NeedFetch | TState::StackIssue => LaneClass::SchedWait,
-                TState::OpWait { .. } => LaneClass::OpWait,
                 TState::Idle => LaneClass::Idle,
                 // Issue sites classify these via transition_traced; the
                 // fallbacks here are never reached on those paths.
-                TState::WaitFetch { .. } => LaneClass::FetchL1,
+                TState::OpWait { .. } => LaneClass::OpWait,
                 TState::StackWait { .. } => LaneClass::StackRbSh,
             };
             self.note_class(now, lane, class);
@@ -342,7 +367,7 @@ impl WarpSlot {
 
     fn note_class(&mut self, now: Cycle, lane: usize, class: LaneClass) {
         if let Some(attr) = &mut self.attr {
-            attr.flush_lane(lane, now);
+            attr.flush_lane(lane, now, self.fetched[lane]);
             attr.class[lane] = class;
         }
     }
@@ -360,9 +385,7 @@ impl WarpSlot {
                 self.stack_issue |= bit;
                 NOT_WAITING
             }
-            TState::WaitFetch { done } | TState::OpWait { done } | TState::StackWait { done } => {
-                done
-            }
+            TState::OpWait { done } | TState::StackWait { done } => done,
             TState::Idle => NOT_WAITING,
         };
         self.next_wake = self.next_wake.min(self.wake[lane]);
@@ -456,8 +479,8 @@ pub struct RtUnit {
     /// Lane-level attribution accumulated from retired warps
     /// ([`RtUnitConfig::attribute`] only).
     breakdown: StallBreakdown,
-    /// Completed micro-events (fetch responses, operation commits, finished
-    /// stack ops): the fine-grained forward-progress signal the stall
+    /// Micro-events (issued node fetches, operation commits, finished stack
+    /// ops): the fine-grained forward-progress signal the stall
     /// watchdog reads, so a single long-but-live trace is not mistaken for
     /// a livelock.
     progress: u64,
@@ -501,7 +524,7 @@ impl RtUnit {
         &self.breakdown
     }
 
-    /// Monotonic count of completed micro-events (fetch responses, node
+    /// Monotonic count of micro-events (issued node fetches, node
     /// operations, stack micro-ops) — the watchdog's progress signal.
     pub fn progress(&self) -> u64 {
         self.progress
@@ -621,6 +644,7 @@ impl RtUnit {
             done_count: WARP_SIZE - req.active_lanes(),
             wake: [NOT_WAITING; WARP_SIZE],
             next_wake: NOT_WAITING,
+            fetched: [0; WARP_SIZE],
             need_fetch: 0,
             stack_issue: 0,
             attr,
@@ -648,6 +672,14 @@ impl RtUnit {
         self.slots.iter().flatten().filter_map(WarpSlot::next_completion).min()
     }
 
+    /// The earliest node-data arrival after `now`. An arrival changes
+    /// nothing the unit reads, so it is no completion: a caller that must
+    /// see the cycles on which each arrival was once a wake of its own (a
+    /// sampler) visits these as well.
+    pub fn next_arrival_after(&self, now: Cycle) -> Option<Cycle> {
+        self.slots.iter().flatten().flat_map(|s| s.fetched).filter(|&c| c > now).min()
+    }
+
     /// Advances the RT unit by one cycle. Returns trace results of warps
     /// that completed this cycle.
     #[allow(clippy::too_many_arguments)] // mirrors the hardware port list
@@ -669,22 +701,13 @@ impl RtUnit {
             return Vec::new();
         }
 
-        // Phase 1: response FIFO + operation units. Wait states only
-        // transition at their recorded completion cycle, so a slot whose
-        // earliest wake is still in the future has nothing to do.
+        // Phase 1: operation commits and finished stack micro-ops. Wait
+        // states only transition at their recorded completion cycle, so a
+        // slot whose earliest wake is still in the future has nothing to do.
         let mut op_buf = std::mem::take(&mut self.op_buf);
         for slot in self.slots.iter_mut().flatten() {
             if slot.next_wake <= now {
-                Self::advance_threads(
-                    slot,
-                    now,
-                    bvh,
-                    prims,
-                    stats,
-                    &self.config,
-                    &mut op_buf,
-                    &mut self.progress,
-                );
+                Self::advance_threads(slot, now, stats, &mut op_buf, &mut self.progress);
             }
         }
         self.op_buf = op_buf;
@@ -702,7 +725,9 @@ impl RtUnit {
             Self::issue_warp(
                 slot,
                 now,
+                &self.config,
                 bvh,
+                prims,
                 l1,
                 shared,
                 global,
@@ -743,7 +768,7 @@ impl RtUnit {
                     }
                 }
                 if let Some(mut attr) = slot.attr.take() {
-                    self.breakdown.merge(attr.finish(now, slot.admitted_at, slot.warp));
+                    self.breakdown.merge(attr.finish(now, &slot));
                     if let Some(slices) = &mut self.slices {
                         slices.push(RtSlice {
                             slot: idx as u8,
@@ -772,14 +797,10 @@ impl RtUnit {
     }
 
     /// Phase 1: state transitions that do not need the warp scheduler.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_threads<P: Primitive>(
+    fn advance_threads(
         slot: &mut WarpSlot,
         now: Cycle,
-        bvh: &FlatBvh,
-        prims: &[P],
         stats: &mut SimStats,
-        config: &RtUnitConfig,
         op_buf: &mut Vec<MicroOp>,
         progress: &mut u64,
     ) {
@@ -788,39 +809,6 @@ impl RtUnit {
             // so the order in which due lanes commit is observable.
             while slot.wake[lane] <= now {
                 match slot.threads[lane].state {
-                    TState::WaitFetch { done } => {
-                        let t = &slot.threads[lane];
-                        let node = t.current.expect("fetching requires a node");
-                        let q = t.query.expect("active thread has a query");
-                        let speculative = t.speculative;
-                        let (ray, t_min, t_max) = (&q.ray, q.t_min, t.result.t_max);
-                        let step = if config.stack.is_stackless() {
-                            StepOutcome::Stackless(
-                                bvh.stackless_step(prims, ray, node, t_min, t_max),
-                            )
-                        } else {
-                            StepOutcome::Stacked(bvh.node_step(prims, ray, node, t_min, t_max))
-                        };
-                        // Only a leaf's primitive tests reach the triangle
-                        // unit; an own-box miss, even on a leaf, is a box test.
-                        let lat = match step {
-                            StepOutcome::Stacked(NodeStep::Leaf(_))
-                            | StepOutcome::Stackless(StacklessStep::Leaf { .. }) => {
-                                config.tri_latency
-                            }
-                            _ => config.box_latency,
-                        };
-                        *progress += 1; // fetch response consumed
-                        slot.threads[lane].step = Some(step);
-                        let next = TState::OpWait { done: done + lat };
-                        if speculative {
-                            // The probe's operation wait belongs to the
-                            // predictor ledger bucket, not op_wait.
-                            slot.transition_traced(now, lane, next, LaneClass::Predictor);
-                        } else {
-                            slot.transition(now, lane, next);
-                        }
-                    }
                     TState::OpWait { .. } => {
                         // The commit sets the next state; that transition
                         // replaces the consumed wake cycle and flushes the
@@ -1051,12 +1039,40 @@ impl RtUnit {
         }
     }
 
+    /// The operation a lane's fetched node feeds, and the latency of the
+    /// unit that runs it.
+    fn node_operation<P: Primitive>(
+        config: &RtUnitConfig,
+        bvh: &FlatBvh,
+        prims: &[P],
+        t: &ThreadCtx,
+    ) -> (StepOutcome, Cycle) {
+        let node = t.current.expect("fetching requires a node");
+        let q = t.query.expect("active thread has a query");
+        let (ray, t_min, t_max) = (&q.ray, q.t_min, t.result.t_max);
+        let step = if config.stack.is_stackless() {
+            StepOutcome::Stackless(bvh.stackless_step(prims, ray, node, t_min, t_max))
+        } else {
+            StepOutcome::Stacked(bvh.node_step(prims, ray, node, t_min, t_max))
+        };
+        // Only a leaf's primitive tests reach the triangle unit; an own-box
+        // miss, even on a leaf, is a box test.
+        let lat = match step {
+            StepOutcome::Stacked(NodeStep::Leaf(_))
+            | StepOutcome::Stackless(StacklessStep::Leaf { .. }) => config.tri_latency,
+            _ => config.box_latency,
+        };
+        (step, lat)
+    }
+
     /// Phase 2: issue the scheduled warp's node fetches and stack micro-ops.
     #[allow(clippy::too_many_arguments)]
-    fn issue_warp(
+    fn issue_warp<P: Primitive>(
         slot: &mut WarpSlot,
         now: Cycle,
+        config: &RtUnitConfig,
         bvh: &FlatBvh,
+        prims: &[P],
         l1: &mut SmL1,
         shared: &mut SharedMem,
         global: &mut GlobalMemory,
@@ -1126,11 +1142,15 @@ impl RtUnit {
                     }
                 }
                 if slot.threads[lane].speculative {
-                    // A speculative probe's fetch wait is predictor cost,
-                    // whatever memory level serves it.
+                    // A speculative probe's fetch and operation waits are
+                    // predictor cost, whatever memory level serves it.
                     class = LaneClass::Predictor;
                 }
-                slot.transition_traced(now, lane, TState::WaitFetch { done }, class);
+                let (step, lat) = Self::node_operation(config, bvh, prims, &slot.threads[lane]);
+                *progress += 1; // node fetch issued
+                slot.threads[lane].step = Some(step);
+                slot.fetched[lane] = done;
+                slot.transition_traced(now, lane, TState::OpWait { done: done + lat }, class);
             }
         }
 
