@@ -468,6 +468,9 @@ cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
 echo "==> clippy: no unwrap/expect in sms-harness library code"
 cargo clippy -p sms-harness --lib -- -D warnings
 
+echo "==> cargo doc (every intra-doc link resolves: RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 

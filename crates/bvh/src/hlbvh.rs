@@ -16,7 +16,7 @@
 //! 4. build a binned-SAH *upper tree* over the treelet roots, splicing the
 //!    treelet node blocks in as its leaves (SAH-based upper-level collapse).
 //!
-//! Steps 1–3 are fanned out across worker threads ([`fan_out`], the same
+//! Steps 1–3 are fanned out across worker threads (`fan_out`, the same
 //! slot-indexed claim-counter pattern as the harness pool). The result is
 //! **deterministic in the worker count**: per-primitive work is pure, the
 //! chunked AABB/histogram reductions use exactly associative-commutative

@@ -13,7 +13,7 @@
 //! * [`sim`] — [`GpuSim`]: the cycle-level model (SMs, GTO-scheduled SIMT
 //!   compute, RT units, L1/shared/L2/DRAM) that produces the paper's IPC
 //!   and traffic numbers.
-//! * [`env`] — the one declaration and reader of every `SMS_*` variable.
+//! * [`env`](mod@env) — the one declaration and reader of every `SMS_*` variable.
 //! * [`experiments`] — one entry point per paper table/figure.
 //! * [`report`] — plain-text table rendering used by the bench harnesses.
 //!

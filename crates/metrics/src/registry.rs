@@ -147,12 +147,15 @@ impl Registry {
         self.push(name, help, Metric::Gauge(value));
     }
 
-    /// Registers one labeled counter sample (see [`Registry::push_labeled`]).
+    /// Registers one counter sample of a labeled family: the name may repeat
+    /// with distinct label sets, and the family renders under one header
+    /// with its samples contiguous.
     pub fn labeled_counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
         self.push_labeled(name, help, labels, Metric::Counter(value));
     }
 
-    /// Registers one labeled gauge sample (see [`Registry::push_labeled`]).
+    /// Registers one gauge sample of a labeled family, as
+    /// [`Registry::labeled_counter`] does a counter.
     pub fn labeled_gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
         self.push_labeled(name, help, labels, Metric::Gauge(value));
     }

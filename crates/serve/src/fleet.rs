@@ -13,7 +13,7 @@
 //!   never the prepared scene, so each `(scene, render)` has a *home*
 //!   backend: the least-loaded one when the scene was first routed (ties
 //!   to the backend with fewer homes). Its cells go home while the home's
-//!   breaker is closed and it has at most [`HOME_SLACK`] more dispatches
+//!   breaker is closed and it has at most `HOME_SLACK` more dispatches
 //!   in flight than the least-loaded backend; otherwise they spill to the
 //!   least-loaded one and the home stays put. Each scene is then built,
 //!   and kept resident, on one backend instead of on every backend. A

@@ -4,8 +4,8 @@
 //! listener and runs the one accept → door-shed → thread-per-connection →
 //! drain-wait loop. The route table answers `/healthz`, `/metrics`,
 //! `/v1/drain` and the `/v1/jobs/…` cache probe itself and hands only
-//! `POST /v1/sweep` to the [`Tier`], whose handler is [`plan_sweep`], its
-//! own admission check, then [`stream_sweep`] around its own executor.
+//! `POST /v1/sweep` to the [`Tier`], whose handler is `plan_sweep`, its
+//! own admission check, then `stream_sweep` around its own executor.
 //!
 //! The accept loop blocks in `accept` and never sleeps on the request
 //! path. What ends it — a drain request, SIGTERM in the binaries, an
