@@ -277,6 +277,8 @@ pub fn write_error(stream: &mut TcpStream, err: &HttpError) {
 /// call per JSONL record, then [`ChunkedWriter::finish`].
 pub struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
+    /// One chunk's bytes on the wire (size line, data, CRLF), reused.
+    frame: Vec<u8>,
 }
 
 impl<'a> ChunkedWriter<'a> {
@@ -292,17 +294,20 @@ impl<'a> ChunkedWriter<'a> {
             status_text(status)
         );
         stream.write_all(head.as_bytes())?;
-        Ok(ChunkedWriter { stream })
+        Ok(ChunkedWriter { stream, frame: Vec::new() })
     }
 
-    /// Writes one chunk and flushes it, so the peer sees it immediately.
+    /// Writes one chunk in one write and flushes it, so the peer sees it
+    /// immediately.
     pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(()); // an empty chunk would terminate the stream
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
+        self.frame.clear();
+        write!(self.frame, "{:x}\r\n", data.len())?;
+        self.frame.extend_from_slice(data);
+        self.frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&self.frame)?;
         self.stream.flush()
     }
 
