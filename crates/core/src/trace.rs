@@ -7,10 +7,13 @@
 //!
 //! * one *process* per SM with one *thread* per RT-unit warp slot, carrying
 //!   a `ph:"X"` slice for every warp residency (admission → retirement);
-//! * `ph:"C"` counter tracks per SM sampled every
-//!   [`crate::sim::SAMPLE_PERIOD`] cycles, the metrics series' period:
+//! * `ph:"C"` counter tracks per SM, one event at every multiple of
+//!   [`crate::sim::SAMPLE_PERIOD`] cycles (the metrics series' period):
 //!   resident warps, busy RT slots, memory event-queue depth, and
-//!   cumulative shared-memory bank-conflict cycles;
+//!   cumulative shared-memory bank-conflict cycles. The simulator's loop
+//!   reads one [`crate::metrics::Snapshot`] for both and stamps each
+//!   sample with its boundary's cycle, so what they hold does not depend
+//!   on which cycles the loop visits;
 //! * top-level `cycles` and `stallBreakdown` keys (extra keys are tolerated
 //!   by both viewers) so one file carries the whole diagnosis.
 //!
@@ -23,6 +26,7 @@
 //! anything back, so `SimStats` are bit-identical with tracing on or off
 //! (asserted by `crates/core/tests/attribution.rs`).
 
+use crate::metrics::Snapshot;
 use sms_gpu::StallBreakdown;
 use sms_mem::Cycle;
 use sms_rtunit::RtSlice;
@@ -42,7 +46,7 @@ pub struct TraceSpec {
     pub trace_id: Option<String>,
 }
 
-/// One SM's counter snapshot, read by the sampler at each period boundary.
+/// One SM's counters at a period boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct SmCounters {
     /// Warps resident on the SM (compute side).
@@ -61,16 +65,13 @@ pub struct SmCounters {
 #[derive(Debug)]
 pub struct TraceRecorder {
     spec: TraceSpec,
-    period: Cycle,
     events: Vec<String>,
-    next_sample: Cycle,
 }
 
 impl TraceRecorder {
-    /// Creates a recorder sampling its counters every `period` cycles and
-    /// emits the metadata events naming one process per SM and one thread
-    /// per RT-unit warp slot.
-    pub fn new(spec: TraceSpec, period: Cycle, num_sms: usize, rt_slots: usize) -> Self {
+    /// Creates a recorder and emits the metadata events naming one process
+    /// per SM and one thread per RT-unit warp slot.
+    pub fn new(spec: TraceSpec, num_sms: usize, rt_slots: usize) -> Self {
         let mut events = Vec::new();
         for sm in 0..num_sms {
             events.push(format!(
@@ -82,20 +83,13 @@ impl TraceRecorder {
                 ));
             }
         }
-        TraceRecorder { spec, period, events, next_sample: 0 }
+        TraceRecorder { spec, events }
     }
 
-    /// `true` when `now` has reached the next sampling boundary. The main
-    /// loop skips idle stretches, so boundaries may be crossed in jumps;
-    /// one sample is taken per call and the boundary re-armed *past* `now`.
-    pub fn sample_due(&self, now: Cycle) -> bool {
-        now >= self.next_sample
-    }
-
-    /// Records one `ph:"C"` counter event per SM at cycle `now` and re-arms
-    /// the sampling boundary.
-    pub fn sample<'c>(&mut self, now: Cycle, sms: impl Iterator<Item = SmCounters> + 'c) {
-        for (sm, c) in sms.enumerate() {
+    /// Records the two `ph:"C"` counter events of each SM of `snapshot`,
+    /// stamped `now`.
+    pub fn sample(&mut self, now: Cycle, snapshot: &Snapshot) {
+        for (sm, c) in snapshot.sms.iter().enumerate() {
             self.events.push(format!(
                 r#"{{"name":"SM{sm} queues","ph":"C","ts":{now},"pid":{sm},"args":{{"resident_warps":{},"rt_busy":{},"mem_queue":{}}}}}"#,
                 c.resident_warps, c.rt_busy, c.mem_queue
@@ -105,7 +99,6 @@ impl TraceRecorder {
                 c.conflict_cycles
             ));
         }
-        self.next_sample = (now / self.period + 1) * self.period;
     }
 
     /// Merges the metrics layer's sampled fleet-wide series as one
@@ -197,33 +190,31 @@ mod tests {
     }
 
     #[test]
-    fn sampling_boundary_rearms_past_now() {
-        let spec = TraceSpec { path: PathBuf::from("t.json"), trace_id: None };
-        let mut rec = TraceRecorder::new(spec, 100, 1, 1);
-        assert!(rec.sample_due(0));
-        rec.sample(
-            0,
-            std::iter::once(SmCounters {
-                resident_warps: 3,
-                rt_busy: 1,
-                mem_queue: 0,
-                conflict_cycles: 0,
-            }),
+    fn every_boundary_is_sampled_once_at_its_own_cycle() {
+        // Idle stretches are jumped over, but each boundary inside one still
+        // gets its sample, stamped with the boundary and not the next visit.
+        let render = crate::RenderConfig::tiny();
+        let prepared = crate::render::PreparedScene::build(sms_scene::SceneId::Ship, &render);
+        let config = crate::SimConfig::new(
+            sms_gpu::GpuConfig::default(),
+            sms_rtunit::StackConfig::baseline8(),
+            render,
         );
-        assert!(!rec.sample_due(99));
-        assert!(rec.sample_due(100));
-        // A jump over several boundaries takes one sample and re-arms past.
-        rec.sample(
-            517,
-            std::iter::once(SmCounters {
-                resident_warps: 2,
-                rt_busy: 0,
-                mem_queue: 1,
-                conflict_cycles: 8,
-            }),
-        );
-        assert!(!rec.sample_due(599));
-        assert!(rec.sample_due(600));
+        let path = std::env::temp_dir().join(format!("sms-boundary-{}.json", std::process::id()));
+        let spec = TraceSpec { path: path.clone(), trace_id: None };
+        let run = crate::sim::GpuSim::new(&prepared, config)
+            .with_trace(spec)
+            .with_sample_period(64)
+            .run();
+        let text = std::fs::read_to_string(&path).expect("the traced run wrote its file");
+        let _ = std::fs::remove_file(&path);
+        let stamps: Vec<Cycle> = (text.lines())
+            .filter(|ev| ev.starts_with(r#"{"name":"SM0 queues""#))
+            .map(|ev| ev.split(r#""ts":"#).nth(1).and_then(|t| t.split(',').next()).unwrap())
+            .map(|t| t.parse().unwrap())
+            .collect();
+        let boundaries: Vec<Cycle> = (0..=run.stats.cycles).step_by(64).collect();
+        assert_eq!(stamps, boundaries);
     }
 
     #[test]

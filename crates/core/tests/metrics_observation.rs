@@ -12,7 +12,10 @@
 //!   reallocation flush lands in the flush-run histogram;
 //! * **series integrity** — with a 1-cycle sampling period the sampled
 //!   rt-busy series integrates to exactly the attribution layer's `in_rt`
-//!   warp-cycle count: two independent observers, one truth.
+//!   warp-cycle count: two independent observers, one truth;
+//! * **sampling at the boundary** — a row reads the state at its period
+//!   boundary, so the gauges of any period are the every-cycle series'
+//!   rows at that period's multiples, whichever cycles the loop visits.
 
 use sms_sim::gpu::GpuConfig;
 use sms_sim::render::PreparedScene;
@@ -148,5 +151,38 @@ fn sampled_series_has_schema_columns_and_sane_rates() {
             assert!((0.0..=1.0).contains(&v), "{rate}[{idx}] = {v}");
         }
         assert!(m.series.value(idx, "ipc").unwrap() >= 0.0);
+    }
+}
+
+#[test]
+fn sampled_gauges_are_free_of_period_and_schedule() {
+    // The event-skipping loop visits different cycles on each cell, and a
+    // coarse period puts its boundaries inside idle stretches. Neither may
+    // move a gauge: each row is the state at its own cycle.
+    let render = RenderConfig::tiny();
+    let armed = RunLimits { metrics: true, ..RunLimits::none() };
+    let gauges = ["resident_warps", "rt_busy", "mem_queue"];
+    assert_eq!(sms_sim::metrics::SERIES_COLUMNS[..3], gauges);
+    for scene in [SceneId::Ship, SceneId::Wknd] {
+        let prepared = PreparedScene::build(scene, &render);
+        for stack in [StackConfig::baseline8(), StackConfig::sms_default()] {
+            let out = run(&prepared, stack, armed, 1);
+            let (cycles, every) = (out.stats.cycles, out.metrics.unwrap().series);
+            assert_eq!(every.len() as u64, cycles + 1, "period 1 samples every cycle");
+            for period in [7, 64, 1024] {
+                let series = run(&prepared, stack, armed, period).metrics.unwrap().series;
+                let stamps: Vec<u64> = series.rows().iter().map(|(cycle, _)| *cycle).collect();
+                let boundaries: Vec<u64> = (0..=cycles).step_by(period as usize).collect();
+                assert_eq!(stamps, boundaries, "{scene:?} {}: one row per boundary", stack.label());
+                for (cycle, values) in series.rows() {
+                    assert_eq!(
+                        values[..3],
+                        every.rows()[*cycle as usize].1[..3],
+                        "{scene:?} {} period {period}: gauges {gauges:?} at cycle {cycle}",
+                        stack.label()
+                    );
+                }
+            }
+        }
     }
 }

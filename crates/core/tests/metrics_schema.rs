@@ -10,7 +10,8 @@
 
 use sms_sim::geom::golden;
 use sms_sim::gpu::SimStats;
-use sms_sim::metrics::{MetricsReport, SampleCounts, SeriesSampler};
+use sms_sim::metrics::{MetricsReport, SeriesSampler, Snapshot};
+use sms_sim::trace::SmCounters;
 
 /// A tiny, fully-determined report: every histogram populated, clean
 /// rates, so the rendering exercises each metric type.
@@ -24,14 +25,13 @@ fn sample_report() -> MetricsReport {
     report.stacks.ray_latency.record(900);
     report.stacks.ray_spills.record_n(0, 1);
     report.stacks.ray_reloads.record_n(0, 1);
-    let mut sampler = SeriesSampler::new(100);
-    sampler.sample(0, SampleCounts::default());
+    let mut sampler = SeriesSampler::default();
+    sampler.sample(0, &Snapshot::default());
+    let sm = SmCounters { resident_warps: 8, rt_busy: 3, mem_queue: 2, conflict_cycles: 0 };
     sampler.sample(
         100,
-        SampleCounts {
-            resident_warps: 8,
-            rt_busy: 3,
-            mem_queue: 2,
+        &Snapshot {
+            sms: vec![sm],
             instructions: 150,
             l1_hits: 30,
             l1_misses: 10,

@@ -672,14 +672,6 @@ impl RtUnit {
         self.slots.iter().flatten().filter_map(WarpSlot::next_completion).min()
     }
 
-    /// The earliest node-data arrival after `now`. An arrival changes
-    /// nothing the unit reads, so it is no completion: a caller that must
-    /// see the cycles on which each arrival was once a wake of its own (a
-    /// sampler) visits these as well.
-    pub fn next_arrival_after(&self, now: Cycle) -> Option<Cycle> {
-        self.slots.iter().flatten().flat_map(|s| s.fetched).filter(|&c| c > now).min()
-    }
-
     /// Advances the RT unit by one cycle. Returns trace results of warps
     /// that completed this cycle.
     #[allow(clippy::too_many_arguments)] // mirrors the hardware port list
