@@ -95,9 +95,11 @@ impl TraceContext {
     /// it opens underneath.
     pub fn parse(header: &str) -> Option<Self> {
         let (t, s) = header.trim().split_once('-')?;
-        // Digits checked by hand: `from_str_radix` also accepts a leading
-        // `+`, which `header_value()` would not reproduce.
-        let is_id = |id: &str| id.len() == 16 && id.bytes().all(|b| b.is_ascii_hexdigit());
+        // Digits checked by hand, lowercase only (W3C trace-context's
+        // `HEXDIGLC`): `from_str_radix` also accepts a leading `+` and
+        // `A`–`F`, which `header_value()` would not reproduce.
+        let is_id =
+            |id: &str| id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
         if !is_id(t) || !is_id(s) {
             return None;
         }
@@ -171,6 +173,49 @@ mod tests {
         assert_eq!(TraceContext::parse("00000000c0ffee42-0000000000000000"), None);
         assert_eq!(TraceContext::parse("+00000000c0ffee4-0000000000000001"), None); // sign
         assert_eq!(TraceContext::parse("00000000c0ffee42-+000000000000001"), None);
+    }
+
+    #[test]
+    fn uppercase_digits_are_refused() {
+        // Accepting them would hand the client its trace id back re-cased.
+        assert_eq!(TraceContext::parse("00C0FFEE5EED1234-0000000000000001"), None);
+        assert_eq!(TraceContext::parse("00c0ffee5eed1234-000000000000000A"), None);
+    }
+
+    #[test]
+    fn an_accepted_header_is_the_header_value_of_its_parse() {
+        use sms_sim::geom::check::for_cases;
+        for_cases(2_000, 47, |g| {
+            let mut ctx = || TraceContext {
+                trace_id: g.rng.next_u64(),
+                span_id: g.rng.next_u64(),
+                parent: None,
+            };
+            let (mut bytes, other) = (ctx().header_value().into_bytes(), ctx().header_value());
+            // Up to three of: a bit flip, a truncation, a splice of another
+            // header's tail with separators and a sign, a case flip.
+            for _ in 0..g.int(0, 3) {
+                let at = g.int(0, bytes.len());
+                match g.int(0, 3) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << g.int(0, 7),
+                    1 => bytes.truncate(at),
+                    2 => {
+                        let from = g.int(0, other.len());
+                        let piece = [&other.as_bytes()[from..], b" \t-+"].concat();
+                        let len = g.int(0, piece.len());
+                        bytes.splice(at..at, piece[..len].iter().copied());
+                    }
+                    _ if at < bytes.len() => {
+                        bytes[at] ^= 0x20 * u8::from(bytes[at].is_ascii_alphabetic())
+                    }
+                    _ => {}
+                }
+            }
+            let header = String::from_utf8_lossy(&bytes);
+            if let Some(parsed) = TraceContext::parse(&header) {
+                assert_eq!(parsed.header_value(), header.trim(), "{header:?}");
+            }
+        });
     }
 
     #[test]
