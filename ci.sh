@@ -28,7 +28,8 @@ cargo test -q -p sms-sim --test layout_digest
 cargo test -q -p sms-sim --test prop_bvh median_build_equals_the_sorting_reference
 
 echo "==> hot-path identity (goldens.txt's SimStats digests incl. SL/PRED, the WarpStacks micro-op"
-echo "    stream per stack hierarchy, armed observers, Cache vs a reference LRU on the Table I"
+echo "    stream per stack hierarchy, armed observers, every row again under the dense reference"
+echo "    schedule that visits every SM on every cycle, Cache vs a reference LRU on the Table I"
 echo "    geometries, RT unit ticked every cycle vs only when due)"
 cargo test -q -p sms-sim --test sim_golden
 cargo test -q -p sms-rtunit --test stack_ops
@@ -142,6 +143,15 @@ echo "    state; prints offenders)"
 if git grep -n 'WaitFetch' -- crates/rtunit/src; then
   echo "a node fetch's arrival is a wake of its own again (compute the step in issue_warp and"
   echo "enter OpWait at arrival + latency; WarpSlot::fetched keeps the arrival)"
+  exit 1
+fi
+
+echo "==> one-sampler gate (both samplers read the state at each period boundary from one"
+echo "    snapshot, so no sampler has a due check and arming one changes no visited cycle;"
+echo "    prints offenders)"
+if git grep -nE 'sample_du[e]|next_arrival_afte[r]|sampled: boo[l]' -- crates; then
+  echo "a sampler reads the first visited cycle after a boundary again, or changes the visit"
+  echo "schedule (sample every boundary before the next visit in GpuSim::run_on instead)"
   exit 1
 fi
 
