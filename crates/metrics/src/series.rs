@@ -69,9 +69,9 @@ impl SeriesRecorder {
 
     /// Integrates column `name` as a step function over `[t0, t_end]`: each
     /// sample's value holds from its cycle until the next sample (the last
-    /// until `t_end`). This matches how the simulator's sampled gauges
-    /// behave between samples — state only changes on loop iterations, and
-    /// every iteration at or past the sampling period boundary samples.
+    /// until `t_end`). The simulator's rows are the state at each period
+    /// boundary, so at a period of one cycle this is the exact integral of
+    /// the gauge over the run.
     pub fn integrate(&self, name: &str, t_end: u64) -> Option<f64> {
         let col = self.columns.iter().position(|c| c == name)?;
         let mut acc = 0.0;
