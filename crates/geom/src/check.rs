@@ -55,6 +55,33 @@ impl Gen {
     }
 }
 
+/// `seed` damaged as bytes are damaged on disk and on the wire: one to
+/// three rounds of bit flips, a truncation, or a run replaced by a piece of
+/// one of `donors` (a splice; its lengths shrink with the scale).
+pub fn mutate(g: &mut Gen, seed: &[u8], donors: &[&[u8]]) -> Vec<u8> {
+    let mut bytes = seed.to_vec();
+    for _ in 0..g.int(1, 3) {
+        let len = bytes.len();
+        let at = g.int(0, len);
+        match g.int(0, 2) {
+            0 if len > 0 => {
+                for _ in 0..g.int(1, 3) {
+                    bytes[g.int(0, len - 1)] ^= 1 << g.int(0, 7);
+                }
+            }
+            0 | 1 => bytes.truncate(at),
+            _ => {
+                let donor = donors.get(g.int(0, donors.len().max(1) - 1)).copied().unwrap_or(seed);
+                let from = g.int(0, donor.len());
+                let piece = &donor[from..from + g.size(0, donor.len() - from)];
+                let end = at + g.size(0, len - at);
+                bytes.splice(at..end, piece.iter().copied());
+            }
+        }
+    }
+    bytes
+}
+
 /// The first of `cases` cases that fails at `scale`, with its panic message.
 fn first_failure(
     cases: u64,

@@ -29,10 +29,12 @@
 use crate::faultinject::{CacheFault, FaultPlan};
 use crate::json::{parse, write_str, write_u64, Fields, Json, Object, Sink};
 use crate::RunRequest;
-use sms_sim::gpu::SimStats;
+use sms_sim::gpu::{GpuConfig, SimStats};
 use sms_sim::mem::MemStats;
+use sms_sim::RenderConfig;
+use std::fmt::Write as _;
 use std::fs;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,14 +62,46 @@ impl CacheKey {
     /// `req`'s key under `salt` ([`SIM_VERSION_SALT`] wherever no cache
     /// with a salt of its own is involved).
     pub fn new(req: &RunRequest, salt: u32) -> CacheKey {
-        let canonical = format!(
-            "sms-sim salt={salt}|scene={}|stack={:?}|gpu={:?}|render={:?}",
+        CacheKey::with_tail(req, salt, &mut KeyTail::default())
+    }
+
+    /// [`CacheKey::new`], byte for byte, formatting `req`'s
+    /// `|gpu=…|render=…` tail into `tail` only when `tail` holds another
+    /// GPU or render configuration's. That tail is most of the canonical
+    /// string and the same for every cell of a sweep, so a sweep that
+    /// keys its cells through one `KeyTail` formats it once.
+    pub fn with_tail(req: &RunRequest, salt: u32, tail: &mut KeyTail) -> CacheKey {
+        let tail = tail.of(req);
+        let mut canonical = String::with_capacity(64 + tail.len());
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            canonical,
+            "sms-sim salt={salt}|scene={}|stack={:?}",
             req.scene.name(),
-            req.stack,
-            req.gpu,
-            req.render
+            req.stack
         );
+        canonical.push_str(tail);
         CacheKey { hash: fnv1a64(canonical.as_bytes()), canonical }
+    }
+}
+
+/// The `|gpu=…|render=…` end of a canonical key, kept with the GPU and
+/// render configuration it was formatted from (see [`CacheKey::with_tail`]).
+#[derive(Debug, Default)]
+pub struct KeyTail {
+    of: Option<(GpuConfig, RenderConfig)>,
+    text: String,
+}
+
+impl KeyTail {
+    /// `req`'s tail, formatted unless it is the one already held.
+    fn of(&mut self, req: &RunRequest) -> &str {
+        if self.of != Some((req.gpu, req.render)) {
+            self.text.clear();
+            let _ = write!(self.text, "|gpu={:?}|render={:?}", req.gpu, req.render);
+            self.of = Some((req.gpu, req.render));
+        }
+        &self.text
     }
 }
 
@@ -157,6 +191,11 @@ impl ResultCache {
         CacheKey::new(req, self.salt)
     }
 
+    /// The salt every key of this cache is made under.
+    pub fn salt(&self) -> u32 {
+        self.salt
+    }
+
     /// The path an entry for `key` lives at.
     pub fn entry_path(&self, key: &CacheKey) -> PathBuf {
         self.dir.join(format!("{:016x}.json", key.hash))
@@ -175,14 +214,19 @@ impl ResultCache {
             return None;
         }
         let path = self.entry_path(key);
-        let text = with_retry(|| match fs::read_to_string(&path) {
-            Ok(t) => Ok(Some(t)),
+        let bytes = with_retry(|| match read_entry(&path) {
+            Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         })
         .ok()
         .flatten()?;
-        match self.validate_entry(key, &text) {
+        // Bytes that are not UTF-8 are damage, not a transient read error.
+        let loaded = match std::str::from_utf8(&bytes) {
+            Ok(text) => self.validate_entry(key, text),
+            Err(_) => Loaded::Corrupt("not UTF-8"),
+        };
+        match loaded {
             Loaded::Hit(stats) => Some(*stats),
             Loaded::Miss => None,
             Loaded::Corrupt(why) => {
@@ -302,6 +346,30 @@ impl ResultCache {
             self.degrade(&e);
         }
     }
+}
+
+/// Room for a whole entry in one read: entries are about 1.3 KiB.
+const ENTRY_READ: usize = 4096;
+
+/// An entry's bytes in one open and, for any entry under [`ENTRY_READ`]
+/// bytes, one read, without asking for the file's size: a read of a
+/// regular file returns less than it asked for only at the end. (Were one
+/// ever short before it, the entry would fail to parse and be simulated
+/// again: a miss, never a wrong result.)
+fn read_entry(path: &Path) -> std::io::Result<Vec<u8>> {
+    let mut file = fs::File::open(path)?;
+    let mut bytes = vec![0; ENTRY_READ];
+    let n = loop {
+        match file.read(&mut bytes) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            read => break read?,
+        }
+    };
+    bytes.truncate(n);
+    if n == ENTRY_READ {
+        file.read_to_end(&mut bytes)?;
+    }
+    Ok(bytes)
 }
 
 /// Outcome of validating one on-disk entry.
@@ -863,6 +931,26 @@ pub(crate) mod tests {
             sms_metrics::HistSummary { count, sum, p50, p95, p99, max }
         };
         BatchMetrics { stack_depth: hist(0), ray_latency: hist(10), spills: 0, reloads: u64::MAX }
+    }
+
+    /// Keys made through one `KeyTail` are `CacheKey::new`'s, byte for
+    /// byte, over runs of requests whose GPU and render configurations
+    /// change between any two.
+    #[test]
+    fn keys_through_one_tail_are_fresh_keys() {
+        use sms_sim::rtunit::StackConfig;
+        use sms_sim::scene::SceneId;
+        sms_sim::geom::check::for_cases(200, 48, |g| {
+            let mut tail = KeyTail::default();
+            for _ in 0..g.size(1, 40) {
+                let stack = [StackConfig::baseline8(), StackConfig::sms_default()][g.int(0, 1)];
+                let render = [RenderConfig::tiny(), RenderConfig::fast()][g.int(0, 1)];
+                let gpu = GpuConfig::default().with_l1_size([32, 64, 128][g.int(0, 2)] * 1024);
+                let req = RunRequest::new(SceneId::ALL[g.int(0, 15)], stack, render).with_gpu(gpu);
+                let salt = g.int(0, 2) as u32;
+                assert_eq!(CacheKey::with_tail(&req, salt, &mut tail), CacheKey::new(&req, salt));
+            }
+        });
     }
 
     /// The cursor decoder reads what the `Json::get` decoder reads from

@@ -14,7 +14,9 @@
 //!
 //! [`Harness::try_run_batch`]: crate::Harness::try_run_batch
 
-use crate::{pool, CacheKey, FaultPlan, ResultCache, RunError, RunRequest, SIM_VERSION_SALT};
+use crate::{
+    pool, CacheKey, FaultPlan, KeyTail, ResultCache, RunError, RunRequest, SIM_VERSION_SALT,
+};
 use sms_sim::config::RenderConfig;
 use sms_sim::experiments::{try_run_exporting, RunExports, RunResult};
 use sms_sim::render::PreparedScene;
@@ -145,9 +147,11 @@ impl Executor {
         self.cache.as_ref()
     }
 
-    /// `req`'s cache key (under the cache's salt, if there is a cache).
-    pub fn key(&self, req: &RunRequest) -> CacheKey {
-        self.cache.as_ref().map_or_else(|| CacheKey::new(req, SIM_VERSION_SALT), |c| c.key(req))
+    /// `req`'s cache key (under the cache's salt, if there is a cache),
+    /// through `tail` (see [`CacheKey::with_tail`]).
+    pub fn key(&self, req: &RunRequest, tail: &mut KeyTail) -> CacheKey {
+        let salt = self.cache.as_ref().map_or(SIM_VERSION_SALT, ResultCache::salt);
+        CacheKey::with_tail(req, salt, tail)
     }
 
     /// The prepared `(id, render)` scene, built on first use and shared

@@ -53,7 +53,7 @@ pub mod log;
 pub mod pool;
 pub mod trace;
 
-pub use cache::{CacheKey, ResultCache, SIM_VERSION_SALT};
+pub use cache::{CacheKey, KeyTail, ResultCache, SIM_VERSION_SALT};
 pub use error::RunError;
 pub use executor::{Executor, Flight};
 pub use faultinject::{CacheFault, FaultPlan};
@@ -71,7 +71,6 @@ use sms_sim::rtunit::StackConfig;
 use sms_sim::rtunit::StackMetrics;
 use sms_sim::scene::SceneId;
 use sms_sim::Env;
-use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -424,16 +423,21 @@ impl Harness {
         //    plus the limits, which are *not* in the cache key but can
         //    change how a job ends (aborted vs completed), so requests
         //    differing only in limits stay distinct jobs.
+        //    The keys share one `KeyTail`: the GPU and render tail is most
+        //    of a key and rarely changes within a batch. Hashes are
+        //    compared first, so a string is read only for a duplicate.
         let mut job_of_request = Vec::with_capacity(requests.len());
         let mut jobs: Vec<(RunRequest, CacheKey)> = Vec::new();
-        let mut seen: HashMap<String, usize> = HashMap::new();
+        let mut tail = KeyTail::default();
         for req in requests {
-            let key = exec.key(req);
-            let job =
-                *seen.entry(format!("{:?}|{}", req.limits, key.canonical)).or_insert_with(|| {
-                    jobs.push((*req, key));
-                    jobs.len() - 1
-                });
+            let key = exec.key(req, &mut tail);
+            let same = jobs.iter().position(|(other, k)| {
+                k.hash == key.hash && other.limits == req.limits && k.canonical == key.canonical
+            });
+            let job = same.unwrap_or_else(|| {
+                jobs.push((*req, key));
+                jobs.len() - 1
+            });
             job_of_request.push(job);
         }
 

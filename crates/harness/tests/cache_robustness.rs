@@ -2,8 +2,11 @@
 //! entries fall back to re-simulation, and entries written under an older
 //! simulator version salt are unreachable.
 
-use sms_harness::{Harness, HarnessConfig, ResultCache, RunRequest, SIM_VERSION_SALT};
+use sms_harness::cache::stats_from_json;
+use sms_harness::json::{parse, Json};
+use sms_harness::{CacheKey, Harness, HarnessConfig, ResultCache, RunRequest, SIM_VERSION_SALT};
 use sms_sim::config::RenderConfig;
+use sms_sim::geom::check::{for_cases, mutate, replay, Gen};
 use sms_sim::geom::golden;
 use sms_sim::gpu::SimStats;
 use sms_sim::rtunit::StackConfig;
@@ -137,6 +140,102 @@ fn corrupt_entries_are_deleted_on_load_so_they_self_heal() {
 
     // A plain miss (no file) stays a plain miss.
     assert_eq!(cache.load(&key), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A byte that is not UTF-8 is damage, found by one load: once it was
+/// taken for a transient read error, retried with sleeps, and left on disk.
+#[test]
+fn a_non_utf8_entry_is_quarantined_by_one_load() {
+    let dir = temp_dir("utf8");
+    let cache = ResultCache::new(&dir);
+    let key = cache.key(&sample_request());
+    cache.store(&key, &SimStats { cycles: 42, ..Default::default() });
+    let path = cache.entry_path(&key);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] = 0xFF;
+    std::fs::write(&path, bytes).unwrap();
+
+    assert_eq!(cache.load(&key), None);
+    assert!(!path.exists(), "an entry that is not UTF-8 must be deleted by the load that read it");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `cache_robustness.*.entry` rows of the golden table: real entries,
+/// each with the key it is stored under and the stats it holds.
+fn golden_entries() -> Vec<(String, CacheKey, SimStats)> {
+    include_str!("../../../goldens.txt")
+        .lines()
+        .filter(|row| row.starts_with("cache_robustness.") && row.contains(".entry "))
+        .map(|row| {
+            let (_, entry) = row.split_once(' ').unwrap();
+            let doc = parse(entry).unwrap();
+            let canonical = doc.get("key").and_then(Json::as_str).unwrap().to_owned();
+            let stats = stats_from_json(doc.get("stats").unwrap()).unwrap();
+            let key = CacheKey { hash: golden::fnv1a64(canonical.as_bytes()), canonical };
+            (entry.to_owned(), key, stats)
+        })
+        .collect()
+}
+
+/// One generated entry: a golden entry damaged by `mutate`, loaded from
+/// its own path. A load returns the stored stats or `None`; a hit with
+/// other stats needs an entry without a checksum (trusted as a
+/// pre-checksum entry); and a `None` leaves a file behind only for an
+/// intact entry of another salt, the one plain miss a readable entry can be.
+fn loads_its_stats_or_nothing(
+    g: &mut Gen,
+    cache: &ResultCache,
+    entries: &[(String, CacheKey, SimStats)],
+) {
+    let donors: Vec<&[u8]> = entries.iter().map(|(entry, ..)| entry.as_bytes()).collect();
+    let (entry, key, stats) = &entries[g.int(0, entries.len() - 1)];
+    let bytes = mutate(g, entry.as_bytes(), &donors);
+    let shown = String::from_utf8_lossy(&bytes).into_owned();
+    let path = cache.entry_path(key);
+    std::fs::write(&path, &bytes).unwrap();
+    let doc = std::str::from_utf8(&bytes).ok().and_then(|text| parse(text).ok());
+    match cache.load(key) {
+        Some(got) => {
+            let unsummed = doc.as_ref().is_some_and(|doc| doc.get("sum").is_none());
+            assert!(got == *stats || unsummed, "a damaged entry read as other stats: {shown}");
+        }
+        None if path.exists() => {
+            let salt = doc.as_ref().and_then(|doc| doc.u64_field("salt"));
+            assert!(
+                salt.is_some_and(|salt| salt != u64::from(SIM_VERSION_SALT)),
+                "an unreadable entry was left in place: {shown}"
+            );
+        }
+        None => {}
+    }
+}
+
+/// Generated garbage against `ResultCache::load`, seeded from the golden
+/// entries: bit flips, truncations and splices of one entry into another.
+#[test]
+fn garbage_entries_load_their_stats_or_nothing_and_leave_no_damage() {
+    let dir = temp_dir("garbage");
+    let cache = ResultCache::new(&dir);
+    let entries = golden_entries();
+    assert_eq!(entries.len(), 3);
+    for (entry, key, stats) in &entries {
+        std::fs::write(cache.entry_path(key), entry).unwrap();
+        assert_eq!(cache.load(key).as_ref(), Some(stats), "every golden entry loads");
+    }
+    for_cases(5_000, 48, |g| loads_its_stats_or_nothing(g, &cache, &entries));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The shrunk case with which the suite found non-UTF-8 entries left in
+/// place (a bit flip turned one `n` into a byte above 0x7F).
+#[test]
+fn garbage_entry_seed_48_case_1_was_not_utf8() {
+    let dir = temp_dir("garbage-48-1");
+    let cache = ResultCache::new(&dir);
+    let entries = golden_entries();
+    replay(48, 1, 0, |g| loads_its_stats_or_nothing(g, &cache, &entries));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
