@@ -237,13 +237,15 @@ impl Client {
             Some(ctx) => format!("{TRACE_HEADER}: {}\r\n", ctx.header_value()),
             None => String::new(),
         };
-        let head = format!(
+        // Head and body leave in one write.
+        let mut request = format!(
             "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n{trace_header}Connection: close\r\n\r\n",
             self.config.addr,
             body.len()
-        );
-        stream.write_all(head.as_bytes()).map_err(|e| format!("send request head: {e}"))?;
-        stream.write_all(body).map_err(|e| format!("send request body: {e}"))?;
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
+        stream.write_all(&request).map_err(|e| format!("send request: {e}"))?;
         http::read_response(&mut stream, &self.config.limits).map_err(|e| e.to_string())
     }
 

@@ -14,9 +14,12 @@
 //!   `Connection: close`, which keeps connection state trivial and load
 //!   shedding exact.
 //!
-//! Responses are either fixed bodies ([`write_response`]) or chunked
-//! streams ([`ChunkedWriter`]) — the `/v1/sweep` endpoint streams one JSONL
-//! record per chunk so clients see results as jobs finish.
+//! Every response leaves in as few writes as its content allows: a fixed
+//! body goes out with its head in one write ([`write_response`]); a chunked
+//! stream ([`ChunkedWriter`]) writes its head at once, then queues one
+//! chunk per JSONL record of `/v1/sweep` and writes whatever is queued in
+//! one write when the stream would otherwise wait, so a client still sees
+//! each record as its job finishes.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -133,7 +136,11 @@ fn parse_digits(field: &str, radix: u32) -> Option<usize> {
 pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, HttpError> {
     let _ = stream.set_read_timeout(Some(limits.read_timeout));
     let _ = stream.set_write_timeout(Some(limits.write_timeout));
+    parse_request(stream, limits)
+}
 
+/// [`read_request`] on any byte source.
+fn parse_request(stream: &mut impl Read, limits: &Limits) -> Result<Request, HttpError> {
     // Read until the blank line that ends the head, byte-capped.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let head_end = loop {
@@ -238,30 +245,32 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Writes a complete response with a fixed body and closes the exchange
-/// (`Connection: close`). `extra_headers` are emitted verbatim.
+/// Writes a complete response with a fixed body, head and body in one
+/// write, and closes the exchange (`Connection: close`). `extra_headers`
+/// are emitted verbatim.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
          Connection: close\r\n",
         status_text(status),
         body.len()
-    );
+    )
+    .into_bytes();
     for (k, v) in extra_headers {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
+        out.extend_from_slice(k.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(v.as_bytes());
+        out.extend_from_slice(b"\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -273,48 +282,57 @@ pub fn write_error(stream: &mut TcpStream, err: &HttpError) {
     let _ = write_response(stream, err.status, "text/plain", retry, body.as_bytes());
 }
 
-/// A chunked-transfer response in progress: one [`ChunkedWriter::chunk`]
-/// call per JSONL record, then [`ChunkedWriter::finish`].
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
-    /// One chunk's bytes on the wire (size line, data, CRLF), reused.
-    frame: Vec<u8>,
+/// A chunked-transfer response in progress: the head is written by
+/// [`ChunkedWriter::start`]; each JSONL record is framed as one chunk by
+/// [`ChunkedWriter::push`] into a queue that [`ChunkedWriter::flush`]
+/// writes in one write; [`ChunkedWriter::finish`] queues the terminator and
+/// flushes. The bytes on the wire are the same however the pushes are
+/// grouped into flushes.
+pub struct ChunkedWriter<'a, W: Write> {
+    stream: &'a mut W,
+    /// Framed chunks (size line, data, CRLF each) not yet written.
+    queued: Vec<u8>,
 }
 
-impl<'a> ChunkedWriter<'a> {
-    /// Writes the response head and returns the chunk writer.
-    pub fn start(
-        stream: &'a mut TcpStream,
-        status: u16,
-        content_type: &str,
-    ) -> std::io::Result<Self> {
+impl<'a, W: Write> ChunkedWriter<'a, W> {
+    /// Writes the response head at once, so a peer that is already gone
+    /// fails the response here, and returns the chunk writer.
+    pub fn start(stream: &'a mut W, status: u16, content_type: &str) -> std::io::Result<Self> {
         let head = format!(
             "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
              Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status_text(status)
         );
         stream.write_all(head.as_bytes())?;
-        Ok(ChunkedWriter { stream, frame: Vec::new() })
+        Ok(ChunkedWriter { stream, queued: Vec::new() })
     }
 
-    /// Writes one chunk in one write and flushes it, so the peer sees it
-    /// immediately.
-    pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
+    /// Queues `data` as one chunk; nothing is written until
+    /// [`ChunkedWriter::flush`].
+    pub fn push(&mut self, data: &[u8]) {
         if data.is_empty() {
-            return Ok(()); // an empty chunk would terminate the stream
+            return; // an empty chunk would terminate the stream
         }
-        self.frame.clear();
-        write!(self.frame, "{:x}\r\n", data.len())?;
-        self.frame.extend_from_slice(data);
-        self.frame.extend_from_slice(b"\r\n");
-        self.stream.write_all(&self.frame)?;
-        self.stream.flush()
+        let _ = write!(self.queued, "{:x}\r\n", data.len()); // infallible into a Vec
+        self.queued.extend_from_slice(data);
+        self.queued.extend_from_slice(b"\r\n");
     }
 
-    /// Terminates the chunk stream.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+    /// Writes every queued chunk in one write. The queue is emptied even
+    /// when the write fails: a gone peer takes no more bytes.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        if self.queued.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.queued).and_then(|()| self.stream.flush());
+        self.queued.clear();
+        written
+    }
+
+    /// Queues the terminating chunk and flushes.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        self.queued.extend_from_slice(b"0\r\n\r\n");
+        self.flush()
     }
 }
 
@@ -344,7 +362,7 @@ impl Response {
 
 /// Reads a full response: status line, headers, then a body framed by
 /// `Content-Length`, chunked encoding, or connection close.
-pub fn read_response(stream: &mut TcpStream, limits: &Limits) -> Result<Response, HttpError> {
+pub fn read_response(stream: &mut impl Read, limits: &Limits) -> Result<Response, HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
@@ -381,7 +399,7 @@ pub fn read_response(stream: &mut TcpStream, limits: &Limits) -> Result<Response
     let chunked =
         response.header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
     let body = if chunked {
-        read_chunked_body(stream, &mut rest)?
+        read_chunked_body(stream, &mut rest, limits)?
     } else if let Some(len) = response.header("content-length") {
         let len = parse_digits(len, 10)
             .ok_or_else(|| HttpError::new(400, "malformed response Content-Length"))?;
@@ -411,13 +429,22 @@ pub fn read_response(stream: &mut TcpStream, limits: &Limits) -> Result<Response
 }
 
 /// Decodes a chunked body; `rest` holds bytes already read past the head.
-fn read_chunked_body(stream: &mut TcpStream, rest: &mut Vec<u8>) -> Result<Vec<u8>, HttpError> {
+/// A size line longer than [`Limits::max_head`] or a chunk larger than
+/// [`Limits::max_body`] is refused before anything is buffered for it.
+fn read_chunked_body(
+    stream: &mut impl Read,
+    rest: &mut Vec<u8>,
+    limits: &Limits,
+) -> Result<Vec<u8>, HttpError> {
     let mut body = Vec::new();
     loop {
         // Ensure a full size line is buffered.
         let line_end = loop {
             if let Some(pos) = rest.windows(2).position(|w| w == b"\r\n") {
                 break pos;
+            }
+            if rest.len() >= limits.max_head {
+                return Err(HttpError::new(400, "chunk size line too long"));
             }
             let mut chunk = [0u8; 1024];
             let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
@@ -430,9 +457,15 @@ fn read_chunked_body(stream: &mut TcpStream, rest: &mut Vec<u8>) -> Result<Vec<u
             .map_err(|_| HttpError::new(400, "chunk size is not UTF-8"))?;
         let size = parse_digits(size_line.trim(), 16)
             .ok_or_else(|| HttpError::new(400, format!("malformed chunk size `{size_line}`")))?;
+        // Chunk data + trailing CRLF, for a chunk no larger than a body.
+        let framed = size.checked_add(2).filter(|_| size <= limits.max_body).ok_or_else(|| {
+            HttpError::new(
+                400,
+                format!("chunk size `{size_line}` exceeds the {} limit", limits.max_body),
+            )
+        })?;
         rest.drain(..line_end + 2);
-        // Buffer chunk data + trailing CRLF.
-        while rest.len() < size + 2 {
+        while rest.len() < framed {
             let mut chunk = [0u8; 4096];
             let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
             if n == 0 {
@@ -440,18 +473,61 @@ fn read_chunked_body(stream: &mut TcpStream, rest: &mut Vec<u8>) -> Result<Vec<u
             }
             rest.extend_from_slice(&chunk[..n]);
         }
+        if &rest[size..framed] != b"\r\n" {
+            return Err(HttpError::new(400, "chunk data not followed by CRLF"));
+        }
         if size == 0 {
             return Ok(body);
         }
         body.extend_from_slice(&rest[..size]);
-        rest.drain(..size + 2);
+        rest.drain(..framed);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use sms_harness::{CacheKey, Event, RunRequest, SIM_VERSION_SALT};
+    use sms_sim::geom::check::{for_cases, mutate, replay, Gen};
+    use sms_sim::gpu::SimStats;
+    use sms_sim::rtunit::StackConfig;
+    use sms_sim::scene::SceneId;
+    use sms_sim::RenderConfig;
     use std::net::{TcpListener, TcpStream};
+
+    /// A peer that keeps every byte and counts the writes that brought them.
+    #[derive(Debug, Default)]
+    pub(crate) struct Wire {
+        pub bytes: Vec<u8>,
+        pub writes: usize,
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The chunked framing as it was written before chunks were queued: the
+    /// head, then one write per non-empty chunk, then the terminator.
+    pub(crate) fn one_write_per_chunk<T: AsRef<[u8]>>(lines: &[T]) -> Vec<u8> {
+        let mut out = b"HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\n\
+                        Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+            .to_vec();
+        for line in lines.iter().map(AsRef::as_ref).filter(|line| !line.is_empty()) {
+            out.extend_from_slice(format!("{:x}\r\n", line.len()).as_bytes());
+            out.extend_from_slice(line);
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"0\r\n\r\n");
+        out
+    }
 
     /// Runs `read` against a raw byte payload served as one connection.
     fn read_bytes<T>(
@@ -552,8 +628,9 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
             let mut w = ChunkedWriter::start(&mut conn, 200, "application/jsonl").unwrap();
-            w.chunk(b"{\"a\":1}\n").unwrap();
-            w.chunk(b"{\"b\":2}\n").unwrap();
+            w.push(b"{\"a\":1}\n");
+            w.flush().unwrap();
+            w.push(b"{\"b\":2}\n");
             w.finish().unwrap();
         });
         let mut s = TcpStream::connect(addr).unwrap();
@@ -578,5 +655,244 @@ mod tests {
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header("retry-after"), Some("1"));
         assert_eq!(resp.text(), "busy\n");
+    }
+
+    /// However pushes are grouped into flushes, the bytes are the one-write-
+    /// per-chunk framing, and each flush that has anything queued is one
+    /// write.
+    #[test]
+    fn queued_chunks_are_the_per_chunk_framing_in_one_write_per_flush() {
+        for_cases(300, 48, |g| {
+            let lines: Vec<Vec<u8>> =
+                g.vec(0, 40, |g| (0..g.size(0, 300)).map(|_| g.int(0x20, 0x7e) as u8).collect());
+            let mut wire = Wire::default();
+            let mut writer = ChunkedWriter::start(&mut wire, 200, "application/jsonl").unwrap();
+            let mut flushes = 0;
+            for line in &lines {
+                writer.push(line);
+                if g.chance(0.3) {
+                    flushes += usize::from(!writer.queued.is_empty());
+                    writer.flush().unwrap();
+                }
+            }
+            writer.finish().unwrap();
+            assert_eq!(wire.bytes, one_write_per_chunk(&lines));
+            assert_eq!(wire.writes, 1 + flushes + 1, "head, flushes, terminator");
+        });
+    }
+
+    /// A fixed response is one write: head and body together.
+    #[test]
+    fn a_fixed_response_is_one_write() {
+        let mut wire = Wire::default();
+        write_response(&mut wire, 503, "text/plain", &[("Retry-After", "1")], b"busy\n").unwrap();
+        assert_eq!(wire.writes, 1);
+        assert_eq!(
+            wire.bytes,
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\
+              Connection: close\r\nRetry-After: 1\r\n\r\nbusy\n"
+        );
+    }
+
+    /// A chunk size past `usize` once made `size + 2` overflow: a panic
+    /// under overflow checks, a slice past the buffer without them.
+    #[test]
+    fn a_huge_chunk_size_is_a_400_not_an_overflow() {
+        let huge = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n";
+        let err = read_bytes(huge, read_response).unwrap_err();
+        assert_eq!(err.status, 400, "{err}");
+        // A chunk above the body limit is refused before any of it is read.
+        let big = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n40000000\r\nab";
+        assert_eq!(read_bytes(big, read_response).unwrap_err().status, 400);
+        // Chunk data must end in CRLF.
+        let unterminated =
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabXY0\r\n\r\n";
+        assert_eq!(read_bytes(unterminated, read_response).unwrap_err().status, 400);
+    }
+
+    /// The `serve_e2e` rows of the golden table: one fixed-body response
+    /// per case, as both tiers write them.
+    fn golden_responses() -> Vec<Vec<u8>> {
+        let mut cases: Vec<(&str, String)> = Vec::new();
+        for row in include_str!("../../../goldens.txt").lines() {
+            let Some(rest) = row.strip_prefix("serve_e2e.") else { continue };
+            let (name, value) = rest.split_once(' ').unwrap_or((rest, ""));
+            let case = name.split(':').next().unwrap_or_default();
+            let line = value.replace("\\r", "\r");
+            match cases.last_mut() {
+                Some((last, text)) if *last == case => {
+                    text.push('\n');
+                    text.push_str(&line);
+                }
+                _ => cases.push((case, line)),
+            }
+        }
+        cases.into_iter().map(|(_, text)| text.into_bytes()).collect()
+    }
+
+    /// A 4-cell warm sweep's stream as `stream_sweep` frames it: queued
+    /// lines, finished lines, `batch_end`, terminator.
+    fn sweep_stream() -> Vec<u8> {
+        let stats = SimStats { cycles: 424_242, node_visits: 7, ..Default::default() };
+        let cells: Vec<RunRequest> = [SceneId::Wknd, SceneId::Ship]
+            .into_iter()
+            .flat_map(|scene| {
+                [StackConfig::baseline8(), StackConfig::sms_default()]
+                    .map(|stack| RunRequest::new(scene, stack, RenderConfig::tiny()))
+            })
+            .collect();
+        let mut events: Vec<(Event, Option<&str>)> = Vec::new();
+        for (job, req) in cells.iter().enumerate() {
+            events.push((Event::queued(job, req, &CacheKey::new(req, SIM_VERSION_SALT)), None));
+        }
+        for job in 0..cells.len() {
+            events.push((Event::settled(job, Some(1), 17, Ok((&stats, true, None))), Some("hit")));
+        }
+        let end = Event::BatchEnd {
+            jobs: cells.len(),
+            cache_hits: cells.len(),
+            cache_misses: 0,
+            failed: 0,
+            duration_us: 321,
+            sim_cycles: 0,
+            breakdown: None,
+            metrics: None,
+            builds: Vec::new(),
+        };
+        events.push((end, None));
+        let mut wire = Wire::default();
+        let mut writer = ChunkedWriter::start(&mut wire, 200, "application/jsonl").unwrap();
+        for (event, tier) in &events {
+            let mut line = String::new();
+            event.write_with_cache(&mut line, *tier);
+            line.push('\n');
+            writer.push(line.as_bytes());
+        }
+        writer.finish().unwrap();
+        wire.bytes
+    }
+
+    /// Requests as the client sends them: health, a traced sweep, a probe.
+    fn client_requests() -> Vec<Vec<u8>> {
+        let sweep =
+            br#"{"scenes":["WKND","SHIP"],"configs":["RB_8","RB_8+SH_8+SK+RA"],"render":"tiny"}"#;
+        let head = |method: &str, path: &str, len: usize, extra: &str| {
+            format!(
+                "{method} {path} HTTP/1.1\r\nHost: 127.0.0.1:4000\r\nContent-Length: {len}\r\n\
+                 {extra}Connection: close\r\n\r\n"
+            )
+            .into_bytes()
+        };
+        let mut traced = head(
+            "POST",
+            "/v1/sweep",
+            sweep.len(),
+            "x-sms-trace: 00000000c0ffee42-0000000000000001\r\n",
+        );
+        traced.extend_from_slice(sweep);
+        vec![
+            head("GET", "/healthz", 0, ""),
+            traced,
+            head("GET", "/v1/jobs/WKND/RB_8?render=tiny", 0, ""),
+        ]
+    }
+
+    /// One generated input: a real request or response, damaged by
+    /// [`mutate`], and sometimes given a size line no `usize` or no body
+    /// limit holds at one of its line ends.
+    fn garbage(g: &mut Gen, requests: &[Vec<u8>], responses: &[Vec<u8>]) -> (bool, Vec<u8>) {
+        let is_request = g.chance(0.4);
+        let pool = if is_request { requests } else { responses };
+        let donors: Vec<&[u8]> = requests.iter().chain(responses).map(Vec::as_slice).collect();
+        let seed = &pool[g.int(0, pool.len() - 1)];
+        let mut bytes = mutate(g, seed, &donors);
+        if g.chance(0.3) {
+            let ends: Vec<usize> = bytes
+                .windows(2)
+                .enumerate()
+                .filter(|(_, w)| w == b"\r\n")
+                .map(|(i, _)| i + 2)
+                .collect();
+            if let Some(&at) = ends.get(g.int(0, ends.len().max(1) - 1)) {
+                let size = match g.int(0, 3) {
+                    0 => usize::MAX,
+                    1 => usize::MAX - 1,
+                    2 => 1 << g.int(20, 62),
+                    _ => g.rng.next_u64() as usize,
+                };
+                let line = format!("{size:x}\r\n");
+                bytes.splice(at..at, line.bytes());
+            }
+        }
+        (is_request, bytes)
+    }
+
+    /// The property: parsing never panics and never allocates for a size it
+    /// was only told (an allocation that large would abort the run), an
+    /// accepted message's body is bytes it was sent, and a refusal is a
+    /// 4xx — or the 501 for a request body framed by `Transfer-Encoding`.
+    fn accepted_or_4xx(is_request: bool, bytes: &[u8]) {
+        let shown = String::from_utf8_lossy(&bytes[..bytes.len().min(200)]).into_owned();
+        let limits = Limits::default();
+        let (body, refused) = if is_request {
+            match parse_request(&mut &bytes[..], &limits) {
+                Ok(request) => (request.body.len(), None),
+                Err(e) if e.status == 501 => {
+                    assert_eq!(e.message, "request bodies must use Content-Length", "{shown:?}");
+                    return;
+                }
+                Err(e) => (0, Some(e)),
+            }
+        } else {
+            match read_response(&mut &bytes[..], &limits) {
+                Ok(response) => (response.body.len(), None),
+                Err(e) => (0, Some(e)),
+            }
+        };
+        assert!(body <= bytes.len(), "a body longer than its input: {shown:?}");
+        if let Some(e) = refused {
+            assert!((400..500).contains(&e.status), "{e} for {shown:?}");
+        }
+    }
+
+    /// The seeds of [`garbage`]: the client's requests, and the
+    /// `serve_e2e` golden rows followed by a sweep's chunked stream.
+    fn seeds() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let mut responses = golden_responses();
+        responses.push(sweep_stream());
+        (client_requests(), responses)
+    }
+
+    /// Generated garbage against both parsers, seeded from real bytes.
+    /// Every seed parses as sent.
+    #[test]
+    fn garbage_framing_is_accepted_or_a_4xx() {
+        let (requests, responses) = seeds();
+        assert_eq!(responses.len(), 5, "the four serve_e2e cases and the stream");
+        for request in &requests {
+            parse_request(&mut &request[..], &Limits::default()).unwrap();
+        }
+        for response in &responses {
+            let response = read_response(&mut &response[..], &Limits::default()).unwrap();
+            let lines = response.text().lines().count();
+            let length = response.header("content-length").map(|n| n.parse().unwrap());
+            assert_eq!(length.unwrap_or(response.body.len()), response.body.len());
+            assert!(length.is_some() || lines == 9, "the stream's 9 lines");
+        }
+        for_cases(20_000, 48, |g| {
+            let (is_request, bytes) = garbage(g, &requests, &responses);
+            accepted_or_4xx(is_request, &bytes);
+        });
+    }
+
+    /// The shrunk case with which the suite found the chunk-size overflow
+    /// (`attempt to add with overflow` in `read_chunked_body`).
+    #[test]
+    fn garbage_case_seed_48_case_98_overflowed_the_chunk_size() {
+        let (requests, responses) = seeds();
+        replay(48, 98, 0, |g| {
+            let (is_request, bytes) = garbage(g, &requests, &responses);
+            accepted_or_4xx(is_request, &bytes);
+        });
     }
 }

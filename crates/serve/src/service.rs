@@ -25,15 +25,17 @@ use crate::protocol::{self, parse_render};
 use sms_harness::json::Object;
 use sms_harness::trace::wall_us;
 use sms_harness::{
-    log, CacheKey, Event, FaultPlan, Journal, ResultCache, RunError, RunRequest, TraceContext,
-    SIM_VERSION_SALT,
+    log, CacheKey, Event, FaultPlan, Journal, KeyTail, ResultCache, RunError, RunRequest,
+    TraceContext, SIM_VERSION_SALT,
 };
 use sms_sim::gpu::SimStats;
 use sms_sim::rtunit::StackConfig;
+use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::mpsc::{self, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -584,10 +586,14 @@ pub(crate) fn plan_sweep(core: &ServiceCore, request: &Request) -> Result<SweepP
     // Request-level dedup on the canonical key (same identity as the
     // cache and the single-flight table); duplicate cells coalesce into
     // one streamed job, exactly like `Harness::try_run_batch`.
+    // The keys share one `KeyTail`: every cell of a sweep has the same GPU
+    // and render tail, most of its key. Hashes are compared first, so a
+    // string is read only for a duplicate.
     let mut jobs: Vec<(RunRequest, CacheKey)> = Vec::new();
+    let mut tail = KeyTail::default();
     for req in &sweep.requests {
-        let key = CacheKey::new(req, SIM_VERSION_SALT);
-        if !jobs.iter().any(|(_, k)| k.canonical == key.canonical) {
+        let key = CacheKey::with_tail(req, SIM_VERSION_SALT, &mut tail);
+        if !jobs.iter().any(|(_, k)| k.hash == key.hash && k.canonical == key.canonical) {
             jobs.push((*req, key));
         }
     }
@@ -638,28 +644,35 @@ impl JobSink<'_> {
 
 /// The back half of `POST /v1/sweep`: start the chunked stream, announce
 /// every job on stream and journal, run `execute` (which settles each job
-/// on the [`JobSink`]), stream each record the moment it arrives, then
-/// close with the `batch_end` summary.
+/// on the [`JobSink`]), stream each record as it arrives, then close with
+/// the `batch_end` summary.
+///
+/// Each stream line is one chunk, queued on the [`ChunkedWriter`]; the
+/// queue leaves in one write just before the stream would wait for the
+/// next settled job, and before it returns. So every line that is ready
+/// leaves together: a warm sweep, whose jobs all settle at once, costs a
+/// few writes instead of one per line, and a slow job's line still leaves
+/// the moment it settles.
 ///
 /// `execute` is dropped unrun when the response head cannot be written.
 pub(crate) fn stream_sweep(
     core: &ServiceCore,
     plan: &SweepPlan,
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     execute: impl FnOnce(&JobSink<'_>) + Send,
 ) -> Result<(), HttpError> {
     let t0 = Instant::now();
     let mut writer = ChunkedWriter::start(stream, 200, "application/jsonl")
         .map_err(|e| HttpError { status: 500, message: e.to_string() })?;
 
-    // Every stream line is written into this one buffer, then sent as one
-    // chunk.
+    // Every stream line is rendered into this one buffer, then queued as
+    // one chunk.
     let mut line = String::new();
-    let mut send = |writer: &mut ChunkedWriter<'_>, event: &Event, tier: Option<&str>| {
+    let mut push = |writer: &mut ChunkedWriter<'_, _>, event: &Event, tier: Option<&str>| {
         line.clear();
         event.write_with_cache(&mut line, tier);
         line.push('\n');
-        writer.chunk(line.as_bytes())
+        writer.push(line.as_bytes());
     };
     // The stream uses request-local ids (a self-contained journal
     // fragment); the process journal uses process-unique ids so concurrent
@@ -667,7 +680,7 @@ pub(crate) fn stream_sweep(
     let jobs = &plan.jobs;
     let journal_base = core.job_seq.fetch_add(jobs.len() as u64, Ordering::SeqCst) as usize;
     for (local, (req, key)) in jobs.iter().enumerate() {
-        let _ = send(&mut writer, &Event::queued(local, req, key), None);
+        push(&mut writer, &Event::queued(local, req, key), None);
         core.journal.record(Event::queued(journal_base + local, req, key));
     }
 
@@ -684,8 +697,20 @@ pub(crate) fn stream_sweep(
     std::thread::scope(|scope| {
         // The sink (and its sender) drops with the executor, ending `rx`.
         scope.spawn(move || execute(&sink));
-        // Stream lines in completion order; each is flushed as one chunk.
-        for (result, event) in rx {
+        // Lines in completion order: take every settled job there is, and
+        // write the queue only when there is none to take yet.
+        loop {
+            let (result, event) = match rx.try_recv() {
+                Ok(settled) => settled,
+                Err(TryRecvError::Disconnected) => break,
+                Err(TryRecvError::Empty) => {
+                    let _ = writer.flush();
+                    match rx.recv() {
+                        Ok(settled) => settled,
+                        Err(_) => break,
+                    }
+                }
+            };
             match &result {
                 Ok((stats, cache)) if cache == "miss" => {
                     misses += 1;
@@ -700,7 +725,7 @@ pub(crate) fn stream_sweep(
                 // stream's `cache` is the tier as given: `shared` included,
                 // which the journal codec itself renders as `hit`.
                 let tier = result.as_ref().ok().map(|(_, cache)| cache.as_str());
-                let _ = send(&mut writer, &event, tier);
+                push(&mut writer, &event, tier);
                 if let Some(n) = &mut stream_cut_after {
                     *n -= 1;
                 }
@@ -709,8 +734,10 @@ pub(crate) fn stream_sweep(
     });
 
     if core.killed() || stream_cut_after == Some(0) {
-        // Crashed or cut: no batch_end, no terminating chunk — the client
-        // must see an interrupted stream, never a clean short sweep.
+        // Crashed or cut: the lines queued so far, then no batch_end and no
+        // terminating chunk — the client must see an interrupted stream,
+        // never a clean short sweep.
+        let _ = writer.flush();
         return Ok(());
     }
     let summary = Event::BatchEnd {
@@ -738,7 +765,7 @@ pub(crate) fn stream_sweep(
             ],
         ));
     }
-    let _ = send(&mut writer, &summary, None);
+    push(&mut writer, &summary, None);
     let _ = writer.finish();
     Ok(())
 }
@@ -767,6 +794,69 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || tx.send(join.join().unwrap()));
         rx.recv_timeout(HUNG).expect("the accept loop is still blocked in accept")
+    }
+
+    /// A peer whose second write — the stream's first flush — returns only
+    /// once `settled` says every job has settled.
+    struct HeldWire {
+        wire: crate::http::tests::Wire,
+        settled: Option<mpsc::Receiver<()>>,
+    }
+
+    impl Write for HeldWire {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.wire.writes == 1 {
+                if let Some(settled) = self.settled.take() {
+                    let _ = settled.recv_timeout(HUNG);
+                }
+            }
+            self.wire.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A sweep's stream is the one-write-per-chunk framing of its lines,
+    /// byte for byte; and the lines of a warm sweep, whose jobs all settle
+    /// at once, leave in at most 3 writes after the head. Holding the first
+    /// flush until every job has settled makes that bound hold however the
+    /// two threads interleave: one flush, one before the wait that ends the
+    /// loop, and the terminating one.
+    #[test]
+    fn a_warm_sweep_leaves_in_a_few_writes_with_the_per_chunk_bytes() {
+        let core = ServiceCore::new(Limits::default(), 8, 64, None, None, false, None);
+        let render = sms_sim::RenderConfig::tiny();
+        let stacks = [StackConfig::baseline8(), StackConfig::sms_default()];
+        let jobs: Vec<(RunRequest, CacheKey)> = sms_sim::scene::SceneId::ALL[..8]
+            .iter()
+            .flat_map(|&scene| stacks.map(|stack| RunRequest::new(scene, stack, render)))
+            .map(|req| (req, CacheKey::new(&req, SIM_VERSION_SALT)))
+            .collect();
+        let cells = jobs.len();
+        let plan = SweepPlan { jobs, render_name: "tiny".to_owned(), ctx: None, start_us: 0 };
+        let (settled_tx, settled) = mpsc::channel();
+        let mut peer = HeldWire { wire: Default::default(), settled: Some(settled) };
+        let stats = SimStats { cycles: 99, ..Default::default() };
+        stream_sweep(&core, &plan, &mut peer, |sink| {
+            for job in 0..cells {
+                sink.settle(job, Some(0), 5, Ok((stats, "hit".to_owned())));
+            }
+            let _ = settled_tx.send(());
+        })
+        .unwrap();
+
+        let wire = peer.wire;
+        let body = http::read_response(&mut &wire.bytes[..], &Limits::default()).unwrap().text();
+        let lines: Vec<&str> = body.split_inclusive('\n').collect();
+        assert_eq!(wire.bytes, crate::http::tests::one_write_per_chunk(&lines));
+        let events: Vec<&str> =
+            lines.iter().map(|line| line.split('"').nth(3).unwrap_or_default()).collect();
+        assert_eq!(events[..cells], vec!["job_queued"; cells]);
+        assert_eq!(events[cells..2 * cells], vec!["job_finished"; cells]);
+        assert_eq!(events[2 * cells..], ["batch_end"]);
+        assert!(wire.writes - 1 <= 3, "{cells} cells' lines left in {} writes", wire.writes - 1);
     }
 
     #[test]
