@@ -254,6 +254,34 @@ if git grep -nE 'set_nonblocking\(true\)|ACCEPT[_]POLL|DRAIN[_]POLL' -- crates/s
   exit 1
 fi
 
+echo "==> one-write gate (whatever of a response is ready leaves in one write: outside tests only"
+echo "    ChunkedWriter's start/flush/finish and write_response write in http.rs, write_response"
+echo "    writes once, and stream_sweep queues every line and flushes only right before it waits"
+echo "    or returns; prints offenders)"
+# Each file is read up to its `#[cfg(test)]` module; `fn` is the function a
+# line sits in.
+if ! awk '
+  FNR == 1 { tests = 0; fn = ""; held = "" }
+  /^#\[cfg\(test\)\]/ { tests = 1 }
+  tests { next }
+  match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+  FILENAME ~ /http\.rs$/ && /write_all|\.flush\(\)/ {
+    if (fn !~ /^(start|flush|finish|write_response)$/ || fn == "write_response" && /write_all/ && writes++) {
+      print FILENAME ":" FNR ":" $0; bad = 1
+    }
+  }
+  FILENAME ~ /service\.rs$/ && fn == "stream_sweep" {
+    if (held != "" && !/recv\(\)|return /) { print held; bad = 1 }
+    held = ""
+    if (/\.flush\(\)/) held = FILENAME ":" FNR ":" $0
+    if (/write_all|\.write\(|\.chunk\(/) { print FILENAME ":" FNR ":" $0; bad = 1 }
+  }
+  END { exit bad }' crates/serve/src/http.rs crates/serve/src/service.rs; then
+  echo "a response is written a piece at a time again (push each line onto the ChunkedWriter and"
+  echo "flush only before waiting on the next settled job; build a fixed response in one buffer)"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -271,6 +299,13 @@ cargo test -q -p sms-serve --test serve_e2e -- \
   wire_bytes_match_parent_goldens malformed_requests_get_4xx_not_panic \
   a_simulator_panic_does_not_leak_a_permit a_nesting_bomb_is_a_400_on_both_tiers
 cargo test -q -p sms-harness --test cache_robustness
+
+echo "==> wire framing suite (a batched stream is the per-chunk framing byte for byte, a warm sweep"
+echo "    leaves in at most 3 writes after the head, a fixed response in one; generated garbage"
+echo "    against the request and response parsers and, in cache_robustness, the entry reader)"
+cargo test -q -p sms-serve --lib -- http::tests:: \
+  service::tests::a_warm_sweep_leaves_in_a_few_writes_with_the_per_chunk_bytes
+cargo test -q -p sms-harness --lib cache::tests::keys_through_one_tail_are_fresh_keys
 
 echo "==> journal/json regression suite (schema goldens, non-finite floats, watchdog; generated"
 echo "    garbage against RFC 8259, every writer byte for byte against the old tree writer)"
