@@ -8,9 +8,8 @@
 //! sweep can never fix it. A hard per-request deadline caps the whole
 //! retry loop, sleeps included, so a dead server costs a bounded wait.
 
-use crate::http::{self, Limits, Response};
-use crate::protocol::SweepOutcome;
-use sms_harness::json::Json;
+use crate::http::{self, Limits, Message, Response};
+use crate::protocol::{sweep_body, SweepOutcome};
 use sms_harness::{TraceContext, TRACE_HEADER};
 use sms_sim::Env;
 use std::io::Write;
@@ -28,16 +27,13 @@ pub struct ClientConfig {
     pub base_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Hard wall-clock budget for one request, attempts and sleeps
-    /// included.
+    /// Hard wall-clock budget for one request, attempts and sleeps included.
     pub deadline: Duration,
     /// Socket limits (timeouts, response size caps).
     pub limits: Limits,
-    /// Distributed-tracing context to attach as the `x-sms-trace` header
-    /// on every attempt (retries carry the same context, so their
-    /// server-side spans all land in one trace). `None` sends no header,
-    /// which keeps the serving tier's journals byte-identical to an
-    /// untraced run.
+    /// The `x-sms-trace` context every attempt carries, so the spans of a
+    /// request's retries land in one trace. `None` sends no header, which
+    /// keeps the serving tier's journals byte-identical to an untraced run.
     pub trace: Option<TraceContext>,
 }
 
@@ -86,10 +82,10 @@ pub struct ClientError {
 
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.status {
-            Some(s) => write!(f, "{} after {} attempt(s): {}", s, self.attempts, self.message),
-            None => write!(f, "after {} attempt(s): {}", self.attempts, self.message),
+        if let Some(status) = self.status {
+            write!(f, "{status} ")?;
         }
+        write!(f, "after {} attempt(s): {}", self.attempts, self.message)
     }
 }
 
@@ -112,11 +108,6 @@ impl Client {
         Client { config }
     }
 
-    /// The configured retry policy (for callers that report it).
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
-    }
-
     /// `GET path`, with retries.
     pub fn get(&self, path: &str) -> Result<Response, ClientError> {
         self.request("GET", path, &[])
@@ -135,27 +126,12 @@ impl Client {
         configs: &[&str],
         render: &str,
     ) -> Result<SweepOutcome, ClientError> {
-        // Built as a `Json` value, so a label holding `"` or `\` is escaped
-        // and reaches the server's label check intact.
-        let list = |xs: &[&str]| Json::Arr(xs.iter().map(|x| Json::Str((*x).to_owned())).collect());
-        let body = Json::Obj(vec![
-            ("scenes".to_owned(), list(scenes)),
-            ("configs".to_owned(), list(configs)),
-            ("render".to_owned(), Json::Str(render.to_owned())),
-        ]);
-        let resp = self.post("/v1/sweep", body.to_string().as_bytes())?;
+        let resp = self.post("/v1/sweep", sweep_body(scenes, configs, render).as_bytes())?;
+        let error = |message| ClientError { status: Some(resp.status), message, attempts: 1 };
         if resp.status != 200 {
-            return Err(ClientError {
-                status: Some(resp.status),
-                message: resp.text().trim().to_owned(),
-                attempts: 1,
-            });
+            return Err(error(resp.text().trim().to_owned()));
         }
-        SweepOutcome::parse(&resp.text()).map_err(|message| ClientError {
-            status: Some(200),
-            message,
-            attempts: 1,
-        })
+        SweepOutcome::parse(&resp.text()).map_err(error)
     }
 
     /// One request with the full retry loop: `Retry-After` drives the next
@@ -168,16 +144,11 @@ impl Client {
             let (mut err, retry_after) = match self.attempt(method, path, body, start) {
                 Ok(resp) if resp.status < 500 => return Ok(resp),
                 Ok(resp) => {
-                    let retry_after = resp
-                        .header("retry-after")
-                        .and_then(|v| v.trim().parse::<u64>().ok())
-                        .map(Duration::from_secs);
-                    let err = ClientError {
-                        status: Some(resp.status),
-                        message: resp.text().trim().to_owned(),
-                        attempts,
-                    };
-                    (err, retry_after)
+                    let retry_after =
+                        resp.header("retry-after").and_then(|v| v.trim().parse().ok());
+                    let message = resp.text().trim().to_owned();
+                    let err = ClientError { status: Some(resp.status), message, attempts };
+                    (err, retry_after.map(Duration::from_secs))
                 }
                 Err(message) => (ClientError { status: None, message, attempts }, None),
             };
@@ -199,73 +170,51 @@ impl Client {
         body: &[u8],
         start: Instant,
     ) -> Result<Response, String> {
-        let remaining = self
-            .config
-            .deadline
-            .checked_sub(start.elapsed())
-            .ok_or_else(|| "request deadline exhausted".to_owned())?;
-        let addr = self
-            .config
+        let config = &self.config;
+        // What is left of the deadline. Zero means "no timeout" to a socket,
+        // so an exhausted budget is an error, never an unbounded read.
+        let remaining = || {
+            let left = config.deadline.checked_sub(start.elapsed()).filter(|r| !r.is_zero());
+            left.ok_or_else(|| "request deadline exhausted".to_owned())
+        };
+        let connect_budget = remaining()?.min(config.limits.read_timeout);
+        let addr = config
             .addr
             .to_socket_addrs()
-            .map_err(|e| format!("cannot resolve `{}`: {e}", self.config.addr))?
+            .map_err(|e| format!("cannot resolve `{}`: {e}", config.addr))?
             .next()
-            .ok_or_else(|| format!("`{}` resolves to nothing", self.config.addr))?;
-        let connect_budget = remaining.min(self.config.limits.read_timeout);
+            .ok_or_else(|| format!("`{}` resolves to nothing", config.addr))?;
         let mut stream = TcpStream::connect_timeout(&addr, connect_budget)
             .map_err(|e| format!("connect to {addr}: {e}"))?;
-        // Send and read must also land inside the request deadline, so the
-        // socket timeouts are clipped to what is left of it after the
-        // connect — not the full configured timeout, which would let a
-        // hung response body overshoot the deadline by up to a whole
-        // `read_timeout`. Zero means "no timeout" to the socket API (and
-        // is rejected by `set_read_timeout`), so an exhausted budget turns
-        // into an error rather than an unbounded read.
-        let remaining = self
-            .config
-            .deadline
-            .checked_sub(start.elapsed())
-            .filter(|r| !r.is_zero())
-            .ok_or_else(|| "request deadline exhausted".to_owned())?;
+        // The socket timeouts are clipped to what the connect left, so a hung
+        // response body cannot overshoot the deadline by a `read_timeout`.
+        let left = remaining()?;
         stream
-            .set_read_timeout(Some(self.config.limits.read_timeout.min(remaining)))
-            .map_err(|e| format!("set read timeout: {e}"))?;
-        stream
-            .set_write_timeout(Some(self.config.limits.write_timeout.min(remaining)))
-            .map_err(|e| format!("set write timeout: {e}"))?;
-        let trace_header = match &self.config.trace {
-            Some(ctx) => format!("{TRACE_HEADER}: {}\r\n", ctx.header_value()),
-            None => String::new(),
-        };
+            .set_read_timeout(Some(config.limits.read_timeout.min(left)))
+            .and_then(|()| stream.set_write_timeout(Some(config.limits.write_timeout.min(left))))
+            .map_err(|e| format!("set socket timeouts: {e}"))?;
+        let (length, trace) = (body.len().to_string(), config.trace.map(|t| t.header_value()));
+        let mut fields = vec![("Host", config.addr.as_str()), ("Content-Length", length.as_str())];
+        fields.extend(trace.as_deref().map(|value| (TRACE_HEADER, value)));
+        fields.push(("Connection", "close"));
         // Head and body leave in one write.
-        let mut request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n{trace_header}Connection: close\r\n\r\n",
-            self.config.addr,
-            body.len()
-        )
-        .into_bytes();
-        request.extend_from_slice(body);
+        let request = http::message(http::Start::Request(method, path), &fields, body);
         stream.write_all(&request).map_err(|e| format!("send request: {e}"))?;
-        http::read_response(&mut stream, &self.config.limits).map_err(|e| e.to_string())
+        http::read_response(&mut stream, &config.limits).map_err(|e| e.to_string())
     }
 
     /// Sleeps the backoff for this attempt (never past the deadline).
     /// Returns `false` when the deadline leaves no room to retry.
     fn sleep_backoff(&self, attempt: u32, retry_after: Option<Duration>, start: Instant) -> bool {
-        let exp = self
-            .config
-            .base_backoff
-            .saturating_mul(1u32 << (attempt - 1).min(16))
-            .min(self.config.max_backoff);
+        let config = &self.config;
+        let exp =
+            config.base_backoff.saturating_mul(1 << (attempt - 1).min(16)).min(config.max_backoff);
         let backoff = retry_after.unwrap_or_else(|| jittered(exp));
-        let Some(remaining) = self.config.deadline.checked_sub(start.elapsed()) else {
-            return false;
-        };
-        if backoff >= remaining {
-            return false;
+        let fits = config.deadline.checked_sub(start.elapsed()).is_some_and(|left| backoff < left);
+        if fits {
+            std::thread::sleep(backoff);
         }
-        std::thread::sleep(backoff);
-        true
+        fits
     }
 }
 

@@ -5,22 +5,21 @@
 //! rejects everything else *before* any simulator state is touched:
 //!
 //! * request line `METHOD SP PATH SP HTTP/1.1`, `GET`/`POST` only;
-//! * headers up to [`Limits::max_head`] bytes, bodies up to
-//!   [`Limits::max_body`] bytes, announced by a single well-formed
-//!   `Content-Length` (request bodies in `Transfer-Encoding` are refused);
+//! * one reader for requests and responses: a head up to
+//!   [`Limits::max_head`] bytes, every field line named, and a body up to
+//!   [`Limits::max_body`] bytes in all, framed by one `Content-Length` or,
+//!   in a response only, by chunks or connection close;
 //! * per-connection read/write timeouts, so one stalled peer can never
 //!   wedge a handler thread forever;
 //! * one request per connection — every response carries
-//!   `Connection: close`, which keeps connection state trivial and load
-//!   shedding exact.
+//!   `Connection: close`, which keeps connection state trivial.
 //!
-//! Every response leaves in as few writes as its content allows: a fixed
-//! body goes out with its head in one write ([`write_response`]); a chunked
-//! stream ([`ChunkedWriter`]) writes its head at once, then queues one
-//! chunk per JSONL record of `/v1/sweep` and writes whatever is queued in
-//! one write when the stream would otherwise wait, so a client still sees
-//! each record as its job finishes.
+//! Every head is built by [`message`] and leaves with its fixed body in one
+//! write; a chunked stream ([`ChunkedWriter`]) queues one chunk per JSONL
+//! record of `/v1/sweep` and writes the queue in one write whenever the
+//! stream would otherwise wait.
 
+use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -28,9 +27,9 @@ use std::time::Duration;
 /// Hard per-connection parsing limits.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Maximum bytes for the request line + headers.
+    /// Maximum bytes for the start line + headers.
     pub max_head: usize,
-    /// Maximum request-body bytes.
+    /// Maximum body bytes of a request or a response, however framed.
     pub max_body: usize,
     /// Socket read timeout.
     pub read_timeout: Duration,
@@ -52,8 +51,7 @@ impl Default for Limits {
 /// A parse/IO failure mapped to the HTTP status the peer should see.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpError {
-    /// Status code to answer with (4xx for peer mistakes, 408 for
-    /// timeouts, 500 for local I/O trouble).
+    /// Status to answer with: 4xx peer mistakes, 408 timeouts, 5xx ours.
     pub status: u16,
     /// One-line diagnostic (becomes the response body).
     pub message: String,
@@ -88,36 +86,45 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-impl Request {
+/// A parsed response (client side).
+#[derive(Debug, Clone)]
+pub struct Response {
+    /// Status code.
+    pub status: u16,
+    /// Header pairs in arrival order, names lowercased.
+    pub headers: Vec<(String, String)>,
+    /// The de-chunked body.
+    pub body: Vec<u8>,
+}
+
+impl Response {
+    /// The body as UTF-8 text (lossy).
+    pub fn text(&self) -> String {
+        String::from_utf8_lossy(&self.body).into_owned()
+    }
+}
+
+/// A parsed message of either kind, and the one header lookup.
+pub trait Message {
+    /// Header pairs in arrival order, names lowercased.
+    fn headers(&self) -> &[(String, String)];
+
     /// First header with this (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
+        self.headers().iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
     }
 }
 
-/// The canonical reason phrase for the statuses this server emits.
-pub fn status_text(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        501 => "Not Implemented",
-        503 => "Service Unavailable",
-        _ => "Unknown",
+impl Message for Request {
+    fn headers(&self) -> &[(String, String)] {
+        &self.headers
     }
 }
 
-fn io_error(e: &std::io::Error) -> HttpError {
-    use std::io::ErrorKind;
-    match e.kind() {
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => HttpError::new(408, "read timed out"),
-        _ => HttpError::new(400, format!("connection error: {e}")),
+impl Message for Response {
+    fn headers(&self) -> &[(String, String)] {
+        &self.headers
     }
 }
 
@@ -131,6 +138,161 @@ fn parse_digits(field: &str, radix: u32) -> Option<usize> {
     usize::from_str_radix(field, radix).ok()
 }
 
+/// Bytes pulled from the peer per read.
+const READ_BUF: usize = 4096;
+
+/// How a body ends: after `Content-Length` bytes, at the zero-size chunk,
+/// or when the peer closes the connection.
+enum Framing {
+    Length(usize),
+    Chunked,
+    Close,
+}
+
+/// One message's bytes as they arrive: what was read from the peer and not
+/// yet used, and whether it is a `request` or a `response` (for the
+/// diagnostics). [`Reader::fill`] holds this module's only read.
+struct Reader<'a, R: Read> {
+    stream: &'a mut R,
+    buf: Vec<u8>,
+    what: &'static str,
+}
+
+impl<R: Read> Reader<'_, R> {
+    /// Reads until at least `n` bytes are buffered; `false` when the
+    /// stream ends first.
+    fn fill(&mut self, n: usize) -> Result<bool, HttpError> {
+        let mut chunk = [0u8; READ_BUF];
+        while self.buf.len() < n {
+            let read = self.stream.read(&mut chunk).map_err(|e| match e.kind() {
+                WouldBlock | TimedOut => HttpError::new(408, "read timed out"),
+                _ => HttpError::new(400, format!("connection error: {e}")),
+            })?;
+            if read == 0 {
+                return Ok(false);
+            }
+            self.buf.extend_from_slice(&chunk[..read]);
+        }
+        Ok(true)
+    }
+
+    /// [`Reader::fill`], where the stream ending first is a 400.
+    fn need(&mut self, n: usize) -> Result<(), HttpError> {
+        match self.fill(n)? {
+            true => Ok(()),
+            false => Err(HttpError::new(400, format!("connection closed mid-{}", self.what))),
+        }
+    }
+
+    /// The bytes before the next `delim`, which is used up too; `None` when
+    /// more than `max` bytes come before it.
+    fn until(&mut self, delim: &[u8], max: usize) -> Result<Option<Vec<u8>>, HttpError> {
+        loop {
+            if let Some(at) = self.buf.windows(delim.len()).position(|w| w == delim) {
+                let line = self.exact(at)?;
+                self.buf.drain(..delim.len());
+                return Ok((line.len() <= max).then_some(line));
+            }
+            if self.buf.len() > max {
+                return Ok(None);
+            }
+            self.need(self.buf.len() + 1)?;
+        }
+    }
+
+    /// Exactly the next `n` bytes.
+    fn exact(&mut self, n: usize) -> Result<Vec<u8>, HttpError> {
+        self.need(n)?;
+        Ok(self.buf.drain(..n).collect())
+    }
+
+    /// Every byte up to the end of the stream; `None` past `max` bytes.
+    fn to_eof(&mut self, max: usize) -> Result<Option<Vec<u8>>, HttpError> {
+        let ended = !self.fill(max.saturating_add(1))?;
+        Ok(ended.then(|| std::mem::take(&mut self.buf)))
+    }
+
+    /// A head: its start line, read by `start`, and its fields, names
+    /// lowercased. Over `max` bytes it is a 431; a nameless field, a 400.
+    fn head<T>(
+        &mut self,
+        max: usize,
+        start: impl FnOnce(&str) -> Result<T, HttpError>,
+    ) -> Result<(T, Vec<(String, String)>), HttpError> {
+        let what = self.what;
+        let head = self
+            .until(b"\r\n\r\n", max)?
+            .ok_or_else(|| HttpError::new(431, format!("{what} head too large")))?;
+        let head = String::from_utf8(head)
+            .map_err(|_| HttpError::new(400, format!("{what} head is not UTF-8")))?;
+        let mut lines = head.split("\r\n");
+        let start = start(lines.next().unwrap_or_default())?;
+        let fields = lines.map(|line| match line.split_once(':') {
+            Some((name, value)) if !name.is_empty() && !name.contains(' ') => {
+                Ok((name.to_ascii_lowercase(), value.trim().to_owned()))
+            }
+            _ => Err(HttpError::new(400, format!("malformed header line `{line}`"))),
+        });
+        Ok((start, fields.collect::<Result<_, _>>()?))
+    }
+
+    /// A body as `framing` ends it, at most [`Limits::max_body`] bytes in
+    /// all: a longer one is refused before more than one read past the
+    /// limit is buffered.
+    fn body(&mut self, framing: Framing, limits: &Limits) -> Result<Vec<u8>, HttpError> {
+        let max = limits.max_body;
+        let too_large =
+            |n: String| HttpError::new(413, format!("body of {n} bytes exceeds the {max} limit"));
+        match framing {
+            Framing::Length(n) if n > max => Err(too_large(n.to_string())),
+            Framing::Length(n) => match self.exact(n)? {
+                body if self.buf.is_empty() => Ok(body),
+                _ => Err(HttpError::new(400, "body longer than Content-Length")),
+            },
+            Framing::Close => {
+                self.to_eof(max)?.ok_or_else(|| too_large(format!("more than {max}")))
+            }
+            Framing::Chunked => {
+                let mut body = Vec::new();
+                loop {
+                    let line = self
+                        .until(b"\r\n", limits.max_head)?
+                        .ok_or_else(|| HttpError::new(400, "chunk size line too long"))?;
+                    let line = String::from_utf8_lossy(&line);
+                    let size = parse_digits(line.trim(), 16).ok_or_else(|| {
+                        HttpError::new(400, format!("malformed chunk size `{line}`"))
+                    })?;
+                    // The running total counts, not only this chunk.
+                    if size > max - body.len() {
+                        let message = format!("chunk size `{line}` exceeds the {max} limit");
+                        return Err(HttpError::new(400, message));
+                    }
+                    body.extend(self.exact(size)?);
+                    if self.exact(2)? != b"\r\n" {
+                        return Err(HttpError::new(400, "chunk data not followed by CRLF"));
+                    }
+                    if size == 0 {
+                        return Ok(body);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The one `Content-Length` among `fields`, if there is one. Two are
+/// invalid framing whatever they say (RFC 9112 §6.3).
+fn content_length(fields: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut lengths = fields.iter().filter(|(k, _)| k == "content-length");
+    match (lengths.next(), lengths.next()) {
+        (None, _) => Ok(None),
+        (Some((_, raw)), None) => parse_digits(raw, 10)
+            .map(Some)
+            .ok_or_else(|| HttpError::new(400, format!("malformed Content-Length `{raw}`"))),
+        (Some(_), Some(_)) => Err(HttpError::new(400, "more than one Content-Length")),
+    }
+}
+
 /// Reads and strictly parses one request from the stream. Applies the
 /// read/write timeouts to the socket as a side effect.
 pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, HttpError> {
@@ -141,29 +303,24 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
 
 /// [`read_request`] on any byte source.
 fn parse_request(stream: &mut impl Read, limits: &Limits) -> Result<Request, HttpError> {
-    // Read until the blank line that ends the head, byte-capped.
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() >= limits.max_head {
-            return Err(HttpError::new(431, "request head too large"));
-        }
-        let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
-        if n == 0 {
-            return Err(HttpError::new(400, "connection closed mid-request"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| HttpError::new(400, "request head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
+    let mut reader = Reader { stream, buf: Vec::new(), what: "request" };
+    let ((method, path, query), headers) = reader.head(limits.max_head, request_line)?;
+    let mut req = Request { method, path, query, headers, body: Vec::new() };
+    if req.header("transfer-encoding").is_some() {
+        return Err(HttpError::new(501, "request bodies must use Content-Length"));
+    }
+    let length = content_length(&req.headers)?.unwrap_or(0);
+    if req.method == "GET" && length > 0 {
+        return Err(HttpError::new(400, "GET requests must not carry a body"));
+    }
+    req.body = reader.body(Framing::Length(length), limits)?;
+    Ok(req)
+}
 
-    // `METHOD SP PATH SP HTTP/1.1`, nothing more, nothing less.
-    let mut parts = request_line.split(' ');
+/// `METHOD SP PATH SP HTTP/1.1`, nothing more, nothing less: the method,
+/// the path and the query.
+fn request_line(line: &str) -> Result<(String, String, String), HttpError> {
+    let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
         _ => return Err(HttpError::new(400, "malformed request line")),
@@ -181,73 +338,70 @@ fn parse_request(stream: &mut impl Read, limits: &Limits) -> Result<Request, Htt
     if !target.starts_with('/') {
         return Err(HttpError::new(400, "request target must be an absolute path"));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), q.to_owned()),
-        None => (target.to_owned(), String::new()),
-    };
-
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::new(400, format!("malformed header line `{line}`")));
-        };
-        if name.is_empty() || name.contains(' ') {
-            return Err(HttpError::new(400, format!("malformed header name `{name}`")));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
-    }
-
-    let mut req = Request { method: method.to_owned(), path, query, headers, body: Vec::new() };
-
-    if req.header("transfer-encoding").is_some() {
-        return Err(HttpError::new(501, "request bodies must use Content-Length"));
-    }
-    // Two lengths are invalid framing whatever they say (RFC 9112 §6.3).
-    let mut lengths = req.headers.iter().filter(|(k, _)| k == "content-length");
-    let content_length = match (lengths.next(), lengths.next()) {
-        (None, _) => 0usize,
-        (Some((_, raw)), None) => parse_digits(raw, 10)
-            .ok_or_else(|| HttpError::new(400, format!("malformed Content-Length `{raw}`")))?,
-        (Some(_), Some(_)) => return Err(HttpError::new(400, "more than one Content-Length")),
-    };
-    if req.method == "GET" && content_length > 0 {
-        return Err(HttpError::new(400, "GET requests must not carry a body"));
-    }
-    if content_length > limits.max_body {
-        return Err(HttpError::new(
-            413,
-            format!("body of {content_length} bytes exceeds the {} limit", limits.max_body),
-        ));
-    }
-
-    // Bytes past the head already read belong to the body.
-    let mut body = buf[head_end + 4..].to_vec();
-    if body.len() > content_length {
-        return Err(HttpError::new(400, "body longer than Content-Length"));
-    }
-    while body.len() < content_length {
-        let mut chunk = [0u8; 4096];
-        let want = (content_length - body.len()).min(chunk.len());
-        let n = stream.read(&mut chunk[..want]).map_err(|e| io_error(&e))?;
-        if n == 0 {
-            return Err(HttpError::new(400, "connection closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    req.body = body;
-    Ok(req)
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    Ok((method.to_owned(), path.to_owned(), query.to_owned()))
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Reads a full response: status line, headers, then a body framed by
+/// `Content-Length`, chunked encoding, or connection close.
+pub fn read_response(stream: &mut impl Read, limits: &Limits) -> Result<Response, HttpError> {
+    let mut reader = Reader { stream, buf: Vec::new(), what: "response" };
+    let (status, headers) = reader.head(limits.max_head, |line| {
+        let status = line.split(' ').nth(1).and_then(|s| s.parse::<u16>().ok());
+        status.ok_or_else(|| HttpError::new(400, format!("malformed status line `{line}`")))
+    })?;
+    let mut response = Response { status, headers, body: Vec::new() };
+    let framing = match response.header("transfer-encoding") {
+        Some(coding) if coding.eq_ignore_ascii_case("chunked") => Framing::Chunked,
+        _ => content_length(&response.headers)?.map_or(Framing::Close, Framing::Length),
+    };
+    response.body = reader.body(framing, limits)?;
+    Ok(response)
 }
 
-/// Writes a complete response with a fixed body, head and body in one
-/// write, and closes the exchange (`Connection: close`). `extra_headers`
-/// are emitted verbatim.
+/// The start line of a message this tier writes.
+pub enum Start<'a> {
+    /// `METHOD SP PATH SP HTTP/1.1`.
+    Request(&'a str, &'a str),
+    /// `HTTP/1.1 SP STATUS SP REASON`.
+    Response(u16),
+}
+
+/// A message's bytes: the head (the start line, one `name: value` line per
+/// field in the order given, the blank line), then `body`. Every head this
+/// tier sends is built here; the caller writes it.
+pub fn message(start: Start<'_>, fields: &[(&str, &str)], body: &[u8]) -> Vec<u8> {
+    // Writes into a `Vec` cannot fail.
+    let mut out = Vec::with_capacity(256 + body.len());
+    let _ = match start {
+        Start::Request(method, path) => write!(out, "{method} {path} HTTP/1.1\r\n"),
+        Start::Response(status) => {
+            let reason = match status {
+                200 => "OK",
+                400 => "Bad Request",
+                404 => "Not Found",
+                405 => "Method Not Allowed",
+                408 => "Request Timeout",
+                413 => "Payload Too Large",
+                431 => "Request Header Fields Too Large",
+                500 => "Internal Server Error",
+                501 => "Not Implemented",
+                503 => "Service Unavailable",
+                _ => "Unknown",
+            };
+            write!(out, "HTTP/1.1 {status} {reason}\r\n")
+        }
+    };
+    for (name, value) in fields {
+        let _ = write!(out, "{name}: {value}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    out
+}
+
+/// Writes a response with a fixed body, head and body in one write, closing
+/// the exchange (`Connection: close`); `extra_headers` follow verbatim.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -255,22 +409,17 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> std::io::Result<()> {
-    let mut out = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
-         Connection: close\r\n",
-        status_text(status),
-        body.len()
-    )
-    .into_bytes();
-    for (k, v) in extra_headers {
-        out.extend_from_slice(k.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(v.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    }
-    out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body);
-    stream.write_all(&out)?;
+    let length = body.len().to_string();
+    let fixed = [
+        ("Content-Type", content_type),
+        ("Content-Length", length.as_str()),
+        ("Connection", "close"),
+    ];
+    stream.write_all(&message(
+        Start::Response(status),
+        &[&fixed[..], extra_headers].concat(),
+        body,
+    ))?;
     stream.flush()
 }
 
@@ -282,12 +431,11 @@ pub fn write_error(stream: &mut TcpStream, err: &HttpError) {
     let _ = write_response(stream, err.status, "text/plain", retry, body.as_bytes());
 }
 
-/// A chunked-transfer response in progress: the head is written by
-/// [`ChunkedWriter::start`]; each JSONL record is framed as one chunk by
-/// [`ChunkedWriter::push`] into a queue that [`ChunkedWriter::flush`]
-/// writes in one write; [`ChunkedWriter::finish`] queues the terminator and
-/// flushes. The bytes on the wire are the same however the pushes are
-/// grouped into flushes.
+/// A chunked-transfer response in progress: [`ChunkedWriter::start`]
+/// writes the head, [`ChunkedWriter::push`] queues one chunk per JSONL
+/// record, [`ChunkedWriter::flush`] writes the queue in one write and
+/// [`ChunkedWriter::finish`] adds the terminator. The bytes on the wire are
+/// the same however the pushes are grouped into flushes.
 pub struct ChunkedWriter<'a, W: Write> {
     stream: &'a mut W,
     /// Framed chunks (size line, data, CRLF each) not yet written.
@@ -298,12 +446,12 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// Writes the response head at once, so a peer that is already gone
     /// fails the response here, and returns the chunk writer.
     pub fn start(stream: &'a mut W, status: u16, content_type: &str) -> std::io::Result<Self> {
-        let head = format!(
-            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
-             Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-            status_text(status)
-        );
-        stream.write_all(head.as_bytes())?;
+        let fields = [
+            ("Content-Type", content_type),
+            ("Transfer-Encoding", "chunked"),
+            ("Connection", "close"),
+        ];
+        stream.write_all(&message(Start::Response(status), &fields, &[]))?;
         Ok(ChunkedWriter { stream, queued: Vec::new() })
     }
 
@@ -333,154 +481,6 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
     pub fn finish(mut self) -> std::io::Result<()> {
         self.queued.extend_from_slice(b"0\r\n\r\n");
         self.flush()
-    }
-}
-
-/// A parsed response (client side).
-#[derive(Debug, Clone)]
-pub struct Response {
-    /// Status code.
-    pub status: u16,
-    /// Header pairs, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// The de-chunked body.
-    pub body: Vec<u8>,
-}
-
-impl Response {
-    /// First header with this (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
-    }
-
-    /// The body as UTF-8 text (lossy).
-    pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
-    }
-}
-
-/// Reads a full response: status line, headers, then a body framed by
-/// `Content-Length`, chunked encoding, or connection close.
-pub fn read_response(stream: &mut impl Read, limits: &Limits) -> Result<Response, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() >= limits.max_head {
-            return Err(HttpError::new(431, "response head too large"));
-        }
-        let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
-        if n == 0 {
-            return Err(HttpError::new(400, "connection closed mid-response"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| HttpError::new(400, "response head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or_default();
-    let status = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| HttpError::new(400, format!("malformed status line `{status_line}`")))?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
-        }
-    }
-    let mut rest = buf[head_end + 4..].to_vec();
-    let response = Response { status, headers, body: Vec::new() };
-
-    let chunked =
-        response.header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
-        read_chunked_body(stream, &mut rest, limits)?
-    } else if let Some(len) = response.header("content-length") {
-        let len = parse_digits(len, 10)
-            .ok_or_else(|| HttpError::new(400, "malformed response Content-Length"))?;
-        while rest.len() < len {
-            let mut chunk = [0u8; 4096];
-            let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
-            if n == 0 {
-                return Err(HttpError::new(400, "connection closed mid-response-body"));
-            }
-            rest.extend_from_slice(&chunk[..n]);
-        }
-        rest.truncate(len);
-        rest
-    } else {
-        // Framed by connection close.
-        let mut chunk = [0u8; 4096];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => rest.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(io_error(&e)),
-            }
-        }
-        rest
-    };
-    Ok(Response { body, ..response })
-}
-
-/// Decodes a chunked body; `rest` holds bytes already read past the head.
-/// A size line longer than [`Limits::max_head`] or a chunk larger than
-/// [`Limits::max_body`] is refused before anything is buffered for it.
-fn read_chunked_body(
-    stream: &mut impl Read,
-    rest: &mut Vec<u8>,
-    limits: &Limits,
-) -> Result<Vec<u8>, HttpError> {
-    let mut body = Vec::new();
-    loop {
-        // Ensure a full size line is buffered.
-        let line_end = loop {
-            if let Some(pos) = rest.windows(2).position(|w| w == b"\r\n") {
-                break pos;
-            }
-            if rest.len() >= limits.max_head {
-                return Err(HttpError::new(400, "chunk size line too long"));
-            }
-            let mut chunk = [0u8; 1024];
-            let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
-            if n == 0 {
-                return Err(HttpError::new(400, "connection closed mid-chunk-size"));
-            }
-            rest.extend_from_slice(&chunk[..n]);
-        };
-        let size_line = std::str::from_utf8(&rest[..line_end])
-            .map_err(|_| HttpError::new(400, "chunk size is not UTF-8"))?;
-        let size = parse_digits(size_line.trim(), 16)
-            .ok_or_else(|| HttpError::new(400, format!("malformed chunk size `{size_line}`")))?;
-        // Chunk data + trailing CRLF, for a chunk no larger than a body.
-        let framed = size.checked_add(2).filter(|_| size <= limits.max_body).ok_or_else(|| {
-            HttpError::new(
-                400,
-                format!("chunk size `{size_line}` exceeds the {} limit", limits.max_body),
-            )
-        })?;
-        rest.drain(..line_end + 2);
-        while rest.len() < framed {
-            let mut chunk = [0u8; 4096];
-            let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
-            if n == 0 {
-                return Err(HttpError::new(400, "connection closed mid-chunk"));
-            }
-            rest.extend_from_slice(&chunk[..n]);
-        }
-        if &rest[size..framed] != b"\r\n" {
-            return Err(HttpError::new(400, "chunk data not followed by CRLF"));
-        }
-        if size == 0 {
-            return Ok(body);
-        }
-        body.extend_from_slice(&rest[..size]);
-        rest.drain(..framed);
     }
 }
 

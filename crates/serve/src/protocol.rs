@@ -35,6 +35,19 @@ pub fn parse_render(name: &str) -> Result<RenderConfig, String> {
     }
 }
 
+/// The `/v1/sweep` body [`parse_sweep`] reads: the three fields in this
+/// order. Built as a `Json` value, so a label holding `"` or `\` is escaped
+/// and reaches the server's label check intact.
+pub fn sweep_body(scenes: &[&str], configs: &[&str], render: &str) -> String {
+    let list = |xs: &[&str]| Json::Arr(xs.iter().map(|x| Json::Str((*x).to_owned())).collect());
+    let body = Json::Obj(vec![
+        ("scenes".to_owned(), list(scenes)),
+        ("configs".to_owned(), list(configs)),
+        ("render".to_owned(), Json::Str(render.to_owned())),
+    ]);
+    body.to_string()
+}
+
 /// A parsed `/v1/sweep` body: the deduplicatable request list plus the
 /// render mode it was built with (echoed in probes and labels).
 #[derive(Debug, Clone)]

@@ -19,7 +19,7 @@
 //! written); each cell it finished is already in the result cache, so a
 //! re-run simulates only the rest.
 
-use crate::http::{self, ChunkedWriter, HttpError, Limits, Request};
+use crate::http::{self, ChunkedWriter, HttpError, Limits, Message, Request};
 use crate::metrics::{inc, HttpCounters};
 use crate::protocol::{self, parse_render};
 use sms_harness::json::Object;

@@ -1,7 +1,15 @@
-//! The bytes the client puts on the wire, pinned literally.
+//! The bytes the client, the backend and the fleet put on the wire and
+//! take off it, through the public `http` and client API: the client's
+//! request bytes and the body limit on every response framing.
 
-use sms_harness::TraceContext;
-use sms_serve::{Client, ClientConfig};
+use sms_harness::{CacheKey, Event, RunRequest, TraceContext, SIM_VERSION_SALT};
+use sms_serve::http::{read_response, ChunkedWriter, Limits};
+use sms_serve::{Client, ClientConfig, FleetConfig, ServeConfig};
+use sms_sim::config::RenderConfig;
+use sms_sim::gpu::SimStats;
+use sms_sim::mem::MemStats;
+use sms_sim::rtunit::{SmsParams, StackConfig};
+use sms_sim::scene::SceneId;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::time::Duration;
@@ -67,4 +75,135 @@ fn request_bytes_are_pinned() {
         let got = server.join().unwrap();
         assert_eq!(String::from_utf8_lossy(&got), want);
     }
+}
+
+/// A byte source that counts the bytes a reader pulled from it.
+struct Counted<'a> {
+    bytes: &'a [u8],
+    pulled: usize,
+}
+
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.bytes.read(buf)?;
+        self.pulled += n;
+        Ok(n)
+    }
+}
+
+/// Reads `head` and then 8 MiB of `body` as a response: it must be a 4xx,
+/// and the reader must have pulled at most the body limit plus one 4 KiB
+/// read from the source, not the 8 MiB.
+fn refused_within_the_body_limit(head: &str, body: impl Fn(usize) -> Vec<u8>) {
+    let limits = Limits::default();
+    let mut payload = head.as_bytes().to_vec();
+    payload.extend(body(8 << 20));
+    let mut source = Counted { bytes: &payload, pulled: 0 };
+    let err = read_response(&mut source, &limits).unwrap_err();
+    assert!((400..500).contains(&err.status), "{err}");
+    let bound = limits.max_body + 4096;
+    assert!(source.pulled <= bound, "pulled {} bytes, bound {bound}: {err}", source.pulled);
+}
+
+/// A response whose `Content-Length` says a terabyte is refused before its
+/// body is read.
+#[test]
+fn a_response_announcing_a_terabyte_is_refused_unread() {
+    let head = "HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n";
+    refused_within_the_body_limit(head, |n| vec![b'x'; n]);
+}
+
+/// A response framed by connection close stops at the body limit.
+#[test]
+fn a_response_framed_by_close_stops_at_the_body_limit() {
+    refused_within_the_body_limit("HTTP/1.1 200 OK\r\n\r\n", |n| vec![b'x'; n]);
+}
+
+/// A chunked response stops at the body limit however small its chunks:
+/// the running total counts, not each chunk.
+#[test]
+fn a_chunked_response_stops_at_the_body_limit_in_all() {
+    let head = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+    refused_within_the_body_limit(head, |n| {
+        let mut chunk = b"1000\r\n".to_vec();
+        chunk.extend([b'x'; 4096]);
+        chunk.extend(b"\r\n");
+        chunk.repeat(n / 4096)
+    });
+}
+
+/// A sweep's stream as `stream_sweep` frames it, each line one chunk: a
+/// `job_queued` line per cell, then `settled(job)` (the event and its cache
+/// tier) for each, then `batch_end`.
+fn framed_stream(
+    cells: &[RunRequest],
+    settled: impl Fn(usize) -> (Event, &'static str),
+) -> Vec<u8> {
+    let mut wire = Vec::new();
+    let mut writer = ChunkedWriter::start(&mut wire, 200, "application/jsonl").unwrap();
+    let mut line = String::new();
+    let mut push = |event: Event, tier| {
+        line.clear();
+        event.write_with_cache(&mut line, tier);
+        line.push('\n');
+        writer.push(line.as_bytes());
+    };
+    for (job, req) in cells.iter().enumerate() {
+        push(Event::queued(job, req, &CacheKey::new(req, SIM_VERSION_SALT)), None);
+    }
+    for job in 0..cells.len() {
+        let (event, tier) = settled(job);
+        push(event, Some(tier));
+    }
+    let jobs = cells.len();
+    let end = Event::BatchEnd {
+        jobs,
+        cache_hits: jobs,
+        cache_misses: 0,
+        failed: 0,
+        duration_us: 321,
+        sim_cycles: 0,
+        breakdown: None,
+        metrics: None,
+        builds: Vec::new(),
+    };
+    push(end, None);
+    writer.finish().unwrap();
+    wire
+}
+
+/// The largest sweep the default per-request job cap admits, 256 cells of
+/// the longest keys with every counter at `u64::MAX`, reads back under the
+/// default limits with room to spare.
+#[test]
+fn the_largest_default_sweep_stream_fits_the_body_limit() {
+    let jobs = ServeConfig::default().max_jobs_per_request;
+    assert_eq!(jobs, FleetConfig::default().max_jobs_per_request);
+    let stats = SimStats {
+        mem: MemStats::from_values([u64::MAX; MemStats::FIELDS.len()]),
+        ..SimStats::from_values([u64::MAX; SimStats::FIELDS.len()])
+    };
+    let widest = SmsParams { rb_entries: 10, sh_entries: 10, ..SmsParams::default() };
+    let cells: Vec<RunRequest> = (0..jobs / SceneId::ALL.len())
+        .flat_map(|i| {
+            let sms = SmsParams { rb_entries: widest.rb_entries + i, ..widest };
+            let stack = StackConfig::Sms(sms.with_skewed(true).with_realloc(true));
+            SceneId::ALL.map(|scene| RunRequest::new(scene, stack, RenderConfig::paper()))
+        })
+        .collect();
+    assert_eq!(cells.len(), jobs);
+    let wire = framed_stream(&cells, |job| {
+        (Event::settled(job, Some(usize::MAX), u64::MAX, Ok((&stats, false, None))), "shared")
+    });
+    let limits = Limits::default();
+    let response = read_response(&mut &wire[..], &limits).unwrap();
+    let size = response.body.len();
+    println!(
+        "{jobs}-cell sweep stream: {size} bytes ({} framed), {:.0}% of the {} byte body limit",
+        wire.len(),
+        100.0 * size as f64 / limits.max_body as f64,
+        limits.max_body
+    );
+    assert_eq!(response.text().lines().count(), 2 * jobs + 1);
+    assert!(size < limits.max_body / 2, "{size} bytes leave less than 2x headroom");
 }
