@@ -259,6 +259,135 @@ mod tests {
         assert!(env.warnings[1].contains("(4)"), "{:?}", env.warnings);
     }
 
+    /// A decimal `u64` as `str::parse` reads one: an optional `+`, then
+    /// ASCII digits (leading zeros allowed), below 2⁶⁴.
+    fn decimal(v: &str) -> Option<u64> {
+        let digits = v.strip_prefix('+').unwrap_or(v);
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        digits.bytes().try_fold(0u64, |n, d| n.checked_mul(10)?.checked_add(u64::from(d - b'0')))
+    }
+
+    /// One generated value: a flag word in any case, an integer with a
+    /// sign, leading zeros or too many digits, a path or list, non-ASCII
+    /// look-alikes or random characters, sometimes blank, often padded.
+    fn value(g: &mut crate::geom::check::Gen) -> String {
+        const WORDS: &[&str] = &[
+            "1",
+            "true",
+            "yes",
+            "on",
+            "0",
+            "false",
+            "no",
+            "off",
+            "TRUE",
+            "oN",
+            "Yes",
+            "2",
+            "y",
+            "tru",
+            "ｔｒｕｅ",
+            "on\u{0}",
+            "١٢",
+            "５",
+            "é",
+            "-0",
+            "+",
+            "18446744073709551615",
+            "18446744073709551616",
+            "a:1, ,b:2,",
+            "/tmp/run dir",
+            "127.0.0.1:7745",
+            ",",
+            "",
+        ];
+        const PADS: &[&str] = &["", " ", "\t", "\n", "\u{a0}", "\u{3000}", "\u{200b}", "\r\n"];
+        let core = match g.int(0, 3) {
+            0 => WORDS[g.int(0, WORDS.len() - 1)].to_owned(),
+            1 => {
+                let sign = ["", "", "+", "-", "++", "+-"][g.int(0, 5)];
+                let zeros = "0".repeat(g.int(0, 3) * g.int(0, 1));
+                let digits: String =
+                    (0..g.int(1, 24)).map(|_| char::from(b'0' + g.int(0, 9) as u8)).collect();
+                format!("{sign}{zeros}{digits}")
+            }
+            2 => (0..g.int(0, 12)).map(|_| char::from(g.int(0x20, 0x7e) as u8)).collect(),
+            _ => {
+                let alphabet =
+                    ['1', '0', 'o', 'N', ' ', ',', '+', '-', 'é', '٣', '\u{a0}', '\u{0}', 'ß'];
+                (0..g.int(0, 8)).map(|_| alphabet[g.int(0, alphabet.len() - 1)]).collect()
+            }
+        };
+        let pad = |g: &mut crate::geom::check::Gen| PADS[g.int(0, PADS.len() - 1)];
+        format!("{}{core}{}", pad(g), pad(g))
+    }
+
+    /// Generated values for every `DECLS` row, beside a foreign variable
+    /// and a misspelt one. Parsing never panics; an accepted value is the
+    /// trimmed input and its typed getter reads back what the grammar says
+    /// it means; a refusal is exactly one warning that names the variable
+    /// first, and the default stays. Integers take a leading `+` and zeros,
+    /// as `str::parse` does: unlike a config label, a count has no
+    /// canonical spelling to keep.
+    #[test]
+    fn generated_values_read_back_or_are_refused_by_name() {
+        crate::geom::check::for_cases(20_000, 49, |g| {
+            let i = g.int(0, DECLS.len() - 1);
+            let (name, kind, default, ..) = DECLS[i];
+            let raw = value(g);
+            let mut pairs = vec![(name.to_owned(), raw.clone())];
+            if g.chance(0.3) {
+                pairs.insert(g.int(0, 1), ("HOME".to_owned(), value(g)));
+            }
+            let typo = g.chance(0.3).then(|| format!("{name}S"));
+            pairs.extend(typo.iter().map(|t| (t.clone(), value(g))));
+            let env = Env::from_pairs(&pairs);
+            let v = raw.trim();
+            let flag = |on: &[&str]| on.iter().any(|w| w.eq_ignore_ascii_case(v));
+            let accepted = match kind {
+                Flag => flag(&["1", "true", "yes", "on"]) || flag(&["", "0", "false", "no", "off"]),
+                Positive => decimal(v).is_some_and(|n| n > 0),
+                NonNegative => decimal(v).is_some(),
+                Path | Text | List => true,
+            };
+            let shown = format!("{name}={raw:?}: {:?}", env.warnings);
+            let mut warned: Vec<&str> =
+                env.warnings.iter().map(|w| w.split(": ").next().unwrap()).collect();
+            if let Some(typo) = &typo {
+                assert_eq!(warned.pop(), Some(typo.as_str()), "{shown}");
+            }
+            if v.is_empty() && kind != Flag {
+                assert_eq!((&env.values[i], warned.len()), (&None, 0), "blank is unset: {shown}");
+            } else if accepted {
+                assert_eq!((env.values[i].as_deref(), warned.len()), (Some(v), 0), "{shown}");
+            } else {
+                assert_eq!((&env.values[i], warned), (&None, vec![name]), "{shown}");
+            }
+            match kind {
+                Flag => assert_eq!(
+                    env.flag(name),
+                    if accepted { flag(&["1", "true", "yes", "on"]) } else { default == "on" },
+                    "{shown}"
+                ),
+                Positive => {
+                    assert_eq!(env.positive(name), decimal(v).filter(|&n| n > 0), "{shown}")
+                }
+                NonNegative => assert_eq!(env.non_negative(name), decimal(v), "{shown}"),
+                Path => {
+                    assert_eq!(env.path(name), (!v.is_empty()).then(|| PathBuf::from(v)), "{shown}")
+                }
+                Text => assert_eq!(env.text(name), (!v.is_empty()).then_some(v), "{shown}"),
+                List => {
+                    let items: Vec<&str> =
+                        v.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+                    assert_eq!(env.list(name), items, "{shown}");
+                }
+            }
+        });
+    }
+
     /// Every `SMS_*` token in `text`, in order of appearance.
     fn sms_tokens(text: &str) -> Vec<&str> {
         let is_word = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';

@@ -1,11 +1,15 @@
 //! The bytes the client, the backend and the fleet put on the wire and
-//! take off it, through the public `http` and client API: the client's
-//! request bytes and the body limit on every response framing.
+//! take off it, through the public `http`, `protocol` and client API: the
+//! client's request bytes, the body limit on every response framing, and
+//! generated garbage against the sweep-body and JSONL-stream parsers.
 
+use sms_harness::json::{parse, Json};
 use sms_harness::{CacheKey, Event, RunRequest, TraceContext, SIM_VERSION_SALT};
 use sms_serve::http::{read_response, ChunkedWriter, Limits};
+use sms_serve::protocol::{parse_sweep, sweep_body, SweepOutcome, SweepRequest};
 use sms_serve::{Client, ClientConfig, FleetConfig, ServeConfig};
 use sms_sim::config::RenderConfig;
+use sms_sim::geom::check::{for_cases, mutate, Gen};
 use sms_sim::gpu::SimStats;
 use sms_sim::mem::MemStats;
 use sms_sim::rtunit::{SmsParams, StackConfig};
@@ -206,4 +210,203 @@ fn the_largest_default_sweep_stream_fits_the_body_limit() {
     );
     assert_eq!(response.text().lines().count(), 2 * jobs + 1);
     assert!(size < limits.max_body / 2, "{size} bytes leave less than 2x headroom");
+}
+
+/// Sweep bodies as the client writes them.
+fn client_sweeps() -> Vec<Vec<u8>> {
+    let sweeps: [(&[&str], &[&str], &str); 4] = [
+        (&["WKND", "SHIP"], &["RB_8", "RB_8+SH_8+SK+RA"], "tiny"),
+        (&["SHIP"], &["RB_8", "RB_FULL", "SL", "PRED_12"], "fast"),
+        (&["WKND", "BUNNY", "SPRNG"], &["RB_2+SH_16+RA", "RB_8+SH_8"], "paper"),
+        (&["CHSNT", "CHSNT"], &["RB_8", "RB_8"], "tiny"),
+    ];
+    sweeps
+        .iter()
+        .map(|(scenes, configs, render)| sweep_body(scenes, configs, render).into())
+        .collect()
+}
+
+/// A body asking for exactly `sweep`'s cells: the shortest run of configs
+/// that tiles its scene-major cross product, one scene per run.
+fn reserialised(sweep: &SweepRequest) -> Vec<u8> {
+    let cells = &sweep.requests;
+    let tiles = |run: usize| {
+        cells.len() % run == 0
+            && cells.iter().enumerate().all(|(i, cell)| {
+                cell.stack == cells[i % run].stack && cell.scene == cells[i - i % run].scene
+            })
+    };
+    let run = (1..=cells.len()).find(|&run| tiles(run)).expect("the whole list tiles");
+    let scenes: Vec<&str> = cells.iter().step_by(run).map(|c| c.scene.name()).collect();
+    let labels: Vec<String> = cells[..run].iter().map(|c| c.stack.label()).collect();
+    let configs: Vec<&str> = labels.iter().map(String::as_str).collect();
+    sweep_body(&scenes, &configs, &sweep.render_name).into_bytes()
+}
+
+/// The sweep property: parsing never panics, and an accepted body
+/// re-serialises to one that parses to the same cells and render.
+fn a_sweep_reparses_to_itself(body: &[u8]) {
+    let Ok(sweep) = parse_sweep(body, 256) else { return };
+    let shown = String::from_utf8_lossy(body);
+    let reparsed =
+        parse_sweep(&reserialised(&sweep), 256).unwrap_or_else(|e| panic!("{shown:?}: {e}"));
+    assert_eq!(reparsed.requests, sweep.requests, "{shown:?}");
+    assert_eq!(reparsed.render_name, sweep.render_name, "{shown:?}");
+}
+
+/// A sweep body built from the grammar's pieces: scene names and config
+/// labels valid and not, `\u` escapes, any render value, fields dropped,
+/// doubled, reordered or unknown, whitespace between tokens.
+fn generated_sweep(g: &mut Gen) -> Vec<u8> {
+    const SCENES: &[&str] = &["WKND", "SHIP", "BUNNY", "CHSNT", "REF", "ship", "NOPE", ""];
+    const LABELS: &[&str] = &[
+        "RB_8",
+        "RB_FULL",
+        "SL",
+        "PRED_12",
+        "RB_8+SH_8",
+        "RB_8+SH_8+SK+RA",
+        "RB_2+SH_16+RA",
+        "RB_8+SH_64",
+        "RB_08",
+        "rb_8",
+        "RB_8+",
+        "",
+    ];
+    const RENDERS: &[&str] = &[r#""tiny""#, r#""fast""#, r#""paper""#, r#""huge""#, "5", "null"];
+    let string = |g: &mut Gen, text: &str| match text.chars().next() {
+        Some(first) if g.chance(0.2) => format!("\"\\u{:04x}{}\"", first as u32, &text[1..]),
+        _ => format!("\"{text}\""),
+    };
+    let list = |g: &mut Gen, pool: &[&str]| {
+        let items = g.vec(0, 6, |g| {
+            let item = pool[g.int(0, pool.len() - 1)];
+            string(g, item)
+        });
+        format!("[{}]", items.join(","))
+    };
+    let mut fields = vec![
+        ("scenes", list(g, SCENES)),
+        ("configs", list(g, LABELS)),
+        ("render", RENDERS[g.int(0, RENDERS.len() - 1)].to_owned()),
+    ];
+    match g.int(0, 5) {
+        0 => drop(fields.remove(g.int(0, 2))),
+        1 => fields.push(fields[g.int(0, 2)].clone()),
+        2 => fields.push(("rendr", r#""tiny""#.to_owned())),
+        3 => fields.swap(g.int(0, 2), g.int(0, 2)),
+        _ => {}
+    }
+    let space = |g: &mut Gen| ["", "", "", " ", "\n\t"][g.int(0, 4)];
+    let body: Vec<String> =
+        fields.iter().map(|(k, v)| format!("{}\"{k}\":{}{v}", space(g), space(g))).collect();
+    format!("{{{}}}{}", body.join(","), space(g)).into_bytes()
+}
+
+/// Generated garbage against `parse_sweep`: bodies built from the grammar,
+/// and the client's sweep bodies, either damaged by byte. Every seed parses
+/// as sent.
+#[test]
+fn garbage_sweeps_reparse_to_themselves_or_are_refused() {
+    let seeds = client_sweeps();
+    let donors: Vec<&[u8]> = seeds.iter().map(Vec::as_slice).collect();
+    for seed in &seeds {
+        assert!(parse_sweep(seed, 256).is_ok(), "{}", String::from_utf8_lossy(seed));
+        a_sweep_reparses_to_itself(seed);
+    }
+    for_cases(20_000, 49, |g| {
+        let body = match g.chance(0.5) {
+            true => generated_sweep(g),
+            false => donors[g.int(0, donors.len() - 1)].to_vec(),
+        };
+        let body = if g.chance(0.5) { mutate(g, &body, &donors) } else { body };
+        a_sweep_reparses_to_itself(&body);
+    });
+}
+
+/// JSONL streams: the warm 4-cell sweep `http::tests::sweep_stream` frames
+/// (every cell a cache hit), and the same cells with every other job failed.
+fn streams() -> Vec<Vec<u8>> {
+    let stats = SimStats { cycles: 424_242, node_visits: 7, ..Default::default() };
+    let cells: Vec<RunRequest> = [SceneId::Wknd, SceneId::Ship]
+        .into_iter()
+        .flat_map(|scene| {
+            [StackConfig::baseline8(), StackConfig::sms_default()]
+                .map(|stack| RunRequest::new(scene, stack, RenderConfig::tiny()))
+        })
+        .collect();
+    let hit = |job| (Event::settled(job, Some(1), 17, Ok((&stats, true, None))), "hit");
+    let failed = |job: usize| match job % 2 {
+        0 => hit(job),
+        _ => {
+            let (kind, error) = ("panic".to_owned(), "boom".to_owned());
+            (Event::RunFailed { job, worker: 0, kind, error, duration_us: 2 }, "miss")
+        }
+    };
+    [framed_stream(&cells, hit), framed_stream(&cells, failed)]
+        .map(|wire| read_response(&mut &wire[..], &Limits::default()).unwrap().body)
+        .to_vec()
+}
+
+/// `text` damaged a line at a time: a line dropped, doubled or moved.
+fn shuffle_lines(g: &mut Gen, text: &[u8]) -> Vec<u8> {
+    let mut lines: Vec<&[u8]> = text.split_inclusive(|&b| b == b'\n').collect();
+    for _ in 0..g.int(1, 2) {
+        let (from, to) = (g.int(0, lines.len() - 1), g.int(0, lines.len() - 1));
+        match g.int(0, 2) {
+            0 => drop(lines.remove(from)),
+            1 => lines.insert(to, lines[from]),
+            _ => lines.swap(from, to),
+        }
+        if lines.is_empty() {
+            break;
+        }
+    }
+    lines.concat()
+}
+
+/// The stream property: parsing never panics, and an accepted stream's
+/// records are one for one with the `job_queued` lines of the jobs that
+/// settled: each record carries its own queued line's job, scene and
+/// config, and no two share one. A queued job without a record never
+/// settled, as in a killed backend's journal, which `fleet_chaos` reads.
+fn records_match_queued_jobs_one_for_one(text: &str) {
+    let Ok(outcome) = SweepOutcome::parse(text) else { return };
+    let queued: Vec<(u64, String, String)> = text
+        .lines()
+        .filter_map(|line| parse(line).ok())
+        .filter(|doc| doc.get("event").and_then(Json::as_str) == Some("job_queued"))
+        .map(|doc| {
+            let field = |name| doc.get(name).and_then(Json::as_str).unwrap().to_owned();
+            (doc.u64_field("job").unwrap(), field("scene"), field("config"))
+        })
+        .collect();
+    for (i, record) in outcome.records.iter().enumerate() {
+        let own = (record.job, record.scene.clone(), record.config.clone());
+        assert_eq!(queued.iter().filter(|q| **q == own).count(), 1, "{own:?} in {text:?}");
+        let twice = outcome.records[..i].iter().any(|r| r.job == record.job);
+        assert!(!twice, "job {} has two records in {text:?}", record.job);
+    }
+}
+
+/// Generated garbage against `SweepOutcome::parse`, the one journal-stream
+/// reader: the streams of [`streams`] damaged by line, by byte or both.
+/// Every seed parses as sent, with one record per job.
+#[test]
+fn garbage_streams_match_their_queued_jobs_or_are_refused() {
+    let seeds = streams();
+    let donors: Vec<&[u8]> = seeds.iter().map(Vec::as_slice).collect();
+    for seed in &seeds {
+        let text = std::str::from_utf8(seed).unwrap();
+        assert_eq!(SweepOutcome::parse(text).unwrap().records.len(), 4);
+        records_match_queued_jobs_one_for_one(text);
+    }
+    for_cases(20_000, 49, |g| {
+        let seed = donors[g.int(0, donors.len() - 1)];
+        let mut bytes = if g.chance(0.5) { shuffle_lines(g, seed) } else { seed.to_vec() };
+        if g.chance(0.7) {
+            bytes = mutate(g, &bytes, &donors);
+        }
+        records_match_queued_jobs_one_for_one(&String::from_utf8_lossy(&bytes));
+    });
 }
