@@ -83,14 +83,6 @@ pub mod restart;
 pub mod stats;
 pub mod traverse;
 
-/// Structural invariants of the collapsed k-wide tree (children ≤ width,
-/// every primitive reachable once, bounds nesting, …). The module path
-/// predates the single layout and is kept so the test ids stay stable.
-#[cfg(test)]
-mod wide {
-    mod tests;
-}
-
 pub use builder::{BinaryBvh, BuildParams, SplitMethod};
 pub use flat::{FlatBvh, FlatNode, NodeId, NO_NODE};
 pub use hlbvh::{morton_decode, morton_encode, radix_sort_pairs};
