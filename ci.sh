@@ -282,6 +282,28 @@ if ! awk '
   exit 1
 fi
 
+echo "==> one-reader gate (requests and responses share one reader and one head builder: outside"
+echo "    tests http.rs reads a peer at one call site and defines one header lookup, and no other"
+echo "    file under crates/serve/src writes an HTTP/1.1 head in a string; prints offenders)"
+# Each file is read up to its `#[cfg(test)]` module, comment lines
+# skipped; a second read site or lookup prints every site of its kind.
+if ! awk '
+  FNR == 1 { tests = 0 }
+  /^#\[cfg\(test\)\]/ { tests = 1 }
+  tests || /^[[:space:]]*\/\// { next }
+  FILENAME ~ /http\.rs$/ && /\.read\(/ { reads[++nreads] = FILENAME ":" FNR ":" $0 }
+  FILENAME ~ /http\.rs$/ && /fn header\(/ { lookups[++nlookups] = FILENAME ":" FNR ":" $0 }
+  FILENAME !~ /http\.rs$/ && /"[^"]*HTTP\/1\.[01]/ { print FILENAME ":" FNR ":" $0; bad = 1 }
+  END {
+    if (nreads > 1) for (i = 1; i <= nreads; i++) { print reads[i]; bad = 1 }
+    if (nlookups > 1) for (i = 1; i <= nlookups; i++) { print lookups[i]; bad = 1 }
+    exit bad
+  }' $(git ls-files 'crates/serve/src/*.rs'); then
+  echo "HTTP framing is read or written in a second place again (read through http.rs's Reader,"
+  echo "build every head with http::message, look headers up through http::Message)"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -301,10 +323,14 @@ cargo test -q -p sms-serve --test serve_e2e -- \
 cargo test -q -p sms-harness --test cache_robustness
 
 echo "==> wire framing suite (a batched stream is the per-chunk framing byte for byte, a warm sweep"
-echo "    leaves in at most 3 writes after the head, a fixed response in one; generated garbage"
-echo "    against the request and response parsers and, in cache_robustness, the entry reader)"
+echo "    leaves in at most 3 writes after the head, a fixed response in one, the client's request"
+echo "    bytes pinned; the body limit bounds every response framing; generated garbage against the"
+echo "    request and response parsers, the sweep body and stream parsers, the environment's value"
+echo "    grammars and, in cache_robustness, the entry reader)"
 cargo test -q -p sms-serve --lib -- http::tests:: \
   service::tests::a_warm_sweep_leaves_in_a_few_writes_with_the_per_chunk_bytes
+cargo test -q -p sms-serve --test framing
+cargo test -q -p sms-sim --lib env::tests::generated_values_read_back_or_are_refused_by_name
 cargo test -q -p sms-harness --lib cache::tests::keys_through_one_tail_are_fresh_keys
 
 echo "==> journal/json regression suite (schema goldens, non-finite floats, watchdog; generated"
