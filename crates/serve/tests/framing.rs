@@ -255,10 +255,10 @@ fn a_sweep_reparses_to_itself(body: &[u8]) {
 }
 
 /// A sweep body built from the grammar's pieces: scene names and config
-/// labels valid and not, `\u` escapes, any render value, fields dropped,
-/// doubled, reordered or unknown, whitespace between tokens.
+/// labels valid and not (some spelt with a `\u` escape), any render value,
+/// fields dropped, doubled, reordered or unknown, whitespace between tokens.
 fn generated_sweep(g: &mut Gen) -> Vec<u8> {
-    const SCENES: &[&str] = &["WKND", "SHIP", "BUNNY", "CHSNT", "REF", "ship", "NOPE", ""];
+    const SCENES: &[&str] = &["WKND", "SHIP", "BUNNY", "CHSNT", r"\u0053HIP", "ship", "NOPE", ""];
     const LABELS: &[&str] = &[
         "RB_8",
         "RB_FULL",
@@ -267,6 +267,7 @@ fn generated_sweep(g: &mut Gen) -> Vec<u8> {
         "RB_8+SH_8",
         "RB_8+SH_8+SK+RA",
         "RB_2+SH_16+RA",
+        r"\u0052B_8",
         "RB_8+SH_64",
         "RB_08",
         "rb_8",
@@ -274,15 +275,8 @@ fn generated_sweep(g: &mut Gen) -> Vec<u8> {
         "",
     ];
     const RENDERS: &[&str] = &[r#""tiny""#, r#""fast""#, r#""paper""#, r#""huge""#, "5", "null"];
-    let string = |g: &mut Gen, text: &str| match text.chars().next() {
-        Some(first) if g.chance(0.2) => format!("\"\\u{:04x}{}\"", first as u32, &text[1..]),
-        _ => format!("\"{text}\""),
-    };
     let list = |g: &mut Gen, pool: &[&str]| {
-        let items = g.vec(0, 6, |g| {
-            let item = pool[g.int(0, pool.len() - 1)];
-            string(g, item)
-        });
+        let items = g.vec(0, 6, |g| format!("\"{}\"", pool[g.int(0, pool.len() - 1)]));
         format!("[{}]", items.join(","))
     };
     let mut fields = vec![
