@@ -207,7 +207,7 @@ impl<R: Read> Reader<'_, R> {
     }
 
     /// Every byte up to the end of the stream; `None` past `max` bytes.
-    fn to_eof(&mut self, max: usize) -> Result<Option<Vec<u8>>, HttpError> {
+    fn until_eof(&mut self, max: usize) -> Result<Option<Vec<u8>>, HttpError> {
         let ended = !self.fill(max.saturating_add(1))?;
         Ok(ended.then(|| std::mem::take(&mut self.buf)))
     }
@@ -250,7 +250,7 @@ impl<R: Read> Reader<'_, R> {
                 _ => Err(HttpError::new(400, "body longer than Content-Length")),
             },
             Framing::Close => {
-                self.to_eof(max)?.ok_or_else(|| too_large(format!("more than {max}")))
+                self.until_eof(max)?.ok_or_else(|| too_large(format!("more than {max}")))
             }
             Framing::Chunked => {
                 let mut body = Vec::new();

@@ -231,7 +231,7 @@ fn client_sweeps() -> Vec<Vec<u8>> {
 fn reserialised(sweep: &SweepRequest) -> Vec<u8> {
     let cells = &sweep.requests;
     let tiles = |run: usize| {
-        cells.len() % run == 0
+        cells.len().is_multiple_of(run)
             && cells.iter().enumerate().all(|(i, cell)| {
                 cell.stack == cells[i % run].stack && cell.scene == cells[i - i % run].scene
             })
