@@ -1,8 +1,10 @@
 //! An open-addressed `u64 → u64` table keyed by line number.
 //!
-//! Every modelled memory access resolves a line in up to four tables (L1
-//! tags, L1 MSHRs, L2 MSHRs, L2 tags). The keys are line numbers the
-//! simulator computes itself, so one multiply is hash enough; collisions
+//! Every modelled memory access resolves its line in the L1's tag table
+//! and, on a miss, the L2's; a line evicted while its fill is in flight is
+//! kept in a small side table per level. The keys are line numbers (or
+//! line addresses) the simulator computes itself, so one multiply is hash
+//! enough; collisions
 //! probe linearly and a removal shifts the rest of its cluster back, so
 //! there are no tombstones to skip. Iteration order is never exposed.
 
@@ -28,6 +30,10 @@ impl LineMap {
 
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Fibonacci hashing: the top bits of `key × 2⁶⁴/φ`.
